@@ -26,13 +26,6 @@
 //!   non-empty and well-formed (spans carry ids, the request/commit stages
 //!   appear, slow-log entries carry fingerprints). Exit 1 on any miss —
 //!   this is the CI gate for the tracing path.
-//! * **trace-overhead** — the always-on flight recorder's cost gate: the
-//!   contention-shaped workload (readers racing one paced streaming writer)
-//!   runs against two otherwise identical servers — recorder on (default
-//!   capacity) vs off (`trace_capacity = 0`) — in alternating rounds.
-//!   Median read throughput of each arm is compared and written to
-//!   `BENCH_trace_overhead.json`; exit 1 if the recorder costs more than
-//!   5% throughput.
 //! * **replication** — a primary plus in-process log-shipping followers:
 //!   one writer streams units at the primary throughout while the same
 //!   read workload runs twice — first with every reader on the primary,
@@ -80,8 +73,6 @@
 //! cargo run --release -p prometheus-bench --bin loadgen -- parallel 4000 5 8
 //! #                                                        objects iters workers
 //! cargo run --release -p prometheus-bench --bin loadgen -- trace-smoke
-//! cargo run --release -p prometheus-bench --bin loadgen -- trace-overhead 4 300 3
-//! #                                                        readers ops rounds
 //! cargo run --release -p prometheus-bench --bin loadgen -- replication 4 150 2
 //! #                                                        readers ops followers
 //! cargo run --release -p prometheus-bench --bin loadgen -- sharded-writes 4 50 2
@@ -93,9 +84,9 @@
 //! ```
 
 use prometheus_bench::report::{percentile_us, render_latency_summary};
+use prometheus_db::storage::ShardedStore;
 use prometheus_db::{
-    AttrDef, Cardinality, ClassDef, Database, Prometheus, RelClassDef, Store, StoreOptions, Type,
-    Value,
+    AttrDef, Cardinality, ClassDef, Database, Prometheus, RelClassDef, StoreOptions, Type, Value,
 };
 use prometheus_pool::Executor;
 use prometheus_server::{serve, MutationOp, PrometheusClient, ServerConfig, ServerHandle};
@@ -210,7 +201,6 @@ fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match argv.first().map(String::as_str) {
         Some("contention") => contention(&argv[1..]),
-        Some("trace-overhead") => trace_overhead(&argv[1..]),
         Some("parallel") => parallel(&argv[1..]),
         Some("trace-smoke") => trace_smoke(&argv[1..]),
         Some("replication") => replication(&argv[1..]),
@@ -463,171 +453,6 @@ fn trace_smoke(argv: &[String]) {
         std::process::exit(1);
     }
     println!("OK: trace ring and slow log are live and well-formed.");
-}
-
-/// One measured arm of the trace-overhead comparison: boot a fresh seeded
-/// server with the given recorder capacity, run the contention-shaped
-/// workload (readers racing one paced streaming writer), and return read
-/// throughput in ops/sec plus the failure count.
-fn trace_overhead_round(
-    trace_capacity: usize,
-    readers: usize,
-    ops: usize,
-    workers: usize,
-) -> (f64, usize) {
-    let tag = if trace_capacity == 0 {
-        "notrace"
-    } else {
-        "trace"
-    };
-    let path = std::env::temp_dir().join(format!(
-        "prometheus-loadgen-overhead-{tag}-{}.db",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_file(&path);
-    let p = Prometheus::open_with(
-        &path,
-        StoreOptions {
-            sync_on_commit: false,
-        },
-    )
-    .expect("open scratch database");
-    let tax = p.taxonomy().expect("install taxonomy schema");
-    for i in 0..32 {
-        tax.create_ct(&format!("Seed-{i:03}"), Rank::Genus)
-            .expect("seed taxon");
-    }
-    let handle = serve(
-        p,
-        ServerConfig {
-            addr: "127.0.0.1:0".into(),
-            workers,
-            trace_capacity,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("start server");
-    let addr = handle.addr();
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let writer = {
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            let mut client = PrometheusClient::connect(addr)?;
-            let mut serial = 0usize;
-            while !stop.load(Ordering::Relaxed) {
-                let mut unit = client.begin_unit()?;
-                for _ in 0..16 {
-                    serial += 1;
-                    unit.create_object(
-                        "CT",
-                        vec![
-                            ("working_name".into(), Value::Str(format!("Churn-{serial}"))),
-                            ("rank".into(), Value::Str("Species".into())),
-                        ],
-                    )?;
-                }
-                unit.commit()?;
-                std::thread::sleep(std::time::Duration::from_millis(2));
-            }
-            client.close()?;
-            Ok::<_, prometheus_server::ServerError>(())
-        })
-    };
-    let wall = Instant::now();
-    let (samples, mut failures) = run_readers(addr, readers, ops);
-    let elapsed = wall.elapsed().as_secs_f64();
-    stop.store(true, Ordering::Relaxed);
-    if !matches!(writer.join(), Ok(Ok(()))) {
-        failures += 1;
-        eprintln!("trace-overhead writer failed ({tag} arm)");
-    }
-    handle.stop();
-    let _ = std::fs::remove_file(&path);
-    (samples.len() as f64 / elapsed.max(1e-9), failures)
-}
-
-/// **trace-overhead** — the always-on flight recorder's cost gate: the
-/// contention-shaped workload runs against two otherwise identical servers,
-/// recorder on (default capacity) vs off (`trace_capacity = 0`), in
-/// alternating rounds. Median read throughput of each arm is compared and
-/// written to `BENCH_trace_overhead.json`; exit 1 if the recorder costs
-/// more than 5% throughput or any round saw errors.
-fn trace_overhead(argv: &[String]) {
-    let num =
-        |i: usize, default: usize| argv.get(i).and_then(|s| s.parse().ok()).unwrap_or(default);
-    let readers = num(0, 4).max(1);
-    let ops = num(1, 300).max(1);
-    let rounds = num(2, 3).max(1);
-    let workers = readers + 2;
-    println!(
-        "loadgen trace-overhead: {readers} readers × {ops} ops, 1 paced writer, \
-         {rounds} round(s) per arm (recorder on vs off)"
-    );
-
-    let mut on = Vec::new();
-    let mut off = Vec::new();
-    let mut failures = 0usize;
-    for round in 0..rounds {
-        // Alternate arm order each round so drift (cache warmth, CPU
-        // frequency) cannot systematically favour one arm.
-        let arms: [(bool, usize); 2] = if round % 2 == 0 {
-            [
-                (true, prometheus_server::Recorder::DEFAULT_CAPACITY),
-                (false, 0),
-            ]
-        } else {
-            [
-                (false, 0),
-                (true, prometheus_server::Recorder::DEFAULT_CAPACITY),
-            ]
-        };
-        for (enabled, capacity) in arms {
-            let (tput, fails) = trace_overhead_round(capacity, readers, ops, workers);
-            failures += fails;
-            println!(
-                "  round {round}: recorder {} → {tput:.0} reads/sec",
-                if enabled { "on " } else { "off" }
-            );
-            if enabled {
-                on.push(tput);
-            } else {
-                off.push(tput);
-            }
-        }
-    }
-    let median = |v: &mut Vec<f64>| {
-        v.sort_by(|a, b| a.total_cmp(b));
-        v[v.len() / 2]
-    };
-    let on_tput = median(&mut on);
-    let off_tput = median(&mut off);
-    let overhead_pct = (off_tput - on_tput) / off_tput * 100.0;
-    println!();
-    println!(
-        "recorder off: {off_tput:.0} reads/sec · recorder on: {on_tput:.0} reads/sec \
-         · overhead {overhead_pct:+.1}%"
-    );
-
-    let json = format!(
-        "{{\n  \"scenario\": \"trace-overhead\",\n  \"readers\": {readers},\n  \
-         \"ops_per_reader\": {ops},\n  \"rounds\": {rounds},\n  \
-         \"recorder_off_reads_per_sec\": {off_tput:.1},\n  \
-         \"recorder_on_reads_per_sec\": {on_tput:.1},\n  \
-         \"overhead_pct\": {overhead_pct:.2},\n  \"gate_pct\": 5.0\n}}\n"
-    );
-    std::fs::write("BENCH_trace_overhead.json", &json).expect("write BENCH_trace_overhead.json");
-    println!("wrote BENCH_trace_overhead.json");
-
-    if failures > 0 {
-        eprintln!("FAILED: {failures} client/writer errors during the comparison");
-        std::process::exit(1);
-    }
-    if overhead_pct > 5.0 {
-        eprintln!("FAILED: flight recorder costs {overhead_pct:.1}% read throughput (gate: 5%)");
-        std::process::exit(1);
-    }
-    println!("OK: flight recorder overhead within the 5% gate.");
 }
 
 /// Run every reader for `ops` queries each; returns merged, sorted latencies
@@ -1435,14 +1260,16 @@ fn parallel(argv: &[String]) {
         std::process::id()
     ));
     let _ = std::fs::remove_file(&path);
-    let store = Store::open_with(
+    let store = ShardedStore::open_with(
         &path,
         StoreOptions {
             sync_on_commit: false,
         },
+        1,
+        prometheus_db::index::shard_routing(),
     )
     .expect("open scratch database");
-    let db = Database::open(Arc::new(store)).expect("open database");
+    let db = Database::open_sharded(Arc::new(store)).expect("open database");
 
     // A benchmark flora: a base class with indexed attributes, a subclass
     // (so conformance checks do real work) and a branching relationship

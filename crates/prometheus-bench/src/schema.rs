@@ -18,8 +18,8 @@
 //! layer.
 
 use prometheus_object::{
-    AttrDef, ClassDef, Classification, Database, DbResult, Oid, RelClassDef, Store, StoreOptions,
-    Type, Value,
+    shard_routing, AttrDef, ClassDef, Classification, Database, DbResult, Oid, RelClassDef,
+    ShardedStore, Store, StoreOptions, Type, Value,
 };
 use prometheus_storage::codec;
 use serde::{Deserialize, Serialize};
@@ -224,13 +224,15 @@ impl PromDb {
     /// Build the Prometheus database.
     pub fn build(name: &str, params: BenchParams) -> DbResult<PromDb> {
         let path = bench_path(name);
-        let store = Arc::new(Store::open_with(
+        let store = Arc::new(ShardedStore::open_with(
             &path,
             StoreOptions {
                 sync_on_commit: false,
             },
+            1,
+            shard_routing(),
         )?);
-        let db = Arc::new(Database::open(store)?);
+        let db = Arc::new(Database::open_sharded(store)?);
         db.define_class(
             ClassDef::new("Assembly")
                 .attr(AttrDef::required("label", Type::Str).indexed())

@@ -35,7 +35,7 @@ use crate::synonym::SynonymTable;
 use crate::value::Value;
 use parking_lot::{Condvar, Mutex, RwLock};
 use prometheus_storage::cache::LruCache;
-use prometheus_storage::{codec, Oid, ShardedStore, Stats, Store};
+use prometheus_storage::{codec, Oid, ShardedStore, Stats};
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
@@ -124,13 +124,8 @@ pub struct Database {
 }
 
 impl Database {
-    /// Open a database over a single (unsharded) `store`, loading any
-    /// persisted schema and synonym state.
-    pub fn open(store: Arc<Store>) -> DbResult<Self> {
-        Self::open_sharded(Arc::new(ShardedStore::from_single(store)))
-    }
-
-    /// Open a database over an already-assembled sharded store. Use
+    /// Open a database over `store` (of one shard or many), loading any
+    /// persisted schema and synonym state. Use
     /// [`crate::index::shard_routing`] when opening the store so index
     /// entries land on the shard their trailing/leading OID maps to.
     pub fn open_sharded(store: Arc<ShardedStore>) -> DbResult<Self> {
@@ -1712,16 +1707,17 @@ pub(crate) mod tests {
                 .as_nanos()
         ));
         let _ = std::fs::remove_file(&path);
-        let store = Arc::new(
-            Store::open_with(
-                &path,
-                StoreOptions {
-                    sync_on_commit: false,
-                },
-            )
-            .unwrap(),
-        );
-        Database::open(store).unwrap()
+        open_at(
+            &path,
+            StoreOptions {
+                sync_on_commit: false,
+            },
+        )
+    }
+
+    fn open_at(path: &std::path::Path, options: StoreOptions) -> Database {
+        let store = ShardedStore::open_with(path, options, 1, index::shard_routing()).unwrap();
+        Database::open_sharded(Arc::new(store)).unwrap()
     }
 
     fn taxo_db() -> Database {
@@ -2466,8 +2462,7 @@ pub(crate) mod tests {
         let oid;
         let cls;
         {
-            let store = Arc::new(Store::open(&path).unwrap());
-            let db = Database::open(store).unwrap();
+            let db = open_at(&path, StoreOptions::default());
             db.define_class(
                 ClassDef::new("Taxon").attr(AttrDef::required("name", Type::Str).indexed()),
             )
@@ -2479,8 +2474,7 @@ pub(crate) mod tests {
                 .unwrap();
             cls = db.create_classification("C", attrs(&[]), true).unwrap();
         }
-        let store = Arc::new(Store::open(&path).unwrap());
-        let db = Database::open(store).unwrap();
+        let db = open_at(&path, StoreOptions::default());
         assert_eq!(db.object(oid).unwrap().attr("name"), Value::from("Apium"));
         assert_eq!(
             db.find_by_attr("Taxon", "name", &"Apium".into()).unwrap(),

@@ -46,11 +46,11 @@ impl HistoryRecorder {
     /// highest recorded entry.
     pub fn install(db: &Database) -> DbResult<Arc<HistoryRecorder>> {
         let mut max_seq = 0u64;
-        for (_, value) in db.store().kv_scan_prefix(KS_HISTORY, &[]) {
-            if let Ok(entry) = codec::from_bytes::<HistoryEntry>(&value) {
+        db.store().kv_for_each_prefix(KS_HISTORY, &[], |_, value| {
+            if let Ok(entry) = codec::from_bytes::<HistoryEntry>(value) {
                 max_seq = max_seq.max(entry.seq);
             }
-        }
+        });
         let recorder = Arc::new(HistoryRecorder {
             seq: AtomicU64::new(max_seq + 1),
         });
@@ -156,13 +156,12 @@ impl EventListener for HistoryRecorder {
 
 /// The recorded history of one subject, oldest first.
 pub fn history_of(db: &Database, subject: Oid) -> DbResult<Vec<HistoryEntry>> {
-    let mut out = Vec::new();
-    for (_, value) in db
-        .store()
-        .kv_scan_prefix(KS_HISTORY, &subject.to_be_bytes())
-    {
-        out.push(codec::from_bytes::<HistoryEntry>(&value)?);
-    }
+    let mut decoded = Vec::new();
+    db.store()
+        .kv_for_each_prefix(KS_HISTORY, &subject.to_be_bytes(), |_, value| {
+            decoded.push(codec::from_bytes::<HistoryEntry>(value));
+        });
+    let mut out = decoded.into_iter().collect::<Result<Vec<_>, _>>()?;
     out.sort_by_key(|e| e.seq);
     Ok(out)
 }

@@ -28,7 +28,8 @@ use crate::instance::{ClassificationMeta, ObjectInstance, RelInstance, StoredEnt
 use crate::schema::SchemaRegistry;
 use crate::synonym::SynonymTable;
 use crate::value::Value;
-use prometheus_storage::{codec, Bytes, Keyspace, Oid, ShardSnapshot};
+use prometheus_storage::{codec, prefix_successor, Bytes, Keyspace, KvScan, Oid, ShardSnapshot};
+use std::ops::Bound;
 use std::sync::Arc;
 
 /// Read access to a (possibly pinned) database state.
@@ -49,21 +50,22 @@ pub trait Reader: Sized + Send + Sync {
     /// handle into the underlying image, not a copy.
     fn raw_kv_get(&self, ks: Keyspace, key: &[u8]) -> Option<Bytes>;
 
-    /// Ordered prefix scan over an index keyspace; keys and values are
-    /// shared handles into the image.
-    fn raw_kv_scan_prefix(&self, ks: Keyspace, prefix: &[u8]) -> Vec<(Bytes, Bytes)>;
+    /// Stream every entry of an index keyspace with `lo <= key` below `hi`,
+    /// in key order, straight off the storage image's cursors. `f` must not
+    /// read through this reader again: a [`Database`] scan holds store locks.
+    fn raw_kv_for_each(
+        &self,
+        ks: Keyspace,
+        lo: &[u8],
+        hi: Bound<&[u8]>,
+        f: impl FnMut(&[u8], &[u8]),
+    );
 
-    /// Ordered range scan `lo <= key < hi` over an index keyspace.
-    fn raw_kv_scan_range(&self, ks: Keyspace, lo: &[u8], hi: &[u8]) -> Vec<(Bytes, Bytes)>;
-
-    /// Stream every entry under `prefix` in key order, without materialising
-    /// an intermediate vector. Implementations drive this straight off the
-    /// storage image's range cursor; the default falls back to the
-    /// materialising scan for exotic readers.
-    fn raw_kv_for_each_prefix(&self, ks: Keyspace, prefix: &[u8], mut f: impl FnMut(&[u8], &[u8])) {
-        for (k, v) in self.raw_kv_scan_prefix(ks, prefix) {
-            f(&k, &v);
-        }
+    /// Stream every entry under `prefix`: the range up to its successor.
+    fn raw_kv_for_each_prefix(&self, ks: Keyspace, prefix: &[u8], f: impl FnMut(&[u8], &[u8])) {
+        let end = prefix_successor(prefix);
+        let hi = end.as_deref().map_or(Bound::Unbounded, Bound::Excluded);
+        self.raw_kv_for_each(ks, prefix, hi, f)
     }
 
     /// Stream every entry with `lo <= key < hi` in key order.
@@ -72,11 +74,9 @@ pub trait Reader: Sized + Send + Sync {
         ks: Keyspace,
         lo: &[u8],
         hi: &[u8],
-        mut f: impl FnMut(&[u8], &[u8]),
+        f: impl FnMut(&[u8], &[u8]),
     ) {
-        for (k, v) in self.raw_kv_scan_range(ks, lo, hi) {
-            f(&k, &v);
-        }
+        self.raw_kv_for_each(ks, lo, Bound::Excluded(hi), f)
     }
 
     /// Run `f` with read access to the schema registry.
@@ -475,26 +475,14 @@ impl Reader for Database {
         self.store().kv_get(ks, key)
     }
 
-    fn raw_kv_scan_prefix(&self, ks: Keyspace, prefix: &[u8]) -> Vec<(Bytes, Bytes)> {
-        self.store().kv_scan_prefix(ks, prefix)
-    }
-
-    fn raw_kv_scan_range(&self, ks: Keyspace, lo: &[u8], hi: &[u8]) -> Vec<(Bytes, Bytes)> {
-        self.store().kv_scan_range(ks, lo, hi)
-    }
-
-    fn raw_kv_for_each_prefix(&self, ks: Keyspace, prefix: &[u8], f: impl FnMut(&[u8], &[u8])) {
-        self.store().kv_for_each_prefix(ks, prefix, f)
-    }
-
-    fn raw_kv_for_each_range(
+    fn raw_kv_for_each(
         &self,
         ks: Keyspace,
         lo: &[u8],
-        hi: &[u8],
+        hi: Bound<&[u8]>,
         f: impl FnMut(&[u8], &[u8]),
     ) {
-        self.store().kv_for_each_range(ks, lo, hi, f)
+        self.store().kv_for_each(ks, lo, hi, f)
     }
 
     fn with_schema<T>(&self, f: impl FnOnce(&SchemaRegistry) -> T) -> T {
@@ -518,26 +506,14 @@ impl<R: Reader> Reader for &R {
         (**self).raw_kv_get(ks, key)
     }
 
-    fn raw_kv_scan_prefix(&self, ks: Keyspace, prefix: &[u8]) -> Vec<(Bytes, Bytes)> {
-        (**self).raw_kv_scan_prefix(ks, prefix)
-    }
-
-    fn raw_kv_scan_range(&self, ks: Keyspace, lo: &[u8], hi: &[u8]) -> Vec<(Bytes, Bytes)> {
-        (**self).raw_kv_scan_range(ks, lo, hi)
-    }
-
-    fn raw_kv_for_each_prefix(&self, ks: Keyspace, prefix: &[u8], f: impl FnMut(&[u8], &[u8])) {
-        (**self).raw_kv_for_each_prefix(ks, prefix, f)
-    }
-
-    fn raw_kv_for_each_range(
+    fn raw_kv_for_each(
         &self,
         ks: Keyspace,
         lo: &[u8],
-        hi: &[u8],
+        hi: Bound<&[u8]>,
         f: impl FnMut(&[u8], &[u8]),
     ) {
-        (**self).raw_kv_for_each_range(ks, lo, hi, f)
+        (**self).raw_kv_for_each(ks, lo, hi, f)
     }
 
     fn with_schema<T>(&self, f: impl FnOnce(&SchemaRegistry) -> T) -> T {
@@ -560,26 +536,14 @@ impl<R: Reader> Reader for Arc<R> {
         (**self).raw_kv_get(ks, key)
     }
 
-    fn raw_kv_scan_prefix(&self, ks: Keyspace, prefix: &[u8]) -> Vec<(Bytes, Bytes)> {
-        (**self).raw_kv_scan_prefix(ks, prefix)
-    }
-
-    fn raw_kv_scan_range(&self, ks: Keyspace, lo: &[u8], hi: &[u8]) -> Vec<(Bytes, Bytes)> {
-        (**self).raw_kv_scan_range(ks, lo, hi)
-    }
-
-    fn raw_kv_for_each_prefix(&self, ks: Keyspace, prefix: &[u8], f: impl FnMut(&[u8], &[u8])) {
-        (**self).raw_kv_for_each_prefix(ks, prefix, f)
-    }
-
-    fn raw_kv_for_each_range(
+    fn raw_kv_for_each(
         &self,
         ks: Keyspace,
         lo: &[u8],
-        hi: &[u8],
+        hi: Bound<&[u8]>,
         f: impl FnMut(&[u8], &[u8]),
     ) {
-        (**self).raw_kv_for_each_range(ks, lo, hi, f)
+        (**self).raw_kv_for_each(ks, lo, hi, f)
     }
 
     fn with_schema<T>(&self, f: impl FnOnce(&SchemaRegistry) -> T) -> T {
@@ -640,26 +604,14 @@ impl Reader for ReadView {
         self.snap.kv_get(ks, key)
     }
 
-    fn raw_kv_scan_prefix(&self, ks: Keyspace, prefix: &[u8]) -> Vec<(Bytes, Bytes)> {
-        self.snap.kv_scan_prefix(ks, prefix)
-    }
-
-    fn raw_kv_scan_range(&self, ks: Keyspace, lo: &[u8], hi: &[u8]) -> Vec<(Bytes, Bytes)> {
-        self.snap.kv_scan_range(ks, lo, hi)
-    }
-
-    fn raw_kv_for_each_prefix(&self, ks: Keyspace, prefix: &[u8], f: impl FnMut(&[u8], &[u8])) {
-        self.snap.kv_for_each_prefix(ks, prefix, f)
-    }
-
-    fn raw_kv_for_each_range(
+    fn raw_kv_for_each(
         &self,
         ks: Keyspace,
         lo: &[u8],
-        hi: &[u8],
+        hi: Bound<&[u8]>,
         f: impl FnMut(&[u8], &[u8]),
     ) {
-        self.snap.kv_for_each_range(ks, lo, hi, f)
+        self.snap.kv_for_each(ks, lo, hi, f)
     }
 
     fn with_schema<T>(&self, f: impl FnOnce(&SchemaRegistry) -> T) -> T {

@@ -9,7 +9,8 @@
 //! subclass instance silently dropped from its superclass extent.
 
 use prometheus_object::{
-    AttrDef, Cardinality, ClassDef, Database, RelClassDef, Store, StoreOptions, Type, Value,
+    shard_routing, AttrDef, Cardinality, ClassDef, Database, RelClassDef, ShardedStore,
+    StoreOptions, Type, Value,
 };
 use prometheus_pool::{eval, Executor};
 use proptest::prelude::*;
@@ -27,15 +28,17 @@ fn fresh_db(tag: &str) -> Database {
     ));
     let _ = std::fs::remove_file(&path);
     let store = Arc::new(
-        Store::open_with(
+        ShardedStore::open_with(
             &path,
             StoreOptions {
                 sync_on_commit: false,
             },
+            1,
+            shard_routing(),
         )
         .unwrap(),
     );
-    Database::open(store).unwrap()
+    Database::open_sharded(store).unwrap()
 }
 
 /// Schema shared by all random databases: a base class, a subclass, and a

@@ -2,7 +2,8 @@
 //! the thesis' Apium / Heliosciadium worked example (Figure 3).
 
 use prometheus_object::{
-    AttrDef, Cardinality, ClassDef, Database, Date, RelClassDef, Store, StoreOptions, Type, Value,
+    shard_routing, AttrDef, Cardinality, ClassDef, Database, Date, RelClassDef, ShardedStore,
+    StoreOptions, Type, Value,
 };
 use prometheus_pool::query;
 use std::sync::Arc;
@@ -34,15 +35,17 @@ fn sample_db() -> Database {
     ));
     let _ = std::fs::remove_file(&path);
     let store = Arc::new(
-        Store::open_with(
+        ShardedStore::open_with(
             &path,
             StoreOptions {
                 sync_on_commit: false,
             },
+            1,
+            shard_routing(),
         )
         .unwrap(),
     );
-    let db = Database::open(store).unwrap();
+    let db = Database::open_sharded(store).unwrap();
 
     db.define_class(
         ClassDef::new("Taxon")

@@ -397,7 +397,9 @@ impl RuleEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prometheus_object::{AttrDef, ClassDef, RelClassDef, Store, StoreOptions, Type};
+    use prometheus_object::{
+        shard_routing, AttrDef, ClassDef, RelClassDef, ShardedStore, StoreOptions, Type,
+    };
 
     fn db_with_engine() -> (Database, Arc<RuleEngine>) {
         let path = std::env::temp_dir().join(format!(
@@ -411,15 +413,17 @@ mod tests {
         ));
         let _ = std::fs::remove_file(&path);
         let store = Arc::new(
-            Store::open_with(
+            ShardedStore::open_with(
                 &path,
                 StoreOptions {
                     sync_on_commit: false,
                 },
+                1,
+                shard_routing(),
             )
             .unwrap(),
         );
-        let db = Database::open(store).unwrap();
+        let db = Database::open_sharded(store).unwrap();
         db.define_class(
             ClassDef::new("CT")
                 .attr(AttrDef::required("name", Type::Str))

@@ -97,7 +97,7 @@ impl EventSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prometheus_object::{ClassDef, Oid, Store, StoreOptions};
+    use prometheus_object::{shard_routing, ClassDef, Oid, ShardedStore, StoreOptions};
     use std::sync::Arc;
 
     fn db() -> Database {
@@ -108,15 +108,17 @@ mod tests {
         ));
         let _ = std::fs::remove_file(&path);
         let store = Arc::new(
-            Store::open_with(
+            ShardedStore::open_with(
                 &path,
                 StoreOptions {
                     sync_on_commit: false,
                 },
+                1,
+                shard_routing(),
             )
             .unwrap(),
         );
-        let db = Database::open(store).unwrap();
+        let db = Database::open_sharded(store).unwrap();
         db.define_class(ClassDef::new("Taxon")).unwrap();
         db.define_class(ClassDef::new("CT").extends("Taxon"))
             .unwrap();

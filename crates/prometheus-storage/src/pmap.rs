@@ -220,7 +220,9 @@ impl PMap {
     /// borrows the map; yielded keys and values are shared handles.
     pub fn range<'a>(&'a self, lo: Bound<&[u8]>, hi: Bound<&'a [u8]>) -> Cursor<'a> {
         let mut cursor = Cursor {
-            stack: Vec::new(),
+            // Sized for the height of a many-million-entry map, so building
+            // a cursor allocates once: short scans are mostly this cost.
+            stack: Vec::with_capacity(8),
             hi,
         };
         if let Some(root) = self.root.as_ref() {
@@ -232,22 +234,6 @@ impl PMap {
     /// Ordered cursor over the whole map.
     pub fn iter(&self) -> Cursor<'_> {
         self.range(Bound::Unbounded, Bound::Unbounded)
-    }
-
-    /// All entries whose key starts with `prefix`, in key order. Values (and
-    /// keys) are shared handles into the map — no payload copies.
-    pub fn scan_prefix(&self, prefix: &[u8]) -> Vec<(Bytes, Bytes)> {
-        self.range(Bound::Included(prefix), Bound::Unbounded)
-            .take_while(|(k, _)| k.starts_with(prefix))
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect()
-    }
-
-    /// All entries with `lo <= key < hi`, in key order, as shared handles.
-    pub fn scan_range(&self, lo: &[u8], hi: &[u8]) -> Vec<(Bytes, Bytes)> {
-        self.range(Bound::Included(lo), Bound::Excluded(hi))
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect()
     }
 
     /// Whether the leaf that holds (or would hold) `key` is the **same
@@ -595,9 +581,9 @@ mod tests {
             m.insert(b(&k), b(&i.to_string()), &mut t);
             model.insert(k.into_bytes(), i.to_string().into_bytes());
         }
+        // A prefix scan is the range from the prefix up to its successor.
         let scanned: Vec<(Vec<u8>, Vec<u8>)> = m
-            .scan_prefix(b"k/01")
-            .into_iter()
+            .range(Bound::Included(b"k/01"), Bound::Excluded(b"k/02"))
             .map(|(k, v)| (k.to_vec(), v.to_vec()))
             .collect();
         let expected: Vec<(Vec<u8>, Vec<u8>)> = model
@@ -607,8 +593,7 @@ mod tests {
             .collect();
         assert_eq!(scanned, expected);
         let ranged: Vec<Vec<u8>> = m
-            .scan_range(b"k/0100", b"k/0200")
-            .into_iter()
+            .range(Bound::Included(b"k/0100"), Bound::Excluded(b"k/0200"))
             .map(|(k, _)| k.to_vec())
             .collect();
         let expected: Vec<Vec<u8>> = model
@@ -672,7 +657,6 @@ mod tests {
         let m = PMap::new();
         assert!(m.is_empty());
         assert_eq!(m.iter().count(), 0);
-        assert_eq!(m.scan_prefix(b"x").len(), 0);
         assert_eq!(m.node_count(), 0);
     }
 

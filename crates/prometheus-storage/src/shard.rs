@@ -11,9 +11,11 @@
 //!   a single-shard transaction;
 //! * keyspaces with no embedded OID (metadata) pin to shard 0.
 //!
-//! Reads compose: point reads route, ordered scans k-way-merge the per-shard
-//! cursors — per-shard maps are disjoint and individually sorted, so the
-//! merged stream is in global key order, byte-identical to a single store's.
+//! Reads compose: point reads route, ordered scans run the one streaming
+//! k-way merge (`store::scan`) over an image per shard — per-shard maps are
+//! disjoint and individually sorted, so the merged stream is in global key
+//! order, byte-identical to a single store's. One shard is the plain case:
+//! a one-way merge, a one-participant commit.
 //!
 //! Cross-shard units of work settle through two-phase commit over the
 //! per-shard logs: every participant durably appends `UnitPrepared`, the
@@ -25,13 +27,14 @@
 
 use crate::error::{StorageError, StorageResult};
 use crate::oid::Oid;
-use crate::pmap::Cursor;
 use crate::stats::{Stats, StatsSnapshot};
-use crate::store::{Keyspace, Snapshot, Store, StoreOptions};
+use crate::store::{
+    scan, Home, ImageRef, Keyspace, KvScan, Snapshot, StagedKv, Store, StoreOptions, Txn,
+};
 use bytes::Bytes;
 use prometheus_trace::{Recorder, Stage};
 use std::cell::Cell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::ops::Bound;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -90,9 +93,6 @@ impl ShardRouting {
     }
 
     fn shard_of(&self, keyspace: Keyspace, key: &[u8], n: usize) -> usize {
-        if n == 1 {
-            return 0;
-        }
         let oid = match self.rules[keyspace.0 as usize] {
             RouteRule::ShardZero => return 0,
             RouteRule::TrailingOid => {
@@ -272,18 +272,6 @@ impl ShardedStore {
         Ok(sharded)
     }
 
-    /// Wrap an already-open single [`Store`] as a 1-shard store — the
-    /// compatibility path for embedders that construct the store themselves.
-    pub fn from_single(store: Arc<Store>) -> Self {
-        let hwm = store.oid_high_water();
-        ShardedStore {
-            shards: vec![store],
-            routing: ShardRouting::default(),
-            alloc: vec![AtomicU64::new(hwm.max(1))],
-            next_home: AtomicUsize::new(0),
-        }
-    }
-
     /// Settle any prepared-but-undecided unit tails left by a crash between
     /// 2PC phases: commit when the coordinator's durable decision says so,
     /// abort otherwise (the decision is written before any participant
@@ -396,24 +384,19 @@ impl ShardedStore {
     // its own writes).
     // -----------------------------------------------------------------
 
+    /// Shard `shard`'s image as this thread reads it.
+    fn image(&self, shard: usize) -> ImageRef<'_> {
+        self.shards[shard].image(claimed(Self::current_claim(), shard))
+    }
+
     /// Read a record (see [`Store::get`]).
     pub fn get(&self, oid: Oid) -> Option<Bytes> {
-        let s = self.shard_of_oid(oid);
-        if claimed(Self::current_claim(), s) {
-            self.shards[s].get(oid)
-        } else {
-            self.shards[s].snapshot().get(oid)
-        }
+        self.image(self.shard_of_oid(oid)).get(oid)
     }
 
     /// Whether a record exists (see [`Store::contains`]).
     pub fn contains(&self, oid: Oid) -> bool {
-        let s = self.shard_of_oid(oid);
-        if claimed(Self::current_claim(), s) {
-            self.shards[s].contains(oid)
-        } else {
-            self.shards[s].snapshot().contains(oid)
-        }
+        self.image(self.shard_of_oid(oid)).contains(oid)
     }
 
     /// Total records across shards.
@@ -423,97 +406,19 @@ impl ShardedStore {
 
     /// Read a key/value entry (see [`Store::kv_get`]).
     pub fn kv_get(&self, keyspace: Keyspace, key: &[u8]) -> Option<Bytes> {
-        let s = self.shard_of_key(keyspace, key);
-        if claimed(Self::current_claim(), s) {
-            self.shards[s].kv_get(keyspace, key)
-        } else {
-            self.shards[s].snapshot().kv_get(keyspace, key)
-        }
+        self.image(self.shard_of_key(keyspace, key))
+            .kv_get(keyspace, key)
     }
 
-    /// Prefix scan merged across shards, in global key order.
-    pub fn kv_scan_prefix(&self, keyspace: Keyspace, prefix: &[u8]) -> Vec<(Bytes, Bytes)> {
-        let mask = Self::current_claim();
-        if self.shards.len() == 1 {
-            return if claimed(mask, 0) {
-                self.shards[0].kv_scan_prefix(keyspace, prefix)
-            } else {
-                self.shards[0].snapshot().kv_scan_prefix(keyspace, prefix)
-            };
-        }
-        let parts: Vec<Vec<(Bytes, Bytes)>> = self
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                if claimed(mask, i) {
-                    s.kv_scan_prefix(keyspace, prefix)
-                } else {
-                    s.snapshot().kv_scan_prefix(keyspace, prefix)
-                }
-            })
-            .collect();
-        merge_sorted(parts)
-    }
-
-    /// Range scan (`lo <= key < hi`) merged across shards.
-    pub fn kv_scan_range(&self, keyspace: Keyspace, lo: &[u8], hi: &[u8]) -> Vec<(Bytes, Bytes)> {
-        let mask = Self::current_claim();
-        if self.shards.len() == 1 {
-            return if claimed(mask, 0) {
-                self.shards[0].kv_scan_range(keyspace, lo, hi)
-            } else {
-                self.shards[0].snapshot().kv_scan_range(keyspace, lo, hi)
-            };
-        }
-        let parts: Vec<Vec<(Bytes, Bytes)>> = self
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                if claimed(mask, i) {
-                    s.kv_scan_range(keyspace, lo, hi)
-                } else {
-                    s.snapshot().kv_scan_range(keyspace, lo, hi)
-                }
-            })
-            .collect();
-        merge_sorted(parts)
-    }
-
-    /// Streamed prefix scan in global key order. With several shards the
-    /// per-shard results are collected and merged first (working images
-    /// cannot be cursored without holding every store lock); the lock-free
-    /// streaming hot path is [`ShardSnapshot::kv_for_each_prefix`].
+    /// [`KvScan::kv_for_each_prefix`], inherent so embedders that only scan
+    /// need not import the trait.
     pub fn kv_for_each_prefix(
         &self,
         keyspace: Keyspace,
         prefix: &[u8],
-        mut f: impl FnMut(&[u8], &[u8]),
+        f: impl FnMut(&[u8], &[u8]),
     ) {
-        if self.shards.len() == 1 && claimed(Self::current_claim(), 0) {
-            return self.shards[0].kv_for_each_prefix(keyspace, prefix, f);
-        }
-        for (k, v) in self.kv_scan_prefix(keyspace, prefix) {
-            f(&k, &v);
-        }
-    }
-
-    /// Streamed range scan in global key order (see
-    /// [`ShardedStore::kv_for_each_prefix`] for the merge caveat).
-    pub fn kv_for_each_range(
-        &self,
-        keyspace: Keyspace,
-        lo: &[u8],
-        hi: &[u8],
-        mut f: impl FnMut(&[u8], &[u8]),
-    ) {
-        if self.shards.len() == 1 && claimed(Self::current_claim(), 0) {
-            return self.shards[0].kv_for_each_range(keyspace, lo, hi, f);
-        }
-        for (k, v) in self.kv_scan_range(keyspace, lo, hi) {
-            f(&k, &v);
-        }
+        KvScan::kv_for_each_prefix(self, keyspace, prefix, f)
     }
 
     /// Pin a point-in-time view of every shard, in shard order.
@@ -529,31 +434,99 @@ impl ShardedStore {
 
     /// Begin a transaction whose staged writes are routed to their shards at
     /// commit.
-    pub fn begin(&self) -> ShardedTxn<'_> {
-        ShardedTxn {
-            sharded: self,
-            staged_records: HashMap::new(),
-            staged_kv: BTreeMap::new(),
-            finished: false,
-        }
+    pub fn begin(&self) -> Txn<'_> {
+        Txn::new(Home::Sharded(self))
     }
 
     /// Run `f` inside a routed transaction, committing on `Ok`.
     pub fn with_txn<T>(
         &self,
-        f: impl FnOnce(&mut ShardedTxn<'_>) -> StorageResult<T>,
+        f: impl FnOnce(&mut Txn<'_>) -> StorageResult<T>,
     ) -> StorageResult<T> {
-        let mut txn = self.begin();
-        match f(&mut txn) {
-            Ok(value) => {
-                txn.commit()?;
-                Ok(value)
-            }
-            Err(e) => {
-                txn.abort();
-                Err(e)
+        self.begin().run(f)
+    }
+
+    /// Commit a transaction's staged writes, routed by placement. Writes
+    /// that all land on one shard are exactly a [`Store`] commit on that
+    /// member. A cross-shard commit outside a unit scope wraps itself in an
+    /// implicit cross-shard unit so the parts settle atomically (2PC);
+    /// inside a unit scope the parts join their shards' open groups and the
+    /// enclosing unit's seal provides atomicity.
+    pub(crate) fn commit_routed(
+        &self,
+        staged_records: HashMap<Oid, Option<Bytes>>,
+        staged_kv: StagedKv,
+    ) -> StorageResult<()> {
+        // Which shards the writes land on; routing stops once it is all of
+        // them (with one shard, at the first write).
+        let records = staged_records.keys().map(|oid| self.shard_of_oid(*oid));
+        let kvs = staged_kv
+            .keys()
+            .map(|(ks, key)| self.shard_of_key(Keyspace(*ks), key));
+        let all = self.all_shards_mask();
+        let mut touched = 0u64;
+        for shard in records.chain(kvs) {
+            touched |= 1 << shard;
+            if touched == all {
+                break;
             }
         }
+        let claim = Self::current_claim();
+        if claim != 0 && touched & !claim != 0 {
+            // Inside a unit of work every touched shard must be claimed —
+            // the unit's scopes are open there and its seal is the atomic
+            // boundary. A write routed outside the claim would silently
+            // escape the unit, so fail loudly instead.
+            let outside = (touched & !claim).trailing_zeros();
+            return Err(StorageError::TxnState(format!(
+                "write routed to shard {outside} outside the unit's shard claim {claim:#x}"
+            )));
+        }
+        if touched == 0 {
+            // An empty commit keeps a plain store's behaviour (a Begin /
+            // Commit pair and a publication) on shard 0 — unless this
+            // thread's unit does not own that shard, where it writes nothing.
+            if !claimed(claim, 0) {
+                return Ok(());
+            }
+            touched = 1;
+        }
+        if touched.count_ones() == 1 {
+            let shard = &self.shards[touched.trailing_zeros() as usize];
+            return shard.commit_txn(&staged_records, &staged_kv);
+        }
+        // Partition the staged writes by placement.
+        let n = self.shards.len();
+        let mut records: Vec<HashMap<Oid, Option<Bytes>>> = vec![HashMap::new(); n];
+        let mut kvs: Vec<StagedKv> = vec![StagedKv::new(); n];
+        for (oid, change) in staged_records {
+            records[self.shard_of_oid(oid)].insert(oid, change);
+        }
+        for ((ks, key), change) in staged_kv {
+            let shard = self.shard_of_key(Keyspace(ks), &key);
+            kvs[shard].insert((ks, key), change);
+        }
+        let parts = (0..n).filter(|i| touched & (1 << i) != 0);
+        if claim != 0 {
+            for i in parts {
+                self.shards[i].commit_txn(&records[i], &kvs[i])?;
+            }
+            return Ok(());
+        }
+        // Cross-shard auto-commit: an implicit 2PC unit makes the parts one
+        // atomic group across logs.
+        self.begin_unit_scope_on(touched);
+        let mut result: StorageResult<()> = Ok(());
+        for i in parts {
+            result = self.shards[i].commit_txn(&records[i], &kvs[i]);
+            if result.is_err() {
+                break;
+            }
+        }
+        // Per-shard sub-commits cannot be retracted here; an append failure
+        // surfaces as an aborted unit (nothing replays).
+        let sealed = self.end_unit_scope_on(touched, result.is_ok());
+        result.and(sealed)
     }
 
     /// Open a unit-of-work scope on every shard (the compatibility path:
@@ -690,36 +663,6 @@ fn stride_start(hwm: u64, k: usize, n: usize) -> u64 {
     }
 }
 
-/// Merge per-shard sorted runs into one globally sorted vector. Shard maps
-/// are key-disjoint by construction; ties (possible only through direct
-/// member-store writes) resolve lowest-shard-first.
-fn merge_sorted(mut parts: Vec<Vec<(Bytes, Bytes)>>) -> Vec<(Bytes, Bytes)> {
-    let total: usize = parts.iter().map(|p| p.len()).sum();
-    let mut out = Vec::with_capacity(total);
-    let mut idx = vec![0usize; parts.len()];
-    loop {
-        let mut min: Option<usize> = None;
-        for (i, part) in parts.iter().enumerate() {
-            if idx[i] >= part.len() {
-                continue;
-            }
-            match min {
-                None => min = Some(i),
-                Some(m) => {
-                    if part[idx[i]].0 < parts[m][idx[m]].0 {
-                        min = Some(i);
-                    }
-                }
-            }
-        }
-        let Some(m) = min else { break };
-        let entry = std::mem::take(&mut parts[m][idx[m]]);
-        idx[m] += 1;
-        out.push(entry);
-    }
-    out
-}
-
 /// An immutable, point-in-time view across every shard.
 ///
 /// Pinned by [`ShardedStore::snapshot`]; one [`Snapshot`] per shard, all
@@ -737,13 +680,6 @@ pub struct ShardSnapshot {
 }
 
 impl ShardSnapshot {
-    /// Wrap a single-store snapshot (1-shard compatibility).
-    pub fn from_single(snapshot: Snapshot) -> Self {
-        ShardSnapshot {
-            shards: vec![snapshot],
-        }
-    }
-
     /// Number of shards in this view.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
@@ -780,105 +716,6 @@ impl ShardSnapshot {
         self.shards.iter().find_map(|s| s.kv_get(keyspace, key))
     }
 
-    /// Prefix scan merged across shards, in global key order.
-    pub fn kv_scan_prefix(&self, keyspace: Keyspace, prefix: &[u8]) -> Vec<(Bytes, Bytes)> {
-        if self.shards.len() == 1 {
-            return self.shards[0].kv_scan_prefix(keyspace, prefix);
-        }
-        let mut out = Vec::new();
-        self.kv_for_each_prefix(keyspace, prefix, |k, v| {
-            out.push((Bytes::copy_from_slice(k), Bytes::copy_from_slice(v)));
-        });
-        out
-    }
-
-    /// Range scan (`lo <= key < hi`) merged across shards.
-    pub fn kv_scan_range(&self, keyspace: Keyspace, lo: &[u8], hi: &[u8]) -> Vec<(Bytes, Bytes)> {
-        if self.shards.len() == 1 {
-            return self.shards[0].kv_scan_range(keyspace, lo, hi);
-        }
-        let mut out = Vec::new();
-        self.kv_for_each_range(keyspace, lo, hi, |k, v| {
-            out.push((Bytes::copy_from_slice(k), Bytes::copy_from_slice(v)));
-        });
-        out
-    }
-
-    /// Stream every entry under `prefix` in global key order: a k-way merge
-    /// over the per-shard range cursors, no intermediate vectors.
-    pub fn kv_for_each_prefix(
-        &self,
-        keyspace: Keyspace,
-        prefix: &[u8],
-        mut f: impl FnMut(&[u8], &[u8]),
-    ) {
-        if self.shards.len() == 1 {
-            return self.shards[0].kv_for_each_prefix(keyspace, prefix, f);
-        }
-        let mut cursors: Vec<Cursor<'_>> = self
-            .shards
-            .iter()
-            .map(|s| {
-                s.image.kv[keyspace.0 as usize].range(Bound::Included(prefix), Bound::Unbounded)
-            })
-            .collect();
-        let mut heads: Vec<Option<(&Bytes, &Bytes)>> = cursors
-            .iter_mut()
-            .map(|c| c.next().filter(|(k, _)| k.starts_with(prefix)))
-            .collect();
-        loop {
-            let mut min: Option<usize> = None;
-            for (i, head) in heads.iter().enumerate() {
-                if let Some((k, _)) = head {
-                    if min.is_none_or(|m| *k < heads[m].unwrap().0) {
-                        min = Some(i);
-                    }
-                }
-            }
-            let Some(m) = min else { break };
-            let (k, v) = heads[m].unwrap();
-            f(k, v);
-            heads[m] = cursors[m].next().filter(|(k, _)| k.starts_with(prefix));
-        }
-    }
-
-    /// Stream every entry with `lo <= key < hi` in global key order, merged
-    /// across the per-shard cursors.
-    pub fn kv_for_each_range(
-        &self,
-        keyspace: Keyspace,
-        lo: &[u8],
-        hi: &[u8],
-        mut f: impl FnMut(&[u8], &[u8]),
-    ) {
-        if self.shards.len() == 1 {
-            return self.shards[0].kv_for_each_range(keyspace, lo, hi, f);
-        }
-        let mut cursors: Vec<Cursor<'_>> = self
-            .shards
-            .iter()
-            .map(|s| {
-                s.image.kv[keyspace.0 as usize].range(Bound::Included(lo), Bound::Excluded(hi))
-            })
-            .collect();
-        let mut heads: Vec<Option<(&Bytes, &Bytes)>> =
-            cursors.iter_mut().map(|c| c.next()).collect();
-        loop {
-            let mut min: Option<usize> = None;
-            for (i, head) in heads.iter().enumerate() {
-                if let Some((k, _)) = head {
-                    if min.is_none_or(|m| *k < heads[m].unwrap().0) {
-                        min = Some(i);
-                    }
-                }
-            }
-            let Some(m) = min else { break };
-            let (k, v) = heads[m].unwrap();
-            f(k, v);
-            heads[m] = cursors[m].next();
-        }
-    }
-
     /// Whether two views pin the same published images on every shard.
     pub fn same_version(&self, other: &ShardSnapshot) -> bool {
         self.shards.len() == other.shards.len()
@@ -890,182 +727,40 @@ impl ShardSnapshot {
     }
 }
 
-/// A read-write transaction over a [`ShardedStore`].
-///
-/// Staging is shard-agnostic; commit partitions the staged writes by
-/// placement. A single-shard commit is exactly a [`Txn`] commit on that
-/// member. A cross-shard commit outside a unit scope wraps itself in an
-/// implicit cross-shard unit so the parts settle atomically (2PC); inside a
-/// unit scope the parts join their shards' open groups and the enclosing
-/// unit's seal provides atomicity.
-#[derive(Debug)]
-pub struct ShardedTxn<'s> {
-    sharded: &'s ShardedStore,
-    staged_records: HashMap<Oid, Option<Bytes>>,
-    staged_kv: StagedKv,
-    finished: bool,
-}
-
-/// Staged ordered-keyspace changes: `(keyspace, key) → put(value) | delete`.
-type StagedKv = BTreeMap<(u8, Vec<u8>), Option<Vec<u8>>>;
-
-impl<'s> ShardedTxn<'s> {
-    /// Stage a record write.
-    pub fn put(&mut self, oid: Oid, bytes: impl Into<Bytes>) {
-        self.staged_records.insert(oid, Some(bytes.into()));
-    }
-
-    /// Stage a record deletion.
-    pub fn delete(&mut self, oid: Oid) {
-        self.staged_records.insert(oid, None);
-    }
-
-    /// Read a record through this transaction.
-    pub fn get(&self, oid: Oid) -> Option<Bytes> {
-        match self.staged_records.get(&oid) {
-            Some(Some(bytes)) => Some(bytes.clone()),
-            Some(None) => None,
-            None => self.sharded.get(oid),
-        }
-    }
-
-    /// Whether a record exists from this transaction's point of view.
-    pub fn contains(&self, oid: Oid) -> bool {
-        match self.staged_records.get(&oid) {
-            Some(change) => change.is_some(),
-            None => self.sharded.contains(oid),
-        }
-    }
-
-    /// Stage a key/value write.
-    pub fn kv_put(&mut self, keyspace: Keyspace, key: Vec<u8>, value: Vec<u8>) {
-        self.staged_kv.insert((keyspace.0, key), Some(value));
-    }
-
-    /// Stage a key/value deletion.
-    pub fn kv_delete(&mut self, keyspace: Keyspace, key: Vec<u8>) {
-        self.staged_kv.insert((keyspace.0, key), None);
-    }
-
-    /// Read a key/value entry through this transaction.
-    pub fn kv_get(&self, keyspace: Keyspace, key: &[u8]) -> Option<Bytes> {
-        match self.staged_kv.get(&(keyspace.0, key.to_vec())) {
-            Some(Some(v)) => Some(Bytes::copy_from_slice(v)),
-            Some(None) => None,
-            None => self.sharded.kv_get(keyspace, key),
-        }
-    }
-
-    /// Prefix scan merging committed entries with this transaction's staged
-    /// overlay.
-    pub fn kv_scan_prefix(&self, keyspace: Keyspace, prefix: &[u8]) -> Vec<(Bytes, Bytes)> {
-        let mut merged: BTreeMap<Bytes, Bytes> = self
-            .sharded
-            .kv_scan_prefix(keyspace, prefix)
-            .into_iter()
-            .collect();
-        for ((ks, key), change) in &self.staged_kv {
-            if *ks != keyspace.0 || !key.starts_with(prefix) {
-                continue;
-            }
-            match change {
-                Some(v) => {
-                    merged.insert(Bytes::copy_from_slice(key), Bytes::copy_from_slice(v));
-                }
-                None => {
-                    merged.remove(key.as_slice());
-                }
-            }
-        }
-        merged.into_iter().collect()
-    }
-
-    /// Number of staged changes (records + kv entries).
-    pub fn staged_len(&self) -> usize {
-        self.staged_records.len() + self.staged_kv.len()
-    }
-
-    /// Durably commit all staged changes, routed to their shards.
-    pub fn commit(mut self) -> StorageResult<()> {
-        if self.finished {
-            return Err(StorageError::TxnState(
-                "transaction already finished".into(),
-            ));
-        }
-        self.finished = true;
-        let n = self.sharded.shards.len();
-        if n == 1 {
-            return self.sharded.shards[0].commit_txn(&self.staged_records, &self.staged_kv);
-        }
-        // Partition the staged writes by placement.
-        let mut records: Vec<HashMap<Oid, Option<Bytes>>> = vec![HashMap::new(); n];
-        let mut kvs: Vec<StagedKv> = vec![BTreeMap::new(); n];
-        for (oid, change) in std::mem::take(&mut self.staged_records) {
-            records[self.sharded.shard_of_oid(oid)].insert(oid, change);
-        }
-        for ((ks, key), change) in std::mem::take(&mut self.staged_kv) {
-            let shard = self.sharded.shard_of_key(Keyspace(ks), &key);
-            kvs[shard].insert((ks, key), change);
-        }
-        let touched: Vec<usize> = (0..n)
-            .filter(|&i| !records[i].is_empty() || !kvs[i].is_empty())
-            .collect();
-        let claim = ShardedStore::current_claim();
-        if claim != 0 {
-            // Inside a unit of work: every touched shard must be claimed —
-            // the unit's scopes are open there and its seal is the atomic
-            // boundary. A write routed outside the claim would silently
-            // escape the unit, so fail loudly instead.
-            if let Some(outside) = touched.iter().find(|&&i| claim & (1u64 << i) == 0) {
-                return Err(StorageError::TxnState(format!(
-                    "write routed to shard {outside} outside the unit's shard claim {claim:#x}"
-                )));
-            }
-            for &i in &touched {
-                self.sharded.shards[i].commit_txn(&records[i], &kvs[i])?;
-            }
-            return Ok(());
-        }
-        match touched.len() {
-            0 => {
-                // Empty commit: preserve single-store behaviour (a Begin /
-                // Commit pair and a publication) on shard 0.
-                self.sharded.shards[0].commit_txn(&records[0], &kvs[0])
-            }
-            1 => {
-                let i = touched[0];
-                self.sharded.shards[i].commit_txn(&records[i], &kvs[i])
-            }
-            _ => {
-                // Cross-shard auto-commit: an implicit 2PC unit makes the
-                // parts one atomic group across logs.
-                let mask = touched.iter().fold(0u64, |m, &i| m | (1u64 << i));
-                self.sharded.begin_unit_scope_on(mask);
-                let mut result: StorageResult<()> = Ok(());
-                for &i in &touched {
-                    result = self.sharded.shards[i].commit_txn(&records[i], &kvs[i]);
-                    if result.is_err() {
-                        break;
-                    }
-                }
-                // Per-shard sub-commits cannot be retracted here; an append
-                // failure surfaces as an aborted unit (nothing replays).
-                let sealed = self.sharded.end_unit_scope_on(mask, result.is_ok());
-                result.and(sealed)
-            }
-        }
-    }
-
-    /// Discard all staged changes.
-    pub fn abort(mut self) {
-        self.finished = true;
-        Stats::bump(&self.sharded.shards[0].stats().aborts);
+/// Scans read, per shard, the image this thread's claim selects — the
+/// working image under that member's lock (locks taken in ascending shard
+/// order) or the published one — and merge them as they stream.
+impl KvScan for ShardedStore {
+    fn kv_for_each(
+        &self,
+        keyspace: Keyspace,
+        lo: &[u8],
+        hi: Bound<&[u8]>,
+        mut f: impl FnMut(&[u8], &[u8]),
+    ) {
+        let images: Vec<ImageRef<'_>> = (0..self.shards.len()).map(|i| self.image(i)).collect();
+        scan(
+            images.iter().map(|image| &**image),
+            keyspace,
+            lo,
+            hi,
+            |k, v| f(k, v),
+        )
     }
 }
 
-// Silence the unused-import warning when Txn is only referenced in docs.
-#[allow(unused_imports)]
-use crate::store::Txn as _DocTxn;
+impl KvScan for ShardSnapshot {
+    fn kv_for_each(
+        &self,
+        keyspace: Keyspace,
+        lo: &[u8],
+        hi: Bound<&[u8]>,
+        mut f: impl FnMut(&[u8], &[u8]),
+    ) {
+        let images = self.shards.iter().map(|snapshot| &*snapshot.image);
+        scan(images, keyspace, lo, hi, |k, v| f(k, v))
+    }
+}
 
 #[cfg(test)]
 mod tests {

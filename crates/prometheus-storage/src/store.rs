@@ -15,11 +15,13 @@ use crate::error::{StorageError, StorageResult};
 use crate::log::{self, LogRecord, LogWriter};
 use crate::oid::{Oid, OidAllocator};
 use crate::pmap::{PMap, Touch};
+use crate::shard::ShardedStore;
 use crate::stats::Stats;
 use bytes::Bytes;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 use prometheus_trace::{Recorder, Stage};
 use std::collections::{BTreeMap, HashMap};
+use std::ops::{Bound, Deref};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -79,59 +81,20 @@ fn oid_key(oid: Oid) -> Bytes {
 }
 
 impl Image {
-    fn get(&self, oid: Oid) -> Option<Bytes> {
+    pub(crate) fn get(&self, oid: Oid) -> Option<Bytes> {
         self.records.get(&oid.raw().to_be_bytes())
     }
 
-    fn contains(&self, oid: Oid) -> bool {
+    pub(crate) fn contains(&self, oid: Oid) -> bool {
         self.records.contains_key(&oid.raw().to_be_bytes())
     }
 
-    fn record_count(&self) -> usize {
+    pub(crate) fn record_count(&self) -> usize {
         self.records.len()
     }
 
-    fn kv_get(&self, keyspace: Keyspace, key: &[u8]) -> Option<Bytes> {
+    pub(crate) fn kv_get(&self, keyspace: Keyspace, key: &[u8]) -> Option<Bytes> {
         self.kv[keyspace.0 as usize].get(key)
-    }
-
-    fn kv_scan_prefix(&self, keyspace: Keyspace, prefix: &[u8]) -> Vec<(Bytes, Bytes)> {
-        self.kv[keyspace.0 as usize].scan_prefix(prefix)
-    }
-
-    fn kv_scan_range(&self, keyspace: Keyspace, lo: &[u8], hi: &[u8]) -> Vec<(Bytes, Bytes)> {
-        self.kv[keyspace.0 as usize].scan_range(lo, hi)
-    }
-
-    fn kv_for_each_prefix(
-        &self,
-        keyspace: Keyspace,
-        prefix: &[u8],
-        mut f: impl FnMut(&[u8], &[u8]),
-    ) {
-        for (k, v) in self.kv[keyspace.0 as usize].range(
-            std::ops::Bound::Included(prefix),
-            std::ops::Bound::Unbounded,
-        ) {
-            if !k.starts_with(prefix) {
-                break;
-            }
-            f(k, v);
-        }
-    }
-
-    fn kv_for_each_range(
-        &self,
-        keyspace: Keyspace,
-        lo: &[u8],
-        hi: &[u8],
-        mut f: impl FnMut(&[u8], &[u8]),
-    ) {
-        for (k, v) in self.kv[keyspace.0 as usize]
-            .range(std::ops::Bound::Included(lo), std::ops::Bound::Excluded(hi))
-        {
-            f(k, v);
-        }
     }
 
     /// Apply one settled log record, consuming it. Taking ownership lets the
@@ -165,6 +128,136 @@ impl Image {
             | LogRecord::UnitPrepared { .. }
             | LogRecord::UnitDecision { .. }
             | LogRecord::UnitTrace { .. } => {}
+        }
+    }
+}
+
+/// The one ordered scan: a streaming k-way merge over one image per shard,
+/// visiting every entry of `keyspace` with `lo <= key` below `hi` in global
+/// key order. Shard maps are key-disjoint and individually sorted, so the
+/// merged stream is byte-identical to a single store's; ties (possible only
+/// through direct member-store writes) resolve lowest shard first. Entries
+/// stream a run at a time — one shard's, up to the next shard's head — so
+/// with one image the merge is that image's cursor loop.
+pub(crate) fn scan<'a>(
+    images: impl IntoIterator<Item = &'a Image>,
+    keyspace: Keyspace,
+    lo: &[u8],
+    hi: Bound<&'a [u8]>,
+    mut f: impl FnMut(&'a Bytes, &'a Bytes),
+) {
+    // Each shard's cursor with its head entry; exhausted shards drop out.
+    let mut shards: Vec<_> = images
+        .into_iter()
+        .filter_map(|image| {
+            let mut cursor = image.kv[keyspace.0 as usize].range(Bound::Included(lo), hi);
+            cursor.next().map(|head| (head, cursor))
+        })
+        .collect();
+    while !shards.is_empty() {
+        let mut min = 0;
+        for i in 1..shards.len() {
+            if shards[i].0 .0 < shards[min].0 .0 {
+                min = i;
+            }
+        }
+        // Stream the run this shard holds before any other shard's head,
+        // from locals: the per-key loop then never touches the vector.
+        let (mut head, mut cursor) = shards.remove(min);
+        let limit = shards.iter().map(|(other, _)| other.0).min();
+        loop {
+            f(head.0, head.1);
+            match cursor.next() {
+                None => break,
+                Some(next) => head = next,
+            }
+            if limit.is_some_and(|limit| limit <= head.0) {
+                shards.insert(min, (head, cursor));
+                break;
+            }
+        }
+    }
+}
+
+/// The smallest key greater than every key that starts with `prefix` — the
+/// exclusive upper bound that turns a prefix scan into a range scan. `None`
+/// when no such key exists (the prefix is empty or all `0xff`).
+pub fn prefix_successor(prefix: &[u8]) -> Option<Vec<u8>> {
+    let last = prefix.iter().rposition(|&b| b != 0xff)?;
+    let mut end = prefix[..=last].to_vec();
+    end[last] += 1;
+    Some(end)
+}
+
+/// Ordered reads over one keyspace, offered by every store-shaped type
+/// ([`Store`], [`Snapshot`], [`ShardedStore`], [`crate::ShardSnapshot`] and,
+/// with its staged overlay, [`Txn`]). Implementors supply the ranged
+/// visitor; the prefix form and the collecting forms are defined here, once.
+pub trait KvScan {
+    /// Stream every entry with `lo <= key` below `hi`, in key order, with no
+    /// intermediate vector. Working images are read under their stores'
+    /// locks for the duration of the scan, so the callback must not re-enter
+    /// the store.
+    fn kv_for_each(
+        &self,
+        keyspace: Keyspace,
+        lo: &[u8],
+        hi: Bound<&[u8]>,
+        f: impl FnMut(&[u8], &[u8]),
+    );
+
+    /// Stream every entry whose key starts with `prefix`: the ranged scan
+    /// from `prefix` up to its successor.
+    fn kv_for_each_prefix(&self, keyspace: Keyspace, prefix: &[u8], f: impl FnMut(&[u8], &[u8])) {
+        let end = prefix_successor(prefix);
+        let hi = end.as_deref().map_or(Bound::Unbounded, Bound::Excluded);
+        self.kv_for_each(keyspace, prefix, hi, f)
+    }
+
+    /// Stream every entry with `lo <= key < hi`.
+    fn kv_for_each_range(
+        &self,
+        keyspace: Keyspace,
+        lo: &[u8],
+        hi: &[u8],
+        f: impl FnMut(&[u8], &[u8]),
+    ) {
+        self.kv_for_each(keyspace, lo, Bound::Excluded(hi), f)
+    }
+
+    /// All entries whose key starts with `prefix`, in key order, copied out.
+    fn kv_scan_prefix(&self, keyspace: Keyspace, prefix: &[u8]) -> Vec<(Bytes, Bytes)> {
+        let mut out = Vec::new();
+        self.kv_for_each_prefix(keyspace, prefix, |k, v| {
+            out.push((Bytes::copy_from_slice(k), Bytes::copy_from_slice(v)));
+        });
+        out
+    }
+
+    /// All entries with `lo <= key < hi`, in key order, copied out.
+    fn kv_scan_range(&self, keyspace: Keyspace, lo: &[u8], hi: &[u8]) -> Vec<(Bytes, Bytes)> {
+        let mut out = Vec::new();
+        self.kv_for_each_range(keyspace, lo, hi, |k, v| {
+            out.push((Bytes::copy_from_slice(k), Bytes::copy_from_slice(v)));
+        });
+        out
+    }
+}
+
+/// One store's image as a read sees it: the working image, held under the
+/// store's lock, or the published one.
+pub(crate) enum ImageRef<'a> {
+    Working(MutexGuard<'a, Inner>),
+    Published(Arc<Image>),
+}
+
+impl Deref for ImageRef<'_> {
+    type Target = Image;
+
+    fn deref(&self) -> &Image {
+        match self {
+            ImageRef::Working(inner) => &inner.image,
+            ImageRef::Published(image) => image,
         }
     }
 }
@@ -204,44 +297,21 @@ impl Snapshot {
         self.image.kv_get(keyspace, key)
     }
 
-    /// All entries whose key starts with `prefix`, in key order. Keys and
-    /// values are shared handles into the image — no payload copies.
-    pub fn kv_scan_prefix(&self, keyspace: Keyspace, prefix: &[u8]) -> Vec<(Bytes, Bytes)> {
-        self.image.kv_scan_prefix(keyspace, prefix)
-    }
-
-    /// All entries in `keyspace` with `lo <= key < hi`, as shared handles.
-    pub fn kv_scan_range(&self, keyspace: Keyspace, lo: &[u8], hi: &[u8]) -> Vec<(Bytes, Bytes)> {
-        self.image.kv_scan_range(keyspace, lo, hi)
-    }
-
-    /// Stream every entry whose key starts with `prefix`, in key order,
-    /// straight off the image's range cursor — no intermediate vector, no
-    /// payload copies. The scan hot path for extent walks and index probes.
-    pub fn kv_for_each_prefix(
-        &self,
-        keyspace: Keyspace,
-        prefix: &[u8],
-        f: impl FnMut(&[u8], &[u8]),
-    ) {
-        self.image.kv_for_each_prefix(keyspace, prefix, f)
-    }
-
-    /// Stream every entry with `lo <= key < hi`, in key order, off the
-    /// image's range cursor.
-    pub fn kv_for_each_range(
-        &self,
-        keyspace: Keyspace,
-        lo: &[u8],
-        hi: &[u8],
-        f: impl FnMut(&[u8], &[u8]),
-    ) {
-        self.image.kv_for_each_range(keyspace, lo, hi, f)
-    }
-
     /// Whether two snapshots pin the same published image.
     pub fn same_version(&self, other: &Snapshot) -> bool {
         Arc::ptr_eq(&self.image, &other.image)
+    }
+}
+
+impl KvScan for Snapshot {
+    fn kv_for_each(
+        &self,
+        keyspace: Keyspace,
+        lo: &[u8],
+        hi: Bound<&[u8]>,
+        mut f: impl FnMut(&[u8], &[u8]),
+    ) {
+        scan([&*self.image], keyspace, lo, hi, |k, v| f(k, v))
     }
 }
 
@@ -422,7 +492,7 @@ pub struct ReplicaApply {
 }
 
 #[derive(Debug)]
-struct Inner {
+pub(crate) struct Inner {
     image: Image,
     logw: LogWriter,
     next_txn: u64,
@@ -813,54 +883,30 @@ impl Store {
         self.inner.lock().image.kv_get(keyspace, key)
     }
 
-    /// All working-image entries whose key starts with `prefix`, in key
-    /// order, as shared handles into the image.
-    pub fn kv_scan_prefix(&self, keyspace: Keyspace, prefix: &[u8]) -> Vec<(Bytes, Bytes)> {
-        self.inner.lock().image.kv_scan_prefix(keyspace, prefix)
+    /// This store's image as a read sees it: the working image under the
+    /// store lock (`working`), or the latest published one.
+    pub(crate) fn image(&self, working: bool) -> ImageRef<'_> {
+        if working {
+            ImageRef::Working(self.inner.lock())
+        } else {
+            ImageRef::Published(Arc::clone(&self.published.read()))
+        }
     }
 
-    /// All working-image entries in `keyspace` with `lo <= key < hi`.
-    pub fn kv_scan_range(&self, keyspace: Keyspace, lo: &[u8], hi: &[u8]) -> Vec<(Bytes, Bytes)> {
-        self.inner.lock().image.kv_scan_range(keyspace, lo, hi)
-    }
-
-    /// Stream working-image entries under `prefix` in key order. The store
-    /// mutex is held for the duration of the scan, exactly as it is for
-    /// [`Store::kv_scan_prefix`] — keep callbacks cheap.
+    /// [`KvScan::kv_for_each_prefix`] over the working image, inherent so
+    /// embedders that only scan need not import the trait.
     pub fn kv_for_each_prefix(
         &self,
         keyspace: Keyspace,
         prefix: &[u8],
         f: impl FnMut(&[u8], &[u8]),
     ) {
-        self.inner
-            .lock()
-            .image
-            .kv_for_each_prefix(keyspace, prefix, f)
-    }
-
-    /// Stream working-image entries with `lo <= key < hi` in key order.
-    pub fn kv_for_each_range(
-        &self,
-        keyspace: Keyspace,
-        lo: &[u8],
-        hi: &[u8],
-        f: impl FnMut(&[u8], &[u8]),
-    ) {
-        self.inner
-            .lock()
-            .image
-            .kv_for_each_range(keyspace, lo, hi, f)
+        KvScan::kv_for_each_prefix(self, keyspace, prefix, f)
     }
 
     /// Begin a read-write transaction.
     pub fn begin(&self) -> Txn<'_> {
-        Txn {
-            store: self,
-            staged_records: HashMap::new(),
-            staged_kv: BTreeMap::new(),
-            finished: false,
-        }
+        Txn::new(Home::Member(self))
     }
 
     /// Convenience: run `f` inside a transaction, committing on `Ok` and
@@ -869,17 +915,7 @@ impl Store {
         &self,
         f: impl FnOnce(&mut Txn<'_>) -> StorageResult<T>,
     ) -> StorageResult<T> {
-        let mut txn = self.begin();
-        match f(&mut txn) {
-            Ok(value) => {
-                txn.commit()?;
-                Ok(value)
-            }
-            Err(e) => {
-                txn.abort();
-                Err(e)
-            }
-        }
+        self.begin().run(f)
     }
 
     /// Rewrite the log so it contains exactly the live image, as a single
@@ -1147,7 +1183,7 @@ impl Store {
     pub(crate) fn commit_txn(
         &self,
         staged_records: &HashMap<Oid, Option<Bytes>>,
-        staged_kv: &BTreeMap<(u8, Vec<u8>), Option<Vec<u8>>>,
+        staged_kv: &StagedKv,
     ) -> StorageResult<()> {
         let rec = self.recorder.read().clone();
         let commit_span = rec.span(Stage::Commit);
@@ -1249,20 +1285,70 @@ impl Store {
     }
 }
 
-/// A read-write transaction.
+/// Scans read the working image; the store lock is held for the duration.
+impl KvScan for Store {
+    fn kv_for_each(
+        &self,
+        keyspace: Keyspace,
+        lo: &[u8],
+        hi: Bound<&[u8]>,
+        mut f: impl FnMut(&[u8], &[u8]),
+    ) {
+        scan([&self.inner.lock().image], keyspace, lo, hi, |k, v| f(k, v))
+    }
+}
+
+/// Staged ordered-keyspace changes: `(keyspace, key) → put(value) | delete`.
+pub(crate) type StagedKv = BTreeMap<(u8, Vec<u8>), Option<Vec<u8>>>;
+
+/// Where a transaction reads its base state from and sends its staged
+/// writes: one store, or a sharded store that routes them.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Home<'s> {
+    Member(&'s Store),
+    Sharded(&'s ShardedStore),
+}
+
+/// A read-write transaction, begun by [`Store::begin`] or
+/// [`ShardedStore::begin`].
 ///
 /// Reads see the transaction's own staged writes first, then the committed
 /// image. Nothing touches the log until [`Txn::commit`]; dropping or
 /// [`Txn::abort`]ing discards all staged changes.
 #[derive(Debug)]
 pub struct Txn<'s> {
-    store: &'s Store,
+    home: Home<'s>,
     staged_records: HashMap<Oid, Option<Bytes>>,
-    staged_kv: BTreeMap<(u8, Vec<u8>), Option<Vec<u8>>>,
-    finished: bool,
+    staged_kv: StagedKv,
 }
 
 impl<'s> Txn<'s> {
+    pub(crate) fn new(home: Home<'s>) -> Self {
+        Txn {
+            home,
+            staged_records: HashMap::new(),
+            staged_kv: BTreeMap::new(),
+        }
+    }
+
+    /// Run `f` inside this transaction, committing on `Ok` and aborting on
+    /// `Err`.
+    pub(crate) fn run<T>(
+        mut self,
+        f: impl FnOnce(&mut Txn<'s>) -> StorageResult<T>,
+    ) -> StorageResult<T> {
+        match f(&mut self) {
+            Ok(value) => {
+                self.commit()?;
+                Ok(value)
+            }
+            Err(e) => {
+                self.abort();
+                Err(e)
+            }
+        }
+    }
+
     /// Stage a record write.
     pub fn put(&mut self, oid: Oid, bytes: impl Into<Bytes>) {
         self.staged_records.insert(oid, Some(bytes.into()));
@@ -1276,18 +1362,17 @@ impl<'s> Txn<'s> {
     /// Read a record through this transaction.
     pub fn get(&self, oid: Oid) -> Option<Bytes> {
         match self.staged_records.get(&oid) {
-            Some(Some(bytes)) => Some(bytes.clone()),
-            Some(None) => None,
-            None => self.store.get(oid),
+            Some(change) => change.clone(),
+            None => match self.home {
+                Home::Member(store) => store.get(oid),
+                Home::Sharded(store) => store.get(oid),
+            },
         }
     }
 
     /// Whether a record exists from this transaction's point of view.
     pub fn contains(&self, oid: Oid) -> bool {
-        match self.staged_records.get(&oid) {
-            Some(change) => change.is_some(),
-            None => self.store.contains(oid),
-        }
+        self.get(oid).is_some()
     }
 
     /// Stage a key/value write.
@@ -1303,34 +1388,12 @@ impl<'s> Txn<'s> {
     /// Read a key/value entry through this transaction.
     pub fn kv_get(&self, keyspace: Keyspace, key: &[u8]) -> Option<Bytes> {
         match self.staged_kv.get(&(keyspace.0, key.to_vec())) {
-            Some(Some(v)) => Some(Bytes::copy_from_slice(v)),
-            Some(None) => None,
-            None => self.store.kv_get(keyspace, key),
+            Some(change) => change.as_deref().map(Bytes::copy_from_slice),
+            None => match self.home {
+                Home::Member(store) => store.kv_get(keyspace, key),
+                Home::Sharded(store) => store.kv_get(keyspace, key),
+            },
         }
-    }
-
-    /// Prefix scan merging committed entries with this transaction's staged
-    /// overlay.
-    pub fn kv_scan_prefix(&self, keyspace: Keyspace, prefix: &[u8]) -> Vec<(Bytes, Bytes)> {
-        let mut merged: BTreeMap<Bytes, Bytes> = self
-            .store
-            .kv_scan_prefix(keyspace, prefix)
-            .into_iter()
-            .collect();
-        for ((ks, key), change) in &self.staged_kv {
-            if *ks != keyspace.0 || !key.starts_with(prefix) {
-                continue;
-            }
-            match change {
-                Some(v) => {
-                    merged.insert(Bytes::copy_from_slice(key), Bytes::copy_from_slice(v));
-                }
-                None => {
-                    merged.remove(key.as_slice());
-                }
-            }
-        }
-        merged.into_iter().collect()
     }
 
     /// Number of staged changes (records + kv entries).
@@ -1339,20 +1402,65 @@ impl<'s> Txn<'s> {
     }
 
     /// Durably commit all staged changes.
-    pub fn commit(mut self) -> StorageResult<()> {
-        if self.finished {
-            return Err(StorageError::TxnState(
-                "transaction already finished".into(),
-            ));
+    pub fn commit(self) -> StorageResult<()> {
+        match self.home {
+            Home::Member(store) => store.commit_txn(&self.staged_records, &self.staged_kv),
+            Home::Sharded(store) => store.commit_routed(self.staged_records, self.staged_kv),
         }
-        self.finished = true;
-        self.store.commit_txn(&self.staged_records, &self.staged_kv)
     }
 
     /// Discard all staged changes.
-    pub fn abort(mut self) {
-        self.finished = true;
-        Stats::bump(&self.store.stats.aborts);
+    pub fn abort(self) {
+        let stats = match self.home {
+            Home::Member(store) => store.stats(),
+            Home::Sharded(store) => store.stats(),
+        };
+        Stats::bump(&stats.aborts);
+    }
+}
+
+/// Scans through a transaction overlay its staged changes on the base
+/// state: a staged put replaces or adds an entry, a staged delete hides one.
+impl KvScan for Txn<'_> {
+    fn kv_for_each(
+        &self,
+        keyspace: Keyspace,
+        lo: &[u8],
+        hi: Bound<&[u8]>,
+        mut f: impl FnMut(&[u8], &[u8]),
+    ) {
+        let below_hi = |key: &[u8]| match hi {
+            Bound::Unbounded => true,
+            Bound::Excluded(hi) => key < hi,
+            Bound::Included(hi) => key <= hi,
+        };
+        let mut staged = self
+            .staged_kv
+            .range((keyspace.0, lo.to_vec())..)
+            .take_while(|((ks, key), _)| *ks == keyspace.0 && below_hi(key))
+            .map(|((_, key), change)| (key.as_slice(), change.as_deref()))
+            .peekable();
+        // Merge the two sorted streams; on equal keys the staged change wins.
+        let mut visit = |key: &[u8], value: &[u8]| {
+            while let Some((staged_key, change)) = staged.next_if(|(k, _)| *k <= key) {
+                if let Some(staged_value) = change {
+                    f(staged_key, staged_value);
+                }
+                if staged_key == key {
+                    return;
+                }
+            }
+            f(key, value);
+        };
+        match self.home {
+            Home::Member(store) => store.kv_for_each(keyspace, lo, hi, &mut visit),
+            Home::Sharded(store) => store.kv_for_each(keyspace, lo, hi, &mut visit),
+        }
+        for (key, change) in staged {
+            if let Some(value) = change {
+                f(key, value);
+            }
+        }
     }
 }
 

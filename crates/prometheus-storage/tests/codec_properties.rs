@@ -1,11 +1,16 @@
 //! Property tests for the storage layer: codec round-trips over arbitrary
-//! log records, log scan/append as inverse operations, and the kv namespace
-//! against a model map.
+//! log records, log scan/append as inverse operations, and every scan of
+//! the kv namespace — one shard or several, through the store, a snapshot
+//! or a transaction's overlay, claimed or not — against a model map.
 
 use prometheus_storage::codec;
 use prometheus_storage::log::{self, LogRecord, LogWriter};
-use prometheus_storage::Oid;
+use prometheus_storage::{
+    Keyspace, KvScan, Oid, ShardRouting, ShardedStore, Store, StoreOptions, Txn,
+};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 
 fn arb_record() -> impl Strategy<Value = LogRecord> {
     let oid = (1u64..1_000_000).prop_map(Oid::from_raw);
@@ -75,47 +80,206 @@ proptest! {
         prop_assert_eq!(rescan.frames.len(), records.len());
         let _ = std::fs::remove_file(path);
     }
+}
 
-    /// Arbitrary put/delete sequences leave the store's kv namespace equal
-    /// to a model BTreeMap.
-    #[test]
-    fn kv_namespace_matches_model(
-        ops in prop::collection::vec(
-            (any::<bool>(), prop::collection::vec(any::<u8>(), 1..6), prop::collection::vec(any::<u8>(), 0..6)),
-            0..40
-        )
-    ) {
-        use prometheus_storage::{Keyspace, Store, StoreOptions};
-        let path = std::env::temp_dir().join(format!(
-            "prop-kv-{}-{:?}.log",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        let store = Store::open_with(&path, StoreOptions { sync_on_commit: false }).unwrap();
-        let ks = Keyspace(1);
-        let mut model = std::collections::BTreeMap::new();
-        for (is_put, key, value) in &ops {
-            store.with_txn(|t| {
-                if *is_put {
-                    t.kv_put(ks, key.clone(), value.clone());
-                } else {
-                    t.kv_delete(ks, key.clone());
-                }
-                Ok(())
-            }).unwrap();
-            if *is_put {
-                model.insert(key.clone(), value.clone());
-            } else {
-                model.remove(key);
-            }
+const KS: Keyspace = Keyspace(1);
+
+type Model = BTreeMap<Vec<u8>, Vec<u8>>;
+
+/// One staged kv change: put `Some(value)` or delete.
+type Op = (Vec<u8>, Option<Vec<u8>>);
+
+/// Keys over a three-byte alphabet (`0xff` included, so prefix successors
+/// carry), most of them ending in an 8-byte tail: the default routing reads
+/// the tail as the owning OID, so a transaction's keys spread over shards.
+fn arb_key() -> impl Strategy<Value = Vec<u8>> {
+    let head = prop::collection::vec(prop::sample::select(vec![0u8, 1, 0xff]), 0..3);
+    (head, prop::option::of(0u64..6)).prop_map(|(mut key, tail)| {
+        if let Some(tail) = tail {
+            key.extend_from_slice(&tail.to_be_bytes());
         }
-        let scanned: std::collections::BTreeMap<Vec<u8>, Vec<u8>> = store
-            .kv_scan_prefix(ks, &[])
+        key
+    })
+}
+
+fn arb_txn() -> impl Strategy<Value = Vec<Op>> {
+    let value = prop::collection::vec(any::<u8>(), 0..4);
+    prop::collection::vec((arb_key(), prop::option::of(value)), 0..5)
+}
+
+fn stage(txn: &mut Txn<'_>, ops: &[Op]) {
+    for (key, change) in ops {
+        match change {
+            Some(value) => txn.kv_put(KS, key.clone(), value.clone()),
+            None => txn.kv_delete(KS, key.clone()),
+        }
+    }
+}
+
+fn apply(model: &mut Model, ops: &[Op]) {
+    for (key, change) in ops {
+        match change {
+            Some(value) => model.insert(key.clone(), value.clone()),
+            None => model.remove(key),
+        };
+    }
+}
+
+/// A prefix scan and a range scan of `source` both equal the model's.
+fn assert_scans(source: &impl KvScan, model: &Model, bounds: &[Vec<u8>; 3], what: &str) {
+    let [prefix, lo, hi] = bounds;
+    let copied = |scanned: Vec<(bytes::Bytes, bytes::Bytes)>| -> Vec<(Vec<u8>, Vec<u8>)> {
+        scanned
             .into_iter()
             .map(|(k, v)| (k.to_vec(), v.to_vec()))
-            .collect();
-        prop_assert_eq!(scanned, model);
-        let _ = std::fs::remove_file(path);
+            .collect()
+    };
+    let expected = |keep: &dyn Fn(&[u8]) -> bool| -> Vec<(Vec<u8>, Vec<u8>)> {
+        model
+            .iter()
+            .filter(|(k, _)| keep(k))
+            .map(|(k, v)| (k.clone(), v.clone()))
+            .collect()
+    };
+    assert_eq!(
+        copied(source.kv_scan_prefix(KS, prefix)),
+        expected(&|k| k.starts_with(prefix)),
+        "{what}: prefix scan of {prefix:?}"
+    );
+    assert_eq!(
+        copied(source.kv_scan_range(KS, lo, hi)),
+        expected(&|k| lo.as_slice() <= k && k < hi.as_slice()),
+        "{what}: range scan of {lo:?}..{hi:?}"
+    );
+}
+
+fn scratch(tag: &str) -> PathBuf {
+    let path = std::env::temp_dir().join(format!(
+        "prop-{tag}-{}-{:?}.log",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    for k in 0..3 {
+        let log = if k == 0 {
+            path.clone()
+        } else {
+            path.with_extension(format!("shard{k}.log"))
+        };
+        let _ = std::fs::remove_file(&log);
+        let _ = std::fs::remove_file(log.with_extension("epoch"));
+    }
+    let _ = std::fs::remove_file(path.with_extension("shards"));
+    path
+}
+
+fn open_sharded(path: &Path, shards: usize) -> ShardedStore {
+    let options = StoreOptions {
+        sync_on_commit: false,
+    };
+    ShardedStore::open_with(path, options, shards, ShardRouting::default()).unwrap()
+}
+
+proptest! {
+    /// Settled transactions, then a unit of work left open on a claimed
+    /// subset of the shards: every way of scanning sees exactly the state
+    /// it should. The unit's owner, an unbound thread and a transaction's
+    /// overlay read working images; a unit claiming the other shards and a
+    /// pinned snapshot read what was published before the unit began.
+    #[test]
+    fn scans_match_model_on_every_path(
+        shards in 1usize..4,
+        settled in prop::collection::vec(arb_txn(), 0..6),
+        claim in 1u64..8,
+        in_unit in prop::collection::vec(arb_txn(), 0..4),
+        staged in arb_txn(),
+        bounds in (arb_key(), arb_key(), arb_key()),
+    ) {
+        let path = scratch("scans");
+        let store = open_sharded(&path, shards);
+        let bounds = [bounds.0, bounds.1, bounds.2];
+        let mut committed = Model::new();
+        for ops in &settled {
+            store.with_txn(|t| { stage(t, ops); Ok(()) }).unwrap();
+            apply(&mut committed, ops);
+        }
+
+        let all = store.all_shards_mask();
+        let claim = if claim & all == 0 { all } else { claim & all };
+        store.begin_unit_scope_on(claim);
+        let mut working = committed.clone();
+        {
+            let _owner = store.bind_claim(claim);
+            for ops in &in_unit {
+                let escapes = ops
+                    .iter()
+                    .any(|(key, _)| claim & (1 << store.shard_of_key(KS, key)) == 0);
+                let result = store.with_txn(|t| { stage(t, ops); Ok(()) });
+                // A write routed outside the claim fails the whole
+                // transaction before anything is written.
+                prop_assert_eq!(result.is_err(), escapes);
+                if !escapes {
+                    apply(&mut working, ops);
+                }
+            }
+            assert_scans(&store, &working, &bounds, "unit owner");
+            let mut txn = store.begin();
+            stage(&mut txn, &staged);
+            let mut overlaid = working.clone();
+            apply(&mut overlaid, &staged);
+            assert_scans(&txn, &overlaid, &bounds, "transaction overlay");
+            txn.abort();
+        }
+        assert_scans(&store, &working, &bounds, "unbound thread");
+        assert_scans(&store.snapshot(), &committed, &bounds, "snapshot under an open unit");
+        if claim != all {
+            let _other = store.bind_claim(all & !claim);
+            assert_scans(&store, &committed, &bounds, "unit on the other shards");
+        }
+
+        store.end_unit_scope_on(claim, true).unwrap();
+        assert_scans(&store.snapshot(), &working, &bounds, "snapshot after the seal");
+        drop(store);
+        assert_scans(&open_sharded(&path, shards), &working, &bounds, "reopened store");
+        scratch("scans");
+    }
+
+    /// One shard is the plain case: a 1-shard store writes the log a plain
+    /// `Store` writes when fed the same transactions, byte for byte —
+    /// outside a unit, inside one, and for a transaction that stages nothing.
+    #[test]
+    fn one_shard_log_is_a_plain_stores_log(
+        settled in prop::collection::vec(arb_txn(), 0..6),
+        in_unit in prop::collection::vec(arb_txn(), 0..4),
+        committed in any::<bool>(),
+    ) {
+        let (sharded_path, plain_path) = (scratch("one-shard"), scratch("plain"));
+        let sharded = open_sharded(&sharded_path, 1);
+        let plain = Store::open_with(&plain_path, StoreOptions { sync_on_commit: false }).unwrap();
+        let record = |txn: &mut Txn<'_>, oid: Oid, ops: &[Op]| {
+            txn.put(oid, vec![ops.len() as u8]);
+            stage(txn, ops);
+        };
+        for ops in &settled {
+            sharded.with_txn(|t| { record(t, sharded.allocate_oid(), ops); Ok(()) }).unwrap();
+            plain.with_txn(|t| { record(t, plain.allocate_oid(), ops); Ok(()) }).unwrap();
+        }
+        sharded.begin_unit_scope();
+        plain.begin_unit_scope();
+        {
+            let _owner = sharded.bind_claim(sharded.all_shards_mask());
+            for ops in &in_unit {
+                sharded.with_txn(|t| { stage(t, ops); Ok(()) }).unwrap();
+                plain.with_txn(|t| { stage(t, ops); Ok(()) }).unwrap();
+            }
+        }
+        sharded.end_unit_scope(committed).unwrap();
+        plain.end_unit_scope(committed).unwrap();
+        drop((sharded, plain));
+        prop_assert_eq!(
+            std::fs::read(&sharded_path).unwrap(),
+            std::fs::read(&plain_path).unwrap()
+        );
+        scratch("one-shard");
+        scratch("plain");
     }
 }

@@ -5,7 +5,7 @@
 //! untouched subtrees stay physically shared).
 
 use bytes::Bytes;
-use prometheus_storage::{PMap, Touch};
+use prometheus_storage::{prefix_successor, PMap, Touch};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::ops::Bound;
@@ -95,9 +95,13 @@ proptest! {
             apply(&mut map, &mut model, op);
         }
 
+        // A prefix scan is the range from the prefix up to its successor.
+        let end = prefix_successor(&prefix);
         let scanned: Vec<(Vec<u8>, Vec<u8>)> = map
-            .scan_prefix(&prefix)
-            .into_iter()
+            .range(
+                Bound::Included(&prefix),
+                end.as_deref().map_or(Bound::Unbounded, Bound::Excluded),
+            )
             .map(|(k, v)| (k.to_vec(), v.to_vec()))
             .collect();
         let expected: Vec<(Vec<u8>, Vec<u8>)> = model
@@ -108,8 +112,7 @@ proptest! {
         prop_assert_eq!(scanned, expected, "prefix scan diverged");
 
         let scanned: Vec<(Vec<u8>, Vec<u8>)> = map
-            .scan_range(&lo, &hi)
-            .into_iter()
+            .range(Bound::Included(&lo), Bound::Excluded(&hi))
             .map(|(k, v)| (k.to_vec(), v.to_vec()))
             .collect();
         let expected: Vec<(Vec<u8>, Vec<u8>)> = model

@@ -21,7 +21,7 @@
 //! * **placement rule** (Figure 40) — a `Placement` must attach an epithet
 //!   to a Genus-or-higher name.
 
-use crate::model::{Taxonomy, CIRCUMSCRIBES, PLACEMENT};
+use crate::model::{is_specimen, rank_of, Taxonomy, CIRCUMSCRIBES, PLACEMENT};
 use crate::nomenclature::FAMILY_EXCEPTIONS;
 use prometheus_object::{Database, DbError, DbResult, Event, EventListener};
 use prometheus_rules::{Rule, RuleEngine};
@@ -85,20 +85,19 @@ pub fn install(tax: &Taxonomy, engine: &RuleEngine) -> DbResult<Vec<String>> {
     names.push("icbn-type-existence".into());
 
     // Figures 38–40: native rank-lattice rules.
-    tax.db()
-        .add_listener(Arc::new(RankRules { tax: tax.clone() }));
+    tax.db().add_listener(Arc::new(RankRules));
     names.push("icbn-rank-order (native)".into());
     names.push("icbn-placement (native)".into());
     Ok(names)
 }
 
-/// Native relationship rules over the rank lattice (Figures 38–40).
-struct RankRules {
-    tax: Taxonomy,
-}
+/// Native relationship rules over the rank lattice (Figures 38–40). Holds
+/// no database handle — it reads through the one each event arrives with —
+/// so installing it does not keep the database it listens on alive.
+struct RankRules;
 
 impl EventListener for RankRules {
-    fn after(&self, _db: &Database, event: &Event) -> DbResult<()> {
+    fn after(&self, db: &Database, event: &Event) -> DbResult<()> {
         let Event::RelCreated {
             class,
             origin,
@@ -112,11 +111,11 @@ impl EventListener for RankRules {
             // Figures 38/39 (generalised): the destination's rank must be
             // strictly below the origin's.
             CIRCUMSCRIBES => {
-                if self.tax.is_specimen(*destination) {
+                if is_specimen(db, *destination) {
                     return Ok(());
                 }
                 let (Some(above), Some(below)) =
-                    (self.tax.rank_of(*origin)?, self.tax.rank_of(*destination)?)
+                    (rank_of(db, *origin)?, rank_of(db, *destination)?)
                 else {
                     return Ok(());
                 };
@@ -132,7 +131,7 @@ impl EventListener for RankRules {
             // to a name at Genus rank or above-Species.
             PLACEMENT => {
                 let (Some(genus), Some(epithet)) =
-                    (self.tax.rank_of(*origin)?, self.tax.rank_of(*destination)?)
+                    (rank_of(db, *origin)?, rank_of(db, *destination)?)
                 else {
                     return Ok(());
                 };

@@ -363,8 +363,7 @@ impl Taxonomy {
 
     /// The rank of an NT or CT (`None` for specimens).
     pub fn rank_of(&self, oid: Oid) -> DbResult<Option<Rank>> {
-        let obj = self.db.object(oid)?;
-        Ok(obj.attr("rank").as_str().and_then(Rank::from_name))
+        rank_of(&self.db, oid)
     }
 
     /// Publication year of an NT.
@@ -404,17 +403,26 @@ impl Taxonomy {
 
     /// Whether an object is a specimen.
     pub fn is_specimen(&self, oid: Oid) -> bool {
-        self.db
-            .class_of(oid)
-            .map(|c| c == "Specimen")
-            .unwrap_or(false)
+        is_specimen(&self.db, oid)
     }
+}
+
+/// [`Taxonomy::rank_of`] for callers that are handed the database, not the
+/// facade (event listeners).
+pub(crate) fn rank_of(db: &Database, oid: Oid) -> DbResult<Option<Rank>> {
+    let obj = db.object(oid)?;
+    Ok(obj.attr("rank").as_str().and_then(Rank::from_name))
+}
+
+/// [`Taxonomy::is_specimen`] over a bare database.
+pub(crate) fn is_specimen(db: &Database, oid: Oid) -> bool {
+    db.class_of(oid).map(|c| c == "Specimen").unwrap_or(false)
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use prometheus_object::{Store, StoreOptions};
+    use prometheus_object::{shard_routing, ShardedStore, StoreOptions};
 
     pub(crate) fn fresh() -> Taxonomy {
         let path = std::env::temp_dir().join(format!(
@@ -428,15 +436,17 @@ pub(crate) mod tests {
         ));
         let _ = std::fs::remove_file(&path);
         let store = Arc::new(
-            Store::open_with(
+            ShardedStore::open_with(
                 &path,
                 StoreOptions {
                     sync_on_commit: false,
                 },
+                1,
+                shard_routing(),
             )
             .unwrap(),
         );
-        let db = Arc::new(Database::open(store).unwrap());
+        let db = Arc::new(Database::open_sharded(store).unwrap());
         Taxonomy::install(db).unwrap()
     }
 

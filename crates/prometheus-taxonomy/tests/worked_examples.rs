@@ -2,7 +2,7 @@
 //! Figure 4 (multiple overlapping classifications and synonym detection)
 //! and the §7.1.4 what-if scenarios.
 
-use prometheus_object::{Database, Store, StoreOptions, SynonymMode};
+use prometheus_object::{shard_routing, Database, ShardedStore, StoreOptions, SynonymMode};
 use prometheus_taxonomy::dataset::{figure3, figure4, random_flora, FloraParams};
 use prometheus_taxonomy::derivation::derive_names;
 use prometheus_taxonomy::revision::{Revision, WhatIf};
@@ -22,15 +22,17 @@ fn fresh() -> Taxonomy {
     ));
     let _ = std::fs::remove_file(&path);
     let store = Arc::new(
-        Store::open_with(
+        ShardedStore::open_with(
             &path,
             StoreOptions {
                 sync_on_commit: false,
             },
+            1,
+            shard_routing(),
         )
         .unwrap(),
     );
-    Taxonomy::install(Arc::new(Database::open(store).unwrap())).unwrap()
+    Taxonomy::install(Arc::new(Database::open_sharded(store).unwrap())).unwrap()
 }
 
 #[test]

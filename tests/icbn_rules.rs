@@ -1,7 +1,7 @@
 //! Integration tests for the ICBN constraint set (§7.1.3.2, Figures 35–40)
 //! installed through the facade, plus PCL-defined custom rules.
 
-use prometheus_db::{DbError, Prometheus, Rank, StoreOptions, TypeKind};
+use prometheus_db::{DbError, Prometheus, Rank, Reader, StoreOptions, TypeKind};
 
 fn open(name: &str) -> Prometheus {
     let path = std::env::temp_dir().join(format!(
@@ -120,4 +120,34 @@ fn what_if_scenarios_respect_deferred_rules() {
     // …and decides to keep it — but the deferred ICBN rule vetoes the commit.
     assert!(db.commit_unit(token).is_err());
     assert!(!db.exists(nt));
+}
+
+/// `icbn::install`'s native rank listener once owned the `Arc<Database>` it
+/// was registered on, so an ICBN-opened handle was never freed.
+#[test]
+fn dropping_an_icbn_handle_frees_the_database() {
+    let path = std::env::temp_dir().join(format!("icbn-int-drop-{}.log", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let options = StoreOptions {
+        sync_on_commit: false,
+    };
+    let p = Prometheus::open_with(&path, options.clone()).unwrap();
+    let tax = p.taxonomy_with_icbn().unwrap();
+    let genus = p
+        .unit(|_| {
+            let genus = tax.create_nt("Apium", Rank::Genus, 1753, "L.")?;
+            let specimen = tax.create_specimen("Herb.Cliff.107")?;
+            tax.typify(genus, specimen, TypeKind::Lectotype)?;
+            Ok(genus)
+        })
+        .unwrap();
+    let db = std::sync::Arc::downgrade(p.db());
+    drop(tax);
+    drop(p);
+    assert!(db.upgrade().is_none(), "the database outlived its handle");
+
+    let p = Prometheus::open_with(&path, options).unwrap();
+    assert!(p.db().exists(genus));
+    assert!(p.taxonomy_with_icbn().is_ok());
+    let _ = std::fs::remove_file(&path);
 }
