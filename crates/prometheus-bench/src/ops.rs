@@ -104,7 +104,7 @@ pub fn raw_update_attr(raw: &RawDb, oids: &[Oid]) -> DbResult<()> {
 }
 
 /// Increment `build_date` through the object layer (index maintenance,
-/// events, journal).
+/// events).
 pub fn prom_update_attr(prom: &PromDb, oids: &[Oid]) -> DbResult<()> {
     for &oid in oids {
         let current = prom.db.attr_of(oid, "build_date")?.as_int().unwrap_or(0);

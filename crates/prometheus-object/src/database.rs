@@ -1,19 +1,20 @@
 //! The Prometheus object layer: the [`Database`] facade.
 //!
 //! Wires the storage substrate, schema registry, index layer, event layer,
-//! synonym table and unit-of-work journal into the API the query language,
-//! rule engine and applications use.
+//! synonym table and units of work into the API the query language, rule
+//! engine and applications use.
 //!
 //! ## Units of work and what-if scenarios
 //!
 //! Every mutation runs inside a *unit of work*. Explicit units are opened
 //! with [`Database::begin_unit`]; a mutation outside any unit gets an
-//! implicit single-operation unit. Each unit keeps an undo journal; aborting
-//! (or a failed deferred constraint at commit) rolls every operation back by
-//! applying inverse operations. This is the mechanism behind the thesis'
-//! what-if scenarios (§7.1.4): a taxonomist opens a unit, reorganises a
-//! classification speculatively, inspects the result, then commits or
-//! abandons it.
+//! implicit single-operation unit. Aborting (or a failed deferred constraint
+//! at commit) has the store drop the unit's working image for the published
+//! pre-unit one, so everything written inside the unit — by operations,
+//! schema definitions or listeners — is gone at once. This is the mechanism
+//! behind the thesis' what-if scenarios (§7.1.4): a taxonomist opens a unit,
+//! reorganises a classification speculatively, inspects the result, then
+//! commits or abandons it.
 //!
 //! ## Relationship semantics
 //!
@@ -37,7 +38,7 @@ use parking_lot::{Condvar, Mutex, RwLock};
 use prometheus_storage::cache::LruCache;
 use prometheus_storage::{codec, Oid, ShardedStore, Stats};
 use std::cell::Cell;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 /// Reserved extent name under which classification metadata is indexed.
@@ -62,29 +63,21 @@ pub struct UnitToken {
     depth: u32,
 }
 
-/// One inverse operation in a unit's undo journal.
-#[derive(Debug)]
-enum UndoOp {
-    DeleteObject(Oid),
-    RestoreObject(ObjectInstance),
-    DeleteRel(Oid),
-    RestoreRel(RelInstance),
-    RestoreObjectAttr { oid: Oid, attr: String, old: Value },
-    RestoreRelAttr { oid: Oid, attr: String, old: Value },
-    RemoveClsEdge { cls: Oid, rel: Oid },
-    RestoreClsEdge { cls: Oid, rel: Oid },
-    DeleteClassification(Oid),
-    RestoreClassification(ClassificationMeta, Vec<Oid>),
-    RestoreSynonyms(SynonymTable),
-}
-
 #[derive(Debug, Default)]
 struct UnitState {
-    journal: Vec<UndoOp>,
+    /// Events so far, handed to the deferred listeners at commit.
     events: Vec<Event>,
     depth: u32,
     /// Bitmask of the shards this unit claimed at open.
     claim: u64,
+    /// OIDs whose decoded-object cache entries the unit wrote. They mirror
+    /// its working image, so an abort drops them.
+    cached: HashSet<Oid>,
+    /// Schema and synonym state at open — the two `Arc`s a [`ReadView`]
+    /// pins — swapped back by an abort. Held only when the claim covers the
+    /// meta keyspace's shard: then no other unit can change either while
+    /// this one is open, and otherwise this unit cannot.
+    meta: Option<(Arc<SchemaRegistry>, Arc<SynonymTable>)>,
 }
 
 /// All live units of work plus the per-shard ownership map that keeps their
@@ -101,10 +94,10 @@ struct UnitTable {
 
 thread_local! {
     /// Id of the unit of work bound to this thread (0 = none). Operations
-    /// journal into — and storage claims resolve against — the bound unit,
-    /// so independent units on different threads no longer share one global
-    /// journal. [`Database::with_unit_bound`] carries a binding across
-    /// threads for the server's event transport.
+    /// record their events in — and storage claims resolve against — the
+    /// bound unit, so independent units on different threads stay apart.
+    /// [`Database::with_unit_bound`] carries a binding across threads for
+    /// the server's event transport.
     static CURRENT_UNIT: Cell<u64> = const { Cell::new(0) };
 }
 
@@ -298,7 +291,7 @@ impl Database {
     pub fn begin_unit_on(&self, mask: u64) -> UnitToken {
         let current = CURRENT_UNIT.with(|c| c.get());
         if current != 0 {
-            // Nested unit: share the enclosing unit's claim and journal.
+            // Nested unit: share the enclosing unit's claim and state.
             let mut table = self.units.lock();
             let state = table
                 .states
@@ -334,11 +327,19 @@ impl Database {
                 *owner = id;
             }
         }
+        let meta_shard = self.store.shard_of_key(KS_META, index::META_SCHEMA);
+        let meta = prometheus_storage::shard::claim_covers(mask, meta_shard).then(|| {
+            (
+                Arc::clone(&self.schema.read()),
+                Arc::clone(&self.synonyms.read()),
+            )
+        });
         table.states.insert(
             id,
             UnitState {
-                claim: mask,
                 depth: 1,
+                claim: mask,
+                meta,
                 ..UnitState::default()
             },
         );
@@ -355,7 +356,7 @@ impl Database {
     /// calling thread. The event transport opens units on whichever worker
     /// happens to process the `UnitBegin` frame; that worker goes on to
     /// serve other sessions, so a lingering binding would route their
-    /// journaling into this unit (or panic once it settles). Callers run
+    /// operations into this unit (or panic once it settles). Callers run
     /// each of the unit's request slices under
     /// [`Database::with_unit_bound`] instead.
     pub fn begin_unit_detached(&self) -> UnitToken {
@@ -366,8 +367,8 @@ impl Database {
         token
     }
 
-    /// Bind this thread to `unit`: journaling and storage-claim resolution
-    /// route to it until the binding is cleared or replaced.
+    /// Bind this thread to `unit`: event recording and storage-claim
+    /// resolution route to it until the binding is cleared or replaced.
     fn bind_thread(unit: u64, claim: u64) -> (u64, u64) {
         let prev_unit = CURRENT_UNIT.with(|c| {
             let prev = c.get();
@@ -386,8 +387,8 @@ impl Database {
     /// Run `f` with this thread bound to `token`'s unit. The server's event
     /// transport executes one unit's requests across readiness callbacks on
     /// one thread interleaved with other sessions' work; each slice is
-    /// wrapped in this so journaling and claim routing follow the token, not
-    /// the thread. If `f` settles the unit (commit/abort), the binding it
+    /// wrapped in this so event recording and claim routing follow the token,
+    /// not the thread. If `f` settles the unit (commit/abort), the binding it
     /// cleared stays cleared.
     pub fn with_unit_bound<T>(&self, token: &UnitToken, f: impl FnOnce(&Database) -> T) -> T {
         let claim = {
@@ -433,7 +434,7 @@ impl Database {
         }
         let _bound = Self::bind_thread(id, claim);
         // Deferred listeners run while the unit is still rollback-able; any
-        // mutation they perform (repair actions) joins the journal.
+        // write they make (repair actions, history entries) is part of it.
         let listeners = self.listeners.read().clone();
         for listener in &listeners {
             if let Err(e) = listener.at_commit(self, &events) {
@@ -484,6 +485,9 @@ impl Database {
         }
     }
 
+    /// Abort unit `id`: the store seals its log group as discarded and
+    /// retracts the working image on the claimed shards; what is left here
+    /// is the state derived from that image.
     fn rollback_unit(&self, id: u64) {
         let state = {
             let mut table = self.units.lock();
@@ -492,107 +496,43 @@ impl Database {
                 None => return,
             }
         };
-        // Bind the thread so the inverse appliers read the unit's own
-        // working state on its claimed shards (rollback may run on the
-        // event transport's reaper thread, not the opener's).
-        let _bound = Self::bind_thread(id, state.claim);
-        for op in state.journal.into_iter().rev() {
-            // Rollback applies raw inverse operations; failures here would
-            // mean the log itself is failing, which we surface by panicking
-            // rather than silently half-rolling-back.
-            self.apply_undo(op).expect("rollback must not fail");
-        }
-        // Discard the store-level unit scopes: recovery skips the whole unit
-        // (forward ops and inverses alike) and readers keep seeing the
-        // pre-unit snapshot throughout.
+        // A failure here would mean the log itself is failing, which we
+        // surface by panicking rather than silently half-rolling-back.
         self.store
             .end_unit_scope_on(state.claim, false)
             .expect("rollback must not fail");
+        // After the retraction, which narrows but does not close a window:
+        // an unbound reader that fetched from the unit's working image just
+        // before it can still fill the cache just after this loop.
+        for oid in state.cached {
+            self.cache_shard(oid).lock().remove(&oid);
+        }
+        if let Some((mut schema, synonyms)) = state.meta {
+            let mut current = self.schema.write();
+            if !Arc::ptr_eq(&schema, &current) {
+                // The unit defined something: plans cached against its
+                // registry must match neither the restored one nor any
+                // definition made on top of it.
+                Arc::make_mut(&mut schema).supersede(current.version());
+                *current = schema;
+            }
+            *self.synonyms.write() = synonyms;
+        }
         self.release_unit(id);
     }
 
-    fn apply_undo(&self, op: UndoOp) -> DbResult<()> {
-        match op {
-            UndoOp::DeleteObject(oid) => {
-                let obj = self.object(oid)?;
-                self.raw_delete_object(&obj)
-            }
-            UndoOp::RestoreObject(obj) => self.raw_put_object(&obj),
-            UndoOp::DeleteRel(oid) => {
-                let rel = self.rel(oid)?;
-                self.raw_delete_rel(&rel)
-            }
-            UndoOp::RestoreRel(rel) => self.raw_put_rel(&rel),
-            UndoOp::RestoreObjectAttr { oid, attr, old } => {
-                let mut obj = self.object(oid)?;
-                self.raw_update_object_attr(&mut obj, &attr, old)
-            }
-            UndoOp::RestoreRelAttr { oid, attr, old } => {
-                let mut rel = self.rel(oid)?;
-                rel.attrs.insert(attr, old);
-                self.raw_put_rel(&rel)
-            }
-            UndoOp::RemoveClsEdge { cls, rel } => self.raw_remove_cls_edge(cls, rel),
-            UndoOp::RestoreClsEdge { cls, rel } => self.raw_add_cls_edge(cls, rel),
-            UndoOp::DeleteClassification(oid) => self.raw_delete_classification(oid),
-            UndoOp::RestoreClassification(meta, edges) => {
-                let oid = meta.oid;
-                let bytes = codec::to_bytes(&StoredEntity::Classification(meta.clone()))?;
-                self.store.with_txn(|t| {
-                    t.put(oid, bytes.clone());
-                    t.kv_put(
-                        KS_EXTENT,
-                        index::extent_key(CLASSIFICATION_EXTENT, oid),
-                        Vec::new(),
-                    );
-                    Ok(())
-                })?;
-                self.cache_shard(oid)
-                    .lock()
-                    .put(oid, StoredEntity::Classification(meta));
-                for rel in edges {
-                    self.raw_add_cls_edge(oid, rel)?;
-                }
-                Ok(())
-            }
-            UndoOp::RestoreSynonyms(table) => {
-                *self.synonyms.write() = Arc::new(table);
-                self.persist_synonyms()
-            }
-        }
-    }
-
-    /// Record an undo op and an event in the unit bound to this thread (if
-    /// any). During rollback the state has already been removed from the
-    /// table, so inverse appliers journal nowhere — matching the pre-shard
-    /// behaviour of journaling into a taken-out unit.
-    fn journal(&self, undo: UndoOp, event: Option<Event>) {
+    /// Record an event in the unit bound to this thread (if any), for the
+    /// deferred listeners at commit.
+    fn record_event(&self, event: Event) {
         let id = CURRENT_UNIT.with(|c| c.get());
-        if id == 0 {
-            return;
-        }
-        let mut table = self.units.lock();
-        if let Some(state) = table.states.get_mut(&id) {
-            state.journal.push(undo);
-            if let Some(e) = event {
-                state.events.push(e);
-            }
+        if let Some(state) = self.units.lock().states.get_mut(&id) {
+            state.events.push(event);
         }
     }
 
     /// Run `f` inside a unit (reusing the active one if present).
     pub fn in_unit_scope<T>(&self, f: impl FnOnce(&Database) -> DbResult<T>) -> DbResult<T> {
-        let token = self.begin_unit();
-        match f(self) {
-            Ok(v) => {
-                self.commit_unit(token)?;
-                Ok(v)
-            }
-            Err(e) => {
-                self.abort_unit(token);
-                Err(e)
-            }
-        }
+        self.in_unit_scope_on(self.store.all_shards_mask(), f)
     }
 
     /// [`Database::in_unit_scope`] claiming only the shards in `mask` (see
@@ -638,6 +578,23 @@ impl Database {
 
     fn cache_shard(&self, oid: Oid) -> &Mutex<LruCache<Oid, StoredEntity>> {
         &self.cache[(oid.raw() as usize) % CACHE_SHARDS]
+    }
+
+    /// Set (`None`: drop) `oid`'s decoded-object cache entry after a write
+    /// to its record, noting the OID in the unit bound to this thread so an
+    /// abort can drop the entry with the working image it mirrors.
+    fn cache_write(&self, oid: Oid, entity: Option<StoredEntity>) {
+        let id = CURRENT_UNIT.with(|c| c.get());
+        if id != 0 {
+            if let Some(state) = self.units.lock().states.get_mut(&id) {
+                state.cached.insert(oid);
+            }
+        }
+        let mut cache = self.cache_shard(oid).lock();
+        match entity {
+            Some(entity) => drop(cache.put(oid, entity)),
+            None => drop(cache.remove(&oid)),
+        }
     }
 
     pub(crate) fn entity_cached(&self, oid: Oid) -> DbResult<StoredEntity> {
@@ -741,7 +698,7 @@ impl Database {
             attrs: checked,
         };
         self.raw_put_object(&obj)?;
-        self.journal(UndoOp::DeleteObject(oid), Some(event.clone()));
+        self.record_event(event.clone());
         self.finish_op(event)?;
         Ok(oid)
     }
@@ -774,19 +731,12 @@ impl Database {
             oid,
             class: obj.class.clone(),
             attr: attr.to_string(),
-            old: old.clone(),
+            old,
             new: value.clone(),
         };
         self.dispatch_before(&event)?;
         self.raw_update_object_attr(&mut obj, attr, value)?;
-        self.journal(
-            UndoOp::RestoreObjectAttr {
-                oid,
-                attr: attr.to_string(),
-                old,
-            },
-            Some(event.clone()),
-        );
+        self.record_event(event.clone());
         self.finish_op(event)
     }
 
@@ -830,15 +780,13 @@ impl Database {
         }
 
         // The object record itself.
-        let prev_syn = self.synonyms.read().as_ref().clone();
         self.raw_delete_object(&obj)?;
         {
             let mut syn = self.synonyms.write();
             Arc::make_mut(&mut *syn).dissolve(oid);
         }
         self.persist_synonyms()?;
-        self.journal(UndoOp::RestoreSynonyms(prev_syn), None);
-        self.journal(UndoOp::RestoreObject(obj), Some(event.clone()));
+        self.record_event(event.clone());
         self.finish_op(event)?;
 
         // Lifetime-dependent destinations: delete if orphaned.
@@ -977,7 +925,7 @@ impl Database {
             attrs: checked,
         };
         self.raw_put_rel(&rel)?;
-        self.journal(UndoOp::DeleteRel(oid), Some(event.clone()));
+        self.record_event(event.clone());
         self.finish_op(event)?;
         Ok(oid)
     }
@@ -1010,20 +958,13 @@ impl Database {
             oid,
             class: rel.class.clone(),
             attr: attr.to_string(),
-            old: old.clone(),
+            old,
             new: value.clone(),
         };
         self.dispatch_before(&event)?;
         rel.attrs.insert(attr.to_string(), value);
         self.raw_put_rel(&rel)?;
-        self.journal(
-            UndoOp::RestoreRelAttr {
-                oid,
-                attr: attr.to_string(),
-                old,
-            },
-            Some(event.clone()),
-        );
+        self.record_event(event.clone());
         self.finish_op(event)
     }
 
@@ -1056,16 +997,13 @@ impl Database {
         // Leave every classification first.
         for cls in self.classifications_of_edge(oid)? {
             self.raw_remove_cls_edge(cls, oid)?;
-            self.journal(
-                UndoOp::RestoreClsEdge { cls, rel: oid },
-                Some(Event::ClassificationEdgeRemoved {
-                    classification: cls,
-                    rel: oid,
-                }),
-            );
+            self.record_event(Event::ClassificationEdgeRemoved {
+                classification: cls,
+                rel: oid,
+            });
         }
         self.raw_delete_rel(&rel)?;
-        self.journal(UndoOp::RestoreRel(rel), Some(event.clone()));
+        self.record_event(event.clone());
         self.finish_op(event)
     }
 
@@ -1178,11 +1116,8 @@ impl Database {
         if !self.exists(b) {
             return Err(DbError::NotFound(b));
         }
-        let prev = self.synonyms.read().as_ref().clone();
-        let changed = Arc::make_mut(&mut *self.synonyms.write()).declare(a, b);
-        if changed {
+        if Arc::make_mut(&mut *self.synonyms.write()).declare(a, b) {
             self.persist_synonyms()?;
-            self.journal(UndoOp::RestoreSynonyms(prev), None);
         }
         Ok(())
     }
@@ -1241,10 +1176,7 @@ impl Database {
             );
             Ok(())
         })?;
-        self.cache_shard(oid)
-            .lock()
-            .put(oid, StoredEntity::Classification(meta));
-        self.journal(UndoOp::DeleteClassification(oid), None);
+        self.cache_write(oid, Some(StoredEntity::Classification(meta)));
         Ok(oid)
     }
 
@@ -1292,10 +1224,7 @@ impl Database {
         };
         self.dispatch_before(&event)?;
         self.raw_add_cls_edge(cls, rel_oid)?;
-        self.journal(
-            UndoOp::RemoveClsEdge { cls, rel: rel_oid },
-            Some(event.clone()),
-        );
+        self.record_event(event.clone());
         self.finish_op(event)
     }
 
@@ -1317,10 +1246,7 @@ impl Database {
         };
         self.dispatch_before(&event)?;
         self.raw_remove_cls_edge(cls, rel_oid)?;
-        self.journal(
-            UndoOp::RestoreClsEdge { cls, rel: rel_oid },
-            Some(event.clone()),
-        );
+        self.record_event(event.clone());
         self.finish_op(event)
     }
 
@@ -1350,8 +1276,7 @@ impl Database {
     }
 
     // -----------------------------------------------------------------
-    // Raw (journal-free, event-free) appliers — shared by the forward
-    // path and rollback.
+    // Raw (event-free) appliers: the storage writes behind each operation.
     // -----------------------------------------------------------------
 
     fn raw_put_object(&self, obj: &ObjectInstance) -> DbResult<()> {
@@ -1375,9 +1300,7 @@ impl Database {
             }
             Ok(())
         })?;
-        self.cache_shard(obj.oid)
-            .lock()
-            .put(obj.oid, StoredEntity::Object(obj.clone()));
+        self.cache_write(obj.oid, Some(StoredEntity::Object(obj.clone())));
         Ok(())
     }
 
@@ -1411,9 +1334,7 @@ impl Database {
             }
             Ok(())
         })?;
-        self.cache_shard(obj.oid)
-            .lock()
-            .put(obj.oid, StoredEntity::Object(obj.clone()));
+        self.cache_write(obj.oid, Some(StoredEntity::Object(obj.clone())));
         Ok(())
     }
 
@@ -1429,7 +1350,7 @@ impl Database {
             }
             Ok(())
         })?;
-        self.cache_shard(obj.oid).lock().remove(&obj.oid);
+        self.cache_write(obj.oid, None);
         Ok(())
     }
 
@@ -1454,9 +1375,7 @@ impl Database {
             );
             Ok(())
         })?;
-        self.cache_shard(rel.oid)
-            .lock()
-            .put(rel.oid, StoredEntity::Rel(rel.clone()));
+        self.cache_write(rel.oid, Some(StoredEntity::Rel(rel.clone())));
         Ok(())
     }
 
@@ -1474,7 +1393,7 @@ impl Database {
             );
             Ok(())
         })?;
-        self.cache_shard(rel.oid).lock().remove(&rel.oid);
+        self.cache_write(rel.oid, None);
         Ok(())
     }
 
@@ -1496,8 +1415,10 @@ impl Database {
         Ok(())
     }
 
-    fn raw_delete_classification(&self, oid: Oid) -> DbResult<()> {
-        // Remove all membership entries, then the meta record.
+    /// Delete a classification (its meta record and membership entries; the
+    /// edges and objects themselves are untouched).
+    pub fn delete_classification(&self, oid: Oid) -> DbResult<()> {
+        self.classification_meta(oid)?;
         let edges = self.classification_edges(oid)?;
         self.store.with_txn(|t| {
             for rel in &edges {
@@ -1508,17 +1429,7 @@ impl Database {
             t.kv_delete(KS_EXTENT, index::extent_key(CLASSIFICATION_EXTENT, oid));
             Ok(())
         })?;
-        self.cache_shard(oid).lock().remove(&oid);
-        Ok(())
-    }
-
-    /// Delete a classification (its meta record and membership entries; the
-    /// edges and objects themselves are untouched).
-    pub fn delete_classification(&self, oid: Oid) -> DbResult<()> {
-        let meta = self.classification_meta(oid)?;
-        let edges = self.classification_edges(oid)?;
-        self.raw_delete_classification(oid)?;
-        self.journal(UndoOp::RestoreClassification(meta, edges), None);
+        self.cache_write(oid, None);
         Ok(())
     }
 
@@ -1715,9 +1626,16 @@ pub(crate) mod tests {
         )
     }
 
-    fn open_at(path: &std::path::Path, options: StoreOptions) -> Database {
+    pub(crate) fn open_at(path: &std::path::Path, options: StoreOptions) -> Database {
         let store = ShardedStore::open_with(path, options, 1, index::shard_routing()).unwrap();
         Database::open_sharded(Arc::new(store)).unwrap()
+    }
+
+    /// Record count plus every keyspace's entries: all a reopen can see.
+    pub(crate) fn store_contents(db: &Database) -> impl PartialEq + std::fmt::Debug {
+        use prometheus_storage::{Keyspace, KvScan};
+        let entries = (0..=u8::MAX).map(|ks| db.store().kv_scan_prefix(Keyspace(ks), &[]));
+        (db.store().record_count(), entries.collect::<Vec<_>>())
     }
 
     fn taxo_db() -> Database {
@@ -2361,6 +2279,30 @@ pub(crate) mod tests {
         let err = db.commit_unit(token).unwrap_err();
         assert!(matches!(err, DbError::ConstraintViolation { .. }));
         assert!(!db.exists(t), "rolled back at deferred-constraint failure");
+    }
+
+    #[test]
+    fn schema_defined_in_an_aborted_unit_is_gone() {
+        let db = taxo_db();
+        let token = db.begin_unit();
+        db.define_class(ClassDef::new("Ghost")).unwrap();
+        db.define_relationship(RelClassDef::association("Haunts", "Ghost", "Taxon"))
+            .unwrap();
+        let ghost = db.create_object("Ghost", attrs(&[])).unwrap();
+        db.abort_unit(token);
+        let gone = |db: &Database| {
+            db.with_schema(|s| s.class("Ghost").is_none() && s.rel_class("Haunts").is_none())
+        };
+        assert!(gone(&db));
+        assert!(db.with_schema(|s| s.class("Taxon").is_some()));
+        assert!(!db.exists(ghost));
+        let live = store_contents(&db);
+        let path = db.store().path().to_path_buf();
+        drop(db);
+        let db = open_at(&path, StoreOptions::default());
+        assert!(gone(&db));
+        assert_eq!(live, store_contents(&db));
+        let _ = std::fs::remove_file(path);
     }
 
     #[test]

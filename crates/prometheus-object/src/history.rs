@@ -7,7 +7,9 @@
 //! Prometheus event layer makes it cheap: [`HistoryRecorder`] is an
 //! [`EventListener`] that, at each successful unit commit, appends the
 //! unit's events to a per-subject journal in the store. Rolled-back units
-//! leave no trace (the recorder only sees committed event sets).
+//! leave no trace: the recorder only sees the event set of a unit that is
+//! committing, and its entries are writes of that unit, dropped with it if
+//! a later deferred listener vetoes the commit.
 //!
 //! History entries are *data about the database*, never interpreted by it —
 //! exactly the separation the thesis demands.
@@ -169,7 +171,8 @@ pub fn history_of(db: &Database, subject: Oid) -> DbResult<Vec<HistoryEntry>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::database::tests::temp_db;
+    use crate::database::tests::{open_at, store_contents, temp_db};
+    use crate::error::DbError;
     use crate::schema::{AttrDef, ClassDef, RelClassDef};
     use crate::value::Type;
     use crate::value::Value;
@@ -221,6 +224,38 @@ mod tests {
         let history = history_of(&db, keep).unwrap();
         assert_eq!(history.len(), 1);
         assert_eq!(history[0].kind, "object-created");
+    }
+
+    struct Veto;
+    impl EventListener for Veto {
+        fn at_commit(&self, _db: &Database, _events: &[Event]) -> DbResult<()> {
+            Err(DbError::ConstraintViolation {
+                rule: "veto".into(),
+                reason: "nothing commits".into(),
+            })
+        }
+    }
+
+    #[test]
+    fn units_vetoed_after_the_recorder_ran_leave_no_history() {
+        let (db, _) = setup();
+        let keep = db.create_object("CT", attrs("keep")).unwrap();
+        // Installed after the recorder, so the recorder has already written
+        // the unit's entries when this listener fails the commit.
+        db.add_listener(Arc::new(Veto));
+        let token = db.begin_unit();
+        let doomed = db.create_object("CT", attrs("doomed")).unwrap();
+        db.set_attr(keep, "name", "mutated").unwrap();
+        assert!(db.commit_unit(token).is_err());
+        assert!(history_of(&db, doomed).unwrap().is_empty());
+        assert_eq!(history_of(&db, keep).unwrap().len(), 1);
+        // Live state is what a reopen replays from the log.
+        let live = store_contents(&db);
+        let path = db.store().path().to_path_buf();
+        drop(db);
+        let reopened = open_at(&path, Default::default());
+        assert_eq!(live, store_contents(&reopened));
+        let _ = std::fs::remove_file(path);
     }
 
     #[test]

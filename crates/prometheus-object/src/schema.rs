@@ -344,13 +344,11 @@ impl RelClassDef {
 pub struct SchemaRegistry {
     classes: BTreeMap<String, ClassDef>,
     rel_classes: BTreeMap<String, RelClassDef>,
-    /// Monotonic definition counter: always equals the number of registered
-    /// definitions (classes + relationship classes), maintained by
-    /// `rebuild_closures`. Plan caches key on this to invalidate anything
-    /// planned against an older schema; definitions are never removed, so
-    /// the counter only grows within a process.
+    /// Versions spent on definitions that aborted units took back with them
+    /// (see [`SchemaRegistry::supersede`]): keeps [`SchemaRegistry::version`]
+    /// growing when the definition count shrinks.
     #[serde(skip)]
-    version: u64,
+    retracted: u64,
     /// class -> all transitive superclasses (excluding itself and `Object`).
     #[serde(skip)]
     super_closure: HashMap<String, HashSet<String>>,
@@ -444,11 +442,21 @@ impl SchemaRegistry {
         self.rel_classes.keys().map(String::as_str)
     }
 
-    /// Schema generation: the number of definitions ever registered. Two
-    /// registries with the same version in one process have identical
-    /// definitions, so cached query plans keyed on it stay valid.
+    /// Schema generation: the number of definitions registered (classes +
+    /// relationship classes), plus those aborted units retracted. It only
+    /// grows within a process, and two registries of one database with the
+    /// same version have identical definitions, so plan caches key on it to
+    /// invalidate anything planned against an older schema.
     pub fn version(&self) -> u64 {
-        self.version
+        (self.classes.len() + self.rel_classes.len()) as u64 + self.retracted
+    }
+
+    /// Make this registry — the pre-unit one an abort swaps back in — newer
+    /// than version `aborted` of the registry it replaces. A plan cached
+    /// against the aborted unit's definitions then matches neither this
+    /// registry nor anything defined on top of it.
+    pub(crate) fn supersede(&mut self, aborted: u64) {
+        self.retracted += aborted + 1 - self.version();
     }
 
     /// Is `sub` the same as, or a transitive subclass of, `sup`? Works for
@@ -544,7 +552,6 @@ impl SchemaRegistry {
 
     /// Rebuild closures after deserialisation (serde skips them).
     pub fn rebuild_closures(&mut self) {
-        self.version = (self.classes.len() + self.rel_classes.len()) as u64;
         self.super_closure.clear();
         self.sub_closure.clear();
         let class_supers: Vec<(String, Vec<String>)> = self

@@ -227,3 +227,30 @@ fn schema_change_invalidates_cached_plans() {
     executor.query(&db, text, None).unwrap();
     assert_eq!(executor.stats().plan_cache_hits, 2);
 }
+
+#[test]
+fn aborted_definition_does_not_leave_its_plan_behind() {
+    let db = fresh_db("abort-invalidate");
+    define_schema(&db);
+    let executor = Executor::new(2);
+    let text = "select x from T x";
+
+    // Plan against a subclass that an abort then takes back.
+    let unit = db.begin_unit();
+    db.define_class(ClassDef::new("Ghost").extends("T"))
+        .unwrap();
+    assert_eq!(executor.query(&db, text, None).unwrap().len(), 0);
+    db.abort_unit(unit);
+
+    // A different subclass in its place brings the definition count back to
+    // what the cached plan saw; its conformance set {T, S, Ghost} would drop
+    // the Real instance.
+    db.define_class(ClassDef::new("Real").extends("T")).unwrap();
+    db.create_object("Real", vec![("name".to_string(), Value::Str("r".into()))])
+        .unwrap();
+    assert_eq!(
+        executor.query(&db, text, None).unwrap().len(),
+        1,
+        "the aborted unit's plan survived"
+    );
+}

@@ -8,8 +8,8 @@
 //!   the operation before it applies;
 //! * `after` — all other immediate rules, including pre-conditions attached
 //!   to creation events (the subject only exists after the insert; a
-//!   violation still cancels the operation because the unit journal rolls
-//!   it back);
+//!   violation still cancels the operation because the unit it ran in is
+//!   rolled back);
 //! * `at_commit` — **deferred** rules, evaluated over every event of the
 //!   unit in priority order (§5.2.2.1); the first aborting violation rolls
 //!   the whole unit back.

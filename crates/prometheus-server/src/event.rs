@@ -983,8 +983,8 @@ fn handle_request(
             if mask == 0 {
                 // In-unit slices (ops, unpinned queries) run on whichever
                 // worker is handy; bind the thread to the session's unit for
-                // the slice so journaling and claim routing follow the unit,
-                // not the thread.
+                // the slice so event recording and claim routing follow the
+                // unit, not the thread.
                 let resp = match &st.unit {
                     Some(unit) => {
                         let core = &mut st.core;

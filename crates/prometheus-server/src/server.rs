@@ -1268,7 +1268,7 @@ fn run_unit(
     let _ = reader.get_ref().set_read_timeout(shared.idle_timeout);
     if timed_out {
         if let Some(token) = token.take() {
-            // Journal-rollback the half-streamed unit, then let the lane go
+            // Roll back the half-streamed unit, then let the lane go
             // (we return, dropping the guard) so queued writers proceed. The
             // session itself survives; the client is told on its next frame.
             db.abort_unit(token);

@@ -523,8 +523,8 @@ impl ShardedStore {
                 break;
             }
         }
-        // Per-shard sub-commits cannot be retracted here; an append failure
-        // surfaces as an aborted unit (nothing replays).
+        // A failed sub-commit aborts the group: the parts that did commit are
+        // retracted from their working images and nothing replays.
         let sealed = self.end_unit_scope_on(touched, result.is_ok());
         result.and(sealed)
     }
@@ -556,7 +556,10 @@ impl ShardedStore {
     /// whose scope wrote frames) number two or more → two-phase commit:
     /// prepare everywhere, decide durably on the coordinator (the lowest
     /// participating shard), then seal everywhere. One participant → the
-    /// plain single-log seal, no extra frames.
+    /// plain single-log seal, no extra frames. With `committed` false each
+    /// claimed member retracts its working image (see
+    /// [`Store::end_unit_scope`]). Every scope in `mask` is closed even when
+    /// a seal fails; the first failure is returned.
     pub fn end_unit_scope_on(&self, mask: u64, committed: bool) -> StorageResult<()> {
         let participants: Vec<(usize, u64)> = self
             .shards
@@ -582,12 +585,13 @@ impl ShardedStore {
             span.finish(participants.len() as u64, committed as u64);
             Stats::bump(&self.shards[coordinator].stats().units_2pc);
         }
+        let mut sealed = Ok(());
         for (i, shard) in self.shards.iter().enumerate() {
             if mask & (1u64 << i) != 0 {
-                shard.end_unit_scope(committed)?;
+                sealed = sealed.and(shard.end_unit_scope(committed));
             }
         }
-        Ok(())
+        sealed
     }
 
     /// Compact every shard's log (refused while any unit scope is open).

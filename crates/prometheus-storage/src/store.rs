@@ -668,14 +668,19 @@ impl Store {
     }
 
     /// Settle the innermost unit-of-work scope. On the outermost scope this
-    /// seals the log group (`committed` decides whether recovery replays it),
-    /// performs the unit's single deferred fsync, and publishes the working
-    /// image so readers observe the whole unit at once.
+    /// seals the log group (`committed` decides whether recovery replays it)
+    /// and performs the unit's single deferred fsync. A committed unit then
+    /// publishes the working image, so readers observe the whole unit at
+    /// once.
     ///
-    /// When `committed` is false the caller is expected to have already
-    /// rolled the working image back (via inverse transactions, which join
-    /// the same discarded group); publication then simply reconfirms the
-    /// pre-unit state.
+    /// An aborted unit is retracted here and nowhere else: the working image
+    /// becomes the published one again. A store under a scope never
+    /// publishes, so that is the pre-unit state, a clone of root handles
+    /// away; the discarded log group holds the unit's forward records only,
+    /// and nothing is published. Only the outermost scope can abort: an
+    /// inner `end_unit_scope(false)` closes its scope and returns
+    /// [`StorageError::TxnState`], because the enclosing scope keeps the
+    /// writes.
     pub fn end_unit_scope(&self, committed: bool) -> StorageResult<()> {
         let mut inner = self.inner.lock();
         debug_assert!(
@@ -684,9 +689,17 @@ impl Store {
         );
         inner.hold_depth = inner.hold_depth.saturating_sub(1);
         if inner.hold_depth > 0 {
-            return Ok(());
+            if committed {
+                return Ok(());
+            }
+            return Err(StorageError::TxnState(
+                "an inner unit scope cannot abort: the enclosing scope keeps its writes".into(),
+            ));
         }
         if let Some(unit) = inner.active_unit.take() {
+            if !committed {
+                inner.image = Image::clone(&self.published.read());
+            }
             let (trace, _) = Recorder::current();
             if !trace.is_none() {
                 // Stamp the unit with the distributed trace id it ran under,
@@ -713,7 +726,9 @@ impl Store {
             self.committed_len
                 .store(inner.logw.len(), Ordering::Release);
         }
-        self.publish(&inner);
+        if committed {
+            self.publish(&inner);
+        }
         Ok(())
     }
 
@@ -1919,20 +1934,29 @@ mod tests {
                     Ok(())
                 })
                 .unwrap();
-            // Roll back with an inverse transaction, then seal as aborted —
-            // the shape the object layer's journal rollback produces.
-            store
-                .with_txn(|t| {
-                    t.delete(oid);
-                    Ok(())
-                })
-                .unwrap();
+            let swaps = store.stats().snapshot().snapshot_swaps;
             store.end_unit_scope(false).unwrap();
             assert!(store.get(oid).is_none());
             assert!(!store.snapshot().contains(oid));
+            assert_eq!(store.stats().snapshot().snapshot_swaps, swaps);
         }
         let store = Store::open(&path).unwrap();
         assert!(store.get(oid).is_none(), "aborted unit must not replay");
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn only_the_outermost_scope_aborts() {
+        let (store, path) = temp_store();
+        store.begin_unit_scope();
+        store.begin_unit_scope();
+        assert!(matches!(
+            store.end_unit_scope(false),
+            Err(StorageError::TxnState(_))
+        ));
+        // The refused abort still closed its scope: this is the outermost.
+        store.end_unit_scope(true).unwrap();
+        store.compact().unwrap();
         let _ = std::fs::remove_file(path);
     }
 

@@ -172,6 +172,68 @@ fn scratch(tag: &str) -> PathBuf {
     path
 }
 
+/// Shard `shard`'s log, decoded.
+fn log_of(store: &ShardedStore, shard: usize) -> Vec<LogRecord> {
+    let frames = log::scan(store.shard(shard).path()).unwrap().frames;
+    frames.into_iter().map(|f| f.record).collect()
+}
+
+/// A log record without its transaction and unit ids.
+fn shape(record: &LogRecord) -> String {
+    match record {
+        LogRecord::Begin { .. } => "begin".into(),
+        LogRecord::Commit { .. } => "commit".into(),
+        LogRecord::KvPut { key, value, .. } => format!("put {key:?} {value:?}"),
+        LogRecord::KvDelete { key, .. } => format!("delete {key:?}"),
+        LogRecord::UnitBegin { .. } => "unit".into(),
+        LogRecord::UnitPrepared { coordinator, .. } => format!("prepared under {coordinator}"),
+        LogRecord::UnitDecision { committed, .. } => format!("decided {committed}"),
+        LogRecord::UnitEnd { committed, .. } => format!("sealed {committed}"),
+        other => format!("{other:?}"),
+    }
+}
+
+/// The [`shape`]s each shard's log must gain from a unit of the forward
+/// transactions `txns` sealed aborted: the open, each transaction's group,
+/// the prepare/decide round when two or more shards took part, and the
+/// seal. A shard no transaction wrote to gains nothing.
+fn aborted_unit_logs(store: &ShardedStore, claim: u64, txns: &[&Vec<Op>]) -> Vec<Vec<String>> {
+    let shards = store.shard_count();
+    let mut logs: Vec<Vec<String>> = vec![Vec::new(); shards];
+    for ops in txns {
+        // What a transaction stages: the last change per key, in key order.
+        let staged: BTreeMap<_, _> = ops.iter().cloned().collect();
+        let mut parts: Vec<Vec<String>> = vec![Vec::new(); shards];
+        for (key, change) in staged {
+            parts[store.shard_of_key(KS, &key)].push(match change {
+                Some(value) => format!("put {key:?} {value:?}"),
+                None => format!("delete {key:?}"),
+            });
+        }
+        // A transaction that stages nothing is a bare group on shard 0.
+        let bare = parts.iter().all(Vec::is_empty) && claim & 1 != 0;
+        for (shard, part) in parts.into_iter().enumerate() {
+            if !part.is_empty() || (bare && shard == 0) {
+                logs[shard].push("begin".into());
+                logs[shard].extend(part);
+                logs[shard].push("commit".into());
+            }
+        }
+    }
+    let participants: Vec<usize> = (0..shards).filter(|k| !logs[*k].is_empty()).collect();
+    for &shard in &participants {
+        logs[shard].insert(0, "unit".into());
+        if participants.len() >= 2 {
+            logs[shard].push(format!("prepared under {}", participants[0]));
+            if shard == participants[0] {
+                logs[shard].push("decided false".into());
+            }
+        }
+        logs[shard].push("sealed false".into());
+    }
+    logs
+}
+
 fn open_sharded(path: &Path, shards: usize) -> ShardedStore {
     let options = StoreOptions {
         sync_on_commit: false,
@@ -184,7 +246,11 @@ proptest! {
     /// subset of the shards: every way of scanning sees exactly the state
     /// it should. The unit's owner, an unbound thread and a transaction's
     /// overlay read working images; a unit claiming the other shards and a
-    /// pinned snapshot read what was published before the unit began.
+    /// pinned snapshot read what was published before the unit began. Then
+    /// the unit is sealed. Aborted, with no inverse transaction from the
+    /// caller, it never began: every read equals the model without it, its
+    /// log group is its forward records between the open and the seal, and
+    /// a follower fed the stream holds the same bytes and the same state.
     #[test]
     fn scans_match_model_on_every_path(
         shards in 1usize..4,
@@ -193,6 +259,7 @@ proptest! {
         in_unit in prop::collection::vec(arb_txn(), 0..4),
         staged in arb_txn(),
         bounds in (arb_key(), arb_key(), arb_key()),
+        commit in any::<bool>(),
     ) {
         let path = scratch("scans");
         let store = open_sharded(&path, shards);
@@ -205,8 +272,10 @@ proptest! {
 
         let all = store.all_shards_mask();
         let claim = if claim & all == 0 { all } else { claim & all };
+        let logs_before: Vec<usize> = (0..shards).map(|k| log_of(&store, k).len()).collect();
         store.begin_unit_scope_on(claim);
         let mut working = committed.clone();
+        let mut forward = Vec::new();
         {
             let _owner = store.bind_claim(claim);
             for ops in &in_unit {
@@ -219,6 +288,7 @@ proptest! {
                 prop_assert_eq!(result.is_err(), escapes);
                 if !escapes {
                     apply(&mut working, ops);
+                    forward.push(ops);
                 }
             }
             assert_scans(&store, &working, &bounds, "unit owner");
@@ -236,10 +306,37 @@ proptest! {
             assert_scans(&store, &committed, &bounds, "unit on the other shards");
         }
 
-        store.end_unit_scope_on(claim, true).unwrap();
-        assert_scans(&store.snapshot(), &working, &bounds, "snapshot after the seal");
+        store.end_unit_scope_on(claim, commit).unwrap();
+        let settled = if commit { &working } else { &committed };
+        assert_scans(&store, settled, &bounds, "store after the seal");
+        assert_scans(&store.snapshot(), settled, &bounds, "snapshot after the seal");
+        let mut txn = store.begin();
+        stage(&mut txn, &staged);
+        let mut overlaid = settled.clone();
+        apply(&mut overlaid, &staged);
+        assert_scans(&txn, &overlaid, &bounds, "transaction overlay after the seal");
+        txn.abort();
+        if !commit {
+            let expected = aborted_unit_logs(&store, claim, &forward);
+            for (k, expected) in expected.into_iter().enumerate() {
+                let group: Vec<_> = log_of(&store, k)[logs_before[k]..].iter().map(shape).collect();
+                prop_assert_eq!(group, expected, "shard {}'s aborted group", k);
+                let member = store.shard(k);
+                let follower_path = scratch("follower");
+                let follower = Store::open_with(&follower_path, member.options().clone()).unwrap();
+                let stream = member.read_frames(member.log_epoch(), 0, u64::MAX).unwrap().unwrap();
+                follower.apply_replicated(&stream.frames).unwrap();
+                prop_assert_eq!(
+                    std::fs::read(&follower_path).unwrap(),
+                    std::fs::read(member.path()).unwrap()
+                );
+                prop_assert_eq!(follower.kv_scan_prefix(KS, &[]), member.kv_scan_prefix(KS, &[]));
+                drop(follower);
+                scratch("follower");
+            }
+        }
         drop(store);
-        assert_scans(&open_sharded(&path, shards), &working, &bounds, "reopened store");
+        assert_scans(&open_sharded(&path, shards), settled, &bounds, "reopened store");
         scratch("scans");
     }
 

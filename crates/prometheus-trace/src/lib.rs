@@ -31,8 +31,9 @@
 //! * **a bounded trace index** — a fixed table of buckets keyed by
 //!   trace id remembering which ring slots a trace wrote, making
 //!   [`Recorder::events_for`] O(spans) instead of O(capacity). The index
-//!   is best-effort by design: buckets are evicted when traces collide and
-//!   overflow past [`INDEX_TICKETS`] spans falls back to a full ring scan;
+//!   is best-effort by design: buckets are evicted when traces collide, and
+//!   a trace that overflows [`INDEX_TICKETS`] spans or returns to a bucket
+//!   it was evicted from falls back to a full ring scan;
 //!   both are counted honestly ([`Recorder::index_evictions`],
 //!   [`Recorder::index_overflows`]) rather than hidden.
 //!
@@ -334,6 +335,10 @@ struct IndexBucket {
     lo: AtomicU64,
     cursor: AtomicU64,
     tickets: [AtomicU64; INDEX_TICKETS],
+    /// Bloom bits of the traces evicted from this bucket and the ticket of
+    /// the latest eviction (see [`TraceIndex::note`]).
+    evicted: AtomicU64,
+    evicted_at: AtomicU64,
 }
 
 impl IndexBucket {
@@ -343,12 +348,20 @@ impl IndexBucket {
             lo: AtomicU64::new(0),
             cursor: AtomicU64::new(0),
             tickets: Default::default(),
+            evicted: AtomicU64::new(0),
+            evicted_at: AtomicU64::new(0),
         }
     }
 }
 
+/// The bit standing for `hi:lo` in a bucket's `evicted` word.
+fn evicted_bit(hi: u64, lo: u64) -> u64 {
+    1 << ((hi ^ lo).wrapping_mul(0x9e3779b97f4a7c15) >> 58)
+}
+
 struct TraceIndex {
     buckets: Vec<IndexBucket>,
+    ring_capacity: u64,
     evictions: AtomicU64,
     overflows: AtomicU64,
 }
@@ -358,6 +371,7 @@ impl TraceIndex {
         let n = (ring_capacity / 8).next_power_of_two().clamp(64, 4096);
         TraceIndex {
             buckets: (0..n).map(|_| IndexBucket::new()).collect(),
+            ring_capacity: ring_capacity as u64,
             evictions: AtomicU64::new(0),
             overflows: AtomicU64::new(0),
         }
@@ -376,11 +390,28 @@ impl TraceIndex {
 
     fn note(&self, trace: TraceId, ticket: u64) {
         let b = self.bucket_of(trace);
-        if b.hi.load(Ordering::Relaxed) != trace.hi || b.lo.load(Ordering::Relaxed) != trace.lo {
-            if b.lo.load(Ordering::Relaxed) != 0 || b.hi.load(Ordering::Relaxed) != 0 {
+        let (hi, lo) = (b.hi.load(Ordering::Relaxed), b.lo.load(Ordering::Relaxed));
+        if hi != trace.hi || lo != trace.lo {
+            let mut cursor = 0;
+            if lo != 0 || hi != 0 {
                 self.evictions.fetch_add(1, Ordering::Relaxed);
+                // The evictee may be live and come back, with its earlier
+                // tickets lost to the bucket. Remember evictees until a ring
+                // lap passes without an eviction here — by then the ring has
+                // overwritten everything they wrote before leaving — and
+                // admit a remembered trace as overflowed, so `lookup` sends
+                // the reader to the ring scan instead of handing out only
+                // the tickets since the re-admission.
+                let last = b.evicted_at.swap(ticket, Ordering::Relaxed);
+                if ticket.saturating_sub(last) >= self.ring_capacity {
+                    b.evicted.store(0, Ordering::Relaxed);
+                }
+                let remembered = b.evicted.fetch_or(evicted_bit(hi, lo), Ordering::Relaxed);
+                if remembered & evicted_bit(trace.hi, trace.lo) != 0 {
+                    cursor = INDEX_TICKETS as u64 + 1;
+                }
             }
-            b.cursor.store(0, Ordering::Relaxed);
+            b.cursor.store(cursor, Ordering::Relaxed);
             b.hi.store(trace.hi, Ordering::Relaxed);
             b.lo.store(trace.lo, Ordering::Relaxed);
         }
@@ -393,7 +424,8 @@ impl TraceIndex {
     }
 
     /// The ring tickets recorded for `trace`, or `None` when the bucket
-    /// was evicted or overflowed (caller falls back to a full scan).
+    /// holds another trace, overflowed, or re-admitted this one after an
+    /// eviction (caller falls back to a full scan).
     fn lookup(&self, trace: TraceId) -> Option<Vec<u64>> {
         let b = self.bucket_of(trace);
         if b.hi.load(Ordering::Relaxed) != trace.hi || b.lo.load(Ordering::Relaxed) != trace.lo {
@@ -1028,6 +1060,24 @@ mod tests {
         let evs = r.events_for(t1);
         assert_eq!(evs.len(), 2);
         assert!(evs.iter().all(|e| e.trace_id == t1));
+    }
+
+    #[test]
+    fn colliding_live_traces_fall_back_to_the_ring_scan() {
+        let r = Recorder::new(32);
+        let index = &r.inner.as_ref().unwrap().index;
+        let t1 = tid(1);
+        let t2 = (2..)
+            .map(tid)
+            .find(|t| std::ptr::eq(index.bucket_of(*t), index.bucket_of(t1)))
+            .unwrap();
+        r.span_in(Stage::Scan, t1, 0).finish(10, 0);
+        r.span_in(Stage::Scan, t2, 0).finish(20, 0);
+        // t1 is re-admitted to the bucket t2 evicted it from.
+        r.span_in(Stage::Join, t1, 0).finish(30, 0);
+        assert!(r.index_evictions() >= 2);
+        assert_eq!(r.events_for(t1).len(), 2, "the span before the eviction");
+        assert_eq!(r.events_for(t2).len(), 1);
     }
 
     #[test]

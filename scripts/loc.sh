@@ -1,0 +1,13 @@
+#!/usr/bin/env bash
+# Size of the non-test code: non-blank, non-comment lines of
+# crates/*/src/**/*.rs, each file counted up to its first `#[cfg(test)]`.
+# Prints one number. `scripts/loc.sh <checkout>` counts another checkout, so
+# a change's net figure is this run at the parent and at the change.
+set -euo pipefail
+cd "${1:-$(dirname "$0")/..}"
+find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+    FNR == 1 { tests = 0 }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { tests = 1 }
+    tests || /^[[:space:]]*($|\/\/)/ { next }
+    { lines++ }
+    END { print lines }'

@@ -2,9 +2,11 @@
 //! codec, order-preserving value encoding, the synonym union–find, rank
 //! ordering, and classification structure under random edit sequences.
 
-use prometheus_db::{Oid, Prometheus, Rank, StoreOptions, Value};
+use prometheus_db::{
+    AttrDef, ClassDef, Database, Oid, Prometheus, Rank, RelClassDef, StoreOptions, Type, Value,
+};
 use prometheus_object::synonym::SynonymTable;
-use prometheus_storage::codec;
+use prometheus_storage::{codec, Keyspace, KvScan};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -111,8 +113,63 @@ proptest! {
     }
 }
 
+/// Everything a reader can observe, plus every raw keyspace: extents with
+/// their objects and synonym sets, adjacency, attribute-index lookups (exact
+/// and whole-range, so a leftover entry shows), relationships with their
+/// classifications, and classification membership.
+fn fingerprint(db: &Database) -> Vec<String> {
+    let mut out = Vec::new();
+    let classes: Vec<String> = db.with_schema(|s| s.class_names().map(String::from).collect());
+    let rel_classes: Vec<String> =
+        db.with_schema(|s| s.rel_class_names().map(String::from).collect());
+    for class in &classes {
+        for oid in db.extent(class, false).unwrap() {
+            let obj = db.object(oid).unwrap();
+            out.push(format!("{obj:?} = {:?}", db.synonym_set(oid)));
+            out.push(format!(
+                "  out {:?} in {:?}",
+                db.adjacency(oid, None, true).unwrap(),
+                db.adjacency(oid, None, false).unwrap()
+            ));
+            for (attr, value) in &obj.attrs {
+                let hits = db.find_by_attr(class, attr, value).ok();
+                out.push(format!("  {attr} = {value} -> {hits:?}"));
+            }
+        }
+        for attr in db.with_schema(|s| s.all_attrs(class)).unwrap() {
+            if attr.indexed && attr.ty == Type::Str {
+                let all =
+                    db.find_by_attr_range(class, &attr.name, &"".into(), &"\u{10ffff}".into());
+                out.push(format!("{class}.{} -> {:?}", attr.name, all.unwrap()));
+            }
+        }
+    }
+    for class in &rel_classes {
+        for oid in db.extent(class, false).unwrap() {
+            let member_of = db.classifications_of_edge(oid).unwrap();
+            out.push(format!("{:?} in {member_of:?}", db.rel(oid).unwrap()));
+        }
+    }
+    for cls in db.classifications().unwrap() {
+        let edges = db.classification_edges(cls).unwrap();
+        out.push(format!(
+            "{:?}: {edges:?}",
+            db.classification_meta(cls).unwrap()
+        ));
+    }
+    out.push(format!("{} records", db.store().record_count()));
+    for ks in 0..=u8::MAX {
+        let entries = db.store().kv_scan_prefix(Keyspace(ks), &[]);
+        if !entries.is_empty() {
+            out.push(format!("keyspace {ks}: {entries:?}"));
+        }
+    }
+    out
+}
+
 /// Random interleavings of create/link/unlink operations keep a strict
-/// classification single-parented and acyclic.
+/// classification single-parented and acyclic, and a what-if of arbitrary
+/// mutations that is aborted is a unit that never began.
 #[test]
 fn classification_invariants_under_random_edits() {
     use rand::rngs::StdRng;
@@ -123,22 +180,37 @@ fn classification_invariants_under_random_edits() {
         std::thread::current().id()
     ));
     let _ = std::fs::remove_file(&path);
-    let p = Prometheus::open_with(
-        &path,
-        StoreOptions {
-            sync_on_commit: false,
-        },
-    )
-    .unwrap();
+    let options = StoreOptions {
+        sync_on_commit: false,
+    };
+    let p = Prometheus::open_with(&path, options.clone()).unwrap();
     let tax = p.taxonomy().unwrap();
     let db = tax.db();
+    // A lifetime-dependent part per specimen: deleting the specimen is a
+    // delete of several entities.
+    db.define_class(ClassDef::new("Sheet").attr(AttrDef::required("label", Type::Str).indexed()))
+        .unwrap();
+    db.define_relationship(RelClassDef::aggregation("Mounts", "Specimen", "Sheet").dependent())
+        .unwrap();
     let cls = tax.new_classification("fuzz", "f", "f").unwrap();
+    let loose = db
+        .create_classification("loose", Vec::new(), false)
+        .unwrap();
     let mut rng = StdRng::seed_from_u64(1234);
-    let nodes: Vec<_> = (0..20)
+    let mut nodes: Vec<_> = (0..20)
         .map(|i| tax.create_ct(&format!("N{i}"), Rank::ALL[i % 24]).unwrap())
         .collect();
+    for i in 0..6 {
+        let specimen = tax.create_specimen(&format!("S{i}")).unwrap();
+        let label = vec![("label".to_string(), Value::from(format!("sheet {i}")))];
+        let sheet = db.create_object("Sheet", label).unwrap();
+        db.create_relationship("Mounts", specimen, sheet, Vec::new())
+            .unwrap();
+        db.declare_synonym(specimen, nodes[i]).unwrap();
+        nodes.push(specimen);
+    }
     let mut edges: Vec<Oid> = Vec::new();
-    for _ in 0..300 {
+    for step in 0..300 {
         let op = rng.gen_range(0..3);
         match op {
             0 => {
@@ -148,6 +220,7 @@ fn classification_invariants_under_random_edits() {
                 // never applied partially.
                 if let Ok(edge) = tax.circumscribe(&cls, a, b) {
                     edges.push(edge);
+                    db.add_edge_to_classification(loose, edge).unwrap();
                 }
             }
             1 => {
@@ -161,19 +234,52 @@ fn classification_invariants_under_random_edits() {
             }
             _ => {
                 // Speculative what-if that is always rolled back must leave
-                // the structure unchanged.
-                let before = db.classification_edges(cls.oid()).unwrap();
+                // no trace, whatever it did. A failed operation ends it: an
+                // immediate rule's veto has rolled the unit back already, and
+                // anything after it would run (and commit) outside it.
+                let before = fingerprint(db);
                 let token = db.begin_unit();
-                let a = nodes[rng.gen_range(0..nodes.len())];
-                let b = nodes[rng.gen_range(0..nodes.len())];
-                let _ = tax.circumscribe(&cls, a, b);
+                for i in 0..rng.gen_range(1..8) {
+                    let a = nodes[rng.gen_range(0..nodes.len())];
+                    let b = nodes[rng.gen_range(0..nodes.len())];
+                    let edge = edges.get(rng.gen_range(0..edges.len().max(1))).copied();
+                    let name = Value::from(format!("what-if {step}.{i}"));
+                    let done = match (rng.gen_range(0..10), edge) {
+                        (0, _) => tax
+                            .create_ct(&format!("W{step}.{i}"), Rank::ALL[i])
+                            .map(drop),
+                        (1, _) => db.delete_object(a),
+                        (2, _) => tax.circumscribe(&cls, a, b).map(drop),
+                        (3, Some(edge)) => db.delete_relationship(edge),
+                        (4, _) if tax.is_specimen(a) => db.set_attr(a, "code", name),
+                        (4, _) => db.set_attr(a, "working_name", name),
+                        (5, _) => db.declare_synonym(a, b),
+                        (6, Some(edge)) => db.add_edge_to_classification(cls.oid(), edge),
+                        (7, Some(edge)) => db.remove_edge_from_classification(loose, edge),
+                        (8, _) => {
+                            db.delete_classification(if i % 2 == 0 { loose } else { cls.oid() })
+                        }
+                        _ => db
+                            .create_classification(&format!("scratch {step}.{i}"), Vec::new(), true)
+                            .map(drop),
+                    };
+                    if done.is_err() {
+                        break;
+                    }
+                }
                 db.abort_unit(token);
-                assert_eq!(db.classification_edges(cls.oid()).unwrap(), before);
+                assert_eq!(fingerprint(db), before);
             }
         }
         // Invariants hold after every step.
         let problems = cls.check_integrity(db).unwrap();
         assert!(problems.is_empty(), "integrity violated: {problems:?}");
     }
+    // What the aborted units left behind in the log replays to the same state.
+    let live = fingerprint(db);
+    drop(tax);
+    drop(p);
+    let p = Prometheus::open_with(&path, options).unwrap();
+    assert_eq!(fingerprint(p.db()), live);
     let _ = std::fs::remove_file(path);
 }
