@@ -115,38 +115,23 @@ impl Classification {
     /// All objects participating in the classification (origins and
     /// destinations of member edges).
     pub fn nodes<R: Reader>(&self, db: &R) -> DbResult<BTreeSet<Oid>> {
-        let mut nodes = BTreeSet::new();
-        for edge in self.edges(db)? {
-            nodes.insert(edge.origin);
-            nodes.insert(edge.destination);
-        }
-        Ok(nodes)
+        Ok(nodes_of(&db.classification_edge_endpoints(self.oid)?))
     }
 
     /// Nodes that are never the destination of a member edge — the tops of
     /// the hierarchy.
     pub fn roots<R: Reader>(&self, db: &R) -> DbResult<Vec<Oid>> {
-        let edges = self.edges(db)?;
-        let dests: BTreeSet<Oid> = edges.iter().map(|e| e.destination).collect();
-        let mut roots: Vec<Oid> = edges
-            .iter()
-            .map(|e| e.origin)
-            .filter(|o| !dests.contains(o))
-            .collect::<BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        roots.sort();
-        Ok(roots)
+        Ok(roots_of(&db.classification_edge_endpoints(self.oid)?))
     }
 
     /// Nodes that are never the origin of a member edge — in taxonomy, the
     /// specimens (or lowest taxa).
     pub fn leaves<R: Reader>(&self, db: &R) -> DbResult<Vec<Oid>> {
-        let edges = self.edges(db)?;
-        let origins: BTreeSet<Oid> = edges.iter().map(|e| e.origin).collect();
+        let edges = db.classification_edge_endpoints(self.oid)?;
+        let origins: BTreeSet<Oid> = edges.iter().map(|&(_, origin, _)| origin).collect();
         Ok(edges
             .iter()
-            .map(|e| e.destination)
+            .map(|&(_, _, destination)| destination)
             .filter(|d| !origins.contains(d))
             .collect::<BTreeSet<_>>()
             .into_iter()
@@ -322,11 +307,12 @@ impl Classification {
     pub fn check_integrity<R: Reader>(&self, db: &R) -> DbResult<Vec<String>> {
         let mut problems = Vec::new();
         let meta = db.classification_meta(self.oid)?;
-        let edges = self.edges(db)?;
+        // One read of the member list; every structure below derives from it.
+        let edges = db.classification_edge_endpoints(self.oid)?;
         if meta.strict_hierarchy {
             let mut parent_count: BTreeMap<Oid, usize> = BTreeMap::new();
-            for e in &edges {
-                *parent_count.entry(e.destination).or_default() += 1;
+            for &(_, _, destination) in &edges {
+                *parent_count.entry(destination).or_default() += 1;
             }
             for (node, count) in parent_count {
                 if count > 1 {
@@ -336,9 +322,9 @@ impl Classification {
         }
         // Cycle check: DFS from each root; if some node is never reached
         // from any root and edges exist, there is a cycle among the rest.
-        let nodes = self.nodes(db)?;
+        let nodes = nodes_of(&edges);
         let mut reached: BTreeSet<Oid> = BTreeSet::new();
-        for root in self.roots(db)? {
+        for root in roots_of(&edges) {
             reached.insert(root);
             for v in self.descendants(db, root, None)? {
                 reached.insert(v);
@@ -349,6 +335,26 @@ impl Classification {
         }
         Ok(problems)
     }
+}
+
+/// The endpoints of `(edge, origin, destination)` triples.
+fn nodes_of(edges: &[(Oid, Oid, Oid)]) -> BTreeSet<Oid> {
+    edges
+        .iter()
+        .flat_map(|&(_, origin, destination)| [origin, destination])
+        .collect()
+}
+
+/// The origins that are no triple's destination, ascending.
+fn roots_of(edges: &[(Oid, Oid, Oid)]) -> Vec<Oid> {
+    let dests: BTreeSet<Oid> = edges.iter().map(|&(_, _, d)| d).collect();
+    edges
+        .iter()
+        .map(|&(_, origin, _)| origin)
+        .filter(|o| !dests.contains(o))
+        .collect::<BTreeSet<_>>()
+        .into_iter()
+        .collect()
 }
 
 impl From<Classification> for Oid {

@@ -1008,8 +1008,7 @@ impl Database {
     }
 
     /// All relationship instances leaving `oid`, optionally restricted to one
-    /// relationship class (exact; use [`Database::rels_from_including_subs`]
-    /// for polymorphic queries).
+    /// relationship class (exact).
     pub fn rels_from(&self, oid: Oid, class: Option<&str>) -> DbResult<Vec<RelInstance>> {
         Reader::rels_from(self, oid, class)
     }
@@ -1018,16 +1017,6 @@ impl Database {
     /// one relationship class (exact).
     pub fn rels_to(&self, oid: Oid, class: Option<&str>) -> DbResult<Vec<RelInstance>> {
         Reader::rels_to(self, oid, class)
-    }
-
-    /// Outgoing edges of `oid` via `class` or any of its subclasses.
-    pub fn rels_from_including_subs(&self, oid: Oid, class: &str) -> DbResult<Vec<RelInstance>> {
-        Reader::rels_from_including_subs(self, oid, class)
-    }
-
-    /// Incoming edges of `oid` via `class` or any of its subclasses.
-    pub fn rels_to_including_subs(&self, oid: Oid, class: &str) -> DbResult<Vec<RelInstance>> {
-        Reader::rels_to_including_subs(self, oid, class)
     }
 
     /// Record-free adjacency (the §6.1.5.2 indexing fast path): the edges
@@ -1223,7 +1212,7 @@ impl Database {
             rel: rel_oid,
         };
         self.dispatch_before(&event)?;
-        self.raw_add_cls_edge(cls, rel_oid)?;
+        self.raw_add_cls_edge(cls, &rel)?;
         self.record_event(event.clone());
         self.finish_op(event)
     }
@@ -1397,10 +1386,14 @@ impl Database {
         Ok(())
     }
 
-    fn raw_add_cls_edge(&self, cls: Oid, rel: Oid) -> DbResult<()> {
+    fn raw_add_cls_edge(&self, cls: Oid, rel: &RelInstance) -> DbResult<()> {
         self.store.with_txn(|t| {
-            t.kv_put(KS_CLS_EDGES, index::cls_edge_key(cls, rel), Vec::new());
-            t.kv_put(KS_EDGE_CLS, index::edge_cls_key(rel, cls), Vec::new());
+            t.kv_put(
+                KS_CLS_EDGES,
+                index::cls_edge_key(cls, rel.oid),
+                index::cls_edge_value(rel.origin, rel.destination),
+            );
+            t.kv_put(KS_EDGE_CLS, index::edge_cls_key(rel.oid, cls), Vec::new());
             Ok(())
         })?;
         Ok(())

@@ -9,8 +9,11 @@
 //! * **relationship endpoints** — `origin ⇒ (class, rel)` and
 //!   `destination ⇒ (class, rel)`, the adjacency lists every traversal and
 //!   classification operation runs on;
-//! * **classification membership** — `classification ⇒ rel` plus the reverse
-//!   `rel ⇒ classification`.
+//! * **classification membership** — `classification · rel ⇒ origin ·
+//!   destination` plus the reverse `rel ⇒ classification`. The forward
+//!   entry's value carries the member edge's endpoints, so the structure of
+//!   a classification (nodes, roots, leaves, integrity) is one prefix scan
+//!   that decodes no relationship record.
 //!
 //! Keys are built so that prefix scans answer the natural questions: "all
 //! members of class C", "all edges leaving O via relationship class R", "all
@@ -198,12 +201,35 @@ pub fn decode_endpoint_key(key: &[u8]) -> Option<(String, Oid)> {
     Some((class, rel))
 }
 
-/// `classification · rel` — membership entry; value is empty.
+/// `classification · rel` — membership entry; the value is
+/// [`cls_edge_value`].
 pub fn cls_edge_key(classification: Oid, rel: Oid) -> Vec<u8> {
     let mut key = Vec::with_capacity(16);
     key.extend_from_slice(&classification.to_be_bytes());
     key.extend_from_slice(&rel.to_be_bytes());
     key
+}
+
+/// Value of a membership entry: the member edge's `origin · destination`
+/// (endpoints never change once a relationship exists).
+pub fn cls_edge_value(origin: Oid, destination: Oid) -> Vec<u8> {
+    let mut value = Vec::with_capacity(16);
+    value.extend_from_slice(&origin.to_be_bytes());
+    value.extend_from_slice(&destination.to_be_bytes());
+    value
+}
+
+/// Decode a [`cls_edge_value`]. `None` for a value of any other length: a
+/// log written before the value carried the endpoints stores it empty.
+pub fn decode_cls_edge_value(value: &[u8]) -> Option<(Oid, Oid)> {
+    if value.len() != 16 {
+        return None;
+    }
+    let (origin, destination) = value.split_at(8);
+    Some((
+        Oid::from_be_bytes(origin.try_into().ok()?),
+        Oid::from_be_bytes(destination.try_into().ok()?),
+    ))
 }
 
 /// Prefix selecting all edges of a classification.
@@ -296,5 +322,12 @@ mod tests {
         let r = edge_cls_key(Oid::from_raw(9), Oid::from_raw(3));
         assert!(r.starts_with(&edge_prefix(Oid::from_raw(9))));
         assert_eq!(oid_suffix(&r), Some(Oid::from_raw(3)));
+        let v = cls_edge_value(Oid::from_raw(4), Oid::from_raw(5));
+        assert_eq!(
+            decode_cls_edge_value(&v),
+            Some((Oid::from_raw(4), Oid::from_raw(5)))
+        );
+        assert_eq!(decode_cls_edge_value(&[]), None);
+        assert_eq!(decode_cls_edge_value(&v[..8]), None);
     }
 }

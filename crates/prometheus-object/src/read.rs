@@ -133,8 +133,8 @@ pub trait Reader: Sized + Send + Sync {
     // -----------------------------------------------------------------
 
     /// All relationship instances leaving `oid`, optionally restricted to one
-    /// relationship class (exact; use [`Reader::rels_from_including_subs`]
-    /// for polymorphic queries).
+    /// relationship class (exact; [`Reader::adjacency_batch`] takes a
+    /// subclass-expanded list for polymorphic queries).
     fn rels_from(&self, oid: Oid, class: Option<&str>) -> DbResult<Vec<RelInstance>> {
         let prefix = match class {
             Some(c) => index::endpoint_class_prefix(oid, c),
@@ -151,30 +151,6 @@ pub trait Reader: Sized + Send + Sync {
             None => index::endpoint_prefix(oid),
         };
         load_rels(self, KS_REL_TO, &prefix)
-    }
-
-    /// Outgoing edges of `oid` via `class` or any of its subclasses.
-    fn rels_from_including_subs(&self, oid: Oid, class: &str) -> DbResult<Vec<RelInstance>> {
-        let classes = self.with_schema(|s| s.with_subclasses(class));
-        let mut out = Vec::new();
-        let mut prefix = Vec::new();
-        for c in classes {
-            index::build::endpoint_class_prefix(&mut prefix, oid, &c);
-            out.extend(load_rels(self, KS_REL_FROM, &prefix)?);
-        }
-        Ok(out)
-    }
-
-    /// Incoming edges of `oid` via `class` or any of its subclasses.
-    fn rels_to_including_subs(&self, oid: Oid, class: &str) -> DbResult<Vec<RelInstance>> {
-        let classes = self.with_schema(|s| s.with_subclasses(class));
-        let mut out = Vec::new();
-        let mut prefix = Vec::new();
-        for c in classes {
-            index::build::endpoint_class_prefix(&mut prefix, oid, &c);
-            out.extend(load_rels(self, KS_REL_TO, &prefix)?);
-        }
-        Ok(out)
     }
 
     /// Record-free adjacency (the §6.1.5.2 indexing fast path): the edges
@@ -307,7 +283,11 @@ pub trait Reader: Sized + Send + Sync {
     /// values inherited from incoming relationship instances whose class
     /// declares `attr` inheritable. Distinct inherited values are ambiguous.
     fn attr_of(&self, oid: Oid, attr: &str) -> DbResult<Value> {
-        let obj = self.object(oid)?;
+        self.attr_of_object(&self.object(oid)?, attr)
+    }
+
+    /// [`Reader::attr_of`] for an object the caller has already decoded.
+    fn attr_of_object(&self, obj: &ObjectInstance, attr: &str) -> DbResult<Value> {
         if let Some(v) = obj.attrs.get(attr) {
             if *v != Value::Null {
                 return Ok(v.clone());
@@ -327,7 +307,7 @@ pub trait Reader: Sized + Send + Sync {
             }
         }
         // Inherited from incoming relationships.
-        let incoming = self.rels_to(oid, None)?;
+        let incoming = self.rels_to(obj.oid, None)?;
         let mut inherited = self.with_schema(|schema| {
             let mut inherited: Vec<Value> = Vec::new();
             for rel in &incoming {
@@ -346,7 +326,7 @@ pub trait Reader: Sized + Send + Sync {
             0 => Ok(Value::Null),
             1 => Ok(inherited.pop().unwrap()),
             _ => Err(DbError::AmbiguousInheritedAttr {
-                oid,
+                oid: obj.oid,
                 attr: attr.to_string(),
             }),
         }
@@ -445,6 +425,43 @@ pub trait Reader: Sized + Send + Sync {
     fn edge_in_classification(&self, cls: Oid, rel_oid: Oid) -> bool {
         self.raw_kv_get(KS_CLS_EDGES, &index::cls_edge_key(cls, rel_oid))
             .is_some()
+    }
+
+    /// Whether `oid` participates in `cls`: whether one of its incident
+    /// edges is a member. Answered from the endpoint and membership indexes,
+    /// record-free, at a cost that follows the node's degree and not the
+    /// classification's size.
+    fn node_in_classification(&self, cls: Oid, oid: Oid) -> bool {
+        let prefix = index::endpoint_prefix(oid);
+        // Incoming first: a node of a hierarchy has one parent edge per
+        // classification and any number of child edges.
+        [KS_REL_TO, KS_REL_FROM].into_iter().any(|ks| {
+            let mut edges = Vec::new();
+            self.raw_kv_for_each_prefix(ks, &prefix, |key, _| edges.extend(index::oid_suffix(key)));
+            edges
+                .into_iter()
+                .any(|edge| self.edge_in_classification(cls, edge))
+        })
+    }
+
+    /// The member edges of a classification as `(edge, origin, destination)`,
+    /// in edge order: one prefix scan of the membership index, whose values
+    /// carry the endpoints — no relationship record is decoded.
+    fn classification_edge_endpoints(&self, cls: Oid) -> DbResult<Vec<(Oid, Oid, Oid)>> {
+        let mut entries = Vec::new();
+        self.raw_kv_for_each_prefix(KS_CLS_EDGES, &index::cls_prefix(cls), |key, value| {
+            if let Some(edge) = index::oid_suffix(key) {
+                entries.push((edge, index::decode_cls_edge_value(value)));
+            }
+        });
+        entries
+            .into_iter()
+            .map(|(edge, endpoints)| match endpoints {
+                Some((origin, destination)) => Ok((edge, origin, destination)),
+                // An entry written before the value carried the endpoints.
+                None => self.rel(edge).map(|r| (edge, r.origin, r.destination)),
+            })
+            .collect()
     }
 }
 

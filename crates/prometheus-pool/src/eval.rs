@@ -23,16 +23,18 @@
 //! Queries with a classification context range over the classification's
 //! participants only, and every traversal operator follows only that
 //! classification's edges (§4.6.2). `from view "…" x` ranges over a
-//! persisted view's members (§6.1.3).
+//! persisted view's members (§6.1.3). Scoping costs what it touches: see
+//! [`scope_to_context`].
 
 use crate::ast::*;
-use crate::plan::{self, PlanInfo, SourcePlan};
+use crate::plan::{self, PlanInfo, Residual, SourcePlan};
 use prometheus_object::classification::Classification;
+use prometheus_object::instance::StoredEntity;
 use prometheus_object::morsel;
 use prometheus_object::traversal::{self, Direction, TraversalSpec};
 use prometheus_object::{DbError, DbResult, Oid, Reader, Value};
 use prometheus_trace::{Recorder, Stage};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One result row.
@@ -222,6 +224,9 @@ fn execute<R: Reader>(
     // view), scope to the classification context, then filter candidates —
     // conformance plus pushed-down conjuncts — morsel-parallel.
     let mut candidate_sets: Vec<(String, Vec<Oid>)> = Vec::with_capacity(q.from.len());
+    // The context's participants and its member edges, each read at most
+    // once per query, by the first source too large to probe.
+    let (mut context_nodes, mut context_edges) = (None, None);
     for (clause, source) in q.from.iter().zip(&info.sources) {
         let scan_span = tracer.map(|r| r.span(Stage::Scan));
         let mut candidates = if clause.view {
@@ -232,15 +237,12 @@ fn execute<R: Reader>(
             db.extent(&clause.class, true)?
         };
         if let Some(cls) = context {
-            let handle = Classification::from_oid(cls);
-            if clause.edges {
-                let member: std::collections::BTreeSet<Oid> =
-                    db.classification_edges(cls)?.into_iter().collect();
-                candidates.retain(|oid| member.contains(oid));
+            let members = if clause.edges {
+                &mut context_edges
             } else {
-                let nodes = handle.nodes(db)?;
-                candidates.retain(|oid| nodes.contains(oid));
-            }
+                &mut context_nodes
+            };
+            scope_to_context(db, cls, clause.edges, &mut candidates, members)?;
         }
         if let Some(span) = scan_span {
             // c0 = candidate rows entering the filter; c1 = 1 when an index
@@ -275,7 +277,16 @@ fn execute<R: Reader>(
 
     // Nested-loop join, outermost variable partitioned across workers.
     let join_span = tracer.map(|r| r.span(Stage::Join));
-    let mut rows = join_rows(db, q, context, &candidate_sets, outer, cx)?;
+    let join = Join {
+        db,
+        q,
+        context,
+        sets: &candidate_sets,
+        residuals: &info.residuals,
+        conjuncts: &conjuncts,
+        cx,
+    };
+    let mut rows = join.rows(outer)?;
     if let Some(span) = join_span {
         span.finish(rows.len() as u64, cx.workers as u64);
     }
@@ -371,75 +382,175 @@ fn filter_candidates<R: Reader>(
     Ok(kept)
 }
 
-/// The nested-loop join. With a worker budget and an outermost candidate
-/// set spanning more than one morsel, the outer loop is split across
-/// workers — each chunk runs the full inner join sequentially and the
-/// per-morsel row vectors concatenate in morsel order, reproducing the
-/// sequential row order exactly. Small outer sets stay sequential so the
-/// budget reaches traversal frontiers inside the expressions instead.
-fn join_rows<R: Reader>(
+/// Keep the candidates that take part in classification `cls`: its member
+/// edges for an edge source (`edges`), its participants otherwise.
+///
+/// A candidate set that fits one morsel is probed — each candidate's own
+/// index entries say whether it takes part, at a cost that does not depend
+/// on the classification's size. A larger one is checked against the whole
+/// member set, read into `members` by the first source that needs it.
+fn scope_to_context<R: Reader>(
     db: &R,
-    q: &Query,
-    context: Option<Oid>,
-    sets: &[(String, Vec<Oid>)],
-    outer: &Env,
-    cx: Cx<'_>,
-) -> DbResult<Vec<Row>> {
-    if cx.workers > 1 && sets.first().is_some_and(|(_, c)| c.len() > JOIN_MORSEL) {
-        let (var0, candidates) = &sets[0];
-        let run = morsel::run(candidates, cx.workers, JOIN_MORSEL, |chunk| {
-            let mut env = outer.clone();
-            let mut out = Vec::new();
-            for &oid in chunk {
-                env.bind(var0, Value::Ref(oid));
-                bind_loop(db, q, context, sets, 1, &mut env, &mut out, cx.inner())?;
-            }
-            Ok(out)
-        })?;
-        cx.tally(run.parallel_morsels);
-        return Ok(run.output);
-    }
-    let mut rows = Vec::new();
-    let mut env = outer.clone();
-    bind_loop(db, q, context, sets, 0, &mut env, &mut rows, cx)?;
-    Ok(rows)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn bind_loop<R: Reader>(
-    db: &R,
-    q: &Query,
-    context: Option<Oid>,
-    sets: &[(String, Vec<Oid>)],
-    depth: usize,
-    env: &mut Env,
-    rows: &mut Vec<Row>,
-    cx: Cx<'_>,
+    cls: Oid,
+    edges: bool,
+    candidates: &mut Vec<Oid>,
+    members: &mut Option<BTreeSet<Oid>>,
 ) -> DbResult<()> {
-    if depth == sets.len() {
-        if let Some(w) = &q.where_clause {
-            if !eval_expr_cx(db, w, env, context, cx)?.is_truthy() {
-                return Ok(());
+    if candidates.len() <= morsel::MORSEL_SIZE {
+        candidates.retain(|&c| {
+            if edges {
+                db.edge_in_classification(cls, c)
+            } else {
+                db.node_in_classification(cls, c)
             }
-        }
-        let mut columns = Vec::with_capacity(q.projection.len() + q.order_by.len());
-        for (expr, _) in &q.projection {
-            columns.push(eval_expr_cx(db, expr, env, context, cx)?);
-        }
-        // Hidden trailing sort keys (stripped after sorting).
-        for key in &q.order_by {
-            columns.push(eval_expr_cx(db, &key.expr, env, context, cx)?);
-        }
-        rows.push(Row { columns });
+        });
         return Ok(());
     }
-    let (var, candidates) = &sets[depth];
-    for oid in candidates {
-        env.bind(var, Value::Ref(*oid));
-        bind_loop(db, q, context, sets, depth + 1, env, rows, cx)?;
-    }
-    env.vars.remove(var);
+    let members = match members {
+        Some(members) => members,
+        None => members.insert(if edges {
+            db.classification_edges(cls)?.into_iter().collect()
+        } else {
+            Classification::from_oid(cls).nodes(db)?
+        }),
+    };
+    candidates.retain(|c| members.contains(c));
     Ok(())
+}
+
+/// The nested-loop join: what stays fixed while it binds variables.
+struct Join<'a, R> {
+    db: &'a R,
+    q: &'a Query,
+    context: Option<Oid>,
+    /// The filtered candidates of each `from` variable, in clause order.
+    sets: &'a [(String, Vec<Oid>)],
+    /// The plan's residuals, and the `where` conjuncts they index.
+    residuals: &'a [Residual],
+    conjuncts: &'a [&'a Expr],
+    cx: Cx<'a>,
+}
+
+/// One slot per residual: the haystack of a hoisted `in`, once evaluated
+/// under the current binding of the variables it depends on.
+type Haystacks = Vec<Option<Vec<Value>>>;
+
+impl<R: Reader> Join<'_, R> {
+    /// With a worker budget and an outermost candidate set spanning more
+    /// than one morsel, the outer loop is split across workers — each chunk
+    /// runs the full inner join sequentially and the per-morsel row vectors
+    /// concatenate in morsel order, reproducing the sequential row order
+    /// exactly. Small outer sets stay sequential so the budget reaches
+    /// traversal frontiers inside the expressions instead.
+    fn rows(&self, outer: &Env) -> DbResult<Vec<Row>> {
+        let mut rows = Vec::new();
+        let mut env = outer.clone();
+        let mut hays: Haystacks = vec![None; self.residuals.len()];
+        let cx = self.cx;
+        if cx.workers > 1
+            && self
+                .sets
+                .first()
+                .is_some_and(|(_, c)| c.len() > JOIN_MORSEL)
+        {
+            // Depth 0 happens here, once; every chunk resumes at depth 1.
+            if !self.residuals_hold(0, &env, &mut hays)? {
+                return Ok(rows);
+            }
+            let (var0, candidates) = &self.sets[0];
+            let inner = Join {
+                cx: cx.inner(),
+                ..*self
+            };
+            let run = morsel::run(candidates, cx.workers, JOIN_MORSEL, |chunk| {
+                let mut env = outer.clone();
+                let mut hays: Haystacks = vec![None; inner.residuals.len()];
+                let mut out = Vec::new();
+                for &oid in chunk {
+                    env.bind(var0, Value::Ref(oid));
+                    inner.bind_loop(1, &mut env, &mut hays, &mut out)?;
+                }
+                Ok(out)
+            })?;
+            cx.tally(run.parallel_morsels);
+            return Ok(run.output);
+        }
+        self.bind_loop(0, &mut env, &mut hays, &mut rows)?;
+        Ok(rows)
+    }
+
+    /// Extend a binding of the first `depth` variables that the pushed-down
+    /// conjuncts accepted: check the residuals that have just become
+    /// evaluable, then bind the next variable to each of its candidates, or
+    /// emit the row when none is left.
+    fn bind_loop(
+        &self,
+        depth: usize,
+        env: &mut Env,
+        hays: &mut Haystacks,
+        rows: &mut Vec<Row>,
+    ) -> DbResult<()> {
+        if !self.residuals_hold(depth, env, hays)? {
+            return Ok(());
+        }
+        let (db, q, context, cx) = (self.db, self.q, self.context, self.cx);
+        if depth == self.sets.len() {
+            let mut columns = Vec::with_capacity(q.projection.len() + q.order_by.len());
+            for (expr, _) in &q.projection {
+                columns.push(eval_expr_cx(db, expr, env, context, cx)?);
+            }
+            // Hidden trailing sort keys (stripped after sorting).
+            for key in &q.order_by {
+                columns.push(eval_expr_cx(db, &key.expr, env, context, cx)?);
+            }
+            rows.push(Row { columns });
+            return Ok(());
+        }
+        let (var, candidates) = &self.sets[depth];
+        for oid in candidates {
+            env.bind(var, Value::Ref(*oid));
+            self.bind_loop(depth + 1, env, hays, rows)?;
+        }
+        env.vars.remove(var);
+        Ok(())
+    }
+
+    /// Whether the residuals placed at `depth` hold under `env`, which has
+    /// just bound the first `depth` variables afresh.
+    fn residuals_hold(&self, depth: usize, env: &Env, hays: &mut Haystacks) -> DbResult<bool> {
+        let (db, context, cx) = (self.db, self.context, self.cx);
+        // A haystack hoisted to this depth was evaluated under the binding
+        // this one replaces.
+        for (r, hay) in self.residuals.iter().zip(hays.iter_mut()) {
+            if r.hoist == Some(depth) {
+                *hay = None;
+            }
+        }
+        for (r, hay) in self.residuals.iter().zip(hays.iter_mut()) {
+            if r.depth != depth {
+                continue;
+            }
+            let expr = self.conjuncts[r.conjunct];
+            let holds = match (r.hoist, expr) {
+                // Needle first, then — on first use — the haystack: the
+                // order `in` evaluates them in, so a binding that never
+                // reaches this residual never evaluates its haystack.
+                (Some(_), Expr::In(needle, source)) => {
+                    let v = eval_expr_cx(db, needle, env, context, cx)?;
+                    let items = match hay {
+                        Some(items) => items,
+                        None => hay.insert(eval_haystack(db, source, env, context, cx)?),
+                    };
+                    items.contains(&v)
+                }
+                _ => eval_expr_cx(db, expr, env, context, cx)?.is_truthy(),
+            };
+            if !holds {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
 }
 
 fn render_expr(expr: &Expr, i: usize) -> String {
@@ -457,25 +568,24 @@ fn render_expr(expr: &Expr, i: usize) -> String {
     }
 }
 
-/// Attribute of any entity kind: objects resolve through
-/// [`Reader::attr_of`] (inheritance-aware); relationship instances expose
-/// their own attributes plus the pseudo-attributes `origin` and
-/// `destination` (uniform treatment, §5.1.1.2).
+/// Attribute of any entity kind, from one decode of the entity: objects
+/// resolve through [`Reader::attr_of_object`] (inheritance-aware);
+/// relationship instances expose their own attributes plus the
+/// pseudo-attributes `origin` and `destination` (uniform treatment,
+/// §5.1.1.2); classifications their name and traceability attributes.
 fn attr_of_any<R: Reader>(db: &R, oid: Oid, attr: &str) -> DbResult<Value> {
-    if let Ok(rel) = db.rel(oid) {
-        return Ok(match attr {
+    Ok(match db.entity(oid)? {
+        StoredEntity::Object(obj) => return db.attr_of_object(&obj, attr),
+        StoredEntity::Rel(rel) => match attr {
             "origin" => Value::Ref(rel.origin),
             "destination" => Value::Ref(rel.destination),
             _ => rel.attr(attr),
-        });
-    }
-    if let Ok(meta) = db.classification_meta(oid) {
-        return Ok(match attr {
+        },
+        StoredEntity::Classification(meta) => match attr {
             "name" => Value::Str(meta.name),
             _ => meta.attrs.get(attr).cloned().unwrap_or(Value::Null),
-        });
-    }
-    db.attr_of(oid, attr)
+        },
+    })
 }
 
 /// Evaluate an expression (sequential; the rule engine's entry point).
@@ -602,19 +712,16 @@ fn eval_expr_cx<R: Reader>(
         Expr::Edges { from, rel, dir } => {
             let start = eval_expr_cx(db, from, env, context, cx)?;
             let starts = refs_of(&start, "edge-traversal source")?;
+            // The endpoint index names the instances; under a context the
+            // membership index filters them. No record is decoded.
+            let classes = db.with_schema(|s| s.with_subclasses(rel));
+            let outgoing = matches!(dir, TravDir::Forward);
             let mut out = Vec::new();
-            for s in starts {
-                let batch = match dir {
-                    TravDir::Forward => db.rels_from_including_subs(s, rel)?,
-                    TravDir::Backward => db.rels_to_including_subs(s, rel)?,
-                };
-                for r in batch {
-                    if let Some(cls) = context {
-                        if !db.edge_in_classification(cls, r.oid) {
-                            continue;
-                        }
+            for adjacent in db.adjacency_batch(&starts, &classes, outgoing)? {
+                for (edge, _) in adjacent {
+                    if context.is_none_or(|cls| db.edge_in_classification(cls, edge)) {
+                        out.push(Value::Ref(edge));
                     }
-                    out.push(Value::Ref(r.oid));
                 }
             }
             Ok(Value::List(out))
@@ -650,17 +757,7 @@ fn eval_expr_cx<R: Reader>(
         }
         Expr::In(needle, source) => {
             let v = eval_expr_cx(db, needle, env, context, cx)?;
-            let haystack = match source.as_ref() {
-                InSource::Query(q) => {
-                    let result = evaluate_with_env_cx(db, q, env, cx)?;
-                    result.first_column()
-                }
-                InSource::Expr(e) => match eval_expr_cx(db, e, env, context, cx)? {
-                    Value::List(items) => items,
-                    Value::Null => Vec::new(),
-                    single => vec![single],
-                },
-            };
+            let haystack = eval_haystack(db, source, env, context, cx)?;
             Ok(Value::Bool(haystack.contains(&v)))
         }
         Expr::Exists(q) => {
@@ -668,6 +765,31 @@ fn eval_expr_cx<R: Reader>(
             Ok(Value::Bool(!result.is_empty()))
         }
         Expr::Call(name, args) => eval_call(db, name, args, env, context, cx),
+    }
+}
+
+/// The collection on the right of `in`: a subquery's first column, or an
+/// expression's value as a collection.
+fn eval_haystack<R: Reader>(
+    db: &R,
+    source: &InSource,
+    env: &Env,
+    context: Option<Oid>,
+    cx: Cx<'_>,
+) -> DbResult<Vec<Value>> {
+    Ok(match source {
+        InSource::Query(q) => evaluate_with_env_cx(db, q, env, cx)?.first_column(),
+        InSource::Expr(e) => collection_of(eval_expr_cx(db, e, env, context, cx)?),
+    })
+}
+
+/// A value read as a collection: a list's items, nothing for null, a
+/// singleton for any other scalar.
+fn collection_of(v: Value) -> Vec<Value> {
+    match v {
+        Value::List(items) => items,
+        Value::Null => Vec::new(),
+        single => vec![single],
     }
 }
 
@@ -783,11 +905,7 @@ fn eval_call<R: Reader>(
     let collection = |arg: &CallArg| -> DbResult<Vec<Value>> {
         match arg {
             CallArg::Query(q) => Ok(evaluate_with_env_cx(db, q, env, cx)?.first_column()),
-            CallArg::Expr(e) => match eval_expr_cx(db, e, env, context, cx)? {
-                Value::List(items) => Ok(items),
-                Value::Null => Ok(Vec::new()),
-                single => Ok(vec![single]),
-            },
+            CallArg::Expr(e) => Ok(collection_of(eval_expr_cx(db, e, env, context, cx)?)),
         }
     };
     let scalar = |arg: &CallArg| -> DbResult<Value> {

@@ -182,8 +182,11 @@ impl Executor {
     }
 
     /// `EXPLAIN`: resolve (or fetch) the plan and render it as text lines —
-    /// source index seeds, pushed-down conjuncts, conformance sets, cache
-    /// hit/miss and the plan fingerprint. Nothing is executed.
+    /// source index seeds, pushed-down conjuncts, conformance sets, the
+    /// residual conjuncts with the join depth each runs at (how many `from`
+    /// variables are bound by then) and the depth an `in` haystack is
+    /// hoisted to, cache hit/miss and the plan fingerprint. Nothing is
+    /// executed.
     pub fn explain<R: Reader>(
         &self,
         db: &R,
@@ -240,6 +243,19 @@ impl Executor {
                 }
                 None => lines.push("  conforming: view-defined membership".into()),
             }
+        }
+        if plan.info.residuals.is_empty() {
+            lines.push("residual: none".into());
+        }
+        for r in &plan.info.residuals {
+            let hoisted = match r.hoist {
+                Some(h) => format!(", haystack hoisted to depth {h}"),
+                None => String::new(),
+            };
+            lines.push(format!(
+                "residual: {} [depth {}{hoisted}]",
+                conjuncts[r.conjunct], r.depth
+            ));
         }
         lines.push(format!(
             "join: nested-loop over {} source(s), morsel-parallel outer loop ({} worker(s))",

@@ -14,6 +14,11 @@
 //!   subclasses, so the per-candidate conformance check at execution is one
 //!   set lookup instead of a schema-lock round trip per candidate.
 //!
+//! and for the query as a whole the [`Residual`]s: the conjuncts no source
+//! takes, each placed at the depth of the join loop where its last `from`
+//! variable is bound, with the haystack of an `in` hoisted out of the loops
+//! it does not depend on.
+//!
 //! Because a plan depends only on query text and schema, it is cacheable:
 //! [`crate::exec::Executor`] keys plans by query text and drops them when
 //! [`prometheus_object::SchemaRegistry::version`] moves.
@@ -38,10 +43,29 @@ pub struct SourcePlan {
     pub conforming: Option<BTreeSet<String>>,
 }
 
-/// The schema-dependent part of a query plan, one entry per `from` clause.
+/// A `where` conjunct no source takes — it names several `from` variables,
+/// or none — so the join loop evaluates it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Residual {
+    /// Index into [`conjuncts_of`] of the query's where clause.
+    pub conjunct: usize,
+    /// How many `from` variables, in clause order, are bound when it runs:
+    /// one past the last it names, 0 when it names none. A binding it
+    /// rejects is never extended to the variables after it.
+    pub depth: usize,
+    /// For `needle in haystack`: `Some(h)` when the haystack names no `from`
+    /// variable past the first `h < depth`. It is then evaluated lazily, at
+    /// most once per binding of those `h` variables, and probed for each
+    /// needle.
+    pub hoist: Option<usize>,
+}
+
+/// The text- and schema-dependent part of a query plan: one [`SourcePlan`]
+/// per `from` clause, and the residual conjuncts in source order.
 #[derive(Debug, Clone)]
 pub struct PlanInfo {
     pub sources: Vec<SourcePlan>,
+    pub residuals: Vec<Residual>,
 }
 
 /// Plan `q` against the current schema.
@@ -56,14 +80,7 @@ pub fn plan<R: Reader>(db: &R, q: &Query) -> DbResult<PlanInfo> {
         None => Vec::new(),
     };
     // Free-variable sets once per conjunct, not once per (conjunct, clause).
-    let conjunct_free: Vec<BTreeSet<String>> = conjuncts
-        .iter()
-        .map(|e| {
-            let mut s = BTreeSet::new();
-            free_vars(e, &mut s);
-            s
-        })
-        .collect();
+    let conjunct_free = free_sets(&conjuncts);
     let mut sources = Vec::with_capacity(q.from.len());
     for clause in &q.from {
         let pushdown = pushdown_of(&clause.var, &from_vars, &conjunct_free);
@@ -101,7 +118,67 @@ pub fn plan<R: Reader>(db: &R, q: &Query) -> DbResult<PlanInfo> {
             ),
         });
     }
-    Ok(PlanInfo { sources })
+    Ok(PlanInfo {
+        sources,
+        residuals: residuals_of(&from_vars, &conjuncts, &conjunct_free),
+    })
+}
+
+/// The conjuncts [`pushdown_of`] gives to no source, placed in the join loop.
+fn residuals_of(
+    from_vars: &[&str],
+    conjuncts: &[&Expr],
+    conjunct_free: &[BTreeSet<String>],
+) -> Vec<Residual> {
+    // A later clause shadows an earlier one of the same name, so the last
+    // position is where a variable takes the value a conjunct sees.
+    let depth_of = |free: &BTreeSet<String>| {
+        from_vars
+            .iter()
+            .rposition(|v| free.contains(*v))
+            .map_or(0, |i| i + 1)
+    };
+    let mut residuals = Vec::new();
+    for (i, (expr, free)) in conjuncts.iter().zip(conjunct_free).enumerate() {
+        if free
+            .iter()
+            .filter(|v| from_vars.contains(&v.as_str()))
+            .count()
+            == 1
+        {
+            continue; // pushed down
+        }
+        let depth = depth_of(free);
+        let hoist = match expr {
+            Expr::In(_, source) => {
+                let mut haystack_free = BTreeSet::new();
+                match source.as_ref() {
+                    InSource::Expr(e) => free_vars(e, &mut haystack_free),
+                    InSource::Query(q) => query_free_vars(q, &mut haystack_free),
+                }
+                Some(depth_of(&haystack_free)).filter(|h| *h < depth)
+            }
+            _ => None,
+        };
+        residuals.push(Residual {
+            conjunct: i,
+            depth,
+            hoist,
+        });
+    }
+    residuals
+}
+
+/// The free variables of each conjunct.
+fn free_sets(conjuncts: &[&Expr]) -> Vec<BTreeSet<String>> {
+    conjuncts
+        .iter()
+        .map(|e| {
+            let mut s = BTreeSet::new();
+            free_vars(e, &mut s);
+            s
+        })
+        .collect()
 }
 
 /// Conjuncts eligible for pushdown to `clause_var`: those whose free
@@ -262,17 +339,51 @@ mod tests {
         );
         let from_vars: Vec<&str> = q.from.iter().map(|c| c.var.as_str()).collect();
         let conjuncts = conjuncts_of(q.where_clause.as_ref().unwrap());
-        let free: Vec<BTreeSet<String>> = conjuncts
-            .iter()
-            .map(|e| {
-                let mut s = BTreeSet::new();
-                free_vars(e, &mut s);
-                s
-            })
-            .collect();
+        let free = free_sets(&conjuncts);
         // x gets its own conjunct plus the correlated one; never x.c = y.c.
         assert_eq!(pushdown_of("x", &from_vars, &free), vec![0, 3]);
         assert_eq!(pushdown_of("y", &from_vars, &free), vec![1]);
+    }
+
+    #[test]
+    fn residuals_run_where_their_last_variable_is_bound() {
+        let residuals = |text: &str| {
+            let q = parse(text);
+            let from_vars: Vec<&str> = q.from.iter().map(|c| c.var.as_str()).collect();
+            let conjuncts = conjuncts_of(q.where_clause.as_ref().unwrap());
+            let free = free_sets(&conjuncts);
+            residuals_of(&from_vars, &conjuncts, &free)
+                .into_iter()
+                .map(|r| (r.conjunct, r.depth, r.hoist))
+                .collect::<Vec<_>>()
+        };
+        // Pushed-down conjuncts are no residual; a join conjunct runs once
+        // both its variables are bound; one naming no variable runs first.
+        assert_eq!(
+            residuals(
+                "select x from Object x, Object y, Object z \
+                 where x.a = 1 and x.c = y.c and 1 = 1 and z.d = x.d"
+            ),
+            vec![(1, 2, None), (2, 0, None), (3, 3, None)]
+        );
+        // A haystack over x alone is hoisted out of the loops over y and z;
+        // one that names the needle's own (innermost) variable is not.
+        assert_eq!(
+            residuals(
+                "select x from Object x, Object y, Object z \
+                 where z in x -> R and x in z <- R and y.a + z.a in (select w.a from Object w)"
+            ),
+            vec![(0, 3, Some(1)), (1, 3, None), (2, 3, Some(0))]
+        );
+        // A correlated subquery haystack is hoisted as far as its free
+        // variables allow: past y, not past x.
+        assert_eq!(
+            residuals(
+                "select x from Object x, Object y \
+                 where y in (select w from Object w where w.a = x.a)"
+            ),
+            vec![(0, 2, Some(1))]
+        );
     }
 
     #[test]
@@ -284,14 +395,7 @@ mod tests {
         );
         let from_vars: Vec<&str> = q.from.iter().map(|c| c.var.as_str()).collect();
         let conjuncts = conjuncts_of(q.where_clause.as_ref().unwrap());
-        let free: Vec<BTreeSet<String>> = conjuncts
-            .iter()
-            .map(|e| {
-                let mut s = BTreeSet::new();
-                free_vars(e, &mut s);
-                s
-            })
-            .collect();
+        let free = free_sets(&conjuncts);
         assert_eq!(free[0].iter().collect::<Vec<_>>(), vec!["x"]);
         assert_eq!(pushdown_of("x", &from_vars, &free), vec![0]);
     }

@@ -600,3 +600,40 @@ fn predicate_pushdown_preserves_join_semantics() {
     assert_eq!(pruned.rows, unpruned.rows);
     assert!(!pruned.is_empty());
 }
+
+#[test]
+fn explain_places_residuals_and_hoists_haystacks() {
+    let db = sample_db();
+    let executor = prometheus_pool::Executor::new(1);
+    let text = "select t.name, s.code from CT t, Specimen s \
+                where t.rank = \"Genus\" and s in t -> Circumscribes* and t.name != s.code \
+                and 1 = 1";
+    let lines = executor.explain(&db, text, Some("L1753")).unwrap();
+    // A single-variable conjunct is its source's. The join conjuncts run
+    // once `s`, the second variable, is bound; the closure names `t` alone,
+    // so it is evaluated once per `t` and probed for each `s`. A conjunct
+    // naming no variable runs before any is bound.
+    let at = |line: &str| lines.iter().position(|l| l == line);
+    assert!(
+        at("  pushdown: (t.rank = \"Genus\")").is_some(),
+        "{lines:?}"
+    );
+    let residuals = [
+        "residual: (s in (t -> Circumscribes*)) [depth 2, haystack hoisted to depth 1]",
+        "residual: (t.name != s.code) [depth 2]",
+        "residual: (1 = 1) [depth 0]",
+    ];
+    let first = at(residuals[0]).unwrap_or_else(|| panic!("{lines:?}"));
+    assert_eq!(&lines[first..first + 3], residuals, "{lines:?}");
+    assert!(lines[first + 3].starts_with("join:"), "{lines:?}");
+    assert_eq!(
+        executor.query(&db, text, Some("L1753")).unwrap().len(),
+        2,
+        "Apium's two Linnaean specimens"
+    );
+    // Nothing is left over when every conjunct has a source to go to.
+    let lines = executor
+        .explain(&db, "select t from CT t where t.rank = \"Genus\"", None)
+        .unwrap();
+    assert!(lines.contains(&"residual: none".to_string()), "{lines:?}");
+}

@@ -161,7 +161,22 @@ fn explain_renders_the_plan_without_executing() {
         text.iter().any(|l| l.contains("seed: index probe")),
         "equality on an indexed attr must seed: {text:?}"
     );
+    assert!(text.iter().any(|l| l == "residual: none"), "{text:?}");
     assert!(text.iter().any(|l| l.starts_with("join:")), "{text:?}");
+    // A join's leftover conjunct is placed where its last variable is bound,
+    // and a haystack that names the outer variable alone is hoisted to it.
+    let join = client
+        .query(
+            "explain select g.working_name, s.working_name from CT g, CT s \
+             where g.working_name = \"Apium\" and s in g -> Circumscribes",
+        )
+        .unwrap();
+    let residual = "residual: (s in (g -> Circumscribes)) [depth 2, haystack hoisted to depth 1]";
+    assert!(
+        join.rows.iter().any(|r| as_str(&r[0]) == residual),
+        "{:?}",
+        join.rows
+    );
     // EXPLAIN shares the bare query's plan-cache entry: running the query
     // then explaining again reports a cache hit.
     client.query(q).unwrap();
