@@ -38,8 +38,8 @@
 
 use prometheus_bench::ops;
 use prometheus_bench::report::{
-    growth_ratio, render_prometheus_exposition, render_sweep, render_table, write_sweep_csv,
-    write_table_csv, CompareRow, SweepPoint,
+    growth_ratio, render_sweep, render_table, write_sweep_csv, write_table_csv, CompareRow,
+    SweepPoint,
 };
 use prometheus_bench::schema::{BenchParams, PromDb, RawDb};
 use prometheus_bench::{micros, time_median, time_once};
@@ -789,20 +789,11 @@ fn top_section(argv: &[String]) {
         );
         for r in server.trace_rollups.iter().filter(|r| r.count > 0) {
             // Coarse p99: the upper bound of the bucket holding the 99th
-            // percentile observation (+Inf renders as the last bound's "+").
-            let target = r.count - r.count / 100;
-            let mut seen = 0u64;
-            let mut p99 = String::from("-");
-            for (i, &n) in r.counts.iter().enumerate() {
-                seen += n;
-                if seen >= target {
-                    p99 = match r.bounds_us.get(i) {
-                        Some(b) => b.to_string(),
-                        None => format!(">{}", r.bounds_us.last().copied().unwrap_or(0)),
-                    };
-                    break;
-                }
-            }
+            // percentile observation; past the last bound, ">bound".
+            let p99 = match r.approx_percentile_us(0.99) {
+                Some(bound) => bound.to_string(),
+                None => format!(">{}", r.bounds_us.last().copied().unwrap_or(0)),
+            };
             println!(
                 "{:<16} {:>10} {:>12} {:>12}",
                 r.stage,
@@ -892,7 +883,10 @@ fn stats_section(argv: &[String]) {
     };
 
     if prometheus_format {
-        print!("{}", render_prometheus_exposition(&server, &storage));
+        print!(
+            "{}",
+            prometheus_server::render_prometheus_exposition(&server, &storage)
+        );
     } else {
         let cores = std::thread::available_parallelism()
             .map(|n| n.get())

@@ -1,12 +1,6 @@
 //! Table and series formatting for the harness binary, plus CSV output so
 //! EXPERIMENTS.md can reference reproducible artifacts.
-//!
-//! The Prometheus text-exposition renderer used to live here; it moved to
-//! `prometheus_server::exposition` so the server's HTTP scrape endpoint and
-//! `harness stats --format=prometheus` render through the same code. The
-//! re-export below keeps this module's old path working.
 
-pub use prometheus_server::render_prometheus_exposition;
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -107,44 +101,10 @@ pub fn write_sweep_csv(path: &Path, points: &[SweepPoint]) -> std::io::Result<()
     std::fs::write(path, csv)
 }
 
-/// Exact percentile over an ascending-sorted latency sample (µs): the value
-/// at the ceil(p·n)-th observation. Used by the `loadgen` binary, which keeps
-/// every measurement, so no histogram approximation is needed.
-pub fn percentile_us(sorted_us: &[u64], p: f64) -> u64 {
-    if sorted_us.is_empty() {
-        return 0;
-    }
-    let rank = ((p.clamp(0.0, 1.0) * sorted_us.len() as f64).ceil() as usize).max(1);
-    sorted_us[rank.min(sorted_us.len()) - 1]
-}
-
-/// Render a one-workload latency/throughput summary for the load generator.
-pub fn render_latency_summary(label: &str, sorted_us: &[u64], elapsed_secs: f64) -> String {
-    let ops = sorted_us.len();
-    let throughput = if elapsed_secs > 0.0 {
-        ops as f64 / elapsed_secs
-    } else {
-        0.0
-    };
-    let mean = if ops == 0 {
-        0.0
-    } else {
-        sorted_us.iter().sum::<u64>() as f64 / ops as f64
-    };
-    format!(
-        "{label:<12} {ops:>8} ops {throughput:>10.0} op/s  mean {mean:>8.1} µs  \
-         p50 {:>6} µs  p90 {:>6} µs  p99 {:>6} µs  max {:>8} µs",
-        percentile_us(sorted_us, 0.50),
-        percentile_us(sorted_us, 0.90),
-        percentile_us(sorted_us, 0.99),
-        sorted_us.last().copied().unwrap_or(0),
-    )
-}
-
 /// One-line environment stamp for bench output: core count and shard count
-/// side by side, so a reader of a stats dump or BENCH artifact can tell at
-/// a glance whether per-shard writer lanes *could* have bought wall-clock
-/// time on this machine (they cannot on one core, however many lanes).
+/// side by side, so a reader of a stats dump can tell at a glance whether
+/// per-shard writer lanes *could* have bought wall-clock time on this
+/// machine (they cannot on one core, however many lanes).
 pub fn render_machine_summary(cores: usize, shards: usize) -> String {
     format!(
         "machine: {cores} core{}, {shards} shard{}",
@@ -231,34 +191,9 @@ mod tests {
     }
 
     #[test]
-    fn percentiles_pick_exact_ranks() {
-        let sample: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile_us(&sample, 0.50), 50);
-        assert_eq!(percentile_us(&sample, 0.99), 99);
-        assert_eq!(percentile_us(&sample, 1.0), 100);
-        assert_eq!(percentile_us(&sample, 0.0), 1);
-        assert_eq!(percentile_us(&[], 0.5), 0);
-        let summary = render_latency_summary("query", &sample, 2.0);
-        assert!(summary.contains("50 op/s"));
-        assert!(summary.contains("p99"));
-    }
-
-    #[test]
     fn machine_summary_pluralises() {
         assert_eq!(render_machine_summary(1, 1), "machine: 1 core, 1 shard");
         assert_eq!(render_machine_summary(8, 4), "machine: 8 cores, 4 shards");
-    }
-
-    #[test]
-    fn exposition_re_export_still_renders() {
-        // The renderer itself is tested in `prometheus_server::exposition`;
-        // this guards the re-export that keeps `report::…` callers working.
-        let text = render_prometheus_exposition(
-            &prometheus_server::MetricsSnapshot::default(),
-            &prometheus_storage::StatsSnapshot::default(),
-        );
-        assert!(text.contains("prometheus_server_connections_accepted_total 0"));
-        assert!(text.contains("prometheus_server_accept_queue_depth 0"));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! morsel-parallel execution.
 //!
 //! [`Executor`] is the long-lived query front end an embedder (the wire
-//! server, the load generator) keeps next to its database handle. Per query
+//! server, the benchmark) keeps next to its database handle. Per query
 //! it:
 //!
 //! 1. looks the query text up in an LRU **plan cache** keyed by

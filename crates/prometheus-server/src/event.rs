@@ -52,9 +52,7 @@ use crate::lane::{OwnedLaneGuard, TicketLane};
 use crate::metrics::MetricsSnapshot;
 use crate::poll::{PollEvent, Poller, Waker, EV_READ, EV_WRITE};
 use crate::protocol::{Request, Response};
-use crate::server::{
-    count_response, execute_work, initiate_shutdown, kind_code, metrics_snapshot, Shared,
-};
+use crate::server::{count_response, execute_work, initiate_shutdown, metrics_snapshot, Shared};
 use prometheus_db::database::UnitToken;
 use prometheus_trace::{Stage, TraceId, TraceScope};
 use std::collections::{HashMap, VecDeque};
@@ -131,7 +129,7 @@ enum LanePending {
     /// response envelope — on the request's distributed trace.
     Work {
         work: Work,
-        kind: &'static str,
+        kind: usize,
         start: Instant,
         trace: TraceId,
     },
@@ -269,12 +267,12 @@ pub(crate) fn spawn_event_loop(
 }
 
 /// Hand a token to the worker pool. Every push increments the
-/// `accept_queued` gauge; the matching pop in [`worker_loop`] decrements
+/// `accept_queue_depth` gauge; the matching pop in [`worker_loop`] decrements
 /// it, so the gauge reads as "ready work waiting for a free io thread".
 fn enqueue_ready(rx: &Reactor, token: u64) {
     rx.shared
         .metrics
-        .accept_queued
+        .accept_queue_depth
         .fetch_add(1, Ordering::Relaxed);
     lock(&rx.ready).push_back(token);
     rx.ready_cv.notify_one();
@@ -300,7 +298,7 @@ fn worker_loop(rx: Arc<Reactor>) {
         let Some(token) = token else { break };
         rx.shared
             .metrics
-            .accept_queued
+            .accept_queue_depth
             .fetch_sub(1, Ordering::Relaxed);
         let conn = lock(&rx.conns).get(&token).cloned();
         match conn {
@@ -684,7 +682,7 @@ fn run_work(
     core: &mut SessionCore,
     work: Work,
     claim_mask: u64,
-    kind: &'static str,
+    kind: usize,
     start: Instant,
     trace: TraceId,
 ) -> Response {
@@ -693,7 +691,7 @@ fn run_work(
     let scope = TraceScope::enter(root.trace_id(), root.id());
     let resp = execute_work(shared, core, work, claim_mask);
     drop(scope);
-    root.finish(kind_code(kind), core.id());
+    root.finish(kind as u64, core.id());
     shared
         .metrics
         .record_latency_us(kind, start.elapsed().as_micros() as u64);
@@ -910,7 +908,7 @@ fn handle_request(
 ) {
     let shared = &rx.shared;
     let start = Instant::now();
-    let kind = req.kind_name();
+    let kind = req.kind();
     shared.metrics.count_request(kind);
     // Same adoption rule as the blocking transport: a client-stamped trace
     // id wins, a blank envelope gets a minted one, and the id is echoed in
@@ -1022,7 +1020,7 @@ fn handle_request(
         }
     }
     drop(scope);
-    root.finish(kind_code(kind), st.core.id());
+    root.finish(kind as u64, st.core.id());
     if !parked {
         shared
             .metrics

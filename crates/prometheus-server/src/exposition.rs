@@ -12,431 +12,266 @@
 //!   `Request::Stats` snapshot.
 //!
 //! Both paths go through this function, so a scrape and a wire stats call
-//! can never disagree about a counter's name or meaning.
+//! can never disagree about a counter's name or meaning. Scalars are a loop
+//! over the two snapshots' `series()` — their names and help text live in
+//! the `counter_table!` rows, not here; what this file knows is the
+//! labelled families and the histograms.
 
-use crate::metrics::MetricsSnapshot;
+use crate::metrics::{FollowerLag, MetricsSnapshot, ShardMetrics};
 use prometheus_storage::StatsSnapshot;
 use std::fmt::Write as _;
 
-fn write_counter(out: &mut String, name: &str, help: &str, value: u64) {
+/// A sample's labels. Values may come off the socket (a follower's name).
+type Labels<'a> = &'a [(&'a str, &'a str)];
+
+/// Write `{k="v",…}` (nothing when there are no labels), escaping
+/// backslash, quote and newline in values as the text format requires —
+/// the one place a label reaches the output, so no value can close its
+/// quotes and forge a sample line.
+fn write_labels(out: &mut String, labels: Labels) {
+    for (i, (key, value)) in labels.iter().enumerate() {
+        out.push(if i == 0 { '{' } else { ',' });
+        let _ = write!(out, "{key}=\"");
+        for c in value.chars() {
+            match c {
+                '\\' => out.push_str("\\\\"),
+                '"' => out.push_str("\\\""),
+                '\n' => out.push_str("\\n"),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+    if !labels.is_empty() {
+        out.push('}');
+    }
+}
+
+fn write_sample(out: &mut String, name: &str, suffix: &str, labels: Labels, value: u64) {
+    let _ = write!(out, "{name}{suffix}");
+    write_labels(out, labels);
+    let _ = writeln!(out, " {value}");
+}
+
+fn write_header(out: &mut String, name: &str, help: &str, kind: &str) {
     let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} counter");
-    let _ = writeln!(out, "{name} {value}");
+    let _ = writeln!(out, "# TYPE {name} {kind}");
+}
+
+/// One family: HELP and TYPE once, then a sample per row. A family with no
+/// rows is not declared at all.
+fn write_family<'a>(
+    out: &mut String,
+    name: &str,
+    help: &str,
+    kind: &str,
+    rows: impl IntoIterator<Item = (Vec<(&'a str, &'a str)>, u64)>,
+) {
+    for (i, (labels, value)) in rows.into_iter().enumerate() {
+        if i == 0 {
+            write_header(out, name, help, kind);
+        }
+        write_sample(out, name, "", &labels, value);
+    }
+}
+
+/// One histogram of a family: the labels that tell it from its siblings
+/// (none for a family of one), then bounds, per-bucket counts with a
+/// trailing overflow bucket, sum and count.
+type HistogramRow<'a> = (Option<(&'a str, &'a str)>, &'a [u64], &'a [u64], u64, u64);
+
+/// One histogram family: the standard cumulative `_bucket{le=…}` / `_sum` /
+/// `_count` triple per row.
+fn write_histograms<'a>(
+    out: &mut String,
+    name: &str,
+    help: &str,
+    rows: impl IntoIterator<Item = HistogramRow<'a>>,
+) {
+    for (i, (label, bounds, counts, sum, count)) in rows.into_iter().enumerate() {
+        if i == 0 {
+            write_header(out, name, help, "histogram");
+        }
+        let labels = label.as_slice();
+        let mut cumulative = 0u64;
+        for (bucket, n) in counts.iter().enumerate() {
+            cumulative += n;
+            let le = bounds
+                .get(bucket)
+                .map_or("+Inf".to_string(), |bound| bound.to_string());
+            let with_le = [labels, &[("le", le.as_str())]].concat();
+            write_sample(out, name, "_bucket", &with_le, cumulative);
+        }
+        write_sample(out, name, "_sum", labels, sum);
+        write_sample(out, name, "_count", labels, count);
+    }
 }
 
 /// Render server + storage counters in the Prometheus text exposition
 /// format, one metric per line, ready for a scrape endpoint or a
 /// file-based collector. Counter names follow the convention
-/// `prometheus_{server,storage}_<what>[_total]`; the latency histogram uses
-/// the standard cumulative `_bucket{le=…}` / `_sum` / `_count` triple.
+/// `prometheus_{server,storage,trace}_<what>[_total]`.
 pub fn render_prometheus_exposition(server: &MetricsSnapshot, storage: &StatsSnapshot) -> String {
     let mut out = String::new();
-    let mut counter = |name: &str, help: &str, value: u64| {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} counter");
-        let _ = writeln!(out, "{name} {value}");
-    };
-    counter(
-        "prometheus_server_connections_accepted_total",
-        "Connections handed to the worker pool.",
-        server.connections_accepted,
-    );
-    counter(
-        "prometheus_server_sessions_reaped_total",
-        "Idle sessions closed by the reaper.",
-        server.sessions_reaped,
-    );
-    counter(
-        "prometheus_server_protocol_errors_total",
-        "Frames that failed to decode or out-of-order requests.",
-        server.protocol_errors,
-    );
-    counter(
-        "prometheus_server_db_errors_total",
-        "Requests the database layer rejected.",
-        server.db_errors,
-    );
-    counter(
-        "prometheus_server_units_committed_total",
-        "Units of work committed over the wire.",
-        server.units_committed,
-    );
-    counter(
-        "prometheus_server_units_aborted_total",
-        "Units rolled back on client request.",
-        server.units_aborted,
-    );
-    counter(
-        "prometheus_server_units_rolled_back_on_disconnect_total",
-        "Units rolled back because the connection dropped mid-unit.",
-        server.units_rolled_back_on_disconnect,
-    );
-    counter(
-        "prometheus_server_units_timed_out_total",
-        "Units rolled back at the idle deadline.",
-        server.units_timed_out,
-    );
-    counter(
-        "prometheus_server_plan_cache_hits_total",
-        "Queries answered from the POOL plan cache.",
-        server.plan_cache_hits,
-    );
-    counter(
-        "prometheus_server_plan_cache_misses_total",
-        "Queries that had to parse and plan.",
-        server.plan_cache_misses,
-    );
-    counter(
-        "prometheus_server_parallel_morsels_total",
-        "Work morsels executed by parallel query workers.",
-        server.parallel_morsels,
-    );
-    counter(
-        "prometheus_storage_log_appends_total",
-        "Redo-log records appended.",
-        storage.log_appends,
-    );
-    counter(
-        "prometheus_storage_bytes_written_total",
-        "Bytes appended to the redo log.",
-        storage.bytes_written,
-    );
-    counter(
-        "prometheus_storage_syncs_total",
-        "fsync calls on the redo log.",
-        storage.syncs,
-    );
-    counter(
-        "prometheus_storage_cache_hits_total",
-        "Object-cache hits.",
-        storage.cache_hits,
-    );
-    counter(
-        "prometheus_storage_cache_misses_total",
-        "Object-cache misses.",
-        storage.cache_misses,
-    );
-    counter(
-        "prometheus_storage_commits_total",
-        "Transactions committed.",
-        storage.commits,
-    );
-    counter(
-        "prometheus_storage_aborts_total",
-        "Transactions rolled back.",
-        storage.aborts,
-    );
-    counter(
-        "prometheus_storage_snapshot_swaps_total",
-        "Immutable snapshot publications.",
-        storage.snapshot_swaps,
-    );
-    counter(
-        "prometheus_storage_image_nodes_cloned_total",
-        "Persistent-map nodes path-copied while publishing commits.",
-        storage.image_nodes_cloned,
-    );
-    counter(
-        "prometheus_storage_image_bytes_copied_total",
-        "Bytes copied cloning image nodes (structure only, not payloads).",
-        storage.image_bytes_copied,
-    );
-    counter(
-        "prometheus_storage_units_2pc_total",
-        "Cross-shard units settled with a two-phase prepare/decide round.",
-        storage.units_2pc,
-    );
-
-    let mut gauge = |name: &str, help: &str, value: u64| {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} gauge");
-        let _ = writeln!(out, "{name} {value}");
-    };
-    gauge(
-        "prometheus_server_connections_active",
-        "Sessions currently being served.",
-        server.connections_active,
-    );
-    gauge(
-        "prometheus_server_accept_queue_depth",
-        "Accepted connections waiting for a free worker (blocking mode) or a ready slot (event mode).",
-        server.accept_queue_depth,
-    );
-    gauge(
-        "prometheus_server_shards",
-        "Writer lanes / shard logs this server runs (1 = unsharded).",
-        server.shards as u64,
-    );
-
-    // Per-shard breakdowns, labelled shard="k". The aggregate counters
-    // above keep their unlabelled names, so single-shard dashboards are
-    // untouched and sharded ones can sum or drill down.
-    if !server.per_shard.is_empty() {
-        type ShardSpec = (
-            &'static str,
-            &'static str,
-            &'static str,
-            fn(&crate::metrics::ShardMetrics) -> u64,
-        );
-        let per_shard: [ShardSpec; 4] = [
-            (
-                "prometheus_server_shard_lane_depth",
-                "Writers holding or queued for this shard's lane.",
-                "gauge",
-                |s| s.lane_depth,
-            ),
-            (
-                "prometheus_storage_shard_snapshot_swaps_total",
-                "Immutable snapshot publications on this shard.",
-                "counter",
-                |s| s.snapshot_swaps,
-            ),
-            (
-                "prometheus_storage_shard_image_bytes_copied_total",
-                "Bytes copied cloning image nodes on this shard.",
-                "counter",
-                |s| s.image_bytes_copied,
-            ),
-            (
-                "prometheus_storage_shard_units_2pc_total",
-                "Two-phase units this shard participated in.",
-                "counter",
-                |s| s.units_2pc,
-            ),
-        ];
-        for (name, help, kind, value) in per_shard {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} {kind}");
-            for (k, s) in server.per_shard.iter().enumerate() {
-                let _ = writeln!(out, "{name}{{shard=\"{k}\"}} {}", value(s));
-            }
-        }
-    }
-
-    let _ = writeln!(
-        out,
-        "# HELP prometheus_server_requests_total Requests processed, by kind."
-    );
-    let _ = writeln!(out, "# TYPE prometheus_server_requests_total counter");
-    for (kind, n) in &server.requests_by_kind {
-        let _ = writeln!(
-            out,
-            "prometheus_server_requests_total{{kind=\"{kind}\"}} {n}"
+    for series in server.series().chain(storage.series()) {
+        let Some(kind) = series.kind.scraped_as() else {
+            continue;
+        };
+        write_family(
+            &mut out,
+            series.name,
+            series.help,
+            kind,
+            [(Vec::new(), series.value)],
         );
     }
+
+    // Per-shard breakdowns, labelled shard="k". The aggregates above keep
+    // their unlabelled names, so single-shard dashboards are untouched and
+    // sharded ones can sum or drill down.
+    type ShardFamily = (
+        &'static str,
+        &'static str,
+        &'static str,
+        fn(&ShardMetrics) -> u64,
+    );
+    let per_shard: [ShardFamily; 4] = [
+        (
+            "prometheus_server_shard_lane_depth",
+            "Writers holding or queued for this shard's lane.",
+            "gauge",
+            |s| s.lane_depth,
+        ),
+        (
+            "prometheus_storage_shard_snapshot_swaps_total",
+            "Immutable snapshot publications on this shard.",
+            "counter",
+            |s| s.snapshot_swaps,
+        ),
+        (
+            "prometheus_storage_shard_image_bytes_copied_total",
+            "Bytes copied cloning image nodes on this shard.",
+            "counter",
+            |s| s.image_bytes_copied,
+        ),
+        (
+            "prometheus_storage_shard_units_2pc_total",
+            "Two-phase units this shard participated in.",
+            "counter",
+            |s| s.units_2pc,
+        ),
+    ];
+    let shard_ids: Vec<String> = (0..server.per_shard.len()).map(|k| k.to_string()).collect();
+    for (name, help, kind, value) in per_shard {
+        let rows = server.per_shard.iter().zip(&shard_ids);
+        write_family(
+            &mut out,
+            name,
+            help,
+            kind,
+            rows.map(|(s, k)| (vec![("shard", k.as_str())], value(s))),
+        );
+    }
+
+    write_family(
+        &mut out,
+        "prometheus_server_requests_total",
+        "Requests processed, by kind.",
+        "counter",
+        server
+            .requests_by_kind
+            .iter()
+            .map(|(kind, n)| (vec![("kind", kind.as_str())], *n)),
+    );
 
     let hist = &server.latency;
-    let _ = writeln!(
-        out,
-        "# HELP prometheus_server_request_latency_us Per-request wall-clock latency (µs)."
+    write_histograms(
+        &mut out,
+        "prometheus_server_request_latency_us",
+        "Per-request wall-clock latency (µs).",
+        [(
+            None,
+            &hist.bounds_us[..],
+            &hist.counts[..],
+            hist.sum_us,
+            hist.count,
+        )],
     );
-    let _ = writeln!(out, "# TYPE prometheus_server_request_latency_us histogram");
-    let mut cumulative = 0u64;
-    for (i, &n) in hist.counts.iter().enumerate() {
-        cumulative += n;
-        match hist.bounds_us.get(i) {
-            Some(bound) => {
-                let _ = writeln!(
-                    out,
-                    "prometheus_server_request_latency_us_bucket{{le=\"{bound}\"}} {cumulative}"
-                );
-            }
-            None => {
-                let _ = writeln!(
-                    out,
-                    "prometheus_server_request_latency_us_bucket{{le=\"+Inf\"}} {cumulative}"
-                );
-            }
-        }
-    }
-    let _ = writeln!(
-        out,
-        "prometheus_server_request_latency_us_sum {}",
-        hist.sum_us
+    write_histograms(
+        &mut out,
+        "prometheus_server_request_class_latency_us",
+        "Request latency (µs) by request class.",
+        server.latency_by_class.iter().map(|(class, h)| {
+            let label = Some(("class", class.as_str()));
+            (label, &h.bounds_us[..], &h.counts[..], h.sum_us, h.count)
+        }),
     );
-    let _ = writeln!(
-        out,
-        "prometheus_server_request_latency_us_count {}",
-        hist.count
-    );
-
-    if !server.latency_by_class.is_empty() {
-        let _ = writeln!(
-            out,
-            "# HELP prometheus_server_request_class_latency_us Request latency (µs) by request class."
-        );
-        let _ = writeln!(
-            out,
-            "# TYPE prometheus_server_request_class_latency_us histogram"
-        );
-        for (class, hist) in &server.latency_by_class {
-            let mut cumulative = 0u64;
-            for (i, &n) in hist.counts.iter().enumerate() {
-                cumulative += n;
-                let le = match hist.bounds_us.get(i) {
-                    Some(bound) => bound.to_string(),
-                    None => "+Inf".into(),
-                };
-                let _ = writeln!(
-                    out,
-                    "prometheus_server_request_class_latency_us_bucket{{class=\"{class}\",le=\"{le}\"}} {cumulative}"
-                );
-            }
-            let _ = writeln!(
-                out,
-                "prometheus_server_request_class_latency_us_sum{{class=\"{class}\"}} {}",
-                hist.sum_us
-            );
-            let _ = writeln!(
-                out,
-                "prometheus_server_request_class_latency_us_count{{class=\"{class}\"}} {}",
-                hist.count
-            );
-        }
-    }
-
-    // Process self-metrics: when the server started, how long it has been
-    // up, and what build is running. `build_info` follows the Prometheus
-    // convention of a constant `1` gauge whose labels carry the versions.
-    let _ = writeln!(
-        out,
-        "# HELP prometheus_server_start_time_seconds Unix time the server started."
-    );
-    let _ = writeln!(out, "# TYPE prometheus_server_start_time_seconds gauge");
-    let _ = writeln!(
-        out,
-        "prometheus_server_start_time_seconds {}",
-        server.start_unix_s
-    );
-    let _ = writeln!(
-        out,
-        "# HELP prometheus_server_uptime_seconds Seconds since the server started."
-    );
-    let _ = writeln!(out, "# TYPE prometheus_server_uptime_seconds gauge");
-    let _ = writeln!(out, "prometheus_server_uptime_seconds {}", server.uptime_s);
-    if !server.build_info.is_empty() {
-        let _ = writeln!(
-            out,
-            "# HELP prometheus_server_build_info Constant 1; labels carry crate and protocol versions."
-        );
-        let _ = writeln!(out, "# TYPE prometheus_server_build_info gauge");
-        let labels: Vec<String> = server
-            .build_info
+    // Only stages that have observed a span are emitted, keeping quiet
+    // servers terse.
+    write_histograms(
+        &mut out,
+        "prometheus_trace_stage_duration_us",
+        "Span duration (µs) by pipeline stage.",
+        server
+            .trace_rollups
             .iter()
-            .map(|(k, v)| format!("{k}=\"{v}\""))
-            .collect();
-        let _ = writeln!(
-            out,
-            "prometheus_server_build_info{{{}}} 1",
-            labels.join(",")
-        );
-    }
-
-    // Flight-recorder health: how many span events the recorder has taken,
-    // how many it honestly dropped, and how the bounded trace index is
-    // coping. A rising drop rate means the ring is undersized for the load.
-    write_counter(
-        &mut out,
-        "prometheus_trace_events_written_total",
-        "Span events accepted by the flight recorder.",
-        server.trace_events_written,
-    );
-    write_counter(
-        &mut out,
-        "prometheus_trace_events_dropped_total",
-        "Span events dropped because the recorder ring was contended or full.",
-        server.trace_dropped,
-    );
-    write_counter(
-        &mut out,
-        "prometheus_trace_index_evictions_total",
-        "Trace-index buckets recycled to admit newer traces.",
-        server.trace_index_evictions,
-    );
-    write_counter(
-        &mut out,
-        "prometheus_trace_index_overflows_total",
-        "Span events not indexed because their trace's slot list was full.",
-        server.trace_index_overflows,
+            .filter(|r| r.count > 0)
+            .map(|r| {
+                let label = Some(("stage", r.stage.as_str()));
+                (label, &r.bounds_us[..], &r.counts[..], r.sum_us, r.count)
+            }),
     );
 
-    // Per-stage rollup histograms aggregated lock-free from span events:
-    // one `{stage=…}` family over fixed µs bounds. Only stages that have
-    // observed at least one span are emitted, keeping quiet servers terse.
-    let live: Vec<_> = server
-        .trace_rollups
+    // `build_info` follows the Prometheus convention of a constant `1`
+    // gauge whose labels carry the versions.
+    let build: Vec<(&str, &str)> = server
+        .build_info
         .iter()
-        .filter(|r| r.count > 0)
+        .map(|(k, v)| (k.as_str(), v.as_str()))
         .collect();
-    if !live.is_empty() {
-        let _ = writeln!(
-            out,
-            "# HELP prometheus_trace_stage_duration_us Span duration (µs) by pipeline stage."
-        );
-        let _ = writeln!(out, "# TYPE prometheus_trace_stage_duration_us histogram");
-        for r in live {
-            let stage = &r.stage;
-            let mut cumulative = 0u64;
-            for (i, &n) in r.counts.iter().enumerate() {
-                cumulative += n;
-                let le = match r.bounds_us.get(i) {
-                    Some(bound) => bound.to_string(),
-                    None => "+Inf".into(),
-                };
-                let _ = writeln!(
-                    out,
-                    "prometheus_trace_stage_duration_us_bucket{{stage=\"{stage}\",le=\"{le}\"}} {cumulative}"
-                );
-            }
-            let _ = writeln!(
-                out,
-                "prometheus_trace_stage_duration_us_sum{{stage=\"{stage}\"}} {}",
-                r.sum_us
-            );
-            let _ = writeln!(
-                out,
-                "prometheus_trace_stage_duration_us_count{{stage=\"{stage}\"}} {}",
-                r.count
-            );
-        }
-    }
+    write_family(
+        &mut out,
+        "prometheus_server_build_info",
+        "Constant 1; labels carry crate and protocol versions.",
+        "gauge",
+        (!build.is_empty()).then_some((build, 1)),
+    );
 
-    if !server.replication.is_empty() {
-        type GaugeSpec = (
-            &'static str,
-            &'static str,
-            fn(&crate::metrics::FollowerLag) -> u64,
+    type FollowerFamily = (&'static str, &'static str, fn(&FollowerLag) -> u64);
+    let per_follower: [FollowerFamily; 3] = [
+        (
+            "prometheus_server_replication_follower_lag_bytes",
+            "Committed redo-log bytes a follower has not pulled yet.",
+            |f| f.lag_bytes,
+        ),
+        (
+            "prometheus_server_replication_follower_next_offset",
+            "The log offset a follower will poll next.",
+            |f| f.next_offset,
+        ),
+        (
+            "prometheus_server_replication_follower_last_poll_age_us",
+            "Micros since a follower last polled; large means it is gone.",
+            |f| f.last_poll_age_us,
+        ),
+    ];
+    let follower_shards: Vec<String> = server
+        .replication
+        .iter()
+        .map(|f| f.shard.to_string())
+        .collect();
+    for (name, help, value) in per_follower {
+        let rows = server.replication.iter().zip(&follower_shards);
+        write_family(
+            &mut out,
+            name,
+            help,
+            "gauge",
+            rows.map(|(f, shard)| {
+                let labels = vec![("follower", f.follower.as_str()), ("shard", shard.as_str())];
+                (labels, value(f))
+            }),
         );
-        let gauges: [GaugeSpec; 3] = [
-            (
-                "prometheus_server_replication_follower_lag_bytes",
-                "Committed redo-log bytes a follower has not pulled yet.",
-                |f| f.lag_bytes,
-            ),
-            (
-                "prometheus_server_replication_follower_next_offset",
-                "The log offset a follower will poll next.",
-                |f| f.next_offset,
-            ),
-            (
-                "prometheus_server_replication_follower_last_poll_age_us",
-                "Micros since a follower last polled; large means it is gone.",
-                |f| f.last_poll_age_us,
-            ),
-        ];
-        for (name, help, value) in gauges {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} gauge");
-            for f in &server.replication {
-                let _ = writeln!(
-                    out,
-                    "{name}{{follower=\"{}\",shard=\"{}\"}} {}",
-                    f.follower,
-                    f.shard,
-                    value(f)
-                );
-            }
-        }
     }
     out
 }
@@ -444,7 +279,8 @@ pub fn render_prometheus_exposition(server: &MetricsSnapshot, storage: &StatsSna
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{FollowerLag, LATENCY_BOUNDS_US, LATENCY_BUCKETS};
+    use crate::metrics::{LATENCY_BOUNDS_US, LATENCY_BUCKETS};
+    use std::collections::HashMap;
 
     #[test]
     fn exposition_renders_counters_and_histogram() {
@@ -477,13 +313,13 @@ mod tests {
         }];
         server.shards = 2;
         server.per_shard = vec![
-            crate::metrics::ShardMetrics {
+            ShardMetrics {
                 lane_depth: 1,
                 snapshot_swaps: 7,
                 image_bytes_copied: 64,
                 units_2pc: 2,
             },
-            crate::metrics::ShardMetrics {
+            ShardMetrics {
                 lane_depth: 0,
                 snapshot_swaps: 3,
                 image_bytes_copied: 32,
@@ -555,6 +391,8 @@ mod tests {
             shards: 2,
             start_unix_s: 1_700_000_000,
             uptime_s: 3_600,
+            // Fixture labels, pinned by the golden file — not the live
+            // crate or protocol version.
             build_info: vec![
                 ("version".into(), "0.1.0".into()),
                 ("protocol".into(), "8".into()),
@@ -571,13 +409,13 @@ mod tests {
         server.latency.count = 9;
         server.latency.sum_us = 450;
         server.per_shard = vec![
-            crate::metrics::ShardMetrics {
+            ShardMetrics {
                 lane_depth: 1,
                 snapshot_swaps: 6,
                 image_bytes_copied: 640,
                 units_2pc: 3,
             },
-            crate::metrics::ShardMetrics {
+            ShardMetrics {
                 lane_depth: 0,
                 snapshot_swaps: 5,
                 image_bytes_copied: 320,
@@ -633,20 +471,32 @@ mod tests {
         (server, storage)
     }
 
-    /// Satellite 1: every exposed series has `# HELP` and `# TYPE` lines,
-    /// verified by actually parsing the exposition rather than spot checks.
-    /// The parser enforces the text-format grammar: HELP before TYPE, TYPE
-    /// before samples, valid metric kinds, histogram suffix rules, and no
-    /// sample without a preceding family declaration.
-    #[test]
-    fn every_series_is_declared_with_help_and_type() {
-        use std::collections::HashMap;
-        let (server, storage) = full_snapshots();
-        let text = render_prometheus_exposition(&server, &storage);
+    /// Split a sample line into its series (name plus any `{…}` label
+    /// block, scanned quote- and escape-aware so a label value may hold
+    /// spaces, braces or escaped quotes) and its value.
+    fn split_sample(line: &str) -> (&str, &str) {
+        let mut in_quotes = false;
+        let mut escaped = false;
+        for (i, c) in line.char_indices() {
+            match c {
+                _ if escaped => escaped = false,
+                '\\' if in_quotes => escaped = true,
+                '"' => in_quotes = !in_quotes,
+                ' ' if !in_quotes => return (&line[..i], &line[i + 1..]),
+                _ => {}
+            }
+        }
+        panic!("sample without a value: {line}");
+    }
 
+    /// Parse an exposition, enforcing the text-format grammar — HELP before
+    /// TYPE, TYPE before samples, valid metric kinds, histogram suffix
+    /// rules, no sample without a preceding family declaration, no family
+    /// declared and never sampled — and return each family's type and its
+    /// sampled series.
+    fn parse_exposition(text: &str) -> HashMap<String, (String, Vec<String>)> {
         let mut helped: HashMap<String, bool> = HashMap::new(); // name -> typed?
-        let mut types: HashMap<String, String> = HashMap::new();
-        let mut sampled: Vec<String> = Vec::new();
+        let mut families: HashMap<String, (String, Vec<String>)> = HashMap::new();
         for line in text.lines() {
             assert!(!line.trim().is_empty(), "blank line in exposition");
             if let Some(rest) = line.strip_prefix("# HELP ") {
@@ -673,12 +523,9 @@ mod tests {
                     "TYPE without preceding HELP (or duplicate TYPE): {name}"
                 );
                 helped.insert(name.to_string(), true);
-                types.insert(name.to_string(), kind.to_string());
+                families.insert(name.to_string(), (kind.to_string(), Vec::new()));
             } else {
-                let mut parts = line.split_whitespace();
-                let series = parts.next().expect("sample has a series");
-                let value = parts.next().expect("sample has a value");
-                assert!(parts.next().is_none(), "trailing tokens: {line}");
+                let (series, value) = split_sample(line);
                 value.parse::<f64>().expect("sample value is numeric");
                 let base = series.split('{').next().unwrap();
                 // Histogram samples attach _bucket/_sum/_count to the family.
@@ -686,28 +533,34 @@ mod tests {
                     .iter()
                     .find_map(|suf| base.strip_suffix(suf))
                     .filter(|stripped| {
-                        types.get(*stripped).map(String::as_str) == Some("histogram")
+                        families.get(*stripped).map(|f| f.0.as_str()) == Some("histogram")
                     })
                     .unwrap_or(base);
-                assert_eq!(
-                    helped.get(family),
-                    Some(&true),
-                    "sample without HELP+TYPE declaration: {line}"
-                );
-                if types[family] != "histogram" {
+                let Some((kind, sampled)) = families.get_mut(family) else {
+                    panic!("sample without HELP+TYPE declaration: {line}");
+                };
+                if kind != "histogram" {
                     assert_eq!(base, family, "suffix on non-histogram series: {line}");
                 }
-                sampled.push(family.to_string());
+                sampled.push(series.to_string());
             }
         }
-        // No family is declared and then never sampled.
-        for name in helped.keys() {
+        for (name, typed) in &helped {
+            assert!(typed, "HELP without TYPE: {name}");
             assert!(
-                sampled.iter().any(|s| s == name),
+                !families[name].1.is_empty(),
                 "family {name} declared but has no samples"
             );
         }
-        // Sanity: the families this PR added are all present.
+        families
+    }
+
+    /// Every exposed series has `# HELP` and `# TYPE` lines, verified by
+    /// actually parsing the exposition rather than spot checks.
+    #[test]
+    fn every_series_is_declared_with_help_and_type() {
+        let (mut server, storage) = full_snapshots();
+        let families = parse_exposition(&render_prometheus_exposition(&server, &storage));
         for required in [
             "prometheus_server_start_time_seconds",
             "prometheus_server_uptime_seconds",
@@ -718,11 +571,70 @@ mod tests {
             "prometheus_trace_index_overflows_total",
             "prometheus_trace_stage_duration_us",
         ] {
-            assert!(types.contains_key(required), "missing family {required}");
+            assert!(families.contains_key(required), "missing family {required}");
         }
+
+        // A follower's name is a string off the socket, and `build_info`
+        // values take the same path: one that tries to close its quotes and
+        // append a sample of its own must come out as one escaped label.
+        let hostile = "x\"} 1\nforged_total{a=\"\\";
+        server.replication[0].follower = hostile.into();
+        server.build_info[0].1 = hostile.into();
+        let text = render_prometheus_exposition(&server, &storage);
+        let families = parse_exposition(&text);
+        assert!(!families.contains_key("forged_total"));
+        assert!(!text.lines().any(|l| l.starts_with("forged_total")));
+        let escaped = r#"x\"} 1\nforged_total{a=\"\\"#;
+        assert_eq!(
+            families["prometheus_server_replication_follower_lag_bytes"].1,
+            [format!(
+                "prometheus_server_replication_follower_lag_bytes\
+                 {{follower=\"{escaped}\",shard=\"1\"}}"
+            )]
+        );
+        assert_eq!(
+            families["prometheus_server_build_info"].1,
+            [format!(
+                "prometheus_server_build_info{{version=\"{escaped}\",protocol=\"8\"}}"
+            )]
+        );
+        assert_eq!(
+            text.lines().count(),
+            render_prometheus_exposition(&full_snapshots().0, &storage)
+                .lines()
+                .count(),
+            "a hostile label adds no line"
+        );
     }
 
-    /// Satellite 4: golden-file test. The exposition of a fixed snapshot is
+    /// What the table promises: every `series()` row of both tables is in
+    /// the exposition exactly once, under the row's own name, help and
+    /// kind, and the whole snapshot pair survives the wire.
+    #[test]
+    fn every_table_row_is_exposed_once_and_survives_the_wire() {
+        use prometheus_storage::codec;
+        let (server, storage) = full_snapshots();
+        let text = render_prometheus_exposition(&server, &storage);
+        let families = parse_exposition(&text);
+        for row in server.series().chain(storage.series()) {
+            let Some(kind) = row.kind.scraped_as() else {
+                assert!(!families.contains_key(row.name), "{} is scraped", row.name);
+                continue;
+            };
+            let (exposed_as, sampled) = &families[row.name];
+            assert_eq!(exposed_as, kind, "{}", row.name);
+            assert_eq!(sampled, &[row.name.to_string()], "sampled once, unlabelled");
+            assert!(text.contains(&format!("# HELP {} {}\n", row.name, row.help)));
+            assert!(text.contains(&format!("\n{} {}\n", row.name, row.value)));
+        }
+
+        let back: MetricsSnapshot = codec::from_bytes(&codec::to_bytes(&server).unwrap()).unwrap();
+        assert_eq!(back, server);
+        let back: StatsSnapshot = codec::from_bytes(&codec::to_bytes(&storage).unwrap()).unwrap();
+        assert_eq!(back, storage);
+    }
+
+    /// Golden-file test. The exposition of a fixed snapshot is
     /// byte-for-byte stable — ordering included — so dashboards and scrape
     /// configs never see series silently renamed or reordered. Regenerate
     /// with `UPDATE_GOLDEN=1 cargo test -p prometheus-server golden`.

@@ -80,10 +80,11 @@ pub use error::{ErrorKind, ServerError, ServerResult};
 pub use exposition::render_prometheus_exposition;
 pub use frame::{FrameDecoder, FrameEncoder, MAX_FRAME_LEN};
 pub use lane::{LaneGuard, OwnedLaneGuard, TicketLane};
-pub use metrics::{FollowerLag, LatencyHistogram, MetricsSnapshot, ServerMetrics, REQUEST_CLASSES};
+pub use metrics::{FollowerLag, LatencyHistogram, MetricsSnapshot, ServerMetrics};
 pub use prometheus_trace::{render_tree, Recorder, Stage, StageRollup, TraceEvent, TraceId};
 pub use protocol::{
     MutationOp, ReplicaStatusInfo, Request, Response, TraceSpan, WireRows, PROTOCOL_VERSION,
+    REQUEST_CLASSES,
 };
 pub use replica::{ReplicaInfo, ReplicaStatusCell};
 pub use server::{serve, ServerConfig, ServerConfigBuilder, ServerHandle};

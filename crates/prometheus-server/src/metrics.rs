@@ -1,12 +1,14 @@
-//! Server-side operation counters and latency histogram.
+//! Server-side operation counters and latency histograms.
 //!
 //! Extends the `Stats`/`StatsSnapshot` pattern of `prometheus-storage` one
 //! layer up: lock-free atomics bumped on the hot path, and a plain-data,
 //! serialisable [`MetricsSnapshot`] that the `stats` wire request returns so
-//! any client (the load generator, an operator's REPL) can observe a live
-//! server.
+//! any client (the benchmark, an operator's REPL) can observe a live
+//! server. Every scalar is one row of the `counter_table!` below — adding
+//! one touches neither the exposition nor the protocol.
 
-use prometheus_pool::ExecStatsSnapshot;
+use crate::protocol::{KINDS, REQUEST_CLASSES};
+use prometheus_trace::StageRollup;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -21,92 +23,115 @@ pub const LATENCY_BOUNDS_US: [u64; 9] =
 /// Number of histogram buckets (bounds + overflow).
 pub const LATENCY_BUCKETS: usize = LATENCY_BOUNDS_US.len() + 1;
 
-/// Request kinds tracked per-counter; mirrors `Request::kind_name`.
-pub const REQUEST_KINDS: [&str; 19] = [
-    "hello",
-    "ping",
-    "query",
-    "set_context",
-    "install_pcl",
-    "unit_begin",
-    "unit_op",
-    "unit_commit",
-    "unit_abort",
-    "unit_batch",
-    "compact",
-    "stats",
-    "trace",
-    "slow_log",
-    "shutdown",
-    "bye",
-    "replica_poll",
-    "replica_status",
-    "trace_get",
-];
+/// Most `(follower, shard)` cursors the primary remembers. The name is a
+/// string off the socket, so without a bound any client could grow the
+/// table — and every scrape — for ever; past it the stalest poll is evicted.
+pub const MAX_FOLLOWER_CURSORS: usize = 256;
 
-/// Coarse request classes, each with its own latency histogram: a query's
-/// latency profile and a replication poll's have nothing in common, and one
-/// merged histogram hides both.
-pub const REQUEST_CLASSES: [&str; 5] = ["query", "unit", "observability", "replication", "other"];
-
-/// Map a request kind (by `Request::kind_name`) to its [`REQUEST_CLASSES`]
-/// index.
-pub fn class_of_kind(kind_name: &str) -> usize {
-    match kind_name {
-        "query" => 0,
-        "install_pcl" | "unit_begin" | "unit_op" | "unit_commit" | "unit_abort" | "unit_batch" => 1,
-        "stats" | "trace" | "slow_log" | "trace_get" => 2,
-        "replica_poll" | "replica_status" => 3,
-        _ => 4,
+prometheus_trace::counter_table! {
+    /// Shared, lock-free counters for one running server.
+    ///
+    /// A row whose value lives with another owner (the executor's plan-cache
+    /// counters, the recorder's health counters, the process gauges) has an
+    /// atomic here that nothing bumps: `server.rs::metrics_snapshot` sets
+    /// the snapshot's field from that owner.
+    #[derive(Debug, Default)]
+    pub struct ServerMetrics {
+        /// Requests processed, by [`KINDS`] index.
+        requests: [AtomicU64; KINDS.len()],
+        /// Per-request wall-clock latency, all kinds merged.
+        latency: HistogramCells,
+        /// The same, per [`REQUEST_CLASSES`] index.
+        class_latency: [HistogramCells; REQUEST_CLASSES.len()],
+        /// Replication followers by (name, shard): cursor and horizon at
+        /// their last poll of that shard's log. Cold path (one update per
+        /// poll), so a plain mutex is fine here.
+        followers: Mutex<HashMap<(String, u32), FollowerTrack>>,
     }
+    /// Plain-data snapshot of [`ServerMetrics`]; crosses the wire in
+    /// `Response::Stats`.
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct MetricsSnapshot {
+        pub requests_by_kind: Vec<(String, u64)>,
+        pub latency: LatencyHistogram,
+        /// Per-request-class latency histograms, in [`REQUEST_CLASSES`]
+        /// order.
+        pub latency_by_class: Vec<(String, LatencyHistogram)>,
+        /// Per-follower replication lag as of each follower's last poll,
+        /// sorted by (follower name, shard); empty when nothing replicates.
+        pub replication: Vec<FollowerLag>,
+        /// One entry per shard in shard order. The scalars here and in the
+        /// storage snapshot are totals across shards; these break the
+        /// contended ones down.
+        pub per_shard: Vec<ShardMetrics>,
+        /// Build identity as (key, value) label pairs — crate and protocol
+        /// version — for the `build_info` gauge.
+        pub build_info: Vec<(String, String)>,
+        /// Flight-recorder per-stage rollup histograms, in `Stage::ALL`
+        /// order; empty when tracing is disabled.
+        pub trace_rollups: Vec<StageRollup>,
+    }
+    series {
+        connections_accepted: Counter, "prometheus_server_connections_accepted_total", "Connections handed to the worker pool.";
+        connections_active: Gauge, "prometheus_server_connections_active", "Sessions currently being served.";
+        /// A persistently non-zero gauge means the worker pool is the
+        /// bottleneck.
+        accept_queue_depth: Gauge, "prometheus_server_accept_queue_depth", "Accepted connections waiting for a free worker (blocking mode) or a ready slot (event mode).";
+        /// [`crate::ServerConfig::idle_timeout`]: socket closed, any open
+        /// unit rolled back.
+        sessions_reaped: Counter, "prometheus_server_sessions_reaped_total", "Idle sessions closed by the reaper.";
+        protocol_errors: Counter, "prometheus_server_protocol_errors_total", "Frames that failed to decode or out-of-order requests.";
+        db_errors: Counter, "prometheus_server_db_errors_total", "Requests the database layer rejected.";
+        units_committed: Counter, "prometheus_server_units_committed_total", "Units of work committed over the wire.";
+        units_aborted: Counter, "prometheus_server_units_aborted_total", "Units rolled back on client request.";
+        units_rolled_back_on_disconnect: Counter, "prometheus_server_units_rolled_back_on_disconnect_total", "Units rolled back because the connection dropped mid-unit.";
+        /// The client sat silent past the idle deadline while holding the
+        /// writer lane.
+        units_timed_out: Counter, "prometheus_server_units_timed_out_total", "Units rolled back at the idle deadline.";
+        plan_cache_hits: Counter, "prometheus_server_plan_cache_hits_total", "Queries answered from the POOL plan cache.";
+        /// Cold, evicted, or the schema version moved under the cached plan.
+        plan_cache_misses: Counter, "prometheus_server_plan_cache_misses_total", "Queries that had to parse and plan.";
+        /// Candidate filters, outer join loops and traversal frontiers.
+        parallel_morsels: Counter, "prometheus_server_parallel_morsels_total", "Work morsels executed by parallel query workers.";
+        shards: Gauge, "prometheus_server_shards", "Writer lanes / shard logs this server runs (1 = unsharded).";
+        start_unix_s: Gauge, "prometheus_server_start_time_seconds", "Unix time the server started.";
+        uptime_s: Gauge, "prometheus_server_uptime_seconds", "Seconds since the server started.";
+        trace_events_written: Counter, "prometheus_trace_events_written_total", "Span events accepted by the flight recorder.";
+        /// A rising rate means the ring is undersized for the load.
+        trace_dropped: Counter, "prometheus_trace_events_dropped_total", "Span events dropped because the recorder ring was contended or full.";
+        trace_index_evictions: Counter, "prometheus_trace_index_evictions_total", "Trace-index buckets recycled to admit newer traces.";
+        trace_index_overflows: Counter, "prometheus_trace_index_overflows_total", "Span events not indexed because their trace's slot list was full.";
+    }
+    fill ServerMetrics::fill;
 }
 
-/// Shared, lock-free counters for one running server.
+/// One latency histogram's cells.
 #[derive(Debug, Default)]
-pub struct ServerMetrics {
-    /// Connections the accept loop has handed to the worker pool.
-    pub connections_accepted: AtomicU64,
-    /// Sessions currently being served.
-    pub connections_active: AtomicU64,
-    /// Accepted connections (blocking mode) or ready connections (event
-    /// mode) currently queued for a worker. A persistently non-zero gauge
-    /// means the worker pool is the bottleneck — accepted-but-unserved
-    /// sessions used to wait here invisibly.
-    pub accept_queued: AtomicU64,
-    /// Sessions closed by the idle-connection reaper
-    /// ([`crate::ServerConfig::idle_timeout`]): socket closed, any open unit
-    /// rolled back.
-    pub sessions_reaped: AtomicU64,
-    /// Requests processed, by kind (indexes follow [`REQUEST_KINDS`]).
-    requests: [AtomicU64; REQUEST_KINDS.len()],
-    /// Frames that failed to decode, or out-of-order requests.
-    pub protocol_errors: AtomicU64,
-    /// Requests the database layer rejected.
-    pub db_errors: AtomicU64,
-    /// Units of work committed over the wire.
-    pub units_committed: AtomicU64,
-    /// Units rolled back on client request (`UnitAbort`).
-    pub units_aborted: AtomicU64,
-    /// Units rolled back because the connection dropped mid-unit.
-    pub units_rolled_back_on_disconnect: AtomicU64,
-    /// Units rolled back because the client sat silent past the idle
-    /// deadline while holding the writer lane.
-    pub units_timed_out: AtomicU64,
-    /// Per-request wall-clock latency histogram (all kinds merged).
-    latency: [AtomicU64; LATENCY_BUCKETS],
-    /// Total requests timed (histogram population).
-    pub latency_count: AtomicU64,
-    /// Sum of all request latencies, µs (for the mean).
-    pub latency_sum_us: AtomicU64,
-    /// Per-class latency histograms (indexes follow [`REQUEST_CLASSES`]).
-    class_latency: [[AtomicU64; LATENCY_BUCKETS]; REQUEST_CLASSES.len()],
-    class_count: [AtomicU64; REQUEST_CLASSES.len()],
-    class_sum_us: [AtomicU64; REQUEST_CLASSES.len()],
-    /// Replication followers by (name, shard): cursor and horizon at their
-    /// last poll of that shard's log, for per-follower lag in `stats` and
-    /// the prometheus exposition. Cold path (one update per poll), so a
-    /// plain mutex is fine here.
-    followers: Mutex<HashMap<(String, u32), FollowerTrack>>,
+struct HistogramCells {
+    counts: [AtomicU64; LATENCY_BUCKETS],
+    count: AtomicU64,
+    sum_us: AtomicU64,
+}
+
+impl HistogramCells {
+    fn observe(&self, bucket: usize, us: u64) {
+        self.counts[bucket].fetch_add(1, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.sum_us.fetch_add(us, Ordering::Relaxed);
+    }
+
+    fn snapshot(&self) -> LatencyHistogram {
+        LatencyHistogram {
+            bounds_us: LATENCY_BOUNDS_US.to_vec(),
+            counts: self
+                .counts
+                .iter()
+                .map(|c| c.load(Ordering::Relaxed))
+                .collect(),
+            count: self.count.load(Ordering::Relaxed),
+            sum_us: self.sum_us.load(Ordering::Relaxed),
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -117,35 +142,38 @@ struct FollowerTrack {
 }
 
 impl ServerMetrics {
-    /// Count one request of the given kind (by `Request::kind_name`).
-    pub fn count_request(&self, kind_name: &str) {
-        if let Some(i) = REQUEST_KINDS.iter().position(|k| *k == kind_name) {
-            self.requests[i].fetch_add(1, Ordering::Relaxed);
-        }
+    /// Count one request of the given kind ([`crate::Request::kind`]).
+    pub fn count_request(&self, kind: usize) {
+        self.requests[kind].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record one request's wall-clock latency, both in the merged histogram
-    /// and in the request-class histogram `kind_name` maps to.
-    pub fn record_latency_us(&self, kind_name: &str, us: u64) {
-        let idx = LATENCY_BOUNDS_US
+    /// and in the histogram of the class `kind` belongs to.
+    pub fn record_latency_us(&self, kind: usize, us: u64) {
+        let bucket = LATENCY_BOUNDS_US
             .iter()
             .position(|&bound| us <= bound)
             .unwrap_or(LATENCY_BUCKETS - 1);
-        self.latency[idx].fetch_add(1, Ordering::Relaxed);
-        self.latency_count.fetch_add(1, Ordering::Relaxed);
-        self.latency_sum_us.fetch_add(us, Ordering::Relaxed);
-        let class = class_of_kind(kind_name);
-        self.class_latency[class][idx].fetch_add(1, Ordering::Relaxed);
-        self.class_count[class].fetch_add(1, Ordering::Relaxed);
-        self.class_sum_us[class].fetch_add(us, Ordering::Relaxed);
+        self.latency.observe(bucket, us);
+        self.class_latency[KINDS[kind].1].observe(bucket, us);
     }
 
     /// Record a replication follower's poll of one shard's log: its cursor
     /// after the batch and the committed horizon it was served against.
     pub fn record_follower_poll(&self, follower: &str, shard: u32, next_offset: u64, log_len: u64) {
         let mut followers = self.followers.lock().expect("follower map poisoned");
+        let key = (follower.to_string(), shard);
+        if followers.len() >= MAX_FOLLOWER_CURSORS && !followers.contains_key(&key) {
+            let stalest = followers
+                .iter()
+                .min_by_key(|(_, track)| track.last_poll)
+                .map(|(key, _)| key.clone());
+            if let Some(stalest) = stalest {
+                followers.remove(&stalest);
+            }
+        }
         followers.insert(
-            (follower.to_string(), shard),
+            key,
             FollowerTrack {
                 next_offset,
                 log_len,
@@ -154,154 +182,39 @@ impl ServerMetrics {
         );
     }
 
-    /// Capture a point-in-time copy of all counters.
-    ///
-    /// The executor's counters (plan cache, parallel morsels) live with the
-    /// query executor, not here — the caller passes its snapshot in, so a
-    /// wire-ready [`MetricsSnapshot`] can never ship zeroed executor fields
-    /// by accident. Standalone callers (tests, exposition of a metrics-only
-    /// object) pass `&ExecStatsSnapshot::default()`.
-    pub fn snapshot(&self, exec: &ExecStatsSnapshot) -> MetricsSnapshot {
-        MetricsSnapshot {
-            connections_accepted: self.connections_accepted.load(Ordering::Relaxed),
-            connections_active: self.connections_active.load(Ordering::Relaxed),
-            accept_queue_depth: self.accept_queued.load(Ordering::Relaxed),
-            sessions_reaped: self.sessions_reaped.load(Ordering::Relaxed),
-            requests_by_kind: REQUEST_KINDS
-                .iter()
-                .zip(self.requests.iter())
-                .map(|(name, counter)| (name.to_string(), counter.load(Ordering::Relaxed)))
-                .collect(),
-            protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
-            db_errors: self.db_errors.load(Ordering::Relaxed),
-            units_committed: self.units_committed.load(Ordering::Relaxed),
-            units_aborted: self.units_aborted.load(Ordering::Relaxed),
-            units_rolled_back_on_disconnect: self
-                .units_rolled_back_on_disconnect
-                .load(Ordering::Relaxed),
-            units_timed_out: self.units_timed_out.load(Ordering::Relaxed),
-            plan_cache_hits: exec.plan_cache_hits,
-            plan_cache_misses: exec.plan_cache_misses,
-            parallel_morsels: exec.parallel_morsels,
-            latency: LatencyHistogram {
-                bounds_us: LATENCY_BOUNDS_US.to_vec(),
-                counts: self
-                    .latency
-                    .iter()
-                    .map(|c| c.load(Ordering::Relaxed))
-                    .collect(),
-                count: self.latency_count.load(Ordering::Relaxed),
-                sum_us: self.latency_sum_us.load(Ordering::Relaxed),
-            },
-            latency_by_class: REQUEST_CLASSES
-                .iter()
-                .enumerate()
-                .map(|(i, name)| {
-                    (
-                        name.to_string(),
-                        LatencyHistogram {
-                            bounds_us: LATENCY_BOUNDS_US.to_vec(),
-                            counts: self.class_latency[i]
-                                .iter()
-                                .map(|c| c.load(Ordering::Relaxed))
-                                .collect(),
-                            count: self.class_count[i].load(Ordering::Relaxed),
-                            sum_us: self.class_sum_us[i].load(Ordering::Relaxed),
-                        },
-                    )
-                })
-                .collect(),
-            replication: {
-                let followers = self.followers.lock().expect("follower map poisoned");
-                let mut lags: Vec<FollowerLag> = followers
-                    .iter()
-                    .map(|((name, shard), t)| FollowerLag {
-                        follower: name.clone(),
-                        shard: *shard,
-                        next_offset: t.next_offset,
-                        log_len: t.log_len,
-                        lag_bytes: t.log_len.saturating_sub(t.next_offset),
-                        last_poll_age_us: t.last_poll.elapsed().as_micros() as u64,
-                    })
-                    .collect();
-                lags.sort_by(|a, b| (&a.follower, a.shard).cmp(&(&b.follower, b.shard)));
-                lags
-            },
-            shards: 1,
-            per_shard: Vec::new(),
-            start_unix_s: 0,
-            uptime_s: 0,
-            build_info: Vec::new(),
-            trace_rollups: Vec::new(),
-            trace_events_written: 0,
-            trace_dropped: 0,
-            trace_index_evictions: 0,
-            trace_index_overflows: 0,
-        }
+    /// The non-scalar half of [`ServerMetrics::snapshot`]: per-kind counts,
+    /// the histograms and the follower table.
+    fn fill(&self, mut snap: MetricsSnapshot) -> MetricsSnapshot {
+        snap.requests_by_kind = KINDS
+            .iter()
+            .zip(self.requests.iter())
+            .map(|((name, _), counter)| (name.to_string(), counter.load(Ordering::Relaxed)))
+            .collect();
+        snap.latency = self.latency.snapshot();
+        snap.latency_by_class = REQUEST_CLASSES
+            .iter()
+            .zip(self.class_latency.iter())
+            .map(|(name, cells)| (name.to_string(), cells.snapshot()))
+            .collect();
+        let followers = self.followers.lock().expect("follower map poisoned");
+        snap.replication = followers
+            .iter()
+            .map(|((name, shard), t)| FollowerLag {
+                follower: name.clone(),
+                shard: *shard,
+                next_offset: t.next_offset,
+                log_len: t.log_len,
+                lag_bytes: t.log_len.saturating_sub(t.next_offset),
+                last_poll_age_us: t.last_poll.elapsed().as_micros() as u64,
+            })
+            .collect();
+        snap.replication
+            .sort_by(|a, b| (&a.follower, a.shard).cmp(&(&b.follower, b.shard)));
+        snap
     }
 }
 
-/// Plain-data snapshot of [`ServerMetrics`]; crosses the wire in
-/// `Response::Stats`.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-pub struct MetricsSnapshot {
-    pub connections_accepted: u64,
-    pub connections_active: u64,
-    /// Connections queued for a worker at snapshot time (protocol v6).
-    pub accept_queue_depth: u64,
-    /// Sessions closed by the idle-connection reaper (protocol v6).
-    pub sessions_reaped: u64,
-    pub requests_by_kind: Vec<(String, u64)>,
-    pub protocol_errors: u64,
-    pub db_errors: u64,
-    pub units_committed: u64,
-    pub units_aborted: u64,
-    pub units_rolled_back_on_disconnect: u64,
-    pub units_timed_out: u64,
-    /// Pinned queries answered from the POOL plan cache (protocol v2).
-    pub plan_cache_hits: u64,
-    /// Pinned queries that had to parse and plan: cold, evicted, or the
-    /// schema version moved under the cached plan (protocol v2).
-    pub plan_cache_misses: u64,
-    /// Work morsels executed by parallel query workers — candidate filters,
-    /// outer join loops and traversal frontiers (protocol v2).
-    pub parallel_morsels: u64,
-    pub latency: LatencyHistogram,
-    /// Per-request-class latency histograms, in [`REQUEST_CLASSES`] order
-    /// (protocol v4).
-    pub latency_by_class: Vec<(String, LatencyHistogram)>,
-    /// Per-follower replication lag as of each follower's last poll, sorted
-    /// by (follower name, shard) (protocol v4; one entry per polled shard
-    /// since v7; empty when nothing replicates).
-    pub replication: Vec<FollowerLag>,
-    /// Number of store shards behind this server (protocol v7).
-    pub shards: u32,
-    /// Per-shard observability, one entry per shard in shard order
-    /// (protocol v7). Aggregate counters above and in the storage snapshot
-    /// are totals across shards; these break the contended ones down.
-    pub per_shard: Vec<ShardMetrics>,
-    /// Server process start time, seconds since the Unix epoch
-    /// (protocol v8).
-    pub start_unix_s: u64,
-    /// Seconds this server has been up at snapshot time (protocol v8).
-    pub uptime_s: u64,
-    /// Build identity as (key, value) label pairs — crate name and version
-    /// — for the `build_info` gauge (protocol v8).
-    pub build_info: Vec<(String, String)>,
-    /// Flight-recorder per-stage rollup histograms, in `Stage::ALL` order;
-    /// empty when tracing is disabled (protocol v8).
-    pub trace_rollups: Vec<prometheus_trace::StageRollup>,
-    /// Span events the trace ring accepted (protocol v8).
-    pub trace_events_written: u64,
-    /// Span events dropped to a lapped-writer collision (protocol v8).
-    pub trace_dropped: u64,
-    /// Trace-index buckets evicted by colliding traces (protocol v8).
-    pub trace_index_evictions: u64,
-    /// Spans recorded past a trace's index capacity (protocol v8).
-    pub trace_index_overflows: u64,
-}
-
-/// One shard's slice of the contended counters (protocol v7).
+/// One shard's slice of the contended counters.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct ShardMetrics {
     /// Sessions queued or holding this shard's writer lane right now.
@@ -320,7 +233,7 @@ pub struct ShardMetrics {
 pub struct FollowerLag {
     /// The follower's self-chosen stable name.
     pub follower: String,
-    /// The member shard this cursor tracks (protocol v7).
+    /// The member shard this cursor tracks.
     pub shard: u32,
     /// Byte cursor the follower will poll from next.
     pub next_offset: u64,
@@ -371,29 +284,11 @@ impl LatencyHistogram {
         }
     }
 
-    /// Histogram-resolution percentile estimate (`p` in `[0, 1]`): the upper
-    /// bound of the bucket containing the p-quantile observation, or `None`
-    /// when that observation fell in the unbounded overflow bucket (or the
-    /// histogram is empty) — the histogram genuinely does not know how slow
-    /// those requests were, and a fabricated number would be worse than an
-    /// honest "over the last bound". Client-side exact measurements (the
-    /// load generator) are preferred for reporting; this is for quick
-    /// server-side introspection.
+    /// [`prometheus_trace::bucket_percentile_us`] over these buckets: quick
+    /// server-side introspection; a client that kept every measurement
+    /// should report its own exact percentiles instead.
     pub fn approx_percentile_us(&self, p: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let rank = ((p.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &n) in self.counts.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                // The last bucket has no upper bound: get() misses and the
-                // estimate is honestly unavailable.
-                return self.bounds_us.get(i).copied();
-            }
-        }
-        None
+        prometheus_trace::bucket_percentile_us(&self.bounds_us, &self.counts, self.count, p)
     }
 }
 
@@ -401,77 +296,18 @@ impl LatencyHistogram {
 mod tests {
     use super::*;
 
-    #[test]
-    fn request_kind_table_matches_protocol() {
-        use crate::protocol::{MutationOp, Request};
-        use prometheus_db::{Oid, Value};
-        // Every Request variant's kind_name must have a metrics slot.
-        let reqs = vec![
-            Request::Hello {
-                version: 1,
-                client: "t".into(),
-            },
-            Request::Ping,
-            Request::Query {
-                pool: String::new(),
-            },
-            Request::SetContext {
-                classification: None,
-            },
-            Request::InstallPcl {
-                source: String::new(),
-            },
-            Request::UnitBegin,
-            Request::UnitOp {
-                op: MutationOp::SetAttr {
-                    oid: Oid::NIL,
-                    attr: String::new(),
-                    value: Value::Null,
-                },
-            },
-            Request::UnitCommit,
-            Request::UnitAbort,
-            Request::UnitBatch { ops: Vec::new() },
-            Request::Compact,
-            Request::Stats,
-            Request::Trace { n: 1 },
-            Request::SlowLog { n: 1 },
-            Request::Shutdown,
-            Request::Bye,
-            Request::ReplicaPoll {
-                follower: String::new(),
-                shard: 0,
-                epoch: 0,
-                offset: 0,
-                max_bytes: 0,
-            },
-            Request::ReplicaStatus,
-            Request::TraceGet {
-                trace_id: prometheus_trace::TraceId::NONE,
-            },
-        ];
-        assert_eq!(reqs.len(), REQUEST_KINDS.len());
-        for r in reqs {
-            assert!(
-                REQUEST_KINDS.contains(&r.kind_name()),
-                "unknown kind {}",
-                r.kind_name()
-            );
-            assert!(
-                class_of_kind(r.kind_name()) < REQUEST_CLASSES.len(),
-                "kind {} has no class",
-                r.kind_name()
-            );
-        }
+    /// A request kind's [`KINDS`] index, by name.
+    fn kind(name: &str) -> usize {
+        KINDS.iter().position(|k| k.0 == name).expect("a kind")
     }
 
     #[test]
     fn latency_buckets_accumulate() {
         let m = ServerMetrics::default();
-        m.record_latency_us("query", 10); // bucket 0 (<=50)
-        m.record_latency_us("query", 80); // bucket 1 (<=100)
-        m.record_latency_us("query", 2_000_000); // overflow
-        let snap = m.snapshot(&ExecStatsSnapshot::default());
+        m.record_latency_us(kind("query"), 10); // bucket 0 (<=50)
+        m.record_latency_us(kind("query"), 80); // bucket 1 (<=100)
+        m.record_latency_us(kind("query"), 2_000_000); // overflow
+        let snap = m.snapshot();
         assert_eq!(snap.latency.count, 3);
         assert_eq!(snap.latency.counts[0], 1);
         assert_eq!(snap.latency.counts[1], 1);
@@ -483,13 +319,13 @@ mod tests {
     #[test]
     fn per_class_histograms_split_by_request_kind() {
         let m = ServerMetrics::default();
-        m.record_latency_us("query", 10);
-        m.record_latency_us("query", 80);
-        m.record_latency_us("unit_batch", 600);
-        m.record_latency_us("replica_poll", 30);
-        m.record_latency_us("trace", 40);
-        m.record_latency_us("ping", 5);
-        let snap = m.snapshot(&ExecStatsSnapshot::default());
+        m.record_latency_us(kind("query"), 10);
+        m.record_latency_us(kind("query"), 80);
+        m.record_latency_us(kind("unit_batch"), 600);
+        m.record_latency_us(kind("replica_poll"), 30);
+        m.record_latency_us(kind("trace"), 40);
+        m.record_latency_us(kind("ping"), 5);
+        let snap = m.snapshot();
         let of = |class: &str| {
             snap.latency_by_class
                 .iter()
@@ -514,7 +350,7 @@ mod tests {
         let m = ServerMetrics::default();
         m.record_follower_poll("replica-b", 0, 100, 400);
         m.record_follower_poll("replica-a", 0, 400, 400);
-        let snap = m.snapshot(&ExecStatsSnapshot::default());
+        let snap = m.snapshot();
         assert_eq!(snap.replication.len(), 2);
         // Sorted by (follower, shard) for stable exposition output.
         assert_eq!(snap.replication[0].follower, "replica-a");
@@ -523,26 +359,49 @@ mod tests {
         assert_eq!(snap.replication[1].lag_bytes, 300);
         // A later poll replaces the entry, never duplicates it.
         m.record_follower_poll("replica-b", 0, 400, 400);
-        let snap = m.snapshot(&ExecStatsSnapshot::default());
+        let snap = m.snapshot();
         assert_eq!(snap.replication.len(), 2);
         assert_eq!(snap.replication[1].lag_bytes, 0);
         // One cursor per polled shard: the same follower on another shard
         // is its own entry, in shard order.
         m.record_follower_poll("replica-b", 1, 10, 50);
-        let snap = m.snapshot(&ExecStatsSnapshot::default());
+        let snap = m.snapshot();
         assert_eq!(snap.replication.len(), 3);
         assert_eq!(snap.replication[2].shard, 1);
         assert_eq!(snap.replication[2].lag_bytes, 40);
     }
 
     #[test]
+    fn the_follower_table_is_capped_and_keeps_the_freshest() {
+        let m = ServerMetrics::default();
+        for i in 0..MAX_FOLLOWER_CURSORS + 10 {
+            m.record_follower_poll(&format!("f{i:04}"), 0, 1, 1);
+        }
+        // A follower already in the table refreshes in place at the cap.
+        m.record_follower_poll("f0010", 0, 2, 2);
+        let names: Vec<String> = m
+            .snapshot()
+            .replication
+            .into_iter()
+            .map(|f| f.follower)
+            .collect();
+        assert_eq!(names.len(), MAX_FOLLOWER_CURSORS);
+        // The ten stalest polls went; everything polled since stayed.
+        assert_eq!(names[0], "f0010");
+        assert_eq!(
+            names.last().unwrap(),
+            &format!("f{:04}", MAX_FOLLOWER_CURSORS + 9)
+        );
+    }
+
+    #[test]
     fn percentile_walks_buckets() {
         let m = ServerMetrics::default();
         for _ in 0..99 {
-            m.record_latency_us("query", 40);
+            m.record_latency_us(kind("query"), 40);
         }
-        m.record_latency_us("query", 900); // lands in the <=1000 bucket
-        let snap = m.snapshot(&ExecStatsSnapshot::default());
+        m.record_latency_us(kind("query"), 900); // lands in the <=1000 bucket
+        let snap = m.snapshot();
         assert_eq!(snap.latency.approx_percentile_us(0.50), Some(50));
         assert_eq!(snap.latency.approx_percentile_us(1.0), Some(1_000));
         assert_eq!(LatencyHistogram::default().approx_percentile_us(0.5), None);
@@ -551,9 +410,9 @@ mod tests {
     #[test]
     fn percentile_in_the_overflow_bucket_is_honestly_unknown() {
         let m = ServerMetrics::default();
-        m.record_latency_us("query", 40);
-        m.record_latency_us("query", 2_000_000); // past the last bound
-        let snap = m.snapshot(&ExecStatsSnapshot::default());
+        m.record_latency_us(kind("query"), 40);
+        m.record_latency_us(kind("query"), 2_000_000); // past the last bound
+        let snap = m.snapshot();
         // The median is still known…
         assert_eq!(snap.latency.approx_percentile_us(0.50), Some(50));
         // …but the max fell off the end of the bounds: no fabricated
@@ -562,26 +421,12 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_carries_the_executor_counters() {
-        let m = ServerMetrics::default();
-        let exec = ExecStatsSnapshot {
-            plan_cache_hits: 7,
-            plan_cache_misses: 2,
-            parallel_morsels: 31,
-        };
-        let snap = m.snapshot(&exec);
-        assert_eq!(snap.plan_cache_hits, 7);
-        assert_eq!(snap.plan_cache_misses, 2);
-        assert_eq!(snap.parallel_morsels, 31);
-    }
-
-    #[test]
     fn request_counters_by_kind() {
         let m = ServerMetrics::default();
-        m.count_request("query");
-        m.count_request("query");
-        m.count_request("ping");
-        let snap = m.snapshot(&ExecStatsSnapshot::default());
+        m.count_request(kind("query"));
+        m.count_request(kind("query"));
+        m.count_request(kind("ping"));
+        let snap = m.snapshot();
         assert_eq!(snap.requests_of("query"), 2);
         assert_eq!(snap.requests_of("ping"), 1);
         assert_eq!(snap.requests_of("compact"), 0);
@@ -611,8 +456,8 @@ mod tests {
                 let recorder = &recorder;
                 scope.spawn(move || {
                     for i in 0..OPS {
-                        metrics.count_request("query");
-                        metrics.record_latency_us("query", i % 3_000);
+                        metrics.count_request(kind("query"));
+                        metrics.record_latency_us(kind("query"), i % 3_000);
                         // Self-consistent payload: every word equals the
                         // marker, so a torn read is detectable.
                         let marker = t * OPS + i + 1;
@@ -647,7 +492,7 @@ mod tests {
             // writers are done by spawning a watcher that joins them via the
             // scope's implicit join — simplest is to let the main thread
             // wait on the metrics totals.
-            while metrics.latency_count.load(Ordering::Relaxed) < THREADS * OPS {
+            while metrics.latency.count.load(Ordering::Relaxed) < THREADS * OPS {
                 std::thread::yield_now();
             }
             stop.store(true, Ordering::Relaxed);
@@ -655,7 +500,7 @@ mod tests {
             assert!(seen > 0, "reader must observe events while racing");
         });
 
-        let snap = metrics.snapshot(&ExecStatsSnapshot::default());
+        let snap = metrics.snapshot();
         assert_eq!(snap.requests_of("query"), THREADS * OPS);
         assert_eq!(snap.latency.count, THREADS * OPS);
         assert_eq!(

@@ -35,9 +35,9 @@ use crate::slowlog::SlowLogEntry;
 
 /// Wire protocol version; bumped on any incompatible message change.
 ///
-/// v2: [`crate::metrics::MetricsSnapshot`] gained `plan_cache_hits`,
-/// `plan_cache_misses` and `parallel_morsels`. The codec is positional, so
-/// v1 clients cannot decode the enlarged `Stats` response.
+/// v2, v5, v6: each appended scalar counters to the positional `Stats`
+/// structs and changed nothing else — a peer one counter behind could not
+/// decode the response. v9 is what they would have needed.
 ///
 /// v3: observability — [`Request::Trace`]/[`Request::SlowLog`] with the
 /// matching [`Response::Trace`]/[`Response::SlowLog`], carrying span events
@@ -51,24 +51,9 @@ use crate::slowlog::SlowLogEntry;
 /// latency histograms and per-follower replication lag; a version-mismatched
 /// handshake now answers the typed `protocol-mismatch` error kind.
 ///
-/// v5: the storage [`prometheus_storage::StatsSnapshot`] carried inside
-/// `MetricsSnapshot` gained `image_nodes_cloned` and `image_bytes_copied`
-/// (persistent-map publication cost); positional codec, so v4 clients
-/// cannot decode the enlarged `Stats` response.
-///
-/// v6: [`crate::metrics::MetricsSnapshot`] gained `accept_queue_depth` (a
-/// gauge of accepted-but-unserved connections) and `sessions_reaped`
-/// (idle-connection reaper kills). Positional codec, so v5 clients cannot
-/// decode the enlarged `Stats` response. No request/response variants
-/// changed — the event-driven server speaks the same frames as the
-/// blocking one.
-///
 /// v7: sharding — [`Request::ReplicaPoll`] gained `shard` (followers keep
-/// one cursor per shard log), the storage `StatsSnapshot` gained
-/// `units_2pc`, and [`crate::metrics::MetricsSnapshot`] gained `shards`
-/// plus per-shard counters (`shard_lane_depth`, `shard_snapshot_swaps`,
-/// `shard_image_bytes_copied`, `shard_units_2pc`). Positional codec, so
-/// v6 clients cannot decode the enlarged messages.
+/// one cursor per shard log) and `MetricsSnapshot` gained the per-shard
+/// breakdown ([`crate::metrics::ShardMetrics`]).
 ///
 /// v8: distributed tracing — the *frame envelope* gained a fixed 128-bit
 /// trace id ahead of every payload (see [`crate::frame`]), which is
@@ -77,10 +62,18 @@ use crate::slowlog::SlowLogEntry;
 /// trace's merged span tree (with follower spans when reachable);
 /// `TraceEvent::trace_id` widened to the two-word `TraceId`;
 /// `SlowLogEntry` gained `lane_mask` and `lane_wait_us`; and
-/// `MetricsSnapshot` gained process self-metrics (`start_unix_s`,
-/// `uptime_s`, `build_info`), per-stage trace rollup histograms and the
-/// flight recorder's drop/eviction counters.
-pub const PROTOCOL_VERSION: u16 = 8;
+/// `MetricsSnapshot` gained `build_info` and per-stage trace rollup
+/// histograms.
+///
+/// v9: self-describing stats — the scalars of `MetricsSnapshot` and the
+/// storage `StatsSnapshot` travel as a list of `(exposition name, value)`
+/// pairs and are read back by name (`prometheus_trace::counter_table!`):
+/// an unknown name is skipped, a missing one reads zero. Had v2, v5 and v6
+/// had this, none of them would exist — a counter is now one table row and
+/// no version. This is the last bump a scalar causes; a new *non-scalar*
+/// stats field (a histogram family, a labelled list) is still positional
+/// and still needs one.
+pub const PROTOCOL_VERSION: u16 = 9;
 
 /// A client-to-server message.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -143,30 +136,66 @@ pub enum Request {
     TraceGet { trace_id: prometheus_trace::TraceId },
 }
 
+/// Coarse request classes, each with its own latency histogram: a query's
+/// latency profile and a replication poll's have nothing in common, and one
+/// merged histogram hides both.
+pub const REQUEST_CLASSES: [&str; 5] = ["query", "unit", "observability", "replication", "other"];
+const QUERY: usize = 0;
+const UNIT: usize = 1;
+const OBSERVABILITY: usize = 2;
+const REPLICATION: usize = 3;
+const OTHER: usize = 4;
+
+/// The one table of request kinds: a row per [`Request`] variant gives its
+/// stable name and its [`REQUEST_CLASSES`] index, and the row's position is
+/// [`Request::kind`]. The generated `match` is exhaustive, so a variant
+/// without a row does not compile.
+macro_rules! request_kinds {
+    ($($variant:ident => $name:literal, $class:ident;)*) => {
+        /// `(name, class)` of every request kind, indexed by [`Request::kind`].
+        pub const KINDS: [(&str, usize); [$($name),*].len()] = [$(($name, $class)),*];
+
+        impl Request {
+            /// This request's index into [`KINDS`]: what per-kind metrics
+            /// count by and the root span records as `c0`.
+            pub fn kind(&self) -> usize {
+                enum Row {
+                    $($variant),*
+                }
+                match self {
+                    $(Request::$variant { .. } => Row::$variant as usize),*
+                }
+            }
+        }
+    };
+}
+
+request_kinds! {
+    Hello => "hello", OTHER;
+    Ping => "ping", OTHER;
+    Query => "query", QUERY;
+    SetContext => "set_context", OTHER;
+    InstallPcl => "install_pcl", UNIT;
+    UnitBegin => "unit_begin", UNIT;
+    UnitOp => "unit_op", UNIT;
+    UnitCommit => "unit_commit", UNIT;
+    UnitAbort => "unit_abort", UNIT;
+    UnitBatch => "unit_batch", UNIT;
+    Compact => "compact", OTHER;
+    Stats => "stats", OBSERVABILITY;
+    Trace => "trace", OBSERVABILITY;
+    SlowLog => "slow_log", OBSERVABILITY;
+    Shutdown => "shutdown", OTHER;
+    Bye => "bye", OTHER;
+    ReplicaPoll => "replica_poll", REPLICATION;
+    ReplicaStatus => "replica_status", REPLICATION;
+    TraceGet => "trace_get", OBSERVABILITY;
+}
+
 impl Request {
     /// Short stable name, used for per-kind metrics.
     pub fn kind_name(&self) -> &'static str {
-        match self {
-            Request::Hello { .. } => "hello",
-            Request::Ping => "ping",
-            Request::Query { .. } => "query",
-            Request::SetContext { .. } => "set_context",
-            Request::InstallPcl { .. } => "install_pcl",
-            Request::UnitBegin => "unit_begin",
-            Request::UnitOp { .. } => "unit_op",
-            Request::UnitCommit => "unit_commit",
-            Request::UnitAbort => "unit_abort",
-            Request::UnitBatch { .. } => "unit_batch",
-            Request::Compact => "compact",
-            Request::Stats => "stats",
-            Request::Trace { .. } => "trace",
-            Request::SlowLog { .. } => "slow_log",
-            Request::Shutdown => "shutdown",
-            Request::Bye => "bye",
-            Request::ReplicaPoll { .. } => "replica_poll",
-            Request::ReplicaStatus => "replica_status",
-            Request::TraceGet { .. } => "trace_get",
-        }
+        KINDS[self.kind()].0
     }
 }
 
@@ -348,6 +377,31 @@ impl From<QueryResult> for WireRows {
 mod tests {
     use super::*;
     use prometheus_storage::codec;
+
+    /// The compiler checks every variant has a row; this checks the rows:
+    /// position is `kind()`, names are distinct, classes exist.
+    #[test]
+    fn kinds_table_is_indexed_by_kind() {
+        assert_eq!(
+            Request::Hello {
+                version: 1,
+                client: String::new()
+            }
+            .kind(),
+            0
+        );
+        assert_eq!(Request::Ping.kind_name(), "ping");
+        let last = Request::TraceGet {
+            trace_id: prometheus_trace::TraceId::NONE,
+        };
+        assert_eq!(last.kind(), KINDS.len() - 1);
+        assert_eq!(last.kind_name(), "trace_get");
+        assert_eq!(REQUEST_CLASSES[KINDS[last.kind()].1], "observability");
+        for (i, (name, class)) in KINDS.iter().enumerate() {
+            assert!(*class < REQUEST_CLASSES.len(), "{name} has no class");
+            assert!(KINDS[..i].iter().all(|k| k.0 != *name), "{name} twice");
+        }
+    }
 
     #[test]
     fn requests_round_trip_through_the_codec() {

@@ -51,7 +51,7 @@ use crate::core::{SessionCore, Step, Work};
 use crate::error::{ErrorKind, ServerError, ServerResult};
 use crate::frame::{read_msg, write_msg};
 use crate::lane::{LaneGuard, TicketLane};
-use crate::metrics::{MetricsSnapshot, ServerMetrics, ShardMetrics, REQUEST_KINDS};
+use crate::metrics::{MetricsSnapshot, ServerMetrics, ShardMetrics};
 use crate::protocol::{MutationOp, ReplicaStatusInfo, Request, Response, TraceSpan, WireRows};
 use crate::replica::ReplicaInfo;
 use crate::slowlog::{SlowLog, SlowLogEntry};
@@ -74,7 +74,7 @@ use std::time::{Duration, Instant};
 /// count surface as runtime behaviour.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Address to bind; use port 0 for an ephemeral port (tests, loadgen).
+    /// Address to bind; use port 0 for an ephemeral port (tests, the benchmark).
     pub addr: String,
     /// Fixed worker-thread pool size for the **blocking** path
     /// (`io_threads == 0`). Each live session occupies one worker for its
@@ -628,7 +628,7 @@ fn accept_loop(
                     .connections_accepted
                     .fetch_add(1, Ordering::Relaxed);
                 let live = shared.metrics.connections_active.load(Ordering::Relaxed)
-                    + shared.metrics.accept_queued.load(Ordering::Relaxed);
+                    + shared.metrics.accept_queue_depth.load(Ordering::Relaxed);
                 if max_connections > 0 && live as usize >= max_connections {
                     // At the session cap: close the excess connection rather
                     // than queue it behind a bound it can never clear.
@@ -639,7 +639,10 @@ fn accept_loop(
                 // when a worker picks the connection up. A persistently
                 // non-zero depth means every worker is occupied by a live
                 // session (the classic thread-per-session ceiling).
-                shared.metrics.accept_queued.fetch_add(1, Ordering::Relaxed);
+                shared
+                    .metrics
+                    .accept_queue_depth
+                    .fetch_add(1, Ordering::Relaxed);
                 if tx.send(s).is_err() {
                     break;
                 }
@@ -664,7 +667,10 @@ fn worker_loop(shared: Arc<Shared>, rx: Arc<Mutex<mpsc::Receiver<TcpStream>>>) {
         };
         match next {
             Ok(stream) => {
-                shared.metrics.accept_queued.fetch_sub(1, Ordering::Relaxed);
+                shared
+                    .metrics
+                    .accept_queue_depth
+                    .fetch_sub(1, Ordering::Relaxed);
                 serve_connection(&shared, stream)
             }
             Err(_) => break, // accept loop gone and queue drained
@@ -694,12 +700,6 @@ fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) {
         .metrics
         .connections_active
         .fetch_sub(1, Ordering::Relaxed);
-}
-
-/// Index of a request kind in [`REQUEST_KINDS`]; recorded as `c0` of the
-/// root `request` span so traces can be bucketed without the query text.
-pub(crate) fn kind_code(kind: &str) -> u64 {
-    REQUEST_KINDS.iter().position(|k| *k == kind).unwrap_or(0) as u64
 }
 
 /// A mask claiming every writer lane.
@@ -869,7 +869,7 @@ fn run_session(shared: &Arc<Shared>, id: u64, stream: TcpStream) -> ServerResult
             }
         };
         let start = Instant::now();
-        let kind = req.kind_name();
+        let kind = req.kind();
         shared.metrics.count_request(kind);
         // Root span for this request: while it is the thread's trace scope,
         // every span any layer records (lane wait, plan cache, execution,
@@ -911,7 +911,7 @@ fn run_session(shared: &Arc<Shared>, id: u64, stream: TcpStream) -> ServerResult
             }
         };
         drop(scope);
-        root.finish(kind_code(kind), core.id());
+        root.finish(kind as u64, core.id());
         let flow = flow?;
         shared
             .metrics
@@ -1217,7 +1217,7 @@ fn run_unit(
             Err(e) => break Err(e),
         };
         let start = Instant::now();
-        let kind = req.kind_name();
+        let kind = req.kind();
         shared.metrics.count_request(kind);
         let trace = adopt_trace(&shared.recorder, wire_trace);
         let root = shared.recorder.span_in(Stage::Request, trace, 0);
@@ -1254,7 +1254,7 @@ fn run_unit(
             }
         };
         drop(scope);
-        root.finish(kind_code(kind), core.id());
+        root.finish(kind as u64, core.id());
         shared
             .metrics
             .record_latency_us(kind, start.elapsed().as_micros() as u64);
@@ -1532,7 +1532,11 @@ fn replica_status_info(shared: &Shared) -> ReplicaStatusInfo {
 
 /// Server counters plus the query executor's, as one wire-ready snapshot.
 pub(crate) fn metrics_snapshot(shared: &Shared) -> MetricsSnapshot {
-    let mut snap = shared.metrics.snapshot(&shared.executor.stats());
+    let mut snap = shared.metrics.snapshot();
+    let exec = shared.executor.stats();
+    snap.plan_cache_hits = exec.plan_cache_hits;
+    snap.plan_cache_misses = exec.plan_cache_misses;
+    snap.parallel_morsels = exec.parallel_morsels;
     let store = shared.db.db().store();
     // Lag is measured against the shard's commit horizon *now*, not the
     // horizon at the follower's last poll: a follower that fully drained its
@@ -1544,7 +1548,7 @@ pub(crate) fn metrics_snapshot(shared: &Shared) -> MetricsSnapshot {
         }
         f.lag_bytes = f.log_len.saturating_sub(f.next_offset);
     }
-    snap.shards = store.shard_count() as u32;
+    snap.shards = store.shard_count() as u64;
     snap.per_shard = store
         .per_shard_stats()
         .into_iter()

@@ -624,20 +624,7 @@ impl ShardedStore {
     pub fn stats_aggregate(&self) -> StatsSnapshot {
         let mut total = StatsSnapshot::default();
         for shard in &self.shards {
-            let s = shard.stats().snapshot();
-            total.log_appends += s.log_appends;
-            total.bytes_written += s.bytes_written;
-            total.syncs += s.syncs;
-            total.cache_hits += s.cache_hits;
-            total.cache_misses += s.cache_misses;
-            total.puts += s.puts;
-            total.deletes += s.deletes;
-            total.commits += s.commits;
-            total.aborts += s.aborts;
-            total.snapshot_swaps += s.snapshot_swaps;
-            total.image_nodes_cloned += s.image_nodes_cloned;
-            total.image_bytes_copied += s.image_bytes_copied;
-            total.units_2pc += s.units_2pc;
+            total.accumulate(&shard.stats().snapshot());
         }
         total
     }

@@ -5,43 +5,43 @@
 //! costs what it does (log appends, record decodes, cache behaviour) rather
 //! than only wall-clock time.
 
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Shared, lock-free operation counters for one [`crate::Store`].
-#[derive(Debug, Default)]
-pub struct Stats {
-    /// Frames appended to the log.
-    pub log_appends: AtomicU64,
-    /// Payload bytes appended to the log.
-    pub bytes_written: AtomicU64,
-    /// fsync calls issued.
-    pub syncs: AtomicU64,
-    /// Record reads served from the cache.
-    pub cache_hits: AtomicU64,
-    /// Record reads that had to decode from the heap map / log image.
-    pub cache_misses: AtomicU64,
-    /// Records written (puts).
-    pub puts: AtomicU64,
-    /// Records deleted.
-    pub deletes: AtomicU64,
-    /// Transactions committed.
-    pub commits: AtomicU64,
-    /// Transactions aborted.
-    pub aborts: AtomicU64,
-    /// Immutable-image publications (one per commit or settled unit of work);
-    /// readers pin the image published by the latest swap.
-    pub snapshot_swaps: AtomicU64,
-    /// Persistent-map nodes cloned while folding commits into the image —
-    /// the path-copy cost of publication (nodes shared with a pinned
-    /// snapshot that had to be made unique).
-    pub image_nodes_cloned: AtomicU64,
-    /// Bytes memcpy'd cloning those nodes (entry vectors, not payloads —
-    /// payload `Bytes` are refcounted and never copied).
-    pub image_bytes_copied: AtomicU64,
-    /// Cross-shard units of work settled through the two-phase
-    /// prepare/decide/seal protocol (counted on the coordinator shard).
-    pub units_2pc: AtomicU64,
+prometheus_trace::counter_table! {
+    /// Shared, lock-free operation counters for one [`crate::Store`].
+    #[derive(Debug, Default)]
+    pub struct Stats {}
+    /// Plain-data snapshot of [`Stats`].
+    ///
+    /// Serialisable so the server layer can ship it over the wire in answer
+    /// to a `stats` request; `since` brackets a benchmark phase.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct StatsSnapshot {}
+    series {
+        log_appends: Counter, "prometheus_storage_log_appends_total", "Redo-log records appended.";
+        bytes_written: Counter, "prometheus_storage_bytes_written_total", "Bytes appended to the redo log.";
+        syncs: Counter, "prometheus_storage_syncs_total", "fsync calls on the redo log.";
+        cache_hits: Counter, "prometheus_storage_cache_hits_total", "Object-cache hits.";
+        /// Reads that had to decode from the heap map / log image.
+        cache_misses: Counter, "prometheus_storage_cache_misses_total", "Object-cache misses.";
+        // `puts` and `deletes` were never scraped; exposing them is a
+        // one-word change here, and a visible one.
+        puts: Unscraped, "prometheus_storage_puts_total", "Records written.";
+        deletes: Unscraped, "prometheus_storage_deletes_total", "Records deleted.";
+        commits: Counter, "prometheus_storage_commits_total", "Transactions committed.";
+        aborts: Counter, "prometheus_storage_aborts_total", "Transactions rolled back.";
+        /// One per commit or settled unit of work; readers pin the image
+        /// published by the latest swap.
+        snapshot_swaps: Counter, "prometheus_storage_snapshot_swaps_total", "Immutable snapshot publications.";
+        /// The path-copy cost of publication: nodes shared with a pinned
+        /// snapshot that had to be made unique.
+        image_nodes_cloned: Counter, "prometheus_storage_image_nodes_cloned_total", "Persistent-map nodes path-copied while publishing commits.";
+        /// Entry vectors, not payloads — payload `Bytes` are refcounted and
+        /// never copied.
+        image_bytes_copied: Counter, "prometheus_storage_image_bytes_copied_total", "Bytes copied cloning image nodes (structure only, not payloads).";
+        /// Counted on the coordinator shard.
+        units_2pc: Counter, "prometheus_storage_units_2pc_total", "Cross-shard units settled with a two-phase prepare/decide round.";
+    }
 }
 
 impl Stats {
@@ -56,90 +56,9 @@ impl Stats {
     pub fn add(counter: &AtomicU64, n: u64) {
         counter.fetch_add(n, Ordering::Relaxed);
     }
-
-    /// Capture a point-in-time copy of all counters.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            log_appends: self.log_appends.load(Ordering::Relaxed),
-            bytes_written: self.bytes_written.load(Ordering::Relaxed),
-            syncs: self.syncs.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            puts: self.puts.load(Ordering::Relaxed),
-            deletes: self.deletes.load(Ordering::Relaxed),
-            commits: self.commits.load(Ordering::Relaxed),
-            aborts: self.aborts.load(Ordering::Relaxed),
-            snapshot_swaps: self.snapshot_swaps.load(Ordering::Relaxed),
-            image_nodes_cloned: self.image_nodes_cloned.load(Ordering::Relaxed),
-            image_bytes_copied: self.image_bytes_copied.load(Ordering::Relaxed),
-            units_2pc: self.units_2pc.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Reset all counters to zero (used between benchmark phases).
-    pub fn reset(&self) {
-        for c in [
-            &self.log_appends,
-            &self.bytes_written,
-            &self.syncs,
-            &self.cache_hits,
-            &self.cache_misses,
-            &self.puts,
-            &self.deletes,
-            &self.commits,
-            &self.aborts,
-            &self.snapshot_swaps,
-            &self.image_nodes_cloned,
-            &self.image_bytes_copied,
-            &self.units_2pc,
-        ] {
-            c.store(0, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Plain-data snapshot of [`Stats`].
-///
-/// Serialisable so the server layer can ship it over the wire in answer to a
-/// `stats` request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct StatsSnapshot {
-    pub log_appends: u64,
-    pub bytes_written: u64,
-    pub syncs: u64,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    pub puts: u64,
-    pub deletes: u64,
-    pub commits: u64,
-    pub aborts: u64,
-    pub snapshot_swaps: u64,
-    pub image_nodes_cloned: u64,
-    pub image_bytes_copied: u64,
-    pub units_2pc: u64,
 }
 
 impl StatsSnapshot {
-    /// Counter-wise difference `self - earlier`, for bracketing a benchmark
-    /// phase.
-    pub fn since(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
-        StatsSnapshot {
-            log_appends: self.log_appends - earlier.log_appends,
-            bytes_written: self.bytes_written - earlier.bytes_written,
-            syncs: self.syncs - earlier.syncs,
-            cache_hits: self.cache_hits - earlier.cache_hits,
-            cache_misses: self.cache_misses - earlier.cache_misses,
-            puts: self.puts - earlier.puts,
-            deletes: self.deletes - earlier.deletes,
-            commits: self.commits - earlier.commits,
-            aborts: self.aborts - earlier.aborts,
-            snapshot_swaps: self.snapshot_swaps - earlier.snapshot_swaps,
-            image_nodes_cloned: self.image_nodes_cloned - earlier.image_nodes_cloned,
-            image_bytes_copied: self.image_bytes_copied - earlier.image_bytes_copied,
-            units_2pc: self.units_2pc - earlier.units_2pc,
-        }
-    }
-
     /// Cache hit ratio in `[0, 1]`; zero when no reads occurred.
     pub fn hit_ratio(&self) -> f64 {
         let total = self.cache_hits + self.cache_misses;
@@ -178,6 +97,31 @@ mod tests {
         let d = b.since(&a);
         assert_eq!(d.commits, 1);
         assert_eq!(d.cache_hits, 1);
+    }
+
+    /// The wire form is the `series()` list, read back by name: a body
+    /// from a build with one counter more and one fewer still decodes.
+    #[test]
+    fn wire_form_is_self_describing() {
+        use crate::codec;
+        let snap = StatsSnapshot {
+            commits: 4,
+            puts: 9,
+            ..Default::default()
+        };
+        let back: StatsSnapshot = codec::from_bytes(&codec::to_bytes(&snap).unwrap()).unwrap();
+        assert_eq!(back, snap);
+
+        let foreign: Vec<(&str, u64)> = snap
+            .series()
+            .filter(|s| s.name != "prometheus_storage_puts_total")
+            .map(|s| (s.name, s.value))
+            .chain([("prometheus_storage_from_a_later_build_total", 7)])
+            .collect();
+        let back: StatsSnapshot =
+            codec::from_bytes(&codec::to_bytes(&(foreign,)).unwrap()).unwrap();
+        assert_eq!(back.commits, 4, "known names land in their fields");
+        assert_eq!(back.puts, 0, "a missing name reads as zero");
     }
 
     #[test]

@@ -49,6 +49,9 @@
 //! words; query *text* intentionally lives elsewhere (the server's
 //! slow-query log), keyed back to the ring by trace id.
 
+mod counters;
+pub use counters::{Kind, Series};
+
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -323,6 +326,34 @@ impl StageRollup {
     pub fn mean_us(&self) -> u64 {
         self.sum_us.checked_div(self.count).unwrap_or(0)
     }
+
+    /// [`bucket_percentile_us`] over this stage's buckets.
+    pub fn approx_percentile_us(&self, p: f64) -> Option<u64> {
+        bucket_percentile_us(&self.bounds_us, &self.counts, self.count, p)
+    }
+}
+
+/// Histogram-resolution percentile (`p` in `[0, 1]`) of a bucketed
+/// distribution — `counts` holds one population per bound plus a trailing
+/// overflow bucket: the upper bound of the bucket containing the
+/// ceil(p·count)-th observation, or `None` when that observation fell in
+/// the unbounded overflow bucket (or nothing was observed). The histogram
+/// genuinely does not know how slow those were, and a fabricated number
+/// would be worse than an honest "over the last bound".
+pub fn bucket_percentile_us(bounds_us: &[u64], counts: &[u64], count: u64, p: f64) -> Option<u64> {
+    if count == 0 {
+        return None;
+    }
+    let rank = ((p.clamp(0.0, 1.0) * count as f64).ceil() as u64).max(1);
+    let mut seen = 0u64;
+    for (i, &n) in counts.iter().enumerate() {
+        seen += n;
+        if seen >= rank {
+            // The last bucket has no upper bound: get() misses.
+            return bounds_us.get(i).copied();
+        }
+    }
+    None
 }
 
 /// One bucket of the bounded trace index: the trace key (two words) plus a

@@ -330,6 +330,10 @@ fn http_scrape_matches_wire_stats() {
             "prometheus_server_connections_accepted_total {}",
             server.connections_accepted
         ),
+        format!(
+            "prometheus_server_sessions_reaped_total {}",
+            server.sessions_reaped
+        ),
         format!("prometheus_storage_commits_total {}", storage.commits),
         format!(
             "prometheus_server_connections_active {}",
@@ -380,7 +384,8 @@ fn blocking_mode_serves_the_scrape_endpoint_too() {
 
 #[test]
 fn hundreds_of_idle_sessions_on_two_io_threads() {
-    const IDLE: usize = 300;
+    // The size the deleted `idle-connections` CI smoke parked.
+    const IDLE: usize = 1500;
     let path = tmp("many");
     let handle = serve_seeded(&path, 2, event_config(2));
     let addr = handle.addr();
@@ -391,7 +396,7 @@ fn hundreds_of_idle_sessions_on_two_io_threads() {
     }
     assert_eq!(handle.metrics().connections_active, IDLE as u64);
 
-    // A busy session stays fast while the other 300 sit idle.
+    // A busy session stays fast while the others sit idle.
     let mut busy = PrometheusClient::connect(addr).unwrap();
     for _ in 0..50 {
         assert_eq!(busy.query("select t from CT t").unwrap().len(), 2);
@@ -404,6 +409,7 @@ fn hundreds_of_idle_sessions_on_two_io_threads() {
         c.close().unwrap();
     }
     busy.close().unwrap();
+    assert_eq!(handle.metrics().protocol_errors, 0);
     handle.stop();
 }
 

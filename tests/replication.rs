@@ -157,6 +157,7 @@ fn follower_catches_up_from_checkpoint_and_matches_primary() {
         .find(|f| f.follower == "catchup")
         .expect("primary must track the follower");
     assert_eq!(lag.log_len, status.log_len);
+    assert_eq!(lag.lag_bytes, 0, "a caught-up follower has converged");
     let (_, replication_latency) = stats
         .latency_by_class
         .iter()
