@@ -646,7 +646,6 @@ fn serve_section(argv: &[String]) {
         .addr(addr)
         .io_threads(io_threads)
         .metrics_http_addr(metrics)
-        .shards(shards)
         .build()
         .expect("valid serve config");
     let handle = match serve(prom, config) {

@@ -138,7 +138,6 @@ impl Follower {
             ServerConfig {
                 addr: config.addr.clone(),
                 workers: config.workers,
-                shards: config.shards.max(1),
                 replica: Some(ReplicaInfo {
                     primary: config.primary.clone(),
                     status: Arc::clone(&status),

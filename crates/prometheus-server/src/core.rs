@@ -2,23 +2,37 @@
 //!
 //! [`SessionCore`] is the per-connection protocol state machine with every
 //! byte of I/O removed: it consumes decoded [`Request`]s and answers with a
-//! [`Step`] — either a ready-made [`Response`] or a typed [`Work`] item for
-//! the driver to execute against the database. Both transports drive the
-//! same core, so the wire protocol cannot drift between them:
+//! [`Step`] — a ready-made [`Response`], a unit to open or settle, or a
+//! typed [`Work`] item to execute against the database.
 //!
-//! * the **blocking** path (`server.rs`, one worker thread per live
-//!   session) reads frames with [`crate::frame::read_msg`] and executes
-//!   work inline;
-//! * the **event-driven** path (`event.rs`, a readiness loop over
-//!   non-blocking sockets) feeds bytes through a
-//!   [`crate::frame::FrameDecoder`] and schedules work on a small pool,
-//!   parking lane-bound work until the FIFO writer lane grants its ticket.
+//! ## Who drives it
+//!
+//! One caller: the crate's request driver (`driver.rs`), itself sans-io,
+//! which both transports run — the blocking one (`server.rs`, a thread per
+//! live session) and the event-driven one (`event.rs`, a readiness loop
+//! over non-blocking sockets) feed it decoded frames from a
+//! [`crate::frame::FrameDecoder`] and differ only in how a writer lane is
+//! awaited (block the thread, or park the session until the lane's FIFO
+//! grants its ticket). What the driver does with a [`Step`] is therefore one
+//! behaviour, not one per transport:
+//!
+//! * **The lane rule.** `server::lane_mask_for` is the one decision of
+//!   which [`Work`] holds writer lanes (batches, PCL install, compact);
+//!   `UnitBegin` claims every lane after its ack. A claim walks its mask in
+//!   ascending lane order, each ticket drawn only once the previous lane is
+//!   held.
+//! * **The span rule.** Every request gets exactly one `Request` root span,
+//!   covering a park for a lane as well as the execution after it. A real
+//!   (`c1 = 1`) `lane_wait` span is recorded under that span for every
+//!   claim — a `UnitBegin`'s lanes are acquired inside the `UnitBegin`
+//!   request's span — and an in-unit query's slow-log `lane_mask` is the
+//!   mask its unit holds.
 //!
 //! ## State machine
 //!
 //! ```text
 //!             Hello(v==N)                    UnitBegin (ack first,
-//!  ┌───────┐ ───────────► ┌───────┐          then the writer lane)
+//!  ┌───────┐ ───────────► ┌───────┐          then the writer lanes)
 //!  │ Fresh │              │ Ready │ ─────────────────────► ┌─────────┐
 //!  └───────┘ ───────────► └───────┘ ◄───────────────────── │ In unit │
 //!    Hello(v≠N) → close      │  ▲    UnitCommit/UnitAbort/ └─────────┘
@@ -29,9 +43,10 @@
 //! ```
 //!
 //! The core never touches sockets, clocks, metrics or the database — which
-//! is exactly what makes it reusable: the driver owns time (idle deadlines),
-//! I/O (framing, backpressure) and effects ([`Work`] execution), while the
-//! core owns ordering and protocol legality.
+//! is exactly what makes it reusable: the transports own time (idle
+//! deadlines) and I/O (framing, backpressure), the driver owns effects
+//! (lanes, units, [`Work`] execution, accounting), and the core owns
+//! ordering and protocol legality.
 //!
 //! ```
 //! use prometheus_server::{Request, Response, SessionCore, Step, Work, PROTOCOL_VERSION};
@@ -54,7 +69,6 @@
 
 use crate::error::ErrorKind;
 use crate::protocol::{MutationOp, Request, Response, PROTOCOL_VERSION};
-use crate::session::Session;
 
 /// What the transport driver must do with one request, as decided by the
 /// sans-io [`SessionCore`].
@@ -71,6 +85,12 @@ pub enum Step {
     /// response stalling, exactly like the in-process API blocking on the
     /// lane.
     OpenUnit,
+    /// `UnitCommit` (`commit: true`) or `UnitAbort` inside an open unit:
+    /// settle the unit's database token, answer, release its lanes and call
+    /// [`SessionCore::unit_closed`]. A step of its own rather than a
+    /// [`Work`] item because the token lives with the driver — the work
+    /// executor never sees a settlement.
+    SettleUnit { commit: bool },
     /// Execute this work item against the database / observability state
     /// and send whatever response it produces.
     Do(Work),
@@ -79,9 +99,9 @@ pub enum Step {
     ShutdownAfter(Response),
 }
 
-/// A request the core cannot answer by itself: the driver executes it (in a
-/// worker thread, holding the writer lane where [`Work::needs_lane`] says
-/// so) and writes the resulting response.
+/// A request the core cannot answer by itself: the driver executes it —
+/// holding the writer lanes `server::lane_mask_for` names, the one place that
+/// decides which work is lane-bound — and sends the resulting response.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Work {
     /// Evaluate a POOL statement. `pinned` is true outside a unit (run on an
@@ -118,36 +138,31 @@ pub enum Work {
     TraceGet { trace_id: prometheus_trace::TraceId },
     /// One mutation inside the open unit.
     UnitOp { op: MutationOp },
-    /// Commit the open unit; the driver settles its token and then calls
-    /// [`SessionCore::unit_closed`].
-    UnitCommit,
-    /// Abort the open unit; the driver settles its token and then calls
-    /// [`SessionCore::unit_closed`].
-    UnitAbort,
-}
-
-impl Work {
-    /// Whether the driver must hold the writer lane while executing this —
-    /// the engine's single-writer discipline, enforced at the scheduling
-    /// layer. (`UnitOp`/`UnitCommit`/`UnitAbort` don't appear here: the lane
-    /// is already held for the whole streamed unit.)
-    pub fn needs_lane(&self) -> bool {
-        matches!(
-            self,
-            Work::InstallPcl { .. } | Work::UnitBatch { .. } | Work::Compact
-        )
-    }
 }
 
 /// The sans-io protocol state machine for one session.
 ///
 /// Owns the session's protocol position (handshake done? unit open? timed
-/// out?) and classification context; makes every ordering/legality decision
-/// the blocking `dispatch` used to make inline. See the [module
-/// docs](self) for the state diagram and a usage example.
+/// out?) and its classification context — the server-side analogue of a
+/// taxonomist "working inside" one classification (§4.6.2); contexts are
+/// per-session, so two clients can query the same database through
+/// different classifications concurrently (see `examples/remote_repl.rs`).
+/// Makes every ordering/legality decision. See the [module docs](self) for
+/// the state diagram and a usage example.
 #[derive(Debug)]
 pub struct SessionCore {
-    session: Session,
+    /// Server-assigned identifier, echoed in `Welcome`.
+    id: u64,
+    /// Classification context applied to queries without their own
+    /// `in classification` clause.
+    context: Option<String>,
+    /// Whether the handshake completed.
+    ready: bool,
+    /// Set when the session's streamed unit was rolled back by the idle
+    /// deadline; the next request is answered with a
+    /// [`ErrorKind::UnitTimedOut`] error instead of being processed, then
+    /// the flag clears.
+    unit_timed_out: bool,
     /// Whether a streamed unit of work is currently open.
     in_unit: bool,
     /// `Some(primary_addr)` when serving as a read-only replication
@@ -161,7 +176,10 @@ impl SessionCore {
     /// primary's address when this server is a read-only follower.
     pub fn new(id: u64, replica_primary: Option<String>) -> SessionCore {
         SessionCore {
-            session: Session::new(id),
+            id,
+            context: None,
+            ready: false,
+            unit_timed_out: false,
             in_unit: false,
             replica_primary,
         }
@@ -169,12 +187,7 @@ impl SessionCore {
 
     /// Server-assigned session id (echoed in `Welcome`).
     pub fn id(&self) -> u64 {
-        self.session.id
-    }
-
-    /// Whether the handshake has completed.
-    pub fn is_ready(&self) -> bool {
-        self.session.ready
+        self.id
     }
 
     /// Whether a streamed unit of work is open on this session.
@@ -184,20 +197,20 @@ impl SessionCore {
 
     /// The session's classification context.
     pub fn context(&self) -> Option<&str> {
-        self.session.context.as_deref()
+        self.context.as_deref()
     }
 
     /// Set (or clear) the session's classification context. Drivers call
     /// this after [`Work::SetContext`] validated the name against the
     /// database.
     pub fn set_context(&mut self, context: Option<String>) {
-        self.session.context = context;
+        self.context = context;
     }
 
     /// Resolve the effective context for a parsed query (the query's own
     /// clause wins over the session context).
     pub fn effective_context(&self, query_context: Option<String>) -> Option<String> {
-        self.session.effective_context(query_context)
+        query_context.or_else(|| self.context.clone())
     }
 
     /// The driver opened a database unit for this session (after `OpenUnit`
@@ -218,14 +231,14 @@ impl SessionCore {
     /// normal.
     pub fn note_unit_timed_out(&mut self) {
         self.in_unit = false;
-        self.session.unit_timed_out = true;
+        self.unit_timed_out = true;
     }
 
     /// Advance the state machine by one request.
     pub fn on_request(&mut self, req: Request) -> Step {
-        if !self.session.ready {
+        if !self.ready {
             return match req {
-                Request::Hello { version, client } => {
+                Request::Hello { version, .. } => {
                     if version != PROTOCOL_VERSION {
                         Step::ReplyClose(Response::Error {
                             kind: ErrorKind::ProtocolMismatch,
@@ -234,11 +247,10 @@ impl SessionCore {
                             ),
                         })
                     } else {
-                        self.session.ready = true;
-                        self.session.client = client;
+                        self.ready = true;
                         Step::Reply(Response::Welcome {
                             version: PROTOCOL_VERSION,
-                            session: self.session.id,
+                            session: self.id,
                         })
                     }
                 }
@@ -248,13 +260,13 @@ impl SessionCore {
                 }),
             };
         }
-        if self.session.unit_timed_out {
+        if self.unit_timed_out {
             // The unit this session was streaming hit the idle deadline and
             // was rolled back. Answer the next frame — whatever it asked —
             // with the typed error, so the client never acts on the
             // assumption that the unit is still open; then the session is
             // back to normal.
-            self.session.unit_timed_out = false;
+            self.unit_timed_out = false;
             return Step::Reply(Response::Error {
                 kind: ErrorKind::UnitTimedOut,
                 message: "unit of work idled past the server deadline and was rolled back".into(),
@@ -271,8 +283,8 @@ impl SessionCore {
                 }),
                 Request::Ping => Step::Reply(Response::Pong),
                 Request::Stats => Step::Do(Work::Stats),
-                Request::UnitCommit => Step::Do(Work::UnitCommit),
-                Request::UnitAbort => Step::Do(Work::UnitAbort),
+                Request::UnitCommit => Step::SettleUnit { commit: true },
+                Request::UnitAbort => Step::SettleUnit { commit: false },
                 other => Step::Reply(Response::Error {
                     kind: ErrorKind::Protocol,
                     message: format!(
@@ -412,7 +424,7 @@ mod tests {
         }
         assert!(matches!(
             core.on_request(Request::UnitCommit),
-            Step::Do(Work::UnitCommit)
+            Step::SettleUnit { commit: true }
         ));
         core.unit_closed();
         assert!(!core.in_unit());
@@ -481,24 +493,17 @@ mod tests {
     }
 
     #[test]
-    fn lane_bound_work_is_marked() {
-        assert!(Work::Compact.needs_lane());
-        assert!(Work::InstallPcl {
-            source: String::new()
-        }
-        .needs_lane());
-        assert!(Work::UnitBatch { ops: vec![] }.needs_lane());
-        assert!(!Work::Stats.needs_lane());
-        assert!(!Work::Query {
-            pool: String::new(),
-            pinned: true
-        }
-        .needs_lane());
-        assert!(!Work::UnitOp {
-            op: MutationOp::DeleteObject {
-                oid: prometheus_db::Oid::NIL
-            }
-        }
-        .needs_lane());
+    fn query_clause_overrides_session_context() {
+        let mut core = ready_core();
+        assert_eq!(core.effective_context(None), None);
+        core.set_context(Some("Linnaeus 1753".into()));
+        assert_eq!(
+            core.effective_context(None).as_deref(),
+            Some("Linnaeus 1753")
+        );
+        assert_eq!(
+            core.effective_context(Some("Koch 1824".into())).as_deref(),
+            Some("Koch 1824")
+        );
     }
 }

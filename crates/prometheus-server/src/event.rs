@@ -2,16 +2,17 @@
 //!
 //! The blocking path in `server.rs` spends one thread per live session —
 //! fine for tens of clients, hopeless for thousands of mostly-idle
-//! herbarium terminals. This module serves the *same wire protocol* (the
-//! same [`SessionCore`] state machine, frame format and counters) from a
-//! fixed, tiny thread budget:
+//! herbarium terminals. This module puts the same `Driver` (`driver.rs`)
+//! behind non-blocking sockets and a fixed, tiny thread budget; what it owns
+//! is readiness, deadlines, backpressure and how a writer lane is queued
+//! for:
 //!
 //! ```text
 //!   poll thread ── epoll_wait ──► ready queue ──► io workers (N threads)
 //!        │                                            │
 //!        │  accepts, idle/unit deadline scans,        │  read → FrameDecoder
-//!        │  max_connections pause/resume              │  SessionCore::on_request
-//!        │                                            │  execute_work / lane queue
+//!        │  max_connections pause/resume              │  Driver::on_request / on_grant
+//!        │                                            │    (lanes: claim or park)
 //!        └── also owns the GET /metrics listener      │  FrameEncoder → write
 //! ```
 //!
@@ -24,20 +25,21 @@
 //!
 //! Workers must never block in [`TicketLane::wait`]: the current holder may
 //! be an idle in-unit session whose commit frame needs a free worker, so a
-//! blocked pool would deadlock. Instead lane-bound work *parks*: the
-//! session draws a ticket (under that lane's queue mutex, preserving FIFO),
-//! stops consuming decoded frames, and is rescheduled when
-//! [`pump_lane`] claims its ticket with [`TicketLane::try_claim`]. A parked
-//! session is not re-armed for reads either — the kernel buffers its
-//! backlog exactly as it would for a blocked thread.
+//! blocked pool would deadlock. Instead this transport's `LaneSource`
+//! answers *parked*: the session draws a ticket (under that lane's queue
+//! mutex, preserving FIFO), stops consuming decoded frames, and is
+//! rescheduled when [`pump_lane`] claims its ticket with
+//! [`TicketLane::try_claim`] — the guard then reaches the driver through
+//! `Driver::on_grant`. A parked session is not re-armed for reads either
+//! — the kernel buffers its backlog exactly as it would for a blocked
+//! thread.
 //!
 //! With sharded stores there is one lane per shard, each with its **own**
 //! park queue: releasing shard A's lane pumps only shard A's queue, so a
 //! grant on one shard never rouses (or reorders) sessions parked on
-//! another. A multi-lane claim is acquired one lane at a time in ascending
-//! index order — the same resource ordering as the blocking transport's
-//! `acquire_lanes`, so sessions on both transports are jointly
-//! deadlock-free.
+//! another. The driver walks a multi-lane claim one lane at a time in
+//! ascending index order whichever transport it runs on, so sessions on both
+//! are jointly deadlock-free.
 //!
 //! ## Backpressure
 //!
@@ -45,22 +47,19 @@
 //! stops having frames decoded (and stops being re-armed for reads) until
 //! the socket drains — a slow reader throttles only itself.
 
-use crate::core::{SessionCore, Step, Work};
-use crate::error::{ErrorKind, ServerError, ServerResult};
+use crate::driver::{Driver, LaneSource, UnitEnd};
+use crate::error::ServerResult;
 use crate::frame::{FrameDecoder, FrameEncoder};
 use crate::lane::{OwnedLaneGuard, TicketLane};
 use crate::metrics::MetricsSnapshot;
 use crate::poll::{PollEvent, Poller, Waker, EV_READ, EV_WRITE};
-use crate::protocol::{Request, Response};
-use crate::server::{count_response, execute_work, initiate_shutdown, metrics_snapshot, Shared};
-use prometheus_db::database::UnitToken;
-use prometheus_trace::{Stage, TraceId, TraceScope};
+use crate::server::{lock, metrics_snapshot, Shared};
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -108,10 +107,6 @@ impl EventLoopHandle {
     }
 }
 
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
 enum ConnKind {
     /// A wire-protocol session.
     Db,
@@ -119,41 +114,8 @@ enum ConnKind {
     Http,
 }
 
-/// Why a session stopped consuming frames: it is queued for a writer lane.
-enum LanePending {
-    /// `UnitBegin` was acked; open the unit once every lane grants.
-    OpenUnit,
-    /// A one-shot lane-bound work item (batch, PCL install, compact); the
-    /// request kind and start instant carry the latency accounting across
-    /// the park, and the adopted trace id keeps the parked work — and its
-    /// response envelope — on the request's distributed trace.
-    Work {
-        work: Work,
-        kind: usize,
-        start: Instant,
-        trace: TraceId,
-    },
-}
-
-/// An in-flight multi-lane claim: the deferred action, the shard-lane mask
-/// being acquired (it becomes the unit's shard claim), and the guards
-/// already held — ascending by lane index, because lanes are always claimed
-/// in ascending order. While parked, the session is queued on exactly one
-/// lane: the lowest unheld lane of the mask.
-struct LanePark {
-    what: LanePending,
-    mask: u64,
-    held: Vec<(usize, OwnedLaneGuard)>,
-}
-
-/// An open streamed unit: the database token and the held lane guards.
-struct UnitState {
-    token: UnitToken,
-    guards: Vec<(usize, OwnedLaneGuard)>,
-}
-
 struct ConnState {
-    core: SessionCore,
+    driver: Driver,
     decoder: FrameDecoder,
     encoder: FrameEncoder,
     /// Raw buffers for HTTP connections (which never touch the framed
@@ -161,12 +123,11 @@ struct ConnState {
     http_in: Vec<u8>,
     http_out: Vec<u8>,
     http_pos: usize,
-    unit: Option<UnitState>,
-    pending: Option<LanePark>,
     last_activity: Instant,
     eof: bool,
     /// Deliver what the encoder holds, then tear down.
     closing: bool,
+    /// Torn down: set by [`teardown`] alone.
     dead: bool,
 }
 
@@ -390,7 +351,7 @@ fn register_conn(rx: &Arc<Reactor>, stream: TcpStream, is_db: bool) {
     }
     let _ = stream.set_nodelay(true);
     let token = rx.next_token.fetch_add(1, Ordering::Relaxed);
-    let (kind, core) = if is_db {
+    let (kind, session) = if is_db {
         rx.shared
             .metrics
             .connections_accepted
@@ -400,26 +361,21 @@ fn register_conn(rx: &Arc<Reactor>, stream: TcpStream, is_db: bool) {
             .connections_active
             .fetch_add(1, Ordering::Relaxed);
         let id = rx.shared.next_session.fetch_add(1, Ordering::Relaxed);
-        (
-            ConnKind::Db,
-            SessionCore::new(id, rx.shared.replica.as_ref().map(|r| r.primary.clone())),
-        )
+        (ConnKind::Db, id)
     } else {
-        (ConnKind::Http, SessionCore::new(0, None))
+        (ConnKind::Http, 0)
     };
     let conn = Arc::new(Conn {
         token,
         kind,
         stream,
         state: Mutex::new(ConnState {
-            core,
+            driver: Driver::new(&rx.shared, session),
             decoder: FrameDecoder::new(),
             encoder: FrameEncoder::new(),
             http_in: Vec::new(),
             http_out: Vec::new(),
             http_pos: 0,
-            unit: None,
-            pending: None,
             last_activity: Instant::now(),
             eof: false,
             closing: false,
@@ -477,43 +433,57 @@ fn pump_lane(rx: &Reactor, lane: usize) {
     }
 }
 
-/// Drop held lane guards and record their lanes for pumping. The pump runs
-/// *after* the caller releases the connection's state lock — `pump_lane`
-/// locks the granted session's state to check liveness, and the grantee may
-/// be the very connection the caller still holds.
-fn release_guards(guards: Vec<(usize, OwnedLaneGuard)>, pump: &mut Vec<usize>) {
-    for (lane, guard) in guards {
-        drop(guard);
-        pump.push(lane);
+/// This transport's [`LaneSource`] for one session: claim a free lane on the
+/// spot, otherwise queue the session and answer "parked". Released lanes are
+/// only *recorded*: the pump runs after the caller lets go of the
+/// connection's state lock — `pump_lane` locks the granted session's state to
+/// check liveness, and the grantee may be the very connection the caller
+/// still holds.
+struct EventLanes<'a> {
+    rx: &'a Reactor,
+    token: u64,
+    pump: &'a mut Vec<usize>,
+}
+
+impl LaneSource for EventLanes<'_> {
+    /// The ticket is drawn under the lane's queue lock so FIFO order matches
+    /// arrival order; it is claimed at once when the lane is free and nobody
+    /// is parked ahead.
+    fn acquire(&mut self, lane: usize, _out: &mut FrameEncoder) -> (u64, Option<OwnedLaneGuard>) {
+        let mut q = lock(&self.rx.lane_queues[lane]);
+        let (ticket, distance) = self.rx.shared.writer_lanes[lane].ticket_with_distance();
+        if q.is_empty() {
+            if let Some(guard) = TicketLane::try_claim(&self.rx.shared.writer_lanes[lane], ticket) {
+                return (distance, Some(guard));
+            }
+        }
+        q.push_back((ticket, self.token));
+        (distance, None)
+    }
+
+    fn released(&mut self, lane: usize) {
+        self.pump.push(lane);
     }
 }
 
 /// Close a connection and release everything it held. Idempotent.
 fn teardown(rx: &Reactor, conn: &Arc<Conn>, reaped: bool) {
-    let (unit, pending) = {
+    let mut pump = Vec::new();
+    {
         let mut st = lock(&conn.state);
         if st.dead {
             return;
         }
         st.dead = true;
-        (st.unit.take(), st.pending.take())
-    };
-    let mut pump = Vec::new();
-    if let Some(unit) = unit {
-        // Disconnect (or reap) mid-unit: roll back so no half-applied unit
-        // is ever visible or durable, then free the lanes.
-        rx.shared.db.db().abort_unit(unit.token);
-        rx.shared
-            .metrics
-            .units_rolled_back_on_disconnect
-            .fetch_add(1, Ordering::Relaxed);
-        release_guards(unit.guards, &mut pump);
-    }
-    if let Some(park) = pending {
-        // Parked mid-acquisition: free the lanes already held. The stale
-        // queue entry on the lane it was waiting for is skipped by
-        // `pump_lane`'s liveness check when it reaches the head.
-        release_guards(park.held, &mut pump);
+        // A unit left open is rolled back, lanes held by a parked claim are
+        // freed. The stale queue entry on the lane it was waiting for is
+        // skipped by `pump_lane`'s liveness check when it reaches the head.
+        let mut lanes = EventLanes {
+            rx,
+            token: conn.token,
+            pump: &mut pump,
+        };
+        st.driver.disconnect(&mut lanes);
     }
     rx.poller.deregister(conn.stream.as_raw_fd());
     lock(&rx.conns).remove(&conn.token);
@@ -548,7 +518,7 @@ fn teardown(rx: &Reactor, conn: &Arc<Conn>, reaped: bool) {
 fn scan_deadlines(rx: &Arc<Reactor>) {
     let conns: Vec<Arc<Conn>> = lock(&rx.conns).values().cloned().collect();
     for conn in conns {
-        let mut lane_guards = None;
+        let mut pump = Vec::new();
         let mut reap = false;
         {
             let Ok(mut st) = conn.state.try_lock() else {
@@ -557,31 +527,23 @@ fn scan_deadlines(rx: &Arc<Reactor>) {
             if st.dead {
                 continue;
             }
-            if st.unit.is_some() {
+            if st.driver.in_unit() {
                 if st.last_activity.elapsed() >= rx.shared.unit_idle_timeout {
-                    let unit = st.unit.take().expect("unit state");
-                    rx.shared.db.db().abort_unit(unit.token);
-                    rx.shared
-                        .metrics
-                        .units_timed_out
-                        .fetch_add(1, Ordering::Relaxed);
-                    st.core.note_unit_timed_out();
+                    let mut lanes = EventLanes {
+                        rx,
+                        token: conn.token,
+                        pump: &mut pump,
+                    };
+                    st.driver.end_unit(&mut lanes, UnitEnd::TimedOut);
                     st.last_activity = Instant::now();
-                    lane_guards = Some(unit.guards);
                 }
             } else if let Some(idle) = rx.shared.idle_timeout {
                 // A session parked for a lane is waiting on us, not idle.
-                if st.pending.is_none() && st.last_activity.elapsed() >= idle {
-                    reap = true;
-                }
+                reap = !st.driver.is_parked() && st.last_activity.elapsed() >= idle;
             }
         }
-        if let Some(guards) = lane_guards.take() {
-            let mut pump = Vec::new();
-            release_guards(guards, &mut pump);
-            for lane in pump {
-                pump_lane(rx, lane);
-            }
+        for lane in pump {
+            pump_lane(rx, lane);
         }
         if reap {
             teardown(rx, &conn, matches!(conn.kind, ConnKind::Db));
@@ -642,125 +604,19 @@ fn read_ready(conn: &Conn, st: &mut ConnState) {
     }
 }
 
-/// Flush the encoder until the socket pushes back.
-fn flush(conn: &Conn, st: &mut ConnState) {
+/// Flush the encoder until the socket pushes back; `false` when the socket
+/// is gone.
+fn flush(conn: &Conn, st: &mut ConnState) -> bool {
     while !st.encoder.is_empty() {
         match (&conn.stream).write(st.encoder.pending()) {
-            Ok(0) => {
-                st.dead = true;
-                return;
-            }
+            Ok(0) => return false,
             Ok(n) => st.encoder.consume(n),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                st.dead = true;
-                return;
-            }
+            Err(_) => return false,
         }
     }
-}
-
-/// Count and encode one response, echoing the request's trace id in the
-/// response envelope.
-fn push_msg(shared: &Shared, st: &mut ConnState, trace: TraceId, resp: &Response) {
-    count_response(&shared.metrics, resp);
-    if st.encoder.push(trace, resp).is_err() {
-        // An unencodable response (oversized frame) desyncs the stream;
-        // closing is the only honest option — same as a blocking write_msg
-        // failure ending the session.
-        st.dead = true;
-    }
-}
-
-/// Execute a (possibly lane-parked) work item under a fresh request span
-/// and settle its latency accounting. `claim_mask` is the lane mask the
-/// session holds for this work — the same mask inferred at dispatch, so the
-/// unit's shard claim matches the held lanes exactly.
-fn run_work(
-    rx: &Reactor,
-    core: &mut SessionCore,
-    work: Work,
-    claim_mask: u64,
-    kind: usize,
-    start: Instant,
-    trace: TraceId,
-) -> Response {
-    let shared = &rx.shared;
-    let root = shared.recorder.span_in(Stage::Request, trace, 0);
-    let scope = TraceScope::enter(root.trace_id(), root.id());
-    let resp = execute_work(shared, core, work, claim_mask);
-    drop(scope);
-    root.finish(kind as u64, core.id());
-    shared
-        .metrics
-        .record_latency_us(kind, start.elapsed().as_micros() as u64);
-    resp
-}
-
-/// Draw a ticket on lane `lane` for this session and claim it immediately
-/// when the lane is free and nobody is parked ahead; otherwise enqueue. The
-/// ticket is drawn under the lane's queue lock so FIFO order matches
-/// arrival order.
-fn claim_or_enqueue(rx: &Reactor, lane: usize, token: u64) -> Option<OwnedLaneGuard> {
-    let mut q = lock(&rx.lane_queues[lane]);
-    let ticket = rx.shared.writer_lanes[lane].ticket();
-    if q.is_empty() {
-        if let Some(guard) = TicketLane::try_claim(&rx.shared.writer_lanes[lane], ticket) {
-            return Some(guard);
-        }
-    }
-    q.push_back((ticket, token));
-    None
-}
-
-/// Advance a multi-lane claim without blocking: claim each unheld lane of
-/// the mask in ascending index order until either every lane is held
-/// (returns `true`) or one must be queued for (returns `false`; the session
-/// parks and a future grant resumes the walk). Ascending order is the
-/// deadlock-freedom invariant shared with the blocking transport.
-fn advance_acquire(rx: &Reactor, token: u64, park: &mut LanePark) -> bool {
-    loop {
-        let from = park.held.last().map_or(0, |(k, _)| k + 1);
-        let Some(lane) = (from..rx.shared.writer_lanes.len()).find(|k| park.mask >> k & 1 != 0)
-        else {
-            return true;
-        };
-        match claim_or_enqueue(rx, lane, token) {
-            Some(guard) => park.held.push((lane, guard)),
-            None => return false,
-        }
-    }
-}
-
-/// A parked claim completed: perform the deferred action. One-shot work
-/// releases its lanes immediately; an opened unit keeps them until it
-/// settles.
-fn finish_park(rx: &Reactor, st: &mut ConnState, park: LanePark, pump: &mut Vec<usize>) {
-    match park.what {
-        LanePending::OpenUnit => {
-            // Detached: this worker thread serves other sessions next, so
-            // the unit must not stay bound to it. Each of the unit's
-            // request slices re-binds via `with_unit_bound`.
-            let token = rx.shared.db.db().begin_unit_detached();
-            st.core.unit_opened();
-            st.last_activity = Instant::now();
-            st.unit = Some(UnitState {
-                token,
-                guards: park.held,
-            });
-        }
-        LanePending::Work {
-            work,
-            kind,
-            start,
-            trace,
-        } => {
-            let resp = run_work(rx, &mut st.core, work, park.mask, kind, start, trace);
-            push_msg(&rx.shared, st, trace, &resp);
-            release_guards(park.held, pump);
-        }
-    }
+    true
 }
 
 /// Serve one scheduled wake-up of a connection: perform any lane grant,
@@ -818,66 +674,47 @@ fn process_db(
     st: &mut ConnState,
     pump: &mut Vec<usize>,
 ) -> Fate {
-    // 1. A lane grant parked for this session? Fold it into the in-flight
-    //    claim and keep walking the mask; the deferred action runs only
-    //    once every lane is held.
+    let mut lanes = EventLanes {
+        rx,
+        token: conn.token,
+        pump,
+    };
+    // 1. A lane granted to this session's parked request? The driver folds
+    //    it in and keeps walking the claim; the request completes only once
+    //    every lane is held.
     if let Some((lane, guard)) = lock(&rx.grants).remove(&conn.token) {
-        match st.pending.take() {
-            Some(mut park) => {
-                park.held.push((lane, guard));
-                if advance_acquire(rx, conn.token, &mut park) {
-                    finish_park(rx, st, park, pump);
-                } else {
-                    st.pending = Some(park);
-                }
-            }
-            None => {
-                drop(guard);
-                pump.push(lane);
-            }
-        }
+        st.driver.on_grant(&mut lanes, &mut st.encoder, lane, guard);
     }
     // 2. Pull in whatever the socket has (unless we are parked — the kernel
     //    buffers a parked session's backlog, like a blocked thread would).
-    if st.pending.is_none() && !st.eof {
+    if !st.driver.is_parked() && !st.eof {
         read_ready(conn, st);
     }
-    // 3. Run the state machine over every decodable frame, flushing as the
-    //    encoder fills; backpressure pauses decoding until the socket
-    //    drains.
+    // 3. Run the driver over every decodable frame, flushing as the encoder
+    //    fills; backpressure pauses decoding until the socket drains.
     loop {
         let mut backpressured = false;
-        while st.pending.is_none() && !st.closing && !st.dead {
+        while !st.closing {
             if st.encoder.pending().len() >= HIGH_WATER {
                 backpressured = true;
                 break;
             }
-            match st.decoder.next_msg::<Request>() {
-                Ok(Some((wire_trace, req))) => handle_request(rx, conn, st, wire_trace, req, pump),
-                Ok(None) => break,
-                Err(e) => {
-                    if matches!(e, ServerError::Frame(_) | ServerError::Codec(_)) {
-                        rx.shared
-                            .metrics
-                            .protocol_errors
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                    // A torn or corrupt stream cannot be resynchronised.
-                    st.closing = true;
-                    break;
-                }
-            }
+            let Some((trace, req)) = st.driver.next_request(&mut st.decoder) else {
+                break;
+            };
+            st.driver
+                .on_request(&mut lanes, &mut st.encoder, trace, req);
         }
-        flush(conn, st);
-        if backpressured && st.encoder.pending().len() < HIGH_WATER && !st.dead {
+        st.closing |= st.driver.is_closing();
+        if !flush(conn, st) {
+            return Fate::Teardown;
+        }
+        if backpressured && st.encoder.pending().len() < HIGH_WATER {
             continue;
         }
         break;
     }
     // 4. Fate.
-    if st.dead {
-        return Fate::Teardown;
-    }
     if (st.closing || st.eof) && st.encoder.is_empty() {
         return Fate::Teardown;
     }
@@ -885,146 +722,13 @@ fn process_db(
     if !st.encoder.is_empty() {
         interest |= EV_WRITE;
     }
-    if !st.eof && !st.closing && st.pending.is_none() && st.encoder.pending().len() < HIGH_WATER {
+    if !st.eof && !st.closing && !st.driver.is_parked() && st.encoder.pending().len() < HIGH_WATER {
         interest |= EV_READ;
     }
     if interest == 0 {
         Fate::Parked
     } else {
         Fate::Arm(interest)
-    }
-}
-
-/// Advance the sans-io state machine by one decoded frame and perform the
-/// resulting step, mirroring the blocking transport's bookkeeping (request
-/// counters, root span, latency histogram) exactly.
-fn handle_request(
-    rx: &Arc<Reactor>,
-    conn: &Arc<Conn>,
-    st: &mut ConnState,
-    wire_trace: TraceId,
-    req: Request,
-    pump: &mut Vec<usize>,
-) {
-    let shared = &rx.shared;
-    let start = Instant::now();
-    let kind = req.kind();
-    shared.metrics.count_request(kind);
-    // Same adoption rule as the blocking transport: a client-stamped trace
-    // id wins, a blank envelope gets a minted one, and the id is echoed in
-    // every response envelope of this request.
-    let trace = crate::server::adopt_trace(&shared.recorder, wire_trace);
-    let root = shared.recorder.span_in(Stage::Request, trace, 0);
-    let scope = TraceScope::enter(root.trace_id(), root.id());
-    let mut parked = false;
-    match st.core.on_request(req) {
-        Step::Reply(resp) => push_msg(shared, st, trace, &resp),
-        Step::ReplyClose(resp) => {
-            push_msg(shared, st, trace, &resp);
-            st.closing = true;
-        }
-        Step::ShutdownAfter(resp) => {
-            push_msg(shared, st, trace, &resp);
-            initiate_shutdown(shared);
-            st.closing = true;
-        }
-        Step::OpenUnit => {
-            // Ack first (it goes out even while we queue for the lanes),
-            // then claim or park — never block a worker on a lane. A
-            // streamed unit's ops arrive one frame at a time, so no shard
-            // mask can be inferred up front: claim every lane.
-            push_msg(shared, st, trace, &Response::Ack);
-            let mut park = LanePark {
-                what: LanePending::OpenUnit,
-                mask: crate::server::all_lanes_mask(shared),
-                held: Vec::new(),
-            };
-            if advance_acquire(rx, conn.token, &mut park) {
-                finish_park(rx, st, park, pump);
-            } else {
-                st.pending = Some(park);
-                parked = true;
-            }
-        }
-        Step::Do(Work::UnitCommit) => {
-            let unit = st.unit.take().expect("unit state");
-            let resp = match shared.db.db().commit_unit(unit.token) {
-                Ok(()) => {
-                    shared
-                        .metrics
-                        .units_committed
-                        .fetch_add(1, Ordering::Relaxed);
-                    Response::Ack
-                }
-                // commit_unit rolls the unit back itself on failure.
-                Err(e) => Response::Error {
-                    kind: ErrorKind::Db,
-                    message: e.to_string(),
-                },
-            };
-            st.core.unit_closed();
-            push_msg(shared, st, trace, &resp);
-            release_guards(unit.guards, pump);
-        }
-        Step::Do(Work::UnitAbort) => {
-            let unit = st.unit.take().expect("unit state");
-            shared.db.db().abort_unit(unit.token);
-            shared.metrics.units_aborted.fetch_add(1, Ordering::Relaxed);
-            st.core.unit_closed();
-            push_msg(shared, st, trace, &Response::Ack);
-            release_guards(unit.guards, pump);
-        }
-        Step::Do(work) => {
-            // Infer the lane mask once, here; it travels with the park so
-            // the shard claim and the held lanes cannot drift apart.
-            let mask = crate::server::lane_mask_for(shared, &work);
-            if mask == 0 {
-                // In-unit slices (ops, unpinned queries) run on whichever
-                // worker is handy; bind the thread to the session's unit for
-                // the slice so event recording and claim routing follow the
-                // unit, not the thread.
-                let resp = match &st.unit {
-                    Some(unit) => {
-                        let core = &mut st.core;
-                        shared
-                            .db
-                            .db()
-                            .with_unit_bound(&unit.token, |_| execute_work(shared, core, work, 0))
-                    }
-                    None => execute_work(shared, &mut st.core, work, 0),
-                };
-                push_msg(shared, st, trace, &resp);
-            } else {
-                let mut park = LanePark {
-                    what: LanePending::Work {
-                        work,
-                        kind,
-                        start,
-                        trace,
-                    },
-                    mask,
-                    held: Vec::new(),
-                };
-                if advance_acquire(rx, conn.token, &mut park) {
-                    let LanePending::Work { work, .. } = park.what else {
-                        unreachable!("park built with Work")
-                    };
-                    let resp = execute_work(shared, &mut st.core, work, mask);
-                    push_msg(shared, st, trace, &resp);
-                    release_guards(park.held, pump);
-                } else {
-                    st.pending = Some(park);
-                    parked = true;
-                }
-            }
-        }
-    }
-    drop(scope);
-    root.finish(kind as u64, st.core.id());
-    if !parked {
-        shared
-            .metrics
-            .record_latency_us(kind, start.elapsed().as_micros() as u64);
     }
 }
 

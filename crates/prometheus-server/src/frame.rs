@@ -40,7 +40,7 @@ pub const MAX_FRAME_LEN: u32 = 16 * 1024 * 1024;
 const TRACE_BYTES: usize = 16;
 
 /// Frame `msg` under `trace` into `out` (shared by the blocking writer and
-/// the sans-io encoder so the two transports cannot drift).
+/// the sans-io encoder, so there is one envelope).
 fn frame_into<T: Serialize>(out: &mut Vec<u8>, trace: TraceId, msg: &T) -> ServerResult<()> {
     let payload = codec::to_bytes(msg)?;
     let body_len = TRACE_BYTES as u64 + payload.len() as u64;
@@ -60,8 +60,39 @@ fn frame_into<T: Serialize>(out: &mut Vec<u8>, trace: TraceId, msg: &T) -> Serve
     Ok(())
 }
 
-/// Split a CRC-verified frame body into its trace id and payload.
-fn split_body(body: &[u8]) -> ServerResult<(TraceId, &[u8])> {
+/// What [`parse_frame`] found at the front of a byte slice.
+enum Parsed<T> {
+    /// One whole frame of `len` bytes, decoded.
+    Frame { len: usize, trace: TraceId, msg: T },
+    /// Not yet: the slice must hold this many bytes before parsing can go on
+    /// (the header, then the whole frame once the length word is known).
+    Need(usize),
+}
+
+/// Parse the frame at the front of `avail` — the one place a frame from the
+/// wire is validated, shared by the blocking [`read_msg`] and the incremental
+/// [`FrameDecoder`]: the [`MAX_FRAME_LEN`] guard on the length word (before
+/// anyone allocates or waits for that many bytes), the CRC over the body, the
+/// trace envelope, then the payload codec.
+fn parse_frame<T: DeserializeOwned>(avail: &[u8]) -> ServerResult<Parsed<T>> {
+    if avail.len() < 8 {
+        return Ok(Parsed::Need(8));
+    }
+    let len = u32::from_le_bytes(avail[0..4].try_into().unwrap());
+    let crc = u32::from_le_bytes(avail[4..8].try_into().unwrap());
+    if len > MAX_FRAME_LEN {
+        return Err(ServerError::Frame(format!(
+            "declared frame length {len} exceeds maximum {MAX_FRAME_LEN}"
+        )));
+    }
+    let total = 8 + len as usize;
+    if avail.len() < total {
+        return Ok(Parsed::Need(total));
+    }
+    let body = &avail[8..total];
+    if crc32(body) != crc {
+        return Err(ServerError::Frame("frame failed CRC check".into()));
+    }
     if body.len() < TRACE_BYTES {
         return Err(ServerError::Frame(format!(
             "frame body of {} bytes is shorter than the trace envelope",
@@ -70,7 +101,13 @@ fn split_body(body: &[u8]) -> ServerResult<(TraceId, &[u8])> {
     }
     let hi = u64::from_le_bytes(body[0..8].try_into().unwrap());
     let lo = u64::from_le_bytes(body[8..16].try_into().unwrap());
-    Ok((TraceId::from_words(hi, lo), &body[TRACE_BYTES..]))
+    let msg =
+        codec::from_bytes(&body[TRACE_BYTES..]).map_err(|e| ServerError::Codec(e.to_string()))?;
+    Ok(Parsed::Frame {
+        len: total,
+        trace: TraceId::from_words(hi, lo),
+        msg,
+    })
 }
 
 /// Encode `msg` and write it as one frame stamped with `trace`
@@ -88,37 +125,31 @@ pub fn write_msg<W: Write, T: Serialize>(w: &mut W, trace: TraceId, msg: &T) -> 
 /// A clean EOF *between* frames maps to [`ServerError::Disconnected`]; EOF
 /// inside a frame (a torn header or payload) is a [`ServerError::Frame`].
 pub fn read_msg<R: Read, T: DeserializeOwned>(r: &mut R) -> ServerResult<(TraceId, T)> {
-    let mut header = [0u8; 8];
-    read_exact_or_disconnect(r, &mut header, true)?;
-    let len = u32::from_le_bytes(header[0..4].try_into().unwrap());
-    let crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
-    if len > MAX_FRAME_LEN {
-        return Err(ServerError::Frame(format!(
-            "declared frame length {len} exceeds maximum {MAX_FRAME_LEN}"
-        )));
+    let mut frame = Vec::new();
+    loop {
+        match parse_frame(&frame)? {
+            Parsed::Frame { trace, msg, .. } => return Ok((trace, msg)),
+            Parsed::Need(total) => {
+                let have = frame.len();
+                frame.resize(total, 0);
+                read_exact_or_disconnect(r, &mut frame[have..], have == 0)?;
+            }
+        }
     }
-    let mut body = vec![0u8; len as usize];
-    read_exact_or_disconnect(r, &mut body, false)?;
-    if crc32(&body) != crc {
-        return Err(ServerError::Frame("frame failed CRC check".into()));
-    }
-    let (trace, payload) = split_body(&body)?;
-    let msg = codec::from_bytes(payload).map_err(|e| ServerError::Codec(e.to_string()))?;
-    Ok((trace, msg))
 }
 
 /// Incremental, sans-io frame decoder: feed it bytes in whatever chunks the
 /// transport produces and pull complete messages out.
 ///
-/// The blocking [`read_msg`] owns its socket and can simply block for the
-/// rest of a frame; an event-driven server cannot — a readiness loop hands
-/// it arbitrary slices (often one syscall's worth, sometimes a single byte)
-/// and needs to know whether a whole frame has arrived yet. `FrameDecoder`
-/// buffers input across calls and applies exactly the same validation as
-/// `read_msg`: the [`MAX_FRAME_LEN`] guard against hostile length words and
-/// the CRC check over the body. Decode results are therefore identical to
-/// the blocking reader's for any split of the byte stream (property-tested
-/// in `tests/frame_streaming.rs`).
+/// The client's [`read_msg`] owns its socket and can simply block for the
+/// rest of a frame; a server cannot — a read hands it arbitrary slices
+/// (often one syscall's worth, sometimes a single byte, sometimes half a
+/// frame followed by a deadline) and it needs to know whether a whole frame
+/// has arrived yet. Both server transports feed one of these. It buffers
+/// input across calls and validates through the same private parser as
+/// `read_msg`, so decode results are identical to the blocking reader's for
+/// any split of the byte stream (property-tested in
+/// `tests/frame_streaming.rs`).
 ///
 /// ```
 /// use prometheus_server::{FrameDecoder, Request};
@@ -172,34 +203,18 @@ impl FrameDecoder {
     /// Decode the next complete frame, if one is buffered, as its trace id
     /// plus the message.
     ///
-    /// `Ok(None)` means more bytes are needed. Errors mirror [`read_msg`]:
+    /// `Ok(None)` means more bytes are needed. Errors are [`read_msg`]'s:
     /// an oversized length word or CRC mismatch is a fatal
     /// [`ServerError::Frame`] / [`ServerError::Codec`] — the stream is
     /// desynchronised and the connection must close.
     pub fn next_msg<T: DeserializeOwned>(&mut self) -> ServerResult<Option<(TraceId, T)>> {
-        let avail = &self.buf[self.start..];
-        if avail.len() < 8 {
-            return Ok(None);
+        match parse_frame(&self.buf[self.start..])? {
+            Parsed::Frame { len, trace, msg } => {
+                self.start += len;
+                Ok(Some((trace, msg)))
+            }
+            Parsed::Need(_) => Ok(None),
         }
-        let len = u32::from_le_bytes(avail[0..4].try_into().unwrap());
-        let crc = u32::from_le_bytes(avail[4..8].try_into().unwrap());
-        if len > MAX_FRAME_LEN {
-            return Err(ServerError::Frame(format!(
-                "declared frame length {len} exceeds maximum {MAX_FRAME_LEN}"
-            )));
-        }
-        let total = 8 + len as usize;
-        if avail.len() < total {
-            return Ok(None);
-        }
-        let body = &avail[8..total];
-        if crc32(body) != crc {
-            return Err(ServerError::Frame("frame failed CRC check".into()));
-        }
-        let (trace, payload) = split_body(body)?;
-        let msg = codec::from_bytes(payload).map_err(|e| ServerError::Codec(e.to_string()))?;
-        self.start += total;
-        Ok(Some((trace, msg)))
     }
 
     /// Whether the buffer sits exactly at a frame boundary — an EOF here is

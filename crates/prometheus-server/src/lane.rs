@@ -29,12 +29,6 @@ struct LaneState {
     serving: u64,
 }
 
-/// Holds the lane; dropping it serves the next ticket in line.
-#[derive(Debug)]
-pub struct LaneGuard<'a> {
-    lane: &'a TicketLane,
-}
-
 impl TicketLane {
     /// A free lane: the first ticket drawn is served immediately.
     pub fn new() -> TicketLane {
@@ -42,8 +36,9 @@ impl TicketLane {
     }
 
     /// Draw a ticket — a position in the FIFO queue. Never blocks; pair
-    /// with [`TicketLane::wait`]. Split from acquisition so callers (and
-    /// tests) can fix the grant order before anyone starts waiting.
+    /// with [`TicketLane::wait`] or [`TicketLane::try_claim`]. Split from
+    /// acquisition so callers (and tests) can fix the grant order before
+    /// anyone starts waiting.
     pub fn ticket(&self) -> u64 {
         self.ticket_with_distance().0
     }
@@ -59,28 +54,17 @@ impl TicketLane {
     }
 
     /// Block until `ticket` is at the head of the queue, then hold the lane.
-    pub fn wait(&self, ticket: u64) -> LaneGuard<'_> {
-        let mut state = lock(&self.state);
+    pub fn wait(lane: &Arc<TicketLane>, ticket: u64) -> OwnedLaneGuard {
+        let mut state = lock(&lane.state);
         while state.serving != ticket {
-            state = self
+            state = lane
                 .served
                 .wait(state)
                 .unwrap_or_else(|poisoned| poisoned.into_inner());
         }
-        LaneGuard { lane: self }
-    }
-
-    /// Draw a ticket and wait for it: FIFO `lock()`.
-    pub fn acquire(&self) -> LaneGuard<'_> {
-        let ticket = self.ticket();
-        self.wait(ticket)
-    }
-
-    /// The ticket currently being served — the one a holder owns, or the
-    /// next grant if the lane is free. Event-driven callers poll this to
-    /// decide whether the head of their wait queue can claim the lane.
-    pub fn serving(&self) -> u64 {
-        lock(&self.state).serving
+        OwnedLaneGuard {
+            lane: Arc::clone(lane),
+        }
     }
 
     /// Outstanding tickets: drawn but not yet released (the current holder,
@@ -92,11 +76,9 @@ impl TicketLane {
     }
 
     /// Claim `ticket` without blocking: `Some` exactly when `ticket` is at
-    /// the head of the queue right now. The returned guard owns an `Arc` to
-    /// the lane, so it can be parked in per-connection state and dropped
-    /// from any thread — the event loop's workers must never block in
-    /// [`TicketLane::wait`] (the current holder may be an idle session whose
-    /// releasing frame needs a free worker).
+    /// the head of the queue right now — the event loop's workers must never
+    /// block in [`TicketLane::wait`] (the current holder may be an idle
+    /// session whose releasing frame needs a free worker).
     pub fn try_claim(lane: &Arc<TicketLane>, ticket: u64) -> Option<OwnedLaneGuard> {
         let state = lock(&lane.state);
         if state.serving == ticket {
@@ -110,23 +92,16 @@ impl TicketLane {
     }
 }
 
-/// An owning counterpart of [`LaneGuard`]: holds the lane via an `Arc`, so
-/// it can outlive the stack frame that claimed it (parked in a connection's
-/// unit state between readiness events). Dropping it serves the next ticket.
+/// Holds the lane via an `Arc`, so it can outlive the stack frame that
+/// claimed it (a streamed unit keeps its guards in the session's driver
+/// state across requests) and be dropped from any thread. Dropping it serves
+/// the next ticket in line.
 #[derive(Debug)]
 pub struct OwnedLaneGuard {
     lane: Arc<TicketLane>,
 }
 
 impl Drop for OwnedLaneGuard {
-    fn drop(&mut self) {
-        let mut state = lock(&self.lane.state);
-        state.serving += 1;
-        self.lane.served.notify_all();
-    }
-}
-
-impl Drop for LaneGuard<'_> {
     fn drop(&mut self) {
         let mut state = lock(&self.lane.state);
         state.serving += 1;
@@ -145,14 +120,18 @@ fn lock(m: &Mutex<LaneState>) -> MutexGuard<'_, LaneState> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
     use std::time::Duration;
+
+    /// Draw a ticket and wait for it: FIFO `lock()`.
+    fn acquire(lane: &Arc<TicketLane>) -> OwnedLaneGuard {
+        TicketLane::wait(lane, lane.ticket())
+    }
 
     #[test]
     fn uncontended_acquire_is_immediate() {
-        let lane = TicketLane::new();
-        drop(lane.acquire());
-        drop(lane.acquire());
+        let lane = Arc::new(TicketLane::new());
+        drop(acquire(&lane));
+        drop(acquire(&lane));
     }
 
     #[test]
@@ -160,7 +139,7 @@ mod tests {
         let lane = Arc::new(TicketLane::new());
         // Park the lane so every contender queues behind ticket 0.
         let head = lane.ticket();
-        let gate = lane.wait(head);
+        let gate = TicketLane::wait(&lane, head);
         let order = Arc::new(Mutex::new(Vec::new()));
         let mut workers = Vec::new();
         // Draw tickets sequentially *here*, so the FIFO order is known even
@@ -170,7 +149,7 @@ mod tests {
             let lane = Arc::clone(&lane);
             let order = Arc::clone(&order);
             workers.push(std::thread::spawn(move || {
-                let _guard = lane.wait(ticket);
+                let _guard = TicketLane::wait(&lane, ticket);
                 order.lock().unwrap().push(i);
                 // Hold briefly so a barging acquirer would have a window.
                 std::thread::sleep(Duration::from_millis(1));
@@ -200,7 +179,7 @@ mod tests {
         // While held, nobody else claims — not even the head ticket again.
         assert!(TicketLane::try_claim(&lane, second).is_none());
         drop(head);
-        assert_eq!(lane.serving(), second);
+        assert_eq!(lane.depth(), 1);
         let next = TicketLane::try_claim(&lane, second).expect("next after release");
         drop(next);
     }
@@ -214,13 +193,13 @@ mod tests {
         let waiter = {
             let lane = Arc::clone(&lane);
             std::thread::spawn(move || {
-                let _guard = lane.wait(t1);
+                let _guard = TicketLane::wait(&lane, t1);
             })
         };
         std::thread::sleep(Duration::from_millis(10));
         drop(owned); // releases from this thread; the blocked waiter proceeds
         waiter.join().unwrap();
-        drop(lane.acquire());
+        drop(acquire(&lane));
     }
 
     #[test]
@@ -229,12 +208,12 @@ mod tests {
         let panicking = {
             let lane = Arc::clone(&lane);
             std::thread::spawn(move || {
-                let _guard = lane.acquire();
+                let _guard = acquire(&lane);
                 panic!("holder dies with the lane");
             })
         };
         assert!(panicking.join().is_err());
         // The guard's Drop ran during unwind; the lane must still grant.
-        drop(lane.acquire());
+        drop(acquire(&lane));
     }
 }

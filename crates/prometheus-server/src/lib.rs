@@ -9,27 +9,27 @@
 //!
 //! * [`frame`] — length-prefixed, CRC-protected frames (the redo-log
 //!   envelope, reused for the network), both blocking ([`frame::read_msg`] /
-//!   [`frame::write_msg`]) and incremental ([`FrameDecoder`] /
-//!   [`FrameEncoder`] for non-blocking sockets);
+//!   [`frame::write_msg`], the client's) and incremental ([`FrameDecoder`] /
+//!   [`FrameEncoder`], the server's), over one parser;
 //! * [`protocol`] — versioned [`protocol::Request`]/[`protocol::Response`]
 //!   messages: handshake, POOL queries, PCL installation, units of work
 //!   (streamed and batched), compaction, stats, shutdown;
 //! * [`core`] — the **sans-io** per-session protocol state machine
 //!   ([`SessionCore`]): consumes decoded requests, answers with ready
-//!   responses or typed [`Work`] items, and never touches a socket — both
-//!   transports below drive it, so the protocol cannot drift between them;
-//! * [`server`] — the two transports behind one [`serve`] entry point: the
-//!   blocking accept-loop + worker-pool path
-//!   ([`ServerConfig::io_threads`]` == 0`), and the **event-driven** path
-//!   (`io_threads > 0`, Linux) where an epoll readiness loop ([`poll`],
+//!   responses or typed [`Work`] items, and never touches a socket. One
+//!   (also sans-io) request driver runs it under both transports below, so
+//!   neither the protocol nor a request's bookkeeping — counters, spans,
+//!   lanes, unit rollback — can drift between them;
+//! * [`server`] — the two transports behind one [`serve`] entry point, each
+//!   an I/O shell around that driver: the blocking accept-loop + worker-pool
+//!   path ([`ServerConfig::io_threads`]` == 0`), and the **event-driven**
+//!   path (`io_threads > 0`, Linux) where an epoll readiness loop ([`poll`],
 //!   [`event`]) owns thousands of connections with a handful of threads and
 //!   also serves the HTTP `GET /metrics` scrape endpoint. In both, queries
 //!   run lock-free against pinned storage snapshots while every mutation
-//!   passes through the fair FIFO **writer lane** ([`lane`]), preserving the
-//!   engine's single-writer discipline across sessions; a unit that sits
-//!   silent past the idle deadline is rolled back so the lane keeps moving;
-//! * [`session`] — per-connection state, notably the session's
-//!   classification context (§4.6.2 "working inside a classification");
+//!   passes through the fair FIFO **writer lanes** ([`lane`]), preserving
+//!   the engine's single-writer discipline across sessions; a unit that sits
+//!   silent past the idle deadline is rolled back so the lanes keep moving;
 //! * [`client`] — [`client::PrometheusClient`] and the RAII
 //!   [`client::UnitGuard`];
 //! * [`metrics`] — lock-free server counters, latency histograms (merged
@@ -59,6 +59,7 @@
 
 pub mod client;
 pub mod core;
+mod driver;
 pub mod error;
 #[cfg(target_os = "linux")]
 pub mod event;
@@ -71,7 +72,6 @@ pub mod poll;
 pub mod protocol;
 pub mod replica;
 pub mod server;
-pub mod session;
 pub mod slowlog;
 
 pub use crate::core::{is_mutating, SessionCore, Step, Work};
@@ -79,7 +79,7 @@ pub use client::{ClientConfig, PollOutcome, PrometheusClient, UnitGuard};
 pub use error::{ErrorKind, ServerError, ServerResult};
 pub use exposition::render_prometheus_exposition;
 pub use frame::{FrameDecoder, FrameEncoder, MAX_FRAME_LEN};
-pub use lane::{LaneGuard, OwnedLaneGuard, TicketLane};
+pub use lane::{OwnedLaneGuard, TicketLane};
 pub use metrics::{FollowerLag, LatencyHistogram, MetricsSnapshot, ServerMetrics};
 pub use prometheus_trace::{render_tree, Recorder, Stage, StageRollup, TraceEvent, TraceId};
 pub use protocol::{
@@ -88,5 +88,4 @@ pub use protocol::{
 };
 pub use replica::{ReplicaInfo, ReplicaStatusCell};
 pub use server::{serve, ServerConfig, ServerConfigBuilder, ServerHandle};
-pub use session::Session;
 pub use slowlog::{SlowLog, SlowLogEntry};

@@ -8,20 +8,30 @@
 //!                 ▼
 //!   worker pool (N threads) ── one session per worker at a time
 //!                 │
-//!        ┌────────┴─────────┐
-//!        ▼                  ▼
-//!   read requests      writer lane (FIFO ticket lock)
+//!                 │  read (deadline) → FrameDecoder → Driver → FrameEncoder → write
+//!                 │                                     │
+//!        ┌────────┴─────────┐                           │  the same driver the event
+//!        ▼                  ▼                           │  transport runs (`event.rs`)
+//!   read requests      writer lanes (FIFO ticket locks, one per shard)
 //!   (each query runs   — every mutating request (units, batches,
-//!    on a pinned         PCL install, compact) passes through it,
+//!    on a pinned         PCL install, compact) passes through them,
 //!    snapshot)            granted strictly in arrival order
 //! ```
+//!
+//! This file's transport is an I/O shell: the accept loop, the worker pool,
+//! `catch_unwind` around a session, and a loop that reads under the deadline
+//! that applies, hands each whole frame to the session's
+//! `Driver` (`driver.rs`) and writes what it answered. Counting, spans,
+//! the protocol state machine, lanes, units and their rollback all live in
+//! the driver; the one thing this transport decides is that a lane is
+//! waited for by blocking the session's own thread.
 //!
 //! The engine's discipline is single-writer / concurrent-reader (see
 //! `tests/concurrency.rs`): queries are safe from any thread, while units of
 //! work use one global, nestable unit state on the `Database`. The server
 //! makes that safe over the wire by funnelling every mutating request
-//! through the **writer lane** — a [`crate::lane::TicketLane`] a session
-//! holds for the duration of a streamed unit (`UnitBegin` …
+//! through the **writer lanes** — a [`crate::lane::TicketLane`] per shard
+//! that a session holds for the duration of a streamed unit (`UnitBegin` …
 //! `UnitCommit`/`UnitAbort`) or one batch, granted in FIFO order so no
 //! session can barge past queued writers. A connection that drops while
 //! holding an open unit has the unit rolled back before the lane is
@@ -47,19 +57,20 @@
 //! joins all threads on drop, so no test or embedder leaks threads.
 
 use crate::client::{ClientConfig, PrometheusClient};
-use crate::core::{SessionCore, Step, Work};
+use crate::core::{SessionCore, Work};
+use crate::driver::{Driver, LaneSource, UnitEnd};
 use crate::error::{ErrorKind, ServerError, ServerResult};
-use crate::frame::{read_msg, write_msg};
-use crate::lane::{LaneGuard, TicketLane};
+use crate::frame::{FrameDecoder, FrameEncoder};
+use crate::lane::{OwnedLaneGuard, TicketLane};
 use crate::metrics::{MetricsSnapshot, ServerMetrics, ShardMetrics};
-use crate::protocol::{MutationOp, ReplicaStatusInfo, Request, Response, TraceSpan, WireRows};
+use crate::protocol::{MutationOp, ReplicaStatusInfo, Response, TraceSpan, WireRows};
 use crate::replica::ReplicaInfo;
 use crate::slowlog::{SlowLog, SlowLogEntry};
 use prometheus_db::{Database, DbResult, Oid, Prometheus, Value};
 use prometheus_pool::{Executor, StatementKind};
 use prometheus_trace::{Recorder, Stage, TraceEvent, TraceId, TraceScope};
 use std::collections::HashMap;
-use std::io::{BufReader, BufWriter};
+use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
@@ -130,13 +141,6 @@ pub struct ServerConfig {
     /// rolled back, and the `sessions_reaped` counter is bumped. `None`
     /// (the default) never reaps.
     pub idle_timeout: Option<Duration>,
-    /// Number of writer lanes — one per store shard. Must equal the shard
-    /// count of the database being served (open it with
-    /// `Prometheus::open_sharded`); [`serve`] refuses a mismatch. Mutations
-    /// claim only the lanes of the shards they touch, so batches bound for
-    /// different shards commit in parallel; streamed units, PCL
-    /// installation and compaction still claim every lane.
-    pub shards: usize,
 }
 
 impl Default for ServerConfig {
@@ -153,7 +157,6 @@ impl Default for ServerConfig {
             max_connections: 0,
             metrics_http_addr: None,
             idle_timeout: None,
-            shards: 1,
         }
     }
 }
@@ -261,12 +264,6 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Writer lanes, one per store shard (must match the served database).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.cfg.shards = shards;
-        self
-    }
-
     /// Validate and produce the config.
     ///
     /// Rejected combinations: an empty bind address; `workers == 0` in
@@ -294,12 +291,6 @@ impl ServerConfigBuilder {
             return Err(ServerError::Config(
                 "unit_idle_timeout must be non-zero (every unit would time out instantly)".into(),
             ));
-        }
-        if cfg.shards == 0 || cfg.shards > 64 {
-            return Err(ServerError::Config(format!(
-                "shards must be 1..=64, got {}",
-                cfg.shards
-            )));
         }
         if let Some(idle) = cfg.idle_timeout {
             if idle.is_zero() {
@@ -365,11 +356,62 @@ pub(crate) struct Shared {
     pub(crate) started_unix_s: u64,
 }
 
+impl Shared {
+    /// The server's shared state over `db`, with one writer lane per store
+    /// shard. Needs no socket — `addr` is only what shutdown dials to wake
+    /// the accept loop.
+    pub(crate) fn new(db: Prometheus, config: &ServerConfig, addr: SocketAddr) -> Shared {
+        let parallelism = if config.parallelism == 0 {
+            thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        } else {
+            config.parallelism
+        };
+        let recorder = if config.trace_capacity == 0 {
+            Recorder::disabled()
+        } else {
+            Recorder::new(config.trace_capacity)
+        };
+        // One recorder everywhere: storage commit/fsync/compact spans, rule
+        // firing, plan-cache lookups and execution stages all land in the
+        // same ring as the server's own request and lane-wait spans.
+        db.set_recorder(recorder.clone());
+        let executor = Executor::new(parallelism);
+        executor.set_recorder(recorder.clone());
+        let writer_lanes = (0..db.db().store().shard_count())
+            .map(|_| Arc::new(TicketLane::new()))
+            .collect();
+        Shared {
+            db,
+            metrics: ServerMetrics::default(),
+            executor,
+            writer_lanes,
+            unit_idle_timeout: config.unit_idle_timeout,
+            idle_timeout: config.idle_timeout,
+            recorder,
+            slow_log: SlowLog::default(),
+            slow_query_threshold: config.slow_query_threshold,
+            shutting_down: AtomicBool::new(false),
+            next_session: AtomicU64::new(1),
+            conns: Mutex::new(HashMap::new()),
+            addr,
+            replica: config.replica.clone(),
+            shutdown_wakers: Mutex::new(Vec::new()),
+            started_at: Instant::now(),
+            started_unix_s: std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .map_or(0, |d| d.as_secs()),
+        }
+    }
+}
+
 /// Recover from a poisoned lock: the protected state (the connection
-/// hand-off queue, the socket registry) stays consistent across a panicking
-/// thread, so it is safe to reuse. The writer lane does its own poison
-/// recovery inside [`TicketLane`].
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// hand-off queue, the socket registry, the event loop's queues and
+/// per-connection state) stays consistent across a panicking thread, so it
+/// is safe to reuse. The writer lane does its own poison recovery inside
+/// [`TicketLane`].
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
@@ -384,57 +426,8 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// (Linux only). `config.metrics_http_addr` additionally serves `GET
 /// /metrics` in either mode.
 pub fn serve(db: Prometheus, config: ServerConfig) -> ServerResult<ServerHandle> {
-    let store_shards = db.db().store().shard_count();
-    if config.shards != store_shards {
-        return Err(ServerError::Config(format!(
-            "config.shards = {} but the database has {store_shards} shard(s); \
-             open it with Prometheus::open_sharded({store_shards}) or fix the config",
-            config.shards
-        )));
-    }
     let listener = TcpListener::bind(&config.addr)?;
-    let addr = listener.local_addr()?;
-    let parallelism = if config.parallelism == 0 {
-        thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        config.parallelism
-    };
-    let recorder = if config.trace_capacity == 0 {
-        Recorder::disabled()
-    } else {
-        Recorder::new(config.trace_capacity)
-    };
-    // One recorder everywhere: storage commit/fsync/compact spans, rule
-    // firing, plan-cache lookups and execution stages all land in the same
-    // ring as the server's own request and lane-wait spans.
-    db.set_recorder(recorder.clone());
-    let executor = Executor::new(parallelism);
-    executor.set_recorder(recorder.clone());
-    let shared = Arc::new(Shared {
-        db,
-        metrics: ServerMetrics::default(),
-        executor,
-        writer_lanes: (0..store_shards)
-            .map(|_| Arc::new(TicketLane::new()))
-            .collect(),
-        unit_idle_timeout: config.unit_idle_timeout,
-        idle_timeout: config.idle_timeout,
-        recorder,
-        slow_log: SlowLog::default(),
-        slow_query_threshold: config.slow_query_threshold,
-        shutting_down: AtomicBool::new(false),
-        next_session: AtomicU64::new(1),
-        conns: Mutex::new(HashMap::new()),
-        addr,
-        replica: config.replica.clone(),
-        shutdown_wakers: Mutex::new(Vec::new()),
-        started_at: Instant::now(),
-        started_unix_s: std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map_or(0, |d| d.as_secs()),
-    });
+    let shared = Arc::new(Shared::new(db, &config, listener.local_addr()?));
 
     #[cfg(not(target_os = "linux"))]
     if config.io_threads > 0 || config.metrics_http_addr.is_some() {
@@ -688,13 +681,21 @@ fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) {
         .metrics
         .connections_active
         .fetch_add(1, Ordering::Relaxed);
+    let mut driver = Driver::new(shared, id);
+    let mut lanes = BlockingLanes {
+        shared,
+        stream: &stream,
+    };
     // Session errors are per-connection: counted in metrics, never fatal to
     // the server. That includes panics — a worker thread serves many
     // connections over its lifetime, so an unwinding session must not kill
     // it (or skip the bookkeeping below).
     let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_session(shared, id, stream)
+        session_io(&mut driver, &mut lanes)
     }));
+    // However the session ended — EOF, a transport error, the reaper, a
+    // panic — a unit it left open is rolled back before its lanes go.
+    driver.disconnect(&mut lanes);
     lock(&shared.conns).remove(&id);
     shared
         .metrics
@@ -702,48 +703,117 @@ fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) {
         .fetch_sub(1, Ordering::Relaxed);
 }
 
-/// A mask claiming every writer lane.
-pub(crate) fn all_lanes_mask(shared: &Shared) -> u64 {
-    if shared.writer_lanes.len() == 64 {
-        u64::MAX
-    } else {
-        (1u64 << shared.writer_lanes.len()) - 1
-    }
+/// The blocking transport's [`LaneSource`]: the session's own thread waits
+/// on the lane's condvar, so a claim never parks.
+struct BlockingLanes<'a> {
+    shared: &'a Shared,
+    stream: &'a TcpStream,
 }
 
-/// Acquire the writer lanes in `mask`, timing the queue waits as one
-/// `lane_wait` span: `c0` is the largest ticket distance at draw time
-/// (holders ahead in a FIFO), `c1 = 1` marks a real acquisition — pinned
-/// queries record a synthetic zero-wait span with `c1 = 0` instead, see
-/// `profile_query`.
-///
-/// Lanes are acquired strictly in ascending index order, and each lane's
-/// ticket is drawn only after the previous lane is *held* — the resource
-/// ordering that makes cross-session multi-lane acquisition deadlock-free
-/// (a holder of lane `j` only ever waits on lanes `> j`).
-fn acquire_lanes<'a>(shared: &'a Shared, mask: u64) -> Vec<LaneGuard<'a>> {
-    let span = shared.recorder.span(Stage::LaneWait);
-    let mut guards = Vec::new();
-    let mut worst = 0u64;
-    for (k, lane) in shared.writer_lanes.iter().enumerate() {
-        if mask & (1u64 << k) == 0 {
-            continue;
-        }
+impl LaneSource for BlockingLanes<'_> {
+    fn acquire(&mut self, lane: usize, out: &mut FrameEncoder) -> (u64, Option<OwnedLaneGuard>) {
+        let lane = &self.shared.writer_lanes[lane];
         let (ticket, distance) = lane.ticket_with_distance();
-        worst = worst.max(distance);
-        guards.push(lane.wait(ticket));
+        if distance > 0 {
+            // About to queue: what is already answered (a `UnitBegin` ack)
+            // goes out first. A failed write resurfaces at the next one.
+            let _ = write_pending(self.stream, out);
+        }
+        (distance, Some(TicketLane::wait(lane, ticket)))
     }
-    span.finish(worst, 1);
-    guards
+
+    // The guard's drop woke the lane's condvar; nothing else waits on it.
+    fn released(&mut self, _lane: usize) {}
 }
 
-/// The writer lanes `work` must hold, as a shard mask (0 = none). Streamed
-/// unit ops never reach this — their lanes are held for the whole unit.
+/// Write out everything the encoder holds.
+fn write_pending(mut stream: &TcpStream, out: &mut FrameEncoder) -> std::io::Result<()> {
+    if !out.is_empty() {
+        stream.write_all(out.pending())?;
+        out.consume(out.pending().len());
+    }
+    Ok(())
+}
+
+/// The blocking transport's whole job: bytes in, [`Driver`], bytes out. One
+/// `read` under the deadline that applies, every frame it completed through
+/// the driver, one `write` per answered request.
+fn session_io(driver: &mut Driver, lanes: &mut BlockingLanes<'_>) -> ServerResult<()> {
+    let (shared, mut stream) = (lanes.shared, lanes.stream);
+    let mut decoder = FrameDecoder::new();
+    let mut out = FrameEncoder::new();
+    if shared.shutting_down.load(Ordering::SeqCst) {
+        out.push(
+            TraceId::NONE,
+            &Response::Error {
+                kind: ErrorKind::ShuttingDown,
+                message: "server is shutting down".into(),
+            },
+        )?;
+        let _ = write_pending(stream, &mut out);
+        return Ok(());
+    }
+    let mut buf = [0u8; 16 * 1024];
+    // The read deadline in force on the socket; re-armed (a syscall) only
+    // when the one that applies changes.
+    let mut armed = None;
+    loop {
+        while let Some((trace, req)) = driver.next_request(&mut decoder) {
+            driver.on_request(lanes, &mut out, trace, req);
+            write_pending(stream, &mut out)?;
+            if shared.shutting_down.load(Ordering::SeqCst) {
+                return Ok(()); // drained: last response delivered
+            }
+        }
+        if driver.is_closing() {
+            return Ok(());
+        }
+        // While the session holds the lanes, silence is billed: a stalled
+        // client must not block queued writers forever. Between units the
+        // idle reaper's deadline (or none) applies.
+        let deadline = if driver.in_unit() {
+            Some(shared.unit_idle_timeout)
+        } else {
+            shared.idle_timeout
+        };
+        if deadline != armed {
+            stream.set_read_timeout(deadline)?;
+            armed = deadline;
+        }
+        match stream.read(&mut buf) {
+            Ok(0) => return Ok(()),
+            // Half a frame is kept: a deadline that fires before the rest
+            // arrives leaves the stream in sync.
+            Ok(n) => decoder.extend(&buf[..n]),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) =>
+            {
+                if !driver.in_unit() {
+                    shared
+                        .metrics
+                        .sessions_reaped
+                        .fetch_add(1, Ordering::Relaxed);
+                    return Ok(());
+                }
+                driver.end_unit(lanes, UnitEnd::TimedOut);
+            }
+            Err(e) => return Err(e.into()),
+        }
+    }
+}
+
+/// The writer lanes `work` must hold, as a shard mask (0 = none) — the one
+/// decision of which work is lane-bound. For a slice of a streamed unit it
+/// answers 0: the unit's lanes are already held.
 pub(crate) fn lane_mask_for(shared: &Shared, work: &Work) -> u64 {
     match work {
         // PCL installation changes what every future mutation does, and
         // compaction rewrites each shard's log: both quiesce every lane.
-        Work::InstallPcl { .. } | Work::Compact => all_lanes_mask(shared),
+        Work::InstallPcl { .. } | Work::Compact => shared.db.db().store().all_shards_mask(),
         Work::UnitBatch { ops } => batch_lane_mask(shared, ops),
         _ => 0,
     }
@@ -759,7 +829,7 @@ pub(crate) fn lane_mask_for(shared: &Shared, work: &Work) -> u64 {
 /// trip it.
 pub(crate) fn batch_lane_mask(shared: &Shared, ops: &[MutationOp]) -> u64 {
     let store = shared.db.db().store();
-    let all = all_lanes_mask(shared);
+    let all = store.all_shards_mask();
     if store.shard_count() == 1 || !shared.db.rules().rules().is_empty() {
         return all;
     }
@@ -810,167 +880,7 @@ pub(crate) fn batch_lane_mask(shared: &Shared, ops: &[MutationOp]) -> u64 {
     }
 }
 
-/// What the outer session loop should do after a request.
-enum Flow {
-    Continue,
-    Close,
-    /// `UnitBegin` was acknowledged; enter the streamed-unit sub-loop.
-    EnterUnit,
-}
-
-fn run_session(shared: &Arc<Shared>, id: u64, stream: TcpStream) -> ServerResult<()> {
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    let mut core = SessionCore::new(id, shared.replica.as_ref().map(|r| r.primary.clone()));
-    if shared.shutting_down.load(Ordering::SeqCst) {
-        let _ = write_msg(
-            &mut writer,
-            TraceId::NONE,
-            &Response::Error {
-                kind: ErrorKind::ShuttingDown,
-                message: "server is shutting down".into(),
-            },
-        );
-        return Ok(());
-    }
-    // Arm the idle reaper: a session that sends no frame for `idle_timeout`
-    // is closed (between requests — a streamed unit is governed by the
-    // stricter `unit_idle_timeout` inside `run_unit`, which restores this
-    // deadline on the way out).
-    let _ = reader.get_ref().set_read_timeout(shared.idle_timeout);
-    loop {
-        let (wire_trace, req): (TraceId, Request) = match read_msg(&mut reader) {
-            Ok(r) => r,
-            Err(ServerError::Disconnected) => return Ok(()),
-            Err(ServerError::Io(e))
-                if shared.idle_timeout.is_some()
-                    && matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-            {
-                // Reaped: no unit can be open here (units run under their
-                // own deadline in `run_unit`), so closing the socket is the
-                // whole cleanup.
-                shared
-                    .metrics
-                    .sessions_reaped
-                    .fetch_add(1, Ordering::Relaxed);
-                return Ok(());
-            }
-            Err(e) => {
-                if matches!(e, ServerError::Frame(_) | ServerError::Codec(_)) {
-                    shared
-                        .metrics
-                        .protocol_errors
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                return Err(e);
-            }
-        };
-        let start = Instant::now();
-        let kind = req.kind();
-        shared.metrics.count_request(kind);
-        // Root span for this request: while it is the thread's trace scope,
-        // every span any layer records (lane wait, plan cache, execution,
-        // storage commit…) attaches to this trace. A client that stamped a
-        // trace id into the frame envelope is the trace origin — adopt its
-        // id; otherwise mint one. Either way the id is echoed back in the
-        // response envelope so the client can `TraceGet` the span tree.
-        let trace = adopt_trace(&shared.recorder, wire_trace);
-        let root = shared.recorder.span_in(Stage::Request, trace, 0);
-        let scope = TraceScope::enter(root.trace_id(), root.id());
-        let flow: ServerResult<Flow> = match core.on_request(req) {
-            Step::Reply(resp) => send(shared, &mut writer, trace, &resp).map(|_| Flow::Continue),
-            Step::ReplyClose(resp) => send(shared, &mut writer, trace, &resp).map(|_| Flow::Close),
-            Step::ShutdownAfter(resp) => {
-                let sent = send(shared, &mut writer, trace, &resp);
-                initiate_shutdown(shared);
-                sent.map(|_| Flow::Close)
-            }
-            // Ack precedes the lane on purpose: a queued writer learns it is
-            // queued by its *next* response stalling, exactly like the
-            // in-process API blocking on the lane.
-            Step::OpenUnit => {
-                send(shared, &mut writer, trace, &Response::Ack).map(|_| Flow::EnterUnit)
-            }
-            Step::Do(work) => {
-                // Infer the lane mask once, here, and execute under exactly
-                // those lanes. The same mask becomes the unit's shard claim:
-                // recomputing it inside `execute_work` would advance the
-                // round-robin home hint a second time and could home a
-                // creation batch on a shard whose lane we do not hold.
-                let mask = lane_mask_for(shared, &work);
-                let resp = if mask != 0 {
-                    let _lanes = acquire_lanes(shared, mask);
-                    execute_work(shared, &mut core, work, mask)
-                } else {
-                    execute_work(shared, &mut core, work, 0)
-                };
-                send(shared, &mut writer, trace, &resp).map(|_| Flow::Continue)
-            }
-        };
-        drop(scope);
-        root.finish(kind as u64, core.id());
-        let flow = flow?;
-        shared
-            .metrics
-            .record_latency_us(kind, start.elapsed().as_micros() as u64);
-        match flow {
-            Flow::EnterUnit => run_unit(shared, &mut core, &mut reader, &mut writer)?,
-            Flow::Close => return Ok(()),
-            Flow::Continue => {
-                if shared.shutting_down.load(Ordering::SeqCst) {
-                    return Ok(()); // drained: last response delivered
-                }
-            }
-        }
-    }
-}
-
-/// Count a response's error class into the server metrics — the one place
-/// the error counters are bumped, shared by both transports so they cannot
-/// drift. `ShuttingDown` and `UnitTimedOut` are lifecycle notices, not
-/// request failures, and count nowhere.
-pub(crate) fn count_response(metrics: &ServerMetrics, resp: &Response) {
-    if let Response::Error { kind, .. } = resp {
-        match kind {
-            ErrorKind::Protocol | ErrorKind::ProtocolMismatch => {
-                metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            }
-            ErrorKind::Db | ErrorKind::ReadOnlyReplica => {
-                metrics.db_errors.fetch_add(1, Ordering::Relaxed);
-            }
-            ErrorKind::ShuttingDown | ErrorKind::UnitTimedOut => {}
-        }
-    }
-}
-
-/// The trace id a request runs under: the client's stamped id when the
-/// frame envelope carried one, else a freshly minted id (still
-/// [`TraceId::NONE`] when the flight recorder is disabled). Shared by both
-/// transports so adoption semantics cannot drift.
-pub(crate) fn adopt_trace(recorder: &Recorder, wire_trace: TraceId) -> TraceId {
-    if wire_trace.is_none() {
-        recorder.new_trace_id()
-    } else {
-        wire_trace
-    }
-}
-
-/// Count and write one response on the blocking transport, echoing the
-/// request's trace id in the response envelope.
-fn send(
-    shared: &Shared,
-    writer: &mut BufWriter<TcpStream>,
-    trace: TraceId,
-    resp: &Response,
-) -> ServerResult<()> {
-    count_response(&shared.metrics, resp);
-    write_msg(writer, trace, resp)
-}
-
-fn db_err(message: String) -> Response {
+pub(crate) fn db_err(message: String) -> Response {
     Response::Error {
         kind: ErrorKind::Db,
         message,
@@ -979,14 +889,12 @@ fn db_err(message: String) -> Response {
 
 /// Execute one [`Work`] item against the database and observability state.
 ///
-/// Both transports call this with the writer lanes named by `claim_mask`
+/// The driver calls this with the writer lanes named by `claim_mask`
 /// already held (the mask [`lane_mask_for`] computed at dispatch — passed in
 /// rather than recomputed so the batch's shard claim and the held lanes
-/// cannot drift apart). Error **counting** happens when the response is sent
-/// (see [`count_response`]), not here, so a work item executed on either
-/// transport lands in the same counter exactly once. `UnitCommit`/
-/// `UnitAbort` never reach this function — the drivers settle unit tokens
-/// themselves.
+/// cannot drift apart; for a slice of a streamed unit, the unit's mask).
+/// Error **counting** happens when the response is sent, not here. Unit
+/// settlement is not [`Work`]: the driver owns the token.
 pub(crate) fn execute_work(
     shared: &Shared,
     core: &mut SessionCore,
@@ -1106,11 +1014,6 @@ pub(crate) fn execute_work(
         }
         Work::ReplicaStatus => Response::ReplicaStatus(Box::new(replica_status_info(shared))),
         Work::UnitOp { op } => unit_op_response(shared.db.db(), &op),
-        // The drivers own unit tokens; the core only routes these to them.
-        Work::UnitCommit | Work::UnitAbort => Response::Error {
-            kind: ErrorKind::Protocol,
-            message: "unit settlement reached the work executor".into(),
-        },
     }
 }
 
@@ -1175,122 +1078,6 @@ pub(crate) fn unit_op_response(db: &Database, op: &MutationOp) -> Response {
         Ok(None) => Response::Ack,
         Err(e) => db_err(e.to_string()),
     }
-}
-
-/// Streamed unit of work: the session holds **every** writer lane from
-/// `UnitBegin` until the unit settles — or until the connection drops or
-/// goes silent past the idle deadline, in which cases the unit is rolled
-/// back before the lanes are released. Streamed ops arrive one frame at a
-/// time, so no shard mask can be inferred up front; the all-shards claim is
-/// the honest one.
-fn run_unit(
-    shared: &Arc<Shared>,
-    core: &mut SessionCore,
-    reader: &mut BufReader<TcpStream>,
-    writer: &mut BufWriter<TcpStream>,
-) -> ServerResult<()> {
-    let _lanes = acquire_lanes(shared, all_lanes_mask(shared));
-    let db = shared.db.db();
-    // While this session holds the lane, silence is billed: arm a read
-    // timeout so a stalled client cannot block queued writers forever.
-    let _ = reader
-        .get_ref()
-        .set_read_timeout(Some(shared.unit_idle_timeout));
-    let mut token = Some(db.begin_unit());
-    core.unit_opened();
-    let mut timed_out = false;
-    let outcome: ServerResult<()> = loop {
-        let (wire_trace, req): (TraceId, Request) = match read_msg(reader) {
-            Ok(r) => r,
-            // The deadline covers the common stall — silence *between*
-            // frames. (A client that stalls mid-frame desyncs the stream and
-            // surfaces later as a frame error, closing the session.)
-            Err(ServerError::Io(e))
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                timed_out = true;
-                break Ok(());
-            }
-            Err(e) => break Err(e),
-        };
-        let start = Instant::now();
-        let kind = req.kind();
-        shared.metrics.count_request(kind);
-        let trace = adopt_trace(&shared.recorder, wire_trace);
-        let root = shared.recorder.span_in(Stage::Request, trace, 0);
-        let scope = TraceScope::enter(root.trace_id(), root.id());
-        let done: ServerResult<bool> = match core.on_request(req) {
-            Step::Do(Work::UnitCommit) => {
-                let resp = match db.commit_unit(token.take().expect("unit token")) {
-                    Ok(()) => {
-                        shared
-                            .metrics
-                            .units_committed
-                            .fetch_add(1, Ordering::Relaxed);
-                        Response::Ack
-                    }
-                    // commit_unit rolls the unit back itself on failure.
-                    Err(e) => db_err(e.to_string()),
-                };
-                send(shared, writer, trace, &resp).map(|_| true)
-            }
-            Step::Do(Work::UnitAbort) => {
-                db.abort_unit(token.take().expect("unit token"));
-                shared.metrics.units_aborted.fetch_add(1, Ordering::Relaxed);
-                send(shared, writer, trace, &Response::Ack).map(|_| true)
-            }
-            Step::Do(work) => {
-                let resp = execute_work(shared, core, work, all_lanes_mask(shared));
-                send(shared, writer, trace, &resp).map(|_| false)
-            }
-            Step::Reply(resp) => send(shared, writer, trace, &resp).map(|_| false),
-            // The in-unit request set only yields Reply and Do (see the
-            // `SessionCore` state machine).
-            Step::OpenUnit | Step::ReplyClose(_) | Step::ShutdownAfter(_) => {
-                unreachable!("in-unit steps are Reply or Do")
-            }
-        };
-        drop(scope);
-        root.finish(kind as u64, core.id());
-        shared
-            .metrics
-            .record_latency_us(kind, start.elapsed().as_micros() as u64);
-        match done {
-            Ok(true) => break Ok(()),
-            Ok(false) => {}
-            Err(e) => break Err(e),
-        }
-    };
-    // Back to the between-requests deadline (the idle reaper's, or none).
-    let _ = reader.get_ref().set_read_timeout(shared.idle_timeout);
-    if timed_out {
-        if let Some(token) = token.take() {
-            // Roll back the half-streamed unit, then let the lane go
-            // (we return, dropping the guard) so queued writers proceed. The
-            // session itself survives; the client is told on its next frame.
-            db.abort_unit(token);
-        }
-        shared
-            .metrics
-            .units_timed_out
-            .fetch_add(1, Ordering::Relaxed);
-        core.note_unit_timed_out();
-        return Ok(());
-    }
-    core.unit_closed();
-    if let Some(token) = token.take() {
-        // Connection dropped (or transport failed) mid-unit: roll back so
-        // no half-applied unit is ever visible or durable.
-        db.abort_unit(token);
-        shared
-            .metrics
-            .units_rolled_back_on_disconnect
-            .fetch_add(1, Ordering::Relaxed);
-    }
-    outcome
 }
 
 /// Parse, contextualise and evaluate a POOL statement for this session;
@@ -1375,8 +1162,8 @@ fn profile_query(
         let _scope = TraceScope::enter(trace_id, root_id);
         // Pinned queries never touch the writer lane — record the zero wait
         // explicitly (c1 = 0: synthetic) so the profile shows the stage
-        // honestly instead of omitting it. In-unit profiles inherit the real
-        // lane wait from `run_unit`'s acquisition, outside this trace.
+        // honestly instead of omitting it. An in-unit profile's real lane
+        // wait sits under its `UnitBegin` request's trace, not this one.
         rec.span(Stage::LaneWait).finish(0, 0);
         // Both pinned and in-unit profiles go through the executor so the
         // plan cache, fingerprint and stage spans are all exercised; the
@@ -1618,7 +1405,8 @@ fn apply_op(db: &Database, op: &MutationOp) -> DbResult<Option<Oid>> {
 mod tests {
     use super::*;
     use crate::client::PrometheusClient;
-    use crate::protocol::PROTOCOL_VERSION;
+    use crate::frame::{read_msg, write_msg};
+    use crate::protocol::{Request, PROTOCOL_VERSION};
     use prometheus_db::{StoreOptions, Value};
     use prometheus_taxonomy::Rank;
 
@@ -1768,78 +1556,6 @@ mod tests {
     }
 
     #[test]
-    fn idle_unit_times_out_rolls_back_and_frees_the_lane() {
-        let p = Prometheus::open_with(
-            tmp("timeout"),
-            StoreOptions {
-                sync_on_commit: false,
-            },
-        )
-        .unwrap();
-        let tax = p.taxonomy().unwrap();
-        tax.create_ct("Apium", Rank::Genus).unwrap();
-        let handle = serve(
-            p,
-            ServerConfig {
-                addr: "127.0.0.1:0".into(),
-                workers: 2,
-                unit_idle_timeout: Duration::from_millis(150),
-                ..ServerConfig::default()
-            },
-        )
-        .unwrap();
-        let mut stalled = PrometheusClient::connect(handle.addr()).unwrap();
-        let mut other = PrometheusClient::connect(handle.addr()).unwrap();
-        {
-            let mut unit = stalled.begin_unit().unwrap();
-            unit.create_object(
-                "CT",
-                vec![
-                    ("working_name".into(), Value::Str("Ghost".into())),
-                    ("rank".into(), Value::Str("Genus".into())),
-                ],
-            )
-            .unwrap();
-            // Go silent past the deadline. The server must roll the unit
-            // back and free the writer lane — otherwise the other session's
-            // batch below would block on the lane indefinitely.
-            std::thread::sleep(Duration::from_millis(400));
-            other
-                .unit_batch(vec![MutationOp::CreateObject {
-                    class: "CT".into(),
-                    attrs: vec![
-                        ("working_name".into(), Value::Str("Daucus".into())),
-                        ("rank".into(), Value::Str("Genus".into())),
-                    ],
-                }])
-                .unwrap();
-            // The stalled session learns via the typed error on its next
-            // frame, whatever that frame asks.
-            match unit.query("select t from CT t") {
-                Err(ServerError::Remote { kind, .. }) => {
-                    assert_eq!(kind, ErrorKind::UnitTimedOut)
-                }
-                res => panic!("expected unit-timed-out error, got {res:?}"),
-            }
-            // Guard drop sends a best-effort UnitAbort; the server answers
-            // it as protocol misuse (no unit open) and the client ignores
-            // the response.
-        }
-        // The timed-out write is gone; the other session's batch survived,
-        // and the stalled session itself is still usable.
-        let rows = stalled
-            .query("select t.working_name from CT t order by t.working_name")
-            .unwrap();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows.rows[0][0], Value::Str("Apium".into()));
-        assert_eq!(rows.rows[1][0], Value::Str("Daucus".into()));
-        assert!(handle.metrics().units_timed_out >= 1);
-        stalled.close().unwrap();
-        other.close().unwrap();
-        handle.stop();
-    }
-
-    #[test]
     fn session_context_scopes_queries() {
         let p = Prometheus::open_with(
             tmp("context"),
@@ -1920,11 +1636,9 @@ mod tests {
     #[test]
     fn version_mismatch_is_rejected() {
         let handle = serve_taxonomy("version", 2);
-        let stream = TcpStream::connect(handle.addr()).unwrap();
-        let mut writer = BufWriter::new(stream.try_clone().unwrap());
-        let mut reader = BufReader::new(stream);
+        let mut stream = TcpStream::connect(handle.addr()).unwrap();
         write_msg(
-            &mut writer,
+            &mut stream,
             TraceId::NONE,
             &Request::Hello {
                 version: 999,
@@ -1932,7 +1646,7 @@ mod tests {
             },
         )
         .unwrap();
-        let (_, resp): (TraceId, Response) = read_msg(&mut reader).unwrap();
+        let (_, resp): (TraceId, Response) = read_msg(&mut stream).unwrap();
         match resp {
             Response::Error { kind, message } => {
                 assert_eq!(kind, ErrorKind::ProtocolMismatch);

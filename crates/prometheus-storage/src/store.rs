@@ -510,6 +510,13 @@ pub(crate) struct Inner {
     /// [`Store::open_shard_member`]; `(unit, gid, coordinator)`. The shard
     /// owner must call [`Store::resolve_in_doubt`] before accepting writes.
     in_doubt: Option<(u64, u64, u32)>,
+    /// Images [`Store::publish`] has replaced that a reader may still pin.
+    /// The writer keeps a handle to each so that the last handle dropped is
+    /// its own: a reader that ran an image's destructor would free, from
+    /// another thread, the nodes the writer allocated, and reader and writer
+    /// would then queue on each other's allocator arena for every query and
+    /// every commit.
+    retired: Vec<Arc<Image>>,
 }
 
 /// A durable, transactional record store.
@@ -629,6 +636,7 @@ impl Store {
                 active_unit: None,
                 replay,
                 in_doubt,
+                retired: Vec::new(),
             }),
             published: RwLock::new(published),
             oids: OidAllocator::starting_at(next_oid),
@@ -651,9 +659,15 @@ impl Store {
         }
     }
 
-    /// Republish the working image as the new read snapshot.
-    fn publish(&self, inner: &Inner) {
-        *self.published.write() = Arc::new(inner.image.clone());
+    /// Republish the working image as the new read snapshot. The image it
+    /// replaces is retired, and retired images no reader pins any longer are
+    /// dropped here, on the writer's thread (see [`Inner::retired`]); nothing
+    /// can pin one again, since snapshots are only taken of `published`.
+    fn publish(&self, inner: &mut Inner) {
+        let image = Arc::new(inner.image.clone());
+        let replaced = std::mem::replace(&mut *self.published.write(), image);
+        inner.retired.push(replaced);
+        inner.retired.retain(|image| Arc::strong_count(image) > 1);
         Stats::bump(&self.stats.snapshot_swaps);
     }
 
@@ -727,7 +741,7 @@ impl Store {
                 .store(inner.logw.len(), Ordering::Release);
         }
         if committed {
-            self.publish(&inner);
+            self.publish(&mut inner);
         }
         Ok(())
     }
@@ -820,7 +834,7 @@ impl Store {
             Stats::add(&self.stats.image_nodes_cloned, touch.nodes_cloned);
             Stats::add(&self.stats.image_bytes_copied, touch.bytes_copied);
             Stats::bump(&self.stats.commits);
-            self.publish(&inner);
+            self.publish(&mut inner);
         }
         Ok(())
     }
@@ -1164,7 +1178,7 @@ impl Store {
             .store(inner.logw.len(), Ordering::Release);
         summary.log_len = inner.logw.len();
         if summary.applied > 0 {
-            self.publish(&inner);
+            self.publish(&mut inner);
         }
         span.finish(appends, summary.applied);
         Ok(summary)
@@ -1191,7 +1205,7 @@ impl Store {
         // stream is replayed into it; any previous epoch lineage is void.
         self.log_epoch.store(0, Ordering::Release);
         let _ = std::fs::remove_file(epoch_sidecar_path(&self.path));
-        self.publish(&inner);
+        self.publish(&mut inner);
         Ok(())
     }
 
@@ -1292,7 +1306,7 @@ impl Store {
         Stats::add(&self.stats.bytes_written, bytes_written);
         Stats::bump(&self.stats.commits);
         if inner.hold_depth == 0 {
-            self.publish(&inner);
+            self.publish(&mut inner);
         }
         publish_span.finish(touch.nodes_cloned, touch.bytes_copied);
         commit_span.finish(appends, bytes_written);
@@ -1830,6 +1844,26 @@ mod tests {
         assert_eq!(after.kv_get(Keyspace(2), b"k").as_deref(), Some(&b"v2"[..]));
         assert!(!before.same_version(&after));
         assert_eq!(store.stats().snapshot().snapshot_swaps, 2);
+        // A replaced image stays retired while a reader pins it, and goes at
+        // the first publish after the reader lets go — in the writer's hands,
+        // not the reader's.
+        let retired = || store.inner.lock().retired.len();
+        let republish = || {
+            store
+                .with_txn(|t| {
+                    t.put(a, b"again".to_vec());
+                    Ok(())
+                })
+                .unwrap()
+        };
+        assert_eq!(retired(), 1, "pinned by `before`");
+        drop(before);
+        assert_eq!(retired(), 1, "a reader letting go frees nothing");
+        republish();
+        assert_eq!(retired(), 1, "`before`'s image went; `after`'s came");
+        drop(after);
+        republish();
+        assert_eq!(retired(), 0, "an image nobody pins is not kept");
         let _ = std::fs::remove_file(path);
     }
 

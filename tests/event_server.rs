@@ -1,8 +1,9 @@
-//! Integration tests for the event-driven transport (`io_threads > 0`):
-//! wire-protocol parity with the blocking path, writer-lane fairness
-//! without blocked workers, slow-client isolation, the idle-session
-//! reaper, unit deadlines, the HTTP `GET /metrics` scrape endpoint, the
-//! connection cap, and graceful shutdown.
+//! Integration tests for what only the event-driven transport
+//! (`io_threads > 0`) does: writer-lane fairness without blocked workers,
+//! slow-client isolation, thousands of parked sessions, the HTTP `GET
+//! /metrics` scrape endpoint, the connection cap, and graceful shutdown.
+//! Session lifecycle — deadlines, the reaper, a killed client — is one
+//! behaviour under both transports and lives in `tests/transports.rs`.
 //!
 //! The event path is Linux-only (epoll), so the whole file is.
 #![cfg(target_os = "linux")]
@@ -10,7 +11,7 @@
 use prometheus_db::{Prometheus, StoreOptions, Value};
 use prometheus_server::frame::{read_msg, write_msg};
 use prometheus_server::{
-    serve, ErrorKind, MutationOp, PrometheusClient, Request, Response, ServerConfig, ServerError,
+    serve, MutationOp, PrometheusClient, Request, Response, ServerConfig, ServerError,
     ServerHandle, TraceId, PROTOCOL_VERSION,
 };
 use prometheus_taxonomy::Rank;
@@ -200,95 +201,6 @@ fn slow_client_never_stalls_other_sessions() {
         read_msg::<_, Response>(&mut slow).unwrap().1,
         Response::Pong
     ));
-    handle.stop();
-}
-
-#[test]
-fn idle_sessions_are_reaped_and_counted() {
-    let path = tmp("reap");
-    let config = ServerConfig::builder()
-        .io_threads(2)
-        .unit_idle_timeout(Duration::from_millis(200))
-        .idle_timeout(Duration::from_millis(400))
-        .build()
-        .unwrap();
-    let handle = serve_seeded(&path, 1, config);
-    let addr = handle.addr();
-
-    let mut idlers = Vec::new();
-    for _ in 0..3 {
-        let mut c = PrometheusClient::connect(addr).unwrap();
-        c.ping().unwrap();
-        idlers.push(c);
-    }
-    assert_eq!(handle.metrics().connections_active, 3);
-
-    // Go silent past the idle deadline; the reaper closes all three.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while handle.metrics().sessions_reaped < 3 {
-        assert!(Instant::now() < deadline, "reaper never fired");
-        std::thread::sleep(Duration::from_millis(25));
-    }
-    assert_eq!(handle.metrics().connections_active, 0);
-    for mut c in idlers {
-        assert!(c.ping().is_err(), "reaped session should be gone");
-    }
-
-    // The listener is untouched: fresh sessions connect fine.
-    let mut fresh = PrometheusClient::connect(addr).unwrap();
-    fresh.ping().unwrap();
-    fresh.close().unwrap();
-    handle.stop();
-}
-
-#[test]
-fn silent_unit_times_out_and_frees_the_lane() {
-    let path = tmp("unit-timeout");
-    let handle = serve_seeded(
-        &path,
-        0,
-        ServerConfig {
-            unit_idle_timeout: Duration::from_millis(150),
-            ..event_config(2)
-        },
-    );
-    let addr = handle.addr();
-    let mut stalled = PrometheusClient::connect(addr).unwrap();
-    let mut other = PrometheusClient::connect(addr).unwrap();
-    {
-        let mut unit = stalled.begin_unit().unwrap();
-        unit.create_object(
-            "CT",
-            vec![
-                ("working_name".into(), Value::Str("Ghost".into())),
-                ("rank".into(), Value::Str("Genus".into())),
-            ],
-        )
-        .unwrap();
-        // Silence past the deadline: the scan must roll the unit back and
-        // grant the lane to the other session's queued batch.
-        std::thread::sleep(Duration::from_millis(400));
-        other
-            .unit_batch(vec![MutationOp::CreateObject {
-                class: "CT".into(),
-                attrs: vec![
-                    ("working_name".into(), Value::Str("Daucus".into())),
-                    ("rank".into(), Value::Str("Genus".into())),
-                ],
-            }])
-            .unwrap();
-        match unit.query("select t from CT t") {
-            Err(ServerError::Remote { kind, .. }) => assert_eq!(kind, ErrorKind::UnitTimedOut),
-            res => panic!("expected unit-timed-out error, got {res:?}"),
-        }
-    }
-    // The timed-out write vanished, the session itself survived.
-    let rows = stalled.query("select t.working_name from CT t").unwrap();
-    assert_eq!(rows.len(), 1);
-    assert_eq!(rows.rows[0][0], Value::Str("Daucus".into()));
-    assert!(handle.metrics().units_timed_out >= 1);
-    stalled.close().unwrap();
-    other.close().unwrap();
     handle.stop();
 }
 

@@ -359,7 +359,6 @@ fn serve_sharded(dir: &Path, shards: usize, io_threads: usize) -> ServerHandle {
             addr: "127.0.0.1:0".into(),
             workers: 4,
             io_threads,
-            shards,
             ..ServerConfig::default()
         },
     )

@@ -45,7 +45,6 @@ fn serve_sharded(dir: &Path, shards: usize) -> ServerHandle {
         ServerConfig {
             addr: "127.0.0.1:0".into(),
             workers: 4,
-            shards,
             ..ServerConfig::default()
         },
     )
