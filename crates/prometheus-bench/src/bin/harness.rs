@@ -38,8 +38,8 @@
 
 use prometheus_bench::ops;
 use prometheus_bench::report::{
-    growth_ratio, render_sweep, render_table, write_sweep_csv, write_table_csv, CompareRow,
-    SweepPoint,
+    growth_ratio, render_revalidation, render_sweep, render_table, write_revalidation_csv,
+    write_sweep_csv, write_table_csv, CompareRow, RevalidationPoint, SweepPoint,
 };
 use prometheus_bench::schema::{BenchParams, PromDb, RawDb};
 use prometheus_bench::{micros, time_median, time_once};
@@ -88,10 +88,10 @@ fn main() {
         sweep_t5(&out_dir);
     }
     if run("s1") {
-        sweep_s1(&out_dir);
+        sweep_structural(&out_dir, false);
     }
     if run("s2") {
-        sweep_s2(&out_dir);
+        sweep_structural(&out_dir, true);
     }
     if run("ablation") {
         ablation(&out_dir);
@@ -348,86 +348,68 @@ fn sweep_t5(out: &std::path::Path) {
     let _ = write_sweep_csv(&out.join("figure44_t5.csv"), &points);
 }
 
-/// Figure 45: S1 (structural insert) vs database size — non-constant.
-fn sweep_s1(out: &std::path::Path) {
+/// Figures 45 (S1, structural insert) and 46 (S2, structural delete) vs
+/// database size: 64 parts inserted under one assembly, or deleted from it,
+/// then the classification revalidated both ways. The thesis' protocol —
+/// the modification plus a revalidation of the whole classification — is
+/// the non-constant curve; the tracked check, which walks from the edges
+/// the modification added, is printed beside it.
+fn sweep_structural(out: &std::path::Path, delete: bool) {
+    let (figure, name, what) = if delete {
+        (46, "s2", "delete")
+    } else {
+        (45, "s1", "insert")
+    };
     let mut points = Vec::new();
     let k = 64usize;
     for target in sweep_sizes(&[500, 2_000, 8_000, 16_000, 32_000]) {
         let params = BenchParams::with_target_nodes(target);
-        let prom = PromDb::build(&format!("h-s1-{target}"), params).unwrap();
+        let prom = PromDb::build(&format!("h-{name}-{target}"), params).unwrap();
         let parent = *prom.assemblies.first().unwrap();
-        // Warm up with a small insert/delete pair outside the measurement.
+        // Warm up with a small insert/delete pair outside the measurement,
+        // then revalidate: the tracked check starts from that verdict.
         let warm = ops::prom_s1(&prom, parent, 4).unwrap();
         ops::prom_s2(&prom, &warm).unwrap();
-        // The thesis' S1 includes the prototype's structural revalidation of
-        // the classification after the modification — that is the component
-        // whose cost grows with database size (Figure 45's non-constant
-        // curve). We measure modification + revalidation, as it did.
-        let (_, d_mod) = time_once(|| ops::prom_s1(&prom, parent, k).unwrap());
-        let (_, d_reval) = time_once(|| prom.cls.check_integrity(&prom.db).unwrap());
-        let d = d_mod + d_reval;
-        points.push(SweepPoint {
+        let sound = |problems: Vec<String>| assert!(problems.is_empty(), "{problems:?}");
+        sound(prom.cls.check_integrity(&prom.db).unwrap());
+        let (_, d_mod) = if delete {
+            let fresh = ops::prom_s1(&prom, parent, k).unwrap();
+            sound(prom.cls.check_integrity(&prom.db).unwrap());
+            time_once(|| ops::prom_s2(&prom, &fresh).unwrap())
+        } else {
+            time_once(|| drop(ops::prom_s1(&prom, parent, k).unwrap()))
+        };
+        let (found, d_incr) = time_once(|| prom.cls.check_integrity(&prom.db).unwrap());
+        sound(found);
+        let (found, d_full) = time_once(|| prom.cls.check_integrity_full(&prom.db).unwrap());
+        sound(found);
+        let point = RevalidationPoint {
             nodes: params.node_count(),
-            total_us: micros(d),
-            per_item_us: micros(d) / k as f64,
-        });
+            parts: k,
+            modify_us: micros(d_mod),
+            full_us: micros(d_full),
+            incremental_us: micros(d_incr),
+        };
         println!(
-            "  nodes {:>6}: modification {:>10.1} µs + revalidation {:>10.1} µs",
-            params.node_count(),
-            micros(d_mod),
-            micros(d_reval)
+            "  nodes {:>6}: modification {:>10.1} µs + revalidation {:>10.1} µs full / {:>8.1} µs incremental",
+            point.nodes, point.modify_us, point.full_us, point.incremental_us
         );
+        points.push(point);
         prom.cleanup();
     }
-    print!(
-        "{}",
-        render_sweep("Figure 45 — S1 structural insert cost vs size", &points)
+    let title = format!(
+        "Figure {figure} — {} structural {what} cost vs size",
+        name.to_uppercase()
     );
+    print!("{}", render_revalidation(&title, &points));
+    let full: Vec<SweepPoint> = points.iter().map(RevalidationPoint::full).collect();
+    let incremental: Vec<SweepPoint> = points.iter().map(RevalidationPoint::incremental).collect();
     println!(
-        "growth ratio (last/first per-inserted-part cost): {:.2}  [paper: non-constant]",
-        growth_ratio(&points)
+        "growth ratio (last/first per-part cost): full {:.2}  [paper: non-constant], incremental {:.2}",
+        growth_ratio(&full),
+        growth_ratio(&incremental)
     );
-    let _ = write_sweep_csv(&out.join("figure45_s1.csv"), &points);
-}
-
-/// Figure 46: S2 (structural delete) vs database size — non-constant.
-fn sweep_s2(out: &std::path::Path) {
-    let mut points = Vec::new();
-    let k = 64usize;
-    for target in sweep_sizes(&[500, 2_000, 8_000, 16_000, 32_000]) {
-        let params = BenchParams::with_target_nodes(target);
-        let prom = PromDb::build(&format!("h-s2-{target}"), params).unwrap();
-        let parent = *prom.assemblies.first().unwrap();
-        let warm = ops::prom_s1(&prom, parent, 4).unwrap();
-        ops::prom_s2(&prom, &warm).unwrap();
-        let fresh = ops::prom_s1(&prom, parent, k).unwrap();
-        // As for S1, deletion in the thesis triggered structural
-        // revalidation whose cost scales with the classification.
-        let (_, d_mod) = time_once(|| ops::prom_s2(&prom, &fresh).unwrap());
-        let (_, d_reval) = time_once(|| prom.cls.check_integrity(&prom.db).unwrap());
-        let d = d_mod + d_reval;
-        points.push(SweepPoint {
-            nodes: params.node_count(),
-            total_us: micros(d),
-            per_item_us: micros(d) / k as f64,
-        });
-        println!(
-            "  nodes {:>6}: modification {:>10.1} µs + revalidation {:>10.1} µs",
-            params.node_count(),
-            micros(d_mod),
-            micros(d_reval)
-        );
-        prom.cleanup();
-    }
-    print!(
-        "{}",
-        render_sweep("Figure 46 — S2 structural delete cost vs size", &points)
-    );
-    println!(
-        "growth ratio (last/first per-deleted-part cost): {:.2}  [paper: non-constant]",
-        growth_ratio(&points)
-    );
-    let _ = write_sweep_csv(&out.join("figure46_s2.csv"), &points);
+    let _ = write_revalidation_csv(&out.join(format!("figure{figure}_{name}.csv")), &points);
 }
 
 /// Ablations of the design choices DESIGN.md calls out: what each feature

@@ -75,6 +75,87 @@ pub fn render_sweep(title: &str, points: &[SweepPoint]) -> String {
     out
 }
 
+/// One point of the S1/S2 sweeps (Figures 45–46): a modification of
+/// `parts` parts and the two ways to revalidate the classification after it.
+#[derive(Debug, Clone, Copy)]
+pub struct RevalidationPoint {
+    pub nodes: usize,
+    pub parts: usize,
+    pub modify_us: f64,
+    /// The thesis' revalidation: the whole classification.
+    pub full_us: f64,
+    /// The tracked check: the edges the modification added.
+    pub incremental_us: f64,
+}
+
+impl RevalidationPoint {
+    /// Modification plus `revalidation_us`, per part.
+    fn with(&self, revalidation_us: f64) -> SweepPoint {
+        let total_us = self.modify_us + revalidation_us;
+        SweepPoint {
+            nodes: self.nodes,
+            total_us,
+            per_item_us: total_us / self.parts as f64,
+        }
+    }
+
+    /// The thesis' protocol: modification plus full revalidation.
+    pub fn full(&self) -> SweepPoint {
+        self.with(self.full_us)
+    }
+
+    /// Modification plus the tracked check.
+    pub fn incremental(&self) -> SweepPoint {
+        self.with(self.incremental_us)
+    }
+}
+
+/// Render an S1/S2 series: both revalidations beside the modification, and
+/// the per-part cost under each.
+pub fn render_revalidation(title: &str, points: &[RevalidationPoint]) -> String {
+    let mut out = String::new();
+    let _ = writeln!(out, "\n== {title} ==");
+    let _ = writeln!(
+        out,
+        "{:>10} {:>14} {:>14} {:>14} {:>16} {:>16}",
+        "nodes", "modify (µs)", "full (µs)", "incr. (µs)", "per-part full", "per-part incr."
+    );
+    for p in points {
+        let _ = writeln!(
+            out,
+            "{:>10} {:>14.1} {:>14.1} {:>14.1} {:>16.3} {:>16.3}",
+            p.nodes,
+            p.modify_us,
+            p.full_us,
+            p.incremental_us,
+            p.full().per_item_us,
+            p.incremental().per_item_us
+        );
+    }
+    out
+}
+
+/// Write an S1/S2 series as CSV.
+pub fn write_revalidation_csv(path: &Path, points: &[RevalidationPoint]) -> std::io::Result<()> {
+    let mut csv = String::from(
+        "nodes,parts,modify_us,full_us,incremental_us,per_part_full_us,per_part_incremental_us\n",
+    );
+    for p in points {
+        let _ = writeln!(
+            csv,
+            "{},{},{:.3},{:.3},{:.3},{:.5},{:.5}",
+            p.nodes,
+            p.parts,
+            p.modify_us,
+            p.full_us,
+            p.incremental_us,
+            p.full().per_item_us,
+            p.incremental().per_item_us
+        );
+    }
+    std::fs::write(path, csv)
+}
+
 /// Write a comparison table as CSV.
 pub fn write_table_csv(path: &Path, rows: &[CompareRow]) -> std::io::Result<()> {
     let mut csv = String::from("operation,raw_us,prometheus_us,factor,items\n");

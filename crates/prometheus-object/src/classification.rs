@@ -15,12 +15,16 @@
 
 use crate::database::Database;
 use crate::error::DbResult;
+use crate::events::Event;
+use crate::index::{self, KS_CLS_EDGES};
 use crate::instance::RelInstance;
 use crate::read::Reader;
 use crate::traversal::{self, Direction, SynonymMode, TraversalSpec};
 use crate::value::Value;
+use parking_lot::Mutex;
 use prometheus_storage::Oid;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Handle over one classification in a database.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -303,8 +307,78 @@ impl Classification {
     }
 
     /// Verify the classification is structurally sound: acyclic and (if
-    /// strict) single-parented. Returns problem descriptions.
+    /// strict) single-parented. Returns problem descriptions — the same ones
+    /// [`Classification::check_integrity_full`] returns.
+    ///
+    /// On a reader with an [`IntegrityTracker`] (a [`Database`]) that holds a
+    /// clean verdict for this classification, and while no unit is open,
+    /// only the member edges committed units added since that verdict are
+    /// examined: whether each closes a cycle (its origin's ancestor chain
+    /// reaches its destination) or, when strict, gives its destination a
+    /// second parent. Removing an edge can cause neither, so if no added
+    /// edge does the classification is still sound. Anything else — no
+    /// verdict to start from, something found, an open unit — runs the full
+    /// check.
     pub fn check_integrity<R: Reader>(&self, db: &R) -> DbResult<Vec<String>> {
+        let Some(tracker) = db.integrity_tracker() else {
+            return self.check_integrity_full(db);
+        };
+        let Some(epoch) = tracker.quiescent() else {
+            return self.check_integrity_full(db);
+        };
+        if let Some((strict, added)) = tracker.tracked_edges(self.oid) {
+            if self.added_edges_close_nothing(db, strict, &added)? {
+                tracker.settle(epoch, self.oid, Some(strict));
+                return Ok(Vec::new());
+            }
+        }
+        let (problems, strict, acyclic) = self.full_verdict(db)?;
+        let clean = problems.is_empty() && acyclic;
+        tracker.settle(epoch, self.oid, clean.then_some(strict));
+        Ok(problems)
+    }
+
+    /// [`Classification::check_integrity`] from the whole member list, with
+    /// no tracker: the thesis' revalidation, whose cost follows the
+    /// classification's size.
+    pub fn check_integrity_full<R: Reader>(&self, db: &R) -> DbResult<Vec<String>> {
+        Ok(self.full_verdict(db)?.0)
+    }
+
+    /// Whether none of `added` — edges committed since a clean verdict —
+    /// closes a cycle or, in a strict classification, gives its destination
+    /// a second parent. Record-free: a membership `get` per edge (whose value
+    /// carries the endpoints), then endpoint scans and membership `get`s
+    /// along the origin's ancestor chain. An edge no longer a member is
+    /// skipped; an entry without endpoints (an older log) answers "no".
+    fn added_edges_close_nothing<R: Reader>(
+        &self,
+        db: &R,
+        strict: bool,
+        added: &[Oid],
+    ) -> DbResult<bool> {
+        for &edge in added {
+            let Some(value) = db.raw_kv_get(KS_CLS_EDGES, &index::cls_edge_key(self.oid, edge))
+            else {
+                continue;
+            };
+            let Some((origin, destination)) = index::decode_cls_edge_value(&value) else {
+                return Ok(false);
+            };
+            if origin == destination
+                || (strict && self.parents(db, destination)?.len() > 1)
+                || self.ancestors(db, origin, None)?.contains(&destination)
+            {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    /// The full check's problems, the strict flag, and whether the member
+    /// edges are acyclic — which an empty problem list implies only when
+    /// strict: a lenient classification may hold a cycle some root reaches.
+    fn full_verdict<R: Reader>(&self, db: &R) -> DbResult<(Vec<String>, bool, bool)> {
         let mut problems = Vec::new();
         let meta = db.classification_meta(self.oid)?;
         // One read of the member list; every structure below derives from it.
@@ -333,7 +407,144 @@ impl Classification {
         for node in nodes.difference(&reached) {
             problems.push(format!("node {node} is unreachable from any root (cycle)"));
         }
-        Ok(problems)
+        let acyclic = meta.strict_hierarchy || is_acyclic(&edges);
+        Ok((problems, meta.strict_hierarchy, acyclic))
+    }
+}
+
+/// Whether `(edge, origin, destination)` triples form no cycle: peel edges
+/// from the roots down (Kahn); an edge never peeled lies on or below a cycle.
+fn is_acyclic(edges: &[(Oid, Oid, Oid)]) -> bool {
+    let mut parents: HashMap<Oid, usize> = HashMap::new();
+    let mut children: HashMap<Oid, Vec<Oid>> = HashMap::new();
+    for &(_, origin, destination) in edges {
+        *parents.entry(destination).or_default() += 1;
+        children.entry(origin).or_default().push(destination);
+    }
+    let mut ready = roots_of(edges);
+    let mut peeled = 0;
+    while let Some(node) = ready.pop() {
+        for child in children.remove(&node).unwrap_or_default() {
+            peeled += 1;
+            let left = parents
+                .get_mut(&child)
+                .expect("every destination is counted");
+            *left -= 1;
+            if *left == 0 {
+                ready.push(child);
+            }
+        }
+    }
+    peeled == edges.len()
+}
+
+/// Tracked edges beyond which a classification's next check reads the whole
+/// member list instead of walking from each edge — also the bound on what
+/// the tracker holds per classification. Measured on the benchmark's
+/// floras: the walks cost as much as a full check at ~1 300–2 000 edges on
+/// `flora-S` and ~7 200–10 300 on `flora-L` (DESIGN.md, "Incremental
+/// integrity").
+const TRACKED_EDGES_MAX: usize = 2048;
+
+/// What lets [`Classification::check_integrity`] start from the last clean
+/// verdict instead of the whole classification. A [`Database`] owns one (see
+/// [`Reader::integrity_tracker`]); nothing else does.
+///
+/// Per classification checked clean while no unit was open, it keeps the
+/// member edges that committed units added since — fed at commit from the
+/// sealed unit's `ClassificationEdgeAdded` events, including those its
+/// `at_commit` listeners caused, so an aborted unit never reaches it. It also
+/// counts outermost units opened and settled: a check trusts it only while
+/// the two are equal, from before its reads until it records its verdict,
+/// so the state it read was the last committed one throughout.
+#[derive(Debug, Default)]
+pub struct IntegrityTracker {
+    /// Classification → (strict, edges added since its clean verdict).
+    clean: Mutex<HashMap<Oid, (bool, HashSet<Oid>)>>,
+    /// Whether `clean` holds anything: all a commit pays while it does not.
+    armed: AtomicBool,
+    opened: AtomicU64,
+    settled: AtomicU64,
+}
+
+impl IntegrityTracker {
+    /// Member edges the next check of `cls` walks from, or `None` when it
+    /// reads the whole classification.
+    pub fn tracked(&self, cls: Oid) -> Option<usize> {
+        self.clean.lock().get(&cls).map(|(_, added)| added.len())
+    }
+
+    pub(crate) fn unit_opened(&self) {
+        self.opened.fetch_add(1, Ordering::SeqCst);
+    }
+
+    pub(crate) fn unit_settled(&self) {
+        self.settled.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// Fold a committing unit's events in.
+    pub(crate) fn fold<'a>(&self, events: impl IntoIterator<Item = &'a Event>) {
+        if !self.armed.load(Ordering::SeqCst) {
+            return;
+        }
+        let mut clean = self.clean.lock();
+        for event in events {
+            if let Event::ClassificationEdgeAdded {
+                classification,
+                rel,
+            } = event
+            {
+                if let Some((_, added)) = clean.get_mut(classification) {
+                    added.insert(*rel);
+                    if added.len() > TRACKED_EDGES_MAX {
+                        clean.remove(classification);
+                    }
+                }
+            }
+        }
+        self.armed.store(!clean.is_empty(), Ordering::SeqCst);
+    }
+
+    /// Drop `cls`'s verdict: its next check is a full one.
+    pub(crate) fn forget(&self, cls: Oid) {
+        let mut clean = self.clean.lock();
+        clean.remove(&cls);
+        self.armed.store(!clean.is_empty(), Ordering::SeqCst);
+    }
+
+    /// Drop every verdict (the store changed beneath the database).
+    pub(crate) fn forget_all(&self) {
+        self.clean.lock().clear();
+        self.armed.store(false, Ordering::SeqCst);
+    }
+
+    /// The epoch a check starts in, if no unit is open.
+    fn quiescent(&self) -> Option<u64> {
+        let opened = self.opened.load(Ordering::SeqCst);
+        (self.settled.load(Ordering::SeqCst) == opened).then_some(opened)
+    }
+
+    fn tracked_edges(&self, cls: Oid) -> Option<(bool, Vec<Oid>)> {
+        let clean = self.clean.lock();
+        let (strict, added) = clean.get(&cls)?;
+        Some((*strict, added.iter().copied().collect()))
+    }
+
+    /// Record a check's verdict — `Some(strict)` when clean — if no unit
+    /// opened since `epoch`, so none can have folded an edge the check did
+    /// not see.
+    fn settle(&self, epoch: u64, cls: Oid, clean_strict: Option<bool>) {
+        let mut clean = self.clean.lock();
+        // Armed before the epoch is read: a unit opened after that read
+        // finds the tracker armed when it commits.
+        self.armed.store(true, Ordering::SeqCst);
+        if self.quiescent() == Some(epoch) {
+            match clean_strict {
+                Some(strict) => drop(clean.insert(cls, (strict, HashSet::new()))),
+                None => drop(clean.remove(&cls)),
+            }
+        }
+        self.armed.store(!clean.is_empty(), Ordering::SeqCst);
     }
 }
 

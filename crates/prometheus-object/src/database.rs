@@ -24,6 +24,7 @@
 //! dependency and constancy are enforced on deletion. Violations surface as
 //! typed [`DbError`] variants.
 
+use crate::classification::IntegrityTracker;
 use crate::error::{DbError, DbResult};
 use crate::events::{Event, EventListener};
 use crate::index::{
@@ -114,6 +115,9 @@ pub struct Database {
     units: Mutex<UnitTable>,
     units_freed: Condvar,
     cache: Vec<Mutex<LruCache<Oid, StoredEntity>>>,
+    /// What `check_integrity` starts from: the last clean verdict per
+    /// classification and the member edges committed since.
+    pub(crate) integrity: IntegrityTracker,
 }
 
 impl Database {
@@ -149,6 +153,7 @@ impl Database {
             cache: (0..CACHE_SHARDS)
                 .map(|_| Mutex::new(LruCache::new(DEFAULT_CACHE_CAPACITY / CACHE_SHARDS)))
                 .collect(),
+            integrity: IntegrityTracker::default(),
         })
     }
 
@@ -223,6 +228,7 @@ impl Database {
         for oid in &summary.touched_oids {
             self.cache_shard(*oid).lock().remove(oid);
         }
+        self.integrity.forget_all();
         if summary.touched_keyspaces.contains(&KS_META) {
             self.reload_meta()?;
         }
@@ -237,6 +243,7 @@ impl Database {
         for shard in &self.cache {
             shard.lock().clear();
         }
+        self.integrity.forget_all();
         self.reload_meta()
     }
 
@@ -322,6 +329,7 @@ impl Database {
         }
         table.next_id += 1;
         let id = table.next_id;
+        self.integrity.unit_opened();
         for (i, owner) in table.owners.iter_mut().enumerate() {
             if mask & (1u64 << i) != 0 {
                 *owner = id;
@@ -422,10 +430,12 @@ impl Database {
                     state.depth, token.depth
                 )));
             }
-            state.depth -= 1;
-            if state.depth == 0 {
+            // The outermost unit keeps depth 1 while its deferred listeners
+            // run, so a unit one of them opens nests inside it.
+            if state.depth == 1 {
                 (true, std::mem::take(&mut state.events), state.claim)
             } else {
+                state.depth -= 1;
                 (false, Vec::new(), 0)
             }
         };
@@ -447,11 +457,12 @@ impl Database {
         // one shard participated), publishing its final state as the next
         // readable snapshot. The claimed shards stay owned until the seal
         // lands, so a concurrently opened unit cannot interleave its scopes
-        // with this one's; disjoint units seal in parallel.
-        {
-            let mut table = self.units.lock();
-            table.states.remove(&id);
-        }
+        // with this one's; disjoint units seal in parallel. The integrity
+        // tracker takes the unit's edge additions first — those its
+        // listeners caused too — while the unit still counts as open.
+        let late = self.units.lock().states.remove(&id).map(|s| s.events);
+        self.integrity
+            .fold(events.iter().chain(late.iter().flatten()));
         let sealed = self.store.end_unit_scope_on(claim, true);
         self.release_unit(id);
         sealed?;
@@ -479,6 +490,7 @@ impl Database {
             }
         }
         drop(table);
+        self.integrity.unit_settled();
         self.units_freed.notify_all();
         if CURRENT_UNIT.with(|c| c.get()) == id {
             Self::restore_thread((0, 0));
@@ -1423,6 +1435,7 @@ impl Database {
             Ok(())
         })?;
         self.cache_write(oid, None);
+        self.integrity.forget(oid);
         Ok(())
     }
 

@@ -49,7 +49,7 @@ pub mod traversal;
 pub mod value;
 pub mod views;
 
-pub use classification::{Classification, ClassificationCompare};
+pub use classification::{Classification, ClassificationCompare, IntegrityTracker};
 pub use database::{Database, UnitToken};
 pub use error::{DbError, DbResult};
 pub use events::{Event, EventListener};

@@ -21,6 +21,7 @@
 //! The query evaluator, traversals, classification structure queries and
 //! views are generic over `Reader`, so the same code serves both paths.
 
+use crate::classification::IntegrityTracker;
 use crate::database::{Database, CLASSIFICATION_EXTENT};
 use crate::error::{DbError, DbResult};
 use crate::index::{self, KS_ATTR, KS_CLS_EDGES, KS_EDGE_CLS, KS_EXTENT, KS_REL_FROM, KS_REL_TO};
@@ -84,6 +85,13 @@ pub trait Reader: Sized + Send + Sync {
 
     /// Run `f` with read access to the synonym table.
     fn with_synonyms<T>(&self, f: impl FnOnce(&SynonymTable) -> T) -> T;
+
+    /// The tracker [`crate::Classification::check_integrity`] may start
+    /// from; `None` (the default, and a [`ReadView`]'s answer) makes every
+    /// check read the whole classification.
+    fn integrity_tracker(&self) -> Option<&IntegrityTracker> {
+        None
+    }
 
     // -----------------------------------------------------------------
     // Entity access
@@ -509,6 +517,10 @@ impl Reader for Database {
     fn with_synonyms<T>(&self, f: impl FnOnce(&SynonymTable) -> T) -> T {
         Database::with_synonyms(self, f)
     }
+
+    fn integrity_tracker(&self) -> Option<&IntegrityTracker> {
+        Some(&self.integrity)
+    }
 }
 
 /// A shared reference to a reader is itself a reader, so call sites may pass
@@ -540,6 +552,10 @@ impl<R: Reader> Reader for &R {
     fn with_synonyms<T>(&self, f: impl FnOnce(&SynonymTable) -> T) -> T {
         (**self).with_synonyms(f)
     }
+
+    fn integrity_tracker(&self) -> Option<&IntegrityTracker> {
+        (**self).integrity_tracker()
+    }
 }
 
 /// `Arc<Database>` (the shape most embedders hold) reads like the database
@@ -569,6 +585,10 @@ impl<R: Reader> Reader for Arc<R> {
 
     fn with_synonyms<T>(&self, f: impl FnOnce(&SynonymTable) -> T) -> T {
         (**self).with_synonyms(f)
+    }
+
+    fn integrity_tracker(&self) -> Option<&IntegrityTracker> {
+        (**self).integrity_tracker()
     }
 }
 

@@ -228,16 +228,26 @@ pub struct LogScan {
 /// history.
 pub fn scan(path: &Path) -> StorageResult<LogScan> {
     let mut frames = Vec::new();
+    let valid_len = scan_each(path, |offset, record| {
+        frames.push(RecoveredFrame { offset, record })
+    })?;
+    Ok(LogScan { frames, valid_len })
+}
+
+/// [`scan`] without collecting: hands each valid frame's offset and record
+/// to `f` as it is read, and returns the length of the valid prefix.
+/// Recovery replays through this, so a long log is never held in memory
+/// whole.
+pub fn scan_each(path: &Path, mut f: impl FnMut(u64, LogRecord)) -> StorageResult<u64> {
     let mut valid_len = 0u64;
     let file = match File::open(path) {
         Ok(f) => f,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            return Ok(LogScan { frames, valid_len })
-        }
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(valid_len),
         Err(e) => return Err(e.into()),
     };
     let mut reader = std::io::BufReader::new(file);
     let mut header = [0u8; 8];
+    let mut payload = Vec::new();
     loop {
         match read_exact_or_eof(&mut reader, &mut header)? {
             ReadOutcome::Eof => break,
@@ -249,7 +259,7 @@ pub fn scan(path: &Path) -> StorageResult<LogScan> {
         if len > MAX_FRAME_LEN {
             break; // corrupt length word
         }
-        let mut payload = vec![0u8; len as usize];
+        payload.resize(len as usize, 0);
         match read_exact_or_eof(&mut reader, &mut payload)? {
             ReadOutcome::Full => {}
             _ => break, // torn payload
@@ -261,13 +271,10 @@ pub fn scan(path: &Path) -> StorageResult<LogScan> {
             Ok(r) => r,
             Err(_) => break, // undecodable payload
         };
-        frames.push(RecoveredFrame {
-            offset: valid_len,
-            record,
-        });
+        f(valid_len, record);
         valid_len += 8 + len as u64;
     }
-    Ok(LogScan { frames, valid_len })
+    Ok(valid_len)
 }
 
 /// Read frames from `offset` up to `end` (a known committed frame boundary),

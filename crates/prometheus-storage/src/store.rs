@@ -344,8 +344,9 @@ pub struct ReplayState {
 
 impl ReplayState {
     /// Feed one frame; returns the records of the group it settled, if any.
-    pub fn offer(&mut self, record: &LogRecord) -> Vec<LogRecord> {
-        match record {
+    /// Data records move into the group, uncopied.
+    pub fn offer(&mut self, record: LogRecord) -> Vec<LogRecord> {
+        match &record {
             LogRecord::Begin { txn } => {
                 self.pending.insert(*txn, Vec::new());
                 self.next_txn = self.next_txn.max(txn + 1);
@@ -416,7 +417,7 @@ impl ReplayState {
             }
             other => {
                 if let Some(buf) = self.pending.get_mut(&other.txn()) {
-                    buf.push(other.clone());
+                    buf.push(record);
                 }
                 Vec::new()
             }
@@ -579,7 +580,6 @@ impl Store {
                 std::fs::create_dir_all(parent)?;
             }
         }
-        let scan = log::scan(&path)?;
         let mut image = Image::default();
         // Group frames by transaction; apply only committed groups, in commit
         // order (commit order equals log order for a single-writer log).
@@ -592,12 +592,12 @@ impl Store {
         // Replay applies owned records: the decoded payloads move straight
         // into the image as `Bytes` without a second copy.
         let mut replay_touch = Touch::default();
-        for frame in scan.frames {
-            for record in replay.offer(&frame.record) {
+        let valid_len = log::scan_each(&path, |_, record| {
+            for record in replay.offer(record) {
                 image.apply_owned(record, &mut replay_touch);
             }
-        }
-        let mut logw = LogWriter::open(&path, scan.valid_len)?;
+        })?;
+        let mut logw = LogWriter::open(&path, valid_len)?;
         let mut in_doubt = None;
         if let Some(unit) = replay.open_unit_id() {
             match replay.open_unit_prepared() {
@@ -618,7 +618,7 @@ impl Store {
                     };
                     logw.append(&seal)?;
                     logw.sync()?;
-                    replay.offer(&seal);
+                    replay.offer(seal);
                 }
             }
         }
@@ -784,7 +784,7 @@ impl Store {
         let mut inner = self.inner.lock();
         let record = LogRecord::UnitDecision { gid, committed };
         inner.logw.append(&record)?;
-        inner.replay.offer(&record);
+        inner.replay.offer(record);
         Stats::bump(&self.stats.log_appends);
         if self.options.sync_on_commit {
             inner.logw.sync()?;
@@ -825,7 +825,7 @@ impl Store {
         Stats::bump(&self.stats.syncs);
         self.committed_len
             .store(inner.logw.len(), Ordering::Release);
-        let ready = inner.replay.offer(&seal);
+        let ready = inner.replay.offer(seal);
         if !ready.is_empty() {
             let mut touch = Touch::default();
             for record in ready {
@@ -1116,7 +1116,7 @@ impl Store {
                     inner.in_doubt = None;
                 }
             }
-            let ready = inner.replay.offer(record);
+            let ready = inner.replay.offer(record.clone());
             if !ready.is_empty() {
                 Stats::bump(&self.stats.commits);
             }

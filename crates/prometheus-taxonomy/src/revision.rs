@@ -29,6 +29,11 @@ impl Revision {
 
     /// Move `taxon` under `new_parent` in the working classification
     /// (HICLAS' *move* operation, but recorded as structure, not history).
+    ///
+    /// The old parent edge only leaves the working classification: its
+    /// `Circumscribes` instance survives, and a caller that wants it gone
+    /// deletes it (in the same unit, with
+    /// [`prometheus_object::Database::delete_relationship`]).
     pub fn move_taxon(&self, tax: &Taxonomy, taxon: Oid, new_parent: Oid) -> DbResult<()> {
         let db = tax.db();
         db.in_unit_scope(|db| {
@@ -43,6 +48,10 @@ impl Revision {
 
     /// Merge `loser` into `winner`: every child of `loser` moves under
     /// `winner`, and `loser` leaves the working classification.
+    ///
+    /// As for [`Revision::move_taxon`], the unlinked `Circumscribes`
+    /// instances — `loser`'s child edges and its parent edge — survive; the
+    /// caller deletes them if it wants them gone.
     pub fn merge_taxa(&self, tax: &Taxonomy, winner: Oid, loser: Oid) -> DbResult<()> {
         let db = tax.db();
         db.in_unit_scope(|db| {
@@ -59,6 +68,10 @@ impl Revision {
 
     /// Split `taxon`: the listed children move into a brand-new CT of the
     /// same rank, placed under `taxon`'s parent.
+    ///
+    /// As for [`Revision::move_taxon`], the unlinked `Circumscribes`
+    /// instances from `taxon` to the moved children survive; the caller
+    /// deletes them if it wants them gone.
     pub fn split_taxon(
         &self,
         tax: &Taxonomy,

@@ -3,15 +3,21 @@
 //! ordering, and classification structure and membership under random edit
 //! sequences.
 
-use prometheus_db::index::{self, KS_CLS_EDGES};
+use prometheus_db::classification::IntegrityTracker;
+use prometheus_db::index::{self, KS_CLS_EDGES, KS_EDGE_CLS};
+use prometheus_db::instance::StoredEntity;
+use prometheus_db::taxonomy::revision::Revision;
 use prometheus_db::{
-    AttrDef, ClassDef, Classification, Database, Oid, Prometheus, Rank, Reader, RelClassDef,
-    StoreOptions, Type, Value,
+    AttrDef, ClassDef, Classification, Database, Event, EventListener, Oid, Prometheus, Rank,
+    Reader, RelClassDef, SchemaRegistry, StoreOptions, Type, Value,
 };
 use prometheus_object::synonym::SynonymTable;
-use prometheus_storage::{codec, Keyspace, KvScan};
+use prometheus_storage::{codec, Bytes, Keyspace, KvScan};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Bound;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 fn arb_value() -> impl Strategy<Value = Value> {
     let leaf = prop_oneof![
@@ -200,20 +206,47 @@ fn membership(db: &Database) -> Vec<String> {
                 "probe and node set disagree on {oid} in {cls}"
             );
         }
+        let problems = handle.check_integrity(db).unwrap();
+        assert_eq!(
+            problems,
+            handle.check_integrity_full(db).unwrap(),
+            "the tracked check and the full one disagree on {cls}"
+        );
         out.push(format!(
-            "{cls}: {nodes:?} roots {:?} leaves {:?} {:?}",
+            "{cls}: {nodes:?} roots {:?} leaves {:?} {problems:?}",
             handle.roots(db).unwrap(),
             handle.leaves(db).unwrap(),
-            handle.check_integrity(db).unwrap(),
         ));
     }
     out
 }
 
+/// At commit, links `(a, b)` into the classification `ring` for every pair
+/// queued since: an edge only an `at_commit` listener adds.
+struct Echo {
+    ring: Oid,
+    queued: std::sync::Mutex<Vec<(Oid, Oid)>>,
+    linked: std::sync::Mutex<Vec<Oid>>,
+}
+
+impl EventListener for Echo {
+    fn at_commit(&self, db: &Database, _events: &[Event]) -> prometheus_db::DbResult<()> {
+        for (a, b) in self.queued.lock().unwrap().drain(..) {
+            let edge = Classification::from_oid(self.ring).link(db, "Near", a, b, Vec::new())?;
+            self.linked.lock().unwrap().push(edge);
+        }
+        Ok(())
+    }
+}
+
 /// Random interleavings of create/link/unlink operations keep a strict
 /// classification single-parented and acyclic, a what-if of arbitrary
 /// mutations that is aborted is a unit that never began, and the record-free
-/// membership reads agree with the decoding ones after every step.
+/// membership reads agree with the decoding ones after every step — as does
+/// the tracked integrity check with the full one, on the strict
+/// classification and on a lenient one that grows cycles and loses them
+/// through committed units, listener writes and raw store writes, inside
+/// and outside open units.
 #[test]
 fn classification_invariants_under_random_edits() {
     random_edits(1234, 300);
@@ -254,6 +287,16 @@ fn random_edits(seed: u64, steps: usize) {
     let mut loose = db
         .create_classification("loose", Vec::new(), false)
         .unwrap();
+    db.define_relationship(RelClassDef::association("Near", "Object", "Object"))
+        .unwrap();
+    let ring = db.create_classification("ring", Vec::new(), false).unwrap();
+    let echo = Arc::new(Echo {
+        ring,
+        queued: Default::default(),
+        linked: Default::default(),
+    });
+    db.add_listener(echo.clone());
+    let mut ring_edges: Vec<Oid> = Vec::new();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut nodes: Vec<_> = (0..20)
         .map(|i| tax.create_ct(&format!("N{i}"), Rank::ALL[i % 24]).unwrap())
@@ -268,8 +311,12 @@ fn random_edits(seed: u64, steps: usize) {
         nodes.push(specimen);
     }
     let mut edges: Vec<Oid> = Vec::new();
+    let tracked = |cls: Oid| db.integrity_tracker().unwrap().tracked(cls);
     for step in 0..steps {
-        let op = rng.gen_range(0..5);
+        // Ring edges join the first twelve nodes and are unlinked more often
+        // than linked, so cycles come and go.
+        let (a, b) = (nodes[rng.gen_range(0..12)], nodes[rng.gen_range(0..12)]);
+        let op = rng.gen_range(0..12);
         match op {
             0 => {
                 let a = nodes[rng.gen_range(0..nodes.len())];
@@ -312,19 +359,67 @@ fn random_edits(seed: u64, steps: usize) {
                     }
                 }
             }
+            4 => {
+                let edge = Classification::from_oid(ring).link(db, "Near", a, b, Vec::new());
+                ring_edges.push(edge.unwrap());
+            }
+            5..=8 => {
+                if !ring_edges.is_empty() {
+                    let edge = ring_edges.swap_remove(rng.gen_range(0..ring_edges.len()));
+                    if rng.gen_range(0..2) == 0 {
+                        db.remove_edge_from_classification(ring, edge).unwrap();
+                    } else {
+                        db.delete_relationship(edge).unwrap();
+                    }
+                }
+            }
+            9 => {
+                // The listener adds the edge while an empty unit commits.
+                echo.queued.lock().unwrap().push((a, b));
+                let token = db.begin_unit();
+                db.commit_unit(token).unwrap();
+                ring_edges.append(&mut echo.linked.lock().unwrap());
+            }
+            10 => {
+                // A member edge written straight to the store, as an older
+                // log or a replica's apply does, with its reverse beside it
+                // when there is one to reverse: the facade hears of it
+                // through `refresh_all`, as of any write that bypasses it.
+                let (o, d) = match ring_edges.first() {
+                    Some(&edge) => db.rel(edge).map(|r| (r.destination, r.origin)).unwrap(),
+                    None => (a, b),
+                };
+                let edge = db.create_relationship("Near", o, d, Vec::new()).unwrap();
+                db.store()
+                    .with_txn(|t| {
+                        let key = index::cls_edge_key(ring, edge);
+                        t.kv_put(KS_CLS_EDGES, key, index::cls_edge_value(o, d));
+                        t.kv_put(KS_EDGE_CLS, index::edge_cls_key(edge, ring), Vec::new());
+                        Ok(())
+                    })
+                    .unwrap();
+                db.refresh_all().unwrap();
+                ring_edges.push(edge);
+            }
             _ => {
                 // Speculative what-if that is always rolled back must leave
-                // no trace, whatever it did. A failed operation ends it: an
-                // immediate rule's veto has rolled the unit back already, and
-                // anything after it would run (and commit) outside it.
+                // no trace, whatever it did — on the integrity tracker
+                // neither, unless it dropped a classification's verdict. A
+                // failed operation ends it: an immediate rule's veto has
+                // rolled the unit back already, and anything after it would
+                // run (and commit) outside it.
                 let before = fingerprint(db);
+                let tracked_before = (tracked(cls.oid()), tracked(ring));
                 let token = db.begin_unit();
                 for i in 0..rng.gen_range(1..8) {
                     let a = nodes[rng.gen_range(0..nodes.len())];
                     let b = nodes[rng.gen_range(0..nodes.len())];
                     let edge = edges.get(rng.gen_range(0..edges.len().max(1))).copied();
+                    let ring_edge = ring_edges
+                        .get(rng.gen_range(0..ring_edges.len().max(1)))
+                        .copied();
                     let name = Value::from(format!("what-if {step}.{i}"));
-                    let done = match (rng.gen_range(0..10), edge) {
+                    let done = match (rng.gen_range(0..13), edge) {
                         (0, _) => tax
                             .create_ct(&format!("W{step}.{i}"), Rank::ALL[i])
                             .map(drop),
@@ -339,6 +434,13 @@ fn random_edits(seed: u64, steps: usize) {
                         (8, _) => {
                             db.delete_classification(if i % 2 == 0 { loose } else { cls.oid() })
                         }
+                        (10 | 11, _) => Classification::from_oid(ring)
+                            .link(db, "Near", a, b, Vec::new())
+                            .map(drop),
+                        (12, _) => match ring_edge {
+                            Some(edge) => db.remove_edge_from_classification(ring, edge),
+                            None => Ok(()),
+                        },
                         _ => db
                             .create_classification(&format!("scratch {step}.{i}"), Vec::new(), true)
                             .map(drop),
@@ -347,8 +449,21 @@ fn random_edits(seed: u64, steps: usize) {
                         break;
                     }
                 }
+                // A check inside the unit sees the unit's own edges.
+                for handle in [cls, Classification::from_oid(ring)] {
+                    if db.in_unit() && db.exists(handle.oid()) {
+                        assert_eq!(
+                            handle.check_integrity(db).unwrap(),
+                            handle.check_integrity_full(db).unwrap()
+                        );
+                    }
+                }
                 db.abort_unit(token);
                 assert_eq!(fingerprint(db), before);
+                for (cls, was) in [(cls.oid(), tracked_before.0), (ring, tracked_before.1)] {
+                    let now = tracked(cls);
+                    assert!(now == was || now.is_none(), "abort fed the tracker");
+                }
             }
         }
         // Invariants hold after every step.
@@ -362,6 +477,126 @@ fn random_edits(seed: u64, steps: usize) {
     drop(p);
     let p = Prometheus::open_with(&path, options).unwrap();
     assert_eq!((fingerprint(p.db()), membership(p.db())), live);
+    let _ = std::fs::remove_file(path);
+}
+
+/// A reader that counts what a check asks of the database beneath it,
+/// handing on the database's integrity tracker.
+struct Counting<'a> {
+    db: &'a Database,
+    relationships_decoded: AtomicU64,
+    index_gets: AtomicU64,
+    index_scans: AtomicU64,
+}
+
+impl Counting<'_> {
+    /// `(relationship records decoded, raw_kv_get calls, raw_kv_for_each calls)`
+    fn counts(&self) -> (u64, u64, u64) {
+        (
+            self.relationships_decoded.load(Ordering::Relaxed),
+            self.index_gets.load(Ordering::Relaxed),
+            self.index_scans.load(Ordering::Relaxed),
+        )
+    }
+}
+
+impl Reader for Counting<'_> {
+    fn entity(&self, oid: Oid) -> prometheus_db::DbResult<StoredEntity> {
+        let entity = self.db.entity(oid)?;
+        if matches!(entity, StoredEntity::Rel(_)) {
+            self.relationships_decoded.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(entity)
+    }
+
+    fn raw_kv_get(&self, ks: Keyspace, key: &[u8]) -> Option<Bytes> {
+        self.index_gets.fetch_add(1, Ordering::Relaxed);
+        self.db.raw_kv_get(ks, key)
+    }
+
+    fn raw_kv_for_each(
+        &self,
+        ks: Keyspace,
+        lo: &[u8],
+        hi: Bound<&[u8]>,
+        f: impl FnMut(&[u8], &[u8]),
+    ) {
+        self.index_scans.fetch_add(1, Ordering::Relaxed);
+        self.db.raw_kv_for_each(ks, lo, hi, f)
+    }
+
+    fn with_schema<T>(&self, f: impl FnOnce(&SchemaRegistry) -> T) -> T {
+        Reader::with_schema(self.db, f)
+    }
+
+    fn with_synonyms<T>(&self, f: impl FnOnce(&SynonymTable) -> T) -> T {
+        Reader::with_synonyms(self.db, f)
+    }
+
+    fn integrity_tracker(&self) -> Option<&IntegrityTracker> {
+        self.db.integrity_tracker()
+    }
+}
+
+/// After a committed move, the integrity check walks from the one edge the
+/// move added: the same index calls, and no relationship decoded, in a
+/// classification of 50 edges and of 5 000. The count repeats exactly, so
+/// it gates on any runner.
+#[test]
+fn a_tracked_integrity_check_costs_the_same_in_a_classification_of_any_size() {
+    let path = std::env::temp_dir().join(format!("prop-counting-{}.log", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let options = StoreOptions {
+        sync_on_commit: false,
+    };
+    let p = Prometheus::open_with(&path, options).unwrap();
+    let tax = p.taxonomy().unwrap();
+    let db = tax.db();
+    let cost = |edges: usize| {
+        // A family over genera of five species each.
+        let cls = tax
+            .new_classification(&format!("c{edges}"), "a", "c")
+            .unwrap();
+        let family = tax.create_ct(&format!("F{edges}"), Rank::Familia).unwrap();
+        let (mut genera, mut species) = (Vec::new(), Vec::new());
+        for i in 0..edges {
+            if species.len() == genera.len() * 5 {
+                let genus = tax
+                    .create_ct(&format!("G{edges}.{i}"), Rank::Genus)
+                    .unwrap();
+                tax.circumscribe(&cls, family, genus).unwrap();
+                genera.push(genus);
+            } else {
+                let sp = tax
+                    .create_ct(&format!("s{edges}.{i}"), Rank::Species)
+                    .unwrap();
+                tax.circumscribe(&cls, *genera.last().unwrap(), sp).unwrap();
+                species.push(sp);
+            }
+        }
+        // The verdict the next check starts from, then one committed move.
+        assert!(cls.check_integrity(db).unwrap().is_empty());
+        let rev = Revision {
+            base: cls,
+            working: cls,
+        };
+        rev.move_taxon(&tax, species[0], genera[1]).unwrap();
+        assert_eq!(db.integrity_tracker().unwrap().tracked(cls.oid()), Some(1));
+        let counting = Counting {
+            db,
+            relationships_decoded: AtomicU64::new(0),
+            index_gets: AtomicU64::new(0),
+            index_scans: AtomicU64::new(0),
+        };
+        assert!(cls.check_integrity(&counting).unwrap().is_empty());
+        assert_eq!(db.integrity_tracker().unwrap().tracked(cls.oid()), Some(0));
+        counting.counts()
+    };
+    let (small, big) = (cost(50), cost(5_000));
+    assert_eq!(small.0, 0, "the tracked check decodes no relationship");
+    assert_eq!(small, big, "cost follows the classification's size");
+    drop(tax);
+    drop(p);
     let _ = std::fs::remove_file(path);
 }
 
