@@ -111,7 +111,9 @@ pub struct Database {
     store: Arc<ShardedStore>,
     schema: RwLock<Arc<SchemaRegistry>>,
     synonyms: RwLock<Arc<SynonymTable>>,
-    listeners: RwLock<Vec<Arc<dyn EventListener>>>,
+    /// Replaced copy-on-write by `add_listener`, so a dispatch takes one
+    /// `Arc` bump instead of copying the list.
+    listeners: RwLock<Arc<Vec<Arc<dyn EventListener>>>>,
     units: Mutex<UnitTable>,
     units_freed: Condvar,
     cache: Vec<Mutex<LruCache<Oid, StoredEntity>>>,
@@ -143,7 +145,7 @@ impl Database {
             store,
             schema: RwLock::new(Arc::new(schema)),
             synonyms: RwLock::new(Arc::new(synonyms)),
-            listeners: RwLock::new(Vec::new()),
+            listeners: RwLock::new(Arc::new(Vec::new())),
             units: Mutex::new(UnitTable {
                 states: HashMap::new(),
                 owners: vec![0; shard_count],
@@ -189,7 +191,7 @@ impl Database {
 
     /// Register an event listener (the rule engine).
     pub fn add_listener(&self, listener: Arc<dyn EventListener>) {
-        self.listeners.write().push(listener);
+        Arc::make_mut(&mut *self.listeners.write()).push(listener);
     }
 
     // -----------------------------------------------------------------
@@ -445,8 +447,8 @@ impl Database {
         let _bound = Self::bind_thread(id, claim);
         // Deferred listeners run while the unit is still rollback-able; any
         // write they make (repair actions, history entries) is part of it.
-        let listeners = self.listeners.read().clone();
-        for listener in &listeners {
+        let listeners = Arc::clone(&self.listeners.read());
+        for listener in listeners.iter() {
             if let Err(e) = listener.at_commit(self, &events) {
                 self.rollback_unit(id);
                 return Err(e);
@@ -569,16 +571,16 @@ impl Database {
     }
 
     fn dispatch_before(&self, event: &Event) -> DbResult<()> {
-        let listeners = self.listeners.read().clone();
-        for listener in &listeners {
+        let listeners = Arc::clone(&self.listeners.read());
+        for listener in listeners.iter() {
             listener.before(self, event)?;
         }
         Ok(())
     }
 
     fn dispatch_after(&self, event: &Event) -> DbResult<()> {
-        let listeners = self.listeners.read().clone();
-        for listener in &listeners {
+        let listeners = Arc::clone(&self.listeners.read());
+        for listener in listeners.iter() {
             listener.after(self, event)?;
         }
         Ok(())
@@ -769,25 +771,25 @@ impl Database {
         };
         self.dispatch_before(&event)?;
 
-        // Incident edges.
-        let outgoing = self.rels_from(oid, None)?;
-        let incoming = self.rels_to(oid, None)?;
+        // Incident edges, off the endpoint keys; each is decoded only by its
+        // own deletion, whose events carry the record.
+        let mut incident: Vec<Oid> = Vec::new();
         let mut dependents: Vec<Oid> = Vec::new();
         {
             let schema = self.schema.read();
-            for rel in &outgoing {
-                if let Some(def) = schema.rel_class(&rel.class) {
-                    if def.dependent {
-                        dependents.push(rel.destination);
-                    }
+            self.for_each_incident(oid, true, |class, rel, destination| {
+                incident.push(rel);
+                if schema.rel_class(class).is_some_and(|def| def.dependent) {
+                    dependents.push(destination);
                 }
-            }
+            });
         }
-        for rel in outgoing.iter().chain(incoming.iter()) {
+        self.for_each_incident(oid, false, |_, rel, _| incident.push(rel));
+        for rel in incident {
             // A relationship may have been deleted already if it connects oid
             // to itself or appears in both lists.
-            if self.exists(rel.oid) {
-                self.delete_relationship_inner(rel.oid, true)?;
+            if self.exists(rel) {
+                self.delete_relationship_inner(rel, true)?;
             }
         }
 
@@ -803,21 +805,22 @@ impl Database {
 
         // Lifetime-dependent destinations: delete if orphaned.
         for dest in dependents {
-            if self.exists(dest) && !self.has_incoming_aggregation(dest)? {
+            if self.exists(dest) && !self.has_incoming_aggregation(dest) {
                 self.delete_object(dest)?;
             }
         }
         Ok(())
     }
 
-    fn has_incoming_aggregation(&self, oid: Oid) -> DbResult<bool> {
-        let incoming = self.rels_to(oid, None)?;
+    fn has_incoming_aggregation(&self, oid: Oid) -> bool {
         let schema = self.schema.read();
-        Ok(incoming.iter().any(|r| {
-            schema
-                .rel_class(&r.class)
-                .is_some_and(|d| d.kind == RelKind::Aggregation)
-        }))
+        let mut found = false;
+        self.for_each_incident(oid, false, |class, _, _| {
+            found |= schema
+                .rel_class(class)
+                .is_some_and(|d| d.kind == RelKind::Aggregation);
+        });
+        found
     }
 
     // -----------------------------------------------------------------
@@ -869,9 +872,12 @@ impl Database {
             let declared = schema.all_rel_attrs(class)?;
             let checked = validate_attrs(class, &declared, attrs, true)?;
 
+            // Each check below reads the endpoint keys of the relationships
+            // already there — their class and endpoints — and no record.
+            //
             // Exclusivity (Figure 15): at most one incoming instance of this
             // class for the destination.
-            if def.exclusive && !self.rels_to_of_class(destination, class)?.is_empty() {
+            if def.exclusive && self.degree(destination, class, false) > 0 {
                 return Err(DbError::ExclusivityViolation {
                     relationship: class.into(),
                     destination,
@@ -881,35 +887,33 @@ impl Database {
             // not belong to any other whole, and a part already held by a
             // non-sharable aggregation may not be claimed again.
             if def.kind == RelKind::Aggregation {
-                let incoming = self.rels_to(destination, None)?;
-                for existing in &incoming {
-                    if let Some(other) = schema.rel_class(&existing.class) {
-                        if other.kind == RelKind::Aggregation && (!def.sharable || !other.sharable)
-                        {
-                            return Err(DbError::SharabilityViolation {
-                                relationship: class.into(),
-                                destination,
-                            });
-                        }
-                    }
+                let mut claimed = false;
+                self.for_each_incident(destination, false, |existing, _, _| {
+                    claimed |= schema.rel_class(existing).is_some_and(|other| {
+                        other.kind == RelKind::Aggregation && (!def.sharable || !other.sharable)
+                    });
+                });
+                if claimed {
+                    return Err(DbError::SharabilityViolation {
+                        relationship: class.into(),
+                        destination,
+                    });
                 }
             }
-            // Cardinality on both sides.
-            let from_count = self.rels_from_of_class(origin, class)?.len() as u32;
-            if def.origin_card.exceeded_by(from_count + 1) {
-                return Err(DbError::CardinalityViolation {
-                    relationship: class.into(),
-                    side: "origin",
-                    limit: def.origin_card.max.unwrap_or(u32::MAX),
-                });
-            }
-            let to_count = self.rels_to_of_class(destination, class)?.len() as u32;
-            if def.destination_card.exceeded_by(to_count + 1) {
-                return Err(DbError::CardinalityViolation {
-                    relationship: class.into(),
-                    side: "destination",
-                    limit: def.destination_card.max.unwrap_or(u32::MAX),
-                });
+            // Cardinality on both sides; an unbounded side reads nothing.
+            for (card, side, end, outgoing) in [
+                (&def.origin_card, "origin", origin, true),
+                (&def.destination_card, "destination", destination, false),
+            ] {
+                if let Some(limit) = card.max {
+                    if self.degree(end, class, outgoing) >= limit {
+                        return Err(DbError::CardinalityViolation {
+                            relationship: class.into(),
+                            side,
+                            limit,
+                        });
+                    }
+                }
             }
             // Acyclicity: destination must not already reach origin.
             if def.acyclic && (origin == destination || self.reaches(destination, origin, class)?) {
@@ -1044,15 +1048,35 @@ impl Database {
         Reader::adjacency(self, oid, class, outgoing)
     }
 
-    fn rels_from_of_class(&self, oid: Oid, class: &str) -> DbResult<Vec<RelInstance>> {
-        self.rels_from(oid, Some(class))
+    /// How many `class` edges leave (`outgoing`) or reach `oid`: a count of
+    /// endpoint keys, no record read.
+    fn degree(&self, oid: Oid, class: &str, outgoing: bool) -> u32 {
+        let ks = if outgoing { KS_REL_FROM } else { KS_REL_TO };
+        let mut n = 0;
+        self.raw_kv_for_each_prefix(ks, &index::endpoint_class_prefix(oid, class), |_, _| n += 1);
+        n
     }
 
-    fn rels_to_of_class(&self, oid: Oid, class: &str) -> DbResult<Vec<RelInstance>> {
-        self.rels_to(oid, Some(class))
+    /// Every edge incident to `oid` as `(relationship class, relationship
+    /// oid, opposite endpoint)`, in key order, read off the endpoint index —
+    /// the incidence each §4.4.3 check is stated over, with no record
+    /// decoded. The class is borrowed from the key, so `f` runs inside the
+    /// scan and must not read through the database.
+    fn for_each_incident(&self, oid: Oid, outgoing: bool, mut f: impl FnMut(&str, Oid, Oid)) {
+        let ks = if outgoing { KS_REL_FROM } else { KS_REL_TO };
+        self.raw_kv_for_each_prefix(ks, &index::endpoint_prefix(oid), |key, value| {
+            if let (Some(class), Some(rel), Ok(other)) = (
+                index::endpoint_key_class(key),
+                index::oid_suffix(key),
+                <[u8; 8]>::try_from(value),
+            ) {
+                f(class, rel, Oid::from_be_bytes(other));
+            }
+        });
     }
 
-    /// Whether `from` reaches `to` following edges of exactly `rel_class`.
+    /// Whether `from` reaches `to` following edges of exactly `rel_class`,
+    /// over the endpoint index.
     fn reaches(&self, from: Oid, to: Oid, rel_class: &str) -> DbResult<bool> {
         let mut stack = vec![from];
         let mut seen: BTreeSet<Oid> = BTreeSet::new();
@@ -1063,8 +1087,8 @@ impl Database {
             if !seen.insert(node) {
                 continue;
             }
-            for rel in self.rels_from(node, Some(rel_class))? {
-                stack.push(rel.destination);
+            for (_, destination) in self.adjacency(node, Some(rel_class), true)? {
+                stack.push(destination);
             }
         }
         Ok(false)
@@ -1203,13 +1227,15 @@ impl Database {
         let meta = self.classification_meta(cls)?;
         let rel = self.rel(rel_oid)?;
         if meta.strict_hierarchy {
-            for existing in self.classification_parent_edges(cls, rel.destination)? {
-                if existing.oid != rel_oid {
-                    return Err(DbError::Classification(format!(
-                        "node {} already has a parent in classification '{}'",
-                        rel.destination, meta.name
-                    )));
-                }
+            let incoming = self.adjacency(rel.destination, None, false)?;
+            if incoming
+                .into_iter()
+                .any(|(edge, _)| edge != rel_oid && self.edge_in_classification(cls, edge))
+            {
+                return Err(DbError::Classification(format!(
+                    "node {} already has a parent in classification '{}'",
+                    rel.destination, meta.name
+                )));
             }
         }
         if self
@@ -1461,7 +1487,7 @@ impl Database {
                     if self.rel(oid).is_ok() {
                         continue;
                     }
-                    let count = self.rels_from(oid, Some(&def.name))?.len() as u32;
+                    let count = self.degree(oid, &def.name, true);
                     if count < def.origin_card.min {
                         problems.push(format!(
                             "{oid} has {count} outgoing {} instance(s), minimum is {}",
@@ -1475,7 +1501,7 @@ impl Database {
                     if self.rel(oid).is_ok() {
                         continue;
                     }
-                    let count = self.rels_to(oid, Some(&def.name))?.len() as u32;
+                    let count = self.degree(oid, &def.name, false);
                     if count < def.destination_card.min {
                         problems.push(format!(
                             "{oid} has {count} incoming {} instance(s), minimum is {}",

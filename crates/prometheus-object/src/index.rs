@@ -187,18 +187,12 @@ pub fn endpoint_class_prefix(endpoint: Oid, rel_class: &str) -> Vec<u8> {
     key
 }
 
-/// Decode the relationship-class name and rel OID out of an adjacency key.
-pub fn decode_endpoint_key(key: &[u8]) -> Option<(String, Oid)> {
-    if key.len() < 17 {
-        return None;
-    }
-    let name_part = &key[8..key.len() - 8];
+/// The relationship-class name of an adjacency key, borrowed from the key
+/// (the rel OID is its [`oid_suffix`]).
+pub fn endpoint_key_class(key: &[u8]) -> Option<&str> {
+    let name_part = key.get(8..key.len().checked_sub(8)?)?;
     let name_end = name_part.iter().position(|&b| b == SEP)?;
-    let class = std::str::from_utf8(&name_part[..name_end])
-        .ok()?
-        .to_string();
-    let rel = oid_suffix(key)?;
-    Some((class, rel))
+    std::str::from_utf8(&name_part[..name_end]).ok()
 }
 
 /// `classification · rel` — membership entry; the value is
@@ -287,9 +281,10 @@ mod tests {
         let key = endpoint_key(Oid::from_raw(10), "Circumscribes", Oid::from_raw(77));
         assert!(key.starts_with(&endpoint_prefix(Oid::from_raw(10))));
         assert!(key.starts_with(&endpoint_class_prefix(Oid::from_raw(10), "Circumscribes")));
-        let (class, rel) = decode_endpoint_key(&key).unwrap();
-        assert_eq!(class, "Circumscribes");
-        assert_eq!(rel, Oid::from_raw(77));
+        assert_eq!(endpoint_key_class(&key), Some("Circumscribes"));
+        assert_eq!(oid_suffix(&key), Some(Oid::from_raw(77)));
+        assert_eq!(endpoint_key_class(&key[..16]), None);
+        assert_eq!(endpoint_key_class(&key[..4]), None);
     }
 
     #[test]

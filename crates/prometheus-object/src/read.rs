@@ -144,21 +144,13 @@ pub trait Reader: Sized + Send + Sync {
     /// relationship class (exact; [`Reader::adjacency_batch`] takes a
     /// subclass-expanded list for polymorphic queries).
     fn rels_from(&self, oid: Oid, class: Option<&str>) -> DbResult<Vec<RelInstance>> {
-        let prefix = match class {
-            Some(c) => index::endpoint_class_prefix(oid, c),
-            None => index::endpoint_prefix(oid),
-        };
-        load_rels(self, KS_REL_FROM, &prefix)
+        decode_rels(self, self.adjacency(oid, class, true)?)
     }
 
     /// All relationship instances arriving at `oid`, optionally restricted to
     /// one relationship class (exact).
     fn rels_to(&self, oid: Oid, class: Option<&str>) -> DbResult<Vec<RelInstance>> {
-        let prefix = match class {
-            Some(c) => index::endpoint_class_prefix(oid, c),
-            None => index::endpoint_prefix(oid),
-        };
-        load_rels(self, KS_REL_TO, &prefix)
+        decode_rels(self, self.adjacency(oid, class, false)?)
     }
 
     /// Record-free adjacency (the §6.1.5.2 indexing fast path): the edges
@@ -407,26 +399,20 @@ pub trait Reader: Sized + Send + Sync {
         Ok(out)
     }
 
-    /// Edges of `cls` arriving at `node` (its parent edges there).
+    /// Edges of `cls` arriving at `node` (its parent edges there). Membership
+    /// is probed on the adjacency; only the members are decoded.
     fn classification_parent_edges(&self, cls: Oid, node: Oid) -> DbResult<Vec<RelInstance>> {
-        let mut out = Vec::new();
-        for rel in self.rels_to(node, None)? {
-            if self.edge_in_classification(cls, rel.oid) {
-                out.push(rel);
-            }
-        }
-        Ok(out)
+        let mut adjacent = self.adjacency(node, None, false)?;
+        adjacent.retain(|&(edge, _)| self.edge_in_classification(cls, edge));
+        decode_rels(self, adjacent)
     }
 
-    /// Edges of `cls` leaving `node` (its child edges there).
+    /// Edges of `cls` leaving `node` (its child edges there). Membership is
+    /// probed on the adjacency; only the members are decoded.
     fn classification_child_edges(&self, cls: Oid, node: Oid) -> DbResult<Vec<RelInstance>> {
-        let mut out = Vec::new();
-        for rel in self.rels_from(node, None)? {
-            if self.edge_in_classification(cls, rel.oid) {
-                out.push(rel);
-            }
-        }
-        Ok(out)
+        let mut adjacent = self.adjacency(node, None, true)?;
+        adjacent.retain(|&(edge, _)| self.edge_in_classification(cls, edge));
+        decode_rels(self, adjacent)
     }
 
     /// Whether an edge belongs to a classification.
@@ -473,20 +459,10 @@ pub trait Reader: Sized + Send + Sync {
     }
 }
 
-fn load_rels<R: Reader>(db: &R, ks: Keyspace, prefix: &[u8]) -> DbResult<Vec<RelInstance>> {
-    // Stream the index cursor first, then decode records: `Database`'s
-    // streaming scan holds the store mutex, which `rel` must re-take.
-    let mut rel_oids = Vec::new();
-    db.raw_kv_for_each_prefix(ks, prefix, |key, _| {
-        if let Some((_, rel_oid)) = index::decode_endpoint_key(key) {
-            rel_oids.push(rel_oid);
-        }
-    });
-    let mut out = Vec::with_capacity(rel_oids.len());
-    for rel_oid in rel_oids {
-        out.push(db.rel(rel_oid)?);
-    }
-    Ok(out)
+/// Decode the relationships of an adjacency list, after its scan has ended:
+/// `Database`'s streaming scan holds the store mutex, which `rel` re-takes.
+fn decode_rels<R: Reader>(db: &R, adjacent: Vec<(Oid, Oid)>) -> DbResult<Vec<RelInstance>> {
+    adjacent.into_iter().map(|(edge, _)| db.rel(edge)).collect()
 }
 
 /// [`Database`] reads resolve against the working image — inside a unit of

@@ -36,10 +36,12 @@ const META_RULES: &[u8] = b"rules";
 
 /// The rule engine.
 pub struct RuleEngine {
-    rules: RwLock<Vec<Rule>>,
+    /// Replaced copy-on-write by the rule-management calls, so a dispatch
+    /// shares the rule set with one `Arc` bump instead of copying it.
+    rules: RwLock<Arc<Vec<Rule>>>,
     warnings: Mutex<Vec<String>>,
     handler: RwLock<Option<Arc<dyn ViolationHandler>>>,
-    parsed: RwLock<HashMap<String, Expr>>,
+    parsed: RwLock<HashMap<String, Arc<Expr>>>,
     recorder: RwLock<prometheus_trace::Recorder>,
 }
 
@@ -53,7 +55,7 @@ impl RuleEngine {
     /// Empty engine.
     pub fn new() -> Self {
         RuleEngine {
-            rules: RwLock::new(Vec::new()),
+            rules: RwLock::new(Arc::new(Vec::new())),
             warnings: Mutex::new(Vec::new()),
             handler: RwLock::new(None),
             parsed: RwLock::new(HashMap::new()),
@@ -89,13 +91,14 @@ impl RuleEngine {
                 rule.name
             )));
         }
-        rules.push(rule);
+        Arc::make_mut(&mut rules).push(rule);
         Ok(())
     }
 
     /// Remove a rule by name; returns whether it existed.
     pub fn remove_rule(&self, name: &str) -> bool {
         let mut rules = self.rules.write();
+        let rules = Arc::make_mut(&mut rules);
         let before = rules.len();
         rules.retain(|r| r.name != name);
         rules.len() != before
@@ -104,7 +107,7 @@ impl RuleEngine {
     /// Enable/disable a rule without removing it.
     pub fn set_enabled(&self, name: &str, enabled: bool) -> bool {
         let mut rules = self.rules.write();
-        for r in rules.iter_mut() {
+        for r in Arc::make_mut(&mut rules).iter_mut() {
             if r.name == name {
                 r.enabled = enabled;
                 return true;
@@ -115,7 +118,7 @@ impl RuleEngine {
 
     /// Snapshot of the current rules.
     pub fn rules(&self) -> Vec<Rule> {
-        self.rules.read().clone()
+        self.rules.read().to_vec()
     }
 
     /// Warnings accumulated by `Action::Warn` violations.
@@ -135,7 +138,7 @@ impl RuleEngine {
 
     /// Persist the rules into the database's meta keyspace.
     pub fn save_to(&self, db: &Database) -> DbResult<()> {
-        let bytes = prometheus_storage::codec::to_bytes(&*self.rules.read())?;
+        let bytes = prometheus_storage::codec::to_bytes(&**self.rules.read())?;
         db.store().with_txn(|t| {
             t.kv_put(
                 prometheus_object::index::KS_META,
@@ -154,17 +157,19 @@ impl RuleEngine {
             .kv_get(prometheus_object::index::KS_META, META_RULES)
         {
             let rules: Vec<Rule> = prometheus_storage::codec::from_bytes(&bytes)?;
-            *self.rules.write() = rules;
+            *self.rules.write() = Arc::new(rules);
         }
         Ok(())
     }
 
-    fn parse_cached(&self, src: &str) -> DbResult<Expr> {
+    fn parse_cached(&self, src: &str) -> DbResult<Arc<Expr>> {
         if let Some(e) = self.parsed.read().get(src) {
-            return Ok(e.clone());
+            return Ok(Arc::clone(e));
         }
-        let expr = prometheus_pool::parse_expr(src)?;
-        self.parsed.write().insert(src.to_string(), expr.clone());
+        let expr = Arc::new(prometheus_pool::parse_expr(src)?);
+        self.parsed
+            .write()
+            .insert(src.to_string(), Arc::clone(&expr));
         Ok(expr)
     }
 
@@ -286,7 +291,7 @@ impl EventListener for RuleEngine {
         if !applicable {
             return Ok(());
         }
-        let rules = self.rules.read().clone();
+        let rules = Arc::clone(&self.rules.read());
         for rule in self.matching(db, &rules, event, Timing::Immediate, Some(true)) {
             self.check(db, rule, event)?;
         }
@@ -294,7 +299,7 @@ impl EventListener for RuleEngine {
     }
 
     fn after(&self, db: &Database, event: &Event) -> DbResult<()> {
-        let rules = self.rules.read().clone();
+        let rules = Arc::clone(&self.rules.read());
         // Creation pre-conditions (subject exists now)...
         if matches!(
             event,
@@ -341,7 +346,7 @@ impl RuleEngine {
         events: &[Event],
         checked: &mut u64,
     ) -> DbResult<()> {
-        let rules = self.rules.read().clone();
+        let rules = Arc::clone(&self.rules.read());
         // Composite-event rules (§5.2.1.1): fire once per unit when every
         // spec matched some event of the unit.
         for rule in rules.iter().filter(|r| r.enabled && r.all_events) {

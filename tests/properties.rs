@@ -8,8 +8,9 @@ use prometheus_db::index::{self, KS_CLS_EDGES, KS_EDGE_CLS};
 use prometheus_db::instance::StoredEntity;
 use prometheus_db::taxonomy::revision::Revision;
 use prometheus_db::{
-    AttrDef, ClassDef, Classification, Database, Event, EventListener, Oid, Prometheus, Rank,
-    Reader, RelClassDef, SchemaRegistry, StoreOptions, Type, Value,
+    AttrDef, Cardinality, ClassDef, Classification, Database, DbError, DbResult, Event,
+    EventListener, Oid, Prometheus, Rank, Reader, RelClassDef, RelKind, SchemaRegistry,
+    StoreOptions, Type, Value,
 };
 use prometheus_object::synonym::SynonymTable;
 use prometheus_storage::{codec, Bytes, Keyspace, KvScan};
@@ -663,5 +664,320 @@ fn membership_entries_with_an_empty_value_read_the_same() {
     drop(p);
     let p = Prometheus::open_with(&path, options).unwrap();
     assert_eq!(membership(p.db()), with_endpoints);
+    let _ = std::fs::remove_file(path);
+}
+
+/// Today's formula for `create_relationship`'s verdict, written on the
+/// decoding read API: every check of §4.4.3, in the order `Database` runs
+/// them, over the relationship records themselves.
+fn oracle_create(db: &Database, class: &str, origin: Oid, destination: Oid) -> DbResult<()> {
+    let def = db.with_schema(|s| s.rel_class(class).cloned()).unwrap();
+    // Every endpoint is an `N`: conformance reduces to existence.
+    db.class_of(origin)?;
+    db.class_of(destination)?;
+    if def.exclusive && !db.rels_to(destination, Some(class))?.is_empty() {
+        return Err(DbError::ExclusivityViolation {
+            relationship: class.into(),
+            destination,
+        });
+    }
+    if def.kind == RelKind::Aggregation {
+        for existing in db.rels_to(destination, None)? {
+            let other = db.with_schema(|s| s.rel_class(&existing.class).cloned());
+            if other
+                .is_some_and(|o| o.kind == RelKind::Aggregation && (!def.sharable || !o.sharable))
+            {
+                return Err(DbError::SharabilityViolation {
+                    relationship: class.into(),
+                    destination,
+                });
+            }
+        }
+    }
+    let sides = [
+        (
+            &def.origin_card,
+            "origin",
+            db.rels_from(origin, Some(class))?,
+        ),
+        (
+            &def.destination_card,
+            "destination",
+            db.rels_to(destination, Some(class))?,
+        ),
+    ];
+    for (card, side, existing) in sides {
+        if card.exceeded_by(existing.len() as u32 + 1) {
+            return Err(DbError::CardinalityViolation {
+                relationship: class.into(),
+                side,
+                limit: card.max.unwrap_or(u32::MAX),
+            });
+        }
+    }
+    if def.acyclic && (origin == destination || oracle_reaches(db, destination, origin, class)?) {
+        return Err(DbError::CycleViolation {
+            relationship: class.into(),
+            origin,
+            destination,
+        });
+    }
+    Ok(())
+}
+
+/// Whether `from` reaches `to` over decoded `class` relationships.
+fn oracle_reaches(db: &Database, from: Oid, to: Oid, class: &str) -> DbResult<bool> {
+    let (mut stack, mut seen) = (vec![from], BTreeSet::new());
+    while let Some(node) = stack.pop() {
+        if node == to {
+            return Ok(true);
+        }
+        if seen.insert(node) {
+            stack.extend(
+                db.rels_from(node, Some(class))?
+                    .iter()
+                    .map(|r| r.destination),
+            );
+        }
+    }
+    Ok(false)
+}
+
+/// Today's formula for `add_edge_to_classification`'s verdict: a strict
+/// classification refuses a destination that has another member parent edge.
+fn oracle_add_edge(db: &Database, cls: Oid, rel_oid: Oid) -> DbResult<()> {
+    let meta = db.classification_meta(cls)?;
+    let rel = db.rel(rel_oid)?;
+    let second_parent = db
+        .rels_to(rel.destination, None)?
+        .iter()
+        .any(|r| r.oid != rel_oid && db.edge_in_classification(cls, r.oid));
+    if meta.strict_hierarchy && second_parent {
+        return Err(DbError::Classification(format!(
+            "node {} already has a parent in classification '{}'",
+            rel.destination, meta.name
+        )));
+    }
+    Ok(())
+}
+
+/// The relationship classes the verdict test draws from: one per Table 3
+/// behaviour the write path checks, with names that share prefixes, and a
+/// subclass that must count apart from its superclass.
+const VERDICT_CLASSES: [&str; 7] = [
+    "Excl",
+    "ExclSub",
+    "Part",
+    "PartShared",
+    "Opt",
+    "OptSub",
+    "Acyc",
+];
+
+/// `create_relationship` and `add_edge_to_classification` answer from the
+/// endpoint and membership indexes; the oracles above answer from the
+/// records. Under random creates, deletes (of relationships, and of objects
+/// with their lifetime-dependent parts) and strict classification adds,
+/// both give the same verdict — the same `DbError`, down to the cardinality
+/// side — before every operation.
+#[test]
+fn relationship_verdicts_match_the_record_oracle() {
+    relationship_verdicts(77, 600);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The same, from any seed.
+    #[test]
+    fn relationship_verdicts_match_from_any_seed(seed in any::<u64>()) {
+        relationship_verdicts(seed, 200);
+    }
+}
+
+fn relationship_verdicts(seed: u64, steps: usize) {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let path = std::env::temp_dir().join(format!(
+        "prop-verdict-{seed}-{}-{:?}.log",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    let p = Prometheus::open_with(
+        &path,
+        StoreOptions {
+            sync_on_commit: false,
+        },
+    )
+    .unwrap();
+    let db = p.db();
+    db.define_class(ClassDef::new("N")).unwrap();
+    let at_most_two = Cardinality {
+        min: 0,
+        max: Some(2),
+    };
+    for def in [
+        RelClassDef::association("Excl", "N", "N").exclusive(),
+        RelClassDef::association("ExclSub", "N", "N")
+            .extends("Excl")
+            .exclusive(),
+        RelClassDef::aggregation("Part", "N", "N").dependent(),
+        RelClassDef::aggregation("PartShared", "N", "N").sharable(true),
+        RelClassDef::association("Opt", "N", "N")
+            .origin_cardinality(Cardinality::OPTIONAL)
+            .destination_cardinality(at_most_two),
+        RelClassDef::association("OptSub", "N", "N")
+            .extends("Opt")
+            .origin_cardinality(at_most_two)
+            .destination_cardinality(Cardinality::OPTIONAL),
+        RelClassDef::association("Acyc", "N", "N").acyclic(true),
+    ] {
+        db.define_relationship(def).unwrap();
+    }
+    let cls = db
+        .create_classification("strict", Vec::new(), true)
+        .unwrap();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut nodes: Vec<Oid> = (0..6)
+        .map(|_| db.create_object("N", Vec::new()).unwrap())
+        .collect();
+    let mut rels: Vec<Oid> = Vec::new();
+    let mut verdicts: BTreeMap<String, usize> = BTreeMap::new();
+    let mut judge = |what: String, got: DbResult<()>, expected: DbResult<()>| {
+        assert_eq!(format!("{got:?}"), format!("{expected:?}"), "{what}");
+        let kind = match got {
+            Ok(()) => "Ok".to_string(),
+            Err(DbError::CardinalityViolation { side, .. }) => format!("Cardinality {side}"),
+            Err(e) => format!("{e:?}")
+                .split([' ', '('])
+                .next()
+                .unwrap()
+                .to_string(),
+        };
+        *verdicts.entry(kind).or_default() += 1;
+    };
+    for step in 0..steps {
+        let pick = |rng: &mut StdRng, from: &[Oid]| from[rng.gen_range(0..from.len())];
+        match rng.gen_range(0..10) {
+            0..=5 => {
+                // Half the destinations are among three nodes, so bounded
+                // incoming sides fill up.
+                let class = VERDICT_CLASSES[rng.gen_range(0..VERDICT_CLASSES.len())];
+                let o = pick(&mut rng, &nodes);
+                let few = if rng.gen() { 3 } else { nodes.len() };
+                let d = pick(&mut rng, &nodes[..few]);
+                let expected = oracle_create(db, class, o, d);
+                let got = db.create_relationship(class, o, d, Vec::new());
+                let got = got.map(|rel| rels.push(rel));
+                judge(format!("step {step}: {class} {o} -> {d}"), got, expected);
+            }
+            6 if !rels.is_empty() => {
+                let rel = rels.swap_remove(rng.gen_range(0..rels.len()));
+                if db.exists(rel) {
+                    db.delete_relationship(rel).unwrap();
+                }
+            }
+            7 => {
+                // An object goes with its incident edges and any `Part` it
+                // alone held; whatever went is replaced, so six stay live.
+                db.delete_object(pick(&mut rng, &nodes)).unwrap();
+                nodes.retain(|&n| db.exists(n));
+                while nodes.len() < 6 {
+                    nodes.push(db.create_object("N", Vec::new()).unwrap());
+                }
+            }
+            _ if !rels.is_empty() => {
+                let rel = pick(&mut rng, &rels);
+                let expected = oracle_add_edge(db, cls, rel);
+                let got = db.add_edge_to_classification(cls, rel);
+                judge(
+                    format!("step {step}: add {rel} to the strict one"),
+                    got,
+                    expected,
+                );
+            }
+            _ => {}
+        }
+    }
+    drop(p);
+    let _ = std::fs::remove_file(path);
+    // A long run must have met every check, not only the easy verdicts.
+    if steps >= 600 {
+        for kind in [
+            "Ok",
+            "NotFound",
+            "ExclusivityViolation",
+            "SharabilityViolation",
+            "Cardinality origin",
+            "Cardinality destination",
+            "CycleViolation",
+            "Classification",
+        ] {
+            assert!(
+                verdicts.contains_key(kind),
+                "no {kind} verdict in {verdicts:?}"
+            );
+        }
+    }
+}
+
+/// A `Circumscribes` written under a genus of 50 species and under one of
+/// 5 000, then added to a strict classification, fetches the same entities:
+/// the two endpoints for `create_relationship` (their classes), and for
+/// `add_edge_to_classification` the classification's record and the
+/// relationship. No sibling is read — the Table 3 checks answer from the
+/// endpoint keys, and the unbounded `Circumscribes` sides read nothing. The
+/// count repeats exactly, so it gates on any runner.
+#[test]
+fn a_relationship_write_costs_the_same_under_a_parent_of_any_size() {
+    let path = std::env::temp_dir().join(format!("prop-write-cost-{}.log", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let options = StoreOptions {
+        sync_on_commit: false,
+    };
+    let p = Prometheus::open_with(&path, options).unwrap();
+    let tax = p.taxonomy().unwrap();
+    let db = tax.db();
+    let circumscribes = prometheus_db::taxonomy::CIRCUMSCRIBES;
+    let fetches = || {
+        let stats = db.store().stats().snapshot();
+        stats.cache_hits + stats.cache_misses
+    };
+    let cost = |children: usize| {
+        let cls = db
+            .create_classification(&format!("c{children}"), Vec::new(), true)
+            .unwrap();
+        let genus = tax.create_ct(&format!("G{children}"), Rank::Genus).unwrap();
+        for i in 0..children {
+            let sp = tax
+                .create_ct(&format!("s{children}.{i}"), Rank::Species)
+                .unwrap();
+            let edge = db
+                .create_relationship(circumscribes, genus, sp, Vec::new())
+                .unwrap();
+            db.add_edge_to_classification(cls, edge).unwrap();
+        }
+        let sp = tax
+            .create_ct(&format!("new{children}"), Rank::Species)
+            .unwrap();
+        let before = fetches();
+        let edge = db
+            .create_relationship(circumscribes, genus, sp, Vec::new())
+            .unwrap();
+        let created = fetches();
+        db.add_edge_to_classification(cls, edge).unwrap();
+        (created - before, fetches() - created)
+    };
+    let (small, big) = (cost(50), cost(5_000));
+    println!("entity fetches (create_relationship, add_edge): 50 children {small:?}, 5 000 children {big:?}");
+    assert_eq!(
+        small,
+        (2, 2),
+        "the endpoints; the classification and the edge"
+    );
+    assert_eq!(small, big, "cost follows the parent's degree");
+    drop(tax);
+    drop(p);
     let _ = std::fs::remove_file(path);
 }

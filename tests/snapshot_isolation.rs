@@ -10,7 +10,7 @@
 
 use prometheus_db::{Prometheus, Rank, Reader, StoreOptions, Value};
 use proptest::prelude::*;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 fn tmp(name: &str) -> std::path::PathBuf {
@@ -51,25 +51,36 @@ fn read_views_never_observe_torn_units() {
     let (p, path) = open("torn");
     let tax = p.taxonomy().unwrap();
     let db = tax.db().clone();
+    const READERS: usize = 3;
     let stop = Arc::new(AtomicBool::new(false));
+    // Readers that have pinned at least one view. The writer starts only
+    // when every reader has, so a writer faster than thread start-up still
+    // runs beside readers; the readers run until it stops.
+    let pinned = Arc::new(AtomicUsize::new(0));
     let mut readers = Vec::new();
-    for _ in 0..3 {
+    for _ in 0..READERS {
         let db = db.clone();
         let stop = stop.clone();
+        let pinned = pinned.clone();
         readers.push(std::thread::spawn(move || {
-            let mut views = 0u64;
-            while !stop.load(Ordering::Relaxed) {
-                let view = db.read_view();
+            let mut view = db.read_view();
+            pinned.fetch_add(1, Ordering::Relaxed);
+            loop {
                 let markers = count_in_view(&view, "pair-marker");
                 let partners = count_in_view(&view, "pair-partner");
                 assert_eq!(
                     markers, partners,
                     "a pinned view saw a torn unit ({markers} markers, {partners} partners)"
                 );
-                views += 1;
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
+                view = db.read_view();
             }
-            assert!(views > 0, "reader never pinned a view");
         }));
+    }
+    while pinned.load(Ordering::Relaxed) < READERS {
+        std::thread::yield_now();
     }
     for _ in 0..40 {
         let token = db.begin_unit();
