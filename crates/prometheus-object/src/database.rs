@@ -6,15 +6,19 @@
 //!
 //! ## Units of work and what-if scenarios
 //!
-//! Every mutation runs inside a *unit of work*. Explicit units are opened
-//! with [`Database::begin_unit`]; a mutation outside any unit gets an
-//! implicit single-operation unit. Aborting (or a failed deferred constraint
-//! at commit) has the store drop the unit's working image for the published
-//! pre-unit one, so everything written inside the unit — by operations,
-//! schema definitions or listeners — is gone at once. This is the mechanism
-//! behind the thesis' what-if scenarios (§7.1.4): a taxonomist opens a unit,
-//! reorganises a classification speculatively, inspects the result, then
-//! commits or abandons it.
+//! Every mutation runs inside a *unit of work*, and a unit is one storage
+//! transaction. Explicit units are opened with [`Database::begin_unit`]; a
+//! mutation outside any unit gets an implicit single-operation unit. Every
+//! write stages into the unit's transaction through one entry,
+//! [`Database::stage`], and the unit's own reads go through that overlay;
+//! nothing reaches the log or the published image until the unit commits,
+//! as one group per shard it wrote. Aborting (or a failed deferred
+//! constraint at commit) drops the staged writes, so everything written
+//! inside the unit — by operations, schema definitions or listeners — is
+//! gone at once. A read outside the unit sees committed state and nothing
+//! else. This is the mechanism behind the thesis' what-if scenarios
+//! (§7.1.4): a taxonomist opens a unit, reorganises a classification
+//! speculatively, inspects the result, then commits or abandons it.
 //!
 //! ## Relationship semantics
 //!
@@ -37,9 +41,9 @@ use crate::synonym::SynonymTable;
 use crate::value::Value;
 use parking_lot::{Condvar, Mutex, RwLock};
 use prometheus_storage::cache::LruCache;
-use prometheus_storage::{codec, Oid, ShardedStore, Stats};
-use std::cell::Cell;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use prometheus_storage::{codec, Oid, ShardedStore, Stats, Txn};
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// Reserved extent name under which classification metadata is indexed.
@@ -64,16 +68,43 @@ pub struct UnitToken {
     depth: u32,
 }
 
-#[derive(Debug, Default)]
+/// One open unit of work, shared by the unit table and every thread bound
+/// to it.
+struct Unit {
+    id: u64,
+    /// Bitmask of the shards this unit claimed at open.
+    claim: u64,
+    /// Address of the store this unit writes: a thread bound to it reads
+    /// any other database unbound.
+    store: usize,
+    writes: RwLock<Writes>,
+}
+
+impl Unit {
+    /// Take the unit's writes as it settles, leaving nothing staged.
+    fn settle(&self, store: &Arc<ShardedStore>) -> Writes {
+        let empty = Writes {
+            txn: store.begin_unit(self.claim),
+            decoded: BTreeMap::new(),
+        };
+        std::mem::replace(&mut *self.writes.write(), empty)
+    }
+}
+
+/// A unit's writes: staged in its one transaction, never in the store.
+struct Writes {
+    txn: Txn<'static>,
+    /// The entity each record write left (`None`: deleted), so the unit's
+    /// own reads of what it wrote are hits, not decodes; moved into the
+    /// shared cache when the unit commits.
+    decoded: BTreeMap<Oid, Option<StoredEntity>>,
+}
+
 struct UnitState {
+    unit: Arc<Unit>,
     /// Events so far, handed to the deferred listeners at commit.
     events: Vec<Event>,
     depth: u32,
-    /// Bitmask of the shards this unit claimed at open.
-    claim: u64,
-    /// OIDs whose decoded-object cache entries the unit wrote. They mirror
-    /// its working image, so an abort drops them.
-    cached: HashSet<Oid>,
     /// Schema and synonym state at open — the two `Arc`s a [`ReadView`]
     /// pins — swapped back by an abort. Held only when the claim covers the
     /// meta keyspace's shard: then no other unit can change either while
@@ -85,7 +116,7 @@ struct UnitState {
 /// shard claims disjoint. Units with disjoint claims run (and seal)
 /// concurrently; a unit whose claim overlaps a held shard waits on
 /// [`Database::units_freed`].
-#[derive(Debug, Default)]
+#[derive(Default)]
 struct UnitTable {
     states: HashMap<u64, UnitState>,
     /// Owning unit id per shard; 0 = free.
@@ -94,12 +125,26 @@ struct UnitTable {
 }
 
 thread_local! {
-    /// Id of the unit of work bound to this thread (0 = none). Operations
-    /// record their events in — and storage claims resolve against — the
-    /// bound unit, so independent units on different threads stay apart.
+    /// The unit of work bound to this thread, if any. Operations stage into,
+    /// read through and record their events in the bound unit, so
+    /// independent units on different threads stay apart.
     /// [`Database::with_unit_bound`] carries a binding across threads for
-    /// the server's event transport.
-    static CURRENT_UNIT: Cell<u64> = const { Cell::new(0) };
+    /// the server's event transport, and [`binding`] into the morsel
+    /// workers a query starts.
+    static BOUND: RefCell<Option<Arc<Unit>>> = const { RefCell::new(None) };
+}
+
+/// Bind this thread to `unit` (or unbind it), returning the binding it had.
+fn bind_thread(unit: Option<Arc<Unit>>) -> Option<Arc<Unit>> {
+    BOUND.with(|bound| bound.replace(unit))
+}
+
+/// What binds a worker the calling thread starts — one that ends with its
+/// task — to the calling thread's unit, so an in-unit query's morsels read
+/// the unit's writes like the query does.
+pub(crate) fn binding() -> impl Fn() + Sync {
+    let unit = BOUND.with(|bound| bound.borrow().clone());
+    move || drop(bind_thread(unit.clone()))
 }
 
 /// The Prometheus database.
@@ -269,11 +314,7 @@ impl Database {
 
     fn persist_schema(&self) -> DbResult<()> {
         let bytes = codec::to_bytes(&**self.schema.read())?;
-        self.store.with_txn(|t| {
-            t.kv_put(KS_META, index::META_SCHEMA.to_vec(), bytes.clone());
-            Ok(())
-        })?;
-        Ok(())
+        self.stage(|t| t.kv_put(KS_META, index::META_SCHEMA.to_vec(), bytes))
     }
 
     // -----------------------------------------------------------------
@@ -282,12 +323,11 @@ impl Database {
 
     /// Open a (possibly nested) unit of work claiming every shard.
     ///
-    /// Opening the outermost unit also opens a store-level unit scope on
-    /// each claimed shard: those shards keep publishing snapshots of the
-    /// pre-unit state until the unit settles, so concurrent readers never
-    /// observe a torn unit, and a crash mid-unit replays to the pre-unit
-    /// state. If this thread is already inside a unit, the new unit nests
-    /// inside it (sharing its claim) regardless of the mask requested.
+    /// The unit stages every write in one storage transaction, so readers
+    /// outside it keep seeing the pre-unit state until it commits, and a
+    /// crash mid-unit leaves nothing of it in the log. If this thread is
+    /// already inside a unit, the new unit nests inside it (sharing its
+    /// claim) regardless of the mask requested.
     pub fn begin_unit(&self) -> UnitToken {
         self.begin_unit_on(self.store.all_shards_mask())
     }
@@ -295,10 +335,10 @@ impl Database {
     /// Open a unit of work claiming only the shards in `mask`. Units with
     /// disjoint claims proceed concurrently through their own writer lanes;
     /// a unit whose claim overlaps a shard held by another unit blocks until
-    /// that unit settles. Writes routed outside the claim fail loudly at
-    /// commit rather than silently escaping the unit's atomicity.
+    /// that unit settles. An operation whose writes route outside the claim
+    /// fails when it stages them, and stages nothing.
     pub fn begin_unit_on(&self, mask: u64) -> UnitToken {
-        let current = CURRENT_UNIT.with(|c| c.get());
+        let current = self.bound_id();
         if current != 0 {
             // Nested unit: share the enclosing unit's claim and state.
             let mut table = self.units.lock();
@@ -338,27 +378,32 @@ impl Database {
             }
         }
         let meta_shard = self.store.shard_of_key(KS_META, index::META_SCHEMA);
-        let meta = prometheus_storage::shard::claim_covers(mask, meta_shard).then(|| {
+        let meta = (mask & (1u64 << meta_shard) != 0).then(|| {
             (
                 Arc::clone(&self.schema.read()),
                 Arc::clone(&self.synonyms.read()),
             )
         });
+        let unit = Arc::new(Unit {
+            id,
+            claim: mask,
+            store: Arc::as_ptr(&self.store) as usize,
+            writes: RwLock::new(Writes {
+                txn: self.store.begin_unit(mask),
+                decoded: BTreeMap::new(),
+            }),
+        });
         table.states.insert(
             id,
             UnitState {
+                unit: Arc::clone(&unit),
+                events: Vec::new(),
                 depth: 1,
-                claim: mask,
                 meta,
-                ..UnitState::default()
             },
         );
         drop(table);
-        // The claimed shards are exclusively ours (owners map), so opening
-        // their scopes outside the table lock cannot interleave with another
-        // unit's scopes on the same shards.
-        self.store.begin_unit_scope_on(mask);
-        Self::bind_thread(id, mask);
+        bind_thread(Some(unit));
         UnitToken { unit: id, depth: 1 }
     }
 
@@ -371,44 +416,42 @@ impl Database {
     /// [`Database::with_unit_bound`] instead.
     pub fn begin_unit_detached(&self) -> UnitToken {
         let token = self.begin_unit();
-        if CURRENT_UNIT.with(|c| c.get()) == token.unit {
-            Self::restore_thread((0, 0));
+        if self.bound_id() == token.unit {
+            bind_thread(None);
         }
         token
     }
 
-    /// Bind this thread to `unit`: event recording and storage-claim
-    /// resolution route to it until the binding is cleared or replaced.
-    fn bind_thread(unit: u64, claim: u64) -> (u64, u64) {
-        let prev_unit = CURRENT_UNIT.with(|c| {
-            let prev = c.get();
-            c.set(unit);
-            prev
-        });
-        let prev_claim = prometheus_storage::shard::set_thread_claim(claim);
-        (prev_unit, prev_claim)
+    /// Run `f` with the unit bound to this thread, if it is one of this
+    /// database's (`None` otherwise).
+    fn bound<T>(&self, f: impl FnOnce(Option<&Arc<Unit>>) -> T) -> T {
+        BOUND.with(|bound| {
+            let bound = bound.borrow();
+            let store = Arc::as_ptr(&self.store) as usize;
+            f(bound.as_ref().filter(|unit| unit.store == store))
+        })
     }
 
-    fn restore_thread(prev: (u64, u64)) {
-        CURRENT_UNIT.with(|c| c.set(prev.0));
-        prometheus_storage::shard::set_thread_claim(prev.1);
+    /// The id of this database's unit bound to this thread (0 = none).
+    fn bound_id(&self) -> u64 {
+        self.bound(|unit| unit.map_or(0, |unit| unit.id))
     }
 
     /// Run `f` with this thread bound to `token`'s unit. The server's event
     /// transport executes one unit's requests across readiness callbacks on
     /// one thread interleaved with other sessions' work; each slice is
-    /// wrapped in this so event recording and claim routing follow the token,
-    /// not the thread. If `f` settles the unit (commit/abort), the binding it
-    /// cleared stays cleared.
+    /// wrapped in this so staging, reads and event recording follow the
+    /// token, not the thread. If `f` settles the unit (commit/abort), the
+    /// binding it cleared stays cleared.
     pub fn with_unit_bound<T>(&self, token: &UnitToken, f: impl FnOnce(&Database) -> T) -> T {
-        let claim = {
+        let unit = {
             let table = self.units.lock();
-            table.states.get(&token.unit).map(|s| s.claim).unwrap_or(0)
+            table.states.get(&token.unit).map(|s| Arc::clone(&s.unit))
         };
-        let prev = Self::bind_thread(token.unit, claim);
+        let prev = bind_thread(unit);
         let out = f(self);
-        if CURRENT_UNIT.with(|c| c.get()) == token.unit {
-            Self::restore_thread(prev);
+        if self.bound_id() == token.unit {
+            bind_thread(prev);
         }
         out
     }
@@ -420,7 +463,7 @@ impl Database {
     /// the thread is bound to the unit for the listeners' benefit.
     pub fn commit_unit(&self, token: UnitToken) -> DbResult<()> {
         let id = token.unit;
-        let (outermost, events, claim) = {
+        let (events, unit) = {
             let mut table = self.units.lock();
             let state = table
                 .states
@@ -434,17 +477,13 @@ impl Database {
             }
             // The outermost unit keeps depth 1 while its deferred listeners
             // run, so a unit one of them opens nests inside it.
-            if state.depth == 1 {
-                (true, std::mem::take(&mut state.events), state.claim)
-            } else {
+            if state.depth > 1 {
                 state.depth -= 1;
-                (false, Vec::new(), 0)
+                return Ok(());
             }
+            (std::mem::take(&mut state.events), Arc::clone(&state.unit))
         };
-        if !outermost {
-            return Ok(());
-        }
-        let _bound = Self::bind_thread(id, claim);
+        bind_thread(Some(Arc::clone(&unit)));
         // Deferred listeners run while the unit is still rollback-able; any
         // write they make (repair actions, history entries) is part of it.
         let listeners = Arc::clone(&self.listeners.read());
@@ -454,20 +493,33 @@ impl Database {
                 return Err(e);
             }
         }
-        // Seal the store-level unit scopes: one fsync per touched shard for
-        // the whole unit (with a prepare/decide round first when more than
-        // one shard participated), publishing its final state as the next
-        // readable snapshot. The claimed shards stay owned until the seal
-        // lands, so a concurrently opened unit cannot interleave its scopes
-        // with this one's; disjoint units seal in parallel. The integrity
-        // tracker takes the unit's edge additions first — those its
-        // listeners caused too — while the unit still counts as open.
+        // The integrity tracker takes the unit's edge additions first —
+        // those its listeners caused too — while the unit still counts as
+        // open. The claimed shards stay owned until the seal lands, so a
+        // unit opened meanwhile cannot claim them; disjoint units seal in
+        // parallel.
         let late = self.units.lock().states.remove(&id).map(|s| s.events);
         self.integrity
             .fold(events.iter().chain(late.iter().flatten()));
-        let sealed = self.store.end_unit_scope_on(claim, true);
+        let sealed = self.seal(&unit);
         self.release_unit(id);
-        sealed?;
+        sealed
+    }
+
+    /// Seal `unit`'s transaction — one group per shard it wrote, with a
+    /// prepare/decide round first when it wrote two or more — and move what
+    /// its record writes decoded into the shared cache, which so only ever
+    /// holds committed entities.
+    fn seal(&self, unit: &Unit) -> DbResult<()> {
+        let Writes { txn, decoded } = unit.settle(&self.store);
+        txn.commit()?;
+        for (oid, entity) in decoded {
+            let mut cache = self.cache_shard(oid).lock();
+            match entity {
+                Some(entity) => drop(cache.put(oid, entity)),
+                None => drop(cache.remove(&oid)),
+            }
+        }
         Ok(())
     }
 
@@ -479,11 +531,11 @@ impl Database {
 
     /// Whether a unit of work is bound to the calling thread.
     pub fn in_unit(&self) -> bool {
-        CURRENT_UNIT.with(|c| c.get()) != 0
+        self.bound_id() != 0
     }
 
-    /// Release `id`'s shard claims and thread binding after its scopes have
-    /// settled, waking units waiting for the freed shards.
+    /// Release `id`'s shard claims and thread binding after it settled,
+    /// waking units waiting for the freed shards.
     fn release_unit(&self, id: u64) {
         let mut table = self.units.lock();
         for owner in table.owners.iter_mut() {
@@ -494,14 +546,14 @@ impl Database {
         drop(table);
         self.integrity.unit_settled();
         self.units_freed.notify_all();
-        if CURRENT_UNIT.with(|c| c.get()) == id {
-            Self::restore_thread((0, 0));
+        if self.bound_id() == id {
+            bind_thread(None);
         }
     }
 
-    /// Abort unit `id`: the store seals its log group as discarded and
-    /// retracts the working image on the claimed shards; what is left here
-    /// is the state derived from that image.
+    /// Abort unit `id`: drop its staged writes — nothing of them reached
+    /// the log, the image or the shared cache — and restore the schema and
+    /// synonym state it may have changed.
     fn rollback_unit(&self, id: u64) {
         let state = {
             let mut table = self.units.lock();
@@ -510,17 +562,7 @@ impl Database {
                 None => return,
             }
         };
-        // A failure here would mean the log itself is failing, which we
-        // surface by panicking rather than silently half-rolling-back.
-        self.store
-            .end_unit_scope_on(state.claim, false)
-            .expect("rollback must not fail");
-        // After the retraction, which narrows but does not close a window:
-        // an unbound reader that fetched from the unit's working image just
-        // before it can still fill the cache just after this loop.
-        for oid in state.cached {
-            self.cache_shard(oid).lock().remove(&oid);
-        }
+        state.unit.settle(&self.store).txn.abort();
         if let Some((mut schema, synonyms)) = state.meta {
             let mut current = self.schema.write();
             if !Arc::ptr_eq(&schema, &current) {
@@ -538,7 +580,7 @@ impl Database {
     /// Record an event in the unit bound to this thread (if any), for the
     /// deferred listeners at commit.
     fn record_event(&self, event: Event) {
-        let id = CURRENT_UNIT.with(|c| c.get());
+        let id = self.bound_id();
         if let Some(state) = self.units.lock().states.get_mut(&id) {
             state.events.push(event);
         }
@@ -550,8 +592,7 @@ impl Database {
     }
 
     /// [`Database::in_unit_scope`] claiming only the shards in `mask` (see
-    /// [`Database::begin_unit_on`]). A write `f` routes outside the claim
-    /// fails the commit and rolls the whole unit back.
+    /// [`Database::begin_unit_on`]).
     pub fn in_unit_scope_on<T>(
         &self,
         mask: u64,
@@ -568,6 +609,54 @@ impl Database {
                 Err(e)
             }
         }
+    }
+
+    /// Stage writes in the unit bound to this thread — outside a unit, in a
+    /// one-op unit of their own — all or none: the one way a write reaches
+    /// the store. Every record write goes through the object API, which
+    /// keeps its decoded entity with the unit; `f` here writes keyspace
+    /// entries (`kv_put`, `kv_delete`).
+    pub fn stage(&self, f: impl FnOnce(&mut Txn<'_>)) -> DbResult<()> {
+        self.stage_entity(None, f)
+    }
+
+    /// [`Database::stage`], noting the entity a record write leaves under
+    /// its OID (`None`: deleted).
+    fn stage_entity(
+        &self,
+        entity: Option<(Oid, Option<StoredEntity>)>,
+        f: impl FnOnce(&mut Txn<'_>),
+    ) -> DbResult<()> {
+        let Some(unit) = self.bound(|unit| unit.cloned()) else {
+            return self.in_unit_scope(|db| db.stage_entity(entity, f));
+        };
+        let mut writes = unit.writes.write();
+        writes.txn.stage(f)?;
+        if let Some((oid, entity)) = entity {
+            writes.decoded.insert(oid, entity);
+        }
+        Ok(())
+    }
+
+    /// Run `f` on what a read of this database sees: the bound unit's
+    /// transaction — its staged writes over the committed state — or,
+    /// unbound, a transaction with nothing staged.
+    pub(crate) fn read_through<T>(&self, f: impl FnOnce(&Txn<'_>) -> T) -> T {
+        self.bound(|unit| match unit {
+            Some(unit) => f(&unit.writes.read().txn),
+            None => f(&self.store.begin()),
+        })
+    }
+
+    /// A fresh OID: on the lowest shard of the bound unit's claim when that
+    /// is a proper subset, so the unit's creations stay inside it;
+    /// round-robin otherwise.
+    fn allocate_oid(&self) -> Oid {
+        let claim = self.bound(|unit| unit.map_or(0, |unit| unit.claim));
+        if claim == 0 || claim == self.store.all_shards_mask() {
+            return self.store.allocate_oid();
+        }
+        self.store.allocate_oid_on(claim.trailing_zeros() as usize)
     }
 
     fn dispatch_before(&self, event: &Event) -> DbResult<()> {
@@ -594,55 +683,46 @@ impl Database {
         &self.cache[(oid.raw() as usize) % CACHE_SHARDS]
     }
 
-    /// Set (`None`: drop) `oid`'s decoded-object cache entry after a write
-    /// to its record, noting the OID in the unit bound to this thread so an
-    /// abort can drop the entry with the working image it mirrors.
-    fn cache_write(&self, oid: Oid, entity: Option<StoredEntity>) {
-        let id = CURRENT_UNIT.with(|c| c.get());
-        if id != 0 {
-            if let Some(state) = self.units.lock().states.get_mut(&id) {
-                state.cached.insert(oid);
-            }
-        }
-        let mut cache = self.cache_shard(oid).lock();
-        match entity {
-            Some(entity) => drop(cache.put(oid, entity)),
-            None => drop(cache.remove(&oid)),
-        }
-    }
-
     pub(crate) fn entity_cached(&self, oid: Oid) -> DbResult<StoredEntity> {
-        let claim = prometheus_storage::shard::thread_claim();
-        if claim != 0
-            && !prometheus_storage::shard::claim_covers(claim, self.store.shard_of_oid(oid))
-        {
-            // A unit is bound but this OID lives on a shard outside its
-            // claim: read the published snapshot directly and skip the
-            // shared cache, which may hold another unit's (or this unit's
-            // stale) working-state entries for that shard.
-            let bytes = self.store.get(oid).ok_or(DbError::NotFound(oid))?;
-            return Ok(codec::from_bytes(&bytes)?);
+        let stats = self.store.stats();
+        let written = self.bound(|unit| {
+            let unit = unit?;
+            let writes = unit.writes.read();
+            writes.decoded.get(&oid).cloned()
+        });
+        if let Some(entity) = written {
+            Stats::bump(&stats.cache_hits);
+            return entity.ok_or(DbError::NotFound(oid));
         }
         {
             let mut cache = self.cache_shard(oid).lock();
             if let Some(entity) = cache.get(&oid) {
-                Stats::bump(&self.store.stats().cache_hits);
+                Stats::bump(&stats.cache_hits);
                 return Ok(entity.clone());
             }
         }
-        Stats::bump(&self.store.stats().cache_misses);
-        let bytes = self.store.get(oid).ok_or(DbError::NotFound(oid))?;
+        Stats::bump(&stats.cache_misses);
+        let shard = self.store.shard(self.store.shard_of_oid(oid));
+        let read = shard.snapshot();
+        let bytes = read.get(oid).ok_or(DbError::NotFound(oid))?;
         let entity: StoredEntity = codec::from_bytes(&bytes)?;
-        self.cache_shard(oid).lock().put(oid, entity.clone());
+        // Fill only from the image still published: a commit publishes and
+        // then moves its entities into the cache, so a fill decoded from an
+        // older image could otherwise land after it and outlive it.
+        let mut cache = self.cache_shard(oid).lock();
+        if shard.snapshot().same_version(&read) {
+            cache.put(oid, entity.clone());
+        }
         Ok(entity)
     }
 
     // The read API below delegates to the [`Reader`] trait (see
     // `crate::read`), which holds the single definition of every read
     // operation; these inherent shims keep existing `Database` callers
-    // working without importing the trait. `Database` reads resolve against
-    // the working image, so code inside a unit of work sees its own
-    // operations — only [`ReadView`] pins a published snapshot.
+    // working without importing the trait. `Database` reads see committed
+    // state plus the staged writes of the unit bound to this thread, so code
+    // inside a unit of work sees its own operations — only [`ReadView`]
+    // pins a published snapshot.
 
     /// Fetch an object instance.
     pub fn object(&self, oid: Oid) -> DbResult<ObjectInstance> {
@@ -700,7 +780,7 @@ impl Database {
             let declared = schema.all_attrs(class)?;
             validate_attrs(class, &declared, attrs, true)?
         };
-        let oid = self.store.allocate_oid();
+        let oid = self.allocate_oid();
         let event = Event::ObjectCreated {
             oid,
             class: class.to_string(),
@@ -925,7 +1005,7 @@ impl Database {
             }
             checked
         };
-        let oid = self.store.allocate_oid();
+        let oid = self.allocate_oid();
         let event = Event::RelCreated {
             oid,
             class: class.to_string(),
@@ -1164,11 +1244,7 @@ impl Database {
 
     fn persist_synonyms(&self) -> DbResult<()> {
         let bytes = codec::to_bytes(&**self.synonyms.read())?;
-        self.store.with_txn(|t| {
-            t.kv_put(KS_META, index::META_SYNONYMS.to_vec(), bytes.clone());
-            Ok(())
-        })?;
-        Ok(())
+        self.stage(|t| t.kv_put(KS_META, index::META_SYNONYMS.to_vec(), bytes))
     }
 
     // -----------------------------------------------------------------
@@ -1184,24 +1260,22 @@ impl Database {
         attrs: impl IntoIterator<Item = (String, Value)>,
         strict_hierarchy: bool,
     ) -> DbResult<Oid> {
-        let oid = self.store.allocate_oid();
-        let meta = ClassificationMeta {
+        let oid = self.allocate_oid();
+        let meta = StoredEntity::Classification(ClassificationMeta {
             oid,
             name: name.to_string(),
             attrs: attrs.into_iter().collect(),
             strict_hierarchy,
-        };
-        let bytes = codec::to_bytes(&StoredEntity::Classification(meta.clone()))?;
-        self.store.with_txn(|t| {
-            t.put(oid, bytes.clone());
+        });
+        let bytes = codec::to_bytes(&meta)?;
+        self.stage_entity(Some((oid, Some(meta))), |t| {
+            t.put(oid, bytes);
             t.kv_put(
                 KS_EXTENT,
                 index::extent_key(CLASSIFICATION_EXTENT, oid),
                 Vec::new(),
             );
-            Ok(())
         })?;
-        self.cache_write(oid, Some(StoredEntity::Classification(meta)));
         Ok(oid)
     }
 
@@ -1238,11 +1312,7 @@ impl Database {
                 )));
             }
         }
-        if self
-            .store
-            .kv_get(KS_CLS_EDGES, &index::cls_edge_key(cls, rel_oid))
-            .is_some()
-        {
+        if self.edge_in_classification(cls, rel_oid) {
             return Ok(()); // already a member
         }
         let event = Event::ClassificationEdgeAdded {
@@ -1260,11 +1330,7 @@ impl Database {
         if !self.in_unit() {
             return self.in_unit_scope(|db| db.remove_edge_from_classification(cls, rel_oid));
         }
-        if self
-            .store
-            .kv_get(KS_CLS_EDGES, &index::cls_edge_key(cls, rel_oid))
-            .is_none()
-        {
+        if !self.edge_in_classification(cls, rel_oid) {
             return Ok(());
         }
         let event = Event::ClassificationEdgeRemoved {
@@ -1307,10 +1373,11 @@ impl Database {
     // -----------------------------------------------------------------
 
     fn raw_put_object(&self, obj: &ObjectInstance) -> DbResult<()> {
-        let bytes = codec::to_bytes(&StoredEntity::Object(obj.clone()))?;
+        let entity = StoredEntity::Object(obj.clone());
+        let bytes = codec::to_bytes(&entity)?;
         let indexed = self.indexed_attrs(&obj.class)?;
-        self.store.with_txn(|t| {
-            t.put(obj.oid, bytes.clone());
+        self.stage_entity(Some((obj.oid, Some(entity))), |t| {
+            t.put(obj.oid, bytes);
             t.kv_put(
                 KS_EXTENT,
                 index::extent_key(&obj.class, obj.oid),
@@ -1325,10 +1392,7 @@ impl Database {
                     );
                 }
             }
-            Ok(())
-        })?;
-        self.cache_write(obj.oid, Some(StoredEntity::Object(obj.clone())));
-        Ok(())
+        })
     }
 
     fn raw_update_object_attr(
@@ -1343,10 +1407,11 @@ impl Database {
         } else {
             obj.attrs.insert(attr.to_string(), value.clone());
         }
-        let bytes = codec::to_bytes(&StoredEntity::Object(obj.clone()))?;
+        let entity = StoredEntity::Object(obj.clone());
+        let bytes = codec::to_bytes(&entity)?;
         let indexed = self.indexed_attrs(&obj.class)?.contains(&attr.to_string());
-        self.store.with_txn(|t| {
-            t.put(obj.oid, bytes.clone());
+        self.stage_entity(Some((obj.oid, Some(entity))), |t| {
+            t.put(obj.oid, bytes);
             if indexed {
                 if old != Value::Null {
                     t.kv_delete(KS_ATTR, index::attr_key(&obj.class, attr, &old, obj.oid));
@@ -1359,15 +1424,12 @@ impl Database {
                     );
                 }
             }
-            Ok(())
-        })?;
-        self.cache_write(obj.oid, Some(StoredEntity::Object(obj.clone())));
-        Ok(())
+        })
     }
 
     fn raw_delete_object(&self, obj: &ObjectInstance) -> DbResult<()> {
         let indexed = self.indexed_attrs(&obj.class)?;
-        self.store.with_txn(|t| {
+        self.stage_entity(Some((obj.oid, None)), |t| {
             t.delete(obj.oid);
             t.kv_delete(KS_EXTENT, index::extent_key(&obj.class, obj.oid));
             for attr in &indexed {
@@ -1375,16 +1437,14 @@ impl Database {
                     t.kv_delete(KS_ATTR, index::attr_key(&obj.class, attr, v, obj.oid));
                 }
             }
-            Ok(())
-        })?;
-        self.cache_write(obj.oid, None);
-        Ok(())
+        })
     }
 
     fn raw_put_rel(&self, rel: &RelInstance) -> DbResult<()> {
-        let bytes = codec::to_bytes(&StoredEntity::Rel(rel.clone()))?;
-        self.store.with_txn(|t| {
-            t.put(rel.oid, bytes.clone());
+        let entity = StoredEntity::Rel(rel.clone());
+        let bytes = codec::to_bytes(&entity)?;
+        self.stage_entity(Some((rel.oid, Some(entity))), |t| {
+            t.put(rel.oid, bytes);
             t.kv_put(
                 KS_EXTENT,
                 index::extent_key(&rel.class, rel.oid),
@@ -1400,14 +1460,11 @@ impl Database {
                 index::endpoint_key(rel.destination, &rel.class, rel.oid),
                 rel.origin.to_be_bytes().to_vec(),
             );
-            Ok(())
-        })?;
-        self.cache_write(rel.oid, Some(StoredEntity::Rel(rel.clone())));
-        Ok(())
+        })
     }
 
     fn raw_delete_rel(&self, rel: &RelInstance) -> DbResult<()> {
-        self.store.with_txn(|t| {
+        self.stage_entity(Some((rel.oid, None)), |t| {
             t.delete(rel.oid);
             t.kv_delete(KS_EXTENT, index::extent_key(&rel.class, rel.oid));
             t.kv_delete(
@@ -1418,32 +1475,25 @@ impl Database {
                 KS_REL_TO,
                 index::endpoint_key(rel.destination, &rel.class, rel.oid),
             );
-            Ok(())
-        })?;
-        self.cache_write(rel.oid, None);
-        Ok(())
+        })
     }
 
     fn raw_add_cls_edge(&self, cls: Oid, rel: &RelInstance) -> DbResult<()> {
-        self.store.with_txn(|t| {
+        self.stage(|t| {
             t.kv_put(
                 KS_CLS_EDGES,
                 index::cls_edge_key(cls, rel.oid),
                 index::cls_edge_value(rel.origin, rel.destination),
             );
             t.kv_put(KS_EDGE_CLS, index::edge_cls_key(rel.oid, cls), Vec::new());
-            Ok(())
-        })?;
-        Ok(())
+        })
     }
 
     fn raw_remove_cls_edge(&self, cls: Oid, rel: Oid) -> DbResult<()> {
-        self.store.with_txn(|t| {
+        self.stage(|t| {
             t.kv_delete(KS_CLS_EDGES, index::cls_edge_key(cls, rel));
             t.kv_delete(KS_EDGE_CLS, index::edge_cls_key(rel, cls));
-            Ok(())
-        })?;
-        Ok(())
+        })
     }
 
     /// Delete a classification (its meta record and membership entries; the
@@ -1451,16 +1501,14 @@ impl Database {
     pub fn delete_classification(&self, oid: Oid) -> DbResult<()> {
         self.classification_meta(oid)?;
         let edges = self.classification_edges(oid)?;
-        self.store.with_txn(|t| {
+        self.stage_entity(Some((oid, None)), |t| {
             for rel in &edges {
                 t.kv_delete(KS_CLS_EDGES, index::cls_edge_key(oid, *rel));
                 t.kv_delete(KS_EDGE_CLS, index::edge_cls_key(*rel, oid));
             }
             t.delete(oid);
             t.kv_delete(KS_EXTENT, index::extent_key(CLASSIFICATION_EXTENT, oid));
-            Ok(())
         })?;
-        self.cache_write(oid, None);
         self.integrity.forget(oid);
         Ok(())
     }
@@ -1566,7 +1614,7 @@ impl Database {
     /// Dispatch post-event; on failure roll the thread's bound unit back.
     fn finish_op(&self, event: Event) -> DbResult<()> {
         if let Err(e) = self.dispatch_after(&event) {
-            self.rollback_unit(CURRENT_UNIT.with(|c| c.get()));
+            self.rollback_unit(self.bound_id());
             return Err(e);
         }
         Ok(())
@@ -1639,9 +1687,10 @@ pub(crate) mod tests {
     use crate::value::Type;
     use prometheus_storage::StoreOptions;
 
-    pub(crate) fn temp_db() -> Database {
+    /// A fresh log path, unique to the test and the moment.
+    fn temp_path(tag: &str) -> std::path::PathBuf {
         let path = std::env::temp_dir().join(format!(
-            "prometheus-objdb-{}-{:?}-{}.log",
+            "prometheus-objdb-{tag}-{}-{:?}-{}.log",
             std::process::id(),
             std::thread::current().id(),
             std::time::SystemTime::now()
@@ -1650,6 +1699,11 @@ pub(crate) mod tests {
                 .as_nanos()
         ));
         let _ = std::fs::remove_file(&path);
+        path
+    }
+
+    pub(crate) fn temp_db() -> Database {
+        let path = temp_path("db");
         open_at(
             &path,
             StoreOptions {
@@ -2335,6 +2389,215 @@ pub(crate) mod tests {
         assert!(gone(&db));
         assert_eq!(live, store_contents(&db));
         let _ = std::fs::remove_file(path);
+    }
+
+    /// What a thread with no unit bound reads about `oids`: each entity,
+    /// its `code` and its incident edges, then the `Specimen` code index and
+    /// extent.
+    fn seen_elsewhere(db: &Database, oids: &[Oid]) -> String {
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                assert!(!db.in_unit(), "a thread of its own has no unit bound");
+                let mut seen = String::new();
+                for &oid in oids {
+                    seen += &format!(
+                        "{oid}: {:?} code {:?}, {:?} out, {:?} in\n",
+                        db.object(oid).ok(),
+                        db.attr_of(oid, "code").ok(),
+                        db.rels_from(oid, None).map(|r| r.len()).ok(),
+                        db.rels_to(oid, None).map(|r| r.len()).ok(),
+                    );
+                }
+                for code in ["Kept", "Renamed", "New", "Fresh"] {
+                    let found = db.find_by_attr("Specimen", "code", &code.into());
+                    seen += &format!("{code}: {:?}\n", found.unwrap());
+                }
+                seen + &format!("extent {:?}", db.extent("Specimen", false).unwrap())
+            })
+            .join()
+            .unwrap()
+        })
+    }
+
+    /// No dirty reads. While a unit is open, a thread with no unit bound
+    /// sees the pre-unit state through every read — right after each of the
+    /// unit's writes too, since what they decode stays with the unit — while
+    /// the unit reads its own writes. After an abort the shared cache holds
+    /// nothing of the unit's; after a commit the other thread sees it all.
+    #[test]
+    fn unbound_reads_see_no_open_unit() {
+        for commit in [false, true] {
+            let db = taxo_db();
+            let taxon = db
+                .create_object("Taxon", attrs(&[("name", "T".into())]))
+                .unwrap();
+            let kept = db
+                .create_object("Specimen", attrs(&[("code", "Kept".into())]))
+                .unwrap();
+            let cached = db.object(kept).unwrap();
+            let pre = seen_elsewhere(&db, &[taxon, kept]);
+            let invisible = |db: &Database, oid: Oid| {
+                std::thread::scope(|s| s.spawn(|| !db.exists(oid)).join().unwrap())
+            };
+            let token = db.begin_unit();
+            let new = db
+                .create_object("Specimen", attrs(&[("code", "New".into())]))
+                .unwrap();
+            assert_eq!(seen_elsewhere(&db, &[taxon, kept]), pre);
+            assert!(invisible(&db, new));
+            db.set_attr(new, "code", "Fresh").unwrap();
+            assert_eq!(seen_elsewhere(&db, &[taxon, kept]), pre);
+            db.set_attr(kept, "code", "Renamed").unwrap();
+            assert_eq!(seen_elsewhere(&db, &[taxon, kept]), pre);
+            let rel = db
+                .create_relationship("Circumscribes", taxon, new, attrs(&[]))
+                .unwrap();
+            assert_eq!(seen_elsewhere(&db, &[taxon, kept]), pre);
+            assert!(invisible(&db, new) && invisible(&db, rel));
+            // The unit reads its own writes.
+            assert_eq!(db.attr_of(kept, "code").unwrap(), Value::from("Renamed"));
+            assert_eq!(
+                db.find_by_attr("Specimen", "code", &"Fresh".into())
+                    .unwrap(),
+                vec![new]
+            );
+            assert_eq!(db.extent("Specimen", false).unwrap().len(), 2);
+            assert_eq!(db.rels_to(new, None).unwrap()[0].oid, rel);
+            if !commit {
+                db.abort_unit(token);
+                assert_eq!(seen_elsewhere(&db, &[taxon, kept]), pre);
+                assert!(invisible(&db, new) && invisible(&db, rel));
+                for oid in [new, rel] {
+                    assert!(db.cache_shard(oid).lock().get(&oid).is_none());
+                }
+                if let Some(entry) = db.cache_shard(kept).lock().get(&kept) {
+                    assert_eq!(entry, &StoredEntity::Object(cached.clone()));
+                }
+                continue;
+            }
+            db.commit_unit(token).unwrap();
+            let after = seen_elsewhere(&db, &[taxon, kept, new]);
+            for part in [
+                "code Some(Str(\"Renamed\"))",
+                "Fresh: [#",
+                "Some(1) out",
+                "Some(1) in",
+            ] {
+                assert!(after.contains(part), "{part} in {after}");
+            }
+            assert!(!invisible(&db, rel));
+        }
+    }
+
+    /// A unit is one storage transaction. A 64-op unit on one shard commits
+    /// once, syncs once and publishes once, and its log group is `UnitBegin
+    /// · Begin · the ops' records · Commit · UnitEnd`; an aborted unit
+    /// appends nothing and publishes nothing; a unit over two shards writes
+    /// one group on each, prepares on each and decides once.
+    #[test]
+    fn a_unit_is_one_storage_transaction() {
+        use prometheus_storage::log::{self, LogRecord};
+        fn frames(db: &Database, shard: usize) -> Vec<LogRecord> {
+            let scan = log::scan(db.store().shard(shard).path()).unwrap();
+            scan.frames.into_iter().map(|f| f.record).collect()
+        }
+        fn kinds(records: &[LogRecord]) -> Vec<&'static str> {
+            let kind = |record: &LogRecord| match record {
+                LogRecord::UnitBegin { .. } => "unit",
+                LogRecord::Begin { .. } => "begin",
+                LogRecord::Commit { .. } => "commit",
+                LogRecord::UnitPrepared { .. } => "prepared",
+                LogRecord::UnitDecision {
+                    committed: true, ..
+                } => "decided",
+                LogRecord::UnitEnd {
+                    committed: true, ..
+                } => "sealed",
+                LogRecord::Put { .. }
+                | LogRecord::Delete { .. }
+                | LogRecord::KvPut { .. }
+                | LogRecord::KvDelete { .. } => "write",
+                _ => "other",
+            };
+            records.iter().map(kind).collect()
+        }
+        /// `UnitBegin · Begin · writes · Commit`, the 2PC marks, `UnitEnd`.
+        fn group(writes: usize, marks: &[&'static str]) -> Vec<&'static str> {
+            let mut group = vec!["unit", "begin"];
+            group.extend(std::iter::repeat_n("write", writes));
+            group.push("commit");
+            group.extend(marks);
+            group.push("sealed");
+            group
+        }
+        let run_unit = |db: &Database, commit: bool| {
+            let before = db.store().stats_aggregate();
+            let token = db.begin_unit();
+            for i in 0..64 {
+                let code = Value::from(format!("S{i}"));
+                db.create_object("Specimen", attrs(&[("code", code)]))
+                    .unwrap();
+            }
+            match commit {
+                true => db.commit_unit(token).unwrap(),
+                false => db.abort_unit(token),
+            }
+            db.store().stats_aggregate().since(&before)
+        };
+        let specimen =
+            || ClassDef::new("Specimen").attr(AttrDef::required("code", Type::Str).indexed());
+
+        let path = temp_path("one-shard");
+        let db = open_at(&path, StoreOptions::default());
+        db.define_class(specimen()).unwrap();
+        let logged = frames(&db, 0).len();
+        let d = run_unit(&db, true);
+        assert_eq!(
+            (d.commits, d.syncs, d.snapshot_swaps, d.puts),
+            (1, 1, 1, 64)
+        );
+        // Each creation writes its record, its extent entry and its code.
+        assert_eq!(kinds(&frames(&db, 0)[logged..]), group(64 * 3, &[]));
+        let logged = frames(&db, 0).len();
+        let d = run_unit(&db, false);
+        assert_eq!(
+            (d.log_appends, d.commits, d.syncs, d.snapshot_swaps),
+            (0, 0, 0, 0)
+        );
+        assert_eq!(
+            frames(&db, 0).len(),
+            logged,
+            "an aborted unit appends nothing"
+        );
+        drop(db);
+        let _ = std::fs::remove_file(&path);
+
+        let path = temp_path("two-shards");
+        let options = StoreOptions {
+            sync_on_commit: false,
+        };
+        let store = ShardedStore::open_with(&path, options, 2, index::shard_routing()).unwrap();
+        let db = Database::open_sharded(Arc::new(store)).unwrap();
+        db.define_class(specimen()).unwrap();
+        let logged = [frames(&db, 0).len(), frames(&db, 1).len()];
+        let d = run_unit(&db, true);
+        assert_eq!((d.commits, d.units_2pc, d.puts), (2, 1, 64));
+        let groups = [&frames(&db, 0)[logged[0]..], &frames(&db, 1)[logged[1]..]];
+        let writes: Vec<usize> = groups
+            .iter()
+            .map(|g| kinds(g).iter().filter(|k| **k == "write").count())
+            .collect();
+        assert_eq!(writes.iter().sum::<usize>(), 64 * 3);
+        assert_eq!(kinds(groups[0]), group(writes[0], &["prepared", "decided"]));
+        assert_eq!(kinds(groups[1]), group(writes[1], &["prepared"]));
+        drop(db);
+        for path in [
+            path.clone(),
+            path.with_extension("shard1.log"),
+            path.with_extension("shards"),
+        ] {
+            let _ = std::fs::remove_file(path);
+        }
     }
 
     #[test]

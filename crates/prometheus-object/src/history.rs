@@ -17,6 +17,7 @@
 use crate::database::Database;
 use crate::error::DbResult;
 use crate::events::{Event, EventListener};
+use crate::read::Reader;
 use prometheus_storage::{codec, Keyspace, Oid};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,7 +49,7 @@ impl HistoryRecorder {
     /// highest recorded entry.
     pub fn install(db: &Database) -> DbResult<Arc<HistoryRecorder>> {
         let mut max_seq = 0u64;
-        db.store().kv_for_each_prefix(KS_HISTORY, &[], |_, value| {
+        db.raw_kv_for_each_prefix(KS_HISTORY, &[], |_, value| {
             if let Ok(entry) = codec::from_bytes::<HistoryEntry>(value) {
                 max_seq = max_seq.max(entry.seq);
             }
@@ -136,33 +137,33 @@ impl EventListener for HistoryRecorder {
         if events.is_empty() {
             return Ok(());
         }
-        let store = db.store();
-        store.with_txn(|t| {
-            for event in events {
-                let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-                let (kind, detail) = HistoryRecorder::describe(event);
-                let entry = HistoryEntry {
-                    seq,
-                    subject: event.subject(),
-                    kind,
-                    detail,
-                };
-                let bytes = codec::to_bytes(&entry)?;
-                t.kv_put(KS_HISTORY, HistoryRecorder::key(entry.subject, seq), bytes);
+        let mut entries = Vec::with_capacity(events.len());
+        for event in events {
+            let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+            let (kind, detail) = HistoryRecorder::describe(event);
+            let entry = HistoryEntry {
+                seq,
+                subject: event.subject(),
+                kind,
+                detail,
+            };
+            let key = HistoryRecorder::key(entry.subject, seq);
+            entries.push((key, codec::to_bytes(&entry)?));
+        }
+        db.stage(|t| {
+            for (key, bytes) in entries {
+                t.kv_put(KS_HISTORY, key, bytes);
             }
-            Ok(())
-        })?;
-        Ok(())
+        })
     }
 }
 
 /// The recorded history of one subject, oldest first.
 pub fn history_of(db: &Database, subject: Oid) -> DbResult<Vec<HistoryEntry>> {
     let mut decoded = Vec::new();
-    db.store()
-        .kv_for_each_prefix(KS_HISTORY, &subject.to_be_bytes(), |_, value| {
-            decoded.push(codec::from_bytes::<HistoryEntry>(value));
-        });
+    db.raw_kv_for_each_prefix(KS_HISTORY, &subject.to_be_bytes(), |_, value| {
+        decoded.push(codec::from_bytes::<HistoryEntry>(value));
+    });
     let mut out = decoded.into_iter().collect::<Result<Vec<_>, _>>()?;
     out.sort_by_key(|e| e.seq);
     Ok(out)

@@ -26,9 +26,9 @@
 //!   endpoint indexes over the store's ordered keyspaces;
 //! * **views layer** ([`views`]) — named class/classification-scoped subsets
 //!   of the database;
-//! * **units of work** — [`Database::begin_unit`] groups operations in a
-//!   working image the store publishes at commit and drops at abort, giving
-//!   logical atomicity, deferred-rule scheduling and the *what-if*
+//! * **units of work** — [`Database::begin_unit`] stages a unit's
+//!   operations in one storage transaction, sealed at commit and dropped at
+//!   abort, giving atomicity, deferred-rule scheduling and the *what-if*
 //!   workflows of §7.1.4;
 //! * **snapshot read path** ([`read`]) — the [`Reader`] trait defines every
 //!   read operation once; [`ReadView`] pins an immutable storage snapshot so

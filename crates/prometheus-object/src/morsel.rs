@@ -12,6 +12,7 @@
 //! the error of the **lowest-indexed** failing morsel is returned — exactly
 //! the error a sequential left-to-right run would have hit first.
 
+use crate::database::binding;
 use crate::error::DbResult;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -61,17 +62,22 @@ where
     let slots: Vec<Mutex<Option<DbResult<Vec<U>>>>> =
         (0..n_morsels).map(|_| Mutex::new(None)).collect();
     let threads = workers.min(n_morsels);
+    // Workers read as the caller does: inside its unit of work, if any.
+    let bind = binding();
     std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|| loop {
-                let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                if idx >= n_morsels {
-                    break;
+            scope.spawn(|| {
+                bind();
+                loop {
+                    let idx = cursor.fetch_add(1, Ordering::Relaxed);
+                    if idx >= n_morsels {
+                        break;
+                    }
+                    let lo = idx * morsel_size;
+                    let hi = (lo + morsel_size).min(items.len());
+                    let result = f(&items[lo..hi]);
+                    *slots[idx].lock().unwrap_or_else(|p| p.into_inner()) = Some(result);
                 }
-                let lo = idx * morsel_size;
-                let hi = (lo + morsel_size).min(items.len());
-                let result = f(&items[lo..hi]);
-                *slots[idx].lock().unwrap_or_else(|p| p.into_inner()) = Some(result);
             });
         }
     });

@@ -6,17 +6,18 @@
 //! method of the [`Reader`] trait over a small required surface (raw record
 //! and index access plus schema/synonym access). Two implementations exist:
 //!
-//! * [`Database`] reads its **working image** (behind the store mutex and
+//! * [`Database`] reads **committed state plus the staged writes of the
+//!   unit bound to the calling thread** (through the unit's transaction and
 //!   the object cache), so code running inside a unit of work sees its own
-//!   uncommitted operations;
+//!   uncommitted operations and nothing of any other unit's;
 //! * [`ReadView`] reads a **pinned immutable snapshot**
 //!   ([`prometheus_storage::ShardSnapshot`], one pinned image per shard) plus the schema registry and synonym
 //!   table current at pin time. A `ReadView` never takes the store mutex or
 //!   any cache lock, so any number of views proceed in parallel with the
 //!   writer, and a whole query — including recursive traversals and graph
 //!   extraction — executes against one consistent committed state:
-//!   unit-of-work atomicity holds by construction, because the store only
-//!   publishes images at commit points and settled units.
+//!   unit-of-work atomicity holds by construction, because a unit reaches
+//!   the store only as one sealed commit.
 //!
 //! The query evaluator, traversals, classification structure queries and
 //! views are generic over `Reader`, so the same code serves both paths.
@@ -52,8 +53,8 @@ pub trait Reader: Sized + Send + Sync {
     fn raw_kv_get(&self, ks: Keyspace, key: &[u8]) -> Option<Bytes>;
 
     /// Stream every entry of an index keyspace with `lo <= key` below `hi`,
-    /// in key order, straight off the storage image's cursors. `f` must not
-    /// read through this reader again: a [`Database`] scan holds store locks.
+    /// in key order, straight off the storage image's cursors (merged with a
+    /// unit's staged entries for a [`Database`] read in one).
     fn raw_kv_for_each(
         &self,
         ks: Keyspace,
@@ -459,21 +460,21 @@ pub trait Reader: Sized + Send + Sync {
     }
 }
 
-/// Decode the relationships of an adjacency list, after its scan has ended:
-/// `Database`'s streaming scan holds the store mutex, which `rel` re-takes.
+/// Decode the relationships of an adjacency list.
 fn decode_rels<R: Reader>(db: &R, adjacent: Vec<(Oid, Oid)>) -> DbResult<Vec<RelInstance>> {
     adjacent.into_iter().map(|(edge, _)| db.rel(edge)).collect()
 }
 
-/// [`Database`] reads resolve against the working image — inside a unit of
-/// work they see the unit's own operations.
+/// [`Database`] reads see committed state plus the staged writes of the
+/// unit bound to this thread — inside a unit of work, the unit's own
+/// operations.
 impl Reader for Database {
     fn entity(&self, oid: Oid) -> DbResult<StoredEntity> {
         self.entity_cached(oid)
     }
 
     fn raw_kv_get(&self, ks: Keyspace, key: &[u8]) -> Option<Bytes> {
-        self.store().kv_get(ks, key)
+        self.read_through(|txn| txn.kv_get(ks, key))
     }
 
     fn raw_kv_for_each(
@@ -483,7 +484,7 @@ impl Reader for Database {
         hi: Bound<&[u8]>,
         f: impl FnMut(&[u8], &[u8]),
     ) {
-        self.store().kv_for_each(ks, lo, hi, f)
+        self.read_through(|txn| txn.kv_for_each(ks, lo, hi, f))
     }
 
     fn with_schema<T>(&self, f: impl FnOnce(&SchemaRegistry) -> T) -> T {

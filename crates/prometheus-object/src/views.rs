@@ -123,11 +123,7 @@ fn load_views<R: Reader>(db: &R) -> DbResult<BTreeMap<String, View>> {
 
 fn save_views(db: &Database, all: &BTreeMap<String, View>) -> DbResult<()> {
     let bytes = codec::to_bytes(all)?;
-    db.store().with_txn(|t| {
-        t.kv_put(KS_META, META_VIEWS.to_vec(), bytes.clone());
-        Ok(())
-    })?;
-    Ok(())
+    db.stage(|t| t.kv_put(KS_META, META_VIEWS.to_vec(), bytes))
 }
 
 #[cfg(test)]

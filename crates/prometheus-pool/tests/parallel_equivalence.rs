@@ -535,6 +535,53 @@ fn parallel_workers_actually_run() {
     );
 }
 
+/// A query inside a unit reads the unit's staged writes on every worker:
+/// the workers a query starts inherit the caller's unit, so workers 1 ≡ 8
+/// holds over writes no other thread can see yet.
+#[test]
+fn an_in_unit_query_reads_staged_writes_on_every_worker() {
+    let db = fresh_db("in-unit");
+    define_schema(&db);
+    let object = |class: &str, name: String, year: i64| {
+        let attrs = vec![
+            ("name".to_string(), Value::Str(name)),
+            ("year".to_string(), Value::Int(year)),
+        ];
+        db.create_object(class, attrs).unwrap()
+    };
+    let committed: Vec<Oid> = (0..300)
+        .map(|i| object("T", format!("t{i:03}"), 1750 + i % 8))
+        .collect();
+    let unit = db.begin_unit();
+    for i in 0..300 {
+        object("S", format!("s{i:03}"), 1750 + i % 8);
+    }
+    for &oid in &committed[..100] {
+        db.set_attr(oid, "year", 1760i64).unwrap();
+    }
+    let parallel = Executor::new(8);
+    for text in [
+        "select x.name from T x where x.year >= 1750 order by x.name",
+        "select x.name from T x where x.year = 1760 order by x.name",
+        "select x.name, y.name from S x, T y \
+         where x.year = y.year and x.year = 1751 order by x.name, y.name",
+    ] {
+        let sequential = Executor::new(1).query(&db, text, None).unwrap();
+        assert_eq!(
+            sequential,
+            parallel.query(&db, text, None).unwrap(),
+            "{text}"
+        );
+    }
+    assert!(
+        parallel.stats().parallel_morsels > 0,
+        "the filter pass fans out"
+    );
+    let staged = parallel.query(&db, "select x from S x where x.year >= 1750", None);
+    assert_eq!(staged.unwrap().len(), 300);
+    db.abort_unit(unit);
+}
+
 #[test]
 fn schema_change_invalidates_cached_plans() {
     let db = fresh_db("invalidate");

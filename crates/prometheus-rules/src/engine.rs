@@ -19,7 +19,8 @@
 
 use crate::rule::{Action, Rule, RuleKind, Timing};
 use parking_lot::{Mutex, RwLock};
-use prometheus_object::{Database, DbError, DbResult, Event, EventListener, Value};
+use prometheus_object::index::KS_META;
+use prometheus_object::{Database, DbError, DbResult, Event, EventListener, Reader, Value};
 use prometheus_pool::eval::Env;
 use prometheus_pool::Expr;
 use std::collections::HashMap;
@@ -139,23 +140,12 @@ impl RuleEngine {
     /// Persist the rules into the database's meta keyspace.
     pub fn save_to(&self, db: &Database) -> DbResult<()> {
         let bytes = prometheus_storage::codec::to_bytes(&**self.rules.read())?;
-        db.store().with_txn(|t| {
-            t.kv_put(
-                prometheus_object::index::KS_META,
-                META_RULES.to_vec(),
-                bytes.clone(),
-            );
-            Ok(())
-        })?;
-        Ok(())
+        db.stage(|t| t.kv_put(KS_META, META_RULES.to_vec(), bytes))
     }
 
     /// Load rules persisted by [`RuleEngine::save_to`].
     pub fn load_from(&self, db: &Database) -> DbResult<()> {
-        if let Some(bytes) = db
-            .store()
-            .kv_get(prometheus_object::index::KS_META, META_RULES)
-        {
+        if let Some(bytes) = db.raw_kv_get(KS_META, META_RULES) {
             let rules: Vec<Rule> = prometheus_storage::codec::from_bytes(&bytes)?;
             *self.rules.write() = Arc::new(rules);
         }

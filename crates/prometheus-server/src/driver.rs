@@ -234,8 +234,8 @@ impl Driver {
                 let (shared, core) = (&self.shared, &mut self.core);
                 let resp = match &self.unit {
                     // An in-unit slice runs on whichever thread is handy;
-                    // bind it to the session's unit for the slice so event
-                    // recording and claim routing follow the unit, not the
+                    // bind it to the session's unit for the slice so its
+                    // staging, reads and events follow the unit, not the
                     // thread. Its mask is what the slow log reports.
                     Some(unit) => shared.db.db().with_unit_bound(&unit.token, |_| {
                         execute_work(shared, core, work, unit.mask)

@@ -37,7 +37,7 @@ pub use error::{StorageError, StorageResult};
 pub use log::LogRecord;
 pub use oid::{Oid, OidAllocator};
 pub use pmap::{PMap, Touch};
-pub use shard::{ClaimGuard, RouteRule, ShardRouting, ShardSnapshot, ShardedStore, MAX_SHARDS};
+pub use shard::{RouteRule, ShardRouting, ShardSnapshot, ShardedStore, MAX_SHARDS};
 pub use stats::{Stats, StatsSnapshot};
 pub use store::{
     prefix_successor, FrameBatch, Keyspace, KvScan, ReplayState, ReplicaApply, Snapshot, Store,

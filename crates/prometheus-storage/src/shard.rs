@@ -1,8 +1,8 @@
 //! Sharded store: the OID space partitioned across N [`Store`] instances.
 //!
-//! Each shard is a complete [`Store`] — its own redo log, epoch sidecar,
-//! working image and published `Arc` snapshot — so per-shard commits proceed
-//! in parallel with no shared writer state. Placement is deterministic:
+//! Each shard is a complete [`Store`] — its own redo log, epoch sidecar and
+//! published `Arc` image — so per-shard commits proceed in parallel with no
+//! shared writer state. Placement is deterministic:
 //!
 //! * a record lives on shard `oid % n`;
 //! * an ordered-keyspace entry lives on the shard of the OID embedded in its
@@ -17,24 +17,25 @@
 //! order, byte-identical to a single store's. One shard is the plain case:
 //! a one-way merge, a one-participant commit.
 //!
-//! Cross-shard units of work settle through two-phase commit over the
-//! per-shard logs: every participant durably appends `UnitPrepared`, the
-//! coordinator (lowest participating shard) durably appends `UnitDecision` —
-//! the commit point — and then every participant seals with `UnitEnd`. A
-//! crash leaves at worst prepared-but-unsealed tails, which
-//! [`ShardedStore::open_with`] resolves against the coordinator's decision
-//! record (absence of a decision means abort — *presumed abort*).
+//! A transaction's writes are routed at commit, one group per shard they
+//! land on. Writes that land on two or more shards settle through two-phase
+//! commit over the per-shard logs (see `store::Commit`): every participant
+//! durably appends `UnitPrepared`, the coordinator (lowest participating
+//! shard) durably appends `UnitDecision` — the commit point — and then every
+//! participant seals with `UnitEnd`. A crash leaves at worst
+//! prepared-but-unsealed tails, which [`ShardedStore::open_with`] resolves
+//! against the coordinator's decision record (absence of a decision means
+//! abort — *presumed abort*).
 
 use crate::error::{StorageError, StorageResult};
 use crate::oid::Oid;
 use crate::stats::{Stats, StatsSnapshot};
 use crate::store::{
-    scan, Home, ImageRef, Keyspace, KvScan, Snapshot, StagedKv, Store, StoreOptions, Txn,
+    scan, Commit, Home, Keyspace, KvScan, Snapshot, StagedKv, StagedRecords, Store, StoreOptions,
+    Txn,
 };
 use bytes::Bytes;
-use prometheus_trace::{Recorder, Stage};
-use std::cell::Cell;
-use std::collections::HashMap;
+use prometheus_trace::Recorder;
 use std::ops::Bound;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -110,57 +111,6 @@ impl ShardRouting {
         };
         (oid % n as u64) as usize
     }
-}
-
-thread_local! {
-    /// The shard-claim of the unit of work bound to this thread, as a
-    /// bitmask. Zero = no unit bound: reads use working images everywhere
-    /// (single-writer semantics, as before sharding). Non-zero: reads on
-    /// claimed shards see the unit's own writes (working image); reads on
-    /// foreign shards use the published snapshot, so a parallel unit's
-    /// unsettled writes are never observed.
-    static CLAIM: Cell<u64> = const { Cell::new(0) };
-}
-
-/// RAII restore for a thread's bound shard-claim (see [`ShardedStore::bind_claim`]).
-#[derive(Debug)]
-pub struct ClaimGuard {
-    prev: u64,
-}
-
-impl Drop for ClaimGuard {
-    fn drop(&mut self) {
-        CLAIM.with(|c| c.set(self.prev));
-    }
-}
-
-fn claimed(mask: u64, shard: usize) -> bool {
-    mask == 0 || mask & (1u64 << shard) != 0
-}
-
-/// Set this thread's shard-claim mask directly, returning the previous
-/// value. Unlike [`ShardedStore::bind_claim`] there is no RAII guard: the
-/// object layer's unit-of-work table uses this to bind a claim for the
-/// lifetime of a token (which outlives any one stack frame) and restores it
-/// on commit/abort.
-pub fn set_thread_claim(mask: u64) -> u64 {
-    CLAIM.with(|c| {
-        let prev = c.get();
-        c.set(mask);
-        prev
-    })
-}
-
-/// This thread's currently bound shard-claim mask (0 = unbound).
-pub fn thread_claim() -> u64 {
-    CLAIM.with(|c| c.get())
-}
-
-/// Whether `shard` is readable through this thread's claim with working
-/// (unit-local) state: true when unbound (legacy single-writer semantics)
-/// or when the claim covers the shard.
-pub fn claim_covers(mask: u64, shard: usize) -> bool {
-    claimed(mask, shard)
 }
 
 /// Path of shard `k`'s redo log: shard 0 keeps the store's own path (a
@@ -321,18 +271,9 @@ impl ShardedStore {
         &self.routing
     }
 
-    /// Allocate a fresh OID on a home shard: the lowest shard of this
-    /// thread's bound claim when the claim is a proper subset (so a masked
-    /// unit's creations land inside its claim instead of escaping to a
-    /// foreign shard and failing the commit), round-robin otherwise.
+    /// Allocate a fresh OID on a round-robin home shard.
     pub fn allocate_oid(&self) -> Oid {
-        let claim = Self::current_claim();
-        if claim != 0 && claim != self.all_shards_mask() {
-            let home = (claim.trailing_zeros() as usize).min(self.shards.len() - 1);
-            return self.allocate_oid_on(home);
-        }
-        let home = self.next_home.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        self.allocate_oid_on(home)
+        self.allocate_oid_on(self.next_home_hint())
     }
 
     /// A round-robin home-shard hint for callers that must choose a single
@@ -354,20 +295,6 @@ impl ShardedStore {
         oid
     }
 
-    /// Bind this thread's unit shard-claim (see [`CLAIM`]); restored when
-    /// the guard drops. Mask semantics: bit `k` set = shard `k` belongs to
-    /// the unit bound to this thread.
-    pub fn bind_claim(&self, mask: u64) -> ClaimGuard {
-        ClaimGuard {
-            prev: CLAIM.with(|c| c.replace(mask)),
-        }
-    }
-
-    /// The claim mask bound to this thread (0 = none).
-    pub fn current_claim() -> u64 {
-        CLAIM.with(|c| c.get())
-    }
-
     /// A mask claiming every shard.
     pub fn all_shards_mask(&self) -> u64 {
         if self.shards.len() == MAX_SHARDS {
@@ -378,25 +305,18 @@ impl ShardedStore {
     }
 
     // -----------------------------------------------------------------
-    // Reads. On a thread with a bound claim, foreign shards are read from
-    // their published snapshots so a parallel unit's unsettled writes are
-    // never observed; claimed shards read the working image (the unit sees
-    // its own writes).
+    // Reads: each shard's published image. Nothing uncommitted is held
+    // here — a unit's writes wait in its transaction until it commits.
     // -----------------------------------------------------------------
-
-    /// Shard `shard`'s image as this thread reads it.
-    fn image(&self, shard: usize) -> ImageRef<'_> {
-        self.shards[shard].image(claimed(Self::current_claim(), shard))
-    }
 
     /// Read a record (see [`Store::get`]).
     pub fn get(&self, oid: Oid) -> Option<Bytes> {
-        self.image(self.shard_of_oid(oid)).get(oid)
+        self.shards[self.shard_of_oid(oid)].get(oid)
     }
 
     /// Whether a record exists (see [`Store::contains`]).
     pub fn contains(&self, oid: Oid) -> bool {
-        self.image(self.shard_of_oid(oid)).contains(oid)
+        self.shards[self.shard_of_oid(oid)].contains(oid)
     }
 
     /// Total records across shards.
@@ -406,8 +326,7 @@ impl ShardedStore {
 
     /// Read a key/value entry (see [`Store::kv_get`]).
     pub fn kv_get(&self, keyspace: Keyspace, key: &[u8]) -> Option<Bytes> {
-        self.image(self.shard_of_key(keyspace, key))
-            .kv_get(keyspace, key)
+        self.shards[self.shard_of_key(keyspace, key)].kv_get(keyspace, key)
     }
 
     /// [`KvScan::kv_for_each_prefix`], inherent so embedders that only scan
@@ -438,6 +357,15 @@ impl ShardedStore {
         Txn::new(Home::Sharded(self))
     }
 
+    /// Begin a unit of work's transaction: it holds this store, stages
+    /// writes only on the shards in `claim` (see [`Txn::stage`]) and commits
+    /// as one unit group per shard it wrote. The caller owns exclusion: two
+    /// live units must never claim overlapping shards (the object layer's
+    /// unit table and the server's per-shard lanes both enforce this).
+    pub fn begin_unit(self: &Arc<Self>, claim: u64) -> Txn<'static> {
+        Txn::new(Home::Unit(Arc::clone(self), claim))
+    }
+
     /// Run `f` inside a routed transaction, committing on `Ok`.
     pub fn with_txn<T>(
         &self,
@@ -446,23 +374,15 @@ impl ShardedStore {
         self.begin().run(f)
     }
 
-    /// Commit a transaction's staged writes, routed by placement. Writes
-    /// that all land on one shard are exactly a [`Store`] commit on that
-    /// member. A cross-shard commit outside a unit scope wraps itself in an
-    /// implicit cross-shard unit so the parts settle atomically (2PC);
-    /// inside a unit scope the parts join their shards' open groups and the
-    /// enclosing unit's seal provides atomicity.
-    pub(crate) fn commit_routed(
-        &self,
-        staged_records: HashMap<Oid, Option<Bytes>>,
-        staged_kv: StagedKv,
-    ) -> StorageResult<()> {
-        // Which shards the writes land on; routing stops once it is all of
-        // them (with one shard, at the first write).
-        let records = staged_records.keys().map(|oid| self.shard_of_oid(*oid));
-        let kvs = staged_kv
-            .keys()
-            .map(|(ks, key)| self.shard_of_key(Keyspace(*ks), key));
+    /// The shards staged writes land on, as a mask; routing stops once it
+    /// is all of them (with one shard, at the first write).
+    pub(crate) fn shards_touched(&self, records: &StagedRecords, kv: &StagedKv) -> u64 {
+        let records = records.keys().map(|oid| self.shard_of_oid(*oid));
+        let kvs = kv.iter().flat_map(|(ks, entries)| {
+            entries
+                .keys()
+                .map(move |key| self.shard_of_key(Keyspace(*ks), key))
+        });
         let all = self.all_shards_mask();
         let mut touched = 0u64;
         for shard in records.chain(kvs) {
@@ -471,130 +391,52 @@ impl ShardedStore {
                 break;
             }
         }
-        let claim = Self::current_claim();
-        if claim != 0 && touched & !claim != 0 {
-            // Inside a unit of work every touched shard must be claimed —
-            // the unit's scopes are open there and its seal is the atomic
-            // boundary. A write routed outside the claim would silently
-            // escape the unit, so fail loudly instead.
-            let outside = (touched & !claim).trailing_zeros();
-            return Err(StorageError::TxnState(format!(
-                "write routed to shard {outside} outside the unit's shard claim {claim:#x}"
-            )));
-        }
-        if touched == 0 {
-            // An empty commit keeps a plain store's behaviour (a Begin /
-            // Commit pair and a publication) on shard 0 — unless this
-            // thread's unit does not own that shard, where it writes nothing.
-            if !claimed(claim, 0) {
-                return Ok(());
-            }
-            touched = 1;
-        }
+        touched
+    }
+
+    /// Route a transaction's staged writes and append their groups, one per
+    /// shard they land on, bracketed as a unit's when `unit` (see
+    /// [`Commit::begin`]); the rest of the protocol is the caller's. A
+    /// transaction that stages nothing keeps a plain store's behaviour (a
+    /// `Begin`/`Commit` pair and a publication on shard 0); a unit that
+    /// stages nothing writes nothing (`None`).
+    pub(crate) fn begin_commit(
+        &self,
+        records: StagedRecords,
+        kv: StagedKv,
+        unit: bool,
+    ) -> StorageResult<Option<Commit<'_>>> {
+        let touched = match self.shards_touched(&records, &kv) {
+            0 if unit => return Ok(None),
+            0 => 1,
+            touched => touched,
+        };
         if touched.count_ones() == 1 {
-            let shard = &self.shards[touched.trailing_zeros() as usize];
-            return shard.commit_txn(&staged_records, &staged_kv);
+            let shard = touched.trailing_zeros() as usize;
+            let part = (shard, &*self.shards[shard], records, kv);
+            return Commit::begin(unit, [part]).map(Some);
         }
         // Partition the staged writes by placement.
         let n = self.shards.len();
-        let mut records: Vec<HashMap<Oid, Option<Bytes>>> = vec![HashMap::new(); n];
-        let mut kvs: Vec<StagedKv> = vec![StagedKv::new(); n];
-        for (oid, change) in staged_records {
-            records[self.shard_of_oid(oid)].insert(oid, change);
+        let mut parts: Vec<(StagedRecords, StagedKv)> = vec![Default::default(); n];
+        for (oid, change) in records {
+            parts[self.shard_of_oid(oid)].0.insert(oid, change);
         }
-        for ((ks, key), change) in staged_kv {
-            let shard = self.shard_of_key(Keyspace(ks), &key);
-            kvs[shard].insert((ks, key), change);
-        }
-        let parts = (0..n).filter(|i| touched & (1 << i) != 0);
-        if claim != 0 {
-            for i in parts {
-                self.shards[i].commit_txn(&records[i], &kvs[i])?;
-            }
-            return Ok(());
-        }
-        // Cross-shard auto-commit: an implicit 2PC unit makes the parts one
-        // atomic group across logs.
-        self.begin_unit_scope_on(touched);
-        let mut result: StorageResult<()> = Ok(());
-        for i in parts {
-            result = self.shards[i].commit_txn(&records[i], &kvs[i]);
-            if result.is_err() {
-                break;
+        for (ks, entries) in kv {
+            for (key, change) in entries {
+                let shard = self.shard_of_key(Keyspace(ks), &key);
+                parts[shard].1.entry(ks).or_default().insert(key, change);
             }
         }
-        // A failed sub-commit aborts the group: the parts that did commit are
-        // retracted from their working images and nothing replays.
-        let sealed = self.end_unit_scope_on(touched, result.is_ok());
-        result.and(sealed)
-    }
-
-    /// Open a unit-of-work scope on every shard (the compatibility path:
-    /// fully serialized, exactly the pre-sharding semantics).
-    pub fn begin_unit_scope(&self) {
-        self.begin_unit_scope_on(self.all_shards_mask());
-    }
-
-    /// Settle the all-shard unit scope.
-    pub fn end_unit_scope(&self, committed: bool) -> StorageResult<()> {
-        self.end_unit_scope_on(self.all_shards_mask(), committed)
-    }
-
-    /// Open a unit-of-work scope on the shards in `mask`. The caller owns
-    /// exclusion: two live units must never claim overlapping shards (the
-    /// object layer's unit table and the server's per-shard lanes both
-    /// enforce this).
-    pub fn begin_unit_scope_on(&self, mask: u64) {
-        for (i, shard) in self.shards.iter().enumerate() {
-            if mask & (1u64 << i) != 0 {
-                shard.begin_unit_scope();
-            }
-        }
-    }
-
-    /// Settle the unit scope over the shards in `mask`. Participants (shards
-    /// whose scope wrote frames) number two or more → two-phase commit:
-    /// prepare everywhere, decide durably on the coordinator (the lowest
-    /// participating shard), then seal everywhere. One participant → the
-    /// plain single-log seal, no extra frames. With `committed` false each
-    /// claimed member retracts its working image (see
-    /// [`Store::end_unit_scope`]). Every scope in `mask` is closed even when
-    /// a seal fails; the first failure is returned.
-    pub fn end_unit_scope_on(&self, mask: u64, committed: bool) -> StorageResult<()> {
-        let participants: Vec<(usize, u64)> = self
-            .shards
-            .iter()
+        let parts = parts
+            .into_iter()
             .enumerate()
-            .filter(|(i, _)| mask & (1u64 << i) != 0)
-            .filter_map(|(i, s)| s.active_unit_id().map(|u| (i, u)))
-            .collect();
-        if participants.len() >= 2 {
-            let rec = self.shards[0].recorder();
-            let (coordinator, gid) = participants[0];
-            for (i, _) in &participants {
-                // One prepare span per participant under the unit's trace:
-                // c0 = shard index, c1 = 1 on the coordinator shard.
-                let span = rec.span(Stage::UnitPrepare);
-                self.shards[*i].prepare_active_unit(gid, coordinator as u32)?;
-                span.finish(*i as u64, (*i == coordinator) as u64);
-            }
-            // The decision span brackets the commit point: c0 = participant
-            // count, c1 = 1 committed / 0 aborted.
-            let span = rec.span(Stage::UnitDecide);
-            self.shards[coordinator].append_decision(gid, committed)?;
-            span.finish(participants.len() as u64, committed as u64);
-            Stats::bump(&self.shards[coordinator].stats().units_2pc);
-        }
-        let mut sealed = Ok(());
-        for (i, shard) in self.shards.iter().enumerate() {
-            if mask & (1u64 << i) != 0 {
-                sealed = sealed.and(shard.end_unit_scope(committed));
-            }
-        }
-        sealed
+            .filter(|(i, _)| touched & (1 << i) != 0)
+            .map(|(i, (records, kv))| (i, &*self.shards[i], records, kv));
+        Commit::begin(unit, parts).map(Some)
     }
 
-    /// Compact every shard's log (refused while any unit scope is open).
+    /// Compact every shard's log.
     pub fn compact(&self) -> StorageResult<()> {
         for shard in &self.shards {
             shard.compact()?;
@@ -718,25 +560,20 @@ impl ShardSnapshot {
     }
 }
 
-/// Scans read, per shard, the image this thread's claim selects — the
-/// working image under that member's lock (locks taken in ascending shard
-/// order) or the published one — and merge them as they stream.
+/// A sharded store's scans are scans of its shards' published images; one
+/// shard's needs no merge, and so no vector of pinned images.
 impl KvScan for ShardedStore {
     fn kv_for_each(
         &self,
         keyspace: Keyspace,
         lo: &[u8],
         hi: Bound<&[u8]>,
-        mut f: impl FnMut(&[u8], &[u8]),
+        f: impl FnMut(&[u8], &[u8]),
     ) {
-        let images: Vec<ImageRef<'_>> = (0..self.shards.len()).map(|i| self.image(i)).collect();
-        scan(
-            images.iter().map(|image| &**image),
-            keyspace,
-            lo,
-            hi,
-            |k, v| f(k, v),
-        )
+        match self.shards.as_slice() {
+            [shard] => shard.kv_for_each(keyspace, lo, hi, f),
+            _ => self.snapshot().kv_for_each(keyspace, lo, hi, f),
+        }
     }
 }
 
@@ -756,6 +593,7 @@ impl KvScan for ShardSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     fn temp_path(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!(
@@ -844,6 +682,136 @@ mod tests {
             ShardedStore::open_with(&path, StoreOptions::default(), 2, ShardRouting::default());
         assert!(err.is_err(), "reopening with a different shard count");
         cleanup(&path, 4);
+    }
+
+    /// Where the "power cut" lands inside a cross-shard commit's protocol
+    /// (coordinator = shard 0, the lowest participant).
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum CrashPoint {
+        /// The unit's groups reached both logs, nothing prepared.
+        BeforePrepare,
+        /// Coordinator prepared, the other participant was not reached.
+        AfterFirstPrepare,
+        /// Both participants prepared, no decision recorded.
+        AfterAllPrepares,
+        /// Prepared everywhere and the coordinator decided *commit*.
+        AfterCommitDecision,
+        /// Prepared everywhere and the coordinator decided *abort*.
+        AfterAbortDecision,
+        /// Decided commit and sealed the coordinator; the other shard's seal
+        /// never made it out.
+        AfterPartialSeal,
+    }
+
+    fn open_two(path: &Path) -> ShardedStore {
+        let options = StoreOptions {
+            sync_on_commit: false,
+        };
+        ShardedStore::open_with(path, options, 2, ShardRouting::default()).unwrap()
+    }
+
+    /// Run a unit writing both shards of a 2-shard store up to `crash`, one
+    /// protocol step at a time, and drop the store there — every step syncs
+    /// what it appended, so the drop leaves exactly the bytes a power cut at
+    /// that boundary would. Returns the two OIDs the unit wrote.
+    fn crash_mid_unit(path: &Path, crash: CrashPoint) -> (Oid, Oid) {
+        let store = open_two(path);
+        let a = store.allocate_oid_on(0);
+        let b = store.allocate_oid_on(1);
+        let records = HashMap::from([
+            (a, Some(Bytes::from("alpha"))),
+            (b, Some(Bytes::from("beta"))),
+        ]);
+        let mut commit = store
+            .begin_commit(records, StagedKv::new(), true)
+            .unwrap()
+            .expect("the unit wrote both shards");
+        let prepare_both = |commit: &mut Commit<'_>| {
+            commit.prepare(0).unwrap();
+            commit.prepare(1).unwrap();
+        };
+        match crash {
+            CrashPoint::BeforePrepare => {}
+            CrashPoint::AfterFirstPrepare => commit.prepare(0).unwrap(),
+            CrashPoint::AfterAllPrepares => prepare_both(&mut commit),
+            CrashPoint::AfterCommitDecision => {
+                prepare_both(&mut commit);
+                commit.decide(true).unwrap();
+            }
+            CrashPoint::AfterAbortDecision => {
+                prepare_both(&mut commit);
+                commit.decide(false).unwrap();
+            }
+            CrashPoint::AfterPartialSeal => {
+                prepare_both(&mut commit);
+                commit.decide(true).unwrap();
+                commit.seal(0, true).unwrap();
+            }
+        }
+        drop(commit);
+        drop(store); // crash: at least one shard's group is never sealed
+        (a, b)
+    }
+
+    #[test]
+    fn cross_shard_unit_converges_after_crash_at_every_2pc_boundary() {
+        for crash in [
+            CrashPoint::BeforePrepare,
+            CrashPoint::AfterFirstPrepare,
+            CrashPoint::AfterAllPrepares,
+            CrashPoint::AfterCommitDecision,
+            CrashPoint::AfterAbortDecision,
+            CrashPoint::AfterPartialSeal,
+        ] {
+            let path = temp_path("crash");
+            cleanup(&path, 2);
+            let (a, b) = crash_mid_unit(&path, crash);
+
+            // Recovery must settle the in-doubt unit from the coordinator's
+            // decision record: presumed abort unless a commit decision is on
+            // disk. Either way, never half of the unit.
+            let store = open_two(&path);
+            let committed = matches!(
+                crash,
+                CrashPoint::AfterCommitDecision | CrashPoint::AfterPartialSeal
+            );
+            let expect = |value: &'static [u8]| committed.then_some(value);
+            assert_eq!(
+                store.get(a).as_deref(),
+                expect(b"alpha"),
+                "{crash:?}: shard 0"
+            );
+            assert_eq!(
+                store.get(b).as_deref(),
+                expect(b"beta"),
+                "{crash:?}: shard 1"
+            );
+
+            // The recovered store accepts new cross-shard work.
+            let c = store.allocate_oid_on(0);
+            let d = store.allocate_oid_on(1);
+            store
+                .with_txn(|t| {
+                    t.put(c, b"gamma".to_vec());
+                    t.put(d, b"delta".to_vec());
+                    Ok(())
+                })
+                .unwrap();
+            drop(store);
+
+            // And the resolution is durable: a second recovery sees the same
+            // answer (the first reopen sealed the unit, so nothing is in doubt).
+            let store = open_two(&path);
+            assert_eq!(
+                store.get(a).as_deref(),
+                expect(b"alpha"),
+                "{crash:?}: again"
+            );
+            assert_eq!(store.get(c).as_deref(), Some(&b"gamma"[..]));
+            assert_eq!(store.get(d).as_deref(), Some(&b"delta"[..]));
+            drop(store);
+            cleanup(&path, 2);
+        }
     }
 
     #[test]

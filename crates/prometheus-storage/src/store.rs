@@ -19,9 +19,9 @@ use crate::shard::ShardedStore;
 use crate::stats::Stats;
 use bytes::Bytes;
 use parking_lot::{Mutex, MutexGuard, RwLock};
-use prometheus_trace::{Recorder, Stage};
+use prometheus_trace::{Recorder, Span, Stage};
 use std::collections::{BTreeMap, HashMap};
-use std::ops::{Bound, Deref};
+use std::ops::Bound;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -195,9 +195,8 @@ pub fn prefix_successor(prefix: &[u8]) -> Option<Vec<u8>> {
 /// visitor; the prefix form and the collecting forms are defined here, once.
 pub trait KvScan {
     /// Stream every entry with `lo <= key` below `hi`, in key order, with no
-    /// intermediate vector. Working images are read under their stores'
-    /// locks for the duration of the scan, so the callback must not re-enter
-    /// the store.
+    /// intermediate vector. A scan reads pinned images and holds no store
+    /// lock, so the callback may read the store again.
     fn kv_for_each(
         &self,
         keyspace: Keyspace,
@@ -244,32 +243,13 @@ pub trait KvScan {
     }
 }
 
-/// One store's image as a read sees it: the working image, held under the
-/// store's lock, or the published one.
-pub(crate) enum ImageRef<'a> {
-    Working(MutexGuard<'a, Inner>),
-    Published(Arc<Image>),
-}
-
-impl Deref for ImageRef<'_> {
-    type Target = Image;
-
-    fn deref(&self) -> &Image {
-        match self {
-            ImageRef::Working(inner) => &inner.image,
-            ImageRef::Published(image) => image,
-        }
-    }
-}
-
 /// An immutable, point-in-time view of the committed image.
 ///
 /// Obtained from [`Store::snapshot`]; cloning is an `Arc` bump. Reads on a
 /// snapshot never take the store mutex, so any number of readers proceed in
 /// parallel with the single writer, each seeing the consistent state that was
-/// published when it pinned the snapshot. Commits made inside an open unit of
-/// work are not published until the unit settles, so a snapshot can never
-/// observe a torn unit.
+/// published when it pinned the snapshot. A unit of work reaches the store
+/// only as one sealed commit, so a snapshot can never observe a torn unit.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     pub(crate) image: Arc<Image>,
@@ -320,10 +300,12 @@ impl KvScan for Snapshot {
 /// Frames are offered one at a time in log order; [`ReplayState::offer`]
 /// returns the records of any transaction group that *settled* with that
 /// frame, in apply order. The semantics mirror recovery exactly: a `Commit`
-/// outside a unit scope settles immediately; commits inside a unit are
-/// buffered until the unit seals committed and are discarded on an aborted
-/// (or superseded) seal — so a follower replaying a live tail can never
-/// publish half a unit, for the same reason a crash can never recover one.
+/// outside a unit's `UnitBegin … UnitEnd` brackets settles immediately;
+/// commits inside a unit are buffered until the unit seals committed and
+/// are discarded on an aborted (or superseded) seal — so a follower
+/// replaying a live tail can never publish half a unit, for the same reason
+/// a crash can never recover one. A unit writes one group per shard; logs
+/// written when a unit wrote one group per operation replay the same way.
 #[derive(Debug, Default)]
 pub struct ReplayState {
     pending: HashMap<u64, Vec<LogRecord>>,
@@ -492,18 +474,12 @@ pub struct ReplicaApply {
     pub log_len: u64,
 }
 
+/// A store's writer state: one commit, compaction or replicated batch holds
+/// it at a time.
 #[derive(Debug)]
 pub(crate) struct Inner {
-    image: Image,
     logw: LogWriter,
     next_txn: u64,
-    /// Nesting depth of open unit-of-work scopes. While positive, commits
-    /// apply to the working image but are not published to snapshots.
-    hold_depth: u32,
-    /// Unit id whose `UnitBegin` frame has been written for the current
-    /// scope; `None` until the scope's first commit (read-only units write no
-    /// frames at all).
-    active_unit: Option<u64>,
     /// Replay state carried across [`Store::apply_replicated`] calls so a
     /// follower can receive a unit of work split over many poll batches.
     replay: ReplayState,
@@ -520,12 +496,21 @@ pub(crate) struct Inner {
     retired: Vec<Arc<Image>>,
 }
 
+impl Inner {
+    /// Draw the next transaction or unit id.
+    fn next_id(&mut self) -> u64 {
+        self.next_txn += 1;
+        self.next_txn - 1
+    }
+}
+
 /// A durable, transactional record store.
 #[derive(Debug)]
 pub struct Store {
     inner: Mutex<Inner>,
-    /// The latest committed image, republished (copy-on-write) after every
-    /// commit outside a unit scope and after every settled unit. Readers take
+    /// The store's one image. A store holds no uncommitted state: a commit
+    /// folds its records into a copy of this image and publishes the copy,
+    /// so every read of a store reads what it last published. Readers take
     /// this lock only long enough to clone the `Arc`.
     published: RwLock<Arc<Image>>,
     oids: OidAllocator,
@@ -583,11 +568,11 @@ impl Store {
         let mut image = Image::default();
         // Group frames by transaction; apply only committed groups, in commit
         // order (commit order equals log order for a single-writer log).
-        // Transactions committed inside a unit-of-work scope are buffered
-        // until the unit's seal: applied on `UnitEnd { committed: true }`,
-        // discarded otherwise — so a crash mid-unit loses the whole unit,
-        // never half of it. The same state machine drives follower replay
-        // (see [`ReplayState`]).
+        // Groups inside a unit's brackets are buffered until the unit's
+        // seal: applied on `UnitEnd { committed: true }`, discarded
+        // otherwise — so a crash mid-unit loses the whole unit, never half
+        // of it. The same state machine drives follower replay (see
+        // [`ReplayState`]).
         let mut replay = ReplayState::default();
         // Replay applies owned records: the decoded payloads move straight
         // into the image as `Bytes` without a second copy.
@@ -626,19 +611,15 @@ impl Store {
         let next_oid = replay.next_oid().max(1);
         let committed_len = logw.len();
         let log_epoch = read_epoch_sidecar(&path);
-        let published = Arc::new(image.clone());
         Ok(Store {
             inner: Mutex::new(Inner {
-                image,
                 logw,
                 next_txn,
-                hold_depth: 0,
-                active_unit: None,
                 replay,
                 in_doubt,
                 retired: Vec::new(),
             }),
-            published: RwLock::new(published),
+            published: RwLock::new(Arc::new(image)),
             oids: OidAllocator::starting_at(next_oid),
             stats: Arc::new(Stats::default()),
             options,
@@ -659,113 +640,42 @@ impl Store {
         }
     }
 
-    /// Republish the working image as the new read snapshot. The image it
-    /// replaces is retired, and retired images no reader pins any longer are
-    /// dropped here, on the writer's thread (see [`Inner::retired`]); nothing
-    /// can pin one again, since snapshots are only taken of `published`.
-    fn publish(&self, inner: &mut Inner) {
-        let image = Arc::new(inner.image.clone());
-        let replaced = std::mem::replace(&mut *self.published.write(), image);
+    /// Publish `image` as the store's one image. The image it replaces is
+    /// retired, and retired images no reader pins any longer are dropped
+    /// here, on the writer's thread (see [`Inner::retired`]); nothing can pin
+    /// one again, since snapshots are only taken of `published`.
+    fn publish(&self, inner: &mut Inner, image: Image) {
+        let replaced = std::mem::replace(&mut *self.published.write(), Arc::new(image));
         inner.retired.push(replaced);
         inner.retired.retain(|image| Arc::strong_count(image) > 1);
         Stats::bump(&self.stats.snapshot_swaps);
     }
 
-    /// Open a unit-of-work scope. Until the matching
-    /// [`Store::end_unit_scope`], commits apply to the working image (so the
-    /// writer reads its own writes) but are *not* published to snapshots, and
-    /// the log brackets them as one atomic group (`UnitBegin … UnitEnd`):
-    /// recovery applies the group only if it was sealed committed. Scopes
-    /// nest; only the outermost seal publishes.
-    pub fn begin_unit_scope(&self) {
-        self.inner.lock().hold_depth += 1;
+    /// Fold settled records into a copy of the published image — only the
+    /// root-to-leaf spines of touched keys are cloned — and publish it.
+    /// Returns what the path-copy cost.
+    fn settle(&self, inner: &mut Inner, records: impl IntoIterator<Item = LogRecord>) -> Touch {
+        let mut image = Image::clone(&self.published.read());
+        let mut touch = Touch::default();
+        for record in records {
+            image.apply_owned(record, &mut touch);
+        }
+        Stats::add(&self.stats.image_nodes_cloned, touch.nodes_cloned);
+        Stats::add(&self.stats.image_bytes_copied, touch.bytes_copied);
+        Stats::bump(&self.stats.commits);
+        self.publish(inner, image);
+        touch
     }
 
-    /// Settle the innermost unit-of-work scope. On the outermost scope this
-    /// seals the log group (`committed` decides whether recovery replays it)
-    /// and performs the unit's single deferred fsync. A committed unit then
-    /// publishes the working image, so readers observe the whole unit at
-    /// once.
-    ///
-    /// An aborted unit is retracted here and nowhere else: the working image
-    /// becomes the published one again. A store under a scope never
-    /// publishes, so that is the pre-unit state, a clone of root handles
-    /// away; the discarded log group holds the unit's forward records only,
-    /// and nothing is published. Only the outermost scope can abort: an
-    /// inner `end_unit_scope(false)` closes its scope and returns
-    /// [`StorageError::TxnState`], because the enclosing scope keeps the
-    /// writes.
-    pub fn end_unit_scope(&self, committed: bool) -> StorageResult<()> {
-        let mut inner = self.inner.lock();
-        debug_assert!(
-            inner.hold_depth > 0,
-            "end_unit_scope without begin_unit_scope"
-        );
-        inner.hold_depth = inner.hold_depth.saturating_sub(1);
-        if inner.hold_depth > 0 {
-            if committed {
-                return Ok(());
-            }
-            return Err(StorageError::TxnState(
-                "an inner unit scope cannot abort: the enclosing scope keeps its writes".into(),
-            ));
-        }
-        if let Some(unit) = inner.active_unit.take() {
-            if !committed {
-                inner.image = Image::clone(&self.published.read());
-            }
-            let (trace, _) = Recorder::current();
-            if !trace.is_none() {
-                // Stamp the unit with the distributed trace id it ran under,
-                // just before the seal: follower replay reads the mark off
-                // the replicated stream and records its apply spans under the
-                // same id, stitching the cross-process span tree together.
-                inner.logw.append(&LogRecord::UnitTrace {
-                    unit,
-                    trace_hi: trace.hi,
-                    trace_lo: trace.lo,
-                })?;
-                Stats::bump(&self.stats.log_appends);
-            }
-            inner.logw.append(&LogRecord::UnitEnd { unit, committed })?;
-            Stats::bump(&self.stats.log_appends);
-            if self.options.sync_on_commit {
-                let span = self.recorder.read().span(Stage::Fsync);
-                inner.logw.sync()?;
-                span.finish(1, 0); // c0 = 1: the unit's single deferred fsync
-                Stats::bump(&self.stats.syncs);
-            } else {
-                inner.logw.flush()?;
-            }
-            self.committed_len
-                .store(inner.logw.len(), Ordering::Release);
-        }
-        if committed {
-            self.publish(&mut inner);
-        }
+    fn append(&self, inner: &mut Inner, record: &LogRecord) -> StorageResult<()> {
+        inner.logw.append(record)?;
+        Stats::bump(&self.stats.log_appends);
         Ok(())
     }
 
-    /// Two-phase commit, phase one: durably mark this shard's portion of a
-    /// cross-shard unit as prepared. Must be called inside the outermost
-    /// unit scope, before the decision. Returns the local unit id, or `None`
-    /// when the scope wrote no frames (a read-only participant has nothing
-    /// to prepare and nothing to recover).
-    pub fn prepare_active_unit(&self, gid: u64, coordinator: u32) -> StorageResult<Option<u64>> {
-        let mut inner = self.inner.lock();
-        debug_assert!(
-            inner.hold_depth > 0,
-            "prepare_active_unit outside a unit scope"
-        );
-        let Some(unit) = inner.active_unit else {
-            return Ok(None);
-        };
-        inner.logw.append(&LogRecord::UnitPrepared {
-            unit,
-            gid,
-            coordinator,
-        })?;
-        Stats::bump(&self.stats.log_appends);
+    /// Make what was appended durable — an fsync under `sync_on_commit`, a
+    /// flush otherwise — and move the replication horizon past it.
+    fn sync(&self, inner: &mut Inner) -> StorageResult<()> {
         if self.options.sync_on_commit {
             inner.logw.sync()?;
             Stats::bump(&self.stats.syncs);
@@ -774,27 +684,17 @@ impl Store {
         }
         self.committed_len
             .store(inner.logw.len(), Ordering::Release);
-        Ok(Some(unit))
+        Ok(())
     }
 
     /// Two-phase commit, phase two trigger: durably record the decision for
     /// global unit `gid`. Written only on the coordinator shard; its fsync
     /// is the commit point of the cross-shard unit.
-    pub fn append_decision(&self, gid: u64, committed: bool) -> StorageResult<()> {
-        let mut inner = self.inner.lock();
+    fn append_decision(&self, inner: &mut Inner, gid: u64, committed: bool) -> StorageResult<()> {
         let record = LogRecord::UnitDecision { gid, committed };
-        inner.logw.append(&record)?;
+        self.append(inner, &record)?;
         inner.replay.offer(record);
-        Stats::bump(&self.stats.log_appends);
-        if self.options.sync_on_commit {
-            inner.logw.sync()?;
-            Stats::bump(&self.stats.syncs);
-        } else {
-            inner.logw.flush()?;
-        }
-        self.committed_len
-            .store(inner.logw.len(), Ordering::Release);
-        Ok(())
+        self.sync(inner)
     }
 
     /// The recorded 2PC decision for `gid` on this (coordinator) shard's
@@ -818,31 +718,17 @@ impl Store {
             return Ok(());
         };
         let seal = LogRecord::UnitEnd { unit, committed };
-        inner.logw.append(&seal)?;
+        self.append(&mut inner, &seal)?;
         // Resolution is rare and follows a crash: always make it durable.
         inner.logw.sync()?;
-        Stats::bump(&self.stats.log_appends);
         Stats::bump(&self.stats.syncs);
         self.committed_len
             .store(inner.logw.len(), Ordering::Release);
         let ready = inner.replay.offer(seal);
         if !ready.is_empty() {
-            let mut touch = Touch::default();
-            for record in ready {
-                inner.image.apply_owned(record, &mut touch);
-            }
-            Stats::add(&self.stats.image_nodes_cloned, touch.nodes_cloned);
-            Stats::add(&self.stats.image_bytes_copied, touch.bytes_copied);
-            Stats::bump(&self.stats.commits);
-            self.publish(&mut inner);
+            self.settle(&mut inner, ready);
         }
         Ok(())
-    }
-
-    /// Unit id of the currently open log group, if the active scope has
-    /// written any frames yet.
-    pub fn active_unit_id(&self) -> Option<u64> {
-        self.inner.lock().active_unit
     }
 
     /// Raise the OID allocator's high-water mark so it never issues `oid`
@@ -890,40 +776,29 @@ impl Store {
         &self.path
     }
 
-    /// Read a record from the working image (sees commits inside an open
-    /// unit of work; use [`Store::snapshot`] for lock-free published reads).
+    /// Read a record; the returned value is a shared handle, not a copy.
     pub fn get(&self, oid: Oid) -> Option<Bytes> {
-        self.inner.lock().image.get(oid)
+        self.published.read().get(oid)
     }
 
-    /// Whether a record exists in the working image.
+    /// Whether a record exists.
     pub fn contains(&self, oid: Oid) -> bool {
-        self.inner.lock().image.contains(oid)
+        self.published.read().contains(oid)
     }
 
-    /// Number of records in the working image.
+    /// Number of records.
     pub fn record_count(&self) -> usize {
-        self.inner.lock().image.record_count()
+        self.published.read().record_count()
     }
 
-    /// Read a key/value entry from the working image; the returned value is
-    /// a shared handle, not a copy.
+    /// Read a key/value entry; the returned value is a shared handle, not a
+    /// copy.
     pub fn kv_get(&self, keyspace: Keyspace, key: &[u8]) -> Option<Bytes> {
-        self.inner.lock().image.kv_get(keyspace, key)
+        self.published.read().kv_get(keyspace, key)
     }
 
-    /// This store's image as a read sees it: the working image under the
-    /// store lock (`working`), or the latest published one.
-    pub(crate) fn image(&self, working: bool) -> ImageRef<'_> {
-        if working {
-            ImageRef::Working(self.inner.lock())
-        } else {
-            ImageRef::Published(Arc::clone(&self.published.read()))
-        }
-    }
-
-    /// [`KvScan::kv_for_each_prefix`] over the working image, inherent so
-    /// embedders that only scan need not import the trait.
+    /// [`KvScan::kv_for_each_prefix`], inherent so embedders that only scan
+    /// need not import the trait.
     pub fn kv_for_each_prefix(
         &self,
         keyspace: Keyspace,
@@ -970,18 +845,13 @@ impl Store {
     /// count and compacted log length for the caller's span counters.
     fn compact_inner(&self) -> StorageResult<(u64, u64)> {
         let mut inner = self.inner.lock();
-        if inner.hold_depth > 0 {
-            return Err(StorageError::TxnState(
-                "cannot compact while a unit of work is open".into(),
-            ));
-        }
+        let image = self.snapshot().image;
         let tmp_path = self.path.with_extension("compact");
         let _ = std::fs::remove_file(&tmp_path);
         let mut new_log = LogWriter::open(&tmp_path, 0)?;
-        let txn = inner.next_txn;
-        inner.next_txn += 1;
+        let txn = inner.next_id();
         new_log.append(&LogRecord::Begin { txn })?;
-        for (key, bytes) in inner.image.records.iter() {
+        for (key, bytes) in image.records.iter() {
             let oid = Oid::from_raw(u64::from_be_bytes(
                 key.as_ref().try_into().expect("record keys are 8 bytes"),
             ));
@@ -991,7 +861,7 @@ impl Store {
                 bytes: bytes.to_vec(),
             })?;
         }
-        for (ks, map) in inner.image.kv.iter().enumerate() {
+        for (ks, map) in image.kv.iter().enumerate() {
             for (key, value) in map.iter() {
                 new_log.append(&LogRecord::KvPut {
                     txn,
@@ -1024,7 +894,7 @@ impl Store {
         self.committed_len.store(scan.valid_len, Ordering::Release);
         let epoch = self.log_epoch.fetch_add(1, Ordering::Release) + 1;
         persist_epoch_sidecar(&self.path, epoch)?;
-        Ok((inner.image.record_count() as u64, scan.valid_len))
+        Ok((image.record_count() as u64, scan.valid_len))
     }
 
     // -----------------------------------------------------------------
@@ -1105,6 +975,8 @@ impl Store {
         let mut appends = 0u64;
         let mut bytes_written = 0u64;
         let mut touch = Touch::default();
+        // A copy of the published image, taken when the first group settles.
+        let mut image: Option<Image> = None;
         for record in records {
             let at = inner.logw.append(record)?;
             bytes_written += inner.logw.len() - at;
@@ -1150,7 +1022,9 @@ impl Store {
                     }
                     _ => {}
                 }
-                inner.image.apply_owned(r, &mut touch);
+                image
+                    .get_or_insert_with(|| Image::clone(&self.published.read()))
+                    .apply_owned(r, &mut touch);
                 summary.applied += 1;
             }
             if let Some((s, before)) = unit_span {
@@ -1159,12 +1033,7 @@ impl Store {
         }
         Stats::add(&self.stats.image_nodes_cloned, touch.nodes_cloned);
         Stats::add(&self.stats.image_bytes_copied, touch.bytes_copied);
-        if self.options.sync_on_commit {
-            inner.logw.sync()?;
-            Stats::bump(&self.stats.syncs);
-        } else {
-            inner.logw.flush()?;
-        }
+        self.sync(&mut inner)?;
         Stats::add(&self.stats.log_appends, appends);
         Stats::add(&self.stats.bytes_written, bytes_written);
         inner.next_txn = inner.next_txn.max(inner.replay.next_txn());
@@ -1174,11 +1043,9 @@ impl Store {
         if hwm > 0 {
             self.oids.observe(Oid::from_raw(hwm - 1));
         }
-        self.committed_len
-            .store(inner.logw.len(), Ordering::Release);
         summary.log_len = inner.logw.len();
-        if summary.applied > 0 {
-            self.publish(&mut inner);
+        if let Some(image) = image {
+            self.publish(&mut inner, image);
         }
         span.finish(appends, summary.applied);
         Ok(summary)
@@ -1192,12 +1059,6 @@ impl Store {
     /// checkpoint — from byte zero.
     pub fn reset_to_empty(&self) -> StorageResult<()> {
         let mut inner = self.inner.lock();
-        if inner.hold_depth > 0 {
-            return Err(StorageError::TxnState(
-                "cannot reset while a unit of work is open".into(),
-            ));
-        }
-        inner.image = Image::default();
         inner.replay = ReplayState::default();
         inner.logw = LogWriter::open(&self.path, 0)?;
         self.committed_len.store(0, Ordering::Release);
@@ -1205,141 +1066,310 @@ impl Store {
         // stream is replayed into it; any previous epoch lineage is void.
         self.log_epoch.store(0, Ordering::Release);
         let _ = std::fs::remove_file(epoch_sidecar_path(&self.path));
-        self.publish(&mut inner);
-        Ok(())
-    }
-
-    pub(crate) fn commit_txn(
-        &self,
-        staged_records: &HashMap<Oid, Option<Bytes>>,
-        staged_kv: &StagedKv,
-    ) -> StorageResult<()> {
-        let rec = self.recorder.read().clone();
-        let commit_span = rec.span(Stage::Commit);
-        let mut inner = self.inner.lock();
-        if inner.hold_depth > 0 && inner.active_unit.is_none() {
-            // First commit inside a unit scope: open the atomic group in the
-            // log. Read-only units never reach here and write no frames.
-            let unit = inner.next_txn;
-            inner.next_txn += 1;
-            inner.logw.append(&LogRecord::UnitBegin { unit })?;
-            inner.active_unit = Some(unit);
-            Stats::bump(&self.stats.log_appends);
-        }
-        let txn = inner.next_txn;
-        inner.next_txn += 1;
-        let mut bytes_written = 0u64;
-        let mut appends = 0u64;
-        let mut apply: Vec<LogRecord> = Vec::with_capacity(staged_records.len() + staged_kv.len());
-        apply.push(LogRecord::Begin { txn });
-        for (oid, change) in staged_records {
-            match change {
-                Some(bytes) => {
-                    bytes_written += bytes.len() as u64;
-                    apply.push(LogRecord::Put {
-                        txn,
-                        oid: *oid,
-                        bytes: bytes.to_vec(),
-                    });
-                    Stats::bump(&self.stats.puts);
-                }
-                None => {
-                    apply.push(LogRecord::Delete { txn, oid: *oid });
-                    Stats::bump(&self.stats.deletes);
-                }
-            }
-        }
-        for ((ks, key), change) in staged_kv {
-            match change {
-                Some(value) => {
-                    bytes_written += (key.len() + value.len()) as u64;
-                    apply.push(LogRecord::KvPut {
-                        txn,
-                        keyspace: *ks,
-                        key: key.clone(),
-                        value: value.clone(),
-                    });
-                }
-                None => {
-                    apply.push(LogRecord::KvDelete {
-                        txn,
-                        keyspace: *ks,
-                        key: key.clone(),
-                    });
-                }
-            }
-        }
-        apply.push(LogRecord::Commit {
-            txn,
-            next_oid: self.oids.high_water_mark(),
-        });
-        for record in &apply {
-            inner.logw.append(record)?;
-            appends += 1;
-        }
-        if self.options.sync_on_commit && inner.hold_depth == 0 {
-            let fsync_span = rec.span_in(Stage::Fsync, commit_span.trace_id(), commit_span.id());
-            inner.logw.sync()?;
-            fsync_span.finish(0, 0); // c0 = 0: immediate per-commit fsync
-            Stats::bump(&self.stats.syncs);
-        } else {
-            // Inside a unit scope durability is deferred to the unit's seal:
-            // the unit is atomic on replay, so per-transaction fsyncs buy
-            // nothing, and one fsync per unit replaces one per mutation.
-            inner.logw.flush()?;
-        }
-        self.committed_len
-            .store(inner.logw.len(), Ordering::Release);
-        // Fold the staged records into the persistent image. Only the
-        // root-to-leaf spines of touched keys are cloned (and only when a
-        // published snapshot still shares them); the publish span records
-        // that path-copy cost so EXPLAIN/PROFILE and the exposition can show
-        // what a commit actually paid to become visible.
-        let publish_span = rec.span_in(Stage::Publish, commit_span.trace_id(), commit_span.id());
-        let mut touch = Touch::default();
-        for record in apply {
-            inner.image.apply_owned(record, &mut touch);
-        }
-        Stats::add(&self.stats.image_nodes_cloned, touch.nodes_cloned);
-        Stats::add(&self.stats.image_bytes_copied, touch.bytes_copied);
-        Stats::add(&self.stats.log_appends, appends);
-        Stats::add(&self.stats.bytes_written, bytes_written);
-        Stats::bump(&self.stats.commits);
-        if inner.hold_depth == 0 {
-            self.publish(&mut inner);
-        }
-        publish_span.finish(touch.nodes_cloned, touch.bytes_copied);
-        commit_span.finish(appends, bytes_written);
+        self.publish(&mut inner, Image::default());
         Ok(())
     }
 }
 
-/// Scans read the working image; the store lock is held for the duration.
+/// A store's reads are reads of its published image.
 impl KvScan for Store {
     fn kv_for_each(
         &self,
         keyspace: Keyspace,
         lo: &[u8],
         hi: Bound<&[u8]>,
-        mut f: impl FnMut(&[u8], &[u8]),
+        f: impl FnMut(&[u8], &[u8]),
     ) {
-        scan([&self.inner.lock().image], keyspace, lo, hi, |k, v| f(k, v))
+        self.snapshot().kv_for_each(keyspace, lo, hi, f)
     }
 }
 
-/// Staged ordered-keyspace changes: `(keyspace, key) → put(value) | delete`.
-pub(crate) type StagedKv = BTreeMap<(u8, Vec<u8>), Option<Vec<u8>>>;
+/// Staged record changes: `oid → put(bytes) | delete`.
+pub(crate) type StagedRecords = HashMap<Oid, Option<Bytes>>;
+
+/// Staged ordered-keyspace changes, per keyspace: `key → put(value) |
+/// delete`. Keyed by keyspace first so a lookup borrows its key.
+pub(crate) type StagedKv = BTreeMap<u8, BTreeMap<Vec<u8>, Option<Bytes>>>;
+
+/// One shard's part of a [`Commit`]: its log lock and the group appended
+/// under it.
+struct Part<'a> {
+    shard: usize,
+    store: &'a Store,
+    inner: MutexGuard<'a, Inner>,
+    /// The unit whose `UnitBegin` opened the group, for a unit's group.
+    unit: Option<u64>,
+    /// The group's records, folded into the image when it settles committed.
+    records: Vec<LogRecord>,
+}
+
+/// One commit in progress over the shards it writes, holding their log
+/// locks from the first append to the last publication.
+///
+/// Each shard gets one group, `Begin · writes · Commit`; a unit's group is
+/// bracketed `UnitBegin · … · [UnitTrace] · UnitEnd`. One shard seals its
+/// group with a single sync and publishes. Two or more shards settle by
+/// presumed-abort two-phase commit: [`Commit::prepare`] on every
+/// participant, [`Commit::decide`] on the coordinator (the lowest), then
+/// [`Commit::seal`] everywhere. Every step syncs what it appended, so a
+/// commit dropped between two steps leaves the logs a crash there would.
+pub(crate) struct Commit<'a> {
+    parts: Vec<Part<'a>>,
+    rec: Recorder,
+    span: Span,
+    appends: u64,
+    bytes: u64,
+}
+
+impl<'a> Commit<'a> {
+    /// Append one group per part, locking each part's log in the order
+    /// given — ascending shard order, so two commits never wait on each
+    /// other in a cycle. Two or more parts always make a unit.
+    pub(crate) fn begin(
+        unit: bool,
+        parts: impl IntoIterator<Item = (usize, &'a Store, StagedRecords, StagedKv)>,
+    ) -> StorageResult<Commit<'a>> {
+        let parts: Vec<_> = parts.into_iter().collect();
+        let unit = unit || parts.len() >= 2;
+        let rec = parts
+            .first()
+            .map_or_else(Recorder::disabled, |(_, store, ..)| store.recorder());
+        let mut commit = Commit {
+            parts: Vec::with_capacity(parts.len()),
+            span: rec.span(Stage::Commit),
+            rec,
+            appends: 0,
+            bytes: 0,
+        };
+        for (shard, store, records, kv) in parts {
+            if let Err(e) = commit.append(shard, store, unit, records, kv) {
+                return Err(commit.abandon(e));
+            }
+        }
+        Ok(commit)
+    }
+
+    fn append(
+        &mut self,
+        shard: usize,
+        store: &'a Store,
+        unit: bool,
+        records: StagedRecords,
+        kv: StagedKv,
+    ) -> StorageResult<()> {
+        let mut inner = store.inner.lock();
+        let unit = unit.then(|| inner.next_id());
+        let txn = inner.next_id();
+        let mut group =
+            Vec::with_capacity(records.len() + kv.values().map(BTreeMap::len).sum::<usize>() + 3);
+        group.extend(unit.map(|unit| LogRecord::UnitBegin { unit }));
+        group.push(LogRecord::Begin { txn });
+        let mut bytes = 0;
+        for (oid, change) in records {
+            group.push(match change {
+                Some(record) => {
+                    bytes += record.len();
+                    Stats::bump(&store.stats.puts);
+                    LogRecord::Put {
+                        txn,
+                        oid,
+                        bytes: record.to_vec(),
+                    }
+                }
+                None => {
+                    Stats::bump(&store.stats.deletes);
+                    LogRecord::Delete { txn, oid }
+                }
+            });
+        }
+        for (keyspace, entries) in kv {
+            for (key, change) in entries {
+                group.push(match change {
+                    Some(value) => {
+                        bytes += key.len() + value.len();
+                        LogRecord::KvPut {
+                            txn,
+                            keyspace,
+                            key,
+                            value: value.to_vec(),
+                        }
+                    }
+                    None => LogRecord::KvDelete { txn, keyspace, key },
+                });
+            }
+        }
+        group.push(LogRecord::Commit {
+            txn,
+            next_oid: store.oids.high_water_mark(),
+        });
+        let appended = group
+            .iter()
+            .try_for_each(|record| inner.logw.append(record).map(drop));
+        let appends = group.len() as u64;
+        // Held even when an append failed, so `abandon` seals it too.
+        self.parts.push(Part {
+            shard,
+            store,
+            inner,
+            unit,
+            records: group,
+        });
+        appended?;
+        Stats::add(&store.stats.log_appends, appends);
+        Stats::add(&store.stats.bytes_written, bytes as u64);
+        self.appends += appends;
+        self.bytes += bytes as u64;
+        Ok(())
+    }
+
+    /// The two-phase round's global id and coordinator: the lowest
+    /// participant's unit id and shard.
+    fn gid(&self) -> (u64, u32) {
+        let coordinator = &self.parts[0];
+        (
+            coordinator.unit.unwrap_or_default(),
+            coordinator.shard as u32,
+        )
+    }
+
+    /// Phase one on part `k`: its durable `UnitPrepared`.
+    pub(crate) fn prepare(&mut self, k: usize) -> StorageResult<()> {
+        // One prepare span per participant under the unit's trace: c0 =
+        // shard index, c1 = 1 on the coordinator shard.
+        let span = self.rec.span(Stage::UnitPrepare);
+        let (gid, coordinator) = self.gid();
+        let part = &mut self.parts[k];
+        if let Some(unit) = part.unit {
+            let prepared = LogRecord::UnitPrepared {
+                unit,
+                gid,
+                coordinator,
+            };
+            part.store.append(&mut part.inner, &prepared)?;
+        }
+        part.store.sync(&mut part.inner)?;
+        span.finish(part.shard as u64, (k == 0) as u64);
+        Ok(())
+    }
+
+    /// The commit point: the coordinator's durable `UnitDecision`.
+    pub(crate) fn decide(&mut self, committed: bool) -> StorageResult<()> {
+        // c0 = participant count, c1 = 1 committed / 0 aborted.
+        let span = self.rec.span(Stage::UnitDecide);
+        let (gid, _) = self.gid();
+        let participants = self.parts.len() as u64;
+        let coordinator = &mut self.parts[0];
+        let store = coordinator.store;
+        store.append_decision(&mut coordinator.inner, gid, committed)?;
+        Stats::bump(&store.stats.units_2pc);
+        span.finish(participants, committed as u64);
+        Ok(())
+    }
+
+    /// Seal part `k` durably — a unit's group with `[UnitTrace] · UnitEnd`
+    /// — and, `committed`, fold it into its shard's image and publish it.
+    pub(crate) fn seal(&mut self, k: usize, committed: bool) -> StorageResult<()> {
+        let (trace, parent) = (self.span.trace_id(), self.span.id());
+        let part = &mut self.parts[k];
+        let store = part.store;
+        if let Some(unit) = part.unit {
+            let (ran_under, _) = Recorder::current();
+            if !ran_under.is_none() {
+                // Stamp the unit with the distributed trace id it ran under,
+                // just before the seal: follower replay reads the mark off
+                // the replicated stream and records its apply spans under the
+                // same id, stitching the cross-process span tree together.
+                let mark = LogRecord::UnitTrace {
+                    unit,
+                    trace_hi: ran_under.hi,
+                    trace_lo: ran_under.lo,
+                };
+                store.append(&mut part.inner, &mark)?;
+            }
+            store.append(&mut part.inner, &LogRecord::UnitEnd { unit, committed })?;
+        }
+        let fsync = store
+            .options
+            .sync_on_commit
+            .then(|| self.rec.span_in(Stage::Fsync, trace, parent));
+        store.sync(&mut part.inner)?;
+        if let Some(fsync) = fsync {
+            fsync.finish(part.unit.is_some() as u64, 0);
+        }
+        if committed {
+            // The publish span records the path-copy cost, so EXPLAIN/PROFILE
+            // and the exposition can show what a commit paid to become
+            // visible.
+            let publish = self.rec.span_in(Stage::Publish, trace, parent);
+            let touch = store.settle(&mut part.inner, std::mem::take(&mut part.records));
+            publish.finish(touch.nodes_cloned, touch.bytes_copied);
+        }
+        Ok(())
+    }
+
+    /// Finish the protocol from wherever [`Commit::begin`] left it.
+    pub(crate) fn run(mut self) -> StorageResult<()> {
+        let n = self.parts.len();
+        if n >= 2 {
+            for k in 0..n {
+                if let Err(e) = self.prepare(k) {
+                    return Err(self.abandon(e));
+                }
+            }
+            if let Err(e) = self.decide(true) {
+                return Err(self.abandon(e));
+            }
+        }
+        for k in 0..n {
+            self.seal(k, true)?;
+        }
+        self.span.finish(self.appends, self.bytes);
+        Ok(())
+    }
+
+    /// Give up before a commit decision: seal every part aborted — the
+    /// outcome presumed abort gives recovery anyway — so that groups
+    /// appended to these logs later are not buffered into an open unit.
+    fn abandon(mut self, e: StorageError) -> StorageError {
+        for k in 0..self.parts.len() {
+            let _ = self.seal(k, false);
+        }
+        e
+    }
+}
 
 /// Where a transaction reads its base state from and sends its staged
 /// writes: one store, or a sharded store that routes them.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub(crate) enum Home<'s> {
     Member(&'s Store),
     Sharded(&'s ShardedStore),
+    /// A unit of work's transaction: it outlives any one call, so it holds
+    /// its store; it stages only on the shards of its claim (a mask) and
+    /// commits as one unit group per shard it wrote.
+    Unit(Arc<ShardedStore>, u64),
 }
 
-/// A read-write transaction, begun by [`Store::begin`] or
-/// [`ShardedStore::begin`].
+/// Scans of the committed state a transaction reads through.
+impl KvScan for Home<'_> {
+    fn kv_for_each(
+        &self,
+        keyspace: Keyspace,
+        lo: &[u8],
+        hi: Bound<&[u8]>,
+        f: impl FnMut(&[u8], &[u8]),
+    ) {
+        match self {
+            Home::Member(store) => store.kv_for_each(keyspace, lo, hi, f),
+            Home::Sharded(store) => store.kv_for_each(keyspace, lo, hi, f),
+            Home::Unit(store, _) => store.kv_for_each(keyspace, lo, hi, f),
+        }
+    }
+}
+
+/// A read-write transaction, begun by [`Store::begin`],
+/// [`ShardedStore::begin`] or, for a unit of work,
+/// [`ShardedStore::begin_unit`].
 ///
 /// Reads see the transaction's own staged writes first, then the committed
 /// image. Nothing touches the log until [`Txn::commit`]; dropping or
@@ -1347,7 +1377,7 @@ pub(crate) enum Home<'s> {
 #[derive(Debug)]
 pub struct Txn<'s> {
     home: Home<'s>,
-    staged_records: HashMap<Oid, Option<Bytes>>,
+    staged_records: StagedRecords,
     staged_kv: StagedKv,
 }
 
@@ -1392,9 +1422,10 @@ impl<'s> Txn<'s> {
     pub fn get(&self, oid: Oid) -> Option<Bytes> {
         match self.staged_records.get(&oid) {
             Some(change) => change.clone(),
-            None => match self.home {
+            None => match &self.home {
                 Home::Member(store) => store.get(oid),
                 Home::Sharded(store) => store.get(oid),
+                Home::Unit(store, _) => store.get(oid),
             },
         }
     }
@@ -1406,43 +1437,96 @@ impl<'s> Txn<'s> {
 
     /// Stage a key/value write.
     pub fn kv_put(&mut self, keyspace: Keyspace, key: Vec<u8>, value: Vec<u8>) {
-        self.staged_kv.insert((keyspace.0, key), Some(value));
+        let entries = self.staged_kv.entry(keyspace.0).or_default();
+        entries.insert(key, Some(Bytes::from(value)));
     }
 
     /// Stage a key/value deletion.
     pub fn kv_delete(&mut self, keyspace: Keyspace, key: Vec<u8>) {
-        self.staged_kv.insert((keyspace.0, key), None);
+        self.staged_kv
+            .entry(keyspace.0)
+            .or_default()
+            .insert(key, None);
     }
 
-    /// Read a key/value entry through this transaction.
+    /// Read a key/value entry through this transaction. The lookup borrows
+    /// `key`, and either answer is a shared handle, not a copy.
     pub fn kv_get(&self, keyspace: Keyspace, key: &[u8]) -> Option<Bytes> {
-        match self.staged_kv.get(&(keyspace.0, key.to_vec())) {
-            Some(change) => change.as_deref().map(Bytes::copy_from_slice),
-            None => match self.home {
+        match self
+            .staged_kv
+            .get(&keyspace.0)
+            .and_then(|staged| staged.get(key))
+        {
+            Some(change) => change.clone(),
+            None => match &self.home {
                 Home::Member(store) => store.kv_get(keyspace, key),
                 Home::Sharded(store) => store.kv_get(keyspace, key),
+                Home::Unit(store, _) => store.kv_get(keyspace, key),
             },
         }
     }
 
+    /// Stage one operation's writes, all or none. In a unit that claims
+    /// only some shards, `f` stages into a transaction of its own, and its
+    /// writes move into this one unless one of them routes outside the
+    /// claim: then nothing moves and the error is
+    /// [`StorageError::TxnState`]. Anywhere else no write can escape, and `f`
+    /// stages here directly.
+    pub fn stage(&mut self, f: impl FnOnce(&mut Txn<'s>)) -> StorageResult<()> {
+        let (store, claim) = match &self.home {
+            Home::Unit(store, claim) if *claim != store.all_shards_mask() => {
+                (Arc::clone(store), *claim)
+            }
+            _ => {
+                f(self);
+                return Ok(());
+            }
+        };
+        let mut op = Txn::new(self.home.clone());
+        f(&mut op);
+        let outside = store.shards_touched(&op.staged_records, &op.staged_kv) & !claim;
+        if outside != 0 {
+            return Err(StorageError::TxnState(format!(
+                "write routed to shard {} outside the unit's shard claim {claim:#x}",
+                outside.trailing_zeros()
+            )));
+        }
+        self.staged_records.extend(op.staged_records);
+        for (keyspace, entries) in op.staged_kv {
+            self.staged_kv.entry(keyspace).or_default().extend(entries);
+        }
+        Ok(())
+    }
+
     /// Number of staged changes (records + kv entries).
     pub fn staged_len(&self) -> usize {
-        self.staged_records.len() + self.staged_kv.len()
+        self.staged_records.len() + self.staged_kv.values().map(BTreeMap::len).sum::<usize>()
     }
 
     /// Durably commit all staged changes.
     pub fn commit(self) -> StorageResult<()> {
-        match self.home {
-            Home::Member(store) => store.commit_txn(&self.staged_records, &self.staged_kv),
-            Home::Sharded(store) => store.commit_routed(self.staged_records, self.staged_kv),
-        }
+        let Txn {
+            home,
+            staged_records,
+            staged_kv,
+        } = self;
+        let commit = match &home {
+            Home::Member(store) => Some(Commit::begin(
+                false,
+                [(0, *store, staged_records, staged_kv)],
+            )?),
+            Home::Sharded(store) => store.begin_commit(staged_records, staged_kv, false)?,
+            Home::Unit(store, _) => store.begin_commit(staged_records, staged_kv, true)?,
+        };
+        commit.map_or(Ok(()), Commit::run)
     }
 
     /// Discard all staged changes.
     pub fn abort(self) {
-        let stats = match self.home {
+        let stats = match &self.home {
             Home::Member(store) => store.stats(),
             Home::Sharded(store) => store.stats(),
+            Home::Unit(store, _) => store.stats(),
         };
         Stats::bump(&stats.aborts);
     }
@@ -1465,10 +1549,15 @@ impl KvScan for Txn<'_> {
         };
         let mut staged = self
             .staged_kv
-            .range((keyspace.0, lo.to_vec())..)
-            .take_while(|((ks, key), _)| *ks == keyspace.0 && below_hi(key))
-            .map(|((_, key), change)| (key.as_slice(), change.as_deref()))
+            .get(&keyspace.0)
+            .into_iter()
+            .flat_map(|entries| entries.range::<[u8], _>((Bound::Included(lo), Bound::Unbounded)))
+            .take_while(|(key, _)| below_hi(key))
+            .map(|(key, change)| (key.as_slice(), change.as_deref()))
             .peekable();
+        if staged.peek().is_none() {
+            return self.home.kv_for_each(keyspace, lo, hi, f);
+        }
         // Merge the two sorted streams; on equal keys the staged change wins.
         let mut visit = |key: &[u8], value: &[u8]| {
             while let Some((staged_key, change)) = staged.next_if(|(k, _)| *k <= key) {
@@ -1481,10 +1570,7 @@ impl KvScan for Txn<'_> {
             }
             f(key, value);
         };
-        match self.home {
-            Home::Member(store) => store.kv_for_each(keyspace, lo, hi, &mut visit),
-            Home::Sharded(store) => store.kv_for_each(keyspace, lo, hi, &mut visit),
-        }
+        self.home.kv_for_each(keyspace, lo, hi, &mut visit);
         for (key, change) in staged {
             if let Some(value) = change {
                 f(key, value);
@@ -1867,33 +1953,38 @@ mod tests {
         let _ = std::fs::remove_file(path);
     }
 
+    /// A one-shard store that can run units, and its log path.
+    fn temp_unit_store(tag: &str) -> (Arc<ShardedStore>, PathBuf) {
+        let path = std::env::temp_dir().join(format!(
+            "prometheus-{tag}-{}-{:?}.log",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let routing = crate::ShardRouting::default();
+        let store = ShardedStore::open_with(&path, StoreOptions::default(), 1, routing).unwrap();
+        (Arc::new(store), path)
+    }
+
     #[test]
     fn unit_scope_publishes_atomically() {
-        let (store, path) = temp_store();
+        let (store, path) = temp_unit_store("unit-publish");
         let a = store.allocate_oid();
         let b = store.allocate_oid();
-        store.begin_unit_scope();
-        store
-            .with_txn(|t| {
-                t.put(a, b"a".to_vec());
-                Ok(())
-            })
-            .unwrap();
+        let mut unit = store.begin_unit(store.all_shards_mask());
+        unit.put(a, b"a".to_vec());
         let mid = store.snapshot();
         assert!(!mid.contains(a), "snapshot must not see an unsettled unit");
-        // The writer itself reads its own writes through the working image.
-        assert!(store.contains(a));
-        store
-            .with_txn(|t| {
-                t.put(b, b"b".to_vec());
-                Ok(())
-            })
-            .unwrap();
-        store.end_unit_scope(true).unwrap();
+        assert!(!store.contains(a), "nor a read of the store");
+        // The unit reads its own writes through its overlay.
+        assert!(unit.contains(a));
+        unit.put(b, b"b".to_vec());
+        unit.commit().unwrap();
         let done = store.snapshot();
         assert!(done.contains(a) && done.contains(b));
-        // Exactly one publication for the whole unit.
-        assert_eq!(store.stats().snapshot().snapshot_swaps, 1);
+        // Exactly one commit and one publication for the whole unit.
+        let stats = store.stats_aggregate();
+        assert_eq!((stats.commits, stats.snapshot_swaps), (1, 1));
         let _ = std::fs::remove_file(path);
     }
 
@@ -1916,17 +2007,32 @@ mod tests {
                     Ok(())
                 })
                 .unwrap();
-            store.begin_unit_scope();
+            // Crash after a unit's group reached the log and before its seal.
             inside = store.allocate_oid();
-            store
-                .with_txn(|t| {
-                    t.put(inside, b"torn".to_vec());
-                    t.kv_put(Keyspace(1), b"idx".to_vec(), b"torn".to_vec());
-                    Ok(())
-                })
-                .unwrap();
-            // Crash: the store is dropped without end_unit_scope, so the log
-            // ends inside an unsealed unit.
+            let mut inner = store.inner.lock();
+            let (unit, txn) = (inner.next_id(), inner.next_id());
+            for record in [
+                LogRecord::UnitBegin { unit },
+                LogRecord::Begin { txn },
+                LogRecord::Put {
+                    txn,
+                    oid: inside,
+                    bytes: b"torn".to_vec(),
+                },
+                LogRecord::KvPut {
+                    txn,
+                    keyspace: 1,
+                    key: b"idx".to_vec(),
+                    value: b"torn".to_vec(),
+                },
+                LogRecord::Commit {
+                    txn,
+                    next_oid: store.oid_high_water(),
+                },
+            ] {
+                inner.logw.append(&record).unwrap();
+            }
+            inner.logw.sync().unwrap();
         }
         let store = Store::open(&path).unwrap();
         assert_eq!(store.get(before).as_deref(), Some(&b"kept"[..]));
@@ -1951,56 +2057,47 @@ mod tests {
 
     #[test]
     fn aborted_unit_replays_to_pre_unit_state() {
-        let path = std::env::temp_dir().join(format!(
-            "prometheus-aborted-unit-{}-{:?}.log",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        let oid;
-        {
-            let store = Store::open(&path).unwrap();
-            oid = store.allocate_oid();
-            store.begin_unit_scope();
-            store
-                .with_txn(|t| {
-                    t.put(oid, b"forward".to_vec());
-                    Ok(())
-                })
-                .unwrap();
-            let swaps = store.stats().snapshot().snapshot_swaps;
-            store.end_unit_scope(false).unwrap();
-            assert!(store.get(oid).is_none());
-            assert!(!store.snapshot().contains(oid));
-            assert_eq!(store.stats().snapshot().snapshot_swaps, swaps);
-        }
+        let (store, path) = temp_unit_store("aborted-unit");
+        let oid = store.allocate_oid();
+        let log_len = store.shard(0).committed_log_len();
+        let before = store.stats_aggregate();
+        let mut unit = store.begin_unit(store.all_shards_mask());
+        unit.put(oid, b"forward".to_vec());
+        unit.abort();
+        // Aborting drops the staged maps: nothing is appended or published.
+        assert!(store.get(oid).is_none());
+        assert_eq!(store.shard(0).committed_log_len(), log_len);
+        let after = store.stats_aggregate().since(&before);
+        assert_eq!(
+            (after.log_appends, after.snapshot_swaps, after.aborts),
+            (0, 0, 1)
+        );
+        drop(store);
         let store = Store::open(&path).unwrap();
         assert!(store.get(oid).is_none(), "aborted unit must not replay");
         let _ = std::fs::remove_file(path);
     }
 
     #[test]
-    fn only_the_outermost_scope_aborts() {
-        let (store, path) = temp_store();
-        store.begin_unit_scope();
-        store.begin_unit_scope();
-        assert!(matches!(
-            store.end_unit_scope(false),
-            Err(StorageError::TxnState(_))
-        ));
-        // The refused abort still closed its scope: this is the outermost.
-        store.end_unit_scope(true).unwrap();
+    fn compact_beside_an_open_unit_keeps_its_writes() {
+        let (store, path) = temp_unit_store("compact-unit");
+        let (kept, staged) = (store.allocate_oid(), store.allocate_oid());
+        store
+            .with_txn(|t| {
+                t.put(kept, b"kept".to_vec());
+                Ok(())
+            })
+            .unwrap();
+        let mut unit = store.begin_unit(store.all_shards_mask());
+        unit.put(staged, b"staged".to_vec());
+        // The unit's writes are in its transaction, not the store: the
+        // store compacts what it holds, and the unit seals onto the new log.
         store.compact().unwrap();
-        let _ = std::fs::remove_file(path);
-    }
-
-    #[test]
-    fn compact_refuses_inside_unit_scope() {
-        let (store, path) = temp_store();
-        store.begin_unit_scope();
-        assert!(store.compact().is_err());
-        store.end_unit_scope(true).unwrap();
-        store.compact().unwrap();
+        unit.commit().unwrap();
+        drop(store);
+        let store = Store::open(&path).unwrap();
+        assert_eq!(store.get(kept).as_deref(), Some(&b"kept"[..]));
+        assert_eq!(store.get(staged).as_deref(), Some(&b"staged"[..]));
         let _ = std::fs::remove_file(path);
     }
 

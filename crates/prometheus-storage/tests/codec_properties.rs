@@ -1,7 +1,7 @@
 //! Property tests for the storage layer: codec round-trips over arbitrary
 //! log records, log scan/append as inverse operations, and every scan of
-//! the kv namespace — one shard or several, through the store, a snapshot
-//! or a transaction's overlay, claimed or not — against a model map.
+//! the kv namespace — one shard or several, through the store, a snapshot,
+//! a transaction's overlay or a unit's — against a model map.
 
 use prometheus_storage::codec;
 use prometheus_storage::log::{self, LogRecord, LogWriter};
@@ -11,6 +11,7 @@ use prometheus_storage::{
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 fn arb_record() -> impl Strategy<Value = LogRecord> {
     let oid = (1u64..1_000_000).prop_map(Oid::from_raw);
@@ -193,45 +194,90 @@ fn shape(record: &LogRecord) -> String {
     }
 }
 
-/// The [`shape`]s each shard's log must gain from a unit of the forward
-/// transactions `txns` sealed aborted: the open, each transaction's group,
-/// the prepare/decide round when two or more shards took part, and the
-/// seal. A shard no transaction wrote to gains nothing.
-fn aborted_unit_logs(store: &ShardedStore, claim: u64, txns: &[&Vec<Op>]) -> Vec<Vec<String>> {
-    let shards = store.shard_count();
-    let mut logs: Vec<Vec<String>> = vec![Vec::new(); shards];
-    for ops in txns {
-        // What a transaction stages: the last change per key, in key order.
-        let staged: BTreeMap<_, _> = ops.iter().cloned().collect();
-        let mut parts: Vec<Vec<String>> = vec![Vec::new(); shards];
-        for (key, change) in staged {
-            parts[store.shard_of_key(KS, &key)].push(match change {
-                Some(value) => format!("put {key:?} {value:?}"),
-                None => format!("delete {key:?}"),
-            });
-        }
-        // A transaction that stages nothing is a bare group on shard 0.
-        let bare = parts.iter().all(Vec::is_empty) && claim & 1 != 0;
-        for (shard, part) in parts.into_iter().enumerate() {
-            if !part.is_empty() || (bare && shard == 0) {
-                logs[shard].push("begin".into());
-                logs[shard].extend(part);
-                logs[shard].push("commit".into());
-            }
-        }
+/// The [`shape`]s each shard's log must gain from a unit that staged the
+/// operations `ops` and committed: one group per shard they wrote — the
+/// open, the last change per key in key order, the prepare/decide round when
+/// two or more shards took part, and the seal. A shard the unit did not
+/// write gains nothing.
+fn unit_logs(store: &ShardedStore, ops: &[&Vec<Op>]) -> Vec<Vec<String>> {
+    let staged: BTreeMap<_, _> = ops.iter().flat_map(|ops| ops.iter().cloned()).collect();
+    let mut logs: Vec<Vec<String>> = vec![Vec::new(); store.shard_count()];
+    for (key, change) in staged {
+        logs[store.shard_of_key(KS, &key)].push(match change {
+            Some(value) => format!("put {key:?} {value:?}"),
+            None => format!("delete {key:?}"),
+        });
     }
-    let participants: Vec<usize> = (0..shards).filter(|k| !logs[*k].is_empty()).collect();
+    let participants: Vec<usize> = (0..logs.len()).filter(|k| !logs[*k].is_empty()).collect();
     for &shard in &participants {
-        logs[shard].insert(0, "unit".into());
+        let log = &mut logs[shard];
+        log.splice(0..0, ["unit".to_string(), "begin".to_string()]);
+        log.push("commit".into());
         if participants.len() >= 2 {
-            logs[shard].push(format!("prepared under {}", participants[0]));
+            log.push(format!("prepared under {}", participants[0]));
             if shard == participants[0] {
-                logs[shard].push("decided false".into());
+                log.push("decided true".into());
             }
         }
-        logs[shard].push("sealed false".into());
+        log.push("sealed true".into());
     }
     logs
+}
+
+fn append_group(log: &mut LogWriter, txn: u64, ops: &[Op]) {
+    log.append(&LogRecord::Begin { txn }).unwrap();
+    for (key, change) in ops {
+        let key = key.clone();
+        log.append(&match change {
+            Some(value) => LogRecord::KvPut {
+                txn,
+                keyspace: KS.0,
+                key,
+                value: value.clone(),
+            },
+            None => LogRecord::KvDelete {
+                txn,
+                keyspace: KS.0,
+                key,
+            },
+        })
+        .unwrap();
+    }
+    log.append(&LogRecord::Commit { txn, next_oid: 1 }).unwrap();
+}
+
+/// The same writes, in the log shape units had when each operation
+/// committed a group of its own inside the unit's brackets: `settled` as
+/// plain groups; the unit's operations once sealed aborted, then once sealed
+/// `committed`; and a torn tail — the operations again in a unit whose seal
+/// never came, then half a frame.
+fn write_parent_shaped_log(path: &Path, settled: &[Vec<Op>], unit: &[&Vec<Op>], committed: bool) {
+    let mut log = LogWriter::open(path, 0).unwrap();
+    let mut ids = 1u64..;
+    for ops in settled {
+        append_group(&mut log, ids.next().unwrap(), ops);
+    }
+    for seal in [Some(false), Some(committed), None] {
+        let id = ids.next().unwrap();
+        log.append(&LogRecord::UnitBegin { unit: id }).unwrap();
+        for ops in unit {
+            append_group(&mut log, ids.next().unwrap(), ops);
+        }
+        if let Some(committed) = seal {
+            log.append(&LogRecord::UnitEnd {
+                unit: id,
+                committed,
+            })
+            .unwrap();
+        }
+    }
+    log.sync().unwrap();
+    drop(log);
+    std::fs::OpenOptions::new()
+        .append(true)
+        .open(path)
+        .and_then(|mut f| std::io::Write::write_all(&mut f, &[0x20, 0, 0]))
+        .unwrap();
 }
 
 fn open_sharded(path: &Path, shards: usize) -> ShardedStore {
@@ -242,15 +288,18 @@ fn open_sharded(path: &Path, shards: usize) -> ShardedStore {
 }
 
 proptest! {
-    /// Settled transactions, then a unit of work left open on a claimed
-    /// subset of the shards: every way of scanning sees exactly the state
-    /// it should. The unit's owner, an unbound thread and a transaction's
-    /// overlay read working images; a unit claiming the other shards and a
-    /// pinned snapshot read what was published before the unit began. Then
-    /// the unit is sealed. Aborted, with no inverse transaction from the
-    /// caller, it never began: every read equals the model without it, its
-    /// log group is its forward records between the open and the seal, and
-    /// a follower fed the stream holds the same bytes and the same state.
+    /// Settled transactions, then a unit of work staged on a claimed subset
+    /// of the shards: every way of scanning sees exactly the state it
+    /// should. The unit's overlay reads its staged writes over the committed
+    /// state; the store, a pinned snapshot and a transaction's overlay read
+    /// only what was committed, and the logs gain nothing while the unit is
+    /// open. An operation whose writes route outside the claim fails when it
+    /// stages, and stages nothing. Then the unit settles: committed, it is
+    /// one group per shard it wrote; aborted, it never began and no log
+    /// gains a byte. A follower fed each shard's stream holds the same bytes
+    /// and the same state, a reopen replays the same state, and so does the
+    /// log the same writes make in the shape units had before they were one
+    /// transaction.
     #[test]
     fn scans_match_model_on_every_path(
         shards in 1usize..4,
@@ -262,7 +311,7 @@ proptest! {
         commit in any::<bool>(),
     ) {
         let path = scratch("scans");
-        let store = open_sharded(&path, shards);
+        let store = Arc::new(open_sharded(&path, shards));
         let bounds = [bounds.0, bounds.1, bounds.2];
         let mut committed = Model::new();
         for ops in &settled {
@@ -273,81 +322,87 @@ proptest! {
         let all = store.all_shards_mask();
         let claim = if claim & all == 0 { all } else { claim & all };
         let logs_before: Vec<usize> = (0..shards).map(|k| log_of(&store, k).len()).collect();
-        store.begin_unit_scope_on(claim);
+        let mut unit = store.begin_unit(claim);
         let mut working = committed.clone();
         let mut forward = Vec::new();
-        {
-            let _owner = store.bind_claim(claim);
-            for ops in &in_unit {
-                let escapes = ops
-                    .iter()
-                    .any(|(key, _)| claim & (1 << store.shard_of_key(KS, key)) == 0);
-                let result = store.with_txn(|t| { stage(t, ops); Ok(()) });
-                // A write routed outside the claim fails the whole
-                // transaction before anything is written.
-                prop_assert_eq!(result.is_err(), escapes);
-                if !escapes {
-                    apply(&mut working, ops);
-                    forward.push(ops);
-                }
+        for ops in &in_unit {
+            let escapes = ops
+                .iter()
+                .any(|(key, _)| claim & (1 << store.shard_of_key(KS, key)) == 0);
+            let result = unit.stage(|t| stage(t, ops));
+            prop_assert_eq!(result.is_err(), escapes);
+            if !escapes {
+                apply(&mut working, ops);
+                forward.push(ops);
             }
-            assert_scans(&store, &working, &bounds, "unit owner");
-            let mut txn = store.begin();
-            stage(&mut txn, &staged);
-            let mut overlaid = working.clone();
-            apply(&mut overlaid, &staged);
-            assert_scans(&txn, &overlaid, &bounds, "transaction overlay");
-            txn.abort();
         }
-        assert_scans(&store, &working, &bounds, "unbound thread");
+        assert_scans(&unit, &working, &bounds, "unit overlay");
+        assert_scans(&*store, &committed, &bounds, "unbound thread");
         assert_scans(&store.snapshot(), &committed, &bounds, "snapshot under an open unit");
-        if claim != all {
-            let _other = store.bind_claim(all & !claim);
-            assert_scans(&store, &committed, &bounds, "unit on the other shards");
-        }
-
-        store.end_unit_scope_on(claim, commit).unwrap();
-        let settled = if commit { &working } else { &committed };
-        assert_scans(&store, settled, &bounds, "store after the seal");
-        assert_scans(&store.snapshot(), settled, &bounds, "snapshot after the seal");
         let mut txn = store.begin();
         stage(&mut txn, &staged);
-        let mut overlaid = settled.clone();
+        let mut overlaid = committed.clone();
+        apply(&mut overlaid, &staged);
+        assert_scans(&txn, &overlaid, &bounds, "transaction overlay beside an open unit");
+        txn.abort();
+        let open: Vec<usize> = (0..shards).map(|k| log_of(&store, k).len()).collect();
+        prop_assert_eq!(&open, &logs_before, "an open unit writes nothing");
+
+        if commit {
+            unit.commit().unwrap();
+        } else {
+            unit.abort();
+        }
+        let outcome = if commit { &working } else { &committed };
+        assert_scans(&*store, outcome, &bounds, "store after the seal");
+        assert_scans(&store.snapshot(), outcome, &bounds, "snapshot after the seal");
+        let mut txn = store.begin();
+        stage(&mut txn, &staged);
+        let mut overlaid = outcome.clone();
         apply(&mut overlaid, &staged);
         assert_scans(&txn, &overlaid, &bounds, "transaction overlay after the seal");
         txn.abort();
-        if !commit {
-            let expected = aborted_unit_logs(&store, claim, &forward);
-            for (k, expected) in expected.into_iter().enumerate() {
-                let group: Vec<_> = log_of(&store, k)[logs_before[k]..].iter().map(shape).collect();
-                prop_assert_eq!(group, expected, "shard {}'s aborted group", k);
-                let member = store.shard(k);
-                let follower_path = scratch("follower");
-                let follower = Store::open_with(&follower_path, member.options().clone()).unwrap();
-                let stream = member.read_frames(member.log_epoch(), 0, u64::MAX).unwrap().unwrap();
-                follower.apply_replicated(&stream.frames).unwrap();
-                prop_assert_eq!(
-                    std::fs::read(&follower_path).unwrap(),
-                    std::fs::read(member.path()).unwrap()
-                );
-                prop_assert_eq!(follower.kv_scan_prefix(KS, &[]), member.kv_scan_prefix(KS, &[]));
-                drop(follower);
-                scratch("follower");
-            }
+        let expected = if commit { unit_logs(&store, &forward) } else { vec![Vec::new(); shards] };
+        for (k, expected) in expected.into_iter().enumerate() {
+            let group: Vec<_> = log_of(&store, k)[logs_before[k]..].iter().map(shape).collect();
+            prop_assert_eq!(group, expected, "shard {}'s unit group", k);
+            let member = store.shard(k);
+            let follower_path = scratch("follower");
+            let follower = Store::open_with(&follower_path, member.options().clone()).unwrap();
+            let stream = member.read_frames(member.log_epoch(), 0, u64::MAX).unwrap().unwrap();
+            follower.apply_replicated(&stream.frames).unwrap();
+            prop_assert_eq!(
+                std::fs::read(&follower_path).unwrap(),
+                std::fs::read(member.path()).unwrap()
+            );
+            prop_assert_eq!(follower.kv_scan_prefix(KS, &[]), member.kv_scan_prefix(KS, &[]));
+            drop(follower);
+            scratch("follower");
         }
         drop(store);
-        assert_scans(&open_sharded(&path, shards), settled, &bounds, "reopened store");
+        let reopened = open_sharded(&path, shards);
+        assert_scans(&reopened, outcome, &bounds, "reopened store");
+        let parent_path = scratch("parent-shape");
+        write_parent_shaped_log(&parent_path, &settled, &forward, commit);
+        let parent = Store::open(&parent_path).unwrap();
+        prop_assert_eq!(
+            parent.kv_scan_prefix(KS, &[]),
+            reopened.kv_scan_prefix(KS, &[]),
+            "the parent's log shape replays to the same image"
+        );
+        drop((parent, reopened));
+        scratch("parent-shape");
         scratch("scans");
     }
 
     /// One shard is the plain case: a 1-shard store writes the log a plain
-    /// `Store` writes when fed the same transactions, byte for byte —
-    /// outside a unit, inside one, and for a transaction that stages nothing.
+    /// `Store` writes when fed the same transactions, byte for byte — with a
+    /// record, with index entries only, and for a transaction that stages
+    /// nothing.
     #[test]
     fn one_shard_log_is_a_plain_stores_log(
         settled in prop::collection::vec(arb_txn(), 0..6),
-        in_unit in prop::collection::vec(arb_txn(), 0..4),
-        committed in any::<bool>(),
+        unrecorded in prop::collection::vec(arb_txn(), 0..4),
     ) {
         let (sharded_path, plain_path) = (scratch("one-shard"), scratch("plain"));
         let sharded = open_sharded(&sharded_path, 1);
@@ -360,17 +415,10 @@ proptest! {
             sharded.with_txn(|t| { record(t, sharded.allocate_oid(), ops); Ok(()) }).unwrap();
             plain.with_txn(|t| { record(t, plain.allocate_oid(), ops); Ok(()) }).unwrap();
         }
-        sharded.begin_unit_scope();
-        plain.begin_unit_scope();
-        {
-            let _owner = sharded.bind_claim(sharded.all_shards_mask());
-            for ops in &in_unit {
-                sharded.with_txn(|t| { stage(t, ops); Ok(()) }).unwrap();
-                plain.with_txn(|t| { stage(t, ops); Ok(()) }).unwrap();
-            }
+        for ops in &unrecorded {
+            sharded.with_txn(|t| { stage(t, ops); Ok(()) }).unwrap();
+            plain.with_txn(|t| { stage(t, ops); Ok(()) }).unwrap();
         }
-        sharded.end_unit_scope(committed).unwrap();
-        plain.end_unit_scope(committed).unwrap();
         drop((sharded, plain));
         prop_assert_eq!(
             std::fs::read(&sharded_path).unwrap(),

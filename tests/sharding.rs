@@ -1,14 +1,9 @@
-//! Sharded-store integration: cross-shard two-phase commit atomicity under
-//! crash injection at every 2PC boundary, equivalence of sharded and
-//! single-store query output over the same logical workload, per-shard
-//! writer-lane isolation over the wire, and follower convergence against a
-//! sharded primary.
-//!
-//! Crash injection drives the member stores' public 2PC API
-//! ([`Store::prepare_active_unit`] / [`Store::append_decision`] /
-//! [`Store::end_unit_scope`]) by hand and then *drops* the store without
-//! sealing — every append is flushed when written, so a drop leaves exactly
-//! the bytes a power cut at that boundary would.
+//! Sharded-store integration: a sealed cross-shard unit across reopens,
+//! equivalence of sharded and single-store query output over the same
+//! logical workload, per-shard writer-lane isolation over the wire, a write
+//! routed outside a unit's claim, and follower convergence against a
+//! sharded primary. Crash injection at every 2PC boundary drives the commit
+//! protocol's crate-private steps, so it lives in the storage crate.
 
 use prometheus_db::{Prometheus, StoreOptions, Value};
 use prometheus_replica::{Follower, FollowerConfig};
@@ -18,6 +13,7 @@ use prometheus_taxonomy::Rank;
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Fresh scratch directory (shard logs and sidecars all live under it).
@@ -34,97 +30,9 @@ fn tmp_dir(name: &str) -> PathBuf {
 }
 
 // ---------------------------------------------------------------------
-// Cross-shard 2PC: crash injection at every boundary
+// Cross-shard 2PC (crash injection at every boundary lives beside the
+// protocol's steps, in the storage crate's `shard` tests)
 // ---------------------------------------------------------------------
-
-/// Where the "power cut" lands inside `end_unit_scope_on`'s commit protocol
-/// (coordinator = shard 0, the lowest participant).
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum CrashPoint {
-    /// Unit wrote on both shards, nothing prepared.
-    BeforePrepare,
-    /// Coordinator prepared, the other participant was not reached.
-    AfterFirstPrepare,
-    /// Both participants prepared, no decision recorded.
-    AfterAllPrepares,
-    /// Prepared everywhere and the coordinator decided *commit*.
-    AfterCommitDecision,
-    /// Prepared everywhere and the coordinator decided *abort*.
-    AfterAbortDecision,
-    /// Decided commit and sealed the coordinator; the other shard's seal
-    /// never made it out.
-    AfterPartialSeal,
-}
-
-impl CrashPoint {
-    fn expect_committed(self) -> bool {
-        matches!(
-            self,
-            CrashPoint::AfterCommitDecision | CrashPoint::AfterPartialSeal
-        )
-    }
-}
-
-/// Open a 2-shard store, run a cross-shard unit up to `crash`, and drop the
-/// store mid-protocol. Returns the two OIDs the unit wrote.
-fn crash_mid_unit(dir: &Path, crash: CrashPoint) -> (Oid, Oid) {
-    let path = dir.join("store.log");
-    let store = ShardedStore::open_with(
-        &path,
-        StoreOptions {
-            sync_on_commit: false,
-        },
-        2,
-        ShardRouting::default(),
-    )
-    .unwrap();
-    let a = store.allocate_oid_on(0);
-    let b = store.allocate_oid_on(1);
-
-    store.begin_unit_scope_on(0b11);
-    let claim = store.bind_claim(0b11);
-    store
-        .with_txn(|t| {
-            t.put(a, b"alpha".to_vec());
-            t.put(b, b"beta".to_vec());
-            Ok(())
-        })
-        .unwrap();
-    let gid = store.shard(0).active_unit_id().expect("unit wrote shard 0");
-    assert!(
-        store.shard(1).active_unit_id().is_some(),
-        "unit wrote shard 1"
-    );
-
-    // Drive end_unit_scope_on's protocol by hand, stopping at the boundary.
-    let prepare_both = |s: &ShardedStore| {
-        s.shard(0).prepare_active_unit(gid, 0).unwrap();
-        s.shard(1).prepare_active_unit(gid, 0).unwrap();
-    };
-    match crash {
-        CrashPoint::BeforePrepare => {}
-        CrashPoint::AfterFirstPrepare => {
-            store.shard(0).prepare_active_unit(gid, 0).unwrap();
-        }
-        CrashPoint::AfterAllPrepares => prepare_both(&store),
-        CrashPoint::AfterCommitDecision => {
-            prepare_both(&store);
-            store.shard(0).append_decision(gid, true).unwrap();
-        }
-        CrashPoint::AfterAbortDecision => {
-            prepare_both(&store);
-            store.shard(0).append_decision(gid, false).unwrap();
-        }
-        CrashPoint::AfterPartialSeal => {
-            prepare_both(&store);
-            store.shard(0).append_decision(gid, true).unwrap();
-            store.shard(0).end_unit_scope(true).unwrap();
-        }
-    }
-    drop(claim);
-    drop(store); // crash: the scope is never settled on at least one shard
-    (a, b)
-}
 
 fn reopen(dir: &Path) -> ShardedStore {
     ShardedStore::open_with(
@@ -139,93 +47,18 @@ fn reopen(dir: &Path) -> ShardedStore {
 }
 
 #[test]
-fn cross_shard_unit_converges_after_crash_at_every_2pc_boundary() {
-    for crash in [
-        CrashPoint::BeforePrepare,
-        CrashPoint::AfterFirstPrepare,
-        CrashPoint::AfterAllPrepares,
-        CrashPoint::AfterCommitDecision,
-        CrashPoint::AfterAbortDecision,
-        CrashPoint::AfterPartialSeal,
-    ] {
-        let dir = tmp_dir("crash");
-        let (a, b) = crash_mid_unit(&dir, crash);
-
-        // Recovery must settle the in-doubt unit from the coordinator's
-        // decision record: presumed abort unless a commit decision is on
-        // disk. Either way, never half of the unit.
-        let store = reopen(&dir);
-        let expect: Option<&[u8]> = if crash.expect_committed() {
-            Some(b"alpha")
-        } else {
-            None
-        };
-        assert_eq!(
-            store.get(a).as_deref(),
-            expect,
-            "{crash:?}: shard-0 record after recovery"
-        );
-        assert_eq!(
-            store.get(b).as_deref(),
-            expect.map(|_| &b"beta"[..]),
-            "{crash:?}: shard-1 record after recovery"
-        );
-
-        // The recovered store accepts new cross-shard work.
-        let c = store.allocate_oid_on(0);
-        let d = store.allocate_oid_on(1);
-        store
-            .with_txn(|t| {
-                t.put(c, b"gamma".to_vec());
-                t.put(d, b"delta".to_vec());
-                Ok(())
-            })
-            .unwrap();
-        drop(store);
-
-        // And the resolution is durable: a second recovery sees the same
-        // answer (the first reopen sealed the unit, so nothing is in doubt).
-        let store = reopen(&dir);
-        assert_eq!(
-            store.get(a).as_deref(),
-            expect,
-            "{crash:?}: shard-0 record after second recovery"
-        );
-        assert_eq!(store.get(c).as_deref(), Some(&b"gamma"[..]));
-        assert_eq!(store.get(d).as_deref(), Some(&b"delta"[..]));
-        drop(store);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-}
-
-#[test]
 fn fully_sealed_cross_shard_unit_is_idempotent_across_reopens() {
     let dir = tmp_dir("sealed");
-    let path = dir.join("store.log");
     let a;
     let b;
     {
-        let store = ShardedStore::open_with(
-            &path,
-            StoreOptions {
-                sync_on_commit: false,
-            },
-            2,
-            ShardRouting::default(),
-        )
-        .unwrap();
+        let store = Arc::new(reopen(&dir));
         a = store.allocate_oid_on(0);
         b = store.allocate_oid_on(1);
-        store.begin_unit_scope_on(0b11);
-        let _claim = store.bind_claim(0b11);
-        store
-            .with_txn(|t| {
-                t.put(a, b"alpha".to_vec());
-                t.put(b, b"beta".to_vec());
-                Ok(())
-            })
-            .unwrap();
-        store.end_unit_scope_on(0b11, true).unwrap();
+        let mut unit = store.begin_unit(0b11);
+        unit.put(a, b"alpha".to_vec());
+        unit.put(b, b"beta".to_vec());
+        unit.commit().unwrap();
         assert_eq!(store.stats_aggregate().units_2pc, 1);
     }
     for _ in 0..2 {
@@ -560,4 +393,52 @@ fn follower_converges_on_a_sharded_primary() {
     handle.stop();
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&fdir);
+}
+
+/// An operation whose writes route outside its unit's shard claim fails
+/// when it stages them, with the storage layer's `TxnState` error and
+/// nothing of it staged; the unit goes on to commit its other work alone.
+#[test]
+fn a_write_outside_the_claim_fails_before_it_stages() {
+    let dir = tmp_dir("escape");
+    let options = StoreOptions {
+        sync_on_commit: false,
+    };
+    let p = Prometheus::open_sharded(dir.join("store.log"), options, 2).unwrap();
+    let tax = p.taxonomy().unwrap();
+    let db = p.db();
+    let mut by_shard: [Option<Oid>; 2] = [None, None];
+    for i in 0..8 {
+        let oid = tax.create_ct(&format!("Home-{i}"), Rank::Genus).unwrap();
+        by_shard[(oid.raw() % 2) as usize].get_or_insert(oid);
+    }
+    let (a, b) = (by_shard[0].unwrap(), by_shard[1].unwrap());
+
+    let token = db.begin_unit_on(0b01);
+    let inside = tax.create_ct("Inside", Rank::Species).unwrap();
+    assert_eq!(inside.raw() % 2, 0, "a claimed unit creates on its claim");
+    db.set_attr(a, "working_name", "Renamed").unwrap();
+    let circumscribes = prometheus_db::taxonomy::CIRCUMSCRIBES;
+    let escape = db.create_relationship(circumscribes, a, b, Vec::new());
+    assert!(
+        matches!(
+            escape,
+            Err(prometheus_db::DbError::Storage(
+                prometheus_storage::StorageError::TxnState(_)
+            ))
+        ),
+        "an endpoint key on shard 1 escapes the claim: {escape:?}"
+    );
+    db.commit_unit(token).unwrap();
+    assert!(db.exists(inside));
+    assert_eq!(
+        db.object(a).unwrap().attr("working_name"),
+        Value::from("Renamed")
+    );
+    assert!(db.rels_from(a, None).unwrap().is_empty());
+    assert!(db.rels_to(b, None).unwrap().is_empty());
+    assert!(db.extent(circumscribes, false).unwrap().is_empty());
+    drop(tax);
+    drop(p);
+    let _ = std::fs::remove_dir_all(&dir);
 }
