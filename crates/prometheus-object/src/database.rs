@@ -35,7 +35,7 @@ use crate::index::{
     self, KS_ATTR, KS_CLS_EDGES, KS_EDGE_CLS, KS_EXTENT, KS_META, KS_REL_FROM, KS_REL_TO,
 };
 use crate::instance::{ClassificationMeta, ObjectInstance, RelInstance, StoredEntity};
-use crate::read::{ReadView, Reader};
+use crate::read::{Meta, MetaMemo, ReadView, Reader};
 use crate::schema::{RelKind, SchemaRegistry, OBJECT_CLASS};
 use crate::synonym::SynonymTable;
 use crate::value::Value;
@@ -58,6 +58,9 @@ const DEFAULT_CACHE_CAPACITY: usize = 131_072;
 /// hash to different shards by OID, so the cache never serialises the read
 /// path behind one mutex.
 const CACHE_SHARDS: usize = 16;
+
+/// A meta record a definition stages: its `KS_META` key and encoding.
+type MetaRecord = (&'static [u8], Vec<u8>);
 
 /// Token returned by [`Database::begin_unit`]; must be passed back to
 /// [`Database::commit_unit`] or [`Database::abort_unit`].
@@ -86,6 +89,7 @@ impl Unit {
         let empty = Writes {
             txn: store.begin_unit(self.claim),
             decoded: BTreeMap::new(),
+            meta: None,
         };
         std::mem::replace(&mut *self.writes.write(), empty)
     }
@@ -98,6 +102,12 @@ struct Writes {
     /// own reads of what it wrote are hits, not decodes; moved into the
     /// shared cache when the unit commits.
     decoded: BTreeMap<Oid, Option<StoredEntity>>,
+    /// The meta the unit's staged definitions make, once it has staged one.
+    /// It stays valid for the unit's life: staging a meta record needs a
+    /// claim on the meta keyspace's shard, so no other unit can commit a
+    /// definition while this one is open. Dropped with the overlay when the
+    /// unit settles.
+    meta: Option<Arc<Meta>>,
 }
 
 struct UnitState {
@@ -105,11 +115,6 @@ struct UnitState {
     /// Events so far, handed to the deferred listeners at commit.
     events: Vec<Event>,
     depth: u32,
-    /// Schema and synonym state at open — the two `Arc`s a [`ReadView`]
-    /// pins — swapped back by an abort. Held only when the claim covers the
-    /// meta keyspace's shard: then no other unit can change either while
-    /// this one is open, and otherwise this unit cannot.
-    meta: Option<(Arc<SchemaRegistry>, Arc<SynonymTable>)>,
 }
 
 /// All live units of work plus the per-shard ownership map that keeps their
@@ -149,13 +154,15 @@ pub(crate) fn binding() -> impl Fn() + Sync {
 
 /// The Prometheus database.
 ///
-/// Schema and synonym state are kept behind `Arc` so that a [`ReadView`] can
-/// pin them alongside a storage snapshot with two pointer bumps; mutations
-/// copy-on-write via [`Arc::make_mut`].
+/// Schema and synonyms are not state of their own: they are the two
+/// `KS_META` records of whatever a read reads — the published image, a
+/// [`ReadView`]'s snapshot or a unit's overlay — decoded through one memo.
+/// A definition stages its record in its unit like any write, so it reaches
+/// other readers only with the unit's commit, and an abort drops it with
+/// the overlay.
 pub struct Database {
     store: Arc<ShardedStore>,
-    schema: RwLock<Arc<SchemaRegistry>>,
-    synonyms: RwLock<Arc<SynonymTable>>,
+    meta: MetaMemo,
     /// Replaced copy-on-write by `add_listener`, so a dispatch takes one
     /// `Arc` bump instead of copying the list.
     listeners: RwLock<Arc<Vec<Arc<dyn EventListener>>>>,
@@ -168,28 +175,15 @@ pub struct Database {
 }
 
 impl Database {
-    /// Open a database over `store` (of one shard or many), loading any
-    /// persisted schema and synonym state. Use
+    /// Open a database over `store` (of one shard or many), failing if its
+    /// persisted schema or synonym state does not decode. Use
     /// [`crate::index::shard_routing`] when opening the store so index
     /// entries land on the shard their trailing/leading OID maps to.
     pub fn open_sharded(store: Arc<ShardedStore>) -> DbResult<Self> {
-        let schema = match store.kv_get(KS_META, index::META_SCHEMA) {
-            Some(bytes) => {
-                let mut reg: SchemaRegistry = codec::from_bytes(&bytes)?;
-                reg.rebuild_closures();
-                reg
-            }
-            None => SchemaRegistry::new(),
-        };
-        let synonyms = match store.kv_get(KS_META, index::META_SYNONYMS) {
-            Some(bytes) => codec::from_bytes(&bytes)?,
-            None => SynonymTable::new(),
-        };
         let shard_count = store.shard_count();
-        Ok(Database {
+        let db = Database {
             store,
-            schema: RwLock::new(Arc::new(schema)),
-            synonyms: RwLock::new(Arc::new(synonyms)),
+            meta: MetaMemo::default(),
             listeners: RwLock::new(Arc::new(Vec::new())),
             units: Mutex::new(UnitTable {
                 states: HashMap::new(),
@@ -201,7 +195,9 @@ impl Database {
                 .map(|_| Mutex::new(LruCache::new(DEFAULT_CACHE_CAPACITY / CACHE_SHARDS)))
                 .collect(),
             integrity: IntegrityTracker::default(),
-        })
+        };
+        db.published_meta()?;
+        Ok(db)
     }
 
     /// The underlying store (exposed for the benchmark harness).
@@ -209,29 +205,49 @@ impl Database {
         &self.store
     }
 
-    /// Run `f` with read access to the schema registry.
+    /// Run `f` with read access to the schema registry this thread reads:
+    /// its unit's, or unbound, the committed one.
     pub fn with_schema<T>(&self, f: impl FnOnce(&SchemaRegistry) -> T) -> T {
-        f(&self.schema.read())
+        f(&self.meta().schema)
     }
 
-    /// Run `f` with read access to the synonym table.
+    /// Run `f` with read access to the synonym table this thread reads.
     pub fn with_synonyms<T>(&self, f: impl FnOnce(&SynonymTable) -> T) -> T {
-        f(&self.synonyms.read())
+        f(&self.meta().synonyms)
     }
 
     /// Pin an immutable view of the latest settled committed state.
     ///
     /// The view holds the published storage snapshot plus the schema and
-    /// synonym state current at pin time; its reads never take the store
-    /// mutex or the object-cache locks. Mutations committed after the pin
-    /// (and operations of any unit still streaming) are invisible — pin a
-    /// fresh view for fresh state.
+    /// synonyms decoded from that snapshot's own meta records; its reads
+    /// never take the store mutex or the object-cache locks. Mutations
+    /// committed after the pin (and operations of any unit still streaming)
+    /// are invisible — pin a fresh view for fresh state.
     pub fn read_view(&self) -> ReadView {
-        ReadView::new(
-            self.store.snapshot(),
-            Arc::clone(&self.schema.read()),
-            Arc::clone(&self.synonyms.read()),
-        )
+        ReadView::pin(self.store.snapshot(), &self.meta)
+    }
+
+    /// The meta of the published image.
+    fn published_meta(&self) -> DbResult<Arc<Meta>> {
+        self.meta.read_from(|key| self.store.kv_get(KS_META, key))
+    }
+
+    /// The meta this thread reads: its unit's — the one its definitions
+    /// made, else that of the records its overlay reads — or unbound, the
+    /// published one. A record that does not decode reads as empty; opening
+    /// the database reports it.
+    fn meta(&self) -> Arc<Meta> {
+        let meta = self.bound(|unit| match unit {
+            None => self.published_meta(),
+            Some(unit) => {
+                let writes = unit.writes.read();
+                match &writes.meta {
+                    Some(meta) => Ok(Arc::clone(meta)),
+                    None => self.meta.read_from(|key| writes.txn.kv_get(KS_META, key)),
+                }
+            }
+        });
+        meta.unwrap_or_default()
     }
 
     /// Register an event listener (the rule engine).
@@ -243,22 +259,56 @@ impl Database {
     // Schema
     // -----------------------------------------------------------------
 
-    /// Define an ordinary class and persist the schema.
+    /// Define an ordinary class.
     pub fn define_class(&self, def: crate::schema::ClassDef) -> DbResult<()> {
-        {
-            let mut schema = self.schema.write();
-            Arc::make_mut(&mut *schema).define_class(def)?;
-        }
-        self.persist_schema()
+        self.revise_schema(|schema| schema.define_class(def))
     }
 
-    /// Define a relationship class and persist the schema.
+    /// Define a relationship class.
     pub fn define_relationship(&self, def: crate::schema::RelClassDef) -> DbResult<()> {
-        {
-            let mut schema = self.schema.write();
-            Arc::make_mut(&mut *schema).define_relationship(def)?;
+        self.revise_schema(|schema| schema.define_relationship(def))
+    }
+
+    /// Build the next registry from the one this unit reads and stage its
+    /// record. The unit keeps the registry decoded from that record, so it
+    /// reads exactly what a reader of the record will.
+    fn revise_schema(&self, f: impl FnOnce(&mut SchemaRegistry) -> DbResult<()>) -> DbResult<()> {
+        self.revise(|meta| {
+            let mut schema = SchemaRegistry::clone(&meta.schema);
+            f(&mut schema)?;
+            let bytes = codec::to_bytes(&schema)?;
+            meta.schema = Arc::new(SchemaRegistry::decode(&bytes)?);
+            Ok(Some((index::META_SCHEMA, bytes)))
+        })
+    }
+
+    /// Build the next synonym table from the one this unit reads and, if
+    /// `f` says it changed, stage its record.
+    fn revise_synonyms(&self, f: impl FnOnce(&mut SynonymTable) -> bool) -> DbResult<()> {
+        self.revise(|meta| {
+            let synonyms = Arc::make_mut(&mut meta.synonyms);
+            if !f(synonyms) {
+                return Ok(None);
+            }
+            Ok(Some((index::META_SYNONYMS, codec::to_bytes(synonyms)?)))
+        })
+    }
+
+    /// Revise the meta this unit reads (outside a unit, in a one-op unit of
+    /// its own) with `f`, which returns the meta record it changed, if any:
+    /// stage that record and keep the revised meta with the unit.
+    fn revise(&self, f: impl FnOnce(&mut Meta) -> DbResult<Option<MetaRecord>>) -> DbResult<()> {
+        if !self.in_unit() {
+            return self.in_unit_scope(|db| db.revise(f));
         }
-        self.persist_schema()
+        let mut next = Meta::clone(&self.meta());
+        let Some((key, bytes)) = f(&mut next)? else {
+            return Ok(());
+        };
+        self.stage_with(
+            |t| t.kv_put(KS_META, key.to_vec(), bytes),
+            |writes| writes.meta = Some(Arc::new(next)),
+        )
     }
 
     // -----------------------------------------------------------------
@@ -267,23 +317,19 @@ impl Database {
 
     /// Refresh derived state after a replication follower applied a batch of
     /// primary frames directly to the store (bypassing this facade's write
-    /// path): drop cached decoded entities for every touched OID, and — when
-    /// the batch touched the meta keyspace — reload the schema registry and
-    /// synonym table the primary persisted, so `read_view()` pins current
-    /// definitions and the plan cache sees the new schema version.
+    /// path): drop cached decoded entities for every touched OID and the
+    /// integrity verdicts. Schema and synonyms need nothing: a read decodes
+    /// them from the image it reads. Fails if the meta the batch published
+    /// does not decode, which a follower answers with a resync.
     pub fn refresh_replicated(&self, summary: &prometheus_storage::ReplicaApply) -> DbResult<()> {
         for oid in &summary.touched_oids {
             self.cache_shard(*oid).lock().remove(oid);
         }
         self.integrity.forget_all();
-        if summary.touched_keyspaces.contains(&KS_META) {
-            self.reload_meta()?;
-        }
-        Ok(())
+        self.published_meta().map(drop)
     }
 
-    /// Drop every derived cache and reload schema/synonym state from the
-    /// store. A follower calls this after a full resync
+    /// Drop every derived cache. A follower calls this after a full resync
     /// (`Store::reset_to_empty` + re-replay), when per-OID invalidation
     /// would be meaningless.
     pub fn refresh_all(&self) -> DbResult<()> {
@@ -291,30 +337,7 @@ impl Database {
             shard.lock().clear();
         }
         self.integrity.forget_all();
-        self.reload_meta()
-    }
-
-    fn reload_meta(&self) -> DbResult<()> {
-        let schema = match self.store.kv_get(KS_META, index::META_SCHEMA) {
-            Some(bytes) => {
-                let mut reg: SchemaRegistry = codec::from_bytes(&bytes)?;
-                reg.rebuild_closures();
-                reg
-            }
-            None => SchemaRegistry::new(),
-        };
-        *self.schema.write() = Arc::new(schema);
-        let synonyms = match self.store.kv_get(KS_META, index::META_SYNONYMS) {
-            Some(bytes) => codec::from_bytes(&bytes)?,
-            None => SynonymTable::new(),
-        };
-        *self.synonyms.write() = Arc::new(synonyms);
-        Ok(())
-    }
-
-    fn persist_schema(&self) -> DbResult<()> {
-        let bytes = codec::to_bytes(&**self.schema.read())?;
-        self.stage(|t| t.kv_put(KS_META, index::META_SCHEMA.to_vec(), bytes))
+        self.published_meta().map(drop)
     }
 
     // -----------------------------------------------------------------
@@ -377,13 +400,6 @@ impl Database {
                 *owner = id;
             }
         }
-        let meta_shard = self.store.shard_of_key(KS_META, index::META_SCHEMA);
-        let meta = (mask & (1u64 << meta_shard) != 0).then(|| {
-            (
-                Arc::clone(&self.schema.read()),
-                Arc::clone(&self.synonyms.read()),
-            )
-        });
         let unit = Arc::new(Unit {
             id,
             claim: mask,
@@ -391,6 +407,7 @@ impl Database {
             writes: RwLock::new(Writes {
                 txn: self.store.begin_unit(mask),
                 decoded: BTreeMap::new(),
+                meta: None,
             }),
         });
         table.states.insert(
@@ -399,7 +416,6 @@ impl Database {
                 unit: Arc::clone(&unit),
                 events: Vec::new(),
                 depth: 1,
-                meta,
             },
         );
         drop(table);
@@ -511,7 +527,7 @@ impl Database {
     /// its record writes decoded into the shared cache, which so only ever
     /// holds committed entities.
     fn seal(&self, unit: &Unit) -> DbResult<()> {
-        let Writes { txn, decoded } = unit.settle(&self.store);
+        let Writes { txn, decoded, .. } = unit.settle(&self.store);
         txn.commit()?;
         for (oid, entity) in decoded {
             let mut cache = self.cache_shard(oid).lock();
@@ -551,9 +567,8 @@ impl Database {
         }
     }
 
-    /// Abort unit `id`: drop its staged writes — nothing of them reached
-    /// the log, the image or the shared cache — and restore the schema and
-    /// synonym state it may have changed.
+    /// Abort unit `id`: drop its staged writes and the meta they made —
+    /// nothing of them reached the log, the image or the shared cache.
     fn rollback_unit(&self, id: u64) {
         let state = {
             let mut table = self.units.lock();
@@ -563,17 +578,6 @@ impl Database {
             }
         };
         state.unit.settle(&self.store).txn.abort();
-        if let Some((mut schema, synonyms)) = state.meta {
-            let mut current = self.schema.write();
-            if !Arc::ptr_eq(&schema, &current) {
-                // The unit defined something: plans cached against its
-                // registry must match neither the restored one nor any
-                // definition made on top of it.
-                Arc::make_mut(&mut schema).supersede(current.version());
-                *current = schema;
-            }
-            *self.synonyms.write() = synonyms;
-        }
         self.release_unit(id);
     }
 
@@ -617,24 +621,33 @@ impl Database {
     /// keeps its decoded entity with the unit; `f` here writes keyspace
     /// entries (`kv_put`, `kv_delete`).
     pub fn stage(&self, f: impl FnOnce(&mut Txn<'_>)) -> DbResult<()> {
-        self.stage_entity(None, f)
+        self.stage_with(f, |_| {})
     }
 
     /// [`Database::stage`], noting the entity a record write leaves under
     /// its OID (`None`: deleted).
     fn stage_entity(
         &self,
-        entity: Option<(Oid, Option<StoredEntity>)>,
+        oid: Oid,
+        entity: Option<StoredEntity>,
         f: impl FnOnce(&mut Txn<'_>),
     ) -> DbResult<()> {
+        self.stage_with(f, |writes| drop(writes.decoded.insert(oid, entity)))
+    }
+
+    /// [`Database::stage`], then `keep` what the writes decode with the
+    /// unit, under the same lock.
+    fn stage_with(
+        &self,
+        f: impl FnOnce(&mut Txn<'_>),
+        keep: impl FnOnce(&mut Writes),
+    ) -> DbResult<()> {
         let Some(unit) = self.bound(|unit| unit.cloned()) else {
-            return self.in_unit_scope(|db| db.stage_entity(entity, f));
+            return self.in_unit_scope(|db| db.stage_with(f, keep));
         };
         let mut writes = unit.writes.write();
         writes.txn.stage(f)?;
-        if let Some((oid, entity)) = entity {
-            writes.decoded.insert(oid, entity);
-        }
+        keep(&mut writes);
         Ok(())
     }
 
@@ -770,7 +783,7 @@ impl Database {
             return self.in_unit_scope(|db| db.create_object(class, attrs.clone()));
         }
         let checked = {
-            let schema = self.schema.read();
+            let schema = &self.meta().schema;
             let def = schema
                 .class(class)
                 .ok_or_else(|| DbError::Schema(format!("unknown class '{class}'")))?;
@@ -804,19 +817,15 @@ impl Database {
             return self.in_unit_scope(|db| db.set_attr(oid, attr, value.clone()));
         }
         let mut obj = self.object(oid)?;
-        {
-            let schema = self.schema.read();
-            let declared = schema.all_attrs(&obj.class)?;
-            let def =
-                declared
-                    .iter()
-                    .find(|a| a.name == attr)
-                    .ok_or_else(|| DbError::UnknownAttr {
-                        class: obj.class.clone(),
-                        attr: attr.into(),
-                    })?;
-            check_type(&obj.class, def, &value)?;
-        }
+        let declared = self.with_schema(|s| s.all_attrs(&obj.class))?;
+        let def = declared
+            .iter()
+            .find(|a| a.name == attr)
+            .ok_or_else(|| DbError::UnknownAttr {
+                class: obj.class.clone(),
+                attr: attr.into(),
+            })?;
+        check_type(&obj.class, def, &value)?;
         let old = obj.attr(attr);
         if old == value {
             return Ok(());
@@ -855,15 +864,13 @@ impl Database {
         // own deletion, whose events carry the record.
         let mut incident: Vec<Oid> = Vec::new();
         let mut dependents: Vec<Oid> = Vec::new();
-        {
-            let schema = self.schema.read();
-            self.for_each_incident(oid, true, |class, rel, destination| {
-                incident.push(rel);
-                if schema.rel_class(class).is_some_and(|def| def.dependent) {
-                    dependents.push(destination);
-                }
-            });
-        }
+        let schema = &self.meta().schema;
+        self.for_each_incident(oid, true, |class, rel, destination| {
+            incident.push(rel);
+            if schema.rel_class(class).is_some_and(|def| def.dependent) {
+                dependents.push(destination);
+            }
+        });
         self.for_each_incident(oid, false, |_, rel, _| incident.push(rel));
         for rel in incident {
             // A relationship may have been deleted already if it connects oid
@@ -875,11 +882,7 @@ impl Database {
 
         // The object record itself.
         self.raw_delete_object(&obj)?;
-        {
-            let mut syn = self.synonyms.write();
-            Arc::make_mut(&mut *syn).dissolve(oid);
-        }
-        self.persist_synonyms()?;
+        self.revise_synonyms(|synonyms| synonyms.dissolve(oid))?;
         self.record_event(event.clone());
         self.finish_op(event)?;
 
@@ -893,7 +896,7 @@ impl Database {
     }
 
     fn has_incoming_aggregation(&self, oid: Oid) -> bool {
-        let schema = self.schema.read();
+        let schema = &self.meta().schema;
         let mut found = false;
         self.for_each_incident(oid, false, |class, _, _| {
             found |= schema
@@ -923,7 +926,7 @@ impl Database {
             });
         }
         let checked = {
-            let schema = self.schema.read();
+            let schema = &self.meta().schema;
             let def = schema
                 .rel_class(class)
                 .ok_or_else(|| DbError::Schema(format!("unknown relationship class '{class}'")))?
@@ -1033,19 +1036,15 @@ impl Database {
             return self.in_unit_scope(|db| db.set_rel_attr(oid, attr, value.clone()));
         }
         let mut rel = self.rel(oid)?;
-        {
-            let schema = self.schema.read();
-            let declared = schema.all_rel_attrs(&rel.class)?;
-            let def =
-                declared
-                    .iter()
-                    .find(|a| a.name == attr)
-                    .ok_or_else(|| DbError::UnknownAttr {
-                        class: rel.class.clone(),
-                        attr: attr.into(),
-                    })?;
-            check_type(&rel.class, def, &value)?;
-        }
+        let declared = self.with_schema(|s| s.all_rel_attrs(&rel.class))?;
+        let def = declared
+            .iter()
+            .find(|a| a.name == attr)
+            .ok_or_else(|| DbError::UnknownAttr {
+                class: rel.class.clone(),
+                attr: attr.into(),
+            })?;
+        check_type(&rel.class, def, &value)?;
         let old = rel.attr(attr);
         if old == value {
             return Ok(());
@@ -1075,13 +1074,9 @@ impl Database {
 
     fn delete_relationship_inner(&self, oid: Oid, endpoint_cascade: bool) -> DbResult<()> {
         let rel = self.rel(oid)?;
-        {
-            let schema = self.schema.read();
-            if let Some(def) = schema.rel_class(&rel.class) {
-                if def.constant && !endpoint_cascade {
-                    return Err(DbError::ConstancyViolation { relationship: oid });
-                }
-            }
+        let constant = self.with_schema(|s| s.rel_class(&rel.class).is_some_and(|d| d.constant));
+        if constant && !endpoint_cascade {
+            return Err(DbError::ConstancyViolation { relationship: oid });
         }
         let event = Event::RelDeleted {
             oid,
@@ -1221,10 +1216,7 @@ impl Database {
         if !self.exists(b) {
             return Err(DbError::NotFound(b));
         }
-        if Arc::make_mut(&mut *self.synonyms.write()).declare(a, b) {
-            self.persist_synonyms()?;
-        }
-        Ok(())
+        self.revise_synonyms(|synonyms| synonyms.declare(a, b))
     }
 
     /// Whether two instances are declared synonymous.
@@ -1240,11 +1232,6 @@ impl Database {
     /// Canonical representative of `oid`'s synonym set.
     pub fn synonym_representative(&self, oid: Oid) -> Oid {
         Reader::synonym_representative(self, oid)
-    }
-
-    fn persist_synonyms(&self) -> DbResult<()> {
-        let bytes = codec::to_bytes(&**self.synonyms.read())?;
-        self.stage(|t| t.kv_put(KS_META, index::META_SYNONYMS.to_vec(), bytes))
     }
 
     // -----------------------------------------------------------------
@@ -1268,7 +1255,7 @@ impl Database {
             strict_hierarchy,
         });
         let bytes = codec::to_bytes(&meta)?;
-        self.stage_entity(Some((oid, Some(meta))), |t| {
+        self.stage_entity(oid, Some(meta), |t| {
             t.put(oid, bytes);
             t.kv_put(
                 KS_EXTENT,
@@ -1376,7 +1363,7 @@ impl Database {
         let entity = StoredEntity::Object(obj.clone());
         let bytes = codec::to_bytes(&entity)?;
         let indexed = self.indexed_attrs(&obj.class)?;
-        self.stage_entity(Some((obj.oid, Some(entity))), |t| {
+        self.stage_entity(obj.oid, Some(entity), |t| {
             t.put(obj.oid, bytes);
             t.kv_put(
                 KS_EXTENT,
@@ -1410,7 +1397,7 @@ impl Database {
         let entity = StoredEntity::Object(obj.clone());
         let bytes = codec::to_bytes(&entity)?;
         let indexed = self.indexed_attrs(&obj.class)?.contains(&attr.to_string());
-        self.stage_entity(Some((obj.oid, Some(entity))), |t| {
+        self.stage_entity(obj.oid, Some(entity), |t| {
             t.put(obj.oid, bytes);
             if indexed {
                 if old != Value::Null {
@@ -1429,7 +1416,7 @@ impl Database {
 
     fn raw_delete_object(&self, obj: &ObjectInstance) -> DbResult<()> {
         let indexed = self.indexed_attrs(&obj.class)?;
-        self.stage_entity(Some((obj.oid, None)), |t| {
+        self.stage_entity(obj.oid, None, |t| {
             t.delete(obj.oid);
             t.kv_delete(KS_EXTENT, index::extent_key(&obj.class, obj.oid));
             for attr in &indexed {
@@ -1443,7 +1430,7 @@ impl Database {
     fn raw_put_rel(&self, rel: &RelInstance) -> DbResult<()> {
         let entity = StoredEntity::Rel(rel.clone());
         let bytes = codec::to_bytes(&entity)?;
-        self.stage_entity(Some((rel.oid, Some(entity))), |t| {
+        self.stage_entity(rel.oid, Some(entity), |t| {
             t.put(rel.oid, bytes);
             t.kv_put(
                 KS_EXTENT,
@@ -1464,7 +1451,7 @@ impl Database {
     }
 
     fn raw_delete_rel(&self, rel: &RelInstance) -> DbResult<()> {
-        self.stage_entity(Some((rel.oid, None)), |t| {
+        self.stage_entity(rel.oid, None, |t| {
             t.delete(rel.oid);
             t.kv_delete(KS_EXTENT, index::extent_key(&rel.class, rel.oid));
             t.kv_delete(
@@ -1501,7 +1488,7 @@ impl Database {
     pub fn delete_classification(&self, oid: Oid) -> DbResult<()> {
         self.classification_meta(oid)?;
         let edges = self.classification_edges(oid)?;
-        self.stage_entity(Some((oid, None)), |t| {
+        self.stage_entity(oid, None, |t| {
             for rel in &edges {
                 t.kv_delete(KS_CLS_EDGES, index::cls_edge_key(oid, *rel));
                 t.kv_delete(KS_EDGE_CLS, index::edge_cls_key(*rel, oid));
@@ -1581,16 +1568,11 @@ impl Database {
         let obj = self.object(oid)?;
         let copy = self.create_object(&obj.class, obj.attrs.clone())?;
         for rel in self.rels_from(oid, None)? {
-            let (is_exclusive_part, _kind) = {
-                let schema = self.schema.read();
-                match schema.rel_class(&rel.class) {
-                    Some(def) => (
-                        def.kind == RelKind::Aggregation && (!def.sharable || def.dependent),
-                        def.kind,
-                    ),
-                    None => (false, RelKind::Association),
-                }
-            };
+            let is_exclusive_part = self.with_schema(|s| {
+                s.rel_class(&rel.class).is_some_and(|def| {
+                    def.kind == RelKind::Aggregation && (!def.sharable || def.dependent)
+                })
+            });
             let target = if is_exclusive_part {
                 self.deep_copy_inner(rel.destination)?
             } else {
@@ -1602,9 +1584,8 @@ impl Database {
     }
 
     fn indexed_attrs(&self, class: &str) -> DbResult<Vec<String>> {
-        let schema = self.schema.read();
-        Ok(schema
-            .all_attrs(class)?
+        let declared = self.with_schema(|s| s.all_attrs(class))?;
+        Ok(declared
             .into_iter()
             .filter(|a| a.indexed)
             .map(|a| a.name)
@@ -2486,6 +2467,45 @@ pub(crate) mod tests {
                 assert!(after.contains(part), "{part} in {after}");
             }
             assert!(!invisible(&db, rel));
+        }
+    }
+
+    /// The synonym twin of `unbound_reads_see_no_open_unit`: a synonymy a
+    /// unit declares is the unit's until it commits. Another thread and a
+    /// view pinned mid-unit see the instances apart, and after an abort so
+    /// does everyone; after a commit, a fresh view sees them as one.
+    #[test]
+    fn an_open_units_synonyms_are_invisible_outside_it() {
+        for commit in [false, true] {
+            let db = taxo_db();
+            let specimen = |code: &str| {
+                db.create_object("Specimen", attrs(&[("code", code.into())]))
+                    .unwrap()
+            };
+            let (a, b) = (specimen("A"), specimen("B"));
+            let elsewhere = |db: &Database| {
+                std::thread::scope(|s| {
+                    s.spawn(|| (db.same_instance(a, b), db.synonym_set(a).len()))
+                        .join()
+                        .unwrap()
+                })
+            };
+            let token = db.begin_unit();
+            db.declare_synonym(a, b).unwrap();
+            assert!(db.same_instance(a, b), "the unit reads its own");
+            let view = db.read_view();
+            assert_eq!(elsewhere(&db), (false, 1));
+            assert!(!view.same_instance(a, b));
+            if !commit {
+                db.abort_unit(token);
+                assert!(!db.same_instance(a, b));
+                assert_eq!(elsewhere(&db), (false, 1));
+                continue;
+            }
+            db.commit_unit(token).unwrap();
+            assert!(!view.same_instance(a, b));
+            assert_eq!(elsewhere(&db), (true, 2));
+            assert!(db.read_view().same_instance(a, b));
         }
     }
 

@@ -11,8 +11,9 @@
 //!   the object cache), so code running inside a unit of work sees its own
 //!   uncommitted operations and nothing of any other unit's;
 //! * [`ReadView`] reads a **pinned immutable snapshot**
-//!   ([`prometheus_storage::ShardSnapshot`], one pinned image per shard) plus the schema registry and synonym
-//!   table current at pin time. A `ReadView` never takes the store mutex or
+//!   ([`prometheus_storage::ShardSnapshot`], one pinned image per shard) plus
+//!   the schema registry and synonym table decoded from that snapshot's own
+//!   meta records. A `ReadView` never takes the store mutex or
 //!   any cache lock, so any number of views proceed in parallel with the
 //!   writer, and a whole query — including recursive traversals and graph
 //!   extraction — executes against one consistent committed state:
@@ -30,6 +31,7 @@ use crate::instance::{ClassificationMeta, ObjectInstance, RelInstance, StoredEnt
 use crate::schema::SchemaRegistry;
 use crate::synonym::SynonymTable;
 use crate::value::Value;
+use parking_lot::RwLock;
 use prometheus_storage::{codec, prefix_successor, Bytes, Keyspace, KvScan, Oid, ShardSnapshot};
 use std::ops::Bound;
 use std::sync::Arc;
@@ -81,10 +83,13 @@ pub trait Reader: Sized + Send + Sync {
         self.raw_kv_for_each(ks, lo, Bound::Excluded(hi), f)
     }
 
-    /// Run `f` with read access to the schema registry.
+    /// Run `f` with read access to the schema registry of the state this
+    /// reader reads — decoded from that state's own meta record, so a
+    /// definition is visible exactly where its unit's writes are.
     fn with_schema<T>(&self, f: impl FnOnce(&SchemaRegistry) -> T) -> T;
 
-    /// Run `f` with read access to the synonym table.
+    /// Run `f` with read access to the synonym table of the state this
+    /// reader reads (see [`Reader::with_schema`]).
     fn with_synonyms<T>(&self, f: impl FnOnce(&SynonymTable) -> T) -> T;
 
     /// The tracker [`crate::Classification::check_integrity`] may start
@@ -569,32 +574,74 @@ impl<R: Reader> Reader for Arc<R> {
     }
 }
 
+/// The definitions of one database state: the schema registry and synonym
+/// table decoded from its two `KS_META` records.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct Meta {
+    pub(crate) schema: Arc<SchemaRegistry>,
+    pub(crate) synonyms: Arc<SynonymTable>,
+}
+
+/// The last [`Meta`] decoded, keyed by the identity of the records it came
+/// from. A key is a clone of the record's `Bytes`, so while the memo holds
+/// it no other record can take its address: a record at the same address
+/// and length is the same record. Each half is decoded only when its own
+/// record changed, so a synonym write never rebuilds the schema's closures.
+#[derive(Default)]
+pub(crate) struct MetaMemo(RwLock<(Option<Bytes>, Option<Bytes>, Arc<Meta>)>);
+
+impl MetaMemo {
+    /// The meta of the state `get` reads `KS_META` records from — the one
+    /// place a read decodes a meta record.
+    pub(crate) fn read_from(&self, get: impl Fn(&[u8]) -> Option<Bytes>) -> DbResult<Arc<Meta>> {
+        let (schema, synonyms) = (get(index::META_SCHEMA), get(index::META_SYNONYMS));
+        let id = |record: &Option<Bytes>| record.as_ref().map(|b| (b.as_ptr(), b.len()));
+        let held = self.0.read();
+        let fresh = (id(&held.0) == id(&schema), id(&held.1) == id(&synonyms));
+        if fresh == (true, true) {
+            return Ok(Arc::clone(&held.2));
+        }
+        let meta = Arc::new(Meta {
+            schema: match &schema {
+                _ if fresh.0 => Arc::clone(&held.2.schema),
+                Some(bytes) => Arc::new(SchemaRegistry::decode(bytes)?),
+                None => Arc::default(),
+            },
+            synonyms: match &synonyms {
+                _ if fresh.1 => Arc::clone(&held.2.synonyms),
+                Some(bytes) => Arc::new(codec::from_bytes(bytes)?),
+                None => Arc::default(),
+            },
+        });
+        drop(held);
+        *self.0.write() = (schema, synonyms, Arc::clone(&meta));
+        Ok(meta)
+    }
+}
+
 /// An immutable, pinned view of one committed database state.
 ///
 /// Obtained from [`Database::read_view`]. Holds a storage snapshot plus the
-/// schema registry and synonym table that were current at pin time; reads
-/// never take the store mutex or the object cache locks and never decode
-/// through shared state, so views scale with reader parallelism. State
-/// committed (or rolled back) after the pin is invisible; re-pin for fresh
-/// state. Cloning is three `Arc` bumps.
+/// schema registry and synonym table decoded from that snapshot's own meta
+/// records, resolved once at pin time; reads never take the store mutex or
+/// the object cache locks and never decode through shared state, so views
+/// scale with reader parallelism. State committed (or rolled back) after the
+/// pin is invisible; re-pin for fresh state. Cloning bumps one `Arc` per
+/// shard plus one for the meta.
 #[derive(Debug, Clone)]
 pub struct ReadView {
     snap: ShardSnapshot,
-    schema: Arc<SchemaRegistry>,
-    synonyms: Arc<SynonymTable>,
+    meta: Arc<Meta>,
 }
 
 impl ReadView {
-    pub(crate) fn new(
-        snap: ShardSnapshot,
-        schema: Arc<SchemaRegistry>,
-        synonyms: Arc<SynonymTable>,
-    ) -> ReadView {
-        ReadView {
-            snap,
-            schema,
-            synonyms,
-        }
+    /// Pin `snap` with the meta its own records hold, through `memo`. A
+    /// record that does not decode reads as empty.
+    pub(crate) fn pin(snap: ShardSnapshot, memo: &MetaMemo) -> ReadView {
+        let meta = memo
+            .read_from(|key| snap.kv_get(index::KS_META, key))
+            .unwrap_or_default();
+        ReadView { snap, meta }
     }
 
     /// Whether `other` pins the same published storage image.
@@ -629,11 +676,11 @@ impl Reader for ReadView {
     }
 
     fn with_schema<T>(&self, f: impl FnOnce(&SchemaRegistry) -> T) -> T {
-        f(&self.schema)
+        f(&self.meta.schema)
     }
 
     fn with_synonyms<T>(&self, f: impl FnOnce(&SynonymTable) -> T) -> T {
-        f(&self.synonyms)
+        f(&self.meta.synonyms)
     }
 }
 

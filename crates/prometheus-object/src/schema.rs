@@ -23,6 +23,7 @@
 
 use crate::error::{DbError, DbResult};
 use crate::value::{Type, Value};
+use prometheus_storage::codec;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -344,11 +345,9 @@ impl RelClassDef {
 pub struct SchemaRegistry {
     classes: BTreeMap<String, ClassDef>,
     rel_classes: BTreeMap<String, RelClassDef>,
-    /// Versions spent on definitions that aborted units took back with them
-    /// (see [`SchemaRegistry::supersede`]): keeps [`SchemaRegistry::version`]
-    /// growing when the definition count shrinks.
+    /// Digest of the encoded registry (see [`SchemaRegistry::version`]).
     #[serde(skip)]
-    retracted: u64,
+    digest: u64,
     /// class -> all transitive superclasses (excluding itself and `Object`).
     #[serde(skip)]
     super_closure: HashMap<String, HashSet<String>>,
@@ -442,21 +441,24 @@ impl SchemaRegistry {
         self.rel_classes.keys().map(String::as_str)
     }
 
-    /// Schema generation: the number of definitions registered (classes +
-    /// relationship classes), plus those aborted units retracted. It only
-    /// grows within a process, and two registries of one database with the
-    /// same version have identical definitions, so plan caches key on it to
-    /// invalidate anything planned against an older schema.
+    /// Schema version: a 64-bit FNV-1a digest of the encoded registry, set
+    /// where the registry is decoded from its meta record (0 for one never
+    /// decoded, or changed since). Equal versions mean equal definitions,
+    /// across restarts
+    /// too, so plan caches key on it: a plan made against other definitions
+    /// — an older schema, or an aborted unit's — never matches.
     pub fn version(&self) -> u64 {
-        (self.classes.len() + self.rel_classes.len()) as u64 + self.retracted
+        self.digest
     }
 
-    /// Make this registry — the pre-unit one an abort swaps back in — newer
-    /// than version `aborted` of the registry it replaces. A plan cached
-    /// against the aborted unit's definitions then matches neither this
-    /// registry nor anything defined on top of it.
-    pub(crate) fn supersede(&mut self, aborted: u64) {
-        self.retracted += aborted + 1 - self.version();
+    /// Decode a registry from its meta record, with closures and version.
+    pub(crate) fn decode(bytes: &[u8]) -> DbResult<SchemaRegistry> {
+        let mut reg: SchemaRegistry = codec::from_bytes(bytes)?;
+        reg.rebuild_closures();
+        reg.digest = bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        Ok(reg)
     }
 
     /// Is `sub` the same as, or a transitive subclass of, `sup`? Works for
@@ -550,8 +552,11 @@ impl SchemaRegistry {
         Ok(out)
     }
 
-    /// Rebuild closures after deserialisation (serde skips them).
-    pub fn rebuild_closures(&mut self) {
+    /// Rebuild closures after a definition or a decode (serde skips them),
+    /// and drop the version: a registry changed since its decode has none
+    /// until it is decoded again.
+    fn rebuild_closures(&mut self) {
+        self.digest = 0;
         self.super_closure.clear();
         self.sub_closure.clear();
         let class_supers: Vec<(String, Vec<String>)> = self
@@ -814,11 +819,20 @@ mod tests {
         let mut reg = registry_with_taxa();
         reg.define_relationship(RelClassDef::association("R", "CT", "Specimen"))
             .unwrap();
-        let bytes = prometheus_storage::codec::to_bytes(&reg).unwrap();
-        let mut back: SchemaRegistry = prometheus_storage::codec::from_bytes(&bytes).unwrap();
-        back.rebuild_closures();
+        let bytes = codec::to_bytes(&reg).unwrap();
+        let back = SchemaRegistry::decode(&bytes).unwrap();
         assert!(back.conforms("CT", "Taxon"));
         assert!(back.rel_class("R").is_some());
+        let again = SchemaRegistry::decode(&codec::to_bytes(&back).unwrap()).unwrap();
+        assert_eq!(
+            again.version(),
+            back.version(),
+            "the version is the content"
+        );
+        reg.define_class(ClassDef::new("Later")).unwrap();
+        assert_eq!(reg.version(), 0, "a changed registry has no version");
+        let later = SchemaRegistry::decode(&codec::to_bytes(&reg).unwrap()).unwrap();
+        assert_ne!(later.version(), back.version());
     }
 
     #[test]

@@ -83,10 +83,14 @@ impl SynonymTable {
     }
 
     /// Remove `oid` from its synonym set (e.g. when the instance is deleted).
-    pub fn dissolve(&mut self, oid: Oid) {
+    /// Returns `true` if it was in one, so the table changed.
+    pub fn dissolve(&mut self, oid: Oid) -> bool {
         // Collect the set, drop every link in it, then relink the remainder.
         // Sets are tiny in practice (a handful of duplicates).
         let members: Vec<Oid> = self.set_of(oid).into_iter().filter(|&m| m != oid).collect();
+        if members.is_empty() {
+            return false;
+        }
         let root = self.find(oid);
         let stale: Vec<Oid> = self
             .parent
@@ -101,11 +105,7 @@ impl SynonymTable {
         for pair in members.windows(2) {
             self.declare(pair[0], pair[1]);
         }
-    }
-
-    /// Number of stored (non-singleton) links.
-    pub fn link_count(&self) -> usize {
-        self.parent.len()
+        true
     }
 }
 
@@ -167,7 +167,11 @@ mod tests {
         let mut table = SynonymTable::new();
         table.declare(oid(1), oid(2));
         table.declare(oid(2), oid(3));
-        table.dissolve(oid(2));
+        assert!(
+            !table.dissolve(oid(9)),
+            "a singleton leaves the table as it is"
+        );
+        assert!(table.dissolve(oid(2)));
         assert!(!table.same(oid(2), oid(1)));
         assert!(!table.same(oid(2), oid(3)));
         assert!(

@@ -8,9 +8,10 @@
 //! 1. looks the query text up in an LRU **plan cache** keyed by
 //!    `(default context, text)` — a hit skips lexing, parsing and planning;
 //! 2. validates the cached plan's schema version against
-//!    [`prometheus_object::SchemaRegistry::version`], re-planning if the
-//!    schema moved since (so `define_class` can never leave a stale seed or
-//!    conformance set behind);
+//!    [`prometheus_object::SchemaRegistry::version`] — a digest of the
+//!    definitions the reader sees — re-planning if they differ (so neither
+//!    `define_class` nor an aborted unit's definitions can leave a stale
+//!    seed or conformance set behind);
 //! 3. executes the plan with this executor's worker budget — candidate
 //!    filtering, the outer join loop and traversal frontiers run
 //!    morsel-parallel, with outputs merged in morsel order so results are
@@ -196,7 +197,7 @@ impl Executor {
         let (plan, hit) = self.plan_with_origin(db, text, default_context)?;
         let mut lines = vec![
             format!(
-                "plan: {} (schema v{}, fingerprint {:016x})",
+                "plan: {} (schema {:016x}, fingerprint {:016x})",
                 if hit { "cache hit" } else { "planned" },
                 plan.schema_version,
                 plan.fingerprint,

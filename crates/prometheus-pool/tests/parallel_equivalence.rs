@@ -656,3 +656,83 @@ fn aborted_definition_does_not_leave_its_plan_behind() {
         "the aborted unit's plan survived"
     );
 }
+
+/// What a reader outside an open unit that defines `Ghost` must see,
+/// through a shared executor: no `Ghost` in the schema, no plan for it,
+/// and an extent of `T` whose plan names no `Ghost`.
+fn sees_no_ghost<R: Reader>(reader: &R, executor: &Executor) {
+    assert!(reader.with_schema(|s| s.class("Ghost").is_none()));
+    for (text, rows) in [
+        ("select x from Ghost x", None),
+        ("select x from T x", Some(1)),
+    ] {
+        let answer = executor.query(reader, text, None);
+        assert_eq!(answer.as_ref().ok().map(|r| r.len()), rows, "{text}");
+        let plan = executor
+            .explain(reader, text, None)
+            .map(|lines| lines.join("\n"));
+        assert_eq!(plan.is_ok(), rows.is_some(), "{text}");
+        assert!(!plan.unwrap_or_default().contains("Ghost"), "{text}");
+    }
+}
+
+/// No dirty meta reads: the schema twin of the object layer's
+/// `unbound_reads_see_no_open_unit`. While a unit defines `Ghost extends T`
+/// and creates one, another thread, a view pinned mid-unit and the executor
+/// they share see no `Ghost`, while the unit reads its own. After an abort
+/// no cached plan names `Ghost`; after a commit a fresh view sees it.
+#[test]
+fn an_open_units_definitions_are_invisible_outside_it() {
+    for commit in [false, true] {
+        let db = fresh_db("dirty-meta");
+        define_schema(&db);
+        let name = |n: &str| vec![("name".to_string(), Value::Str(n.into()))];
+        db.create_object("T", name("t")).unwrap();
+        let executor = Executor::new(2);
+        let unit = db.begin_unit();
+        db.define_class(ClassDef::new("Ghost").extends("T"))
+            .unwrap();
+        db.create_object("Ghost", name("g")).unwrap();
+        assert_eq!(
+            executor
+                .query(&db, "select x from T x", None)
+                .unwrap()
+                .len(),
+            2
+        );
+        assert_eq!(
+            executor
+                .query(&db, "select x from Ghost x", None)
+                .unwrap()
+                .len(),
+            1
+        );
+        let view = db.read_view();
+        std::thread::scope(|s| s.spawn(|| sees_no_ghost(&db, &executor)).join().unwrap());
+        sees_no_ghost(&view, &executor);
+        if !commit {
+            db.abort_unit(unit);
+            sees_no_ghost(&db, &executor);
+            sees_no_ghost(&db.read_view(), &executor);
+            continue;
+        }
+        db.commit_unit(unit).unwrap();
+        sees_no_ghost(&view, &executor);
+        let fresh = db.read_view();
+        assert!(fresh.with_schema(|s| s.class("Ghost").is_some()));
+        assert_eq!(
+            executor
+                .query(&fresh, "select x from T x", None)
+                .unwrap()
+                .len(),
+            2
+        );
+        assert_eq!(
+            executor
+                .query(&fresh, "select x from Ghost x", None)
+                .unwrap()
+                .len(),
+            1
+        );
+    }
+}

@@ -476,17 +476,23 @@ mod tests {
             }
             // A reader racing the writers: every event it sees must be
             // internally consistent.
+            // The flag is read before each pass, so the last pass runs after
+            // the writers finished: a reader the scheduler starts late still
+            // reads a full ring.
             let reader = scope.spawn(|| {
                 let mut seen = 0usize;
-                while !stop.load(Ordering::Relaxed) {
+                loop {
+                    let done = stop.load(Ordering::Relaxed);
                     for ev in recorder.recent(64) {
                         assert_eq!(ev.trace_id.lo, ev.span_id, "torn event: {ev:?}");
                         assert_eq!(ev.trace_id.hi, ev.start_us, "torn event: {ev:?}");
                         assert_eq!(ev.trace_id.lo, ev.c1, "torn event: {ev:?}");
                         seen += 1;
                     }
+                    if done {
+                        return seen;
+                    }
                 }
-                seen
             });
             // Scope drops writer handles first; signal the reader once the
             // writers are done by spawning a watcher that joins them via the

@@ -302,7 +302,7 @@ impl KvScan for Snapshot {
 /// frame, in apply order. The semantics mirror recovery exactly: a `Commit`
 /// outside a unit's `UnitBegin … UnitEnd` brackets settles immediately;
 /// commits inside a unit are buffered until the unit seals committed and
-/// are discarded on an aborted (or superseded) seal — so a follower
+/// are discarded on an aborted (or never sealed) unit — so a follower
 /// replaying a live tail can never publish half a unit, for the same reason
 /// a crash can never recover one. A unit writes one group per shard; logs
 /// written when a unit wrote one group per operation replay the same way.
@@ -467,9 +467,6 @@ pub struct ReplicaApply {
     /// OIDs whose records changed; the object layer invalidates its decoded
     /// entity cache for exactly these.
     pub touched_oids: Vec<Oid>,
-    /// Keyspaces with changed entries; the object layer reloads schema and
-    /// synonym state when the meta keyspace appears here.
-    pub touched_keyspaces: Vec<Keyspace>,
     /// Local log length after the batch — the follower's replication cursor.
     pub log_len: u64,
 }
@@ -823,7 +820,7 @@ impl Store {
     }
 
     /// Rewrite the log so it contains exactly the live image, as a single
-    /// committed transaction. Reclaims space occupied by superseded records.
+    /// committed transaction. Reclaims space occupied by overwritten records.
     pub fn compact(&self) -> StorageResult<()> {
         let span = self.recorder.read().span(Stage::Compact);
         // Only successful compactions belong in the ring: a refused or
@@ -1013,12 +1010,6 @@ impl Store {
                     LogRecord::Delete { oid, .. } => {
                         summary.touched_oids.push(*oid);
                         Stats::bump(&self.stats.deletes);
-                    }
-                    LogRecord::KvPut { keyspace, .. } | LogRecord::KvDelete { keyspace, .. } => {
-                        let ks = Keyspace(*keyspace);
-                        if !summary.touched_keyspaces.contains(&ks) {
-                            summary.touched_keyspaces.push(ks);
-                        }
                     }
                     _ => {}
                 }

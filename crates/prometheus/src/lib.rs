@@ -182,7 +182,7 @@ impl Prometheus {
         self.db.in_unit_scope(f)
     }
 
-    /// Compact the backing log, reclaiming space held by superseded record
+    /// Compact the backing log, reclaiming space held by overwritten record
     /// versions. Safe at any quiescent point; state is unchanged.
     pub fn compact(&self) -> DbResult<()> {
         self.db.store().compact()?;

@@ -258,6 +258,42 @@ fn primary_compaction_mid_stream_forces_clean_resync() {
     handle.stop();
 }
 
+/// A follower's view reads the definitions of the image it pins: one
+/// pinned right after a batch is applied, before any refresh, already
+/// knows the class the batch defined, and once the store is reset to empty
+/// a fresh view knows none.
+#[test]
+fn a_follower_view_reads_the_definitions_of_its_own_image() {
+    let options = StoreOptions {
+        sync_on_commit: false,
+    };
+    let primary = Prometheus::open_with(tmp("gap-primary"), options.clone()).unwrap();
+    primary
+        .taxonomy()
+        .unwrap()
+        .create_ct("Apium", Rank::Genus)
+        .unwrap();
+    let follower = Prometheus::open_follower(tmp("gap-follower"), options, 1).unwrap();
+    let (source, local) = (
+        primary.db().store().shard(0),
+        follower.db().store().shard(0),
+    );
+    let batch = source
+        .read_frames(source.log_epoch(), local.committed_log_len(), u64::MAX)
+        .unwrap()
+        .expect("a fresh follower's cursor is current");
+    local.apply_replicated(&batch.frames).unwrap();
+    let query = |view: &prometheus_db::ReadView| {
+        prometheus_db::pool::query(view, "select t from CT t").map(|rows| rows.len())
+    };
+    let view = follower.read_view();
+    assert_eq!(query(&view).unwrap(), 1);
+    local.reset_to_empty().unwrap();
+    let err = query(&follower.read_view()).unwrap_err().to_string();
+    assert!(err.contains("unknown class 'CT'"), "{err}");
+    assert_eq!(query(&view).unwrap(), 1, "a pinned view keeps its image");
+}
+
 #[test]
 fn failover_replica_serves_reads_then_resumes_from_cursor() {
     let path = tmp("failover-primary");

@@ -5,7 +5,7 @@
 //! sharded primary. Crash injection at every 2PC boundary drives the commit
 //! protocol's crate-private steps, so it lives in the storage crate.
 
-use prometheus_db::{Prometheus, StoreOptions, Value};
+use prometheus_db::{Prometheus, Reader, StoreOptions, Value};
 use prometheus_replica::{Follower, FollowerConfig};
 use prometheus_server::{serve, MutationOp, PrometheusClient, ServerConfig, ServerHandle};
 use prometheus_storage::{Oid, ShardRouting, ShardedStore};
@@ -439,6 +439,61 @@ fn a_write_outside_the_claim_fails_before_it_stages() {
     assert!(db.rels_to(b, None).unwrap().is_empty());
     assert!(db.extent(circumscribes, false).unwrap().is_empty());
     drop(tax);
+    drop(p);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Deleting an object rewrites the synonym table (on shard 0) only when the
+/// object was in a synonym set. A unit claiming shard 1 alone deletes a
+/// plain object there; deleting `b`, synonymous with `c`, would change the
+/// table, so it fails before it stages, and the abort leaves `b ~ c` — live,
+/// in a fresh view and after a reopen.
+#[test]
+fn a_delete_stages_the_synonym_table_only_when_it_changes_it() {
+    let dir = tmp_dir("dissolve");
+    let open = || {
+        let options = StoreOptions {
+            sync_on_commit: false,
+        };
+        Prometheus::open_sharded(dir.join("store.log"), options, 2).unwrap()
+    };
+    let p = open();
+    let tax = p.taxonomy().unwrap();
+    let db = p.db();
+    let on_shard_1: Vec<Oid> = (0..8)
+        .map(|i| tax.create_ct(&format!("Name-{i}"), Rank::Genus).unwrap())
+        .filter(|oid| oid.raw() % 2 == 1)
+        .collect();
+    let &[plain, b, c, ..] = on_shard_1.as_slice() else {
+        panic!("round-robin allocation puts half of eight objects on shard 1");
+    };
+    db.declare_synonym(b, c).unwrap();
+
+    let token = db.begin_unit_on(0b10);
+    db.delete_object(plain).unwrap();
+    db.commit_unit(token).unwrap();
+    assert!(!db.exists(plain));
+
+    let token = db.begin_unit_on(0b10);
+    let dissolve = db.delete_object(b);
+    assert!(
+        matches!(
+            dissolve,
+            Err(prometheus_db::DbError::Storage(
+                prometheus_storage::StorageError::TxnState(_)
+            ))
+        ),
+        "the synonym table lives on shard 0: {dissolve:?}"
+    );
+    db.abort_unit(token);
+    assert!(db.exists(b));
+    assert!(db.same_instance(b, c), "live");
+    assert!(p.read_view().same_instance(b, c), "in a fresh view");
+    drop(tax);
+    drop(p);
+    let p = open();
+    assert!(p.db().same_instance(b, c), "after a reopen");
+    assert!(!p.db().exists(plain) && p.db().exists(b));
     drop(p);
     let _ = std::fs::remove_dir_all(&dir);
 }
