@@ -20,6 +20,17 @@
 //! (§7.1.4): a taxonomist opens a unit, reorganises a classification
 //! speculatively, inspects the result, then commits or abandons it.
 //!
+//! ## The writer queue
+//!
+//! A unit claims a mask of shards, and its claim waits in one FIFO queue
+//! until it is disjoint from every claim ahead of it, held or waiting; then
+//! it is granted whole. Several taxonomists' units therefore never
+//! interleave on a shard, none can barge past a queued one, and units on
+//! disjoint shards run side by side. This is the only queue a writer waits
+//! in: [`Database::begin_unit_on`] blocks in it, and the wire server, which
+//! must not block, draws a [`UnitClaim`] with a wake callback, parks the
+//! request and takes the unit once the claim is granted.
+//!
 //! ## Relationship semantics
 //!
 //! [`Database::create_relationship`] enforces every built-in behaviour of
@@ -39,11 +50,11 @@ use crate::read::{Meta, MetaMemo, ReadView, Reader};
 use crate::schema::{RelKind, SchemaRegistry, OBJECT_CLASS};
 use crate::synonym::SynonymTable;
 use crate::value::Value;
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Mutex, RwLock};
 use prometheus_storage::cache::LruCache;
 use prometheus_storage::{codec, Oid, ShardedStore, Stats, Txn};
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
 
 /// Reserved extent name under which classification metadata is indexed.
@@ -117,16 +128,119 @@ struct UnitState {
     depth: u32,
 }
 
-/// All live units of work plus the per-shard ownership map that keeps their
-/// shard claims disjoint. Units with disjoint claims run (and seal)
-/// concurrently; a unit whose claim overlaps a held shard waits on
-/// [`Database::units_freed`].
+/// All live units of work plus the writer queue: every claim on a shard
+/// mask, held or waiting, in arrival order. A claim is granted whole once
+/// its mask is disjoint from every claim ahead of it, held or waiting, so
+/// there is no partial hold, no barging and no lock order to keep; units
+/// with disjoint claims run (and seal) concurrently.
 #[derive(Default)]
 struct UnitTable {
     states: HashMap<u64, UnitState>,
-    /// Owning unit id per shard; 0 = free.
-    owners: Vec<u64>,
+    queue: VecDeque<Queued>,
     next_id: u64,
+}
+
+/// What a waiting claim runs once it is granted.
+type Wake = Box<dyn FnOnce() + Send>;
+
+/// One claim in the writer queue; its id becomes its unit's.
+struct Queued {
+    id: u64,
+    mask: u64,
+    granted: bool,
+    /// `None` once run, or for a claim granted at draw.
+    wake: Option<Wake>,
+}
+
+impl UnitTable {
+    /// Queue a claim on `mask`: its id and the claims ahead of it whose
+    /// masks overlap it — 0 exactly when it is granted at once.
+    fn draw(&mut self, mask: u64, wake: Wake) -> (u64, u64) {
+        self.next_id += 1;
+        let id = self.next_id;
+        let ahead = self.queue.iter().filter(|q| q.mask & mask != 0).count() as u64;
+        self.queue.push_back(Queued {
+            id,
+            mask,
+            granted: ahead == 0,
+            wake: (ahead != 0).then_some(wake),
+        });
+        (id, ahead)
+    }
+
+    /// The mask of claim `id` once it is granted.
+    fn granted(&self, id: u64) -> Option<u64> {
+        let claim = self.queue.iter().find(|q| q.id == id)?;
+        claim.granted.then_some(claim.mask)
+    }
+
+    /// Drop claim `id` from the queue and grant every waiting claim that is
+    /// now clear of all ahead of it. Returns their wakes, to run once the
+    /// table is unlocked.
+    fn release(&mut self, id: u64) -> Vec<Wake> {
+        self.queue.retain(|q| q.id != id);
+        let mut ahead = 0u64;
+        let mut woken = Vec::new();
+        for claim in &mut self.queue {
+            if !claim.granted && claim.mask & ahead == 0 {
+                claim.granted = true;
+                woken.extend(claim.wake.take());
+            }
+            ahead |= claim.mask;
+        }
+        woken
+    }
+}
+
+/// Release claim `id` and wake the claims that frees, outside the lock.
+fn release_claim(units: &Mutex<UnitTable>, id: u64) {
+    let woken = units.lock().release(id);
+    for wake in woken {
+        wake();
+    }
+}
+
+/// A place in the writer queue, drawn by [`Database::claim_unit_on`] for a
+/// caller that must not block. Once granted, [`Database::take_unit`] opens
+/// its unit; dropping it before that cancels it if it still waits, or frees
+/// its shards if it was granted, waking the next claim either way.
+#[must_use = "a claim holds its place in the writer queue until dropped"]
+pub struct UnitClaim {
+    units: Arc<Mutex<UnitTable>>,
+    /// 0 once its unit is taken: the unit owns the place from then on.
+    id: u64,
+    ahead: u64,
+}
+
+impl UnitClaim {
+    /// The claims ahead of this one at draw whose masks overlap it.
+    pub fn ahead(&self) -> u64 {
+        self.ahead
+    }
+
+    /// Whether the claim is granted: its unit can be taken.
+    pub fn is_granted(&self) -> bool {
+        self.units.lock().granted(self.id).is_some()
+    }
+}
+
+impl Drop for UnitClaim {
+    fn drop(&mut self) {
+        if self.id != 0 {
+            release_claim(&self.units, self.id);
+        }
+    }
+}
+
+/// Rolls unit `id` back if dropped: it is forgotten once the holder's code
+/// returns, so only a holder that panics inside its unit drops it, freeing
+/// the unit's shards on the way out.
+struct RollbackOnUnwind<'a>(&'a Database, u64);
+
+impl Drop for RollbackOnUnwind<'_> {
+    fn drop(&mut self) {
+        self.0.rollback_unit(self.1);
+    }
 }
 
 thread_local! {
@@ -166,8 +280,8 @@ pub struct Database {
     /// Replaced copy-on-write by `add_listener`, so a dispatch takes one
     /// `Arc` bump instead of copying the list.
     listeners: RwLock<Arc<Vec<Arc<dyn EventListener>>>>,
-    units: Mutex<UnitTable>,
-    units_freed: Condvar,
+    /// Shared with the [`UnitClaim`]s drawn on it, which release themselves.
+    units: Arc<Mutex<UnitTable>>,
     cache: Vec<Mutex<LruCache<Oid, StoredEntity>>>,
     /// What `check_integrity` starts from: the last clean verdict per
     /// classification and the member edges committed since.
@@ -180,17 +294,11 @@ impl Database {
     /// [`crate::index::shard_routing`] when opening the store so index
     /// entries land on the shard their trailing/leading OID maps to.
     pub fn open_sharded(store: Arc<ShardedStore>) -> DbResult<Self> {
-        let shard_count = store.shard_count();
         let db = Database {
             store,
             meta: MetaMemo::default(),
             listeners: RwLock::new(Arc::new(Vec::new())),
-            units: Mutex::new(UnitTable {
-                states: HashMap::new(),
-                owners: vec![0; shard_count],
-                next_id: 0,
-            }),
-            units_freed: Condvar::new(),
+            units: Arc::default(),
             cache: (0..CACHE_SHARDS)
                 .map(|_| Mutex::new(LruCache::new(DEFAULT_CACHE_CAPACITY / CACHE_SHARDS)))
                 .collect(),
@@ -355,11 +463,11 @@ impl Database {
         self.begin_unit_on(self.store.all_shards_mask())
     }
 
-    /// Open a unit of work claiming only the shards in `mask`. Units with
-    /// disjoint claims proceed concurrently through their own writer lanes;
-    /// a unit whose claim overlaps a shard held by another unit blocks until
-    /// that unit settles. An operation whose writes route outside the claim
-    /// fails when it stages them, and stages nothing.
+    /// Open a unit of work claiming only the shards in `mask`, blocking
+    /// while the claim waits in the writer queue: until every claim ahead
+    /// of it that overlaps it has settled. Units with disjoint claims
+    /// proceed concurrently. An operation whose writes route outside the
+    /// claim fails when it stages them, and stages nothing.
     pub fn begin_unit_on(&self, mask: u64) -> UnitToken {
         let current = self.bound_id();
         if current != 0 {
@@ -375,31 +483,77 @@ impl Database {
                 depth: state.depth,
             };
         }
+        let thread = std::thread::current();
+        let mut claim = self.claim_unit_on(mask, move || thread.unpark());
+        let unit = loop {
+            match self.open(claim) {
+                Ok(unit) => break unit,
+                Err(waiting) => {
+                    claim = waiting;
+                    std::thread::park();
+                }
+            }
+        };
+        let token = UnitToken {
+            unit: unit.id,
+            depth: 1,
+        };
+        bind_thread(Some(unit));
+        token
+    }
+
+    /// Draw a claim on the shards in `mask` (0: every shard) at the back of
+    /// the writer queue, without blocking. If it is not granted at once,
+    /// `wake` runs — on whichever thread frees the shards — when it is.
+    pub fn claim_unit_on(&self, mask: u64, wake: impl FnOnce() + Send + 'static) -> UnitClaim {
         let all = self.store.all_shards_mask();
         let mask = match mask & all {
             0 => all,
             m => m,
         };
+        let (id, ahead) = self.units.lock().draw(mask, Box::new(wake));
+        UnitClaim {
+            units: Arc::clone(&self.units),
+            id,
+            ahead,
+        }
+    }
+
+    /// Open the unit a granted claim holds, bound to no thread: the server
+    /// runs each of its request slices under [`Database::with_unit_bound`].
+    /// A claim still waiting is handed back.
+    pub fn take_unit(&self, claim: UnitClaim) -> Result<UnitToken, UnitClaim> {
+        let unit = self.open(claim)?;
+        Ok(UnitToken {
+            unit: unit.id,
+            depth: 1,
+        })
+    }
+
+    /// Writers holding or queued for shard `shard`: the claims in the
+    /// writer queue whose masks cover it.
+    pub fn claims_on(&self, shard: usize) -> u64 {
+        let table = self.units.lock();
+        table
+            .queue
+            .iter()
+            .filter(|q| q.mask >> shard & 1 != 0)
+            .count() as u64
+    }
+
+    /// Open the unit of `claim` once it is granted.
+    fn open(&self, mut claim: UnitClaim) -> Result<Arc<Unit>, UnitClaim> {
+        assert!(
+            Arc::ptr_eq(&claim.units, &self.units),
+            "a claim is taken from the database it was drawn on"
+        );
         let mut table = self.units.lock();
-        loop {
-            let free = table
-                .owners
-                .iter()
-                .enumerate()
-                .all(|(i, owner)| mask & (1u64 << i) == 0 || *owner == 0);
-            if free {
-                break;
-            }
-            self.units_freed.wait(&mut table);
-        }
-        table.next_id += 1;
-        let id = table.next_id;
+        let Some(mask) = table.granted(claim.id) else {
+            drop(table);
+            return Err(claim);
+        };
+        let id = std::mem::take(&mut claim.id);
         self.integrity.unit_opened();
-        for (i, owner) in table.owners.iter_mut().enumerate() {
-            if mask & (1u64 << i) != 0 {
-                *owner = id;
-            }
-        }
         let unit = Arc::new(Unit {
             id,
             claim: mask,
@@ -418,24 +572,7 @@ impl Database {
                 depth: 1,
             },
         );
-        drop(table);
-        bind_thread(Some(unit));
-        UnitToken { unit: id, depth: 1 }
-    }
-
-    /// Open a unit claiming every shard *without* leaving it bound to the
-    /// calling thread. The event transport opens units on whichever worker
-    /// happens to process the `UnitBegin` frame; that worker goes on to
-    /// serve other sessions, so a lingering binding would route their
-    /// operations into this unit (or panic once it settles). Callers run
-    /// each of the unit's request slices under
-    /// [`Database::with_unit_bound`] instead.
-    pub fn begin_unit_detached(&self) -> UnitToken {
-        let token = self.begin_unit();
-        if self.bound_id() == token.unit {
-            bind_thread(None);
-        }
-        token
+        Ok(unit)
     }
 
     /// Run `f` with the unit bound to this thread, if it is one of this
@@ -458,14 +595,17 @@ impl Database {
     /// one thread interleaved with other sessions' work; each slice is
     /// wrapped in this so staging, reads and event recording follow the
     /// token, not the thread. If `f` settles the unit (commit/abort), the
-    /// binding it cleared stays cleared.
+    /// binding it cleared stays cleared; if `f` panics, the unit is rolled
+    /// back.
     pub fn with_unit_bound<T>(&self, token: &UnitToken, f: impl FnOnce(&Database) -> T) -> T {
         let unit = {
             let table = self.units.lock();
             table.states.get(&token.unit).map(|s| Arc::clone(&s.unit))
         };
         let prev = bind_thread(unit);
+        let unwind = RollbackOnUnwind(self, token.unit);
         let out = f(self);
+        std::mem::forget(unwind);
         if self.bound_id() == token.unit {
             bind_thread(prev);
         }
@@ -511,8 +651,8 @@ impl Database {
         }
         // The integrity tracker takes the unit's edge additions first —
         // those its listeners caused too — while the unit still counts as
-        // open. The claimed shards stay owned until the seal lands, so a
-        // unit opened meanwhile cannot claim them; disjoint units seal in
+        // open. The claim stays held until the seal lands, so a unit opened
+        // meanwhile cannot claim its shards; disjoint units seal in
         // parallel.
         let late = self.units.lock().states.remove(&id).map(|s| s.events);
         self.integrity
@@ -550,18 +690,11 @@ impl Database {
         self.bound_id() != 0
     }
 
-    /// Release `id`'s shard claims and thread binding after it settled,
-    /// waking units waiting for the freed shards.
+    /// Release `id`'s claim and thread binding after it settled, waking the
+    /// claims waiting for the freed shards.
     fn release_unit(&self, id: u64) {
-        let mut table = self.units.lock();
-        for owner in table.owners.iter_mut() {
-            if *owner == id {
-                *owner = 0;
-            }
-        }
-        drop(table);
         self.integrity.unit_settled();
-        self.units_freed.notify_all();
+        release_claim(&self.units, id);
         if self.bound_id() == id {
             bind_thread(None);
         }
@@ -590,20 +723,14 @@ impl Database {
         }
     }
 
-    /// Run `f` inside a unit (reusing the active one if present).
+    /// Run `f` inside a unit (reusing the active one if present): commit it
+    /// if `f` succeeds, roll it back if `f` fails or panics.
     pub fn in_unit_scope<T>(&self, f: impl FnOnce(&Database) -> DbResult<T>) -> DbResult<T> {
-        self.in_unit_scope_on(self.store.all_shards_mask(), f)
-    }
-
-    /// [`Database::in_unit_scope`] claiming only the shards in `mask` (see
-    /// [`Database::begin_unit_on`]).
-    pub fn in_unit_scope_on<T>(
-        &self,
-        mask: u64,
-        f: impl FnOnce(&Database) -> DbResult<T>,
-    ) -> DbResult<T> {
-        let token = self.begin_unit_on(mask);
-        match f(self) {
+        let token = self.begin_unit();
+        let unwind = RollbackOnUnwind(self, token.unit);
+        let result = f(self);
+        std::mem::forget(unwind);
+        match result {
             Ok(v) => {
                 self.commit_unit(token)?;
                 Ok(v)
@@ -2740,5 +2867,215 @@ pub(crate) mod tests {
         assert_eq!(db.classification_meta(cls).unwrap().name, "C");
         assert!(db.with_schema(|s| s.rel_class("R").is_some()));
         let _ = std::fs::remove_file(path);
+    }
+
+    /// The writer queue: one FIFO of claims on shard masks, each granted
+    /// whole once no claim ahead of it overlaps it.
+    mod queue {
+        use super::*;
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        fn sharded_db(shards: usize) -> Database {
+            let options = StoreOptions {
+                sync_on_commit: false,
+            };
+            let path = temp_path("queue");
+            let store =
+                ShardedStore::open_with(&path, options, shards, index::shard_routing()).unwrap();
+            Database::open_sharded(Arc::new(store)).unwrap()
+        }
+
+        /// Take the unit of a claim that must be granted, bound to no thread.
+        fn take(db: &Database, claim: UnitClaim) -> UnitToken {
+            db.take_unit(claim).ok().expect("the claim is granted")
+        }
+
+        /// A claim whose wake counts into `woken`.
+        fn counted(db: &Database, mask: u64, woken: &Arc<AtomicU64>) -> UnitClaim {
+            let woken = Arc::clone(woken);
+            db.claim_unit_on(mask, move || {
+                woken.fetch_add(1, Ordering::SeqCst);
+            })
+        }
+
+        /// Wait until `n` claims cover shard 0.
+        fn until_queued(db: &Database, n: u64) {
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            while db.claims_on(0) < n {
+                assert!(std::time::Instant::now() < deadline, "never queued");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+
+        /// Eight blocking writers queued behind a held unit, in a known
+        /// order, are granted in that order: none barges, however the
+        /// scheduler wakes them.
+        #[test]
+        fn grants_follow_arrival_order() {
+            let db = temp_db();
+            let gate = take(&db, db.claim_unit_on(1, || {}));
+            let order = Mutex::new(Vec::new());
+            std::thread::scope(|s| {
+                for i in 0..8u64 {
+                    let (db, order) = (&db, &order);
+                    s.spawn(move || {
+                        let token = db.begin_unit_on(1);
+                        order.lock().push(i);
+                        // Hold briefly so a barging writer would have a window.
+                        std::thread::sleep(Duration::from_millis(1));
+                        db.commit_unit(token).unwrap();
+                    });
+                    // Draw the claims one at a time, so arrival order is known.
+                    until_queued(db, i + 2);
+                }
+                db.commit_unit(gate).unwrap();
+            });
+            assert_eq!(*order.lock(), (0..8).collect::<Vec<u64>>());
+            assert_eq!(db.claims_on(0), 0);
+        }
+
+        /// Claims on disjoint masks are held at the same time, each by a
+        /// unit of its own.
+        #[test]
+        fn disjoint_claims_are_held_at_once() {
+            let db = sharded_db(2);
+            let first = take(&db, db.claim_unit_on(0b01, || {}));
+            let second = db.claim_unit_on(0b10, || {});
+            assert_eq!(second.ahead(), 0);
+            let second = take(&db, second);
+            assert_eq!((db.claims_on(0), db.claims_on(1)), (1, 1));
+            db.commit_unit(first).unwrap();
+            db.commit_unit(second).unwrap();
+            // Blocking writers too: each thread opens its unit on its shard
+            // while the other's is open. (Detached threads: a writer that
+            // waited would fail the test, not hang it.)
+            let db = Arc::new(db);
+            let (tx, rx) = mpsc::channel();
+            let release = Arc::new(std::sync::Barrier::new(3));
+            let writers: Vec<_> = [0b01u64, 0b10]
+                .into_iter()
+                .map(|mask| {
+                    let (db, tx, release) = (Arc::clone(&db), tx.clone(), Arc::clone(&release));
+                    std::thread::spawn(move || {
+                        let token = db.begin_unit_on(mask);
+                        tx.send(()).unwrap();
+                        release.wait();
+                        db.commit_unit(token).unwrap();
+                    })
+                })
+                .collect();
+            for _ in 0..2 {
+                rx.recv_timeout(Duration::from_secs(10)).unwrap();
+            }
+            assert_eq!((db.claims_on(0), db.claims_on(1)), (1, 1), "both held");
+            release.wait();
+            for writer in writers {
+                writer.join().unwrap();
+            }
+        }
+
+        /// A waiting claim holds none of its shards, yet a later claim on a
+        /// shard it wants queues behind it: `{1}` behind a waiting `{0,1}`
+        /// though shard 1 is free. Each is granted whole, in order.
+        #[test]
+        fn a_waiting_claim_is_not_barged_and_holds_nothing() {
+            let db = sharded_db(2);
+            let woken = Arc::new(AtomicU64::new(0));
+            let head = take(&db, db.claim_unit_on(0b01, || {}));
+            let both = counted(&db, 0b11, &woken);
+            let later = counted(&db, 0b10, &woken);
+            assert_eq!((both.ahead(), later.ahead()), (1, 1));
+            assert!(!both.is_granted() && !later.is_granted());
+            db.commit_unit(head).unwrap();
+            assert!(both.is_granted() && !later.is_granted());
+            assert_eq!(woken.load(Ordering::SeqCst), 1);
+            let both = take(&db, both);
+            assert!(!later.is_granted(), "the unit holds the claim");
+            db.abort_unit(both);
+            assert!(later.is_granted());
+            assert_eq!(woken.load(Ordering::SeqCst), 2);
+        }
+
+        /// Cancelling a waiting claim frees its place; dropping a granted
+        /// claim whose unit was never taken frees its shards. Either way
+        /// the next claim is granted and woken, and no other wake runs.
+        #[test]
+        fn a_dropped_claim_frees_its_shards_and_wakes_the_next() {
+            let db = temp_db();
+            let (cancelled, next, last) = (
+                Arc::new(AtomicU64::new(0)),
+                Arc::new(AtomicU64::new(0)),
+                Arc::new(AtomicU64::new(0)),
+            );
+            let head = take(&db, db.claim_unit_on(0, || {}));
+            let waiting = counted(&db, 0, &cancelled);
+            let granted_later = counted(&db, 0, &next);
+            let behind = counted(&db, 0, &last);
+            drop(waiting);
+            assert_eq!(db.claims_on(0), 3);
+            db.commit_unit(head).unwrap();
+            assert!(granted_later.is_granted() && !behind.is_granted());
+            assert_eq!(next.load(Ordering::SeqCst), 1);
+            drop(granted_later);
+            assert!(behind.is_granted());
+            assert_eq!(last.load(Ordering::SeqCst), 1);
+            assert_eq!(cancelled.load(Ordering::SeqCst), 0);
+            drop(behind);
+            assert_eq!(db.claims_on(0), 0);
+        }
+
+        /// A nested `begin_unit_on` from a thread bound to a unit shares
+        /// that unit's claim: it neither queues behind the claims waiting
+        /// for the unit nor adds one of its own.
+        #[test]
+        fn a_nested_unit_never_queues() {
+            let db = Arc::new(temp_db());
+            let (tx, rx) = mpsc::channel();
+            // Detached: a nested unit that queued would wait forever.
+            let nested = std::thread::spawn({
+                let db = Arc::clone(&db);
+                move || {
+                    let outer = db.begin_unit();
+                    let waiting = db.claim_unit_on(0, || {});
+                    let inner = db.begin_unit_on(1);
+                    tx.send(db.claims_on(0)).unwrap();
+                    db.commit_unit(inner).unwrap();
+                    db.commit_unit(outer).unwrap();
+                    tx.send(waiting.is_granted() as u64).unwrap();
+                }
+            });
+            let next = || rx.recv_timeout(Duration::from_secs(10));
+            assert_eq!(next(), Ok(2), "the nested unit queued");
+            assert_eq!(next(), Ok(1), "the waiting claim follows the unit");
+            nested.join().unwrap();
+        }
+
+        /// A holder that panics still releases: inside a unit, with a unit
+        /// bound for a slice, or holding a granted claim.
+        #[test]
+        fn a_holder_that_panics_still_releases() {
+            let db = temp_db();
+            std::thread::scope(|s| {
+                let db = &db;
+                let scoped = s.spawn(|| db.in_unit_scope(|_| -> DbResult<()> { panic!("holder") }));
+                assert!(scoped.join().is_err());
+                assert_eq!(db.claims_on(0), 0);
+                let token = take(db, db.claim_unit_on(0, || {}));
+                let bound = s.spawn(move || db.with_unit_bound(&token, |_| panic!("slice")));
+                assert!(bound.join().is_err());
+                assert_eq!(db.claims_on(0), 0);
+                let claim = db.claim_unit_on(0, || {});
+                let held = s.spawn(move || {
+                    let _claim = claim;
+                    panic!("claim holder");
+                });
+                assert!(held.join().is_err());
+                assert_eq!(db.claims_on(0), 0);
+            });
+            let token = db.begin_unit();
+            db.commit_unit(token).unwrap();
+        }
     }
 }

@@ -29,7 +29,8 @@
 //! * **units of work** — [`Database::begin_unit`] stages a unit's
 //!   operations in one storage transaction, sealed at commit and dropped at
 //!   abort, giving atomicity, deferred-rule scheduling and the *what-if*
-//!   workflows of §7.1.4;
+//!   workflows of §7.1.4. Units claim shard masks in one FIFO writer queue,
+//!   the only one a writer waits in, embedded or over the wire;
 //! * **snapshot read path** ([`read`]) — the [`Reader`] trait defines every
 //!   read operation once; [`ReadView`] pins an immutable storage snapshot so
 //!   whole queries run lock-free against one consistent committed state.
@@ -50,7 +51,7 @@ pub mod value;
 pub mod views;
 
 pub use classification::{Classification, ClassificationCompare, IntegrityTracker};
-pub use database::{Database, UnitToken};
+pub use database::{Database, UnitClaim, UnitToken};
 pub use error::{DbError, DbResult};
 pub use events::{Event, EventListener};
 pub use history::{history_of, HistoryEntry, HistoryRecorder};

@@ -11,20 +11,19 @@
 //! which both transports run — the blocking one (`server.rs`, a thread per
 //! live session) and the event-driven one (`event.rs`, a readiness loop
 //! over non-blocking sockets) feed it decoded frames from a
-//! [`crate::frame::FrameDecoder`] and differ only in how a writer lane is
-//! awaited (block the thread, or park the session until the lane's FIFO
-//! grants its ticket). What the driver does with a [`Step`] is therefore one
-//! behaviour, not one per transport:
+//! [`crate::frame::FrameDecoder`] and differ only in how a parked
+//! writer-queue claim is awaited (park the thread, or reschedule the
+//! session when the claim is granted). What the driver does with a [`Step`]
+//! is therefore one behaviour, not one per transport:
 //!
 //! * **The lane rule.** `server::lane_mask_for` is the one decision of
-//!   which [`Work`] holds writer lanes (batches, PCL install, compact);
-//!   `UnitBegin` claims every lane after its ack. A claim walks its mask in
-//!   ascending lane order, each ticket drawn only once the previous lane is
-//!   held.
+//!   which [`Work`] claims shards in the database's writer queue (batches,
+//!   PCL install, compact); `UnitBegin` claims every shard after its ack.
+//!   Each such request draws exactly one claim, granted whole.
 //! * **The span rule.** Every request gets exactly one `Request` root span,
-//!   covering a park for a lane as well as the execution after it. A real
-//!   (`c1 = 1`) `lane_wait` span is recorded under that span for every
-//!   claim — a `UnitBegin`'s lanes are acquired inside the `UnitBegin`
+//!   covering a park in the writer queue as well as the execution after
+//!   it. A real (`c1 = 1`) `lane_wait` span is recorded under that span for
+//!   every claim — a `UnitBegin`'s claim is drawn inside the `UnitBegin`
 //!   request's span — and an in-unit query's slow-log `lane_mask` is the
 //!   mask its unit holds.
 //!
@@ -32,7 +31,7 @@
 //!
 //! ```text
 //!             Hello(v==N)                    UnitBegin (ack first,
-//!  ┌───────┐ ───────────► ┌───────┐          then the writer lanes)
+//!  ┌───────┐ ───────────► ┌───────┐          then the writer queue)
 //!  │ Fresh │              │ Ready │ ─────────────────────► ┌─────────┐
 //!  └───────┘ ───────────► └───────┘ ◄───────────────────── │ In unit │
 //!    Hello(v≠N) → close      │  ▲    UnitCommit/UnitAbort/ └─────────┘
@@ -45,7 +44,7 @@
 //! The core never touches sockets, clocks, metrics or the database — which
 //! is exactly what makes it reusable: the transports own time (idle
 //! deadlines) and I/O (framing, backpressure), the driver owns effects
-//! (lanes, units, [`Work`] execution, accounting), and the core owns
+//! (claims, units, [`Work`] execution, accounting), and the core owns
 //! ordering and protocol legality.
 //!
 //! ```
@@ -79,15 +78,15 @@ pub enum Step {
     /// Send this response, then close the connection.
     ReplyClose(Response),
     /// `UnitBegin` was accepted: send [`Response::Ack`] immediately, then
-    /// acquire the writer lane (FIFO; possibly queueing), open a database
-    /// unit, and call [`SessionCore::unit_opened`]. The ack precedes the
-    /// lane on purpose — a queued writer learns it is queued by its *next*
-    /// response stalling, exactly like the in-process API blocking on the
-    /// lane.
+    /// claim every shard in the writer queue (FIFO; possibly queueing), open
+    /// the claim's unit, and call [`SessionCore::unit_opened`]. The ack
+    /// precedes the claim on purpose — a queued writer learns it is queued
+    /// by its *next* response stalling, exactly like the in-process API
+    /// blocking in the queue.
     OpenUnit,
     /// `UnitCommit` (`commit: true`) or `UnitAbort` inside an open unit:
-    /// settle the unit's database token, answer, release its lanes and call
-    /// [`SessionCore::unit_closed`]. A step of its own rather than a
+    /// settle the unit's database token (which frees its claim), answer and
+    /// call [`SessionCore::unit_closed`]. A step of its own rather than a
     /// [`Work`] item because the token lives with the driver — the work
     /// executor never sees a settlement.
     SettleUnit { commit: bool },
@@ -100,8 +99,9 @@ pub enum Step {
 }
 
 /// A request the core cannot answer by itself: the driver executes it —
-/// holding the writer lanes `server::lane_mask_for` names, the one place that
-/// decides which work is lane-bound — and sends the resulting response.
+/// inside the unit of a claim on the shards `server::lane_mask_for` names,
+/// the one place that decides which work is lane-bound — and sends the
+/// resulting response.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Work {
     /// Evaluate a POOL statement. `pinned` is true outside a unit (run on an
@@ -110,11 +110,11 @@ pub enum Work {
     Query { pool: String, pinned: bool },
     /// Validate and set (or clear) the session's classification context.
     SetContext { classification: Option<String> },
-    /// Translate and install a PCL document. Holds the writer lane.
+    /// Translate and install a PCL document. Claims its shards.
     InstallPcl { source: String },
-    /// Run a whole batch atomically in one unit. Holds the writer lane.
+    /// Run a whole batch atomically in one unit. Claims its shards.
     UnitBatch { ops: Vec<MutationOp> },
-    /// Compact the redo log. Holds the writer lane.
+    /// Compact the redo log. Claims its shards.
     Compact,
     /// Server + storage counters.
     Stats,

@@ -1,48 +1,37 @@
 //! The one request driver under both transports.
 //!
 //! [`Driver`] is a connection's protocol engine with the socket removed: it
-//! owns the session's [`SessionCore`], its open streamed unit (the database
-//! token and the writer-lane guards) and a request parked for a lane, takes
-//! one decoded `(TraceId, Request)` at a time and pushes the responses into
-//! a [`FrameEncoder`]. Everything a request costs in bookkeeping happens
-//! here, once: the request counter, trace adoption, the `Request` root span,
-//! the state machine step, lane acquisition with its `lane_wait` span, unit
-//! open / settle / rollback, work execution, error counting and the latency
-//! histogram.
+//! owns the session's [`SessionCore`], its open streamed unit and a request
+//! parked in the writer queue, takes one decoded `(TraceId, Request)` at a
+//! time and pushes the responses into a [`FrameEncoder`]. Everything a
+//! request costs in bookkeeping happens here, once: the request counter,
+//! trace adoption, the `Request` root span, the state machine step, the
+//! writer-queue claim with its `lane_wait` span, unit open / settle /
+//! rollback, work execution, error counting and the latency histogram.
 //!
-//! A transport supplies bytes in, bytes out, and a [`LaneSource`] — *how* a
-//! writer lane is waited for, the only thing the two transports do
-//! differently. The blocking source waits on the lane's condvar; the event
-//! loop's source queues the session and answers "parked", and the loop hands
-//! the guard to [`Driver::on_grant`] when the lane comes round. Because
-//! nothing here performs I/O, a scripted lane source is all a test (or a
-//! deterministic simulator) needs to drive whole sessions.
+//! A lane-bound request draws one claim in the database's writer queue on
+//! the shards [`lane_mask_for`] names and runs inside the unit the claim
+//! opens once granted. A claim not granted at once *parks* the driver; its
+//! wake callback — the one thing a transport supplies besides bytes — tells
+//! the transport to call [`Driver::on_wake`]. The blocking transport waits
+//! for it on the session's own thread, the event loop reschedules the
+//! session. Because nothing here performs I/O, a unit held on the same
+//! database is all a test needs to drive a session through a park.
 
 use crate::core::{SessionCore, Step, Work};
 use crate::error::ErrorKind;
 use crate::frame::{FrameDecoder, FrameEncoder};
-use crate::lane::OwnedLaneGuard;
 use crate::protocol::{Request, Response};
 use crate::server::{db_err, execute_work, initiate_shutdown, lane_mask_for, Shared};
-use prometheus_db::database::UnitToken;
+use prometheus_db::database::{UnitClaim, UnitToken};
 use prometheus_trace::{Span, Stage, TraceId, TraceScope};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// How a transport obtains writer lanes for its sessions.
-pub(crate) trait LaneSource {
-    /// Draw a ticket on lane `lane` and hold the lane, or queue for it.
-    /// Returns the ticket's distance from the head of the queue at draw time
-    /// and the guard — `None` means *parked*: the transport keeps the ticket
-    /// and passes the guard to [`Driver::on_grant`] once it is served. `out`
-    /// holds the responses produced so far; a source that blocks must put
-    /// them on the wire first, so a `UnitBegin` ack precedes the wait.
-    fn acquire(&mut self, lane: usize, out: &mut FrameEncoder) -> (u64, Option<OwnedLaneGuard>);
-
-    /// Lane `lane`'s guard was just dropped.
-    fn released(&mut self, lane: usize);
-}
+/// How a transport learns that a parked request's claim was granted. It
+/// runs on whichever thread freed the shards, so it must not block.
+pub(crate) type Wake = Arc<dyn Fn() + Send + Sync>;
 
 /// Why a streamed unit ends without the client settling it.
 pub(crate) enum UnitEnd {
@@ -53,18 +42,16 @@ pub(crate) enum UnitEnd {
     TimedOut,
 }
 
-/// A streamed unit between `UnitBegin` and its settlement: the lanes stay
-/// held across requests, and `mask` is both the lanes and the unit's shard
-/// claim.
+/// A streamed unit between `UnitBegin` and its settlement: it keeps its
+/// claim across requests, and `mask` is that claim's shards.
 struct OpenUnit {
     token: UnitToken,
     mask: u64,
-    guards: Vec<(usize, OwnedLaneGuard)>,
 }
 
-/// What to do once every lane of a claim is held.
+/// What to do once the claim is granted.
 enum Deferred {
-    /// `UnitBegin` was acked; open the unit and keep the lanes.
+    /// `UnitBegin` was acked; keep the unit open across requests.
     OpenUnit,
     /// One-shot lane-bound work (batch, PCL install, compact).
     Work(Work),
@@ -79,19 +66,15 @@ struct InFlight {
     root: Span,
 }
 
-/// A multi-lane claim in progress. Lanes are claimed in ascending index
-/// order and each lane's ticket is drawn only after the previous lane is
-/// *held* — a holder of lane `j` only ever waits on lanes `> j`, so sessions
-/// on both transports are jointly deadlock-free. While parked the session is
-/// queued on exactly one lane: the lowest unheld lane of the mask.
-struct Claim {
+/// A lane-bound request waiting in the writer queue.
+struct Parked {
     what: Deferred,
     mask: u64,
-    held: Vec<(usize, OwnedLaneGuard)>,
-    /// The real `lane_wait` span: `c0` the largest ticket distance seen,
-    /// `c1 = 1` (pinned queries record a synthetic `c1 = 0` one instead).
+    claim: UnitClaim,
+    /// The real `lane_wait` span: `c0` the claims ahead at draw that overlap
+    /// the mask, `c1 = 1` (pinned queries record a synthetic `c1 = 0` one
+    /// instead). It closes when the claim is granted.
     wait: Span,
-    worst: u64,
     flight: InFlight,
 }
 
@@ -100,18 +83,22 @@ pub(crate) struct Driver {
     shared: Arc<Shared>,
     core: SessionCore,
     unit: Option<OpenUnit>,
-    parked: Option<Claim>,
+    parked: Option<Parked>,
+    wake: Wake,
     closing: bool,
 }
 
 impl Driver {
-    pub(crate) fn new(shared: &Arc<Shared>, session: u64) -> Driver {
+    /// A session's driver; `wake` is how its transport hears that a parked
+    /// request's claim was granted.
+    pub(crate) fn new(shared: &Arc<Shared>, session: u64, wake: Wake) -> Driver {
         let primary = shared.replica.as_ref().map(|r| r.primary.clone());
         Driver {
             shared: Arc::clone(shared),
             core: SessionCore::new(session, primary),
             unit: None,
             parked: None,
+            wake,
             closing: false,
         }
     }
@@ -122,21 +109,20 @@ impl Driver {
         self.unit.is_some()
     }
 
-    /// Whether a request is queued for a lane. A parked session takes no
-    /// further requests until [`Driver::on_grant`] completes the claim.
+    /// Whether a request waits in the writer queue. A parked session takes
+    /// no further requests until [`Driver::on_wake`] completes it.
     pub(crate) fn is_parked(&self) -> bool {
         self.parked.is_some()
     }
-
     /// Whether the connection must close once the encoder has drained.
     pub(crate) fn is_closing(&self) -> bool {
         self.closing
     }
 
     /// The next whole request `decoder` holds, if the session may take one:
-    /// not while it is parked for a lane, not once it is closing. A corrupt
-    /// stream cannot be resynchronised: it is counted and the connection
-    /// closes.
+    /// not while it is parked in the writer queue, not once it is closing.
+    /// A corrupt stream cannot be resynchronised: it is counted and the
+    /// connection closes.
     pub(crate) fn next_request(
         &mut self,
         decoder: &mut FrameDecoder,
@@ -153,13 +139,7 @@ impl Driver {
     }
 
     /// Serve one decoded request.
-    pub(crate) fn on_request(
-        &mut self,
-        lanes: &mut dyn LaneSource,
-        out: &mut FrameEncoder,
-        wire_trace: TraceId,
-        req: Request,
-    ) {
+    pub(crate) fn on_request(&mut self, out: &mut FrameEncoder, wire_trace: TraceId, req: Request) {
         let start = Instant::now();
         let kind = req.kind();
         self.shared.metrics.count_request(kind);
@@ -190,15 +170,15 @@ impl Driver {
                 initiate_shutdown(&self.shared);
                 self.closing = true;
             }
-            // Ack precedes the lanes on purpose: a queued writer learns it
+            // Ack precedes the claim on purpose: a queued writer learns it
             // is queued by its *next* response stalling, exactly like the
-            // in-process API blocking on the lane. A streamed unit's ops
+            // in-process API blocking in the queue. A streamed unit's ops
             // arrive one frame at a time, so no shard mask can be inferred
-            // up front: claim every lane.
+            // up front: claim every shard.
             Step::OpenUnit => {
                 self.send(out, trace, &Response::Ack);
                 let mask = self.shared.db.db().store().all_shards_mask();
-                return self.claim(lanes, out, Deferred::OpenUnit, mask, flight);
+                return self.claim(out, Deferred::OpenUnit, mask, flight);
             }
             Step::SettleUnit { commit } => {
                 let unit = self.unit.take().expect("the core says a unit is open");
@@ -219,17 +199,15 @@ impl Driver {
                 };
                 self.core.unit_closed();
                 self.send(out, trace, &resp);
-                release(unit.guards, lanes);
             }
             Step::Do(work) => {
-                // Infer the lane mask once, here, and execute under exactly
-                // those lanes. The same mask becomes the unit's shard claim:
-                // recomputing it inside `execute_work` would advance the
-                // round-robin home hint a second time and could home a
-                // creation batch on a shard whose lane we do not hold.
+                // Infer the mask once, here, and run under exactly that
+                // claim: recomputing it inside `execute_work` would advance
+                // the round-robin home hint a second time and could home a
+                // creation batch on a shard outside the claim.
                 let mask = lane_mask_for(&self.shared, &work);
                 if mask != 0 {
-                    return self.claim(lanes, out, Deferred::Work(work), mask, flight);
+                    return self.claim(out, Deferred::Work(work), mask, flight);
                 }
                 let (shared, core) = (&self.shared, &mut self.core);
                 let resp = match &self.unit {
@@ -248,28 +226,49 @@ impl Driver {
         self.finish(flight);
     }
 
-    /// The transport claimed `lane` for this session's parked request: fold
-    /// the guard in and carry on from where [`Driver::on_request`] stopped.
-    pub(crate) fn on_grant(
-        &mut self,
-        lanes: &mut dyn LaneSource,
-        out: &mut FrameEncoder,
-        lane: usize,
-        guard: OwnedLaneGuard,
-    ) {
-        match self.parked.take() {
-            Some(mut claim) => {
-                claim.held.push((lane, guard));
-                self.advance(lanes, out, claim);
+    /// Carry on with the parked request if its claim is granted — run it
+    /// and close its books — or stay parked. The transport calls this once
+    /// the claim's wake has run; a call before that changes nothing.
+    pub(crate) fn on_wake(&mut self, out: &mut FrameEncoder) {
+        let Some(parked) = self.parked.take() else {
+            return;
+        };
+        let token = match self.shared.db.db().take_unit(parked.claim) {
+            Ok(token) => token,
+            Err(claim) => {
+                self.parked = Some(Parked { claim, ..parked });
+                return;
             }
-            None => release(vec![(lane, guard)], lanes),
+        };
+        let Parked {
+            what,
+            mask,
+            wait,
+            flight,
+            ..
+        } = parked;
+        drop(wait);
+        let trace = flight.root.trace_id();
+        let _scope = TraceScope::enter(trace, flight.root.id());
+        match what {
+            // Detached: the thread serves other sessions between this
+            // unit's requests, so the unit must not stay bound to it.
+            Deferred::OpenUnit => {
+                self.core.unit_opened();
+                self.unit = Some(OpenUnit { token, mask });
+            }
+            Deferred::Work(work) => {
+                let resp = self.run_claimed(token, work, mask);
+                self.send(out, trace, &resp);
+            }
         }
+        self.finish(flight);
     }
 
-    /// End a streamed unit the client did not settle: roll it back, count
-    /// why, tell the core, and only then let the lanes go — so no queued
-    /// writer ever sees half of it. No-op without an open unit.
-    pub(crate) fn end_unit(&mut self, lanes: &mut dyn LaneSource, why: UnitEnd) {
+    /// End a streamed unit the client did not settle: roll it back — which
+    /// frees its claim, so no queued writer ever sees half of it — count
+    /// why and tell the core. No-op without an open unit.
+    pub(crate) fn end_unit(&mut self, why: UnitEnd) {
         let Some(unit) = self.unit.take() else { return };
         self.shared.db.db().abort_unit(unit.token);
         let counter = match why {
@@ -284,84 +283,55 @@ impl Driver {
             }
         };
         counter.fetch_add(1, Ordering::Relaxed);
-        release(unit.guards, lanes);
     }
 
-    /// The connection is gone: roll back an open unit and free the lanes a
-    /// parked claim already holds. (The ticket it was queued on is the
-    /// transport's to retire.)
-    pub(crate) fn disconnect(&mut self, lanes: &mut dyn LaneSource) {
-        self.end_unit(lanes, UnitEnd::Disconnected);
-        if let Some(claim) = self.parked.take() {
-            release(claim.held, lanes);
-        }
+    /// The connection is gone: roll back an open unit and drop a parked
+    /// claim, which leaves the queue by itself, granted or not.
+    pub(crate) fn disconnect(&mut self) {
+        self.end_unit(UnitEnd::Disconnected);
+        self.parked = None;
     }
 
-    /// Start claiming the lanes in `mask` for the request in `flight`.
-    fn claim(
-        &mut self,
-        lanes: &mut dyn LaneSource,
-        out: &mut FrameEncoder,
-        what: Deferred,
-        mask: u64,
-        flight: InFlight,
-    ) {
+    /// Draw one claim on `mask` for the request in `flight`, and run the
+    /// request at once if it is granted.
+    fn claim(&mut self, out: &mut FrameEncoder, what: Deferred, mask: u64, flight: InFlight) {
         let mut wait = self.shared.recorder.span(Stage::LaneWait);
-        wait.set_counters(0, 1);
-        let claim = Claim {
+        let wake = Arc::clone(&self.wake);
+        let claim = self.shared.db.db().claim_unit_on(mask, move || wake());
+        wait.set_counters(claim.ahead(), 1);
+        self.parked = Some(Parked {
             what,
             mask,
-            held: Vec::new(),
+            claim,
             wait,
-            worst: 0,
             flight,
-        };
-        self.advance(lanes, out, claim);
+        });
+        self.on_wake(out);
     }
 
-    /// Walk the claim's mask upward from the last lane held; park where the
-    /// source says so, and once every lane is held run the deferred action
-    /// and close the request's books.
-    fn advance(&mut self, lanes: &mut dyn LaneSource, out: &mut FrameEncoder, mut claim: Claim) {
-        let lane_count = self.shared.writer_lanes.len();
-        loop {
-            let from = claim.held.last().map_or(0, |(k, _)| k + 1);
-            let Some(lane) = (from..lane_count).find(|k| claim.mask >> k & 1 != 0) else {
-                break;
-            };
-            let (distance, guard) = lanes.acquire(lane, out);
-            claim.worst = claim.worst.max(distance);
-            match guard {
-                Some(guard) => claim.held.push((lane, guard)),
-                None => {
-                    self.parked = Some(claim);
-                    return;
+    /// Run one-shot lane-bound work inside the unit its claim opened, and
+    /// settle the unit: commit it when the work succeeded, roll it back
+    /// when it failed.
+    fn run_claimed(&mut self, token: UnitToken, work: Work, mask: u64) -> Response {
+        let (shared, core) = (&self.shared, &mut self.core);
+        let db = shared.db.db();
+        let resp = db.with_unit_bound(&token, |_| execute_work(shared, core, work, mask));
+        if let Response::Error { .. } = resp {
+            db.abort_unit(token);
+            return resp;
+        }
+        match db.commit_unit(token) {
+            Ok(()) => {
+                if let Response::Batch { .. } = resp {
+                    shared
+                        .metrics
+                        .units_committed
+                        .fetch_add(1, Ordering::Relaxed);
                 }
+                resp
             }
+            Err(e) => db_err(e.to_string()),
         }
-        claim.wait.finish(claim.worst, 1);
-        let (mask, flight) = (claim.mask, claim.flight);
-        let trace = flight.root.trace_id();
-        let _scope = TraceScope::enter(trace, flight.root.id());
-        match claim.what {
-            // Detached: the thread serves other sessions between this
-            // unit's requests, so the unit must not stay bound to it.
-            Deferred::OpenUnit => {
-                let token = self.shared.db.db().begin_unit_detached();
-                self.core.unit_opened();
-                self.unit = Some(OpenUnit {
-                    token,
-                    mask,
-                    guards: claim.held,
-                });
-            }
-            Deferred::Work(work) => {
-                let resp = execute_work(&self.shared, &mut self.core, work, mask);
-                self.send(out, trace, &resp);
-                release(claim.held, lanes);
-            }
-        }
-        self.finish(flight);
     }
 
     /// Count and encode one response, echoing the request's trace id in the
@@ -397,51 +367,13 @@ impl Driver {
     }
 }
 
-/// Drop lane guards, telling the source which lanes came free.
-fn release(guards: Vec<(usize, OwnedLaneGuard)>, lanes: &mut dyn LaneSource) {
-    for (lane, guard) in guards {
-        drop(guard);
-        lanes.released(lane);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lane::TicketLane;
     use crate::protocol::{MutationOp, PROTOCOL_VERSION};
     use crate::server::ServerConfig;
     use prometheus_db::{Prometheus, StoreOptions, Value};
-
-    /// A lane source with a script instead of a socket: lanes are claimed on
-    /// the spot unless `park` says the next acquisition queues, in which
-    /// case the test plays the event loop and grants the ticket itself.
-    struct Scripted<'a> {
-        shared: &'a Shared,
-        park: bool,
-        queued: Vec<(usize, u64)>,
-        released: Vec<usize>,
-    }
-
-    impl LaneSource for Scripted<'_> {
-        fn acquire(
-            &mut self,
-            lane: usize,
-            _out: &mut FrameEncoder,
-        ) -> (u64, Option<OwnedLaneGuard>) {
-            let (ticket, distance) = self.shared.writer_lanes[lane].ticket_with_distance();
-            if std::mem::take(&mut self.park) {
-                self.queued.push((lane, ticket));
-                return (distance, None);
-            }
-            let guard = TicketLane::try_claim(&self.shared.writer_lanes[lane], ticket);
-            (distance, Some(guard.expect("scripted lane is free")))
-        }
-
-        fn released(&mut self, lane: usize) {
-            self.released.push(lane);
-        }
-    }
+    use std::sync::atomic::AtomicU64;
 
     fn shared(name: &str) -> Arc<Shared> {
         let path = std::env::temp_dir().join(format!(
@@ -482,68 +414,81 @@ mod tests {
     }
 
     /// Whole sessions with no socket anywhere: every request is counted and
-    /// timed exactly once, whether its lanes come at once or after a park.
+    /// timed exactly once, whether its claim is granted at once or after a
+    /// park. A unit held on the same database from another token parks the
+    /// driver; settling it grants the claim.
     #[test]
     fn latency_is_recorded_once_per_request_parked_or_not() {
         let shared = shared("latency");
-        let mut lanes = Scripted {
-            shared: &shared,
-            park: false,
-            queued: Vec::new(),
-            released: Vec::new(),
+        let db = shared.db.db();
+        let woken = Arc::new(AtomicU64::new(0));
+        let wake: Wake = {
+            let woken = Arc::clone(&woken);
+            Arc::new(move || {
+                woken.fetch_add(1, Ordering::Relaxed);
+            })
         };
-        let mut driver = Driver::new(&shared, 1);
+        let mut driver = Driver::new(&shared, 1, wake);
         let mut out = FrameEncoder::new();
-        let ask = |driver: &mut Driver, lanes: &mut Scripted<'_>, out: &mut FrameEncoder, req| {
-            driver.on_request(lanes, out, TraceId::NONE, req);
+        let ask = |driver: &mut Driver, out: &mut FrameEncoder, req| {
+            driver.on_request(out, TraceId::NONE, req);
         };
         // (requests counted, latency samples taken)
         let books = || {
             let m = shared.metrics.snapshot();
             (m.requests_total(), m.latency.count)
         };
+        // A unit held from another token, bound to no thread.
+        let hold = || {
+            let claim = db.claim_unit_on(0, || {});
+            db.take_unit(claim)
+                .ok()
+                .expect("an idle queue grants at once")
+        };
         let hello = Request::Hello {
             version: PROTOCOL_VERSION,
             client: "scripted".into(),
         };
-        ask(&mut driver, &mut lanes, &mut out, hello);
-        ask(&mut driver, &mut lanes, &mut out, Request::Ping);
-        // Lanes at once: batch, then a streamed unit.
+        ask(&mut driver, &mut out, hello);
+        ask(&mut driver, &mut out, Request::Ping);
+        // Granted at once: batch, then a streamed unit.
         let batch = Request::UnitBatch {
             ops: vec![genus("Apium")],
         };
-        ask(&mut driver, &mut lanes, &mut out, batch);
-        assert_eq!(lanes.released, [0], "a batch lets its lane go");
-        ask(&mut driver, &mut lanes, &mut out, Request::UnitBegin);
+        ask(&mut driver, &mut out, batch);
+        assert_eq!(db.claims_on(0), 0, "a batch lets its claim go");
+        ask(&mut driver, &mut out, Request::UnitBegin);
         assert!(driver.in_unit());
         let op = Request::UnitOp {
             op: genus("Daucus"),
         };
-        ask(&mut driver, &mut lanes, &mut out, op);
-        ask(&mut driver, &mut lanes, &mut out, Request::UnitCommit);
+        ask(&mut driver, &mut out, op);
+        ask(&mut driver, &mut out, Request::UnitCommit);
         assert!(!driver.in_unit());
-        assert_eq!(lanes.released, [0, 0]);
+        assert_eq!(db.claims_on(0), 0);
         assert_eq!(books(), (6, 6));
         assert_eq!(responses(&mut out).len(), 6);
 
         // Parked, then granted: the ack goes out, nothing else happens —
-        // no unit, no latency sample — until the grant arrives.
-        lanes.park = true;
-        ask(&mut driver, &mut lanes, &mut out, Request::UnitBegin);
+        // no unit, no latency sample — until the holder settles.
+        let held = hold();
+        ask(&mut driver, &mut out, Request::UnitBegin);
         assert!(driver.is_parked() && !driver.in_unit());
         assert_eq!(responses(&mut out), [Response::Ack]);
         assert_eq!(books(), (7, 6));
-        let (lane, ticket) = lanes.queued.pop().unwrap();
-        let guard = TicketLane::try_claim(&shared.writer_lanes[lane], ticket).unwrap();
-        driver.on_grant(&mut lanes, &mut out, lane, guard);
+        driver.on_wake(&mut out);
+        assert!(driver.is_parked(), "no grant while the holder holds");
+        db.commit_unit(held).unwrap();
+        assert_eq!(woken.load(Ordering::Relaxed), 1);
+        driver.on_wake(&mut out);
         assert!(!driver.is_parked() && driver.in_unit());
         assert_eq!(books(), (7, 7));
 
-        // A timed-out unit is rolled back and counted, its lane released,
+        // A timed-out unit is rolled back and counted, its claim released,
         // and the next request — whatever it asks — is told.
-        driver.end_unit(&mut lanes, UnitEnd::TimedOut);
-        assert_eq!(lanes.released, [0, 0, 0]);
-        ask(&mut driver, &mut lanes, &mut out, Request::Ping);
+        driver.end_unit(UnitEnd::TimedOut);
+        assert_eq!(db.claims_on(0), 0);
+        ask(&mut driver, &mut out, Request::Ping);
         let told = responses(&mut out);
         assert!(
             matches!(
@@ -557,14 +502,19 @@ mod tests {
         );
 
         // A parked batch on a connection that then drops: nothing runs,
-        // nothing is sampled, and `disconnect` leaves no lane held.
-        lanes.park = true;
+        // nothing is sampled, and `disconnect` leaves only the holder's
+        // claim in the queue.
+        let held = hold();
         let batch = Request::UnitBatch {
             ops: vec![genus("Torilis")],
         };
-        ask(&mut driver, &mut lanes, &mut out, batch);
+        ask(&mut driver, &mut out, batch);
         assert!(driver.is_parked());
-        driver.disconnect(&mut lanes);
+        assert_eq!(db.claims_on(0), 2);
+        driver.disconnect();
+        assert_eq!(db.claims_on(0), 1);
+        db.abort_unit(held);
+        assert_eq!(db.claims_on(0), 0);
         assert_eq!(books(), (9, 8));
         let m = shared.metrics.snapshot();
         assert_eq!((m.units_committed, m.units_timed_out), (2, 1));

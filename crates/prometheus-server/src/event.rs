@@ -4,15 +4,15 @@
 //! fine for tens of clients, hopeless for thousands of mostly-idle
 //! herbarium terminals. This module puts the same `Driver` (`driver.rs`)
 //! behind non-blocking sockets and a fixed, tiny thread budget; what it owns
-//! is readiness, deadlines, backpressure and how a writer lane is queued
+//! is readiness, deadlines, backpressure and how a parked claim is waited
 //! for:
 //!
 //! ```text
 //!   poll thread ── epoll_wait ──► ready queue ──► io workers (N threads)
 //!        │                                            │
 //!        │  accepts, idle/unit deadline scans,        │  read → FrameDecoder
-//!        │  max_connections pause/resume              │  Driver::on_request / on_grant
-//!        │                                            │    (lanes: claim or park)
+//!        │  max_connections pause/resume              │  Driver::on_request / on_wake
+//!        │                                            │    (claim granted or parked)
 //!        └── also owns the GET /metrics listener      │  FrameEncoder → write
 //! ```
 //!
@@ -21,25 +21,19 @@
 //! re-arms it, so at most one worker touches a connection at a time without
 //! any per-connection thread.
 //!
-//! ## The writer lanes without blocking
+//! ## The writer queue without blocking
 //!
-//! Workers must never block in [`TicketLane::wait`]: the current holder may
-//! be an idle in-unit session whose commit frame needs a free worker, so a
-//! blocked pool would deadlock. Instead this transport's `LaneSource`
-//! answers *parked*: the session draws a ticket (under that lane's queue
-//! mutex, preserving FIFO), stops consuming decoded frames, and is
-//! rescheduled when [`pump_lane`] claims its ticket with
-//! [`TicketLane::try_claim`] — the guard then reaches the driver through
-//! `Driver::on_grant`. A parked session is not re-armed for reads either
-//! — the kernel buffers its backlog exactly as it would for a blocked
-//! thread.
-//!
-//! With sharded stores there is one lane per shard, each with its **own**
-//! park queue: releasing shard A's lane pumps only shard A's queue, so a
-//! grant on one shard never rouses (or reorders) sessions parked on
-//! another. The driver walks a multi-lane claim one lane at a time in
-//! ascending index order whichever transport it runs on, so sessions on both
-//! are jointly deadlock-free.
+//! Workers must never block in the database's writer queue: the holder of
+//! a claim may be an idle in-unit session whose commit frame needs a free
+//! worker, so a blocked pool would deadlock. A claim that is not granted at
+//! once *parks* the driver instead: the session stops consuming decoded
+//! frames, and the claim's wake callback — run by whoever frees the shards
+//! — puts the session back on the ready queue, where a worker calls
+//! `Driver::on_wake`. A parked session is not re-armed for reads either —
+//! the kernel buffers its backlog exactly as it would for a blocked thread.
+//! A session torn down while parked drops its claim, which leaves the
+//! queue by itself; a wake that arrives after the teardown finds no
+//! connection and does nothing.
 //!
 //! ## Backpressure
 //!
@@ -47,10 +41,9 @@
 //! stops having frames decoded (and stops being re-armed for reads) until
 //! the socket drains — a slow reader throttles only itself.
 
-use crate::driver::{Driver, LaneSource, UnitEnd};
+use crate::driver::{Driver, UnitEnd};
 use crate::error::ServerResult;
 use crate::frame::{FrameDecoder, FrameEncoder};
-use crate::lane::{OwnedLaneGuard, TicketLane};
 use crate::metrics::MetricsSnapshot;
 use crate::poll::{PollEvent, Poller, Waker, EV_READ, EV_WRITE};
 use crate::server::{lock, metrics_snapshot, Shared};
@@ -59,7 +52,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -145,21 +138,11 @@ struct Reactor {
     waker: Waker,
     conns: Mutex<HashMap<u64, Arc<Conn>>>,
     /// Tokens with work to do, handed from the poll thread (readiness
-    /// events) or a lane grant to the worker pool.
+    /// events) or a claim's wake to the worker pool.
     ready: Mutex<VecDeque<u64>>,
     ready_cv: Condvar,
     /// Workers may exit once this is set and the ready queue is drained.
     stopping: AtomicBool,
-    /// Per-lane FIFOs of `(ticket, token)` sessions parked for that writer
-    /// lane (index-aligned with `Shared::writer_lanes`). Tickets are drawn
-    /// under the lane's queue mutex so event sessions keep strict arrival
-    /// order among themselves, and a grant on one lane touches only that
-    /// lane's queue.
-    lane_queues: Vec<Mutex<VecDeque<(u64, u64)>>>,
-    /// A lane guard claimed on behalf of a parked session, waiting for a
-    /// worker to pick the session up. At most one per session: a session
-    /// queues on one lane at a time.
-    grants: Mutex<HashMap<u64, (usize, OwnedLaneGuard)>>,
     next_token: AtomicU64,
     max_connections: usize,
 }
@@ -192,10 +175,6 @@ pub(crate) fn spawn_event_loop(
         ready: Mutex::new(VecDeque::new()),
         ready_cv: Condvar::new(),
         stopping: AtomicBool::new(false),
-        lane_queues: (0..shared.writer_lanes.len())
-            .map(|_| Mutex::new(VecDeque::new()))
-            .collect(),
-        grants: Mutex::new(HashMap::new()),
         next_token: AtomicU64::new(FIRST_CONN_TOKEN),
         max_connections: cfg.max_connections,
     });
@@ -261,16 +240,11 @@ fn worker_loop(rx: Arc<Reactor>) {
             .metrics
             .accept_queue_depth
             .fetch_sub(1, Ordering::Relaxed);
+        // A connection torn down after it was scheduled is gone: nothing is
+        // left to serve.
         let conn = lock(&rx.conns).get(&token).cloned();
-        match conn {
-            Some(conn) => process_conn(&rx, &conn),
-            None => {
-                // Torn down after scheduling; a lane grant may be parked.
-                if let Some((lane, guard)) = lock(&rx.grants).remove(&token) {
-                    drop(guard);
-                    pump_lane(&rx, lane);
-                }
-            }
+        if let Some(conn) = conn {
+            process_conn(&rx, &conn);
         }
     }
 }
@@ -351,6 +325,16 @@ fn register_conn(rx: &Arc<Reactor>, stream: TcpStream, is_db: bool) {
     }
     let _ = stream.set_nodelay(true);
     let token = rx.next_token.fetch_add(1, Ordering::Relaxed);
+    // A parked claim's grant reschedules the session. Weak: the reactor
+    // owns the connection, and so the driver holding this.
+    let wake = {
+        let rx = Arc::downgrade(rx);
+        move || {
+            if let Some(rx) = Weak::upgrade(&rx) {
+                enqueue_ready(&rx, token);
+            }
+        }
+    };
     let (kind, session) = if is_db {
         rx.shared
             .metrics
@@ -370,7 +354,7 @@ fn register_conn(rx: &Arc<Reactor>, stream: TcpStream, is_db: bool) {
         kind,
         stream,
         state: Mutex::new(ConnState {
-            driver: Driver::new(&rx.shared, session),
+            driver: Driver::new(&rx.shared, session, Arc::new(wake)),
             decoder: FrameDecoder::new(),
             encoder: FrameEncoder::new(),
             http_in: Vec::new(),
@@ -389,108 +373,20 @@ fn register_conn(rx: &Arc<Reactor>, stream: TcpStream, is_db: bool) {
     }
 }
 
-/// Grant writer lane `lane` to its longest-parked session that is still
-/// alive, dropping grants for sessions torn down while queued so the lane
-/// never stalls behind a ghost. Call after *every* [`OwnedLaneGuard`] drop,
-/// with that guard's lane index — only this lane's queue is inspected, so a
-/// release on shard A never rouses a session parked on shard B.
-fn pump_lane(rx: &Reactor, lane: usize) {
-    loop {
-        let claimed = {
-            let mut q = lock(&rx.lane_queues[lane]);
-            match q.front().copied() {
-                None => return,
-                Some((ticket, token)) => {
-                    match TicketLane::try_claim(&rx.shared.writer_lanes[lane], ticket) {
-                        Some(guard) => {
-                            q.pop_front();
-                            (guard, token)
-                        }
-                        // Head ticket not serving yet: the current holder
-                        // will pump again when its guard drops.
-                        None => return,
-                    }
-                }
-            }
-        };
-        let (guard, token) = claimed;
-        {
-            // Hold the conns lock across the grant so a concurrent teardown
-            // cannot slip between the aliveness check and the insert (its
-            // own `grants` cleanup runs after it removed the conn here).
-            let conns = lock(&rx.conns);
-            if let Some(conn) = conns.get(&token) {
-                if !lock(&conn.state).dead {
-                    lock(&rx.grants).insert(token, (lane, guard));
-                    drop(conns);
-                    enqueue_ready(rx, token);
-                    return;
-                }
-            }
-        }
-        // Dead or gone: release the lane and try the next waiter.
-        drop(guard);
-    }
-}
-
-/// This transport's [`LaneSource`] for one session: claim a free lane on the
-/// spot, otherwise queue the session and answer "parked". Released lanes are
-/// only *recorded*: the pump runs after the caller lets go of the
-/// connection's state lock — `pump_lane` locks the granted session's state to
-/// check liveness, and the grantee may be the very connection the caller
-/// still holds.
-struct EventLanes<'a> {
-    rx: &'a Reactor,
-    token: u64,
-    pump: &'a mut Vec<usize>,
-}
-
-impl LaneSource for EventLanes<'_> {
-    /// The ticket is drawn under the lane's queue lock so FIFO order matches
-    /// arrival order; it is claimed at once when the lane is free and nobody
-    /// is parked ahead.
-    fn acquire(&mut self, lane: usize, _out: &mut FrameEncoder) -> (u64, Option<OwnedLaneGuard>) {
-        let mut q = lock(&self.rx.lane_queues[lane]);
-        let (ticket, distance) = self.rx.shared.writer_lanes[lane].ticket_with_distance();
-        if q.is_empty() {
-            if let Some(guard) = TicketLane::try_claim(&self.rx.shared.writer_lanes[lane], ticket) {
-                return (distance, Some(guard));
-            }
-        }
-        q.push_back((ticket, self.token));
-        (distance, None)
-    }
-
-    fn released(&mut self, lane: usize) {
-        self.pump.push(lane);
-    }
-}
-
 /// Close a connection and release everything it held. Idempotent.
 fn teardown(rx: &Reactor, conn: &Arc<Conn>, reaped: bool) {
-    let mut pump = Vec::new();
     {
         let mut st = lock(&conn.state);
         if st.dead {
             return;
         }
         st.dead = true;
-        // A unit left open is rolled back, lanes held by a parked claim are
-        // freed. The stale queue entry on the lane it was waiting for is
-        // skipped by `pump_lane`'s liveness check when it reaches the head.
-        let mut lanes = EventLanes {
-            rx,
-            token: conn.token,
-            pump: &mut pump,
-        };
-        st.driver.disconnect(&mut lanes);
+        // A unit left open is rolled back and a parked claim dropped: both
+        // leave the writer queue, waking whoever waits behind them.
+        st.driver.disconnect();
     }
     rx.poller.deregister(conn.stream.as_raw_fd());
     lock(&rx.conns).remove(&conn.token);
-    if let Some((lane, guard)) = lock(&rx.grants).remove(&conn.token) {
-        drop(guard);
-        pump.push(lane);
-    }
     if matches!(conn.kind, ConnKind::Db) {
         rx.shared
             .metrics
@@ -502,9 +398,6 @@ fn teardown(rx: &Reactor, conn: &Arc<Conn>, reaped: bool) {
                 .sessions_reaped
                 .fetch_add(1, Ordering::Relaxed);
         }
-    }
-    for lane in pump {
-        pump_lane(rx, lane);
     }
     // Let the poll thread resume accepting if it paused at the cap.
     rx.waker.wake();
@@ -518,7 +411,6 @@ fn teardown(rx: &Reactor, conn: &Arc<Conn>, reaped: bool) {
 fn scan_deadlines(rx: &Arc<Reactor>) {
     let conns: Vec<Arc<Conn>> = lock(&rx.conns).values().cloned().collect();
     for conn in conns {
-        let mut pump = Vec::new();
         let mut reap = false;
         {
             let Ok(mut st) = conn.state.try_lock() else {
@@ -529,21 +421,14 @@ fn scan_deadlines(rx: &Arc<Reactor>) {
             }
             if st.driver.in_unit() {
                 if st.last_activity.elapsed() >= rx.shared.unit_idle_timeout {
-                    let mut lanes = EventLanes {
-                        rx,
-                        token: conn.token,
-                        pump: &mut pump,
-                    };
-                    st.driver.end_unit(&mut lanes, UnitEnd::TimedOut);
+                    st.driver.end_unit(UnitEnd::TimedOut);
                     st.last_activity = Instant::now();
                 }
             } else if let Some(idle) = rx.shared.idle_timeout {
-                // A session parked for a lane is waiting on us, not idle.
+                // A session parked in the writer queue is waiting on us,
+                // not idle.
                 reap = !st.driver.is_parked() && st.last_activity.elapsed() >= idle;
             }
-        }
-        for lane in pump {
-            pump_lane(rx, lane);
         }
         if reap {
             teardown(rx, &conn, matches!(conn.kind, ConnKind::Db));
@@ -619,19 +504,13 @@ fn flush(conn: &Conn, st: &mut ConnState) -> bool {
     true
 }
 
-/// Serve one scheduled wake-up of a connection: perform any lane grant,
-/// read, run the state machine over every decodable frame, flush, and
-/// decide between re-arming and teardown.
+/// Serve one scheduled wake-up of a connection: complete a parked request
+/// whose claim was granted, read, run the state machine over every
+/// decodable frame, flush, and decide between re-arming and teardown.
 fn process_conn(rx: &Arc<Reactor>, conn: &Arc<Conn>) {
-    let mut pump = Vec::new();
     let fate = {
         let mut st = lock(&conn.state);
         if st.dead {
-            drop(st);
-            if let Some((lane, guard)) = lock(&rx.grants).remove(&conn.token) {
-                drop(guard);
-                pump_lane(rx, lane);
-            }
             return;
         }
         if rx.shared.shutting_down.load(Ordering::SeqCst) {
@@ -639,12 +518,9 @@ fn process_conn(rx: &Arc<Reactor>, conn: &Arc<Conn>) {
         }
         match conn.kind {
             ConnKind::Http => process_http(rx, conn, &mut st),
-            ConnKind::Db => process_db(rx, conn, &mut st, &mut pump),
+            ConnKind::Db => process_db(conn, &mut st),
         }
     };
-    for lane in pump {
-        pump_lane(rx, lane);
-    }
     match fate {
         Fate::Teardown => teardown(rx, conn, false),
         Fate::Arm(interest) => {
@@ -656,8 +532,8 @@ fn process_conn(rx: &Arc<Reactor>, conn: &Arc<Conn>) {
                 teardown(rx, conn, false);
             }
         }
-        // Parked for the lane with nothing left to write: the grant (or
-        // teardown) reschedules us; no readiness interest at all.
+        // Parked in the writer queue with nothing left to write: the
+        // claim's wake (or teardown) reschedules us; no readiness interest.
         Fate::Parked => {}
     }
 }
@@ -668,23 +544,10 @@ enum Fate {
     Parked,
 }
 
-fn process_db(
-    rx: &Arc<Reactor>,
-    conn: &Arc<Conn>,
-    st: &mut ConnState,
-    pump: &mut Vec<usize>,
-) -> Fate {
-    let mut lanes = EventLanes {
-        rx,
-        token: conn.token,
-        pump,
-    };
-    // 1. A lane granted to this session's parked request? The driver folds
-    //    it in and keeps walking the claim; the request completes only once
-    //    every lane is held.
-    if let Some((lane, guard)) = lock(&rx.grants).remove(&conn.token) {
-        st.driver.on_grant(&mut lanes, &mut st.encoder, lane, guard);
-    }
+fn process_db(conn: &Arc<Conn>, st: &mut ConnState) -> Fate {
+    // 1. A parked request whose claim was granted completes here; one still
+    //    waiting stays parked.
+    st.driver.on_wake(&mut st.encoder);
     // 2. Pull in whatever the socket has (unless we are parked — the kernel
     //    buffers a parked session's backlog, like a blocked thread would).
     if !st.driver.is_parked() && !st.eof {
@@ -702,8 +565,7 @@ fn process_db(
             let Some((trace, req)) = st.driver.next_request(&mut st.decoder) else {
                 break;
             };
-            st.driver
-                .on_request(&mut lanes, &mut st.encoder, trace, req);
+            st.driver.on_request(&mut st.encoder, trace, req);
         }
         st.closing |= st.driver.is_closing();
         if !flush(conn, st) {

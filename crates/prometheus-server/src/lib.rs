@@ -19,7 +19,7 @@
 //!   responses or typed [`Work`] items, and never touches a socket. One
 //!   (also sans-io) request driver runs it under both transports below, so
 //!   neither the protocol nor a request's bookkeeping — counters, spans,
-//!   lanes, unit rollback — can drift between them;
+//!   writer-queue claims, unit rollback — can drift between them;
 //! * [`server`] — the two transports behind one [`serve`] entry point, each
 //!   an I/O shell around that driver: the blocking accept-loop + worker-pool
 //!   path ([`ServerConfig::io_threads`]` == 0`), and the **event-driven**
@@ -27,9 +27,10 @@
 //!   [`event`]) owns thousands of connections with a handful of threads and
 //!   also serves the HTTP `GET /metrics` scrape endpoint. In both, queries
 //!   run lock-free against pinned storage snapshots while every mutation
-//!   passes through the fair FIFO **writer lanes** ([`lane`]), preserving
-//!   the engine's single-writer discipline across sessions; a unit that sits
-//!   silent past the idle deadline is rolled back so the lanes keep moving;
+//!   takes one claim in the database's fair FIFO **writer queue** (see
+//!   [`prometheus_db::database`]), the same queue an embedded writer waits
+//!   in, so units never interleave on a shard; a unit that sits silent past
+//!   the idle deadline is rolled back so the queue keeps moving;
 //! * [`client`] — [`client::PrometheusClient`] and the RAII
 //!   [`client::UnitGuard`];
 //! * [`metrics`] — lock-free server counters, latency histograms (merged
@@ -65,7 +66,6 @@ pub mod error;
 pub mod event;
 pub mod exposition;
 pub mod frame;
-pub mod lane;
 pub mod metrics;
 #[cfg(target_os = "linux")]
 pub mod poll;
@@ -79,7 +79,6 @@ pub use client::{ClientConfig, PollOutcome, PrometheusClient, UnitGuard};
 pub use error::{ErrorKind, ServerError, ServerResult};
 pub use exposition::render_prometheus_exposition;
 pub use frame::{FrameDecoder, FrameEncoder, MAX_FRAME_LEN};
-pub use lane::{OwnedLaneGuard, TicketLane};
 pub use metrics::{FollowerLag, LatencyHistogram, MetricsSnapshot, ServerMetrics};
 pub use prometheus_trace::{render_tree, Recorder, Stage, StageRollup, TraceEvent, TraceId};
 pub use protocol::{

@@ -85,8 +85,8 @@ prometheus_trace::counter_table! {
         units_committed: Counter, "prometheus_server_units_committed_total", "Units of work committed over the wire.";
         units_aborted: Counter, "prometheus_server_units_aborted_total", "Units rolled back on client request.";
         units_rolled_back_on_disconnect: Counter, "prometheus_server_units_rolled_back_on_disconnect_total", "Units rolled back because the connection dropped mid-unit.";
-        /// The client sat silent past the idle deadline while holding the
-        /// writer lane.
+        /// The client sat silent past the idle deadline while holding a
+        /// unit's claim in the writer queue.
         units_timed_out: Counter, "prometheus_server_units_timed_out_total", "Units rolled back at the idle deadline.";
         plan_cache_hits: Counter, "prometheus_server_plan_cache_hits_total", "Queries answered from the POOL plan cache.";
         /// Cold, evicted, or the schema version moved under the cached plan.
@@ -217,7 +217,8 @@ impl ServerMetrics {
 /// One shard's slice of the contended counters.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct ShardMetrics {
-    /// Sessions queued or holding this shard's writer lane right now.
+    /// Writers holding or queued for this shard right now: the claims in
+    /// the database's writer queue whose masks cover it.
     pub lane_depth: u64,
     /// Snapshot publications on this shard's store.
     pub snapshot_swaps: u64,

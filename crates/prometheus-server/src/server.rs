@@ -12,9 +12,9 @@
 //!                 │                                     │
 //!        ┌────────┴─────────┐                           │  the same driver the event
 //!        ▼                  ▼                           │  transport runs (`event.rs`)
-//!   read requests      writer lanes (FIFO ticket locks, one per shard)
-//!   (each query runs   — every mutating request (units, batches,
-//!    on a pinned         PCL install, compact) passes through them,
+//!   read requests      the database's writer queue (FIFO claims on shard
+//!   (each query runs   masks) — every mutating request (units, batches,
+//!    on a pinned         PCL install, compact) takes one claim there,
 //!    snapshot)            granted strictly in arrival order
 //! ```
 //!
@@ -22,28 +22,25 @@
 //! `catch_unwind` around a session, and a loop that reads under the deadline
 //! that applies, hands each whole frame to the session's
 //! `Driver` (`driver.rs`) and writes what it answered. Counting, spans,
-//! the protocol state machine, lanes, units and their rollback all live in
-//! the driver; the one thing this transport decides is that a lane is
-//! waited for by blocking the session's own thread.
+//! the protocol state machine, claims, units and their rollback all live in
+//! the driver; the one thing this transport decides is that a parked claim
+//! is waited for by parking the session's own thread.
 //!
-//! The engine's discipline is single-writer / concurrent-reader (see
-//! `tests/concurrency.rs`): queries are safe from any thread, while units of
-//! work use one global, nestable unit state on the `Database`. The server
-//! makes that safe over the wire by funnelling every mutating request
-//! through the **writer lanes** — a [`crate::lane::TicketLane`] per shard
-//! that a session holds for the duration of a streamed unit (`UnitBegin` …
-//! `UnitCommit`/`UnitAbort`) or one batch, granted in FIFO order so no
-//! session can barge past queued writers. A connection that drops while
-//! holding an open unit has the unit rolled back before the lane is
-//! released, so a killed client can never leave a half-applied unit behind;
-//! a connection that merely goes *silent* mid-unit is timed out after
-//! [`ServerConfig::unit_idle_timeout`], its unit rolled back and the lane
-//! freed, and the client learns via a typed [`ErrorKind::UnitTimedOut`]
-//! error on its next request.
+//! Units of work claim shard masks in the `Database`'s writer queue, and a
+//! claim is granted whole once no claim ahead of it overlaps it. Every
+//! mutating request goes through it: a session holds one claim for the
+//! duration of a streamed unit (`UnitBegin` … `UnitCommit`/`UnitAbort`) or
+//! one batch, granted in FIFO order so no session can barge past queued
+//! writers. A connection that drops while holding an open unit has the unit
+//! rolled back, which is what frees its claim, so a killed client can never
+//! leave a half-applied unit behind; a connection that merely goes *silent*
+//! mid-unit is timed out after [`ServerConfig::unit_idle_timeout`], its unit
+//! rolled back and its claim freed, and the client learns via a typed
+//! [`ErrorKind::UnitTimedOut`] error on its next request.
 //!
 //! Queries outside a unit evaluate against a pinned
 //! [`prometheus_db::ReadView`] snapshot: they never touch the store mutex or
-//! the writer lane, so readers are oblivious to even a long-streaming
+//! the writer queue, so readers are oblivious to even a long-streaming
 //! writer. Queries *inside* a unit stay on the live database, preserving
 //! read-your-own-writes.
 //!
@@ -58,10 +55,9 @@
 
 use crate::client::{ClientConfig, PrometheusClient};
 use crate::core::{SessionCore, Work};
-use crate::driver::{Driver, LaneSource, UnitEnd};
+use crate::driver::{Driver, UnitEnd};
 use crate::error::{ErrorKind, ServerError, ServerResult};
 use crate::frame::{FrameDecoder, FrameEncoder};
-use crate::lane::{OwnedLaneGuard, TicketLane};
 use crate::metrics::{MetricsSnapshot, ServerMetrics, ShardMetrics};
 use crate::protocol::{MutationOp, ReplicaStatusInfo, Response, TraceSpan, WireRows};
 use crate::replica::ReplicaInfo;
@@ -319,16 +315,7 @@ pub(crate) struct Shared {
     /// instance across all sessions, so every session shares every other
     /// session's cached plans.
     pub(crate) executor: Executor,
-    /// The writer lanes, one per store shard: each serialises the mutating
-    /// requests bound for its shard in FIFO arrival order, preserving the
-    /// engine's single-writer-per-shard discipline across sessions without
-    /// letting any session barge a queue. Mutations that span (or might
-    /// span) several shards claim every affected lane in ascending index
-    /// order — a holder of lane `j` only ever waits on lanes `> j`, so
-    /// cross-session acquisition cannot deadlock. Behind `Arc`s so the
-    /// event loop can park owned guards in connection state.
-    pub(crate) writer_lanes: Vec<Arc<TicketLane>>,
-    /// Idle deadline for streamed units holding the lane.
+    /// Idle deadline for streamed units holding a claim.
     pub(crate) unit_idle_timeout: Duration,
     /// Idle deadline for whole sessions (the reaper); `None` never reaps.
     pub(crate) idle_timeout: Option<Duration>,
@@ -357,9 +344,8 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    /// The server's shared state over `db`, with one writer lane per store
-    /// shard. Needs no socket — `addr` is only what shutdown dials to wake
-    /// the accept loop.
+    /// The server's shared state over `db`. Needs no socket — `addr` is
+    /// only what shutdown dials to wake the accept loop.
     pub(crate) fn new(db: Prometheus, config: &ServerConfig, addr: SocketAddr) -> Shared {
         let parallelism = if config.parallelism == 0 {
             thread::available_parallelism()
@@ -379,14 +365,10 @@ impl Shared {
         db.set_recorder(recorder.clone());
         let executor = Executor::new(parallelism);
         executor.set_recorder(recorder.clone());
-        let writer_lanes = (0..db.db().store().shard_count())
-            .map(|_| Arc::new(TicketLane::new()))
-            .collect();
         Shared {
             db,
             metrics: ServerMetrics::default(),
             executor,
-            writer_lanes,
             unit_idle_timeout: config.unit_idle_timeout,
             idle_timeout: config.idle_timeout,
             recorder,
@@ -409,8 +391,7 @@ impl Shared {
 /// Recover from a poisoned lock: the protected state (the connection
 /// hand-off queue, the socket registry, the event loop's queues and
 /// per-connection state) stays consistent across a panicking thread, so it
-/// is safe to reuse. The writer lane does its own poison recovery inside
-/// [`TicketLane`].
+/// is safe to reuse.
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
@@ -681,49 +662,25 @@ fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) {
         .metrics
         .connections_active
         .fetch_add(1, Ordering::Relaxed);
-    let mut driver = Driver::new(shared, id);
-    let mut lanes = BlockingLanes {
-        shared,
-        stream: &stream,
-    };
+    // A parked claim is waited for by parking this thread; its grant
+    // unparks it.
+    let thread = thread::current();
+    let mut driver = Driver::new(shared, id, Arc::new(move || thread.unpark()));
     // Session errors are per-connection: counted in metrics, never fatal to
     // the server. That includes panics — a worker thread serves many
     // connections over its lifetime, so an unwinding session must not kill
     // it (or skip the bookkeeping below).
     let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        session_io(&mut driver, &mut lanes)
+        session_io(shared, &mut driver, &stream)
     }));
     // However the session ended — EOF, a transport error, the reaper, a
-    // panic — a unit it left open is rolled back before its lanes go.
-    driver.disconnect(&mut lanes);
+    // panic — a unit it left open is rolled back, which frees its claim.
+    driver.disconnect();
     lock(&shared.conns).remove(&id);
     shared
         .metrics
         .connections_active
         .fetch_sub(1, Ordering::Relaxed);
-}
-
-/// The blocking transport's [`LaneSource`]: the session's own thread waits
-/// on the lane's condvar, so a claim never parks.
-struct BlockingLanes<'a> {
-    shared: &'a Shared,
-    stream: &'a TcpStream,
-}
-
-impl LaneSource for BlockingLanes<'_> {
-    fn acquire(&mut self, lane: usize, out: &mut FrameEncoder) -> (u64, Option<OwnedLaneGuard>) {
-        let lane = &self.shared.writer_lanes[lane];
-        let (ticket, distance) = lane.ticket_with_distance();
-        if distance > 0 {
-            // About to queue: what is already answered (a `UnitBegin` ack)
-            // goes out first. A failed write resurfaces at the next one.
-            let _ = write_pending(self.stream, out);
-        }
-        (distance, Some(TicketLane::wait(lane, ticket)))
-    }
-
-    // The guard's drop woke the lane's condvar; nothing else waits on it.
-    fn released(&mut self, _lane: usize) {}
 }
 
 /// Write out everything the encoder holds.
@@ -738,8 +695,7 @@ fn write_pending(mut stream: &TcpStream, out: &mut FrameEncoder) -> std::io::Res
 /// The blocking transport's whole job: bytes in, [`Driver`], bytes out. One
 /// `read` under the deadline that applies, every frame it completed through
 /// the driver, one `write` per answered request.
-fn session_io(driver: &mut Driver, lanes: &mut BlockingLanes<'_>) -> ServerResult<()> {
-    let (shared, mut stream) = (lanes.shared, lanes.stream);
+fn session_io(shared: &Shared, driver: &mut Driver, mut stream: &TcpStream) -> ServerResult<()> {
     let mut decoder = FrameDecoder::new();
     let mut out = FrameEncoder::new();
     if shared.shutting_down.load(Ordering::SeqCst) {
@@ -759,7 +715,17 @@ fn session_io(driver: &mut Driver, lanes: &mut BlockingLanes<'_>) -> ServerResul
     let mut armed = None;
     loop {
         while let Some((trace, req)) = driver.next_request(&mut decoder) {
-            driver.on_request(lanes, &mut out, trace, req);
+            driver.on_request(&mut out, trace, req);
+            if driver.is_parked() {
+                // About to queue: what is already answered (a `UnitBegin`
+                // ack) goes out first. A failed write resurfaces at the
+                // next one.
+                let _ = write_pending(stream, &mut out);
+                while driver.is_parked() {
+                    thread::park();
+                    driver.on_wake(&mut out);
+                }
+            }
             write_pending(stream, &mut out)?;
             if shared.shutting_down.load(Ordering::SeqCst) {
                 return Ok(()); // drained: last response delivered
@@ -768,7 +734,7 @@ fn session_io(driver: &mut Driver, lanes: &mut BlockingLanes<'_>) -> ServerResul
         if driver.is_closing() {
             return Ok(());
         }
-        // While the session holds the lanes, silence is billed: a stalled
+        // While the session holds a unit, silence is billed: a stalled
         // client must not block queued writers forever. Between units the
         // idle reaper's deadline (or none) applies.
         let deadline = if driver.in_unit() {
@@ -799,34 +765,32 @@ fn session_io(driver: &mut Driver, lanes: &mut BlockingLanes<'_>) -> ServerResul
                         .fetch_add(1, Ordering::Relaxed);
                     return Ok(());
                 }
-                driver.end_unit(lanes, UnitEnd::TimedOut);
+                driver.end_unit(UnitEnd::TimedOut);
             }
             Err(e) => return Err(e.into()),
         }
     }
 }
 
-/// The writer lanes `work` must hold, as a shard mask (0 = none) — the one
-/// decision of which work is lane-bound. For a slice of a streamed unit it
-/// answers 0: the unit's lanes are already held.
+/// The shards `work` must claim in the writer queue, as a mask (0 = none) —
+/// the one decision of which work is lane-bound. For a slice of a streamed
+/// unit it answers 0: the unit's claim is already held.
 pub(crate) fn lane_mask_for(shared: &Shared, work: &Work) -> u64 {
     match work {
         // PCL installation changes what every future mutation does, and
-        // compaction rewrites each shard's log: both quiesce every lane.
+        // compaction rewrites each shard's log: both quiesce every shard.
         Work::InstallPcl { .. } | Work::Compact => shared.db.db().store().all_shards_mask(),
         Work::UnitBatch { ops } => batch_lane_mask(shared, ops),
         _ => 0,
     }
 }
 
-/// Infer which shards a batch can touch, as a lane mask. Conservative by
-/// construction: an under-inclusive mask would let two sessions write the
-/// same shard concurrently, so anything unpredictable widens to every lane
-/// (deletes cascade through relationships on arbitrary shards; installed
-/// rules may fire repair actions anywhere). The store-level claim check is
-/// the backstop — a write routed outside the unit's claim fails the commit
-/// loudly rather than escaping — but the masks here are meant to never
-/// trip it.
+/// Infer which shards a batch can touch, as a claim mask. Conservative by
+/// construction: a write routed outside the unit's claim fails when it
+/// stages, so anything unpredictable widens to every shard (deletes
+/// cascade through relationships on arbitrary shards; installed rules may
+/// fire repair actions anywhere). The masks here are meant to never trip
+/// that check.
 pub(crate) fn batch_lane_mask(shared: &Shared, ops: &[MutationOp]) -> u64 {
     let store = shared.db.db().store();
     let all = store.all_shards_mask();
@@ -889,10 +853,10 @@ pub(crate) fn db_err(message: String) -> Response {
 
 /// Execute one [`Work`] item against the database and observability state.
 ///
-/// The driver calls this with the writer lanes named by `claim_mask`
-/// already held (the mask [`lane_mask_for`] computed at dispatch — passed in
-/// rather than recomputed so the batch's shard claim and the held lanes
-/// cannot drift apart; for a slice of a streamed unit, the unit's mask).
+/// Lane-bound work runs bound to the unit of its granted claim on
+/// `claim_mask` (the mask [`lane_mask_for`] computed at dispatch; for a
+/// slice of a streamed unit, the unit's mask), and the driver settles that
+/// unit: a batch's ops stage in it and commit, or roll back, together.
 /// Error **counting** happens when the response is sent, not here. Unit
 /// settlement is not [`Work`]: the driver owns the token.
 pub(crate) fn execute_work(
@@ -923,21 +887,12 @@ pub(crate) fn execute_work(
         },
         Work::UnitBatch { ops } => {
             let db = shared.db.db();
-            let result = db.in_unit_scope_on(claim_mask, |db| {
-                let mut created = Vec::with_capacity(ops.len());
-                for op in &ops {
-                    created.push(apply_op(db, op)?.unwrap_or(Oid::NIL));
-                }
-                Ok(created)
-            });
-            match result {
-                Ok(created) => {
-                    shared
-                        .metrics
-                        .units_committed
-                        .fetch_add(1, Ordering::Relaxed);
-                    Response::Batch { created }
-                }
+            let created = ops
+                .iter()
+                .map(|op| Ok(apply_op(db, op)?.unwrap_or(Oid::NIL)))
+                .collect::<DbResult<_>>();
+            match created {
+                Ok(created) => Response::Batch { created },
                 Err(e) => db_err(e.to_string()),
             }
         }
@@ -1341,7 +1296,7 @@ pub(crate) fn metrics_snapshot(shared: &Shared) -> MetricsSnapshot {
         .into_iter()
         .enumerate()
         .map(|(k, s)| ShardMetrics {
-            lane_depth: shared.writer_lanes[k].depth(),
+            lane_depth: shared.db.db().claims_on(k),
             snapshot_swaps: s.snapshot_swaps,
             image_bytes_copied: s.image_bytes_copied,
             units_2pc: s.units_2pc,

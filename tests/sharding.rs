@@ -226,10 +226,10 @@ fn one_oid_per_shard(c: &mut PrometheusClient) -> (Oid, Oid) {
     )
 }
 
-/// Satellite guarantee: a lane grant on shard A never rouses (or gates) a
-/// session parked on shard B. A long batch pinned to shard 0's lane must
-/// not delay a one-op batch on shard 1's lane — on the event transport,
-/// where lane pumps are strictly per-lane.
+/// Satellite guarantee: a claim on shard A never gates a session parked on
+/// shard B. A long batch pinned to shard 0 must not delay a one-op batch on
+/// shard 1 — on the event transport, where a parked session waits for its
+/// claim's wake.
 #[cfg(target_os = "linux")]
 #[test]
 fn lane_grant_on_one_shard_does_not_gate_the_other() {
@@ -257,9 +257,9 @@ fn lane_grant_on_one_shard_does_not_gate_the_other() {
         })
     };
 
-    // Give the long batch a head start into shard 0's lane, then run a
-    // single op on shard 1. If the lanes shared a queue (or a grant on one
-    // roused the other), this would wait ~the whole long batch out.
+    // Give the long batch a head start on shard 0, then run a single op on
+    // shard 1. If a claim on one shard gated a claim on the other, this
+    // would wait ~the whole long batch out.
     std::thread::sleep(Duration::from_millis(5));
     c.unit_batch(vec![MutationOp::SetAttr {
         oid: fast,

@@ -364,6 +364,63 @@ fn a_queued_writer_records_its_lane_wait() {
     }
 }
 
+/// A writer killed while it waits behind a held unit leaves the writer
+/// queue by itself: once the holder commits, the dead session's unit is
+/// rolled back, a third writer queued behind it completes its batch, and
+/// every shard's lane depth drains to 0.
+#[test]
+fn a_writer_killed_while_parked_leaves_the_queue() {
+    for io_threads in TRANSPORTS {
+        let handle = serve_seeded(&tmp("dead-parked", io_threads), 1, config(io_threads));
+        let addr = handle.addr();
+        let depth = || handle.metrics().per_shard[0].lane_depth;
+        let wait_for = |what: &str, done: &dyn Fn() -> bool| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !done() {
+                assert!(Instant::now() < deadline, "io_threads {io_threads}: {what}");
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        };
+        let mut holder = PrometheusClient::connect(addr).unwrap();
+        let mut unit = holder.begin_unit().unwrap();
+        unit.op(genus("Held")).unwrap();
+
+        // The doomed writer is acked, parks behind the holder and dies.
+        let mut doomed = raw_handshake(addr);
+        assert_eq!(exchange(&mut doomed, &Request::UnitBegin).1, Response::Ack);
+        wait_for("the doomed writer never queued", &|| depth() == 2);
+        drop(doomed);
+
+        let (tx, rx) = std::sync::mpsc::channel();
+        let writer = std::thread::spawn(move || {
+            let mut c = PrometheusClient::connect(addr).unwrap();
+            let _ = tx.send(c.unit_batch(vec![genus("Third")]).map(|c| c.len()));
+        });
+        wait_for("the third writer never queued", &|| depth() == 3);
+        unit.commit().unwrap();
+        let third = rx.recv_timeout(Duration::from_secs(10));
+        assert_eq!(
+            third.ok().map(Result::ok),
+            Some(Some(1)),
+            "io_threads {io_threads}"
+        );
+        writer.join().unwrap();
+        wait_for("the queue never drained", &|| depth() == 0);
+        let m = handle.metrics();
+        assert_eq!(
+            m.units_rolled_back_on_disconnect, 1,
+            "io_threads {io_threads}"
+        );
+        assert_eq!(
+            holder.query("select t from CT t").unwrap().len(),
+            3,
+            "io_threads {io_threads}: the seed, the held unit's and the batch's"
+        );
+        holder.close().unwrap();
+        handle.stop();
+    }
+}
+
 /// What a scripted session leaves behind on one transport.
 #[derive(Debug, PartialEq)]
 struct Footprint {
