@@ -755,14 +755,11 @@ fn top_section(argv: &[String]) {
     loop {
         let (server, _) = client.stats().expect("fetch stats");
         println!(
-            "-- up {}s · {} requests · recorder: {} written, {} dropped, \
-             {} evictions, {} index overflows --",
+            "-- up {}s · {} requests · recorder: {} written, {} dropped --",
             server.uptime_s,
             server.requests_total(),
             server.trace_events_written,
             server.trace_dropped,
-            server.trace_index_evictions,
-            server.trace_index_overflows,
         );
         println!(
             "{:<16} {:>10} {:>12} {:>12}",

@@ -399,8 +399,6 @@ mod tests {
             ],
             trace_events_written: 900,
             trace_dropped: 5,
-            trace_index_evictions: 2,
-            trace_index_overflows: 1,
             ..MetricsSnapshot::default()
         };
         server.latency.bounds_us = LATENCY_BOUNDS_US.to_vec();
@@ -567,8 +565,6 @@ mod tests {
             "prometheus_server_build_info",
             "prometheus_trace_events_written_total",
             "prometheus_trace_events_dropped_total",
-            "prometheus_trace_index_evictions_total",
-            "prometheus_trace_index_overflows_total",
             "prometheus_trace_stage_duration_us",
         ] {
             assert!(families.contains_key(required), "missing family {required}");

@@ -8,7 +8,7 @@
 //! one touches neither the exposition nor the protocol.
 
 use crate::protocol::{KINDS, REQUEST_CLASSES};
-use prometheus_trace::StageRollup;
+use prometheus_trace::{HistogramCells, StageRollup};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,9 +40,9 @@ prometheus_trace::counter_table! {
         /// Requests processed, by [`KINDS`] index.
         requests: [AtomicU64; KINDS.len()],
         /// Per-request wall-clock latency, all kinds merged.
-        latency: HistogramCells,
+        latency: LatencyCells,
         /// The same, per [`REQUEST_CLASSES`] index.
-        class_latency: [HistogramCells; REQUEST_CLASSES.len()],
+        class_latency: [LatencyCells; REQUEST_CLASSES.len()],
         /// Replication followers by (name, shard): cursor and horizon at
         /// their last poll of that shard's log. Cold path (one update per
         /// poll), so a plain mutex is fine here.
@@ -99,38 +99,20 @@ prometheus_trace::counter_table! {
         trace_events_written: Counter, "prometheus_trace_events_written_total", "Span events accepted by the flight recorder.";
         /// A rising rate means the ring is undersized for the load.
         trace_dropped: Counter, "prometheus_trace_events_dropped_total", "Span events dropped because the recorder ring was contended or full.";
-        trace_index_evictions: Counter, "prometheus_trace_index_evictions_total", "Trace-index buckets recycled to admit newer traces.";
-        trace_index_overflows: Counter, "prometheus_trace_index_overflows_total", "Span events not indexed because their trace's slot list was full.";
     }
     fill ServerMetrics::fill;
 }
 
 /// One latency histogram's cells.
-#[derive(Debug, Default)]
-struct HistogramCells {
-    counts: [AtomicU64; LATENCY_BUCKETS],
-    count: AtomicU64,
-    sum_us: AtomicU64,
-}
+type LatencyCells = HistogramCells<{ LATENCY_BOUNDS_US.len() }>;
 
-impl HistogramCells {
-    fn observe(&self, bucket: usize, us: u64) {
-        self.counts[bucket].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum_us.fetch_add(us, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> LatencyHistogram {
-        LatencyHistogram {
-            bounds_us: LATENCY_BOUNDS_US.to_vec(),
-            counts: self
-                .counts
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
-            count: self.count.load(Ordering::Relaxed),
-            sum_us: self.sum_us.load(Ordering::Relaxed),
-        }
+/// Snapshot one latency histogram.
+fn latency_histogram(cells: &LatencyCells) -> LatencyHistogram {
+    LatencyHistogram {
+        bounds_us: LATENCY_BOUNDS_US.to_vec(),
+        counts: cells.counts(),
+        count: cells.count(),
+        sum_us: cells.sum(),
     }
 }
 
@@ -150,12 +132,8 @@ impl ServerMetrics {
     /// Record one request's wall-clock latency, both in the merged histogram
     /// and in the histogram of the class `kind` belongs to.
     pub fn record_latency_us(&self, kind: usize, us: u64) {
-        let bucket = LATENCY_BOUNDS_US
-            .iter()
-            .position(|&bound| us <= bound)
-            .unwrap_or(LATENCY_BUCKETS - 1);
-        self.latency.observe(bucket, us);
-        self.class_latency[KINDS[kind].1].observe(bucket, us);
+        self.latency.observe(&LATENCY_BOUNDS_US, us);
+        self.class_latency[KINDS[kind].1].observe(&LATENCY_BOUNDS_US, us);
     }
 
     /// Record a replication follower's poll of one shard's log: its cursor
@@ -190,11 +168,11 @@ impl ServerMetrics {
             .zip(self.requests.iter())
             .map(|((name, _), counter)| (name.to_string(), counter.load(Ordering::Relaxed)))
             .collect();
-        snap.latency = self.latency.snapshot();
+        snap.latency = latency_histogram(&self.latency);
         snap.latency_by_class = REQUEST_CLASSES
             .iter()
             .zip(self.class_latency.iter())
-            .map(|(name, cells)| (name.to_string(), cells.snapshot()))
+            .map(|(name, cells)| (name.to_string(), latency_histogram(cells)))
             .collect();
         let followers = self.followers.lock().expect("follower map poisoned");
         snap.replication = followers
@@ -499,7 +477,7 @@ mod tests {
             // writers are done by spawning a watcher that joins them via the
             // scope's implicit join — simplest is to let the main thread
             // wait on the metrics totals.
-            while metrics.latency.count.load(Ordering::Relaxed) < THREADS * OPS {
+            while metrics.latency.count() < THREADS * OPS {
                 std::thread::yield_now();
             }
             stop.store(true, Ordering::Relaxed);

@@ -31,8 +31,9 @@ pub struct ReplicaInfo {
 ///
 /// All timestamps are microseconds since the cell was created, so readers
 /// can turn them into ages without a wall clock. A follower that has never
-/// caught up reports its age since start — honest, and it converges to the
-/// real lag the moment the first catch-up lands.
+/// caught up — or has not since its last resync — reports its age since
+/// start: honest, and it converges to the real lag the moment the next
+/// catch-up lands.
 #[derive(Debug)]
 pub struct ReplicaStatusCell {
     /// Primary's log epoch as of the last successful poll.
@@ -42,7 +43,8 @@ pub struct ReplicaStatusCell {
     /// The primary's committed log length as of the last successful poll.
     primary_log_len: AtomicU64,
     /// Micros-since-start of the last poll that left us fully caught up
-    /// (`applied_offset == primary_log_len`).
+    /// (`applied_offset == primary_log_len`); 0 until then, and again
+    /// after a resync.
     caught_up_at_us: AtomicU64,
     /// Times the follower discarded its state and resynced from offset 0
     /// (primary compacted, or the cursors diverged).
@@ -83,8 +85,15 @@ impl ReplicaStatusCell {
         }
     }
 
-    /// Record a forced resync (epoch change or cursor divergence).
+    /// Record a forced resync (epoch change or cursor divergence): the
+    /// follower has discarded everything it applied. Until a later
+    /// [`ReplicaStatusCell::record_progress`] catches up, it has applied
+    /// nothing, lags by the whole last-seen horizon, and reports no
+    /// catch-up since it started — so neither `lag_bytes` nor the
+    /// caught-up age makes an empty follower look current.
     pub fn record_resync(&self) {
+        self.applied_offset.store(0, Ordering::Relaxed);
+        self.caught_up_at_us.store(0, Ordering::Relaxed);
         self.resyncs.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -132,6 +141,13 @@ mod tests {
     fn progress_and_catch_up_accounting() {
         let cell = ReplicaStatusCell::default();
         assert_eq!(cell.lag_bytes(), 0);
+        // The age since start tells "never caught up" apart from a
+        // catch-up, once the cell is older than the clock's resolution.
+        let never_caught_up = |cell: &ReplicaStatusCell| {
+            let since_start = cell.now_us();
+            cell.caught_up_age_us() >= since_start
+        };
+        std::thread::sleep(std::time::Duration::from_millis(1));
         cell.record_progress(1, 100, 400);
         assert_eq!(cell.epoch(), 1);
         assert_eq!(cell.lag_bytes(), 300);
@@ -144,5 +160,15 @@ mod tests {
         );
         cell.record_resync();
         assert_eq!(cell.resyncs(), 1);
+        // A resync discards what was applied: nothing is, the horizon is
+        // all lag, and the pre-resync catch-up no longer counts.
+        assert_eq!(cell.applied_offset(), 0);
+        assert_eq!(cell.lag_bytes(), 400);
+        assert!(never_caught_up(&cell), "no catch-up since the resync");
+        cell.record_progress(2, 100, 250);
+        assert_eq!(cell.lag_bytes(), 150);
+        assert!(never_caught_up(&cell), "still behind");
+        cell.record_progress(2, 250, 250);
+        assert!(!never_caught_up(&cell), "caught up again");
     }
 }

@@ -1140,31 +1140,14 @@ fn profile_query(
 }
 
 /// Render a trace's events as wire rows, one per span, depth-indented in
-/// tree order (parents before children, siblings in start order).
+/// [`prometheus_trace::tree_order`] (parents before children, siblings in
+/// start order).
 fn profile_rows(events: &[TraceEvent]) -> WireRows {
-    let depth_of = |mut parent: u64| {
-        let mut depth = 0usize;
-        while parent != 0 {
-            match events.iter().find(|e| e.span_id == parent) {
-                Some(p) => {
-                    depth += 1;
-                    parent = p.parent_id;
-                }
-                None => break, // parent span lost to ring overwrite
-            }
-        }
-        depth
-    };
-    let rows = events
-        .iter()
-        .map(|ev| {
+    let rows = prometheus_trace::tree_order(events)
+        .into_iter()
+        .map(|(depth, ev)| {
             vec![
-                Value::Str(format!(
-                    "{:indent$}{}",
-                    "",
-                    ev.stage,
-                    indent = depth_of(ev.parent_id) * 2
-                )),
+                Value::Str(format!("{:indent$}{}", "", ev.stage, indent = depth * 2)),
                 Value::Int(ev.start_us as i64),
                 Value::Int(ev.dur_us as i64),
                 Value::Int(ev.c0 as i64),
@@ -1208,7 +1191,7 @@ pub(crate) fn query_response(
             let elapsed = start.elapsed();
             if elapsed >= shared.slow_query_threshold {
                 let trace_id = Recorder::current().0;
-                // The slow path can afford the index lookup: sum the real
+                // The slow path can afford the ring scan: sum the real
                 // (c1 = 1) lane-wait spans recorded under this trace.
                 let lane_wait_us = shared
                     .recorder
@@ -1316,8 +1299,6 @@ pub(crate) fn metrics_snapshot(shared: &Shared) -> MetricsSnapshot {
     snap.trace_rollups = shared.recorder.stage_rollups();
     snap.trace_events_written = shared.recorder.events_written();
     snap.trace_dropped = shared.recorder.dropped();
-    snap.trace_index_evictions = shared.recorder.index_evictions();
-    snap.trace_index_overflows = shared.recorder.index_overflows();
     snap
 }
 
@@ -1613,6 +1594,44 @@ mod tests {
             other => panic!("expected protocol-mismatch error, got {other:?}"),
         }
         handle.stop();
+    }
+
+    #[test]
+    fn profile_rows_follow_the_tree_walk() {
+        let ev = |span_id, parent_id, stage, start_us| TraceEvent {
+            trace_id: TraceId::from_words(1, 1),
+            span_id,
+            parent_id,
+            stage,
+            start_us,
+            dur_us: 1,
+            c0: 0,
+            c1: 0,
+        };
+        // Finish order: the root request span records last.
+        let events = [
+            ev(4, 3, Stage::Filter, 30),
+            ev(3, 1, Stage::Scan, 20),
+            ev(2, 1, Stage::PlanCache, 10),
+            ev(1, 0, Stage::Request, 0),
+        ];
+        let rows = profile_rows(&events);
+        let cells: Vec<(Value, Value)> = rows
+            .rows
+            .iter()
+            .map(|row| (row[0].clone(), row[5].clone()))
+            .collect();
+        let want = [
+            ("request", 1),
+            ("  plan_cache", 2),
+            ("  scan", 3),
+            ("    filter", 4),
+        ];
+        let want: Vec<(Value, Value)> = want
+            .iter()
+            .map(|&(stage, span)| (Value::Str(stage.into()), Value::Int(span)))
+            .collect();
+        assert_eq!(cells, want);
     }
 
     #[test]

@@ -20,10 +20,9 @@ struct Slot<K, V> {
 
 /// Least-recently-used cache with a fixed entry capacity.
 ///
-/// The cache keeps its own hit/miss tally ([`LruCache::hits`] /
-/// [`LruCache::misses`]), so every embedder — the object cache, the POOL
-/// plan cache — can surface warm-vs-cold behaviour (thesis §7.2) without
-/// wrapping each call site in external counters.
+/// It keeps no hit/miss tally of its own: each embedder counts where its
+/// readers look (the object cache into the storage `Stats`, the POOL plan
+/// cache into the executor's counters).
 #[derive(Debug)]
 pub struct LruCache<K, V> {
     map: HashMap<K, usize>,
@@ -32,8 +31,6 @@ pub struct LruCache<K, V> {
     head: usize, // most recently used
     tail: usize, // least recently used
     capacity: usize,
-    hits: u64,
-    misses: u64,
 }
 
 impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
@@ -47,8 +44,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
             head: NIL,
             tail: NIL,
             capacity,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -62,23 +57,9 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         self.map.is_empty()
     }
 
-    /// Lookups answered from the cache since creation.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lookups that found nothing since creation.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
     /// Look up `key`, promoting it to most-recently-used on a hit.
     pub fn get(&mut self, key: &K) -> Option<&V> {
-        let Some(&idx) = self.map.get(key) else {
-            self.misses += 1;
-            return None;
-        };
-        self.hits += 1;
+        let &idx = self.map.get(key)?;
         self.detach(idx);
         self.attach_front(idx);
         self.slots[idx].value.as_ref()
@@ -197,7 +178,7 @@ mod tests {
         assert!(c.get(&1).is_none());
         c.put(1, "a".into());
         assert_eq!(c.get(&1).map(String::as_str), Some("a"));
-        assert_eq!((c.hits(), c.misses()), (1, 1));
+        assert!(c.get(&2).is_none());
     }
 
     #[test]

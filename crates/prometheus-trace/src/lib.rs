@@ -22,20 +22,19 @@
 //!
 //! ## Flight recorder
 //!
-//! Beyond the raw ring, the recorder keeps two always-on aggregations fed
-//! from the same `record()` call, both lock-free:
+//! Beside the raw ring, `record()` folds every event into a **per-stage
+//! rollup histogram** ([`Recorder::stage_rollups`]): for every [`Stage`], a
+//! lock-free duration histogram plus count/sum, so `/metrics` and
+//! `harness top` can show where time goes without replaying spans. That
+//! and the ring slot are all a span costs.
 //!
-//! * **per-stage rollup histograms** ([`Recorder::stage_rollups`]) — for
-//!   every [`Stage`], a duration histogram plus count/sum, so `/metrics`
-//!   and `harness top` can show where time goes without replaying spans;
-//! * **a bounded trace index** — a fixed table of buckets keyed by
-//!   trace id remembering which ring slots a trace wrote, making
-//!   [`Recorder::events_for`] O(spans) instead of O(capacity). The index
-//!   is best-effort by design: buckets are evicted when traces collide, and
-//!   a trace that overflows [`INDEX_TICKETS`] spans or returns to a bucket
-//!   it was evicted from falls back to a full ring scan;
-//!   both are counted honestly ([`Recorder::index_evictions`],
-//!   [`Recorder::index_overflows`]) rather than hidden.
+//! Nothing indexes the ring by trace. [`Recorder::events_for`] reads every
+//! slot once and keeps one trace's events, sorted by start; its callers
+//! (`PROFILE`, `TraceGet`, the slow-query log) are operator paths, and a
+//! full default ring scans in tens of microseconds. [`tree_order`] walks
+//! such a set of events as a tree — parents before children, siblings by
+//! start — and both [`render_tree`] and the server's `PROFILE` rows print
+//! that walk.
 //!
 //! ## Overwrite semantics
 //!
@@ -54,6 +53,7 @@ pub use counters::{Kind, Series};
 
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -257,10 +257,6 @@ pub const ROLLUP_BOUNDS_US: [u64; 8] = [50, 100, 250, 1_000, 5_000, 25_000, 100_
 /// Rollup bucket count: one per bound plus the overflow bucket.
 pub const ROLLUP_BUCKETS: usize = ROLLUP_BOUNDS_US.len() + 1;
 
-/// Ring tickets remembered per trace-index bucket; a trace recording more
-/// spans than this overflows to a full ring scan (counted, not hidden).
-pub const INDEX_TICKETS: usize = 32;
-
 /// One seqlock-guarded slot. `seq` is odd while a writer owns the slot and
 /// even once the payload is stable; a reader that sees the same even value
 /// before and after copying the payload got a consistent event.
@@ -278,30 +274,59 @@ impl Slot {
     }
 }
 
-/// Per-stage duration histogram cells, updated relaxed from `record()`.
-struct StageCells {
-    counts: [AtomicU64; ROLLUP_BUCKETS],
+/// Lock-free histogram cells: one relaxed atomic count per bucket of `N`
+/// inclusive upper bounds, an overflow bucket past the last, and the total
+/// count and sum. The owner keeps the bounds and passes them in, so the
+/// recorder's stage rollups and the server's latency histograms share one
+/// type with different bounds.
+#[derive(Debug)]
+pub struct HistogramCells<const N: usize> {
+    counts: [AtomicU64; N],
+    overflow: AtomicU64,
     count: AtomicU64,
-    sum_us: AtomicU64,
+    sum: AtomicU64,
 }
 
-impl StageCells {
-    fn new() -> StageCells {
-        StageCells {
-            counts: Default::default(),
+impl<const N: usize> Default for HistogramCells<N> {
+    fn default() -> Self {
+        HistogramCells {
+            counts: std::array::from_fn(|_| AtomicU64::new(0)),
+            overflow: AtomicU64::new(0),
             count: AtomicU64::new(0),
-            sum_us: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
         }
     }
+}
 
-    fn observe(&self, dur_us: u64) {
-        let bucket = ROLLUP_BOUNDS_US
+impl<const N: usize> HistogramCells<N> {
+    /// Count `value` in the first bucket whose bound is `>= value`.
+    pub fn observe(&self, bounds: &[u64; N], value: u64) {
+        let cell = bounds
             .iter()
-            .position(|&b| dur_us <= b)
-            .unwrap_or(ROLLUP_BOUNDS_US.len());
-        self.counts[bucket].fetch_add(1, Ordering::Relaxed);
+            .position(|&bound| value <= bound)
+            .map_or(&self.overflow, |i| &self.counts[i]);
+        cell.fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum_us.fetch_add(dur_us, Ordering::Relaxed);
+        self.sum.fetch_add(value, Ordering::Relaxed);
+    }
+
+    /// Per-bucket populations, the overflow bucket last (`N + 1` entries).
+    pub fn counts(&self) -> Vec<u64> {
+        self.counts
+            .iter()
+            .chain([&self.overflow])
+            .map(|c| c.load(Ordering::Relaxed))
+            .collect()
+    }
+
+    /// Total observations.
+    pub fn count(&self) -> u64 {
+        self.count.load(Ordering::Relaxed)
+    }
+
+    /// Sum of observed values.
+    pub fn sum(&self) -> u64 {
+        self.sum.load(Ordering::Relaxed)
     }
 }
 
@@ -356,127 +381,6 @@ pub fn bucket_percentile_us(bounds_us: &[u64], counts: &[u64], count: u64, p: f6
     None
 }
 
-/// One bucket of the bounded trace index: the trace key (two words) plus a
-/// tiny ring of ring-buffer tickets the trace wrote. Updates are relaxed
-/// and deliberately racy — two traces hashing to the same bucket evict each
-/// other (counted) and a torn bucket only costs the reader a fallback scan,
-/// because every ticket is re-verified against the main ring's trace id.
-struct IndexBucket {
-    hi: AtomicU64,
-    lo: AtomicU64,
-    cursor: AtomicU64,
-    tickets: [AtomicU64; INDEX_TICKETS],
-    /// Bloom bits of the traces evicted from this bucket and the ticket of
-    /// the latest eviction (see [`TraceIndex::note`]).
-    evicted: AtomicU64,
-    evicted_at: AtomicU64,
-}
-
-impl IndexBucket {
-    fn new() -> IndexBucket {
-        IndexBucket {
-            hi: AtomicU64::new(0),
-            lo: AtomicU64::new(0),
-            cursor: AtomicU64::new(0),
-            tickets: Default::default(),
-            evicted: AtomicU64::new(0),
-            evicted_at: AtomicU64::new(0),
-        }
-    }
-}
-
-/// The bit standing for `hi:lo` in a bucket's `evicted` word.
-fn evicted_bit(hi: u64, lo: u64) -> u64 {
-    1 << ((hi ^ lo).wrapping_mul(0x9e3779b97f4a7c15) >> 58)
-}
-
-struct TraceIndex {
-    buckets: Vec<IndexBucket>,
-    ring_capacity: u64,
-    evictions: AtomicU64,
-    overflows: AtomicU64,
-}
-
-impl TraceIndex {
-    fn new(ring_capacity: usize) -> TraceIndex {
-        let n = (ring_capacity / 8).next_power_of_two().clamp(64, 4096);
-        TraceIndex {
-            buckets: (0..n).map(|_| IndexBucket::new()).collect(),
-            ring_capacity: ring_capacity as u64,
-            evictions: AtomicU64::new(0),
-            overflows: AtomicU64::new(0),
-        }
-    }
-
-    fn bucket_of(&self, trace: TraceId) -> &IndexBucket {
-        // splitmix64 finalizer over both words — cheap, well mixed.
-        let mut h = trace.hi ^ trace.lo.rotate_left(32);
-        h ^= h >> 30;
-        h = h.wrapping_mul(0xbf58476d1ce4e5b9);
-        h ^= h >> 27;
-        h = h.wrapping_mul(0x94d049bb133111eb);
-        h ^= h >> 31;
-        &self.buckets[(h as usize) & (self.buckets.len() - 1)]
-    }
-
-    fn note(&self, trace: TraceId, ticket: u64) {
-        let b = self.bucket_of(trace);
-        let (hi, lo) = (b.hi.load(Ordering::Relaxed), b.lo.load(Ordering::Relaxed));
-        if hi != trace.hi || lo != trace.lo {
-            let mut cursor = 0;
-            if lo != 0 || hi != 0 {
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                // The evictee may be live and come back, with its earlier
-                // tickets lost to the bucket. Remember evictees until a ring
-                // lap passes without an eviction here — by then the ring has
-                // overwritten everything they wrote before leaving — and
-                // admit a remembered trace as overflowed, so `lookup` sends
-                // the reader to the ring scan instead of handing out only
-                // the tickets since the re-admission.
-                let last = b.evicted_at.swap(ticket, Ordering::Relaxed);
-                if ticket.saturating_sub(last) >= self.ring_capacity {
-                    b.evicted.store(0, Ordering::Relaxed);
-                }
-                let remembered = b.evicted.fetch_or(evicted_bit(hi, lo), Ordering::Relaxed);
-                if remembered & evicted_bit(trace.hi, trace.lo) != 0 {
-                    cursor = INDEX_TICKETS as u64 + 1;
-                }
-            }
-            b.cursor.store(cursor, Ordering::Relaxed);
-            b.hi.store(trace.hi, Ordering::Relaxed);
-            b.lo.store(trace.lo, Ordering::Relaxed);
-        }
-        let t = b.cursor.fetch_add(1, Ordering::Relaxed);
-        if t as usize >= INDEX_TICKETS {
-            self.overflows.fetch_add(1, Ordering::Relaxed);
-        }
-        // Stored +1 so 0 means "empty".
-        b.tickets[(t as usize) % INDEX_TICKETS].store(ticket + 1, Ordering::Relaxed);
-    }
-
-    /// The ring tickets recorded for `trace`, or `None` when the bucket
-    /// holds another trace, overflowed, or re-admitted this one after an
-    /// eviction (caller falls back to a full scan).
-    fn lookup(&self, trace: TraceId) -> Option<Vec<u64>> {
-        let b = self.bucket_of(trace);
-        if b.hi.load(Ordering::Relaxed) != trace.hi || b.lo.load(Ordering::Relaxed) != trace.lo {
-            return None;
-        }
-        let n = b.cursor.load(Ordering::Relaxed);
-        if n as usize > INDEX_TICKETS {
-            return None;
-        }
-        let mut out = Vec::with_capacity(n as usize);
-        for slot in b.tickets.iter().take(n as usize) {
-            let v = slot.load(Ordering::Relaxed);
-            if v != 0 {
-                out.push(v - 1);
-            }
-        }
-        Some(out)
-    }
-}
-
 struct Inner {
     slots: Vec<Slot>,
     /// Total events ever written; `cursor % capacity` is the next slot.
@@ -486,8 +390,7 @@ struct Inner {
     next_trace: AtomicU64,
     next_span: AtomicU64,
     dropped: AtomicU64,
-    rollups: Vec<StageCells>,
-    index: TraceIndex,
+    rollups: Vec<HistogramCells<{ ROLLUP_BOUNDS_US.len() }>>,
     epoch: Instant,
 }
 
@@ -555,8 +458,10 @@ impl Recorder {
                 next_trace: AtomicU64::new(1),
                 next_span: AtomicU64::new(1),
                 dropped: AtomicU64::new(0),
-                rollups: Stage::ALL.iter().map(|_| StageCells::new()).collect(),
-                index: TraceIndex::new(capacity),
+                rollups: Stage::ALL
+                    .iter()
+                    .map(|_| HistogramCells::default())
+                    .collect(),
                 epoch: Instant::now(),
             })),
         }
@@ -633,15 +538,11 @@ impl Recorder {
     /// Record a fully-formed event into the ring. Lock-free: one
     /// `fetch_add` draws a slot, a compare-exchange on the slot's seqlock
     /// word claims it, and the final even store publishes it. The event is
-    /// also folded into the stage rollup histogram and (for events with a
-    /// real trace id) noted in the trace index.
+    /// also folded into its stage's rollup histogram.
     pub fn record(&self, ev: TraceEvent) {
         let Some(inner) = &self.inner else { return };
-        inner.rollups[ev.stage as usize].observe(ev.dur_us);
+        inner.rollups[ev.stage as usize].observe(&ROLLUP_BOUNDS_US, ev.dur_us);
         let ticket = inner.cursor.fetch_add(1, Ordering::Relaxed);
-        if !ev.trace_id.is_none() {
-            inner.index.note(ev.trace_id, ticket);
-        }
         let slot = &inner.slots[(ticket % inner.slots.len() as u64) as usize];
         // Claim: advance the sequence even -> odd with a CAS, so the odd
         // state only ever has a single owner. A blind fetch_add would let a
@@ -688,22 +589,6 @@ impl Recorder {
             .map_or(0, |i| i.dropped.load(Ordering::Relaxed))
     }
 
-    /// Trace-index buckets reassigned to a newer trace (the old trace falls
-    /// back to a full ring scan).
-    pub fn index_evictions(&self) -> u64 {
-        self.inner
-            .as_ref()
-            .map_or(0, |i| i.index.evictions.load(Ordering::Relaxed))
-    }
-
-    /// Spans recorded past a trace's [`INDEX_TICKETS`] index capacity
-    /// (lookups for such traces fall back to a full ring scan).
-    pub fn index_overflows(&self) -> u64 {
-        self.inner
-            .as_ref()
-            .map_or(0, |i| i.index.overflows.load(Ordering::Relaxed))
-    }
-
     /// Snapshot the per-stage rollup histograms, in [`Stage::ALL`] order.
     /// Empty when disabled.
     pub fn stage_rollups(&self) -> Vec<StageRollup> {
@@ -717,13 +602,9 @@ impl Recorder {
                 StageRollup {
                     stage: stage.name().to_string(),
                     bounds_us: ROLLUP_BOUNDS_US.to_vec(),
-                    counts: cells
-                        .counts
-                        .iter()
-                        .map(|c| c.load(Ordering::Relaxed))
-                        .collect(),
-                    count: cells.count.load(Ordering::Relaxed),
-                    sum_us: cells.sum_us.load(Ordering::Relaxed),
+                    counts: cells.counts(),
+                    count: cells.count(),
+                    sum_us: cells.sum(),
                 }
             })
             .collect()
@@ -748,34 +629,22 @@ impl Recorder {
         out
     }
 
-    /// All ring events belonging to one trace, oldest first. Served from
-    /// the bounded trace index when it still holds the trace (O(spans));
-    /// falls back to a full ring scan after an eviction or overflow.
+    /// All ring events belonging to one trace, sorted by
+    /// `(start_us, span_id)`. One pass over the ring: each slot is read
+    /// once and kept only if it belongs to the trace; torn or mid-write
+    /// slots are skipped, never waited on.
     pub fn events_for(&self, trace_id: TraceId) -> Vec<TraceEvent> {
         let Some(inner) = &self.inner else {
             return Vec::new();
         };
-        if !trace_id.is_none() {
-            if let Some(tickets) = inner.index.lookup(trace_id) {
-                let cap = inner.slots.len() as u64;
-                let end = inner.cursor.load(Ordering::Acquire);
-                let mut out: Vec<TraceEvent> = tickets
-                    .iter()
-                    // A ticket lapped by `capacity` newer events no longer
-                    // names this trace's slot.
-                    .filter(|&&t| t + cap >= end)
-                    .filter_map(|&t| read_slot(&inner.slots[(t % cap) as usize]))
-                    // Re-verify: the index is racy, the ring is the truth.
-                    .filter(|e| e.trace_id == trace_id)
-                    .collect();
-                out.sort_by_key(|e| (e.start_us, e.span_id));
-                out.dedup_by_key(|e| e.span_id);
-                return out;
-            }
-        }
-        let mut evs = self.recent(self.capacity());
-        evs.retain(|e| e.trace_id == trace_id);
-        evs
+        let mut out: Vec<TraceEvent> = inner
+            .slots
+            .iter()
+            .filter_map(read_slot)
+            .filter(|e| e.trace_id == trace_id)
+            .collect();
+        out.sort_by_key(|e| (e.start_us, e.span_id));
+        out
     }
 }
 
@@ -785,18 +654,8 @@ fn read_slot(slot: &Slot) -> Option<TraceEvent> {
     if before == 0 || before % 2 == 1 {
         return None; // never written, or a writer is mid-flight
     }
-    let w = &slot.words;
-    let words = [
-        w[0].load(Ordering::Relaxed),
-        w[1].load(Ordering::Relaxed),
-        w[2].load(Ordering::Relaxed),
-        w[3].load(Ordering::Relaxed),
-        w[4].load(Ordering::Relaxed),
-        w[5].load(Ordering::Relaxed),
-        w[6].load(Ordering::Relaxed),
-        w[7].load(Ordering::Relaxed),
-        w[8].load(Ordering::Relaxed),
-    ];
+    let words: [u64; SLOT_WORDS - 1] =
+        std::array::from_fn(|i| slot.words[i].load(Ordering::Relaxed));
     // Standard seqlock reader protocol: an acquire *load* of `after` only
     // orders later accesses, so on weakly ordered targets the relaxed
     // payload loads above could sink past it. The fence pins them before
@@ -912,41 +771,53 @@ impl Drop for Span {
     }
 }
 
-/// Render one trace's events as an indented tree, one line per span:
-/// `stage  dur  counters`, children indented under their parent.
-/// Events are matched to parents by `span_id`; orphans print at the root.
-pub fn render_tree(events: &[TraceEvent]) -> String {
-    let mut out = String::new();
-    let roots: Vec<&TraceEvent> = events
-        .iter()
-        .filter(|e| !events.iter().any(|p| p.span_id == e.parent_id))
-        .collect();
-    for root in roots {
-        render_subtree(events, root, 0, &mut out);
+/// Walk a set of events as span trees: every event paired with its depth,
+/// parents before their children, roots and siblings in
+/// `(start_us, span_id)` order. A span whose parent is not in `events` (a
+/// root, or a child whose parent the ring overwrote) is walked as a root.
+pub fn tree_order(events: &[TraceEvent]) -> Vec<(usize, &TraceEvent)> {
+    let mut by_start: Vec<&TraceEvent> = events.iter().collect();
+    by_start.sort_by_key(|e| (e.start_us, e.span_id));
+    let ids: HashSet<u64> = events.iter().map(|e| e.span_id).collect();
+    // Latest first, so the stack pops roots and siblings earliest first.
+    let mut stack = Vec::new();
+    let mut children: HashMap<u64, Vec<&TraceEvent>> = HashMap::new();
+    for ev in by_start.into_iter().rev() {
+        if ids.contains(&ev.parent_id) {
+            children.entry(ev.parent_id).or_default().push(ev);
+        } else {
+            stack.push((0, ev));
+        }
+    }
+    let mut out = Vec::with_capacity(events.len());
+    while let Some((depth, ev)) = stack.pop() {
+        out.push((depth, ev));
+        // `remove`: a span id seen twice still walks its children once.
+        if let Some(kids) = children.remove(&ev.span_id) {
+            stack.extend(kids.into_iter().map(|kid| (depth + 1, kid)));
+        }
     }
     out
 }
 
-fn render_subtree(events: &[TraceEvent], node: &TraceEvent, depth: usize, out: &mut String) {
+/// Render events as indented trees in [`tree_order`], one line per span:
+/// `stage  dur  counters`, children indented under their parent.
+pub fn render_tree(events: &[TraceEvent]) -> String {
     use std::fmt::Write;
-    let _ = writeln!(
-        out,
-        "{:indent$}{:<10} {:>8} µs  c0={} c1={}",
-        "",
-        node.stage.name(),
-        node.dur_us,
-        node.c0,
-        node.c1,
-        indent = depth * 2
-    );
-    let mut children: Vec<&TraceEvent> = events
-        .iter()
-        .filter(|e| e.parent_id == node.span_id && e.span_id != node.span_id)
-        .collect();
-    children.sort_by_key(|e| e.start_us);
-    for child in children {
-        render_subtree(events, child, depth + 1, out);
+    let mut out = String::new();
+    for (depth, ev) in tree_order(events) {
+        let _ = writeln!(
+            out,
+            "{:indent$}{:<10} {:>8} µs  c0={} c1={}",
+            "",
+            ev.stage.name(),
+            ev.dur_us,
+            ev.c0,
+            ev.c1,
+            indent = depth * 2
+        );
     }
+    out
 }
 
 #[cfg(test)]
@@ -1093,44 +964,54 @@ mod tests {
         assert!(evs.iter().all(|e| e.trace_id == t1));
     }
 
-    #[test]
-    fn colliding_live_traces_fall_back_to_the_ring_scan() {
-        let r = Recorder::new(32);
-        let index = &r.inner.as_ref().unwrap().index;
-        let t1 = tid(1);
-        let t2 = (2..)
-            .map(tid)
-            .find(|t| std::ptr::eq(index.bucket_of(*t), index.bucket_of(t1)))
-            .unwrap();
-        r.span_in(Stage::Scan, t1, 0).finish(10, 0);
-        r.span_in(Stage::Scan, t2, 0).finish(20, 0);
-        // t1 is re-admitted to the bucket t2 evicted it from.
-        r.span_in(Stage::Join, t1, 0).finish(30, 0);
-        assert!(r.index_evictions() >= 2);
-        assert_eq!(r.events_for(t1).len(), 2, "the span before the eviction");
-        assert_eq!(r.events_for(t2).len(), 1);
+    /// A `Scan` span of `trace` with the given ids and start.
+    fn span_ev(trace: TraceId, span_id: u64, parent_id: u64, start_us: u64) -> TraceEvent {
+        TraceEvent {
+            trace_id: trace,
+            span_id,
+            parent_id,
+            stage: Stage::Scan,
+            start_us,
+            dur_us: 1,
+            c0: 0,
+            c1: 0,
+        }
+    }
+
+    /// The `(start_us, span_id)` keys of `events`, in order.
+    fn keys(events: &[TraceEvent]) -> Vec<(u64, u64)> {
+        events.iter().map(|e| (e.start_us, e.span_id)).collect()
     }
 
     #[test]
-    fn index_overflow_falls_back_to_the_ring_scan() {
+    fn events_for_returns_a_colliding_trace_whole_in_start_order() {
+        // tid(1) and tid(25) hash to one bucket of a 64-bucket trace table:
+        // t1 is interleaved with a newer trace that would evict it there.
+        let r = Recorder::new(32);
+        let (t1, t2) = (tid(1), tid(25));
+        r.record(span_ev(t1, 3, 1, 30));
+        r.record(span_ev(t2, 9, 0, 5));
+        r.record(span_ev(t1, 2, 1, 20));
+        r.record(span_ev(t1, 1, 0, 10));
+        assert_eq!(keys(&r.events_for(t1)), vec![(10, 1), (20, 2), (30, 3)]);
+        assert_eq!(keys(&r.events_for(t2)), vec![(5, 9)]);
+    }
+
+    #[test]
+    fn events_for_returns_a_long_trace_whole_in_start_order() {
+        // More spans than a per-trace slot list of 32 holds, recorded in
+        // finish order: the deepest span first, the root last.
         let r = Recorder::new(256);
         let t = r.new_trace_id();
-        let n = INDEX_TICKETS as u64 + 5;
-        for i in 0..n {
-            r.record(TraceEvent {
-                trace_id: t,
-                span_id: i + 1,
-                parent_id: 0,
-                stage: Stage::Scan,
-                start_us: i,
-                dur_us: 1,
-                c0: i,
-                c1: 0,
-            });
+        let n = 37u64;
+        for i in (0..n).rev() {
+            r.record(span_ev(t, i + 1, i, i));
         }
-        assert!(r.index_overflows() > 0);
-        // All spans still come back, via the full-scan fallback.
-        assert_eq!(r.events_for(t).len(), n as usize);
+        // A start-time tie is broken by span id.
+        r.record(span_ev(t, n + 2, 1, 3));
+        let mut want: Vec<(u64, u64)> = (0..n).map(|i| (i, i + 1)).collect();
+        want.insert(4, (3, n + 2));
+        assert_eq!(keys(&r.events_for(t)), want);
     }
 
     #[test]
@@ -1162,32 +1043,43 @@ mod tests {
     }
 
     #[test]
-    fn render_tree_indents_children() {
+    fn tree_order_puts_parents_first_and_siblings_by_start() {
+        let t = tid(1);
+        // Finish order, as a trace records: children before their parents,
+        // and a second root that started before the first.
         let evs = vec![
-            TraceEvent {
-                trace_id: tid(1),
-                span_id: 1,
-                parent_id: 0,
-                stage: Stage::Request,
-                start_us: 0,
-                dur_us: 100,
-                c0: 0,
-                c1: 0,
-            },
-            TraceEvent {
-                trace_id: tid(1),
-                span_id: 2,
-                parent_id: 1,
-                stage: Stage::PlanCache,
-                start_us: 5,
-                dur_us: 10,
-                c0: 1,
-                c1: 42,
-            },
+            span_ev(t, 4, 2, 40),
+            span_ev(t, 3, 1, 30),
+            span_ev(t, 2, 1, 20),
+            span_ev(t, 1, 0, 10),
+            span_ev(t, 6, 5, 7),
+            span_ev(t, 5, 0, 5),
+            // Parent overwritten by the ring: walked as a root.
+            span_ev(t, 8, 99, 15),
         ];
-        let tree = render_tree(&evs);
-        assert!(tree.contains("request"));
-        assert!(tree.contains("  plan_cache"));
+        let walk: Vec<(usize, u64)> = tree_order(&evs)
+            .into_iter()
+            .map(|(depth, e)| (depth, e.span_id))
+            .collect();
+        assert_eq!(
+            walk,
+            vec![(0, 5), (1, 6), (0, 1), (1, 2), (2, 4), (1, 3), (0, 8)]
+        );
+    }
+
+    #[test]
+    fn render_tree_indents_children() {
+        let mut child = span_ev(tid(1), 2, 1, 15);
+        child.stage = Stage::PlanCache;
+        let mut root = span_ev(tid(1), 1, 0, 10);
+        root.stage = Stage::Request;
+        let other = span_ev(tid(2), 3, 0, 5);
+        let tree = render_tree(&[child, root, other]);
+        let lines: Vec<&str> = tree.lines().collect();
+        assert_eq!(lines.len(), 3);
+        assert!(lines[0].starts_with("scan "), "{tree}");
+        assert!(lines[1].starts_with("request "), "{tree}");
+        assert!(lines[2].starts_with("  plan_cache "), "{tree}");
     }
 
     #[test]
