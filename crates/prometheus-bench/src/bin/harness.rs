@@ -327,7 +327,7 @@ fn sweep_t5(out: &std::path::Path) {
     for target in sweep_sizes(&[500, 2_000, 8_000, 16_000, 32_000]) {
         let params = BenchParams::with_target_nodes(target);
         let prom = PromDb::build(&format!("h-t5-{target}"), params).unwrap();
-        let _ = ops::prom_t1(&prom).unwrap(); // warm the object cache
+        let _ = ops::prom_t1(&prom).unwrap(); // one untimed warm-up run
         let d = time_median(3, || ops::prom_t1(&prom).unwrap());
         let nodes = params.node_count();
         points.push(SweepPoint {

@@ -66,7 +66,7 @@ pub fn raw_lookup(raw: &RawDb, oids: &[Oid]) -> DbResult<u64> {
     Ok(acc)
 }
 
-/// Read every listed object through the object layer (cache + checks).
+/// Read every listed object through the object layer (decode + checks).
 pub fn prom_lookup(prom: &PromDb, oids: &[Oid]) -> DbResult<u64> {
     let mut acc = 0u64;
     for &oid in oids {

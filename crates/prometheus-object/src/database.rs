@@ -51,24 +51,13 @@ use crate::schema::{RelKind, SchemaRegistry, OBJECT_CLASS};
 use crate::synonym::SynonymTable;
 use crate::value::Value;
 use parking_lot::{Mutex, RwLock};
-use prometheus_storage::cache::LruCache;
-use prometheus_storage::{codec, Oid, ShardedStore, Stats, Txn};
+use prometheus_storage::{codec, Oid, ShardedStore, Txn};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
 
 /// Reserved extent name under which classification metadata is indexed.
 pub const CLASSIFICATION_EXTENT: &str = "__classification";
-
-/// Default number of decoded entities kept in the object cache. Sized so
-/// that the chapter-7 benchmark databases stay cache-resident, matching the
-/// thesis' warm-cache measurement conditions.
-const DEFAULT_CACHE_CAPACITY: usize = 131_072;
-
-/// Number of independently locked object-cache shards. Concurrent readers
-/// hash to different shards by OID, so the cache never serialises the read
-/// path behind one mutex.
-const CACHE_SHARDS: usize = 16;
 
 /// A meta record a definition stages: its `KS_META` key and encoding.
 type MetaRecord = (&'static [u8], Vec<u8>);
@@ -99,7 +88,6 @@ impl Unit {
     fn settle(&self, store: &Arc<ShardedStore>) -> Writes {
         let empty = Writes {
             txn: store.begin_unit(self.claim),
-            decoded: BTreeMap::new(),
             meta: None,
         };
         std::mem::replace(&mut *self.writes.write(), empty)
@@ -109,10 +97,6 @@ impl Unit {
 /// A unit's writes: staged in its one transaction, never in the store.
 struct Writes {
     txn: Txn<'static>,
-    /// The entity each record write left (`None`: deleted), so the unit's
-    /// own reads of what it wrote are hits, not decodes; moved into the
-    /// shared cache when the unit commits.
-    decoded: BTreeMap<Oid, Option<StoredEntity>>,
     /// The meta the unit's staged definitions make, once it has staged one.
     /// It stays valid for the unit's life: staging a meta record needs a
     /// claim on the meta keyspace's shard, so no other unit can commit a
@@ -282,7 +266,6 @@ pub struct Database {
     listeners: RwLock<Arc<Vec<Arc<dyn EventListener>>>>,
     /// Shared with the [`UnitClaim`]s drawn on it, which release themselves.
     units: Arc<Mutex<UnitTable>>,
-    cache: Vec<Mutex<LruCache<Oid, StoredEntity>>>,
     /// What `check_integrity` starts from: the last clean verdict per
     /// classification and the member edges committed since.
     pub(crate) integrity: IntegrityTracker,
@@ -299,9 +282,6 @@ impl Database {
             meta: MetaMemo::default(),
             listeners: RwLock::new(Arc::new(Vec::new())),
             units: Arc::default(),
-            cache: (0..CACHE_SHARDS)
-                .map(|_| Mutex::new(LruCache::new(DEFAULT_CACHE_CAPACITY / CACHE_SHARDS)))
-                .collect(),
             integrity: IntegrityTracker::default(),
         };
         db.published_meta()?;
@@ -328,9 +308,9 @@ impl Database {
     ///
     /// The view holds the published storage snapshot plus the schema and
     /// synonyms decoded from that snapshot's own meta records; its reads
-    /// never take the store mutex or the object-cache locks. Mutations
-    /// committed after the pin (and operations of any unit still streaming)
-    /// are invisible — pin a fresh view for fresh state.
+    /// never take the store mutex. Mutations committed after the pin (and
+    /// operations of any unit still streaming) are invisible — pin a fresh
+    /// view for fresh state.
     pub fn read_view(&self) -> ReadView {
         ReadView::pin(self.store.snapshot(), &self.meta)
     }
@@ -423,27 +403,13 @@ impl Database {
     // Replication
     // -----------------------------------------------------------------
 
-    /// Refresh derived state after a replication follower applied a batch of
-    /// primary frames directly to the store (bypassing this facade's write
-    /// path): drop cached decoded entities for every touched OID and the
-    /// integrity verdicts. Schema and synonyms need nothing: a read decodes
-    /// them from the image it reads. Fails if the meta the batch published
-    /// does not decode, which a follower answers with a resync.
-    pub fn refresh_replicated(&self, summary: &prometheus_storage::ReplicaApply) -> DbResult<()> {
-        for oid in &summary.touched_oids {
-            self.cache_shard(*oid).lock().remove(oid);
-        }
-        self.integrity.forget_all();
-        self.published_meta().map(drop)
-    }
-
-    /// Drop every derived cache. A follower calls this after a full resync
-    /// (`Store::reset_to_empty` + re-replay), when per-OID invalidation
-    /// would be meaningless.
-    pub fn refresh_all(&self) -> DbResult<()> {
-        for shard in &self.cache {
-            shard.lock().clear();
-        }
+    /// Refresh derived state after the store changed beneath this facade's
+    /// write path — a follower's applied batch or resync, or a write straight
+    /// to the store: forget the integrity verdicts. Entities, schema and
+    /// synonyms need nothing: a read decodes them from the image it reads.
+    /// Fails if the published meta does not decode, which a follower answers
+    /// with a resync.
+    pub fn refresh(&self) -> DbResult<()> {
         self.integrity.forget_all();
         self.published_meta().map(drop)
     }
@@ -560,7 +526,6 @@ impl Database {
             store: Arc::as_ptr(&self.store) as usize,
             writes: RwLock::new(Writes {
                 txn: self.store.begin_unit(mask),
-                decoded: BTreeMap::new(),
                 meta: None,
             }),
         });
@@ -662,21 +627,10 @@ impl Database {
         sealed
     }
 
-    /// Seal `unit`'s transaction — one group per shard it wrote, with a
-    /// prepare/decide round first when it wrote two or more — and move what
-    /// its record writes decoded into the shared cache, which so only ever
-    /// holds committed entities.
+    /// Seal `unit`'s transaction: one group per shard it wrote, with a
+    /// prepare/decide round first when it wrote two or more.
     fn seal(&self, unit: &Unit) -> DbResult<()> {
-        let Writes { txn, decoded, .. } = unit.settle(&self.store);
-        txn.commit()?;
-        for (oid, entity) in decoded {
-            let mut cache = self.cache_shard(oid).lock();
-            match entity {
-                Some(entity) => drop(cache.put(oid, entity)),
-                None => drop(cache.remove(&oid)),
-            }
-        }
-        Ok(())
+        Ok(unit.settle(&self.store).txn.commit()?)
     }
 
     /// Abort a unit of work, rolling back everything it (and any nested
@@ -701,7 +655,7 @@ impl Database {
     }
 
     /// Abort unit `id`: drop its staged writes and the meta they made —
-    /// nothing of them reached the log, the image or the shared cache.
+    /// nothing of them reached the log or the image.
     fn rollback_unit(&self, id: u64) {
         let state = {
             let mut table = self.units.lock();
@@ -744,26 +698,13 @@ impl Database {
 
     /// Stage writes in the unit bound to this thread — outside a unit, in a
     /// one-op unit of their own — all or none: the one way a write reaches
-    /// the store. Every record write goes through the object API, which
-    /// keeps its decoded entity with the unit; `f` here writes keyspace
-    /// entries (`kv_put`, `kv_delete`).
+    /// the store.
     pub fn stage(&self, f: impl FnOnce(&mut Txn<'_>)) -> DbResult<()> {
         self.stage_with(f, |_| {})
     }
 
-    /// [`Database::stage`], noting the entity a record write leaves under
-    /// its OID (`None`: deleted).
-    fn stage_entity(
-        &self,
-        oid: Oid,
-        entity: Option<StoredEntity>,
-        f: impl FnOnce(&mut Txn<'_>),
-    ) -> DbResult<()> {
-        self.stage_with(f, |writes| drop(writes.decoded.insert(oid, entity)))
-    }
-
-    /// [`Database::stage`], then `keep` what the writes decode with the
-    /// unit, under the same lock.
+    /// [`Database::stage`], then `keep` what the writes make (a
+    /// definition's meta) with the unit, under the same lock.
     fn stage_with(
         &self,
         f: impl FnOnce(&mut Txn<'_>),
@@ -818,43 +759,6 @@ impl Database {
     // -----------------------------------------------------------------
     // Entity access
     // -----------------------------------------------------------------
-
-    fn cache_shard(&self, oid: Oid) -> &Mutex<LruCache<Oid, StoredEntity>> {
-        &self.cache[(oid.raw() as usize) % CACHE_SHARDS]
-    }
-
-    pub(crate) fn entity_cached(&self, oid: Oid) -> DbResult<StoredEntity> {
-        let stats = self.store.stats();
-        let written = self.bound(|unit| {
-            let unit = unit?;
-            let writes = unit.writes.read();
-            writes.decoded.get(&oid).cloned()
-        });
-        if let Some(entity) = written {
-            Stats::bump(&stats.cache_hits);
-            return entity.ok_or(DbError::NotFound(oid));
-        }
-        {
-            let mut cache = self.cache_shard(oid).lock();
-            if let Some(entity) = cache.get(&oid) {
-                Stats::bump(&stats.cache_hits);
-                return Ok(entity.clone());
-            }
-        }
-        Stats::bump(&stats.cache_misses);
-        let shard = self.store.shard(self.store.shard_of_oid(oid));
-        let read = shard.snapshot();
-        let bytes = read.get(oid).ok_or(DbError::NotFound(oid))?;
-        let entity: StoredEntity = codec::from_bytes(&bytes)?;
-        // Fill only from the image still published: a commit publishes and
-        // then moves its entities into the cache, so a fill decoded from an
-        // older image could otherwise land after it and outlive it.
-        let mut cache = self.cache_shard(oid).lock();
-        if shard.snapshot().same_version(&read) {
-            cache.put(oid, entity.clone());
-        }
-        Ok(entity)
-    }
 
     // The read API below delegates to the [`Reader`] trait (see
     // `crate::read`), which holds the single definition of every read
@@ -1375,14 +1279,13 @@ impl Database {
         strict_hierarchy: bool,
     ) -> DbResult<Oid> {
         let oid = self.allocate_oid();
-        let meta = StoredEntity::Classification(ClassificationMeta {
+        let bytes = codec::to_bytes(&StoredEntity::Classification(ClassificationMeta {
             oid,
             name: name.to_string(),
             attrs: attrs.into_iter().collect(),
             strict_hierarchy,
-        });
-        let bytes = codec::to_bytes(&meta)?;
-        self.stage_entity(oid, Some(meta), |t| {
+        }))?;
+        self.stage(|t| {
             t.put(oid, bytes);
             t.kv_put(
                 KS_EXTENT,
@@ -1487,10 +1390,9 @@ impl Database {
     // -----------------------------------------------------------------
 
     fn raw_put_object(&self, obj: &ObjectInstance) -> DbResult<()> {
-        let entity = StoredEntity::Object(obj.clone());
-        let bytes = codec::to_bytes(&entity)?;
+        let bytes = codec::to_bytes(&StoredEntity::Object(obj.clone()))?;
         let indexed = self.indexed_attrs(&obj.class)?;
-        self.stage_entity(obj.oid, Some(entity), |t| {
+        self.stage(|t| {
             t.put(obj.oid, bytes);
             t.kv_put(
                 KS_EXTENT,
@@ -1521,10 +1423,9 @@ impl Database {
         } else {
             obj.attrs.insert(attr.to_string(), value.clone());
         }
-        let entity = StoredEntity::Object(obj.clone());
-        let bytes = codec::to_bytes(&entity)?;
+        let bytes = codec::to_bytes(&StoredEntity::Object(obj.clone()))?;
         let indexed = self.indexed_attrs(&obj.class)?.contains(&attr.to_string());
-        self.stage_entity(obj.oid, Some(entity), |t| {
+        self.stage(|t| {
             t.put(obj.oid, bytes);
             if indexed {
                 if old != Value::Null {
@@ -1543,7 +1444,7 @@ impl Database {
 
     fn raw_delete_object(&self, obj: &ObjectInstance) -> DbResult<()> {
         let indexed = self.indexed_attrs(&obj.class)?;
-        self.stage_entity(obj.oid, None, |t| {
+        self.stage(|t| {
             t.delete(obj.oid);
             t.kv_delete(KS_EXTENT, index::extent_key(&obj.class, obj.oid));
             for attr in &indexed {
@@ -1555,9 +1456,8 @@ impl Database {
     }
 
     fn raw_put_rel(&self, rel: &RelInstance) -> DbResult<()> {
-        let entity = StoredEntity::Rel(rel.clone());
-        let bytes = codec::to_bytes(&entity)?;
-        self.stage_entity(rel.oid, Some(entity), |t| {
+        let bytes = codec::to_bytes(&StoredEntity::Rel(rel.clone()))?;
+        self.stage(|t| {
             t.put(rel.oid, bytes);
             t.kv_put(
                 KS_EXTENT,
@@ -1578,7 +1478,7 @@ impl Database {
     }
 
     fn raw_delete_rel(&self, rel: &RelInstance) -> DbResult<()> {
-        self.stage_entity(rel.oid, None, |t| {
+        self.stage(|t| {
             t.delete(rel.oid);
             t.kv_delete(KS_EXTENT, index::extent_key(&rel.class, rel.oid));
             t.kv_delete(
@@ -1615,7 +1515,7 @@ impl Database {
     pub fn delete_classification(&self, oid: Oid) -> DbResult<()> {
         self.classification_meta(oid)?;
         let edges = self.classification_edges(oid)?;
-        self.stage_entity(oid, None, |t| {
+        self.stage(|t| {
             for rel in &edges {
                 t.kv_delete(KS_CLS_EDGES, index::cls_edge_key(oid, *rel));
                 t.kv_delete(KS_EDGE_CLS, index::edge_cls_key(*rel, oid));
@@ -2529,9 +2429,9 @@ pub(crate) mod tests {
 
     /// No dirty reads. While a unit is open, a thread with no unit bound
     /// sees the pre-unit state through every read — right after each of the
-    /// unit's writes too, since what they decode stays with the unit — while
-    /// the unit reads its own writes. After an abort the shared cache holds
-    /// nothing of the unit's; after a commit the other thread sees it all.
+    /// unit's writes too, since they stay in the unit's overlay — while the
+    /// unit reads its own writes. After an abort the other thread reads the
+    /// committed state; after a commit it sees the unit's writes.
     #[test]
     fn unbound_reads_see_no_open_unit() {
         for commit in [false, true] {
@@ -2575,12 +2475,7 @@ pub(crate) mod tests {
                 db.abort_unit(token);
                 assert_eq!(seen_elsewhere(&db, &[taxon, kept]), pre);
                 assert!(invisible(&db, new) && invisible(&db, rel));
-                for oid in [new, rel] {
-                    assert!(db.cache_shard(oid).lock().get(&oid).is_none());
-                }
-                if let Some(entry) = db.cache_shard(kept).lock().get(&kept) {
-                    assert_eq!(entry, &StoredEntity::Object(cached.clone()));
-                }
+                assert_eq!(db.object(kept).unwrap(), cached);
                 continue;
             }
             db.commit_unit(token).unwrap();
@@ -2595,6 +2490,46 @@ pub(crate) mod tests {
             }
             assert!(!invisible(&db, rel));
         }
+    }
+
+    /// A `Database` read decodes the record of the state it reads — the
+    /// bound unit's overlay, else the published image — every time: no
+    /// decoded entity is kept anywhere to answer a later read. So `n` reads
+    /// count `n` decodes inside a unit and out, the unit reads its staged
+    /// write, and another thread reads the committed record after an abort
+    /// and the unit's after a commit.
+    #[test]
+    fn a_read_decodes_from_the_image_it_reads() {
+        let db = taxo_db();
+        let oid = db
+            .create_object("Taxon", attrs(&[("name", "Apium".into())]))
+            .unwrap();
+        let decodes = |n: u64| {
+            let before = db.store().stats().snapshot().cache_misses;
+            for _ in 0..n {
+                db.object(oid).unwrap();
+            }
+            db.store().stats().snapshot().cache_misses - before
+        };
+        let name_elsewhere = |db: &Database| {
+            std::thread::scope(|s| s.spawn(|| db.attr_of(oid, "name").unwrap()).join()).unwrap()
+        };
+        assert_eq!(decodes(5), 5);
+        for commit in [false, true] {
+            let token = db.begin_unit();
+            db.set_attr(oid, "name", "Daucus").unwrap();
+            assert_eq!(decodes(5), 5);
+            assert_eq!(db.attr_of(oid, "name").unwrap(), Value::from("Daucus"));
+            assert_eq!(name_elsewhere(&db), Value::from("Apium"));
+            if commit {
+                db.commit_unit(token).unwrap();
+                assert_eq!(name_elsewhere(&db), Value::from("Daucus"));
+            } else {
+                db.abort_unit(token);
+                assert_eq!(name_elsewhere(&db), Value::from("Apium"));
+            }
+        }
+        assert_eq!(decodes(3), 3);
     }
 
     /// The synonym twin of `unbound_reads_see_no_open_unit`: a synonymy a

@@ -7,16 +7,16 @@
 //! and index access plus schema/synonym access). Two implementations exist:
 //!
 //! * [`Database`] reads **committed state plus the staged writes of the
-//!   unit bound to the calling thread** (through the unit's transaction and
-//!   the object cache), so code running inside a unit of work sees its own
-//!   uncommitted operations and nothing of any other unit's;
+//!   unit bound to the calling thread** (through the unit's transaction),
+//!   so code running inside a unit of work sees its own uncommitted
+//!   operations and nothing of any other unit's;
 //! * [`ReadView`] reads a **pinned immutable snapshot**
 //!   ([`prometheus_storage::ShardSnapshot`], one pinned image per shard) plus
 //!   the schema registry and synonym table decoded from that snapshot's own
-//!   meta records. A `ReadView` never takes the store mutex or
-//!   any cache lock, so any number of views proceed in parallel with the
-//!   writer, and a whole query — including recursive traversals and graph
-//!   extraction — executes against one consistent committed state:
+//!   meta records. A `ReadView` never takes the store mutex, so any number
+//!   of views proceed in parallel with the writer, and a whole query —
+//!   including recursive traversals and graph extraction — executes
+//!   against one consistent committed state:
 //!   unit-of-work atomicity holds by construction, because a unit reaches
 //!   the store only as one sealed commit.
 //!
@@ -32,7 +32,9 @@ use crate::schema::SchemaRegistry;
 use crate::synonym::SynonymTable;
 use crate::value::Value;
 use parking_lot::RwLock;
-use prometheus_storage::{codec, prefix_successor, Bytes, Keyspace, KvScan, Oid, ShardSnapshot};
+use prometheus_storage::{
+    codec, prefix_successor, Bytes, Keyspace, KvScan, Oid, ShardSnapshot, Stats,
+};
 use std::ops::Bound;
 use std::sync::Arc;
 
@@ -474,8 +476,14 @@ fn decode_rels<R: Reader>(db: &R, adjacent: Vec<(Oid, Oid)>) -> DbResult<Vec<Rel
 /// unit bound to this thread — inside a unit of work, the unit's own
 /// operations.
 impl Reader for Database {
+    /// The record as `read_through` sees it, decoded; each decode counts
+    /// one `cache_misses` on the store's stats.
     fn entity(&self, oid: Oid) -> DbResult<StoredEntity> {
-        self.entity_cached(oid)
+        let bytes = self
+            .read_through(|txn| txn.get(oid))
+            .ok_or(DbError::NotFound(oid))?;
+        Stats::bump(&self.store().stats().cache_misses);
+        Ok(codec::from_bytes(&bytes)?)
     }
 
     fn raw_kv_get(&self, ks: Keyspace, key: &[u8]) -> Option<Bytes> {
@@ -623,9 +631,9 @@ impl MetaMemo {
 ///
 /// Obtained from [`Database::read_view`]. Holds a storage snapshot plus the
 /// schema registry and synonym table decoded from that snapshot's own meta
-/// records, resolved once at pin time; reads never take the store mutex or
-/// the object cache locks and never decode through shared state, so views
-/// scale with reader parallelism. State committed (or rolled back) after the
+/// records, resolved once at pin time; reads never take the store mutex and
+/// never decode through shared state, so views scale with reader
+/// parallelism. State committed (or rolled back) after the
 /// pin is invisible; re-pin for fresh state. Cloning bumps one `Arc` per
 /// shard plus one for the meta.
 #[derive(Debug, Clone)]

@@ -31,7 +31,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 /// Plan-cache capacity of [`Executor::new`]: generous for a realistic
-/// workload's distinct query texts, small against object-cache budgets.
+/// workload's distinct query texts.
 pub const DEFAULT_PLAN_CACHE: usize = 256;
 
 /// A cached, immutable plan: the contextualised parsed query, the planner's

@@ -149,12 +149,14 @@ impl Follower {
         let puller = {
             let stop = Arc::clone(&stop);
             let status = Arc::clone(&status);
+            let puller_db = Arc::clone(&database);
             thread::Builder::new()
                 .name(format!("prometheus-puller-{}", config.name))
-                .spawn(move || pull_loop(config, store, database, status, stop))?
+                .spawn(move || pull_loop(config, store, puller_db, status, stop))?
         };
         Ok(FollowerHandle {
             addr: server.addr(),
+            database,
             status,
             stop,
             puller: Some(puller),
@@ -166,6 +168,7 @@ impl Follower {
 /// Handle to a running [`Follower`]; stops both threads on drop.
 pub struct FollowerHandle {
     addr: SocketAddr,
+    database: Arc<Database>,
     status: Arc<ReplicaStatusCell>,
     stop: Arc<AtomicBool>,
     puller: Option<thread::JoinHandle<()>>,
@@ -176,6 +179,11 @@ impl FollowerHandle {
     /// Bound address of the read-only server.
     pub fn addr(&self) -> SocketAddr {
         self.addr
+    }
+
+    /// The replica's database, which the puller applies batches beneath.
+    pub fn db(&self) -> &Arc<Database> {
+        &self.database
     }
 
     /// Live replication progress (shared with the server's `ReplicaStatus`).
@@ -283,20 +291,11 @@ fn pull_loop(
                         horizons[shard] = log_len;
                         if !frames.is_empty() {
                             caught_up = false;
-                            match member.apply_replicated(&frames) {
-                                Ok(summary) => {
-                                    if db.refresh_replicated(&summary).is_err() {
-                                        // Cache refresh failing means local
-                                        // meta no longer decodes — resync
-                                        // from zero.
-                                        resync(&store, &db, &status, &mut horizons);
-                                        continue 'connected;
-                                    }
-                                }
-                                Err(_) => {
-                                    resync(&store, &db, &status, &mut horizons);
-                                    continue 'connected;
-                                }
+                            // A batch that does not apply, or whose meta no
+                            // longer decodes, resyncs from zero.
+                            if member.apply_replicated(&frames).is_err() || db.refresh().is_err() {
+                                resync(&store, &db, &status, &mut horizons);
+                                continue 'connected;
                             }
                         }
                         let applied = member.committed_log_len();
@@ -354,7 +353,7 @@ fn resync(store: &ShardedStore, db: &Database, status: &ReplicaStatusCell, horiz
         }
     }
     horizons.fill(0);
-    let _ = db.refresh_all();
+    let _ = db.refresh();
     status.record_resync();
 }
 

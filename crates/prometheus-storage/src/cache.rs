@@ -1,9 +1,7 @@
-//! A fixed-capacity LRU cache for decoded records.
+//! A fixed-capacity LRU cache, which serves the POOL plan cache.
 //!
-//! The thesis' performance chapter (7.2) distinguishes *cold* and *warm*
-//! operation costs; this cache is what produces that distinction in our
-//! build. It is a classic O(1) LRU: a hash map from key to slot plus an
-//! intrusive doubly-linked recency list stored in a slab.
+//! It is a classic O(1) LRU: a hash map from key to slot plus an intrusive
+//! doubly-linked recency list stored in a slab.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -20,9 +18,8 @@ struct Slot<K, V> {
 
 /// Least-recently-used cache with a fixed entry capacity.
 ///
-/// It keeps no hit/miss tally of its own: each embedder counts where its
-/// readers look (the object cache into the storage `Stats`, the POOL plan
-/// cache into the executor's counters).
+/// It keeps no hit/miss tally of its own: the plan cache counts its hits and
+/// misses into the executor's counters.
 #[derive(Debug)]
 pub struct LruCache<K, V> {
     map: HashMap<K, usize>,

@@ -457,7 +457,7 @@ impl ShardedStore {
     }
 
     /// Shard 0's live counters. Layers that bump shared counters (the object
-    /// layer's entity cache) bump here so aggregate totals stay right.
+    /// layer's entity decodes) bump here so aggregate totals stay right.
     pub fn stats(&self) -> &Arc<Stats> {
         self.shards[0].stats()
     }

@@ -2,7 +2,7 @@
 //!
 //! The chapter-7 benchmark compares the Prometheus feature layer against the
 //! raw substrate; these counters let the harness report *why* an operation
-//! costs what it does (log appends, record decodes, cache behaviour) rather
+//! costs what it does (log appends, record decodes, commits) rather
 //! than only wall-clock time.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -21,9 +21,8 @@ prometheus_trace::counter_table! {
         log_appends: Counter, "prometheus_storage_log_appends_total", "Redo-log records appended.";
         bytes_written: Counter, "prometheus_storage_bytes_written_total", "Bytes appended to the redo log.";
         syncs: Counter, "prometheus_storage_syncs_total", "fsync calls on the redo log.";
-        cache_hits: Counter, "prometheus_storage_cache_hits_total", "Object-cache hits.";
-        /// Reads that had to decode from the heap map / log image.
-        cache_misses: Counter, "prometheus_storage_cache_misses_total", "Object-cache misses.";
+        cache_hits: Counter, "prometheus_storage_cache_hits_total", "Never bumped: the object layer keeps no decoded entities.";
+        cache_misses: Counter, "prometheus_storage_cache_misses_total", "Entities decoded by object-layer database reads.";
         // `puts` and `deletes` were never scraped; exposing them is a
         // one-word change here, and a visible one.
         puts: Unscraped, "prometheus_storage_puts_total", "Records written.";
@@ -55,18 +54,6 @@ impl Stats {
     /// Increment a counter by `n`.
     pub fn add(counter: &AtomicU64, n: u64) {
         counter.fetch_add(n, Ordering::Relaxed);
-    }
-}
-
-impl StatsSnapshot {
-    /// Cache hit ratio in `[0, 1]`; zero when no reads occurred.
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
     }
 }
 
@@ -122,16 +109,5 @@ mod tests {
             codec::from_bytes(&codec::to_bytes(&(foreign,)).unwrap()).unwrap();
         assert_eq!(back.commits, 4, "known names land in their fields");
         assert_eq!(back.puts, 0, "a missing name reads as zero");
-    }
-
-    #[test]
-    fn hit_ratio_handles_zero_reads() {
-        assert_eq!(StatsSnapshot::default().hit_ratio(), 0.0);
-        let s = StatsSnapshot {
-            cache_hits: 3,
-            cache_misses: 1,
-            ..Default::default()
-        };
-        assert!((s.hit_ratio() - 0.75).abs() < 1e-12);
     }
 }

@@ -464,9 +464,6 @@ pub struct FrameBatch {
 pub struct ReplicaApply {
     /// Records of settled groups applied to the image.
     pub applied: u64,
-    /// OIDs whose records changed; the object layer invalidates its decoded
-    /// entity cache for exactly these.
-    pub touched_oids: Vec<Oid>,
     /// Local log length after the batch — the follower's replication cursor.
     pub log_len: u64,
 }
@@ -1003,14 +1000,8 @@ impl Store {
             };
             for r in ready {
                 match &r {
-                    LogRecord::Put { oid, .. } => {
-                        summary.touched_oids.push(*oid);
-                        Stats::bump(&self.stats.puts);
-                    }
-                    LogRecord::Delete { oid, .. } => {
-                        summary.touched_oids.push(*oid);
-                        Stats::bump(&self.stats.deletes);
-                    }
+                    LogRecord::Put { .. } => Stats::bump(&self.stats.puts),
+                    LogRecord::Delete { .. } => Stats::bump(&self.stats.deletes),
                     _ => {}
                 }
                 image

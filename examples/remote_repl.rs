@@ -170,11 +170,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 server.plan_cache_hits, server.plan_cache_misses, server.parallel_morsels,
             );
             println!(
-                "storage: {} commits, {} puts, {} bytes written, cache hit ratio {:.2}",
-                storage.commits,
-                storage.puts,
-                storage.bytes_written,
-                storage.hit_ratio(),
+                "storage: {} commits, {} puts, {} bytes written, {} entities decoded",
+                storage.commits, storage.puts, storage.bytes_written, storage.cache_misses,
             );
             continue;
         }

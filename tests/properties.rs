@@ -385,7 +385,7 @@ fn random_edits(seed: u64, steps: usize) {
                 // A member edge written straight to the store, as an older
                 // log or a replica's apply does, with its reverse beside it
                 // when there is one to reverse: the facade hears of it
-                // through `refresh_all`, as of any write that bypasses it.
+                // through `refresh`, as of any write that bypasses it.
                 let (o, d) = match ring_edges.first() {
                     Some(&edge) => db.rel(edge).map(|r| (r.destination, r.origin)).unwrap(),
                     None => (a, b),
@@ -399,7 +399,7 @@ fn random_edits(seed: u64, steps: usize) {
                         Ok(())
                     })
                     .unwrap();
-                db.refresh_all().unwrap();
+                db.refresh().unwrap();
                 ring_edges.push(edge);
             }
             _ => {

@@ -294,6 +294,42 @@ fn a_follower_view_reads_the_definitions_of_its_own_image() {
     assert_eq!(query(&view).unwrap(), 1, "a pinned view keeps its image");
 }
 
+/// A read through the follower's `Database` after the primary changed an
+/// object it already read, and the follower caught up, sees the new value:
+/// nothing the first read decoded outlives the image it came from.
+#[test]
+fn a_follower_database_reads_an_update_it_has_read_before() {
+    let path = tmp("reread-primary");
+    let handle = boot_primary(&path, &["Apium"]);
+    let follower = follower_of(handle.addr(), "reread");
+    assert!(follower.wait_caught_up(Duration::from_secs(10)));
+    let db = follower.db();
+    let name = |oid| db.attr_of(oid, "working_name").unwrap();
+    let oid = db
+        .find_by_attr("CT", "working_name", &Value::from("Apium"))
+        .unwrap()[0];
+    assert_eq!(name(oid), Value::from("Apium"));
+
+    let mut client = PrometheusClient::connect(handle.addr()).unwrap();
+    client
+        .unit_batch(vec![MutationOp::SetAttr {
+            oid,
+            attr: "working_name".into(),
+            value: Value::from("Apium s.l."),
+        }])
+        .unwrap();
+    let horizon = client.replica_status().unwrap().log_len;
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while follower.status().applied_offset() < horizon {
+        assert!(Instant::now() < deadline, "follower never caught up");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert_eq!(name(oid), Value::from("Apium s.l."));
+    client.close().unwrap();
+    follower.stop();
+    handle.stop();
+}
+
 #[test]
 fn failover_replica_serves_reads_then_resumes_from_cursor() {
     let path = tmp("failover-primary");
