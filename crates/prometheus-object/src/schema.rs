@@ -444,9 +444,8 @@ impl SchemaRegistry {
     /// Schema version: a 64-bit FNV-1a digest of the encoded registry, set
     /// where the registry is decoded from its meta record (0 for one never
     /// decoded, or changed since). Equal versions mean equal definitions,
-    /// across restarts
-    /// too, so plan caches key on it: a plan made against other definitions
-    /// — an older schema, or an aborted unit's — never matches.
+    /// across restarts too. `EXPLAIN` prints it, and it feeds a query
+    /// plan's fingerprint.
     pub fn version(&self) -> u64 {
         self.digest
     }

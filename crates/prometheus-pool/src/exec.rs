@@ -1,40 +1,34 @@
-//! The POOL executor: a schema-versioned plan cache in front of
-//! morsel-parallel execution.
+//! The POOL executor: per-query planning in front of morsel-parallel
+//! execution.
 //!
 //! [`Executor`] is the long-lived query front end an embedder (the wire
 //! server, the benchmark) keeps next to its database handle. Per query
 //! it:
 //!
-//! 1. looks the query text up in an LRU **plan cache** keyed by
-//!    `(default context, text)` — a hit skips lexing, parsing and planning;
-//! 2. validates the cached plan's schema version against
-//!    [`prometheus_object::SchemaRegistry::version`] — a digest of the
-//!    definitions the reader sees — re-planning if they differ (so neither
-//!    `define_class` nor an aborted unit's definitions can leave a stale
-//!    seed or conformance set behind);
+//! 1. parses the text, applies the default context when the query names
+//!    none, and plans it against the schema the reader sees — a plan is
+//!    made for every query and kept by no one, so neither `define_class`
+//!    nor an aborted unit's definitions can leave a stale seed or
+//!    conformance set behind;
+//! 2. stamps the plan with [`prometheus_object::SchemaRegistry::version`]
+//!    (a digest of the definitions the reader sees) and a fingerprint, for
+//!    `EXPLAIN`, `PROFILE` and the slow-query log;
 //! 3. executes the plan with this executor's worker budget — candidate
 //!    filtering, the outer join loop and traversal frontiers run
 //!    morsel-parallel, with outputs merged in morsel order so results are
 //!    byte-identical to a sequential run.
 //!
-//! The executor is `Sync`: one instance serves concurrent sessions, which
-//! is what makes the plan cache pay — every session reuses every other
-//! session's plans.
+//! The executor is `Sync`: one instance serves concurrent sessions.
 
 use crate::ast::Query;
 use crate::eval::{self, QueryResult};
 use crate::plan::{self, PlanInfo};
 use prometheus_object::{DbResult, Reader};
-use prometheus_storage::cache::LruCache;
 use prometheus_trace::{Recorder, Stage};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, RwLock};
 
-/// Plan-cache capacity of [`Executor::new`]: generous for a realistic
-/// workload's distinct query texts.
-pub const DEFAULT_PLAN_CACHE: usize = 256;
-
-/// A cached, immutable plan: the contextualised parsed query, the planner's
+/// An immutable plan: the contextualised parsed query, the planner's
 /// per-clause decisions, and the schema version they were made against.
 #[derive(Debug)]
 pub struct QueryPlan {
@@ -67,10 +61,8 @@ fn fingerprint_of(query: &Query, info: &PlanInfo, schema_version: u64) -> u64 {
 /// Point-in-time executor counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExecStatsSnapshot {
-    /// Queries answered from the plan cache (current schema version).
-    pub plan_cache_hits: u64,
-    /// Queries that had to parse + plan (cold, evicted, or schema moved).
-    pub plan_cache_misses: u64,
+    /// Queries parsed and planned (every query, `EXPLAIN` included).
+    pub plans: u64,
     /// Morsels executed by parallel workers across all stages (candidate
     /// filters, outer join loops, traversal frontiers). Zero under a
     /// one-worker budget or when inputs fit in single morsels.
@@ -79,28 +71,18 @@ pub struct ExecStatsSnapshot {
 
 #[derive(Debug, Default)]
 struct ExecStats {
-    plan_cache_hits: AtomicU64,
-    plan_cache_misses: AtomicU64,
+    plans: AtomicU64,
     parallel_morsels: AtomicU64,
 }
 
-type PlanKey = (Option<String>, String);
-
-/// Cached-plan, worker-pooled POOL query front end. See the module docs.
+/// Worker-pooled POOL query front end. See the module docs.
 #[derive(Debug)]
 pub struct Executor {
     workers: usize,
-    cache: Mutex<LruCache<PlanKey, Arc<QueryPlan>>>,
     stats: ExecStats,
-    /// Span recorder for plan-cache and execution-stage spans; disabled
-    /// until [`Executor::set_recorder`] installs a live one.
+    /// Span recorder for plan and execution-stage spans; disabled until
+    /// [`Executor::set_recorder`] installs a live one.
     recorder: RwLock<Recorder>,
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    // The cache holds only immutable Arc'd plans; a panicking thread cannot
-    // leave it half-updated, so poison is safe to swallow.
-    m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
 fn lock_rw<T>(l: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
@@ -113,17 +95,10 @@ fn lock_rw_read<T>(l: &RwLock<T>) -> std::sync::RwLockReadGuard<'_, T> {
 
 impl Executor {
     /// An executor with `workers` parallel workers per query (clamped to at
-    /// least 1) and the default plan-cache capacity.
+    /// least 1).
     pub fn new(workers: usize) -> Executor {
-        Executor::with_cache_capacity(workers, DEFAULT_PLAN_CACHE)
-    }
-
-    /// [`Executor::new`] with an explicit plan-cache capacity (0 disables
-    /// plan caching; every query then parses and plans).
-    pub fn with_cache_capacity(workers: usize, capacity: usize) -> Executor {
         Executor {
             workers: workers.max(1),
-            cache: Mutex::new(LruCache::new(capacity)),
             stats: ExecStats::default(),
             recorder: RwLock::new(Recorder::disabled()),
         }
@@ -134,7 +109,7 @@ impl Executor {
         self.workers
     }
 
-    /// Install the span recorder used for plan-cache lookups and execution
+    /// Install the span recorder used for planning and execution
     /// stages (scan, filter, join, emit). Normally the same recorder the
     /// store and server share, so one ring holds the whole request.
     pub fn set_recorder(&self, recorder: Recorder) {
@@ -146,12 +121,10 @@ impl Executor {
         lock_rw_read(&self.recorder).clone()
     }
 
-    /// Parse (or fetch from the plan cache), plan and execute `text`.
+    /// Parse, plan and execute `text`.
     ///
     /// `default_context` is the session's classification context: applied
-    /// only when the query has no `in classification` clause of its own,
-    /// and part of the cache key, so sessions in different contexts never
-    /// share a contextualised plan.
+    /// only when the query has no `in classification` clause of its own.
     pub fn query<R: Reader>(
         &self,
         db: &R,
@@ -170,7 +143,7 @@ impl Executor {
         text: &str,
         default_context: Option<&str>,
     ) -> DbResult<(QueryResult, Arc<QueryPlan>)> {
-        let (plan, _) = self.plan_with_origin(db, text, default_context)?;
+        let plan = self.plan(db, text, default_context)?;
         let result = eval::execute_parallel(
             db,
             &plan.query,
@@ -182,11 +155,11 @@ impl Executor {
         Ok((result, plan))
     }
 
-    /// `EXPLAIN`: resolve (or fetch) the plan and render it as text lines —
+    /// `EXPLAIN`: plan the query and render the plan as text lines —
     /// source index seeds, pushed-down conjuncts, conformance sets, the
     /// residual conjuncts with the join depth each runs at (how many `from`
     /// variables are bound by then) and the depth an `in` haystack is
-    /// hoisted to, cache hit/miss and the plan fingerprint. Nothing is
+    /// hoisted to, the schema digest and the plan fingerprint. Nothing is
     /// executed.
     pub fn explain<R: Reader>(
         &self,
@@ -194,13 +167,11 @@ impl Executor {
         text: &str,
         default_context: Option<&str>,
     ) -> DbResult<Vec<String>> {
-        let (plan, hit) = self.plan_with_origin(db, text, default_context)?;
+        let plan = self.plan(db, text, default_context)?;
         let mut lines = vec![
             format!(
-                "plan: {} (schema {:016x}, fingerprint {:016x})",
-                if hit { "cache hit" } else { "planned" },
-                plan.schema_version,
-                plan.fingerprint,
+                "plan: schema {:016x}, fingerprint {:016x}",
+                plan.schema_version, plan.fingerprint,
             ),
             format!("query: {}", plan.query),
         ];
@@ -266,50 +237,38 @@ impl Executor {
         Ok(lines)
     }
 
-    /// Counter snapshot (plan-cache hits/misses, parallel morsels).
+    /// Counter snapshot (plans made, parallel morsels).
     pub fn stats(&self) -> ExecStatsSnapshot {
         ExecStatsSnapshot {
-            plan_cache_hits: self.stats.plan_cache_hits.load(Ordering::Relaxed),
-            plan_cache_misses: self.stats.plan_cache_misses.load(Ordering::Relaxed),
+            plans: self.stats.plans.load(Ordering::Relaxed),
             parallel_morsels: self.stats.parallel_morsels.load(Ordering::Relaxed),
         }
     }
 
-    /// Plan-cache lookup: the plan plus whether it was served from cache.
-    /// Records one `plan_cache` span (c0 = hit, c1 = fingerprint).
-    pub fn plan_with_origin<R: Reader>(
+    /// Parse `text`, apply `default_context` when it names none, plan it
+    /// against the reader's schema and fingerprint the result. Records one
+    /// `plan` span (c1 = fingerprint).
+    fn plan<R: Reader>(
         &self,
         db: &R,
         text: &str,
         default_context: Option<&str>,
-    ) -> DbResult<(Arc<QueryPlan>, bool)> {
-        let span = self.recorder().span(Stage::PlanCache);
-        let version = db.with_schema(|s| s.version());
-        let key: PlanKey = (default_context.map(str::to_string), text.to_string());
-        if let Some(cached) = lock(&self.cache).get(&key).cloned() {
-            if cached.schema_version == version {
-                self.stats.plan_cache_hits.fetch_add(1, Ordering::Relaxed);
-                span.finish(1, cached.fingerprint);
-                return Ok((cached, true));
-            }
-            // Schema moved under the plan: seeds and conformance sets may be
-            // stale. Fall through and re-plan (the put below replaces it).
-        }
-        self.stats.plan_cache_misses.fetch_add(1, Ordering::Relaxed);
+    ) -> DbResult<Arc<QueryPlan>> {
+        let span = self.recorder().span(Stage::Plan);
+        self.stats.plans.fetch_add(1, Ordering::Relaxed);
         let mut query = crate::parse(text)?;
         if query.context.is_none() {
             query.context = default_context.map(str::to_string);
         }
         let info = plan::plan(db, &query)?;
-        let fingerprint = fingerprint_of(&query, &info, version);
-        let plan = Arc::new(QueryPlan {
+        let schema_version = db.with_schema(|s| s.version());
+        let fingerprint = fingerprint_of(&query, &info, schema_version);
+        span.finish(0, fingerprint);
+        Ok(Arc::new(QueryPlan {
             query,
             info,
-            schema_version: version,
+            schema_version,
             fingerprint,
-        });
-        lock(&self.cache).put(key, Arc::clone(&plan));
-        span.finish(0, fingerprint);
-        Ok((plan, false))
+        }))
     }
 }

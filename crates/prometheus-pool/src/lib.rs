@@ -100,9 +100,6 @@ pub enum StatementKind {
 /// Split an introspection verb off the front of a statement, returning the
 /// kind and the bare query text. `EXPLAIN`/`PROFILE` are case-insensitive
 /// and must be followed by whitespace; everything else is a plain select.
-///
-/// Callers that cache plans by text (the wire server) use the *stripped*
-/// text, so `PROFILE <q>` shares a cache entry with `<q>` itself.
 pub fn split_statement(input: &str) -> (StatementKind, &str) {
     let trimmed = input.trim_start();
     for (verb, kind) in [

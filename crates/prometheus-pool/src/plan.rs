@@ -19,9 +19,8 @@
 //! variable is bound, with the haystack of an `in` hoisted out of the loops
 //! it does not depend on.
 //!
-//! Because a plan depends only on query text and schema, it is cacheable:
-//! [`crate::exec::Executor`] keys plans by query text and drops them when
-//! [`prometheus_object::SchemaRegistry::version`] moves.
+//! A plan depends only on query text and schema; [`crate::exec::Executor`]
+//! makes one per query against the schema its reader sees.
 
 use crate::ast::*;
 use prometheus_object::{DbError, DbResult, Reader, Value};
@@ -71,8 +70,7 @@ pub struct PlanInfo {
 /// Plan `q` against the current schema.
 ///
 /// Fails like evaluation used to when a `from` clause names an unknown
-/// class, so a cached plan never outlives the validation it performed —
-/// the executor re-plans whenever the schema version moves.
+/// class.
 pub fn plan<R: Reader>(db: &R, q: &Query) -> DbResult<PlanInfo> {
     let from_vars: Vec<&str> = q.from.iter().map(|c| c.var.as_str()).collect();
     let conjuncts = match &q.where_clause {

@@ -11,9 +11,9 @@
 //! costs — a count of index calls that does not move with the size of the
 //! classification.
 //!
-//! Also pins the plan cache's schema-version invalidation: a cached plan
-//! carries schema-derived decisions (conformance sets, index seeds), so a
-//! schema change must force a re-plan — the stale-plan failure mode is a
+//! Also pins that a plan follows the schema: a plan carries schema-derived
+//! decisions (conformance sets, index seeds), so the next query after a
+//! schema change must plan against it — the stale-plan failure mode is a
 //! subclass instance silently dropped from its superclass extent.
 
 use prometheus_object::instance::StoredEntity;
@@ -583,7 +583,7 @@ fn an_in_unit_query_reads_staged_writes_on_every_worker() {
 }
 
 #[test]
-fn schema_change_invalidates_cached_plans() {
+fn the_next_query_after_a_schema_change_sees_it() {
     let db = fresh_db("invalidate");
     define_schema(&db);
     db.create_object(
@@ -598,11 +598,8 @@ fn schema_change_invalidates_cached_plans() {
     let executor = Executor::new(2);
     let text = "select x from T x";
     assert_eq!(executor.query(&db, text, None).unwrap().len(), 1);
-    assert_eq!(executor.query(&db, text, None).unwrap().len(), 1);
-    let warm = executor.stats();
-    assert_eq!((warm.plan_cache_misses, warm.plan_cache_hits), (1, 1));
 
-    // A new subclass bumps the schema version. The cached plan's
+    // A new subclass bumps the schema version. The first plan's
     // conformance set predates the subclass — reused stale, it would
     // silently drop the S2 instance from T's extent.
     db.define_class(ClassDef::new("S2").extends("T")).unwrap();
@@ -619,15 +616,6 @@ fn schema_change_invalidates_cached_plans() {
         2,
         "stale plan survived a schema change"
     );
-    let after = executor.stats();
-    assert_eq!(
-        after.plan_cache_misses, 2,
-        "schema change must force a re-plan"
-    );
-
-    // And the re-planned entry is cached again.
-    executor.query(&db, text, None).unwrap();
-    assert_eq!(executor.stats().plan_cache_hits, 2);
 }
 
 #[test]

@@ -23,7 +23,6 @@ use prometheus_object::index::KS_META;
 use prometheus_object::{Database, DbError, DbResult, Event, EventListener, Reader, Value};
 use prometheus_pool::eval::Env;
 use prometheus_pool::Expr;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Decides whether an interactively-handled violation is accepted.
@@ -35,14 +34,33 @@ pub trait ViolationHandler: Send + Sync {
 /// Key under which rules persist in the meta keyspace.
 const META_RULES: &[u8] = b"rules";
 
+/// A rule held with its conditions parsed, once, when it is added or
+/// loaded.
+#[derive(Clone)]
+struct Held {
+    rule: Rule,
+    applicability: Option<Arc<Expr>>,
+    constraint: Arc<Expr>,
+}
+
+impl Held {
+    fn parse(rule: Rule) -> DbResult<Held> {
+        let parse = |src: &str| prometheus_pool::parse_expr(src).map(Arc::new);
+        Ok(Held {
+            applicability: rule.applicability.as_deref().map(parse).transpose()?,
+            constraint: parse(&rule.constraint)?,
+            rule,
+        })
+    }
+}
+
 /// The rule engine.
 pub struct RuleEngine {
     /// Replaced copy-on-write by the rule-management calls, so a dispatch
     /// shares the rule set with one `Arc` bump instead of copying it.
-    rules: RwLock<Arc<Vec<Rule>>>,
+    rules: RwLock<Arc<Vec<Held>>>,
     warnings: Mutex<Vec<String>>,
     handler: RwLock<Option<Arc<dyn ViolationHandler>>>,
-    parsed: RwLock<HashMap<String, Arc<Expr>>>,
     recorder: RwLock<prometheus_trace::Recorder>,
 }
 
@@ -59,7 +77,6 @@ impl RuleEngine {
             rules: RwLock::new(Arc::new(Vec::new())),
             warnings: Mutex::new(Vec::new()),
             handler: RwLock::new(None),
-            parsed: RwLock::new(HashMap::new()),
             recorder: RwLock::new(prometheus_trace::Recorder::disabled()),
         }
     }
@@ -81,18 +98,15 @@ impl RuleEngine {
     /// Add a rule; its expressions are parsed eagerly so syntax errors
     /// surface at definition time (like PCL rule creation, Figure 32).
     pub fn add_rule(&self, rule: Rule) -> DbResult<()> {
-        self.parse_cached(&rule.constraint)?;
-        if let Some(expr) = &rule.applicability {
-            self.parse_cached(expr)?;
-        }
+        let held = Held::parse(rule)?;
         let mut rules = self.rules.write();
-        if rules.iter().any(|r| r.name == rule.name) {
+        if rules.iter().any(|h| h.rule.name == held.rule.name) {
             return Err(DbError::Schema(format!(
                 "rule '{}' already defined",
-                rule.name
+                held.rule.name
             )));
         }
-        Arc::make_mut(&mut rules).push(rule);
+        Arc::make_mut(&mut rules).push(held);
         Ok(())
     }
 
@@ -101,16 +115,16 @@ impl RuleEngine {
         let mut rules = self.rules.write();
         let rules = Arc::make_mut(&mut rules);
         let before = rules.len();
-        rules.retain(|r| r.name != name);
+        rules.retain(|h| h.rule.name != name);
         rules.len() != before
     }
 
     /// Enable/disable a rule without removing it.
     pub fn set_enabled(&self, name: &str, enabled: bool) -> bool {
         let mut rules = self.rules.write();
-        for r in Arc::make_mut(&mut rules).iter_mut() {
-            if r.name == name {
-                r.enabled = enabled;
+        for h in Arc::make_mut(&mut rules).iter_mut() {
+            if h.rule.name == name {
+                h.rule.enabled = enabled;
                 return true;
             }
         }
@@ -119,7 +133,7 @@ impl RuleEngine {
 
     /// Snapshot of the current rules.
     pub fn rules(&self) -> Vec<Rule> {
-        self.rules.read().to_vec()
+        self.rules.read().iter().map(|h| h.rule.clone()).collect()
     }
 
     /// Warnings accumulated by `Action::Warn` violations.
@@ -139,7 +153,7 @@ impl RuleEngine {
 
     /// Persist the rules into the database's meta keyspace.
     pub fn save_to(&self, db: &Database) -> DbResult<()> {
-        let bytes = prometheus_storage::codec::to_bytes(&**self.rules.read())?;
+        let bytes = prometheus_storage::codec::to_bytes(&self.rules())?;
         db.stage(|t| t.kv_put(KS_META, META_RULES.to_vec(), bytes))
     }
 
@@ -147,20 +161,13 @@ impl RuleEngine {
     pub fn load_from(&self, db: &Database) -> DbResult<()> {
         if let Some(bytes) = db.raw_kv_get(KS_META, META_RULES) {
             let rules: Vec<Rule> = prometheus_storage::codec::from_bytes(&bytes)?;
-            *self.rules.write() = Arc::new(rules);
+            let held = rules
+                .into_iter()
+                .map(Held::parse)
+                .collect::<DbResult<_>>()?;
+            *self.rules.write() = Arc::new(held);
         }
         Ok(())
-    }
-
-    fn parse_cached(&self, src: &str) -> DbResult<Arc<Expr>> {
-        if let Some(e) = self.parsed.read().get(src) {
-            return Ok(Arc::clone(e));
-        }
-        let expr = Arc::new(prometheus_pool::parse_expr(src)?);
-        self.parsed
-            .write()
-            .insert(src.to_string(), Arc::clone(&expr));
-        Ok(expr)
     }
 
     /// Build the condition environment for an event (§5.2.1.2's bindings).
@@ -205,20 +212,19 @@ impl RuleEngine {
 
     /// Evaluate one rule against one event; returns the violation error if
     /// the constraint fails and the action demands an abort.
-    fn check(&self, db: &Database, rule: &Rule, event: &Event) -> DbResult<()> {
+    fn check(&self, db: &Database, held: &Held, event: &Event) -> DbResult<()> {
         let env = Self::env_for(event);
-        if let Some(applicability) = &rule.applicability {
-            let expr = self.parse_cached(applicability)?;
-            let applicable = prometheus_pool::eval::eval_expr(db, &expr, &env, None)?;
+        if let Some(applicability) = &held.applicability {
+            let applicable = prometheus_pool::eval::eval_expr(db, applicability, &env, None)?;
             if !applicable.is_truthy() {
                 return Ok(());
             }
         }
-        let expr = self.parse_cached(&rule.constraint)?;
-        let holds = prometheus_pool::eval::eval_expr(db, &expr, &env, None)?;
+        let holds = prometheus_pool::eval::eval_expr(db, &held.constraint, &env, None)?;
         if holds.is_truthy() {
             return Ok(());
         }
+        let rule = &held.rule;
         let detail = format!("{}: {}", rule.name, rule.message);
         match rule.on_violation {
             Action::Warn => {
@@ -248,20 +254,24 @@ impl RuleEngine {
     fn matching<'a>(
         &self,
         db: &Database,
-        rules: &'a [Rule],
+        rules: &'a [Held],
         event: &Event,
         timing: Timing,
         pre: Option<bool>,
-    ) -> Vec<&'a Rule> {
+    ) -> Vec<&'a Held> {
         rules
             .iter()
-            .filter(|r| r.enabled && r.timing == timing)
-            .filter(|r| match pre {
-                Some(true) => r.kind == RuleKind::PreCondition,
-                Some(false) => r.kind != RuleKind::PreCondition,
-                None => true,
+            .filter(|h| {
+                let r = &h.rule;
+                r.enabled
+                    && r.timing == timing
+                    && match pre {
+                        Some(true) => r.kind == RuleKind::PreCondition,
+                        Some(false) => r.kind != RuleKind::PreCondition,
+                        None => true,
+                    }
+                    && r.events.iter().any(|spec| spec.matches(db, event))
             })
-            .filter(|r| r.events.iter().any(|spec| spec.matches(db, event)))
             .collect()
     }
 }
@@ -282,8 +292,8 @@ impl EventListener for RuleEngine {
             return Ok(());
         }
         let rules = Arc::clone(&self.rules.read());
-        for rule in self.matching(db, &rules, event, Timing::Immediate, Some(true)) {
-            self.check(db, rule, event)?;
+        for held in self.matching(db, &rules, event, Timing::Immediate, Some(true)) {
+            self.check(db, held, event)?;
         }
         Ok(())
     }
@@ -295,12 +305,12 @@ impl EventListener for RuleEngine {
             event,
             Event::ObjectCreated { .. } | Event::RelCreated { .. }
         ) {
-            for rule in self.matching(db, &rules, event, Timing::Immediate, Some(true)) {
-                self.check(db, rule, event)?;
+            for held in self.matching(db, &rules, event, Timing::Immediate, Some(true)) {
+                self.check(db, held, event)?;
             }
         }
         // ...then the remaining immediate rules.
-        for rule in self.matching(db, &rules, event, Timing::Immediate, Some(false)) {
+        for held in self.matching(db, &rules, event, Timing::Immediate, Some(false)) {
             // Deletions cannot evaluate `self` afterwards; skip subject-less
             // checks for them (use pre-conditions for deletion constraints).
             if matches!(
@@ -309,7 +319,7 @@ impl EventListener for RuleEngine {
             ) {
                 continue;
             }
-            self.check(db, rule, event)?;
+            self.check(db, held, event)?;
         }
         Ok(())
     }
@@ -339,7 +349,8 @@ impl RuleEngine {
         let rules = Arc::clone(&self.rules.read());
         // Composite-event rules (§5.2.1.1): fire once per unit when every
         // spec matched some event of the unit.
-        for rule in rules.iter().filter(|r| r.enabled && r.all_events) {
+        for held in rules.iter().filter(|h| h.rule.enabled && h.rule.all_events) {
+            let rule = &held.rule;
             let all_matched = rule
                 .events
                 .iter()
@@ -354,13 +365,13 @@ impl RuleEngine {
             if let Some(event) = subject {
                 if db.exists(event.subject()) {
                     *checked += 1;
-                    self.check(db, rule, event)?;
+                    self.check(db, held, event)?;
                 }
             }
         }
         // Collect matching (rule, event) pairs, schedule by priority
         // (§5.2.2.1), then evaluate.
-        let mut scheduled: Vec<(&Rule, &Event)> = Vec::new();
+        let mut scheduled: Vec<(&Held, &Event)> = Vec::new();
         for event in events {
             if matches!(
                 event,
@@ -369,21 +380,21 @@ impl RuleEngine {
                 continue; // subject gone; deferred deletion checks are
                           // expressed as rules over surviving objects
             }
-            for rule in self.matching(db, &rules, event, Timing::Deferred, None) {
-                if rule.all_events {
+            for held in self.matching(db, &rules, event, Timing::Deferred, None) {
+                if held.rule.all_events {
                     continue; // handled above, once per unit
                 }
-                scheduled.push((rule, event));
+                scheduled.push((held, event));
             }
         }
-        scheduled.sort_by_key(|(r, _)| std::cmp::Reverse(r.priority));
-        for (rule, event) in scheduled {
+        scheduled.sort_by_key(|(h, _)| std::cmp::Reverse(h.rule.priority));
+        for (held, event) in scheduled {
             // The subject may have been deleted later in the unit.
             if !db.exists(event.subject()) {
                 continue;
             }
             *checked += 1;
-            self.check(db, rule, event)?;
+            self.check(db, held, event)?;
         }
         Ok(())
     }
@@ -634,13 +645,29 @@ mod tests {
     fn rules_persist_and_reload() {
         let (db, engine) = db_with_engine();
         engine
-            .add_rule(Rule::invariant("persisted", "CT", "self.name != null", "m"))
+            .add_rule(
+                Rule::invariant("persisted", "CT", "self.name != \"bad\"", "m")
+                    .applicable_when("self.rank = \"Genus\""),
+            )
             .unwrap();
         engine.save_to(&db).unwrap();
         let fresh = RuleEngine::new();
         fresh.load_from(&db).unwrap();
         assert_eq!(fresh.rules().len(), 1);
         assert_eq!(fresh.rules()[0].name, "persisted");
+        // The reloaded rule fires with both of its conditions: installed on
+        // the database in place of the engine that saved it, it vetoes a
+        // violating create and lets one it does not apply to through.
+        assert!(engine.remove_rule("persisted"));
+        db.add_listener(Arc::new(fresh));
+        let err = db
+            .create_object("CT", attrs(&[("name", "bad"), ("rank", "Genus")]))
+            .unwrap_err();
+        assert!(
+            matches!(err, DbError::ConstraintViolation { .. }),
+            "{err:?}"
+        );
+        assert!(db.create_object("CT", attrs(&[("name", "bad")])).is_ok());
     }
 
     #[test]

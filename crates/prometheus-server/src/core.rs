@@ -207,12 +207,6 @@ impl SessionCore {
         self.context = context;
     }
 
-    /// Resolve the effective context for a parsed query (the query's own
-    /// clause wins over the session context).
-    pub fn effective_context(&self, query_context: Option<String>) -> Option<String> {
-        query_context.or_else(|| self.context.clone())
-    }
-
     /// The driver opened a database unit for this session (after `OpenUnit`
     /// acquired the lane).
     pub fn unit_opened(&mut self) {
@@ -490,20 +484,5 @@ mod tests {
             core.on_request(Request::Bye),
             Step::ReplyClose(Response::Goodbye)
         ));
-    }
-
-    #[test]
-    fn query_clause_overrides_session_context() {
-        let mut core = ready_core();
-        assert_eq!(core.effective_context(None), None);
-        core.set_context(Some("Linnaeus 1753".into()));
-        assert_eq!(
-            core.effective_context(None).as_deref(),
-            Some("Linnaeus 1753")
-        );
-        assert_eq!(
-            core.effective_context(Some("Koch 1824".into())).as_deref(),
-            Some("Koch 1824")
-        );
     }
 }

@@ -153,7 +153,7 @@ impl Driver {
             wire_trace
         };
         // The request's root span: while it is the thread's trace scope,
-        // every span any layer records (lane wait, plan cache, execution,
+        // every span any layer records (lane wait, planning, execution,
         // storage commit…) attaches to this trace.
         let mut root = self.shared.recorder.span_in(Stage::Request, trace, 0);
         root.set_counters(kind as u64, self.core.id());

@@ -31,7 +31,7 @@ pub const MAX_FOLLOWER_CURSORS: usize = 256;
 prometheus_trace::counter_table! {
     /// Shared, lock-free counters for one running server.
     ///
-    /// A row whose value lives with another owner (the executor's plan-cache
+    /// A row whose value lives with another owner (the executor's planning
     /// counters, the recorder's health counters, the process gauges) has an
     /// atomic here that nothing bumps: `server.rs::metrics_snapshot` sets
     /// the snapshot's field from that owner.
@@ -88,9 +88,9 @@ prometheus_trace::counter_table! {
         /// The client sat silent past the idle deadline while holding a
         /// unit's claim in the writer queue.
         units_timed_out: Counter, "prometheus_server_units_timed_out_total", "Units rolled back at the idle deadline.";
-        plan_cache_hits: Counter, "prometheus_server_plan_cache_hits_total", "Queries answered from the POOL plan cache.";
-        /// Cold, evicted, or the schema version moved under the cached plan.
-        plan_cache_misses: Counter, "prometheus_server_plan_cache_misses_total", "Queries that had to parse and plan.";
+        plan_cache_hits: Counter, "prometheus_server_plan_cache_hits_total", "Never bumped: the POOL executor keeps no plans.";
+        /// Every query, `EXPLAIN` included: nothing is cached.
+        plan_cache_misses: Counter, "prometheus_server_plan_cache_misses_total", "Queries parsed and planned (every query).";
         /// Candidate filters, outer join loops and traversal frontiers.
         parallel_morsels: Counter, "prometheus_server_parallel_morsels_total", "Work morsels executed by parallel query workers.";
         shards: Gauge, "prometheus_server_shards", "Writer lanes / shard logs this server runs (1 = unsharded).";

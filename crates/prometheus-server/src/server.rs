@@ -62,7 +62,7 @@ use crate::metrics::{MetricsSnapshot, ServerMetrics, ShardMetrics};
 use crate::protocol::{MutationOp, ReplicaStatusInfo, Response, TraceSpan, WireRows};
 use crate::replica::ReplicaInfo;
 use crate::slowlog::{SlowLog, SlowLogEntry};
-use prometheus_db::{Database, DbResult, Oid, Prometheus, Value};
+use prometheus_db::{Database, DbResult, Oid, Prometheus, Reader, Value};
 use prometheus_pool::{Executor, StatementKind};
 use prometheus_trace::{Recorder, Stage, TraceEvent, TraceId, TraceScope};
 use std::collections::HashMap;
@@ -93,7 +93,7 @@ pub struct ServerConfig {
     /// while holding the writer lane before the server rolls it back and
     /// frees the lane for queued writers.
     pub unit_idle_timeout: Duration,
-    /// Degree of parallelism for each pinned (out-of-unit) query: the worker
+    /// Degree of parallelism for each query, pinned or in a unit: the worker
     /// budget of the shared [`prometheus_pool::Executor`]. `0` means auto —
     /// use the machine's available parallelism. `1` forces sequential
     /// execution. Results are identical either way; only latency changes.
@@ -103,7 +103,7 @@ pub struct ServerConfig {
     /// useful in tests and when characterising a workload.
     pub slow_query_threshold: Duration,
     /// Capacity (events) of the trace ring shared by every layer — request
-    /// framing, lane waits, plan cache, execution stages, storage commits.
+    /// framing, lane waits, planning, execution stages, storage commits.
     /// `0` disables tracing entirely (spans become no-ops; `PROFILE` returns
     /// an empty span tree).
     pub trace_capacity: usize,
@@ -311,9 +311,8 @@ impl ServerConfigBuilder {
 pub(crate) struct Shared {
     pub(crate) db: Prometheus,
     pub(crate) metrics: ServerMetrics,
-    /// Plan-caching, morsel-parallel POOL executor for pinned queries. One
-    /// instance across all sessions, so every session shares every other
-    /// session's cached plans.
+    /// Morsel-parallel POOL executor every query runs through, pinned or
+    /// in a unit. One instance across all sessions.
     pub(crate) executor: Executor,
     /// Idle deadline for streamed units holding a claim.
     pub(crate) unit_idle_timeout: Duration,
@@ -360,7 +359,7 @@ impl Shared {
             Recorder::new(config.trace_capacity)
         };
         // One recorder everywhere: storage commit/fsync/compact spans, rule
-        // firing, plan-cache lookups and execution stages all land in the
+        // firing, planning and execution stages all land in the
         // same ring as the server's own request and lane-wait spans.
         db.set_recorder(recorder.clone());
         let executor = Executor::new(parallelism);
@@ -1035,58 +1034,34 @@ pub(crate) fn unit_op_response(db: &Database, op: &MutationOp) -> Response {
     }
 }
 
-/// Parse, contextualise and evaluate a POOL statement for this session;
-/// returns the wire rows plus the fingerprint of the plan that ran (0 when
-/// no cached plan was involved: unpinned in-unit selects, `EXPLAIN`).
+/// Run a POOL statement for this session on `reader` through the
+/// executor; returns the wire rows plus the fingerprint of the plan that
+/// ran (0 for `EXPLAIN`, which runs nothing).
 ///
-/// With `pinned`, the whole query (traversals included) runs against one
-/// immutable [`prometheus_db::ReadView`] snapshot: no store mutex, no cache
-/// locks, no interaction with the writer lane. Unpinned queries run on the
-/// live database — required inside a unit, where the session must observe
-/// its own uncommitted writes.
+/// A pinned query reads one immutable [`prometheus_db::ReadView`] snapshot
+/// (traversals included): no store mutex and no interaction with the
+/// writer queue. A query inside a unit reads the live database, so the
+/// session observes its own uncommitted writes. Nothing else differs.
 ///
 /// The statement may carry an `EXPLAIN` or `PROFILE` verb: `EXPLAIN`
-/// answers with the (cached or freshly derived) plan rendered as one-column
-/// rows; `PROFILE` executes under a fresh trace and answers with the span
-/// tree. Both share the bare query's plan-cache entry — the verb is
-/// stripped before the cache key is formed.
-fn run_query(
+/// answers with the plan rendered as one-column rows; `PROFILE` executes
+/// under a fresh trace and answers with the span tree.
+fn run_query<R: Reader>(
     shared: &Shared,
     core: &SessionCore,
     pool: &str,
-    pinned: bool,
+    reader: &R,
 ) -> DbResult<(WireRows, u64)> {
     let (verb, text) = prometheus_pool::split_statement(pool);
     match verb {
         StatementKind::Select => {
-            if pinned {
-                // The executor applies the session context exactly like
-                // `SessionCore::effective_context`: the query's own clause
-                // wins. Its plan cache keys on (context, text), so distinct
-                // contexts never share a contextualised plan.
-                let (result, plan) = shared.executor.query_with_plan(
-                    &shared.db.read_view(),
-                    text,
-                    core.context(),
-                )?;
-                Ok((result.into(), plan.fingerprint))
-            } else {
-                let mut query = prometheus_pool::parse(text)?;
-                query.context = core.effective_context(query.context.take());
-                let result = prometheus_pool::eval::evaluate(shared.db.db(), &query)?;
-                Ok((result.into(), 0))
-            }
+            let (result, plan) = shared
+                .executor
+                .query_with_plan(reader, text, core.context())?;
+            Ok((result.into(), plan.fingerprint))
         }
         StatementKind::Explain => {
-            let lines = if pinned {
-                shared
-                    .executor
-                    .explain(&shared.db.read_view(), text, core.context())?
-            } else {
-                shared
-                    .executor
-                    .explain(shared.db.db(), text, core.context())?
-            };
+            let lines = shared.executor.explain(reader, text, core.context())?;
             let rows = lines.into_iter().map(|l| vec![Value::Str(l)]).collect();
             Ok((
                 WireRows {
@@ -1096,18 +1071,18 @@ fn run_query(
                 0,
             ))
         }
-        StatementKind::Profile => profile_query(shared, core, text, pinned),
+        StatementKind::Profile => profile_query(shared, core, text, reader),
     }
 }
 
 /// `PROFILE <query>`: execute under a fresh trace id and answer with the
 /// span tree — one row per span, parent-linked, with per-stage wall-clock
-/// and counters (rows scanned, index seeding, worker counts, cache hits).
-fn profile_query(
+/// and counters (rows scanned, index seeding, worker counts).
+fn profile_query<R: Reader>(
     shared: &Shared,
     core: &SessionCore,
     text: &str,
-    pinned: bool,
+    reader: &R,
 ) -> DbResult<(WireRows, u64)> {
     let rec = &shared.recorder;
     let trace_id = rec.new_trace_id();
@@ -1115,23 +1090,14 @@ fn profile_query(
     let root_id = root.id();
     let ran = {
         let _scope = TraceScope::enter(trace_id, root_id);
-        // Pinned queries never touch the writer lane — record the zero wait
+        // A profile never waits on the writer queue — record the zero wait
         // explicitly (c1 = 0: synthetic) so the profile shows the stage
         // honestly instead of omitting it. An in-unit profile's real lane
         // wait sits under its `UnitBegin` request's trace, not this one.
         rec.span(Stage::LaneWait).finish(0, 0);
-        // Both pinned and in-unit profiles go through the executor so the
-        // plan cache, fingerprint and stage spans are all exercised; the
-        // live-db reader keeps read-your-own-writes inside a unit.
-        if pinned {
-            shared
-                .executor
-                .query_with_plan(&shared.db.read_view(), text, core.context())
-        } else {
-            shared
-                .executor
-                .query_with_plan(shared.db.db(), text, core.context())
-        }
+        shared
+            .executor
+            .query_with_plan(reader, text, core.context())
     };
     let (result, plan) = ran?;
     root.finish(result.rows.len() as u64, plan.fingerprint);
@@ -1186,7 +1152,12 @@ pub(crate) fn query_response(
     claim_mask: u64,
 ) -> Response {
     let start = Instant::now();
-    match run_query(shared, core, pool, pinned) {
+    let ran = if pinned {
+        run_query(shared, core, pool, &shared.db.read_view())
+    } else {
+        run_query(shared, core, pool, shared.db.db())
+    };
+    match ran {
         Ok((rows, fingerprint)) => {
             let elapsed = start.elapsed();
             if elapsed >= shared.slow_query_threshold {
@@ -1259,8 +1230,9 @@ fn replica_status_info(shared: &Shared) -> ReplicaStatusInfo {
 pub(crate) fn metrics_snapshot(shared: &Shared) -> MetricsSnapshot {
     let mut snap = shared.metrics.snapshot();
     let exec = shared.executor.stats();
-    snap.plan_cache_hits = exec.plan_cache_hits;
-    snap.plan_cache_misses = exec.plan_cache_misses;
+    // No plan is cached: every query plans, so every query is a miss and
+    // `plan_cache_hits` stays 0.
+    snap.plan_cache_misses = exec.plans;
     snap.parallel_morsels = exec.parallel_morsels;
     let store = shared.db.db().store();
     // Lag is measured against the shard's commit horizon *now*, not the
@@ -1508,6 +1480,7 @@ mod tests {
         let species = tax.create_ct("graveolens", Rank::Species).unwrap();
         tax.circumscribe(&cls, genus, species).unwrap();
         tax.create_ct("Orphan", Rank::Genus).unwrap(); // outside the classification
+        tax.new_classification("Koch 1824", "K.", "habit").unwrap(); // empty
         let handle = serve(
             p,
             ServerConfig {
@@ -1524,31 +1497,16 @@ mod tests {
         client.set_context(None).unwrap();
         assert_eq!(client.query("select t from CT t").unwrap().len(), 3);
         assert!(client.set_context(Some("No Such Revision")).is_err());
+        // Inside a unit the query reads the live database through the same
+        // executor: the session context scopes it, and the query's own
+        // `in classification` clause overrides the session context.
+        client.set_context(Some("Koch 1824")).unwrap();
+        let mut unit = client.begin_unit().unwrap();
+        assert_eq!(unit.query("select t from CT t").unwrap().len(), 0);
+        let linnaeus = "select t from CT t in classification \"Linnaeus 1753\"";
+        assert_eq!(unit.query(linnaeus).unwrap().len(), 2);
+        unit.abort().unwrap();
         client.close().unwrap();
-        handle.stop();
-    }
-
-    #[test]
-    fn pinned_queries_share_the_plan_cache() {
-        let handle = serve_taxonomy("plancache", 2);
-        let mut a = PrometheusClient::connect(handle.addr()).unwrap();
-        let mut b = PrometheusClient::connect(handle.addr()).unwrap();
-        let q = "select t.working_name from CT t order by t.working_name";
-        a.query(q).unwrap();
-        // The cache is shared: a different session reuses the plan.
-        b.query(q).unwrap();
-        a.query(q).unwrap();
-        let (server, _) = a.stats().unwrap();
-        assert!(
-            server.plan_cache_misses >= 1,
-            "first run must plan: {server:?}"
-        );
-        assert!(
-            server.plan_cache_hits >= 2,
-            "repeats must hit the cached plan: {server:?}"
-        );
-        a.close().unwrap();
-        b.close().unwrap();
         handle.stop();
     }
 
@@ -1612,7 +1570,7 @@ mod tests {
         let events = [
             ev(4, 3, Stage::Filter, 30),
             ev(3, 1, Stage::Scan, 20),
-            ev(2, 1, Stage::PlanCache, 10),
+            ev(2, 1, Stage::Plan, 10),
             ev(1, 0, Stage::Request, 0),
         ];
         let rows = profile_rows(&events);
@@ -1623,7 +1581,7 @@ mod tests {
             .collect();
         let want = [
             ("request", 1),
-            ("  plan_cache", 2),
+            ("  plan", 2),
             ("  scan", 3),
             ("    filter", 4),
         ];

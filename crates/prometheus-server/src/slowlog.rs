@@ -29,8 +29,8 @@ pub struct SlowLogEntry {
     /// `Request::TraceGet` (or look it up in the trace ring via
     /// `Request::Trace`) while the ring still holds those spans.
     pub trace_id: TraceId,
-    /// Fingerprint of the plan that ran (0 when the query bypassed the plan
-    /// cache, i.e. ran unpinned inside a unit of work).
+    /// Fingerprint of the plan that ran, pinned or inside a unit (0 for
+    /// `EXPLAIN`, which runs nothing).
     pub fingerprint: u64,
     /// Wall-clock from request dispatch to result, µs.
     pub dur_us: u64,

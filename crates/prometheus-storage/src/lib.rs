@@ -11,8 +11,7 @@
 //! * [`codec`] — a compact binary serde format,
 //! * [`log`] — an append-only, CRC-protected redo log,
 //! * [`Store`] — a transactional record store with an ordered key/value
-//!   namespace for secondary indexes, an LRU record cache and full
-//!   crash-recovery from the log,
+//!   namespace for secondary indexes and full crash-recovery from the log,
 //! * [`Stats`] — I/O counters consumed by the chapter-7 benchmark harness.
 //!
 //! The store deliberately mirrors the *role* POET played in the thesis: it
@@ -21,7 +20,6 @@
 //! compare "raw substrate" against "Prometheus feature layer" exactly as the
 //! thesis does in chapter 7.2.
 
-pub mod cache;
 pub mod codec;
 pub mod crc;
 pub mod error;

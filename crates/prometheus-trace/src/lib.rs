@@ -1,7 +1,7 @@
 //! Lock-free span tracing for the Prometheus engine.
 //!
 //! Every layer of the engine — storage commits and fsyncs, the writer lane,
-//! the plan cache, morsel execution, rule firing, request framing — records
+//! query planning, morsel execution, rule firing, request framing — records
 //! [`TraceEvent`]s through a shared [`Recorder`]. Events land in a bounded,
 //! lock-free ring buffer: writers claim slots with one `fetch_add` and
 //! publish with a per-slot sequence word (a seqlock), so recording never
@@ -132,8 +132,8 @@ pub enum Stage {
     /// (holders ahead in the FIFO), c1 = 1 for a real acquisition
     /// (0 = the synthetic zero-wait span a pinned-query profile records).
     LaneWait = 1,
-    /// Plan-cache lookup. c0 = 1 on hit / 0 on miss, c1 = plan fingerprint.
-    PlanCache = 2,
+    /// Parsing and planning one query. c1 = plan fingerprint.
+    Plan = 2,
     /// One source's candidate enumeration. c0 = candidate rows,
     /// c1 = 1 when an index seeded the scan (0 = class-extent walk).
     Scan = 3,
@@ -174,7 +174,7 @@ impl Stage {
     pub const ALL: [Stage; 16] = [
         Stage::Request,
         Stage::LaneWait,
-        Stage::PlanCache,
+        Stage::Plan,
         Stage::Scan,
         Stage::Filter,
         Stage::Join,
@@ -200,7 +200,7 @@ impl Stage {
         match self {
             Stage::Request => "request",
             Stage::LaneWait => "lane_wait",
-            Stage::PlanCache => "plan_cache",
+            Stage::Plan => "plan",
             Stage::Scan => "scan",
             Stage::Filter => "filter",
             Stage::Join => "join",
@@ -941,12 +941,12 @@ mod tests {
         let root_id = root.id();
         {
             let _scope = TraceScope::enter(trace, root_id);
-            r.span(Stage::PlanCache).finish(1, 0);
+            r.span(Stage::Plan).finish(1, 0);
         }
         root.finish(0, 0);
         let evs = r.events_for(trace);
         assert_eq!(evs.len(), 2);
-        let pc = evs.iter().find(|e| e.stage == Stage::PlanCache).unwrap();
+        let pc = evs.iter().find(|e| e.stage == Stage::Plan).unwrap();
         assert_eq!(pc.parent_id, root_id);
         assert_eq!(pc.trace_id, trace);
     }
@@ -1070,7 +1070,7 @@ mod tests {
     #[test]
     fn render_tree_indents_children() {
         let mut child = span_ev(tid(1), 2, 1, 15);
-        child.stage = Stage::PlanCache;
+        child.stage = Stage::Plan;
         let mut root = span_ev(tid(1), 1, 0, 10);
         root.stage = Stage::Request;
         let other = span_ev(tid(2), 3, 0, 5);
@@ -1079,7 +1079,7 @@ mod tests {
         assert_eq!(lines.len(), 3);
         assert!(lines[0].starts_with("scan "), "{tree}");
         assert!(lines[1].starts_with("request "), "{tree}");
-        assert!(lines[2].starts_with("  plan_cache "), "{tree}");
+        assert!(lines[2].starts_with("  plan "), "{tree}");
     }
 
     #[test]

@@ -166,8 +166,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 server.latency.mean_us(),
             );
             println!(
-                "executor: {} plan-cache hits / {} misses, {} parallel morsels",
-                server.plan_cache_hits, server.plan_cache_misses, server.parallel_morsels,
+                "executor: {} queries planned, {} parallel morsels",
+                server.plan_cache_misses, server.parallel_morsels,
             );
             println!(
                 "storage: {} commits, {} puts, {} bytes written, {} entities decoded",

@@ -5,10 +5,10 @@
 //! Acceptance coverage for the tracing subsystem:
 //!
 //! * `PROFILE <query>` returns a span tree whose stages include the
-//!   plan-cache lookup, the per-source scan (with row/index-seek counters),
+//!   planning, the per-source scan (with row/index-seek counters),
 //!   morsel execution (worker count) and the lane wait;
 //! * a query slower than the server's threshold appears in the slow log
-//!   with its plan fingerprint;
+//!   with its plan fingerprint, pinned or inside a unit;
 //! * `Trace { n }` returns well-formed span events.
 
 use prometheus_db::{Prometheus, StoreOptions, Value};
@@ -79,8 +79,6 @@ fn profile_returns_a_span_tree_with_all_stages() {
     let handle = serve_traced("profile");
     let mut client = PrometheusClient::connect(handle.addr()).unwrap();
     let q = "select t.working_name from CT t order by t.working_name";
-    // Warm the plan cache so the profile observes a hit.
-    client.query(q).unwrap();
     let profile = client.query(&format!("profile {q}")).unwrap();
 
     let stage_col = col(&profile, "stage");
@@ -92,14 +90,7 @@ fn profile_returns_a_span_tree_with_all_stages() {
         .iter()
         .map(|r| as_str(&r[stage_col]).trim().to_string())
         .collect();
-    for wanted in [
-        "request",
-        "lane_wait",
-        "plan_cache",
-        "scan",
-        "filter",
-        "emit",
-    ] {
+    for wanted in ["request", "lane_wait", "plan", "scan", "filter", "emit"] {
         assert!(
             stages.iter().any(|s| s == wanted),
             "profile must include a {wanted} span, got {stages:?}"
@@ -113,10 +104,9 @@ fn profile_returns_a_span_tree_with_all_stages() {
             .find(|r| as_str(&r[stage_col]).trim() == stage)
             .unwrap()
     };
-    // Plan-cache span: c0 = 1 marks the warm-cache hit, c1 the fingerprint.
-    let plan_cache = row_of("plan_cache");
-    assert_eq!(as_int(&plan_cache[c0_col]), 1, "warmed plan must hit");
-    assert_ne!(as_int(&plan_cache[c1_col]), 0, "fingerprint recorded");
+    // Plan span: c1 is the plan's fingerprint.
+    let plan = row_of("plan");
+    assert_ne!(as_int(&plan[c1_col]), 0, "fingerprint recorded");
     // Scan span: c0 counts candidate rows (three genera seeded).
     let scan = row_of("scan");
     assert!(as_int(&scan[c0_col]) >= 3, "scan saw the extent: {scan:?}");
@@ -146,16 +136,16 @@ fn explain_renders_the_plan_without_executing() {
     let handle = serve_traced("explain");
     let mut client = PrometheusClient::connect(handle.addr()).unwrap();
     let q = "select t from CT t where t.working_name = \"Apium\"";
-    let cold = client.query(&format!("explain {q}")).unwrap();
-    assert_eq!(cold.columns, vec!["plan".to_string()]);
-    let text: Vec<String> = cold
+    let explained = client.query(&format!("explain {q}")).unwrap();
+    assert_eq!(explained.columns, vec!["plan".to_string()]);
+    let text: Vec<String> = explained
         .rows
         .iter()
         .map(|r| as_str(&r[0]).to_string())
         .collect();
     assert!(
-        text[0].starts_with("plan: planned"),
-        "cold explain: {text:?}"
+        text[0].starts_with("plan: schema ") && text[0].contains(", fingerprint "),
+        "first line names the schema digest and the fingerprint: {text:?}"
     );
     assert!(
         text.iter().any(|l| l.contains("seed: index probe")),
@@ -176,15 +166,6 @@ fn explain_renders_the_plan_without_executing() {
         join.rows.iter().any(|r| as_str(&r[0]) == residual),
         "{:?}",
         join.rows
-    );
-    // EXPLAIN shares the bare query's plan-cache entry: running the query
-    // then explaining again reports a cache hit.
-    client.query(q).unwrap();
-    let warm = client.query(&format!("explain {q}")).unwrap();
-    assert!(
-        as_str(&warm.rows[0][0]).starts_with("plan: cache hit"),
-        "warm explain: {:?}",
-        warm.rows[0][0]
     );
     client.close().unwrap();
     handle.stop();
@@ -217,9 +198,24 @@ fn slow_queries_land_in_the_log_with_their_fingerprint() {
         .filter(|ev| ev.trace_id == ours[1].trace_id)
         .collect();
     assert!(
-        traced.iter().any(|ev| ev.stage == Stage::PlanCache),
+        traced.iter().any(|ev| ev.stage == Stage::Plan),
         "slow-log trace id resolves to spans in the ring: {traced:?}"
     );
+    // The same query inside a streamed unit runs through the same executor
+    // on the live database: its entry is not pinned and logs the same plan
+    // fingerprint.
+    let mut unit = client.begin_unit().unwrap();
+    assert_eq!(unit.query(q).unwrap().len(), 3);
+    unit.abort().unwrap();
+    let in_unit: Vec<_> = client
+        .slow_log(16)
+        .unwrap()
+        .into_iter()
+        .filter(|e| e.query == q && !e.pinned)
+        .collect();
+    assert_eq!(in_unit.len(), 1, "the in-unit run is logged: {in_unit:?}");
+    assert_ne!(in_unit[0].fingerprint, 0, "in-unit query logs its plan");
+    assert_eq!(in_unit[0].fingerprint, ours[0].fingerprint);
     client.close().unwrap();
     handle.stop();
 }
