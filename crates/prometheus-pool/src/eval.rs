@@ -1032,6 +1032,31 @@ fn eval_call<R: Reader>(
                 ))),
             }
         }
+        "index_of" => {
+            // Position of the first argument among the rest, or null when it
+            // is null or absent: an order stated as data (the ICBN rank
+            // lattice, Figures 38–40) without teaching POOL its names.
+            if args.len() < 2 {
+                return Err(DbError::Query(
+                    "index_of() expects at least 2 arguments".into(),
+                ));
+            }
+            let x = scalar(&args[0])?;
+            if x == Value::Null {
+                return Ok(Value::Null);
+            }
+            for (i, arg) in args[1..].iter().enumerate() {
+                // A literal is compared in place, not cloned out.
+                let found = match arg {
+                    CallArg::Expr(Expr::Literal(v)) => *v == x,
+                    other => scalar(other)? == x,
+                };
+                if found {
+                    return Ok(Value::Int(i as i64));
+                }
+            }
+            Ok(Value::Null)
+        }
         "lower" | "upper" => {
             need(1)?;
             match scalar(&args[0])? {

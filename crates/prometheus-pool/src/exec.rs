@@ -35,15 +35,15 @@ pub struct QueryPlan {
     pub query: Query,
     pub info: PlanInfo,
     pub schema_version: u64,
-    /// Stable FNV-1a hash over the contextualised query text, the planner's
-    /// decisions and the schema version: two queries with the same
-    /// fingerprint took the same plan. Reported by `EXPLAIN`, `PROFILE` and
-    /// the slow-query log so operators can correlate entries.
+    /// Stable FNV-1a hash over the contextualised query text and the schema
+    /// version. The plan is a function of those two, so two queries with
+    /// the same fingerprint took the same plan. Reported by `EXPLAIN`,
+    /// `PROFILE` and the slow-query log so operators can correlate entries.
     pub fingerprint: u64,
 }
 
-/// FNV-1a over the rendered query, plan decisions and schema version.
-fn fingerprint_of(query: &Query, info: &PlanInfo, schema_version: u64) -> u64 {
+/// FNV-1a over the rendered query and the schema version.
+fn fingerprint_of(query: &Query, schema_version: u64) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h = OFFSET;
@@ -53,7 +53,6 @@ fn fingerprint_of(query: &Query, info: &PlanInfo, schema_version: u64) -> u64 {
         }
     };
     eat(query.to_string().as_bytes());
-    eat(format!("{info:?}").as_bytes());
     eat(&schema_version.to_le_bytes());
     h
 }
@@ -262,7 +261,7 @@ impl Executor {
         }
         let info = plan::plan(db, &query)?;
         let schema_version = db.with_schema(|s| s.version());
-        let fingerprint = fingerprint_of(&query, &info, schema_version);
+        let fingerprint = fingerprint_of(&query, schema_version);
         span.finish(0, fingerprint);
         Ok(Arc::new(QueryPlan {
             query,

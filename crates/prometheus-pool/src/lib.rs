@@ -33,6 +33,9 @@
 //! * `count(…)`, `min/max/sum/avg(…)` over a subquery or collection;
 //! * `oid(x)`, `class(x)`, `lower(s)`, `upper(s)`, `date(y)`,
 //!   `date(y, m, d)`;
+//! * `index_of(x, v1, …, vn)` — the position of `x` among the listed
+//!   values, or null when `x` is null or absent (how a rule states an order,
+//!   such as the ICBN rank lattice, as data);
 //! * `s like "Api%"` — prefix/suffix/infix string matching;
 //! * the usual comparison, boolean and arithmetic operators.
 //!

@@ -455,6 +455,53 @@ fn like_and_string_functions() {
     assert_eq!(r.first_column(), vec![Value::from("HELIOSCIADIUM")]);
 }
 
+/// `index_of(args)` evaluated on Apium, an NT of rank Genus.
+fn index_of_apium(args: &str) -> Result<Value, prometheus_object::DbError> {
+    let db = sample_db();
+    let r = query(
+        &db,
+        &format!("select index_of({args}) from NT t where t.name = \"Apium\""),
+    )?;
+    Ok(r.rows[0].columns[0].clone())
+}
+
+#[test]
+fn index_of_finds_a_value_among_its_arguments() {
+    assert_eq!(
+        index_of_apium("t.rank, \"Familia\", \"Genus\", \"Species\"").unwrap(),
+        Value::Int(1)
+    );
+}
+
+#[test]
+fn index_of_an_absent_value_is_null() {
+    assert_eq!(
+        index_of_apium("t.rank, \"Familia\", \"Species\"").unwrap(),
+        Value::Null
+    );
+}
+
+#[test]
+fn index_of_a_null_is_null() {
+    // Null is never found, even where it is listed.
+    assert_eq!(
+        index_of_apium("null, \"Genus\", null").unwrap(),
+        Value::Null
+    );
+    assert_eq!(
+        index_of_apium("(CT) t, \"Genus\", null").unwrap(),
+        Value::Null
+    );
+}
+
+#[test]
+fn index_of_needs_a_value_and_a_list() {
+    for args in ["t.rank", ""] {
+        let err = index_of_apium(args).unwrap_err().to_string();
+        assert!(err.contains("index_of() expects at least 2"), "{err}");
+    }
+}
+
 #[test]
 fn attribute_inheritance_visible_through_pool() {
     let db = sample_db();

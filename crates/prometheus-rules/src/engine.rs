@@ -251,28 +251,22 @@ impl RuleEngine {
         }
     }
 
+    /// The enabled rules of `timing` that `event` fires, in definition
+    /// order; `pre_only` keeps just the pre-conditions.
     fn matching<'a>(
-        &self,
-        db: &Database,
+        db: &'a Database,
         rules: &'a [Held],
-        event: &Event,
+        event: &'a Event,
         timing: Timing,
-        pre: Option<bool>,
-    ) -> Vec<&'a Held> {
-        rules
-            .iter()
-            .filter(|h| {
-                let r = &h.rule;
-                r.enabled
-                    && r.timing == timing
-                    && match pre {
-                        Some(true) => r.kind == RuleKind::PreCondition,
-                        Some(false) => r.kind != RuleKind::PreCondition,
-                        None => true,
-                    }
-                    && r.events.iter().any(|spec| spec.matches(db, event))
-            })
-            .collect()
+        pre_only: bool,
+    ) -> impl Iterator<Item = &'a Held> + 'a {
+        rules.iter().filter(move |h| {
+            let r = &h.rule;
+            r.enabled
+                && r.timing == timing
+                && (!pre_only || r.kind == RuleKind::PreCondition)
+                && r.events.iter().any(|spec| spec.matches(db, event))
+        })
     }
 }
 
@@ -292,33 +286,39 @@ impl EventListener for RuleEngine {
             return Ok(());
         }
         let rules = Arc::clone(&self.rules.read());
-        for held in self.matching(db, &rules, event, Timing::Immediate, Some(true)) {
+        for held in Self::matching(db, &rules, event, Timing::Immediate, true) {
             self.check(db, held, event)?;
         }
         Ok(())
     }
 
     fn after(&self, db: &Database, event: &Event) -> DbResult<()> {
-        let rules = Arc::clone(&self.rules.read());
-        // Creation pre-conditions (subject exists now)...
+        // Deletions cannot evaluate `self` afterwards, and their
+        // pre-conditions ran in `before` (use those for deletion
+        // constraints).
         if matches!(
             event,
-            Event::ObjectCreated { .. } | Event::RelCreated { .. }
+            Event::ObjectDeleted { .. } | Event::RelDeleted { .. }
         ) {
-            for held in self.matching(db, &rules, event, Timing::Immediate, Some(true)) {
+            return Ok(());
+        }
+        let creation = matches!(
+            event,
+            Event::ObjectCreated { .. } | Event::RelCreated { .. }
+        );
+        let rules = Arc::clone(&self.rules.read());
+        // One pass: creation pre-conditions (the subject exists now) are
+        // checked as they are found, the remaining immediate rules after
+        // them.
+        let mut rest = Vec::new();
+        for held in Self::matching(db, &rules, event, Timing::Immediate, false) {
+            if held.rule.kind != RuleKind::PreCondition {
+                rest.push(held);
+            } else if creation {
                 self.check(db, held, event)?;
             }
         }
-        // ...then the remaining immediate rules.
-        for held in self.matching(db, &rules, event, Timing::Immediate, Some(false)) {
-            // Deletions cannot evaluate `self` afterwards; skip subject-less
-            // checks for them (use pre-conditions for deletion constraints).
-            if matches!(
-                event,
-                Event::ObjectDeleted { .. } | Event::RelDeleted { .. }
-            ) {
-                continue;
-            }
+        for held in rest {
             self.check(db, held, event)?;
         }
         Ok(())
@@ -380,7 +380,7 @@ impl RuleEngine {
                 continue; // subject gone; deferred deletion checks are
                           // expressed as rules over surviving objects
             }
-            for held in self.matching(db, &rules, event, Timing::Deferred, None) {
+            for held in Self::matching(db, &rules, event, Timing::Deferred, false) {
                 if held.rule.all_events {
                     continue; // handled above, once per unit
                 }

@@ -1,5 +1,6 @@
 //! The ICBN rule set of the evaluation chapter (§7.1.3.2, Figures 35–40),
-//! expressed as Prometheus rules.
+//! expressed as Prometheus rules: every one is an engine rule, listed,
+//! enabled, disabled and persisted the same way.
 //!
 //! Object rules (§7.1.3.2.1):
 //!
@@ -11,47 +12,67 @@
 //!   carries at least one type designation (deferred: typification may
 //!   legitimately follow creation inside the same unit of work);
 //!
-//! Relationship rules (§7.1.3.2.2):
+//! Relationship rules (§7.1.3.2.2), over the rank lattice stated once as
+//! data — [`Rank::ALL`], read through POOL's `index_of`:
 //!
 //! * **species-rank rule** (Figure 38) and **series-rank rule** (Figure 39)
 //!   — a taxon may only be circumscribed below a taxon of strictly higher
-//!   rank; the thesis states these per-rank, we install the general form as
-//!   a native relationship rule (the rank lattice is not expressible in a
-//!   POOL string);
-//! * **placement rule** (Figure 40) — a `Placement` must attach an epithet
-//!   to a Genus-or-higher name.
+//!   rank; the thesis states these per rank, we install the general form;
+//! * **placement rule** (Figure 40) — a `Placement` must attach a
+//!   Species-or-below epithet to a name of higher rank.
 
-use crate::model::{is_specimen, rank_of, Taxonomy, CIRCUMSCRIBES, PLACEMENT};
+use crate::model::{Taxonomy, CIRCUMSCRIBES, PLACEMENT};
 use crate::nomenclature::FAMILY_EXCEPTIONS;
-use prometheus_object::{Database, DbError, DbResult, Event, EventListener};
+use crate::rank::Rank;
+use prometheus_object::DbResult;
 use prometheus_rules::{Rule, RuleEngine};
-use std::sync::Arc;
 
-/// Install the POOL-expressible ICBN rules on `engine` and the native rank
-/// rules on the database. Returns the names of the installed rules.
-pub fn install(tax: &Taxonomy, engine: &RuleEngine) -> DbResult<Vec<String>> {
-    let mut names = Vec::new();
-
-    // Figure 35: family name rule.
+/// Install the ICBN rules on `engine` and return their names. `_tax`
+/// witnesses that the taxonomic schema the rules name is installed.
+pub fn install(_tax: &Taxonomy, engine: &RuleEngine) -> DbResult<Vec<String>> {
     let exceptions = FAMILY_EXCEPTIONS
         .iter()
         .map(|e| format!("self.name = \"{e}\""))
         .collect::<Vec<_>>()
         .join(" or ");
-    let rule = Rule::invariant(
-        "icbn-family-ending",
-        "NT",
-        &format!("ends_with(self.name, \"aceae\") or {exceptions}"),
-        "family names must end in -aceae",
-    )
-    .applicable_when("self.rank = \"Familia\"")
-    .immediate();
-    engine.add_rule(rule)?;
-    names.push("icbn-family-ending".into());
+    // Figures 38–40: a rank's place in the global order is its index in
+    // `Rank::ALL`, highest first; a rank outside the list is not known, and
+    // an end whose rank is not known satisfies the rule. Every `x.rank`
+    // reads `x` again, so the comparison comes first: a valid link reads
+    // each end once.
+    let ranks = |listed: fn(Rank) -> bool| {
+        Rank::ALL
+            .map(|r| {
+                if listed(r) {
+                    format!("\"{r}\"")
+                } else {
+                    "null".into()
+                }
+            })
+            .join(", ")
+    };
+    let origin = format!("index_of(origin.rank, {})", ranks(|_| true));
+    let destination = format!("index_of(destination.rank, {})", ranks(|_| true));
+    // An epithet's place, found only at Species or below: the higher ranks
+    // are listed as `null`, which `index_of` never finds.
+    let epithet = format!(
+        "index_of(destination.rank, {})",
+        ranks(Rank::is_multinomial)
+    );
+    let unranked = format!("{origin} = null or {destination} = null");
 
-    // Figure 36: genus name rule (capitalised); plus the species-epithet
-    // lowercase counterpart from §2.1.2.
-    engine.add_rule(
+    let rules = vec![
+        // Figure 35: family name rule.
+        Rule::invariant(
+            "icbn-family-ending",
+            "NT",
+            &format!("ends_with(self.name, \"aceae\") or {exceptions}"),
+            "family names must end in -aceae",
+        )
+        .applicable_when("self.rank = \"Familia\"")
+        .immediate(),
+        // Figure 36: genus name rule (capitalised); plus the species-epithet
+        // lowercase counterpart from §2.1.2.
         Rule::invariant(
             "icbn-genus-capitalised",
             "NT",
@@ -60,9 +81,6 @@ pub fn install(tax: &Taxonomy, engine: &RuleEngine) -> DbResult<Vec<String>> {
         )
         .applicable_when("self.rank = \"Genus\"")
         .immediate(),
-    )?;
-    names.push("icbn-genus-capitalised".into());
-    engine.add_rule(
         Rule::invariant(
             "icbn-species-lowercase",
             "NT",
@@ -71,92 +89,47 @@ pub fn install(tax: &Taxonomy, engine: &RuleEngine) -> DbResult<Vec<String>> {
         )
         .applicable_when("self.rank = \"Species\"")
         .immediate(),
-    )?;
-    names.push("icbn-species-lowercase".into());
-
-    // Figure 37: type existence rule — deferred, because a unit of work may
-    // create the name first and typify it a few operations later.
-    engine.add_rule(Rule::invariant(
-        "icbn-type-existence",
-        "NT",
-        "count(self ->> HasType) >= 1",
-        "a validly published name must have a taxonomic type",
-    ))?;
-    names.push("icbn-type-existence".into());
-
-    // Figures 38–40: native rank-lattice rules.
-    tax.db().add_listener(Arc::new(RankRules));
-    names.push("icbn-rank-order (native)".into());
-    names.push("icbn-placement (native)".into());
-    Ok(names)
-}
-
-/// Native relationship rules over the rank lattice (Figures 38–40). Holds
-/// no database handle — it reads through the one each event arrives with —
-/// so installing it does not keep the database it listens on alive.
-struct RankRules;
-
-impl EventListener for RankRules {
-    fn after(&self, db: &Database, event: &Event) -> DbResult<()> {
-        let Event::RelCreated {
-            class,
-            origin,
-            destination,
-            ..
-        } = event
-        else {
-            return Ok(());
-        };
-        match class.as_str() {
-            // Figures 38/39 (generalised): the destination's rank must be
-            // strictly below the origin's.
-            CIRCUMSCRIBES => {
-                if is_specimen(db, *destination) {
-                    return Ok(());
-                }
-                let (Some(above), Some(below)) =
-                    (rank_of(db, *origin)?, rank_of(db, *destination)?)
-                else {
-                    return Ok(());
-                };
-                if !below.may_be_placed_below(above) {
-                    return Err(DbError::ConstraintViolation {
-                        rule: "icbn-rank-order".into(),
-                        reason: format!("{below} may not be placed below {above}"),
-                    });
-                }
-                Ok(())
-            }
-            // Figure 40: a placement attaches an epithet (Species or below)
-            // to a name at Genus rank or above-Species.
-            PLACEMENT => {
-                let (Some(genus), Some(epithet)) =
-                    (rank_of(db, *origin)?, rank_of(db, *destination)?)
-                else {
-                    return Ok(());
-                };
-                if !epithet.is_multinomial() || genus >= epithet {
-                    return Err(DbError::ConstraintViolation {
-                        rule: "icbn-placement".into(),
-                        reason: format!(
-                            "placement must attach a Species-or-below epithet to a higher name \
-                             (got {epithet} under {genus})"
-                        ),
-                    });
-                }
-                Ok(())
-            }
-            _ => Ok(()),
-        }
+        // Figure 37: type existence rule — deferred, because a unit of work
+        // may create the name first and typify it a few operations later.
+        Rule::invariant(
+            "icbn-type-existence",
+            "NT",
+            "count(self ->> HasType) >= 1",
+            "a validly published name must have a taxonomic type",
+        ),
+        // Figures 38/39 (generalised): the destination's rank must be
+        // strictly below the origin's. A specimen has no rank to compare.
+        Rule::on_link(
+            "icbn-rank-order",
+            CIRCUMSCRIBES,
+            &format!("{origin} < {destination} or {unranked}"),
+            "a taxon may only be circumscribed below a taxon of strictly higher rank",
+        )
+        .applicable_when("class(destination) != \"Specimen\""),
+        // Figure 40: a placement attaches an epithet (Species or below) to
+        // a name of higher rank.
+        Rule::on_link(
+            "icbn-placement",
+            PLACEMENT,
+            &format!("{origin} < {epithet} or {unranked}"),
+            "placement must attach a Species-or-below epithet to a higher name",
+        ),
+    ];
+    let mut names = Vec::with_capacity(rules.len());
+    for rule in rules {
+        names.push(rule.name.clone());
+        engine.add_rule(rule)?;
     }
+    Ok(names)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::tests::fresh;
-    use crate::rank::Rank;
     use crate::typification::TypeKind;
+    use prometheus_object::{DbError, Oid};
+    use std::sync::Arc;
 
     fn with_rules() -> (Taxonomy, Arc<RuleEngine>) {
         let tax = fresh();
@@ -254,5 +227,126 @@ mod tests {
         db.commit_unit(token).unwrap();
         let err = tax.place(species, genus2).unwrap_err();
         assert!(matches!(err, DbError::ConstraintViolation { .. }));
+    }
+
+    fn violated_rule(err: DbError) -> String {
+        match err {
+            DbError::ConstraintViolation { rule, .. } => rule,
+            other => panic!("expected a constraint violation, got {other}"),
+        }
+    }
+
+    #[test]
+    fn rank_rules_are_engine_rules_that_can_be_disabled() {
+        let (tax, engine) = with_rules();
+        let names: Vec<String> = engine.rules().into_iter().map(|r| r.name).collect();
+        assert!(names.iter().any(|n| n == "icbn-rank-order"), "{names:?}");
+        assert!(names.iter().any(|n| n == "icbn-placement"), "{names:?}");
+        let db = tax.db().clone();
+        let genus = tax.create_ct("G", Rank::Genus).unwrap();
+        let first = tax.create_ct("s", Rank::Species).unwrap();
+        let second = tax.create_ct("t", Rank::Species).unwrap();
+        // Disabled, an inverted circumscription goes through...
+        assert!(engine.set_enabled("icbn-rank-order", false));
+        db.create_relationship(CIRCUMSCRIBES, first, genus, Vec::new())
+            .unwrap();
+        // ...and enabled again, the rule rejects the next one.
+        assert!(engine.set_enabled("icbn-rank-order", true));
+        let err = db
+            .create_relationship(CIRCUMSCRIBES, second, genus, Vec::new())
+            .unwrap_err();
+        assert_eq!(violated_rule(err), "icbn-rank-order");
+    }
+
+    #[test]
+    fn circumscribing_an_object_without_a_rank_is_accepted() {
+        let (tax, _) = with_rules();
+        let db = tax.db().clone();
+        db.define_class(prometheus_object::ClassDef::new("Herbarium").attr(
+            prometheus_object::AttrDef::required("code", prometheus_object::Type::Str),
+        ))
+        .unwrap();
+        let herbarium = db
+            .create_object("Herbarium", vec![("code".to_string(), "E".into())])
+            .unwrap();
+        let genus = tax.create_ct("G", Rank::Genus).unwrap();
+        db.create_relationship(CIRCUMSCRIBES, genus, herbarium, Vec::new())
+            .unwrap();
+    }
+
+    /// The rank rules against the lattice they state, on every pair of
+    /// ranks plus a rank that is not one (`None`): a circumscription holds
+    /// iff the destination may be placed below the origin, a placement iff
+    /// it attaches a multinomial epithet to a higher name, and either holds
+    /// when a rank is not known.
+    #[test]
+    fn rank_rules_match_the_rank_lattice_on_every_pair() {
+        let (tax, engine) = with_rules();
+        let db = tax.db().clone();
+        // Names are created raw, so only the rank rules are under test.
+        for name in [
+            "icbn-family-ending",
+            "icbn-genus-capitalised",
+            "icbn-species-lowercase",
+            "icbn-type-existence",
+        ] {
+            assert!(engine.set_enabled(name, false));
+        }
+        let ranks: Vec<Option<Rank>> = std::iter::once(None).chain(Rank::ALL.map(Some)).collect();
+        let create = |class: &str, name: &str, rank: Option<Rank>| {
+            let rank = rank.map_or("Nothus", Rank::name);
+            db.create_object(
+                class,
+                vec![
+                    (name.to_string(), "x".into()),
+                    ("rank".to_string(), rank.into()),
+                ],
+            )
+            .unwrap()
+        };
+        // One origin and one destination per rank, so no link is a loop.
+        let ends = |class: &str, name: &str| -> Vec<(Oid, Oid)> {
+            ranks
+                .iter()
+                .map(|&r| (create(class, name, r), create(class, name, r)))
+                .collect()
+        };
+        let (cts, nts) = (ends("CT", "working_name"), ends("NT", "name"));
+        for (i, &above) in ranks.iter().enumerate() {
+            for (j, &below) in ranks.iter().enumerate() {
+                let cases = [
+                    (
+                        CIRCUMSCRIBES,
+                        cts[i].0,
+                        cts[j].1,
+                        "icbn-rank-order",
+                        above
+                            .zip(below)
+                            .is_none_or(|(a, b)| b.may_be_placed_below(a)),
+                    ),
+                    (
+                        PLACEMENT,
+                        nts[i].0,
+                        nts[j].1,
+                        "icbn-placement",
+                        above
+                            .zip(below)
+                            .is_none_or(|(g, e)| e.is_multinomial() && g < e),
+                    ),
+                ];
+                for (class, origin, destination, rule, holds) in cases {
+                    match db.create_relationship(class, origin, destination, Vec::new()) {
+                        Ok(rel) => {
+                            assert!(holds, "{class} {above:?} -> {below:?} was accepted");
+                            db.delete_relationship(rel).unwrap();
+                        }
+                        Err(err) => {
+                            assert!(!holds, "{class} {above:?} -> {below:?}: {err}");
+                            assert_eq!(violated_rule(err), rule);
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -363,7 +363,8 @@ impl Taxonomy {
 
     /// The rank of an NT or CT (`None` for specimens).
     pub fn rank_of(&self, oid: Oid) -> DbResult<Option<Rank>> {
-        rank_of(&self.db, oid)
+        let obj = self.db.object(oid)?;
+        Ok(obj.attr("rank").as_str().and_then(Rank::from_name))
     }
 
     /// Publication year of an NT.
@@ -403,20 +404,11 @@ impl Taxonomy {
 
     /// Whether an object is a specimen.
     pub fn is_specimen(&self, oid: Oid) -> bool {
-        is_specimen(&self.db, oid)
+        self.db
+            .class_of(oid)
+            .map(|c| c == "Specimen")
+            .unwrap_or(false)
     }
-}
-
-/// [`Taxonomy::rank_of`] for callers that are handed the database, not the
-/// facade (event listeners).
-pub(crate) fn rank_of(db: &Database, oid: Oid) -> DbResult<Option<Rank>> {
-    let obj = db.object(oid)?;
-    Ok(obj.attr("rank").as_str().and_then(Rank::from_name))
-}
-
-/// [`Taxonomy::is_specimen`] over a bare database.
-pub(crate) fn is_specimen(db: &Database, oid: Oid) -> bool {
-    db.class_of(oid).map(|c| c == "Specimen").unwrap_or(false)
 }
 
 #[cfg(test)]

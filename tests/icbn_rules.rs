@@ -58,7 +58,7 @@ fn the_full_icbn_set_installs_and_enforces() {
     );
     assert!(!db.exists(orphan));
 
-    // Figures 38/39 (rank order, native rule) and the facade-level check.
+    // Figures 38/39 (the rank-order engine rule) and the facade-level check.
     let cls = tax.new_classification("test", "t", "c").unwrap();
     let ct_family = tax.create_ct("Fam", Rank::Familia).unwrap();
     let ct_genus = tax.create_ct("Gen", Rank::Genus).unwrap();
@@ -149,5 +149,57 @@ fn dropping_an_icbn_handle_frees_the_database() {
     let p = Prometheus::open_with(&path, options).unwrap();
     assert!(p.db().exists(genus));
     assert!(p.taxonomy_with_icbn().is_ok());
+    let _ = std::fs::remove_file(&path);
+}
+
+/// The rank rules (Figures 38–40) are engine rules, so they persist with the
+/// others: a database reopened without installing the ICBN set still
+/// rejects an inverted circumscription and a genus placed under a species.
+#[test]
+fn rank_rules_persist_without_reinstalling() {
+    let path = std::env::temp_dir().join(format!(
+        "icbn-int-persist-{}-{:?}.log",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    let options = StoreOptions {
+        sync_on_commit: false,
+    };
+    let p = Prometheus::open_with(&path, options.clone()).unwrap();
+    let tax = p.taxonomy_with_icbn().unwrap();
+    let (genus, species, ct_genus, ct_species) = p
+        .unit(|_| {
+            let genus = tax.create_nt("Apium", Rank::Genus, 1753, "L.")?;
+            let species = tax.create_nt("graveolens", Rank::Species, 1753, "L.")?;
+            let specimen = tax.create_specimen("Herb.Cliff.107")?;
+            tax.typify(species, specimen, TypeKind::Lectotype)?;
+            tax.typify(genus, species, TypeKind::Holotype)?;
+            let ct_genus = tax.create_ct("Gen", Rank::Genus)?;
+            let ct_species = tax.create_ct("sp", Rank::Species)?;
+            Ok((genus, species, ct_genus, ct_species))
+        })
+        .unwrap();
+    p.rules().save_to(p.db()).unwrap();
+    drop(tax);
+    drop(p);
+
+    let p = Prometheus::open_with(&path, options).unwrap();
+    p.taxonomy().unwrap();
+    let db = p.db();
+    let rule_of = |err: DbError| match err {
+        DbError::ConstraintViolation { rule, .. } => rule,
+        other => panic!("expected a constraint violation, got {other}"),
+    };
+    let err = db
+        .create_relationship("Circumscribes", ct_species, ct_genus, Vec::new())
+        .unwrap_err();
+    assert_eq!(rule_of(err), "icbn-rank-order");
+    let err = db
+        .create_relationship("Placement", species, genus, Vec::new())
+        .unwrap_err();
+    assert_eq!(rule_of(err), "icbn-placement");
+    db.create_relationship("Placement", genus, species, Vec::new())
+        .unwrap();
     let _ = std::fs::remove_file(&path);
 }
