@@ -441,11 +441,8 @@ fn ablation(out: &std::path::Path) {
     // 2. Rule engine off vs on (one immediate rule over Part creations).
     let (_, d_no_rules) = time_once(|| ops::prom_create(&prom, 500).unwrap());
     let engine = RuleEngine::install(&prom.db).unwrap();
-    engine
-        .add_rule(
-            Rule::invariant("abl", "Part", "self.label != null", "label required").immediate(),
-        )
-        .unwrap();
+    let rule = Rule::invariant("abl", "Part", "self.label != null", "label required");
+    engine.add_rule(&prom.db, rule.immediate()).unwrap();
     let (_, d_rules) = time_once(|| ops::prom_create(&prom, 500).unwrap());
     rows.push(CompareRow {
         operation: "create: no rules vs 1 rule".into(),

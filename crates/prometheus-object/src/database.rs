@@ -399,6 +399,30 @@ impl Database {
         )
     }
 
+    /// Read, revise and stage the `KS_META` record `key` in one unit: the
+    /// caller's, or outside a unit a one-op unit of its own, so no other
+    /// writer of the record commits between the read and the write. `f`
+    /// revises the value the unit reads (the default when there is no
+    /// record) and says whether it changed; only then is the record staged.
+    /// Returns what `f` said. The definitions that are not schema or
+    /// synonyms — views, rules — are written this way.
+    pub fn revise_record<T: Default + serde::Serialize + serde::de::DeserializeOwned>(
+        &self,
+        key: &[u8],
+        f: impl FnOnce(&mut T) -> DbResult<bool>,
+    ) -> DbResult<bool> {
+        if !self.in_unit() {
+            return self.in_unit_scope(|db| db.revise_record(key, f));
+        }
+        let mut value = self.meta_record(key)?;
+        if !f(&mut value)? {
+            return Ok(false);
+        }
+        let bytes = codec::to_bytes(&value)?;
+        self.stage(|t| t.kv_put(KS_META, key.to_vec(), bytes))?;
+        Ok(true)
+    }
+
     // -----------------------------------------------------------------
     // Replication
     // -----------------------------------------------------------------

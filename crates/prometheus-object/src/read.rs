@@ -56,6 +56,13 @@ pub trait Reader: Sized + Send + Sync {
     /// handle into the underlying image, not a copy.
     fn raw_kv_get(&self, ks: Keyspace, key: &[u8]) -> Option<Bytes>;
 
+    /// The `KS_META` record `key` of the state this reads, decoded, or
+    /// `T`'s default when there is none (the views, a rules list).
+    fn meta_record<T: Default + serde::de::DeserializeOwned>(&self, key: &[u8]) -> DbResult<T> {
+        let record = self.raw_kv_get(index::KS_META, key);
+        Ok(record.map_or(Ok(T::default()), |bytes| codec::from_bytes(&bytes))?)
+    }
+
     /// Stream every entry of an index keyspace with `lo <= key` below `hi`,
     /// in key order, straight off the storage image's cursors (merged with a
     /// unit's staged entries for a [`Database`] read in one).

@@ -7,9 +7,9 @@
 
 use crate::database::Database;
 use crate::error::{DbError, DbResult};
-use crate::index::{KS_META, META_VIEWS};
+use crate::index::META_VIEWS;
 use crate::read::Reader;
-use prometheus_storage::{codec, Oid};
+use prometheus_storage::Oid;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -84,47 +84,36 @@ impl View {
         })
     }
 
-    /// Persist this view definition.
+    /// Persist this view definition: the views record is read and staged
+    /// in one unit, so a concurrent save of another view is not lost.
     pub fn save(&self, db: &Database) -> DbResult<()> {
-        let mut all = load_views(db)?;
-        all.insert(self.name.clone(), self.clone());
-        save_views(db, &all)
+        db.revise_record(META_VIEWS, |all: &mut Views| {
+            all.insert(self.name.clone(), self.clone());
+            Ok(true)
+        })
+        .map(drop)
     }
 
     /// Load a view by name.
     pub fn load<R: Reader>(db: &R, name: &str) -> DbResult<View> {
-        load_views(db)?
+        db.meta_record::<Views>(META_VIEWS)?
             .remove(name)
             .ok_or_else(|| DbError::Schema(format!("no view named '{name}'")))
     }
 
-    /// Delete a persisted view definition.
+    /// Delete a persisted view definition; returns whether it existed.
     pub fn delete(db: &Database, name: &str) -> DbResult<bool> {
-        let mut all = load_views(db)?;
-        let existed = all.remove(name).is_some();
-        if existed {
-            save_views(db, &all)?;
-        }
-        Ok(existed)
+        db.revise_record(META_VIEWS, |all: &mut Views| Ok(all.remove(name).is_some()))
     }
 
     /// Names of all persisted views.
     pub fn names<R: Reader>(db: &R) -> DbResult<Vec<String>> {
-        Ok(load_views(db)?.into_keys().collect())
+        Ok(db.meta_record::<Views>(META_VIEWS)?.into_keys().collect())
     }
 }
 
-fn load_views<R: Reader>(db: &R) -> DbResult<BTreeMap<String, View>> {
-    match db.raw_kv_get(KS_META, META_VIEWS) {
-        Some(bytes) => Ok(codec::from_bytes(&bytes)?),
-        None => Ok(BTreeMap::new()),
-    }
-}
-
-fn save_views(db: &Database, all: &BTreeMap<String, View>) -> DbResult<()> {
-    let bytes = codec::to_bytes(all)?;
-    db.stage(|t| t.kv_put(KS_META, META_VIEWS.to_vec(), bytes))
-}
+/// The views record: every view by name.
+type Views = BTreeMap<String, View>;
 
 #[cfg(test)]
 mod tests {
@@ -183,5 +172,31 @@ mod tests {
         assert!(View::delete(&db, "mine").unwrap());
         assert!(View::load(&db, "mine").is_err());
         assert!(!View::delete(&db, "mine").unwrap());
+    }
+
+    /// Saves of distinct views started together keep every view: each reads
+    /// the views record in the unit it stages the new record in.
+    #[test]
+    fn concurrent_saves_of_distinct_views_keep_every_view() {
+        const THREADS: usize = 4;
+        let db = temp_db();
+        db.define_class(ClassDef::new("Taxon")).unwrap();
+        let barrier = std::sync::Barrier::new(THREADS);
+        for round in 0..100 {
+            let names: Vec<String> = (0..THREADS).map(|t| format!("v{round}-{t}")).collect();
+            std::thread::scope(|s| {
+                for name in &names {
+                    let (db, barrier) = (&db, &barrier);
+                    s.spawn(move || {
+                        barrier.wait();
+                        View::new(name.as_str()).class("Taxon").save(db).unwrap();
+                    });
+                }
+            });
+            assert_eq!(View::names(&db).unwrap(), names, "round {round}");
+            for name in &names {
+                assert!(View::delete(&db, name).unwrap(), "round {round}: {name}");
+            }
+        }
     }
 }

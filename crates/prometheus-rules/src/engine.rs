@@ -16,6 +16,12 @@
 //!
 //! Violations are handled per the rule's [`Action`]: abort, warn (collected
 //! on the engine), or ask an interactive [`ViolationHandler`] (§5.2.2.2).
+//!
+//! The rule set is not the engine's: it is the `KS_META/"rules"` record of
+//! the state the dispatching database reads — the bound unit's overlay, or
+//! else the published image. A rule change stages that record in the
+//! caller's unit like any write, so commit publishes it, abort drops it and
+//! a reopen finds it; a dispatch parses each record it reads once.
 
 use crate::rule::{Action, Rule, RuleKind, Timing};
 use parking_lot::{Mutex, RwLock};
@@ -23,6 +29,7 @@ use prometheus_object::index::KS_META;
 use prometheus_object::{Database, DbError, DbResult, Event, EventListener, Reader, Value};
 use prometheus_pool::eval::Env;
 use prometheus_pool::Expr;
+use prometheus_storage::{codec::from_bytes, Bytes};
 use std::sync::Arc;
 
 /// Decides whether an interactively-handled violation is accepted.
@@ -31,12 +38,10 @@ pub trait ViolationHandler: Send + Sync {
     fn accept(&self, rule: &Rule, detail: &str) -> bool;
 }
 
-/// Key under which rules persist in the meta keyspace.
+/// Key of the rules record (`Vec<Rule>`) in the meta keyspace.
 const META_RULES: &[u8] = b"rules";
 
-/// A rule held with its conditions parsed, once, when it is added or
-/// loaded.
-#[derive(Clone)]
+/// A rule held with its conditions parsed, once per record that holds it.
 struct Held {
     rule: Rule,
     applicability: Option<Arc<Expr>>,
@@ -54,11 +59,12 @@ impl Held {
     }
 }
 
-/// The rule engine.
+/// The rule engine: how rules are dispatched, not which rules there are.
 pub struct RuleEngine {
-    /// Replaced copy-on-write by the rule-management calls, so a dispatch
-    /// shares the rule set with one `Arc` bump instead of copying it.
-    rules: RwLock<Arc<Vec<Held>>>,
+    /// The last rules record parsed, keyed by the identity of its bytes as
+    /// `read::MetaMemo` keys the schema's: the memo holds a clone of them,
+    /// so no other record can take their address while it does.
+    parsed: RwLock<(Option<Bytes>, Arc<[Held]>)>,
     warnings: Mutex<Vec<String>>,
     handler: RwLock<Option<Arc<dyn ViolationHandler>>>,
     recorder: RwLock<prometheus_trace::Recorder>,
@@ -71,10 +77,11 @@ impl Default for RuleEngine {
 }
 
 impl RuleEngine {
-    /// Empty engine.
+    /// An engine that has parsed nothing yet; [`RuleEngine::install`]
+    /// attaches one to a database.
     pub fn new() -> Self {
         RuleEngine {
-            rules: RwLock::new(Arc::new(Vec::new())),
+            parsed: RwLock::new((None, Arc::new([]))),
             warnings: Mutex::new(Vec::new()),
             handler: RwLock::new(None),
             recorder: RwLock::new(prometheus_trace::Recorder::disabled()),
@@ -87,53 +94,66 @@ impl RuleEngine {
         *self.recorder.write() = recorder;
     }
 
-    /// Create an engine, load any persisted rules, and attach it to `db`.
+    /// Create an engine and attach it to `db`, failing if `db`'s rules
+    /// record does not parse.
     pub fn install(db: &Database) -> DbResult<Arc<RuleEngine>> {
         let engine = Arc::new(RuleEngine::new());
-        engine.load_from(db)?;
+        engine.rule_set(db)?;
         db.add_listener(engine.clone());
         Ok(engine)
     }
 
-    /// Add a rule; its expressions are parsed eagerly so syntax errors
-    /// surface at definition time (like PCL rule creation, Figure 32).
-    pub fn add_rule(&self, rule: Rule) -> DbResult<()> {
-        let held = Held::parse(rule)?;
-        let mut rules = self.rules.write();
-        if rules.iter().any(|h| h.rule.name == held.rule.name) {
-            return Err(DbError::Schema(format!(
-                "rule '{}' already defined",
-                held.rule.name
-            )));
+    /// The rules `db` reads, parsed once per record.
+    fn rule_set(&self, db: &Database) -> DbResult<Arc<[Held]>> {
+        let record = db.raw_kv_get(KS_META, META_RULES);
+        let id = |record: &Option<Bytes>| record.as_ref().map(|b| (b.as_ptr(), b.len()));
+        let parsed = self.parsed.read();
+        if id(&parsed.0) == id(&record) {
+            return Ok(Arc::clone(&parsed.1));
         }
-        Arc::make_mut(&mut rules).push(held);
-        Ok(())
+        drop(parsed);
+        let rules: Vec<Rule> = record.as_ref().map_or(Ok(Vec::new()), |b| from_bytes(b))?;
+        let set: Arc<[Held]> = DbResult::from_iter(rules.into_iter().map(Held::parse))?;
+        *self.parsed.write() = (record, Arc::clone(&set));
+        Ok(set)
+    }
+
+    /// Add a rule to the rules `db` reads. Its expressions are parsed
+    /// eagerly so syntax errors surface at definition time (like PCL rule
+    /// creation, Figure 32), as does a name already taken.
+    pub fn add_rule(&self, db: &Database, rule: Rule) -> DbResult<()> {
+        let rule = Held::parse(rule)?.rule;
+        db.revise_record(META_RULES, |rules: &mut Vec<Rule>| {
+            if rules.iter().any(|r| r.name == rule.name) {
+                let name = &rule.name;
+                return Err(DbError::Schema(format!("rule '{name}' already defined")));
+            }
+            rules.push(rule);
+            Ok(true)
+        })
+        .map(drop)
     }
 
     /// Remove a rule by name; returns whether it existed.
-    pub fn remove_rule(&self, name: &str) -> bool {
-        let mut rules = self.rules.write();
-        let rules = Arc::make_mut(&mut rules);
-        let before = rules.len();
-        rules.retain(|h| h.rule.name != name);
-        rules.len() != before
+    pub fn remove_rule(&self, db: &Database, name: &str) -> DbResult<bool> {
+        db.revise_record(META_RULES, |rules: &mut Vec<Rule>| {
+            let before = rules.len();
+            rules.retain(|r| r.name != name);
+            Ok(rules.len() != before)
+        })
     }
 
-    /// Enable/disable a rule without removing it.
-    pub fn set_enabled(&self, name: &str, enabled: bool) -> bool {
-        let mut rules = self.rules.write();
-        for h in Arc::make_mut(&mut rules).iter_mut() {
-            if h.rule.name == name {
-                h.rule.enabled = enabled;
-                return true;
-            }
-        }
-        false
+    /// Enable/disable a rule without removing it; returns whether it exists.
+    pub fn set_enabled(&self, db: &Database, name: &str, enabled: bool) -> DbResult<bool> {
+        db.revise_record(META_RULES, |rules: &mut Vec<Rule>| {
+            let rule = rules.iter_mut().find(|r| r.name == name);
+            Ok(rule.map(|r| r.enabled = enabled).is_some())
+        })
     }
 
-    /// Snapshot of the current rules.
-    pub fn rules(&self) -> Vec<Rule> {
-        self.rules.read().iter().map(|h| h.rule.clone()).collect()
+    /// The rules `db` reads, in definition order.
+    pub fn rules(&self, db: &Database) -> DbResult<Vec<Rule>> {
+        Ok(self.rule_set(db)?.iter().map(|h| h.rule.clone()).collect())
     }
 
     /// Warnings accumulated by `Action::Warn` violations.
@@ -149,25 +169,6 @@ impl RuleEngine {
     /// Register the interactive violation handler.
     pub fn set_handler(&self, handler: Arc<dyn ViolationHandler>) {
         *self.handler.write() = Some(handler);
-    }
-
-    /// Persist the rules into the database's meta keyspace.
-    pub fn save_to(&self, db: &Database) -> DbResult<()> {
-        let bytes = prometheus_storage::codec::to_bytes(&self.rules())?;
-        db.stage(|t| t.kv_put(KS_META, META_RULES.to_vec(), bytes))
-    }
-
-    /// Load rules persisted by [`RuleEngine::save_to`].
-    pub fn load_from(&self, db: &Database) -> DbResult<()> {
-        if let Some(bytes) = db.raw_kv_get(KS_META, META_RULES) {
-            let rules: Vec<Rule> = prometheus_storage::codec::from_bytes(&bytes)?;
-            let held = rules
-                .into_iter()
-                .map(Held::parse)
-                .collect::<DbResult<_>>()?;
-            *self.rules.write() = Arc::new(held);
-        }
-        Ok(())
     }
 
     /// Build the condition environment for an event (§5.2.1.2's bindings).
@@ -285,7 +286,7 @@ impl EventListener for RuleEngine {
         if !applicable {
             return Ok(());
         }
-        let rules = Arc::clone(&self.rules.read());
+        let rules = self.rule_set(db)?;
         for held in Self::matching(db, &rules, event, Timing::Immediate, true) {
             self.check(db, held, event)?;
         }
@@ -306,7 +307,7 @@ impl EventListener for RuleEngine {
             event,
             Event::ObjectCreated { .. } | Event::RelCreated { .. }
         );
-        let rules = Arc::clone(&self.rules.read());
+        let rules = self.rule_set(db)?;
         // One pass: creation pre-conditions (the subject exists now) are
         // checked as they are found, the remaining immediate rules after
         // them.
@@ -346,7 +347,7 @@ impl RuleEngine {
         events: &[Event],
         checked: &mut u64,
     ) -> DbResult<()> {
-        let rules = Arc::clone(&self.rules.read());
+        let rules = self.rule_set(db)?;
         // Composite-event rules (§5.2.1.1): fire once per unit when every
         // spec matched some event of the unit.
         for held in rules.iter().filter(|h| h.rule.enabled && h.rule.all_events) {
@@ -418,18 +419,7 @@ mod tests {
                 .as_nanos()
         ));
         let _ = std::fs::remove_file(&path);
-        let store = Arc::new(
-            ShardedStore::open_with(
-                &path,
-                StoreOptions {
-                    sync_on_commit: false,
-                },
-                1,
-                shard_routing(),
-            )
-            .unwrap(),
-        );
-        let db = Database::open_sharded(store).unwrap();
+        let db = open_at(&path);
         db.define_class(
             ClassDef::new("CT")
                 .attr(AttrDef::required("name", Type::Str))
@@ -438,6 +428,28 @@ mod tests {
         .unwrap();
         db.define_relationship(RelClassDef::association("Circ", "CT", "CT"))
             .unwrap();
+        let engine = RuleEngine::install(&db).unwrap();
+        (db, engine)
+    }
+
+    fn open_at(path: &std::path::Path) -> Database {
+        let store = ShardedStore::open_with(
+            path,
+            StoreOptions {
+                sync_on_commit: false,
+            },
+            1,
+            shard_routing(),
+        )
+        .unwrap();
+        Database::open_sharded(Arc::new(store)).unwrap()
+    }
+
+    /// Close `db` and open its store again, with a new engine installed.
+    fn reopen(db: Database) -> (Database, Arc<RuleEngine>) {
+        let path = db.store().path().to_path_buf();
+        drop(db);
+        let db = open_at(&path);
         let engine = RuleEngine::install(&db).unwrap();
         (db, engine)
     }
@@ -454,6 +466,7 @@ mod tests {
         let (db, engine) = db_with_engine();
         engine
             .add_rule(
+                &db,
                 Rule::invariant("genus-capital", "CT", "self.name != \"bad\"", "name is bad")
                     .immediate(),
             )
@@ -473,13 +486,16 @@ mod tests {
     fn pre_condition_on_update_sees_old_and_new() {
         let (db, engine) = db_with_engine();
         engine
-            .add_rule(Rule::pre_update(
-                "rank-immutable-once-set",
-                "CT",
-                "rank",
-                "old = null or old = new",
-                "rank cannot change once published",
-            ))
+            .add_rule(
+                &db,
+                Rule::pre_update(
+                    "rank-immutable-once-set",
+                    "CT",
+                    "rank",
+                    "old = null or old = new",
+                    "rank cannot change once published",
+                ),
+            )
             .unwrap();
         let ct = db.create_object("CT", attrs(&[("name", "Apium")])).unwrap();
         db.set_attr(ct, "rank", "Genus").unwrap(); // old = null: allowed
@@ -492,12 +508,10 @@ mod tests {
     fn deferred_rule_rolls_back_whole_unit() {
         let (db, engine) = db_with_engine();
         engine
-            .add_rule(Rule::invariant(
-                "needs-rank",
-                "CT",
-                "self.rank != null",
-                "rank required",
-            ))
+            .add_rule(
+                &db,
+                Rule::invariant("needs-rank", "CT", "self.rank != null", "rank required"),
+            )
             .unwrap();
         // A unit may pass through invalid intermediate states...
         let token = db.begin_unit();
@@ -520,6 +534,7 @@ mod tests {
         let (db, engine) = db_with_engine();
         engine
             .add_rule(
+                &db,
                 Rule::invariant(
                     "genus-needs-rank-attr",
                     "CT",
@@ -544,6 +559,7 @@ mod tests {
         let (db, engine) = db_with_engine();
         engine
             .add_rule(
+                &db,
                 Rule::invariant("advisory", "CT", "self.rank != null", "rank advisable")
                     .immediate()
                     .warn_only(),
@@ -576,6 +592,7 @@ mod tests {
         let (db, engine) = db_with_engine();
         engine
             .add_rule(
+                &db,
                 Rule::invariant("ask-me", "CT", "self.rank != null", "no rank")
                     .immediate()
                     .interactive(),
@@ -596,12 +613,15 @@ mod tests {
     fn relationship_rule_sees_origin_and_destination() {
         let (db, engine) = db_with_engine();
         engine
-            .add_rule(Rule::on_link(
-                "no-self-citation",
-                "Circ",
-                "not (origin = destination)",
-                "an edge may not loop",
-            ))
+            .add_rule(
+                &db,
+                Rule::on_link(
+                    "no-self-citation",
+                    "Circ",
+                    "not (origin = destination)",
+                    "an edge may not loop",
+                ),
+            )
             .unwrap();
         let a = db.create_object("CT", attrs(&[("name", "A")])).unwrap();
         let b = db.create_object("CT", attrs(&[("name", "B")])).unwrap();
@@ -616,27 +636,30 @@ mod tests {
     fn rule_management() {
         let (db, engine) = db_with_engine();
         engine
-            .add_rule(Rule::invariant("r1", "CT", "self.rank != null", "m").immediate())
+            .add_rule(
+                &db,
+                Rule::invariant("r1", "CT", "self.rank != null", "m").immediate(),
+            )
             .unwrap();
         assert!(engine
-            .add_rule(Rule::invariant("r1", "CT", "true", ""))
+            .add_rule(&db, Rule::invariant("r1", "CT", "true", ""))
             .is_err());
         assert!(db.create_object("CT", attrs(&[("name", "x")])).is_err());
         // Disable: passes.
-        assert!(engine.set_enabled("r1", false));
+        assert!(engine.set_enabled(&db, "r1", false).unwrap());
         assert!(db.create_object("CT", attrs(&[("name", "x")])).is_ok());
         // Re-enable and remove.
-        assert!(engine.set_enabled("r1", true));
-        assert!(engine.remove_rule("r1"));
-        assert!(!engine.remove_rule("r1"));
+        assert!(engine.set_enabled(&db, "r1", true).unwrap());
+        assert!(engine.remove_rule(&db, "r1").unwrap());
+        assert!(!engine.remove_rule(&db, "r1").unwrap());
         assert!(db.create_object("CT", attrs(&[("name", "y")])).is_ok());
     }
 
     #[test]
     fn bad_expressions_rejected_at_definition_time() {
-        let (_db, engine) = db_with_engine();
+        let (db, engine) = db_with_engine();
         let err = engine
-            .add_rule(Rule::invariant("broken", "CT", "self.rank =", "m"))
+            .add_rule(&db, Rule::invariant("broken", "CT", "self.rank =", "m"))
             .unwrap_err();
         assert!(matches!(err, DbError::Query(_)));
     }
@@ -646,20 +669,18 @@ mod tests {
         let (db, engine) = db_with_engine();
         engine
             .add_rule(
+                &db,
                 Rule::invariant("persisted", "CT", "self.name != \"bad\"", "m")
                     .applicable_when("self.rank = \"Genus\""),
             )
             .unwrap();
-        engine.save_to(&db).unwrap();
-        let fresh = RuleEngine::new();
-        fresh.load_from(&db).unwrap();
-        assert_eq!(fresh.rules().len(), 1);
-        assert_eq!(fresh.rules()[0].name, "persisted");
-        // The reloaded rule fires with both of its conditions: installed on
-        // the database in place of the engine that saved it, it vetoes a
-        // violating create and lets one it does not apply to through.
-        assert!(engine.remove_rule("persisted"));
-        db.add_listener(Arc::new(fresh));
+        let (db, fresh) = reopen(db);
+        let rules = fresh.rules(&db).unwrap();
+        assert_eq!(rules.len(), 1);
+        assert_eq!(rules[0].name, "persisted");
+        // The reloaded rule fires with both of its conditions: the reopened
+        // database's engine vetoes a violating create and lets one it does
+        // not apply to through.
         let err = db
             .create_object("CT", attrs(&[("name", "bad"), ("rank", "Genus")]))
             .unwrap_err();
@@ -667,6 +688,32 @@ mod tests {
             matches!(err, DbError::ConstraintViolation { .. }),
             "{err:?}"
         );
+        assert!(db.create_object("CT", attrs(&[("name", "bad")])).is_ok());
+        // Removed from the record, it no longer fires.
+        assert!(fresh.remove_rule(&db, "persisted").unwrap());
+        assert!(db
+            .create_object("CT", attrs(&[("name", "bad"), ("rank", "Genus")]))
+            .is_ok());
+    }
+
+    /// A rule is a write of the unit it is added in: an abort takes it back
+    /// with the rest of the unit, and a reopen does not find it.
+    #[test]
+    fn a_rule_added_in_an_aborted_unit_is_gone() {
+        let (db, engine) = db_with_engine();
+        let token = db.begin_unit();
+        engine
+            .add_rule(
+                &db,
+                Rule::invariant("what-if", "CT", "self.name != \"bad\"", "m").immediate(),
+            )
+            .unwrap();
+        assert_eq!(engine.rules(&db).unwrap().len(), 1, "the unit reads it");
+        db.abort_unit(token);
+        assert!(engine.rules(&db).unwrap().is_empty());
+        assert!(db.create_object("CT", attrs(&[("name", "bad")])).is_ok());
+        let (db, engine) = reopen(db);
+        assert!(engine.rules(&db).unwrap().is_empty());
         assert!(db.create_object("CT", attrs(&[("name", "bad")])).is_ok());
     }
 
@@ -678,6 +725,7 @@ mod tests {
         // relationship must give the created CT a rank.
         engine
             .add_rule(
+                &db,
                 Rule::invariant(
                     "paired",
                     "CT",
@@ -720,15 +768,14 @@ mod tests {
         let (db, engine) = db_with_engine();
         // The high-priority rule aborts first even though added second.
         engine
-            .add_rule(Rule::invariant(
-                "low",
-                "CT",
-                "self.rank != null",
-                "low-message",
-            ))
+            .add_rule(
+                &db,
+                Rule::invariant("low", "CT", "self.rank != null", "low-message"),
+            )
             .unwrap();
         engine
             .add_rule(
+                &db,
                 Rule::invariant("high", "CT", "self.name != \"X\"", "high-message")
                     .with_priority(10),
             )

@@ -15,6 +15,12 @@
 //! four flavours of §5.2.1.4: invariants, pre-conditions, post-conditions
 //! and relationship rules.
 //!
+//! Rules live in the database, not in the engine: the rule set is the
+//! `KS_META/"rules"` record of the state a dispatch reads, and
+//! [`RuleEngine::add_rule`], [`RuleEngine::remove_rule`] and
+//! [`RuleEngine::set_enabled`] stage it in the caller's unit of work, so a
+//! rule change commits, aborts, persists and replicates with that unit.
+//!
 //! [`pcl`] implements PCL, the OCL-inspired surface syntax of §5.2.3, which
 //! *translates into* ordinary Prometheus rules (Figure 25).
 

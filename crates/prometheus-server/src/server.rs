@@ -787,13 +787,14 @@ pub(crate) fn lane_mask_for(shared: &Shared, work: &Work) -> u64 {
 /// Infer which shards a batch can touch, as a claim mask. Conservative by
 /// construction: a write routed outside the unit's claim fails when it
 /// stages, so anything unpredictable widens to every shard (deletes
-/// cascade through relationships on arbitrary shards; installed rules may
-/// fire repair actions anywhere). The masks here are meant to never trip
-/// that check.
+/// cascade through relationships on arbitrary shards; installed rules — those
+/// of the published rules record — may fire repair actions anywhere). The
+/// masks here are meant to never trip that check.
 pub(crate) fn batch_lane_mask(shared: &Shared, ops: &[MutationOp]) -> u64 {
     let store = shared.db.db().store();
     let all = store.all_shards_mask();
-    if store.shard_count() == 1 || !shared.db.rules().rules().is_empty() {
+    let rules = shared.db.rules().rules(shared.db.db());
+    if store.shard_count() == 1 || !matches!(rules.as_deref(), Ok([])) {
         return all;
     }
     let mut mask = 0u64;
@@ -1590,6 +1591,83 @@ mod tests {
             .map(|&(stage, span)| (Value::Str(stage.into()), Value::Int(span)))
             .collect();
         assert_eq!(cells, want);
+    }
+
+    /// Open the store at `path` — no file is removed — with the taxonomic
+    /// schema, and serve it.
+    fn serve_at(path: &std::path::Path) -> ServerHandle {
+        let p = Prometheus::open_with(
+            path,
+            StoreOptions {
+                sync_on_commit: false,
+            },
+        )
+        .unwrap();
+        p.taxonomy().unwrap();
+        let config = ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 2,
+            ..ServerConfig::default()
+        };
+        serve(p, config).unwrap()
+    }
+
+    fn create_ct(client: &mut PrometheusClient, name: &str) -> ServerResult<Vec<Oid>> {
+        client.unit_batch(vec![MutationOp::CreateObject {
+            class: "CT".into(),
+            attrs: vec![
+                ("working_name".into(), Value::Str(name.into())),
+                ("rank".into(), Value::Str("Genus".into())),
+            ],
+        }])
+    }
+
+    /// The names of the rules the store at `path` holds, read by an engine
+    /// of a handle opened after the server that wrote them stopped.
+    fn stored_rules(path: &std::path::Path) -> Vec<String> {
+        let p = Prometheus::open_with(path, StoreOptions::default()).unwrap();
+        let rules = p.rules().rules(p.db()).unwrap();
+        rules.into_iter().map(|r| r.name).collect()
+    }
+
+    /// A PCL document over the wire installs in the unit its request runs
+    /// in: when its second rule's name is taken, its first is not kept.
+    #[test]
+    fn install_pcl_over_the_wire_is_all_or_none() {
+        let path = tmp("pcl-all-or-none");
+        let handle = serve_at(&path);
+        let mut client = PrometheusClient::connect(handle.addr()).unwrap();
+        let named = "context CT pre named: self.working_name != \"\"";
+        assert_eq!(client.install_pcl(named).unwrap(), 1);
+        let doc = format!("context CT pre noSium: self.working_name != \"Sium\"\n{named}");
+        let err = client.install_pcl(&doc).unwrap_err();
+        assert!(err.to_string().contains("already defined"), "{err}");
+        create_ct(&mut client, "Sium").expect("noSium was not installed");
+        client.close().unwrap();
+        handle.stop();
+        assert_eq!(stored_rules(&path), vec!["named".to_string()]);
+    }
+
+    /// Rules installed over the wire are in the image: a restarted server
+    /// lists them and they fire.
+    #[test]
+    fn rules_installed_over_the_wire_survive_a_restart() {
+        let path = tmp("pcl-restart");
+        let handle = serve_at(&path);
+        let mut client = PrometheusClient::connect(handle.addr()).unwrap();
+        client
+            .install_pcl("context CT pre named: self.working_name != \"\"")
+            .unwrap();
+        client.close().unwrap();
+        handle.stop();
+        assert_eq!(stored_rules(&path), vec!["named".to_string()]);
+        let handle = serve_at(&path);
+        let mut client = PrometheusClient::connect(handle.addr()).unwrap();
+        let err = create_ct(&mut client, "").unwrap_err();
+        assert!(err.to_string().contains("named"), "{err}");
+        create_ct(&mut client, "Daucus").unwrap();
+        client.close().unwrap();
+        handle.stop();
     }
 
     #[test]

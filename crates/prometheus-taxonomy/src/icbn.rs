@@ -1,6 +1,7 @@
 //! The ICBN rule set of the evaluation chapter (§7.1.3.2, Figures 35–40),
 //! expressed as Prometheus rules: every one is an engine rule, listed,
-//! enabled, disabled and persisted the same way.
+//! enabled, disabled and persisted the same way — as an entry of the
+//! database's rules record, so it outlives the handle that installed it.
 //!
 //! Object rules (§7.1.3.2.1):
 //!
@@ -27,9 +28,12 @@ use crate::rank::Rank;
 use prometheus_object::DbResult;
 use prometheus_rules::{Rule, RuleEngine};
 
-/// Install the ICBN rules on `engine` and return their names. `_tax`
-/// witnesses that the taxonomic schema the rules name is installed.
-pub fn install(_tax: &Taxonomy, engine: &RuleEngine) -> DbResult<Vec<String>> {
+/// Install the ICBN rules in the rules record of `tax`'s database, which
+/// holds the taxonomic schema they name, and return the names of all six.
+/// A rule already stored under one of those names is left exactly as
+/// stored — one the user disabled stays disabled — and the missing ones are
+/// added in one unit, so installing on a reopened database is a no-op.
+pub fn install(tax: &Taxonomy, engine: &RuleEngine) -> DbResult<Vec<String>> {
     let exceptions = FAMILY_EXCEPTIONS
         .iter()
         .map(|e| format!("self.name = \"{e}\""))
@@ -115,12 +119,13 @@ pub fn install(_tax: &Taxonomy, engine: &RuleEngine) -> DbResult<Vec<String>> {
             "placement must attach a Species-or-below epithet to a higher name",
         ),
     ];
-    let mut names = Vec::with_capacity(rules.len());
-    for rule in rules {
-        names.push(rule.name.clone());
-        engine.add_rule(rule)?;
-    }
-    Ok(names)
+    tax.db().in_unit_scope(|db| {
+        let stored: Vec<String> = engine.rules(db)?.into_iter().map(|r| r.name).collect();
+        for rule in rules.iter().filter(|r| !stored.contains(&r.name)) {
+            engine.add_rule(db, rule.clone())?;
+        }
+        Ok(rules.into_iter().map(|r| r.name).collect())
+    })
 }
 
 #[cfg(test)]
@@ -239,7 +244,12 @@ mod tests {
     #[test]
     fn rank_rules_are_engine_rules_that_can_be_disabled() {
         let (tax, engine) = with_rules();
-        let names: Vec<String> = engine.rules().into_iter().map(|r| r.name).collect();
+        let names: Vec<String> = engine
+            .rules(tax.db())
+            .unwrap()
+            .into_iter()
+            .map(|r| r.name)
+            .collect();
         assert!(names.iter().any(|n| n == "icbn-rank-order"), "{names:?}");
         assert!(names.iter().any(|n| n == "icbn-placement"), "{names:?}");
         let db = tax.db().clone();
@@ -247,11 +257,11 @@ mod tests {
         let first = tax.create_ct("s", Rank::Species).unwrap();
         let second = tax.create_ct("t", Rank::Species).unwrap();
         // Disabled, an inverted circumscription goes through...
-        assert!(engine.set_enabled("icbn-rank-order", false));
+        assert!(engine.set_enabled(&db, "icbn-rank-order", false).unwrap());
         db.create_relationship(CIRCUMSCRIBES, first, genus, Vec::new())
             .unwrap();
         // ...and enabled again, the rule rejects the next one.
-        assert!(engine.set_enabled("icbn-rank-order", true));
+        assert!(engine.set_enabled(&db, "icbn-rank-order", true).unwrap());
         let err = db
             .create_relationship(CIRCUMSCRIBES, second, genus, Vec::new())
             .unwrap_err();
@@ -290,7 +300,7 @@ mod tests {
             "icbn-species-lowercase",
             "icbn-type-existence",
         ] {
-            assert!(engine.set_enabled(name, false));
+            assert!(engine.set_enabled(&db, name, false).unwrap());
         }
         let ranks: Vec<Option<Rank>> = std::iter::once(None).chain(Rank::ALL.map(Some)).collect();
         let create = |class: &str, name: &str, rank: Option<Rank>| {

@@ -142,7 +142,8 @@ impl Prometheus {
         Taxonomy::install(self.db.clone())
     }
 
-    /// Install the taxonomic schema *and* the ICBN rule set (§7.1.3.2).
+    /// Install the taxonomic schema *and* the ICBN rule set (§7.1.3.2),
+    /// adding only the ICBN rules the database does not hold yet.
     pub fn taxonomy_with_icbn(&self) -> DbResult<Taxonomy> {
         let tax = self.taxonomy()?;
         prometheus_taxonomy::icbn::install(&tax, &self.engine)?;
@@ -167,13 +168,12 @@ impl Prometheus {
         prometheus_pool::query(&self.db.read_view(), pool)
     }
 
-    /// Translate a PCL document and install the resulting rules.
+    /// Translate a PCL document and install the resulting rules, all in
+    /// one unit: every rule or, if one fails, none.
     pub fn install_pcl(&self, pcl: &str) -> DbResult<usize> {
-        let rules = prometheus_rules::pcl::translate(pcl)?;
+        let mut rules = prometheus_rules::pcl::translate(pcl)?.into_iter();
         let count = rules.len();
-        for rule in rules {
-            self.engine.add_rule(rule)?;
-        }
+        self.unit(|db| rules.try_for_each(|rule| self.engine.add_rule(db, rule)))?;
         Ok(count)
     }
 
@@ -276,7 +276,7 @@ mod tests {
         let tax = p.taxonomy_with_icbn().unwrap();
         // Genus names must be capitalised per Figure 36.
         assert!(tax.create_nt("apium", Rank::Genus, 1753, "L.").is_err());
-        assert!(!p.rules().rules().is_empty());
+        assert!(!p.rules().rules(p.db()).unwrap().is_empty());
     }
 
     #[test]

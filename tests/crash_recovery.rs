@@ -35,14 +35,11 @@ fn full_state_survives_reopen() {
         cls_name = flora.classification.name(tax.db()).unwrap();
         // A rule, a synonym, a view.
         p.rules()
-            .add_rule(Rule::invariant(
-                "keep",
-                "CT",
-                "self.working_name != null",
-                "m",
-            ))
+            .add_rule(
+                tax.db(),
+                Rule::invariant("keep", "CT", "self.working_name != null", "m"),
+            )
             .unwrap();
-        p.rules().save_to(tax.db()).unwrap();
         tax.db()
             .declare_synonym(flora.specimens[0], flora.specimens[1])
             .unwrap();
@@ -76,8 +73,13 @@ fn full_state_survives_reopen() {
         "classification membership survived"
     );
     let _ = flora_species;
-    // Rules reloaded on engine install.
-    assert!(p.rules().rules().iter().any(|r| r.name == "keep"));
+    // Rules are read from the reopened image.
+    assert!(p
+        .rules()
+        .rules(db)
+        .unwrap()
+        .iter()
+        .any(|r| r.name == "keep"));
     // Synonyms.
     let specimens = db.extent("Specimen", false).unwrap();
     assert!(

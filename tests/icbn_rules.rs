@@ -153,8 +153,9 @@ fn dropping_an_icbn_handle_frees_the_database() {
 }
 
 /// The rank rules (Figures 38–40) are engine rules, so they persist with the
-/// others: a database reopened without installing the ICBN set still
-/// rejects an inverted circumscription and a genus placed under a species.
+/// others in the rules record: a database reopened without installing the
+/// ICBN set still rejects an inverted circumscription and a genus placed
+/// under a species.
 #[test]
 fn rank_rules_persist_without_reinstalling() {
     let path = std::env::temp_dir().join(format!(
@@ -180,7 +181,6 @@ fn rank_rules_persist_without_reinstalling() {
             Ok((genus, species, ct_genus, ct_species))
         })
         .unwrap();
-    p.rules().save_to(p.db()).unwrap();
     drop(tax);
     drop(p);
 
@@ -201,5 +201,67 @@ fn rank_rules_persist_without_reinstalling() {
     assert_eq!(rule_of(err), "icbn-placement");
     db.create_relationship("Placement", genus, species, Vec::new())
         .unwrap();
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A PCL document installs in one unit: when its second rule's name is
+/// taken, its first rule is neither listed nor enforced.
+#[test]
+fn install_pcl_is_all_or_none() {
+    let p = open("pcl-all-or-none");
+    let tax = p.taxonomy().unwrap();
+    let named = "context CT pre named: self.working_name != \"\"";
+    assert_eq!(p.install_pcl(named).unwrap(), 1);
+    let doc = format!("context CT pre noSium: self.working_name != \"Sium\"\n{named}");
+    let err = p.install_pcl(&doc).unwrap_err();
+    assert!(err.to_string().contains("already defined"), "{err}");
+    let names: Vec<String> = p
+        .rules()
+        .rules(p.db())
+        .unwrap()
+        .into_iter()
+        .map(|r| r.name)
+        .collect();
+    assert_eq!(names, vec!["named".to_string()]);
+    assert!(tax.create_ct("Sium", Rank::Genus).is_ok());
+    assert!(tax.create_ct("", Rank::Genus).is_err());
+}
+
+/// Installing the ICBN set on a reopened database that holds it adds
+/// nothing and changes nothing: a rule disabled before the reopen stays
+/// disabled, and all six names still come back.
+#[test]
+fn icbn_installs_again_on_a_reopened_database_and_keeps_a_disabled_rule() {
+    let path = std::env::temp_dir().join(format!(
+        "icbn-int-reinstall-{}-{:?}.log",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    let options = StoreOptions {
+        sync_on_commit: false,
+    };
+    let p = Prometheus::open_with(&path, options.clone()).unwrap();
+    p.taxonomy_with_icbn().unwrap();
+    let disabled = "icbn-genus-capitalised";
+    assert!(p.rules().set_enabled(p.db(), disabled, false).unwrap());
+    drop(p);
+
+    let p = Prometheus::open_with(&path, options).unwrap();
+    let tax = p.taxonomy_with_icbn().unwrap();
+    let names = prometheus_db::taxonomy::icbn::install(&tax, p.rules()).unwrap();
+    assert_eq!(names.len(), 6);
+    let rules = p.rules().rules(p.db()).unwrap();
+    let stored: Vec<&str> = rules.iter().map(|r| r.name.as_str()).collect();
+    assert_eq!(stored, names.iter().map(String::as_str).collect::<Vec<_>>());
+    assert!(rules.iter().all(|r| r.enabled == (r.name != disabled)));
+    // The disabled rule does not fire: a lowercase genus, typified in its
+    // unit, commits.
+    p.unit(|_| {
+        let genus = tax.create_nt("apium", Rank::Genus, 1753, "L.")?;
+        let specimen = tax.create_specimen("Herb.Cliff.107")?;
+        tax.typify(genus, specimen, TypeKind::Lectotype)
+    })
+    .unwrap();
     let _ = std::fs::remove_file(&path);
 }

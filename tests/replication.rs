@@ -330,6 +330,34 @@ fn a_follower_database_reads_an_update_it_has_read_before() {
     handle.stop();
 }
 
+/// A rule is a record of the image, so it replicates like any write: once
+/// caught up, an engine reading the follower's database lists a rule
+/// installed over the wire on the primary.
+#[test]
+fn a_follower_lists_a_rule_installed_on_the_primary() {
+    let path = tmp("rules-primary");
+    let handle = boot_primary(&path, &["Apium"]);
+    let follower = follower_of(handle.addr(), "rules");
+    let mut client = PrometheusClient::connect(handle.addr()).unwrap();
+    client
+        .install_pcl("context CT pre named: self.working_name != \"\"")
+        .unwrap();
+    let horizon = client.replica_status().unwrap().log_len;
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while follower.status().applied_offset() < horizon {
+        assert!(Instant::now() < deadline, "follower never caught up");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let rules = prometheus_db::RuleEngine::new()
+        .rules(follower.db())
+        .unwrap();
+    assert_eq!(rules.len(), 1);
+    assert_eq!(rules[0].name, "named");
+    client.close().unwrap();
+    follower.stop();
+    handle.stop();
+}
+
 #[test]
 fn failover_replica_serves_reads_then_resumes_from_cursor() {
     let path = tmp("failover-primary");
