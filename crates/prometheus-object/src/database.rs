@@ -10,7 +10,7 @@
 //! transaction. Explicit units are opened with [`Database::begin_unit`]; a
 //! mutation outside any unit gets an implicit single-operation unit. Every
 //! write stages into the unit's transaction through one entry,
-//! [`Database::stage`], and the unit's own reads go through that overlay;
+//! `Database::stage`, and the unit's own reads go through that overlay;
 //! nothing reaches the log or the published image until the unit commits,
 //! as one group per shard it wrote. Aborting (or a failed deferred
 //! constraint at commit) drops the staged writes, so everything written
@@ -19,6 +19,14 @@
 //! else. This is the mechanism behind the thesis' what-if scenarios
 //! (§7.1.4): a taxonomist opens a unit, reorganises a classification
 //! speculatively, inspects the result, then commits or abandons it.
+//!
+//! Every operation is all or none inside a unit too. It runs through one
+//! skeleton, [`Database::in_unit_scope`]: inside a unit, behind a rollback
+//! point that restores the unit's staged writes, its event list and its
+//! meta. A vetoed or failing operation, a compound one included, undoes
+//! exactly itself and leaves the unit open with everything else it did. A
+//! nested [`Database::begin_unit`] takes the same point, so aborting it
+//! undoes only its own work.
 //!
 //! ## The writer queue
 //!
@@ -68,7 +76,19 @@ type MetaRecord = (&'static [u8], Vec<u8>);
 #[must_use = "a unit of work must be committed or aborted"]
 pub struct UnitToken {
     unit: u64,
-    depth: u32,
+    /// A nested unit's rollback point in the unit it shares; `None` for the
+    /// outermost unit.
+    point: Option<Point>,
+}
+
+/// What a unit's writes were when a rollback point was taken: the point's
+/// place in the transaction's stack of points, the length of the event
+/// list and the meta.
+#[derive(Debug)]
+struct Point {
+    depth: usize,
+    events: usize,
+    meta: Option<Arc<Meta>>,
 }
 
 /// One open unit of work, shared by the unit table and every thread bound
@@ -89,6 +109,7 @@ impl Unit {
         let empty = Writes {
             txn: store.begin_unit(self.claim),
             meta: None,
+            events: Vec::new(),
         };
         std::mem::replace(&mut *self.writes.write(), empty)
     }
@@ -103,13 +124,8 @@ struct Writes {
     /// definition while this one is open. Dropped with the overlay when the
     /// unit settles.
     meta: Option<Arc<Meta>>,
-}
-
-struct UnitState {
-    unit: Arc<Unit>,
     /// Events so far, handed to the deferred listeners at commit.
     events: Vec<Event>,
-    depth: u32,
 }
 
 /// All live units of work plus the writer queue: every claim on a shard
@@ -119,7 +135,7 @@ struct UnitState {
 /// with disjoint claims run (and seal) concurrently.
 #[derive(Default)]
 struct UnitTable {
-    states: HashMap<u64, UnitState>,
+    states: HashMap<u64, Arc<Unit>>,
     queue: VecDeque<Queued>,
     next_id: u64,
 }
@@ -382,26 +398,24 @@ impl Database {
         })
     }
 
-    /// Revise the meta this unit reads (outside a unit, in a one-op unit of
-    /// its own) with `f`, which returns the meta record it changed, if any:
-    /// stage that record and keep the revised meta with the unit.
+    /// Revise the meta this unit reads with `f`, which returns the meta
+    /// record it changed, if any: stage that record and keep the revised
+    /// meta with the unit.
     fn revise(&self, f: impl FnOnce(&mut Meta) -> DbResult<Option<MetaRecord>>) -> DbResult<()> {
-        if !self.in_unit() {
-            return self.in_unit_scope(|db| db.revise(f));
-        }
-        let mut next = Meta::clone(&self.meta());
-        let Some((key, bytes)) = f(&mut next)? else {
-            return Ok(());
-        };
-        self.stage_with(
-            |t| t.kv_put(KS_META, key.to_vec(), bytes),
-            |writes| writes.meta = Some(Arc::new(next)),
-        )
+        self.in_unit_scope(|_| {
+            let mut next = Meta::clone(&self.meta());
+            let Some((key, bytes)) = f(&mut next)? else {
+                return Ok(());
+            };
+            self.stage_with(
+                |t| t.kv_put(KS_META, key.to_vec(), bytes),
+                |writes| writes.meta = Some(Arc::new(next)),
+            )
+        })
     }
 
-    /// Read, revise and stage the `KS_META` record `key` in one unit: the
-    /// caller's, or outside a unit a one-op unit of its own, so no other
-    /// writer of the record commits between the read and the write. `f`
+    /// Read, revise and stage the `KS_META` record `key` in one unit, so no
+    /// other writer of the record commits between the read and the write. `f`
     /// revises the value the unit reads (the default when there is no
     /// record) and says whether it changed; only then is the record staged.
     /// Returns what `f` said. The definitions that are not schema or
@@ -411,16 +425,15 @@ impl Database {
         key: &[u8],
         f: impl FnOnce(&mut T) -> DbResult<bool>,
     ) -> DbResult<bool> {
-        if !self.in_unit() {
-            return self.in_unit_scope(|db| db.revise_record(key, f));
-        }
-        let mut value = self.meta_record(key)?;
-        if !f(&mut value)? {
-            return Ok(false);
-        }
-        let bytes = codec::to_bytes(&value)?;
-        self.stage(|t| t.kv_put(KS_META, key.to_vec(), bytes))?;
-        Ok(true)
+        self.in_unit_scope(|_| {
+            let mut value = self.meta_record(key)?;
+            if !f(&mut value)? {
+                return Ok(false);
+            }
+            let bytes = codec::to_bytes(&value)?;
+            self.stage(|t| t.kv_put(KS_META, key.to_vec(), bytes))?;
+            Ok(true)
+        })
     }
 
     // -----------------------------------------------------------------
@@ -447,8 +460,9 @@ impl Database {
     /// The unit stages every write in one storage transaction, so readers
     /// outside it keep seeing the pre-unit state until it commits, and a
     /// crash mid-unit leaves nothing of it in the log. If this thread is
-    /// already inside a unit, the new unit nests inside it (sharing its
-    /// claim) regardless of the mask requested.
+    /// already inside a unit, the new unit nests inside it, regardless of
+    /// the mask requested: it shares the unit's claim and takes a rollback
+    /// point in it.
     pub fn begin_unit(&self) -> UnitToken {
         self.begin_unit_on(self.store.all_shards_mask())
     }
@@ -459,18 +473,16 @@ impl Database {
     /// proceed concurrently. An operation whose writes route outside the
     /// claim fails when it stages them, and stages nothing.
     pub fn begin_unit_on(&self, mask: u64) -> UnitToken {
-        let current = self.bound_id();
-        if current != 0 {
-            // Nested unit: share the enclosing unit's claim and state.
-            let mut table = self.units.lock();
-            let state = table
-                .states
-                .get_mut(&current)
-                .expect("thread-bound unit must exist");
-            state.depth += 1;
+        if let Some(unit) = self.bound(|unit| unit.cloned()) {
+            let mut writes = unit.writes.write();
+            let point = Point {
+                depth: writes.txn.take_point(),
+                events: writes.events.len(),
+                meta: writes.meta.clone(),
+            };
             return UnitToken {
-                unit: current,
-                depth: state.depth,
+                unit: unit.id,
+                point: Some(point),
             };
         }
         let thread = std::thread::current();
@@ -486,7 +498,7 @@ impl Database {
         };
         let token = UnitToken {
             unit: unit.id,
-            depth: 1,
+            point: None,
         };
         bind_thread(Some(unit));
         token
@@ -516,7 +528,7 @@ impl Database {
         let unit = self.open(claim)?;
         Ok(UnitToken {
             unit: unit.id,
-            depth: 1,
+            point: None,
         })
     }
 
@@ -551,16 +563,10 @@ impl Database {
             writes: RwLock::new(Writes {
                 txn: self.store.begin_unit(mask),
                 meta: None,
+                events: Vec::new(),
             }),
         });
-        table.states.insert(
-            id,
-            UnitState {
-                unit: Arc::clone(&unit),
-                events: Vec::new(),
-                depth: 1,
-            },
-        );
+        table.states.insert(id, Arc::clone(&unit));
         Ok(unit)
     }
 
@@ -587,10 +593,7 @@ impl Database {
     /// binding it cleared stays cleared; if `f` panics, the unit is rolled
     /// back.
     pub fn with_unit_bound<T>(&self, token: &UnitToken, f: impl FnOnce(&Database) -> T) -> T {
-        let unit = {
-            let table = self.units.lock();
-            table.states.get(&token.unit).map(|s| Arc::clone(&s.unit))
-        };
+        let unit = self.units.lock().states.get(&token.unit).cloned();
         let prev = bind_thread(unit);
         let unwind = RollbackOnUnwind(self, token.unit);
         let out = f(self);
@@ -601,36 +604,35 @@ impl Database {
         out
     }
 
-    /// Commit a unit of work. Committing the outermost unit fires deferred
-    /// (`at_commit`) listeners; if any fails, the whole unit is rolled back
-    /// and the error returned. May be called from a thread other than the
-    /// one that opened the unit (the event transport's reaper does this);
-    /// the thread is bound to the unit for the listeners' benefit.
+    /// Commit a unit of work. A nested unit keeps its work in the unit it
+    /// shares. Committing the outermost unit fires deferred (`at_commit`)
+    /// listeners; if any fails, the whole unit is rolled back and the error
+    /// returned. May be called from a thread other than the one that opened
+    /// the unit (the event transport's reaper does this); the thread is
+    /// bound to the unit for the listeners' benefit.
     pub fn commit_unit(&self, token: UnitToken) -> DbResult<()> {
         let id = token.unit;
-        let (events, unit) = {
-            let mut table = self.units.lock();
-            let state = table
-                .states
-                .get_mut(&id)
-                .ok_or_else(|| DbError::Unit("commit without active unit".into()))?;
-            if state.depth != token.depth {
+        let unit = self.units.lock().states.get(&id).cloned();
+        let unit = unit.ok_or_else(|| DbError::Unit("commit without active unit".into()))?;
+        let events = {
+            let mut writes = unit.writes.write();
+            let depth = token.point.map_or(0, |point| point.depth);
+            if writes.txn.points() != depth {
                 return Err(DbError::Unit(format!(
-                    "unit commit out of order: depth {} vs token {}",
-                    state.depth, token.depth
+                    "unit commit out of order: {} points open, token at {depth}",
+                    writes.txn.points()
                 )));
             }
-            // The outermost unit keeps depth 1 while its deferred listeners
-            // run, so a unit one of them opens nests inside it.
-            if state.depth > 1 {
-                state.depth -= 1;
+            if depth > 0 {
+                writes.txn.keep_point();
                 return Ok(());
             }
-            (std::mem::take(&mut state.events), Arc::clone(&state.unit))
+            std::mem::take(&mut writes.events)
         };
         bind_thread(Some(Arc::clone(&unit)));
         // Deferred listeners run while the unit is still rollback-able; any
-        // write they make (repair actions, history entries) is part of it.
+        // write they make (repair actions, history entries) is part of it,
+        // and a unit one of them opens nests inside it.
         let listeners = Arc::clone(&self.listeners.read());
         for listener in listeners.iter() {
             if let Err(e) = listener.at_commit(self, &events) {
@@ -643,24 +645,31 @@ impl Database {
         // open. The claim stays held until the seal lands, so a unit opened
         // meanwhile cannot claim its shards; disjoint units seal in
         // parallel.
-        let late = self.units.lock().states.remove(&id).map(|s| s.events);
-        self.integrity
-            .fold(events.iter().chain(late.iter().flatten()));
-        let sealed = self.seal(&unit);
+        self.units.lock().states.remove(&id);
+        let writes = unit.settle(&self.store);
+        self.integrity.fold(events.iter().chain(&writes.events));
+        let sealed = writes.txn.commit();
         self.release_unit(id);
-        sealed
+        Ok(sealed?)
     }
 
-    /// Seal `unit`'s transaction: one group per shard it wrote, with a
-    /// prepare/decide round first when it wrote two or more.
-    fn seal(&self, unit: &Unit) -> DbResult<()> {
-        Ok(unit.settle(&self.store).txn.commit()?)
-    }
-
-    /// Abort a unit of work, rolling back everything it (and any nested
-    /// units) changed.
+    /// Abort a unit of work. A nested unit undoes only its own work, and
+    /// that of units nested in it; aborting the outermost rolls back
+    /// everything the unit changed.
     pub fn abort_unit(&self, token: UnitToken) {
-        self.rollback_unit(token.unit);
+        let Some(point) = token.point else {
+            return self.rollback_unit(token.unit);
+        };
+        let Some(unit) = self.units.lock().states.get(&token.unit).cloned() else {
+            return;
+        };
+        let mut writes = unit.writes.write();
+        // A point an enclosing abort has undone already is left alone.
+        if writes.txn.points() >= point.depth {
+            writes.txn.restore_to(point.depth);
+            writes.events.truncate(point.events);
+            writes.meta = point.meta;
+        }
     }
 
     /// Whether a unit of work is bound to the calling thread.
@@ -681,28 +690,24 @@ impl Database {
     /// Abort unit `id`: drop its staged writes and the meta they made —
     /// nothing of them reached the log or the image.
     fn rollback_unit(&self, id: u64) {
-        let state = {
-            let mut table = self.units.lock();
-            match table.states.remove(&id) {
-                Some(state) => state,
-                None => return,
-            }
+        let Some(unit) = self.units.lock().states.remove(&id) else {
+            return;
         };
-        state.unit.settle(&self.store).txn.abort();
+        unit.settle(&self.store).txn.abort();
         self.release_unit(id);
     }
 
-    /// Record an event in the unit bound to this thread (if any), for the
-    /// deferred listeners at commit.
+    /// Record an event in the unit bound to this thread, for the deferred
+    /// listeners at commit.
     fn record_event(&self, event: Event) {
-        let id = self.bound_id();
-        if let Some(state) = self.units.lock().states.get_mut(&id) {
-            state.events.push(event);
-        }
+        self.bound(|unit| unit.map(|unit| unit.writes.write().events.push(event)));
     }
 
-    /// Run `f` inside a unit (reusing the active one if present): commit it
-    /// if `f` succeeds, roll it back if `f` fails or panics.
+    /// Run `f` as one operation, all or none: outside a unit, in a unit of
+    /// its own that commits if `f` succeeds; inside one, behind a rollback
+    /// point that keeps `f`'s work if it succeeds. If `f` fails, exactly its
+    /// own work is undone and an enclosing unit stays open. If `f` panics,
+    /// the whole unit is rolled back.
     pub fn in_unit_scope<T>(&self, f: impl FnOnce(&Database) -> DbResult<T>) -> DbResult<T> {
         let token = self.begin_unit();
         let unwind = RollbackOnUnwind(self, token.unit);
@@ -720,10 +725,9 @@ impl Database {
         }
     }
 
-    /// Stage writes in the unit bound to this thread — outside a unit, in a
-    /// one-op unit of their own — all or none: the one way a write reaches
-    /// the store.
-    pub fn stage(&self, f: impl FnOnce(&mut Txn<'_>)) -> DbResult<()> {
+    /// Stage writes in the unit bound to this thread, all or none: the one
+    /// way a write reaches the store. Every caller runs inside a unit.
+    pub(crate) fn stage(&self, f: impl FnOnce(&mut Txn<'_>)) -> DbResult<()> {
         self.stage_with(f, |_| {})
     }
 
@@ -734,9 +738,8 @@ impl Database {
         f: impl FnOnce(&mut Txn<'_>),
         keep: impl FnOnce(&mut Writes),
     ) -> DbResult<()> {
-        let Some(unit) = self.bound(|unit| unit.cloned()) else {
-            return self.in_unit_scope(|db| db.stage_with(f, keep));
-        };
+        let unit = self.bound(|unit| unit.cloned());
+        let unit = unit.expect("a write stages inside its operation's unit");
         let mut writes = unit.writes.write();
         writes.txn.stage(f)?;
         keep(&mut writes);
@@ -764,18 +767,19 @@ impl Database {
         self.store.allocate_oid_on(claim.trailing_zeros() as usize)
     }
 
-    fn dispatch_before(&self, event: &Event) -> DbResult<()> {
+    /// One event of an operation, inside the operation's scope: the `before`
+    /// listeners may veto it, `stage` writes it, then it is recorded for the
+    /// deferred listeners and the `after` listeners run. Any failure fails
+    /// the operation, whose scope undoes it.
+    fn emit(&self, event: Event, stage: impl FnOnce() -> DbResult<()>) -> DbResult<()> {
         let listeners = Arc::clone(&self.listeners.read());
         for listener in listeners.iter() {
-            listener.before(self, event)?;
+            listener.before(self, &event)?;
         }
-        Ok(())
-    }
-
-    fn dispatch_after(&self, event: &Event) -> DbResult<()> {
-        let listeners = Arc::clone(&self.listeners.read());
+        stage()?;
+        self.record_event(event.clone());
         for listener in listeners.iter() {
-            listener.after(self, event)?;
+            listener.after(self, &event)?;
         }
         Ok(())
     }
@@ -832,70 +836,61 @@ impl Database {
         attrs: impl IntoIterator<Item = (String, Value)>,
     ) -> DbResult<Oid> {
         let attrs: BTreeMap<String, Value> = attrs.into_iter().collect();
-        if !self.in_unit() {
-            // Implicit single-operation unit: failures (including immediate
-            // rule violations raised after the insert) roll back cleanly.
-            return self.in_unit_scope(|db| db.create_object(class, attrs.clone()));
-        }
-        let checked = {
-            let schema = &self.meta().schema;
-            let def = schema
-                .class(class)
-                .ok_or_else(|| DbError::Schema(format!("unknown class '{class}'")))?;
-            if def.is_abstract {
-                return Err(DbError::Schema(format!("class '{class}' is abstract")));
-            }
-            let declared = schema.all_attrs(class)?;
-            validate_attrs(class, &declared, attrs, true)?
-        };
-        let oid = self.allocate_oid();
-        let event = Event::ObjectCreated {
-            oid,
-            class: class.to_string(),
-        };
-        self.dispatch_before(&event)?;
-        let obj = ObjectInstance {
-            oid,
-            class: class.to_string(),
-            attrs: checked,
-        };
-        self.raw_put_object(&obj)?;
-        self.record_event(event.clone());
-        self.finish_op(event)?;
-        Ok(oid)
+        self.in_unit_scope(|_| {
+            let checked = {
+                let schema = &self.meta().schema;
+                let def = schema
+                    .class(class)
+                    .ok_or_else(|| DbError::Schema(format!("unknown class '{class}'")))?;
+                if def.is_abstract {
+                    return Err(DbError::Schema(format!("class '{class}' is abstract")));
+                }
+                let declared = schema.all_attrs(class)?;
+                validate_attrs(class, &declared, attrs, true)?
+            };
+            let oid = self.allocate_oid();
+            let event = Event::ObjectCreated {
+                oid,
+                class: class.to_string(),
+            };
+            let obj = ObjectInstance {
+                oid,
+                class: class.to_string(),
+                attrs: checked,
+            };
+            self.emit(event, || self.raw_put_object(&obj))?;
+            Ok(oid)
+        })
     }
 
     /// Update one attribute of an object.
     pub fn set_attr(&self, oid: Oid, attr: &str, value: impl Into<Value>) -> DbResult<()> {
         let value = value.into();
-        if !self.in_unit() {
-            return self.in_unit_scope(|db| db.set_attr(oid, attr, value.clone()));
-        }
-        let mut obj = self.object(oid)?;
-        let declared = self.with_schema(|s| s.all_attrs(&obj.class))?;
-        let def = declared
-            .iter()
-            .find(|a| a.name == attr)
-            .ok_or_else(|| DbError::UnknownAttr {
+        self.in_unit_scope(|_| {
+            let mut obj = self.object(oid)?;
+            let declared = self.with_schema(|s| s.all_attrs(&obj.class))?;
+            let def =
+                declared
+                    .iter()
+                    .find(|a| a.name == attr)
+                    .ok_or_else(|| DbError::UnknownAttr {
+                        class: obj.class.clone(),
+                        attr: attr.into(),
+                    })?;
+            check_type(&obj.class, def, &value)?;
+            let old = obj.attr(attr);
+            if old == value {
+                return Ok(());
+            }
+            let event = Event::ObjectUpdated {
+                oid,
                 class: obj.class.clone(),
-                attr: attr.into(),
-            })?;
-        check_type(&obj.class, def, &value)?;
-        let old = obj.attr(attr);
-        if old == value {
-            return Ok(());
-        }
-        let event = Event::ObjectUpdated {
-            oid,
-            class: obj.class.clone(),
-            attr: attr.to_string(),
-            old,
-            new: value.clone(),
-        };
-        self.dispatch_before(&event)?;
-        self.raw_update_object_attr(&mut obj, attr, value)?;
-        self.record_event(event.clone());
-        self.finish_op(event)
+                attr: attr.to_string(),
+                old,
+                new: value.clone(),
+            };
+            self.emit(event, || self.raw_update_object_attr(&mut obj, attr, value))
+        })
     }
 
     /// Delete an object.
@@ -905,49 +900,43 @@ impl Database {
     /// *dependent* aggregation, the destination is recursively deleted if no
     /// other incoming aggregation still claims it.
     pub fn delete_object(&self, oid: Oid) -> DbResult<()> {
-        if !self.in_unit() {
-            return self.in_unit_scope(|db| db.delete_object(oid));
-        }
-        let obj = self.object(oid)?;
-        let event = Event::ObjectDeleted {
-            oid,
-            class: obj.class.clone(),
-        };
-        self.dispatch_before(&event)?;
-
-        // Incident edges, off the endpoint keys; each is decoded only by its
-        // own deletion, whose events carry the record.
-        let mut incident: Vec<Oid> = Vec::new();
-        let mut dependents: Vec<Oid> = Vec::new();
-        let schema = &self.meta().schema;
-        self.for_each_incident(oid, true, |class, rel, destination| {
-            incident.push(rel);
-            if schema.rel_class(class).is_some_and(|def| def.dependent) {
-                dependents.push(destination);
+        self.in_unit_scope(|_| {
+            let obj = self.object(oid)?;
+            let event = Event::ObjectDeleted {
+                oid,
+                class: obj.class.clone(),
+            };
+            let mut dependents: Vec<Oid> = Vec::new();
+            self.emit(event, || {
+                // Incident edges, off the endpoint keys; each is decoded only
+                // by its own deletion, whose events carry the record.
+                let mut incident: Vec<Oid> = Vec::new();
+                let schema = &self.meta().schema;
+                self.for_each_incident(oid, true, |class, rel, destination| {
+                    incident.push(rel);
+                    if schema.rel_class(class).is_some_and(|def| def.dependent) {
+                        dependents.push(destination);
+                    }
+                });
+                self.for_each_incident(oid, false, |_, rel, _| incident.push(rel));
+                for rel in incident {
+                    // A relationship may have been deleted already if it
+                    // connects oid to itself or appears in both lists.
+                    if self.exists(rel) {
+                        self.delete_relationship_inner(rel, true)?;
+                    }
+                }
+                self.raw_delete_object(&obj)?;
+                self.revise_synonyms(|synonyms| synonyms.dissolve(oid))
+            })?;
+            // Lifetime-dependent destinations: delete if orphaned.
+            for dest in dependents {
+                if self.exists(dest) && !self.has_incoming_aggregation(dest) {
+                    self.delete_object(dest)?;
+                }
             }
-        });
-        self.for_each_incident(oid, false, |_, rel, _| incident.push(rel));
-        for rel in incident {
-            // A relationship may have been deleted already if it connects oid
-            // to itself or appears in both lists.
-            if self.exists(rel) {
-                self.delete_relationship_inner(rel, true)?;
-            }
-        }
-
-        // The object record itself.
-        self.raw_delete_object(&obj)?;
-        self.revise_synonyms(|synonyms| synonyms.dissolve(oid))?;
-        self.record_event(event.clone());
-        self.finish_op(event)?;
-
-        // Lifetime-dependent destinations: delete if orphaned.
-        for dest in dependents {
-            if self.exists(dest) && !self.has_incoming_aggregation(dest) {
-                self.delete_object(dest)?;
-            }
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     fn has_incoming_aggregation(&self, oid: Oid) -> bool {
@@ -975,156 +964,148 @@ impl Database {
         attrs: impl IntoIterator<Item = (String, Value)>,
     ) -> DbResult<Oid> {
         let attrs: BTreeMap<String, Value> = attrs.into_iter().collect();
-        if !self.in_unit() {
-            return self.in_unit_scope(|db| {
-                db.create_relationship(class, origin, destination, attrs.clone())
-            });
-        }
-        let checked = {
-            let schema = &self.meta().schema;
-            let def = schema
-                .rel_class(class)
-                .ok_or_else(|| DbError::Schema(format!("unknown relationship class '{class}'")))?
-                .clone();
-            // Endpoint class conformance.
-            let origin_class = self.class_of(origin)?;
-            if def.origin_class != OBJECT_CLASS
-                && !schema.conforms(&origin_class, &def.origin_class)
-            {
-                return Err(DbError::EndpointMismatch {
-                    relationship: class.into(),
-                    expected: def.origin_class.clone(),
-                    found: origin_class,
-                });
-            }
-            let dest_class = self.class_of(destination)?;
-            if def.destination_class != OBJECT_CLASS
-                && !schema.conforms(&dest_class, &def.destination_class)
-            {
-                return Err(DbError::EndpointMismatch {
-                    relationship: class.into(),
-                    expected: def.destination_class.clone(),
-                    found: dest_class,
-                });
-            }
-            let declared = schema.all_rel_attrs(class)?;
-            let checked = validate_attrs(class, &declared, attrs, true)?;
-
-            // Each check below reads the endpoint keys of the relationships
-            // already there — their class and endpoints — and no record.
-            //
-            // Exclusivity (Figure 15): at most one incoming instance of this
-            // class for the destination.
-            if def.exclusive && self.degree(destination, class, false) > 0 {
-                return Err(DbError::ExclusivityViolation {
-                    relationship: class.into(),
-                    destination,
-                });
-            }
-            // Sharability (Figure 16): a non-sharable aggregation's part may
-            // not belong to any other whole, and a part already held by a
-            // non-sharable aggregation may not be claimed again.
-            if def.kind == RelKind::Aggregation {
-                let mut claimed = false;
-                self.for_each_incident(destination, false, |existing, _, _| {
-                    claimed |= schema.rel_class(existing).is_some_and(|other| {
-                        other.kind == RelKind::Aggregation && (!def.sharable || !other.sharable)
+        self.in_unit_scope(|_| {
+            let checked = {
+                let schema = &self.meta().schema;
+                let def = schema
+                    .rel_class(class)
+                    .ok_or_else(|| {
+                        DbError::Schema(format!("unknown relationship class '{class}'"))
+                    })?
+                    .clone();
+                // Endpoint class conformance.
+                let origin_class = self.class_of(origin)?;
+                if def.origin_class != OBJECT_CLASS
+                    && !schema.conforms(&origin_class, &def.origin_class)
+                {
+                    return Err(DbError::EndpointMismatch {
+                        relationship: class.into(),
+                        expected: def.origin_class.clone(),
+                        found: origin_class,
                     });
-                });
-                if claimed {
-                    return Err(DbError::SharabilityViolation {
+                }
+                let dest_class = self.class_of(destination)?;
+                if def.destination_class != OBJECT_CLASS
+                    && !schema.conforms(&dest_class, &def.destination_class)
+                {
+                    return Err(DbError::EndpointMismatch {
+                        relationship: class.into(),
+                        expected: def.destination_class.clone(),
+                        found: dest_class,
+                    });
+                }
+                let declared = schema.all_rel_attrs(class)?;
+                let checked = validate_attrs(class, &declared, attrs, true)?;
+
+                // Each check below reads the endpoint keys of the relationships
+                // already there — their class and endpoints — and no record.
+                //
+                // Exclusivity (Figure 15): at most one incoming instance of this
+                // class for the destination.
+                if def.exclusive && self.degree(destination, class, false) > 0 {
+                    return Err(DbError::ExclusivityViolation {
                         relationship: class.into(),
                         destination,
                     });
                 }
-            }
-            // Cardinality on both sides; an unbounded side reads nothing.
-            for (card, side, end, outgoing) in [
-                (&def.origin_card, "origin", origin, true),
-                (&def.destination_card, "destination", destination, false),
-            ] {
-                if let Some(limit) = card.max {
-                    if self.degree(end, class, outgoing) >= limit {
-                        return Err(DbError::CardinalityViolation {
+                // Sharability (Figure 16): a non-sharable aggregation's part may
+                // not belong to any other whole, and a part already held by a
+                // non-sharable aggregation may not be claimed again.
+                if def.kind == RelKind::Aggregation {
+                    let mut claimed = false;
+                    self.for_each_incident(destination, false, |existing, _, _| {
+                        claimed |= schema.rel_class(existing).is_some_and(|other| {
+                            other.kind == RelKind::Aggregation && (!def.sharable || !other.sharable)
+                        });
+                    });
+                    if claimed {
+                        return Err(DbError::SharabilityViolation {
                             relationship: class.into(),
-                            side,
-                            limit,
+                            destination,
                         });
                     }
                 }
-            }
-            // Acyclicity: destination must not already reach origin.
-            if def.acyclic && (origin == destination || self.reaches(destination, origin, class)?) {
-                return Err(DbError::CycleViolation {
-                    relationship: class.into(),
-                    origin,
-                    destination,
-                });
-            }
-            checked
-        };
-        let oid = self.allocate_oid();
-        let event = Event::RelCreated {
-            oid,
-            class: class.to_string(),
-            origin,
-            destination,
-        };
-        self.dispatch_before(&event)?;
-        let rel = RelInstance {
-            oid,
-            class: class.to_string(),
-            origin,
-            destination,
-            attrs: checked,
-        };
-        self.raw_put_rel(&rel)?;
-        self.record_event(event.clone());
-        self.finish_op(event)?;
-        Ok(oid)
+                // Cardinality on both sides; an unbounded side reads nothing.
+                for (card, side, end, outgoing) in [
+                    (&def.origin_card, "origin", origin, true),
+                    (&def.destination_card, "destination", destination, false),
+                ] {
+                    if let Some(limit) = card.max {
+                        if self.degree(end, class, outgoing) >= limit {
+                            return Err(DbError::CardinalityViolation {
+                                relationship: class.into(),
+                                side,
+                                limit,
+                            });
+                        }
+                    }
+                }
+                // Acyclicity: destination must not already reach origin.
+                if def.acyclic
+                    && (origin == destination || self.reaches(destination, origin, class)?)
+                {
+                    return Err(DbError::CycleViolation {
+                        relationship: class.into(),
+                        origin,
+                        destination,
+                    });
+                }
+                checked
+            };
+            let oid = self.allocate_oid();
+            let event = Event::RelCreated {
+                oid,
+                class: class.to_string(),
+                origin,
+                destination,
+            };
+            let rel = RelInstance {
+                oid,
+                class: class.to_string(),
+                origin,
+                destination,
+                attrs: checked,
+            };
+            self.emit(event, || self.raw_put_rel(&rel))?;
+            Ok(oid)
+        })
     }
 
     /// Update one attribute of a relationship instance.
     pub fn set_rel_attr(&self, oid: Oid, attr: &str, value: impl Into<Value>) -> DbResult<()> {
         let value = value.into();
-        if !self.in_unit() {
-            return self.in_unit_scope(|db| db.set_rel_attr(oid, attr, value.clone()));
-        }
-        let mut rel = self.rel(oid)?;
-        let declared = self.with_schema(|s| s.all_rel_attrs(&rel.class))?;
-        let def = declared
-            .iter()
-            .find(|a| a.name == attr)
-            .ok_or_else(|| DbError::UnknownAttr {
+        self.in_unit_scope(|_| {
+            let mut rel = self.rel(oid)?;
+            let declared = self.with_schema(|s| s.all_rel_attrs(&rel.class))?;
+            let def =
+                declared
+                    .iter()
+                    .find(|a| a.name == attr)
+                    .ok_or_else(|| DbError::UnknownAttr {
+                        class: rel.class.clone(),
+                        attr: attr.into(),
+                    })?;
+            check_type(&rel.class, def, &value)?;
+            let old = rel.attr(attr);
+            if old == value {
+                return Ok(());
+            }
+            let event = Event::RelUpdated {
+                oid,
                 class: rel.class.clone(),
-                attr: attr.into(),
-            })?;
-        check_type(&rel.class, def, &value)?;
-        let old = rel.attr(attr);
-        if old == value {
-            return Ok(());
-        }
-        let event = Event::RelUpdated {
-            oid,
-            class: rel.class.clone(),
-            attr: attr.to_string(),
-            old,
-            new: value.clone(),
-        };
-        self.dispatch_before(&event)?;
-        rel.attrs.insert(attr.to_string(), value);
-        self.raw_put_rel(&rel)?;
-        self.record_event(event.clone());
-        self.finish_op(event)
+                attr: attr.to_string(),
+                old,
+                new: value.clone(),
+            };
+            rel.attrs.insert(attr.to_string(), value);
+            self.emit(event, || self.raw_put_rel(&rel))
+        })
     }
 
     /// Delete a relationship instance. Constant relationships may only be
     /// deleted as part of deleting one of their endpoints.
     pub fn delete_relationship(&self, oid: Oid) -> DbResult<()> {
-        if !self.in_unit() {
-            return self.in_unit_scope(|db| db.delete_relationship_inner(oid, false));
-        }
-        self.delete_relationship_inner(oid, false)
+        self.in_unit_scope(|_| self.delete_relationship_inner(oid, false))
     }
 
     fn delete_relationship_inner(&self, oid: Oid, endpoint_cascade: bool) -> DbResult<()> {
@@ -1139,18 +1120,17 @@ impl Database {
             origin: rel.origin,
             destination: rel.destination,
         };
-        self.dispatch_before(&event)?;
-        // Leave every classification first.
-        for cls in self.classifications_of_edge(oid)? {
-            self.raw_remove_cls_edge(cls, oid)?;
-            self.record_event(Event::ClassificationEdgeRemoved {
-                classification: cls,
-                rel: oid,
-            });
-        }
-        self.raw_delete_rel(&rel)?;
-        self.record_event(event.clone());
-        self.finish_op(event)
+        self.emit(event, || {
+            // Leave every classification first.
+            for cls in self.classifications_of_edge(oid)? {
+                self.raw_remove_cls_edge(cls, oid)?;
+                self.record_event(Event::ClassificationEdgeRemoved {
+                    classification: cls,
+                    rel: oid,
+                });
+            }
+            self.raw_delete_rel(&rel)
+        })
     }
 
     /// All relationship instances leaving `oid`, optionally restricted to one
@@ -1302,22 +1282,24 @@ impl Database {
         attrs: impl IntoIterator<Item = (String, Value)>,
         strict_hierarchy: bool,
     ) -> DbResult<Oid> {
-        let oid = self.allocate_oid();
-        let bytes = codec::to_bytes(&StoredEntity::Classification(ClassificationMeta {
-            oid,
-            name: name.to_string(),
-            attrs: attrs.into_iter().collect(),
-            strict_hierarchy,
-        }))?;
-        self.stage(|t| {
-            t.put(oid, bytes);
-            t.kv_put(
-                KS_EXTENT,
-                index::extent_key(CLASSIFICATION_EXTENT, oid),
-                Vec::new(),
-            );
-        })?;
-        Ok(oid)
+        self.in_unit_scope(|_| {
+            let oid = self.allocate_oid();
+            let bytes = codec::to_bytes(&StoredEntity::Classification(ClassificationMeta {
+                oid,
+                name: name.to_string(),
+                attrs: attrs.into_iter().collect(),
+                strict_hierarchy,
+            }))?;
+            self.stage(|t| {
+                t.put(oid, bytes);
+                t.kv_put(
+                    KS_EXTENT,
+                    index::extent_key(CLASSIFICATION_EXTENT, oid),
+                    Vec::new(),
+                );
+            })?;
+            Ok(oid)
+        })
     }
 
     /// All classification OIDs.
@@ -1336,52 +1318,44 @@ impl Database {
     /// already have a parent edge there (one parent per node per
     /// classification — the overlap across classifications is the point).
     pub fn add_edge_to_classification(&self, cls: Oid, rel_oid: Oid) -> DbResult<()> {
-        if !self.in_unit() {
-            return self.in_unit_scope(|db| db.add_edge_to_classification(cls, rel_oid));
-        }
-        let meta = self.classification_meta(cls)?;
-        let rel = self.rel(rel_oid)?;
-        if meta.strict_hierarchy {
-            let incoming = self.adjacency(rel.destination, None, false)?;
-            if incoming
-                .into_iter()
-                .any(|(edge, _)| edge != rel_oid && self.edge_in_classification(cls, edge))
-            {
-                return Err(DbError::Classification(format!(
-                    "node {} already has a parent in classification '{}'",
-                    rel.destination, meta.name
-                )));
+        self.in_unit_scope(|_| {
+            let meta = self.classification_meta(cls)?;
+            let rel = self.rel(rel_oid)?;
+            if meta.strict_hierarchy {
+                let incoming = self.adjacency(rel.destination, None, false)?;
+                if incoming
+                    .into_iter()
+                    .any(|(edge, _)| edge != rel_oid && self.edge_in_classification(cls, edge))
+                {
+                    return Err(DbError::Classification(format!(
+                        "node {} already has a parent in classification '{}'",
+                        rel.destination, meta.name
+                    )));
+                }
             }
-        }
-        if self.edge_in_classification(cls, rel_oid) {
-            return Ok(()); // already a member
-        }
-        let event = Event::ClassificationEdgeAdded {
-            classification: cls,
-            rel: rel_oid,
-        };
-        self.dispatch_before(&event)?;
-        self.raw_add_cls_edge(cls, &rel)?;
-        self.record_event(event.clone());
-        self.finish_op(event)
+            if self.edge_in_classification(cls, rel_oid) {
+                return Ok(()); // already a member
+            }
+            let event = Event::ClassificationEdgeAdded {
+                classification: cls,
+                rel: rel_oid,
+            };
+            self.emit(event, || self.raw_add_cls_edge(cls, &rel))
+        })
     }
 
     /// Remove a relationship instance from a classification.
     pub fn remove_edge_from_classification(&self, cls: Oid, rel_oid: Oid) -> DbResult<()> {
-        if !self.in_unit() {
-            return self.in_unit_scope(|db| db.remove_edge_from_classification(cls, rel_oid));
-        }
-        if !self.edge_in_classification(cls, rel_oid) {
-            return Ok(());
-        }
-        let event = Event::ClassificationEdgeRemoved {
-            classification: cls,
-            rel: rel_oid,
-        };
-        self.dispatch_before(&event)?;
-        self.raw_remove_cls_edge(cls, rel_oid)?;
-        self.record_event(event.clone());
-        self.finish_op(event)
+        self.in_unit_scope(|_| {
+            if !self.edge_in_classification(cls, rel_oid) {
+                return Ok(());
+            }
+            let event = Event::ClassificationEdgeRemoved {
+                classification: cls,
+                rel: rel_oid,
+            };
+            self.emit(event, || self.raw_remove_cls_edge(cls, rel_oid))
+        })
     }
 
     /// All edge OIDs of a classification.
@@ -1537,18 +1511,20 @@ impl Database {
     /// Delete a classification (its meta record and membership entries; the
     /// edges and objects themselves are untouched).
     pub fn delete_classification(&self, oid: Oid) -> DbResult<()> {
-        self.classification_meta(oid)?;
-        let edges = self.classification_edges(oid)?;
-        self.stage(|t| {
-            for rel in &edges {
-                t.kv_delete(KS_CLS_EDGES, index::cls_edge_key(oid, *rel));
-                t.kv_delete(KS_EDGE_CLS, index::edge_cls_key(*rel, oid));
-            }
-            t.delete(oid);
-            t.kv_delete(KS_EXTENT, index::extent_key(CLASSIFICATION_EXTENT, oid));
-        })?;
-        self.integrity.forget(oid);
-        Ok(())
+        self.in_unit_scope(|_| {
+            self.classification_meta(oid)?;
+            let edges = self.classification_edges(oid)?;
+            self.stage(|t| {
+                for rel in &edges {
+                    t.kv_delete(KS_CLS_EDGES, index::cls_edge_key(oid, *rel));
+                    t.kv_delete(KS_EDGE_CLS, index::edge_cls_key(*rel, oid));
+                }
+                t.delete(oid);
+                t.kv_delete(KS_EXTENT, index::extent_key(CLASSIFICATION_EXTENT, oid));
+            })?;
+            self.integrity.forget(oid);
+            Ok(())
+        })
     }
 
     /// Validate minimum-cardinality constraints (§4.4.4) across the whole
@@ -1641,15 +1617,6 @@ impl Database {
             .filter(|a| a.indexed)
             .map(|a| a.name)
             .collect())
-    }
-
-    /// Dispatch post-event; on failure roll the thread's bound unit back.
-    fn finish_op(&self, event: Event) -> DbResult<()> {
-        if let Err(e) = self.dispatch_after(&event) {
-            self.rollback_unit(self.bound_id());
-            return Err(e);
-        }
-        Ok(())
     }
 }
 
@@ -2397,6 +2364,99 @@ pub(crate) mod tests {
         let err = db.commit_unit(token).unwrap_err();
         assert!(matches!(err, DbError::ConstraintViolation { .. }));
         assert!(!db.exists(t), "rolled back at deferred-constraint failure");
+    }
+
+    /// Vetoes the second `RelDeleted` it sees.
+    #[derive(Default)]
+    struct VetoSecondRelDelete(std::sync::atomic::AtomicU32);
+    impl EventListener for VetoSecondRelDelete {
+        fn before(&self, _db: &Database, event: &Event) -> DbResult<()> {
+            use std::sync::atomic::Ordering::SeqCst;
+            if matches!(event, Event::RelDeleted { .. }) && self.0.fetch_add(1, SeqCst) == 1 {
+                return Err(DbError::Vetoed {
+                    rule: "second-delete".into(),
+                    reason: "blocked".into(),
+                });
+            }
+            Ok(())
+        }
+    }
+
+    /// An operation vetoed halfway through its cascade undoes exactly
+    /// itself: the edge its cascade had deleted is back, the unit stays
+    /// open, and its commit keeps the operations on either side.
+    #[test]
+    fn a_vetoed_op_undoes_exactly_itself_and_its_unit_stays_open() {
+        let db = taxo_db();
+        let t = db
+            .create_object("Taxon", attrs(&[("name", "T".into())]))
+            .unwrap();
+        let edges: Vec<Oid> = ["S1", "S2"]
+            .iter()
+            .map(|code| {
+                let s = db
+                    .create_object("Specimen", attrs(&[("code", (*code).into())]))
+                    .unwrap();
+                db.create_relationship("Circumscribes", t, s, attrs(&[]))
+                    .unwrap()
+            })
+            .collect();
+        db.add_listener(Arc::new(VetoSecondRelDelete::default()));
+        let token = db.begin_unit();
+        let first = db
+            .create_object("Taxon", attrs(&[("name", "First".into())]))
+            .unwrap();
+        let err = db.delete_object(t).unwrap_err();
+        assert!(matches!(err, DbError::Vetoed { .. }), "{err}");
+        assert!(db.in_unit(), "the unit stays open");
+        assert!(db.exists(t) && edges.iter().all(|&r| db.exists(r)));
+        assert_eq!(db.rels_from(t, None).unwrap().len(), 2);
+        let last = db
+            .create_object("Taxon", attrs(&[("name", "Last".into())]))
+            .unwrap();
+        db.commit_unit(token).unwrap();
+        for oid in [t, first, last].into_iter().chain(edges) {
+            assert!(db.exists(oid), "{oid} committed");
+        }
+        assert_eq!(db.rels_from(t, None).unwrap().len(), 2);
+    }
+
+    /// The events a deferred listener is handed at commit.
+    #[derive(Default)]
+    struct SeenAtCommit(Mutex<Vec<Event>>);
+    impl EventListener for SeenAtCommit {
+        fn at_commit(&self, _db: &Database, events: &[Event]) -> DbResult<()> {
+            self.0.lock().extend_from_slice(events);
+            Ok(())
+        }
+    }
+
+    /// Aborting a nested unit undoes its writes, definitions and events
+    /// and nothing else: the enclosing unit stays open and commits its own.
+    #[test]
+    fn aborting_a_nested_unit_undoes_only_its_work() {
+        let db = taxo_db();
+        let seen = Arc::new(SeenAtCommit::default());
+        db.add_listener(seen.clone());
+        let outer = db.begin_unit();
+        let t1 = db
+            .create_object("Taxon", attrs(&[("name", "one".into())]))
+            .unwrap();
+        let inner = db.begin_unit();
+        let t2 = db
+            .create_object("Taxon", attrs(&[("name", "two".into())]))
+            .unwrap();
+        db.set_attr(t1, "rank", "Genus").unwrap();
+        db.define_class(ClassDef::new("Nested")).unwrap();
+        db.abort_unit(inner);
+        assert!(db.in_unit(), "outer unit still active");
+        assert!(db.exists(t1) && !db.exists(t2));
+        assert_eq!(db.object(t1).unwrap().attr("rank"), Value::Null);
+        assert!(db.with_schema(|s| s.class("Nested").is_none()));
+        db.commit_unit(outer).unwrap();
+        assert!(db.exists(t1) && !db.exists(t2));
+        let subjects: Vec<Oid> = seen.0.lock().iter().map(Event::subject).collect();
+        assert_eq!(subjects, vec![t1]);
     }
 
     #[test]

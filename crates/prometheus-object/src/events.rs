@@ -6,8 +6,10 @@
 //!
 //! * **before** the mutation is applied, where returning an error *vetoes*
 //!   the operation (pre-condition rules, §5.2.1.4.2);
-//! * **after** it is applied, where an error aborts the enclosing unit of
-//!   work (immediate invariants and post-conditions).
+//! * **after** it is applied, where an error fails the operation just the
+//!   same (immediate invariants and post-conditions).
+//!
+//! Either way the operation undoes exactly itself and its unit stays open.
 //!
 //! At unit commit, [`EventListener::at_commit`] runs once, which is where
 //! deferred rules are evaluated (§5.2.2.1).
@@ -100,8 +102,9 @@ pub trait EventListener: Send + Sync {
         Ok(())
     }
 
-    /// Called after the mutation is applied. Returning an error aborts the
-    /// enclosing unit of work.
+    /// Called after the mutation is applied. Returning an error fails the
+    /// operation: everything it did is undone, and the unit it ran in stays
+    /// open.
     fn after(&self, _db: &Database, _event: &Event) -> DbResult<()> {
         Ok(())
     }

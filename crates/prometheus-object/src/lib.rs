@@ -29,7 +29,8 @@
 //! * **units of work** — [`Database::begin_unit`] stages a unit's
 //!   operations in one storage transaction, sealed at commit and dropped at
 //!   abort, giving atomicity, deferred-rule scheduling and the *what-if*
-//!   workflows of §7.1.4. Units claim shard masks in one FIFO writer queue,
+//!   workflows of §7.1.4. An operation that fails inside a unit undoes
+//!   exactly itself, behind a rollback point, and the unit stays open. Units claim shard masks in one FIFO writer queue,
 //!   the only one a writer waits in, embedded or over the wire;
 //! * **snapshot read path** ([`read`]) — the [`Reader`] trait defines every
 //!   read operation once; [`ReadView`] pins an immutable storage snapshot so

@@ -7,12 +7,15 @@
 //!   subject still exists and `old`/`new` are in scope); a violation vetoes
 //!   the operation before it applies;
 //! * `after` — all other immediate rules, including pre-conditions attached
-//!   to creation events (the subject only exists after the insert; a
-//!   violation still cancels the operation because the unit it ran in is
-//!   rolled back);
+//!   to creation events (the subject only exists after the insert). A
+//!   violation here fails the operation just the same: the operation runs
+//!   behind a rollback point in its unit, which the failure restores;
 //! * `at_commit` — **deferred** rules, evaluated over every event of the
 //!   unit in priority order (§5.2.2.1); the first aborting violation rolls
 //!   the whole unit back.
+//!
+//! So an immediate violation undoes exactly the operation it is found in
+//! and leaves its unit open, and a deferred one undoes the unit.
 //!
 //! Violations are handled per the rule's [`Action`]: abort, warn (collected
 //! on the engine), or ask an interactive [`ViolationHandler`] (§5.2.2.2).

@@ -32,7 +32,10 @@ pub enum RuleKind {
 /// What happens when the constraint is violated (§5.2.1.3, §5.2.2.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Action {
-    /// Abort the enclosing unit of work (automatic transaction abortion).
+    /// Fail what the violation is found in (automatic transaction
+    /// abortion): an immediate rule fails the operation, which undoes
+    /// exactly itself and leaves its unit open; a deferred rule rolls the
+    /// whole unit back at commit.
     Abort,
     /// Record a warning and continue.
     Warn,

@@ -1025,8 +1025,9 @@ fn fetch_peer_spans(addr: &str, trace_id: TraceId) -> Option<Vec<TraceSpan>> {
 }
 
 /// Apply one in-unit mutation and shape the wire response. A failed op
-/// leaves the unit open: the client chooses to retry differently, commit
-/// what succeeded, or abort — exactly the in-process unit semantics.
+/// undoes exactly itself and leaves the unit open: the client chooses to
+/// retry differently, commit what succeeded, or abort — exactly the
+/// in-process unit semantics.
 pub(crate) fn unit_op_response(db: &Database, op: &MutationOp) -> Response {
     match apply_op(db, op) {
         Ok(Some(oid)) => Response::Created { oid },
@@ -1646,6 +1647,36 @@ mod tests {
         client.close().unwrap();
         handle.stop();
         assert_eq!(stored_rules(&path), vec!["named".to_string()]);
+    }
+
+    /// A vetoed op in a streamed unit fails alone: the unit stays open, and
+    /// its commit keeps exactly the ops on either side of it.
+    #[test]
+    fn a_vetoed_unit_op_leaves_the_streamed_unit_open() {
+        let handle = serve_at(&tmp("vetoed-op"));
+        let mut client = PrometheusClient::connect(handle.addr()).unwrap();
+        client
+            .install_pcl("context CT pre named: self.working_name != \"\"")
+            .unwrap();
+        let ct = |name: &str| {
+            vec![
+                ("working_name".to_string(), Value::Str(name.into())),
+                ("rank".to_string(), Value::Str("Genus".into())),
+            ]
+        };
+        let mut unit = client.begin_unit().unwrap();
+        unit.create_object("CT", ct("A")).unwrap();
+        let err = unit.create_object("CT", ct("")).unwrap_err();
+        assert!(err.to_string().contains("named"), "{err}");
+        unit.create_object("CT", ct("C")).unwrap();
+        unit.commit().unwrap();
+        let names = client
+            .query("select t.working_name from CT t order by t.working_name")
+            .unwrap();
+        let names: Vec<Value> = names.rows.into_iter().flatten().collect();
+        assert_eq!(names, vec![Value::Str("A".into()), Value::Str("C".into())]);
+        client.close().unwrap();
+        handle.stop();
     }
 
     /// Rules installed over the wire are in the image: a restarted server

@@ -684,6 +684,34 @@ mod tests {
         cleanup(&path, 4);
     }
 
+    /// A unit claiming one shard of two stages each operation behind a
+    /// rollback point over its own writes: the operation reads what the
+    /// unit staged before it, and one that routes a write outside the claim
+    /// stages none of its writes.
+    #[test]
+    fn a_partial_claim_stage_reads_the_units_earlier_writes() {
+        let path = temp_path("stage-reads");
+        cleanup(&path, 2);
+        let store = Arc::new(open_two(&path));
+        let (a, b) = (store.allocate_oid_on(0), store.allocate_oid_on(1));
+        let mut unit = store.begin_unit(1);
+        unit.stage(|t| t.put(a, b"first".to_vec())).unwrap();
+        let mut seen = None;
+        unit.stage(|t| seen = t.get(a)).unwrap();
+        assert_eq!(seen.as_deref(), Some(&b"first"[..]));
+        let escaped = unit.stage(|t| {
+            t.put(a, b"second".to_vec());
+            t.put(b, b"outside".to_vec());
+        });
+        assert!(escaped.is_err());
+        assert_eq!(unit.get(a).as_deref(), Some(&b"first"[..]));
+        assert!(unit.get(b).is_none());
+        assert_eq!(unit.points(), 0);
+        unit.abort();
+        drop(store);
+        cleanup(&path, 2);
+    }
+
     /// Where the "power cut" lands inside a cross-shard commit's protocol
     /// (coordinator = shard 0, the lowest participant).
     #[derive(Debug, Clone, Copy, PartialEq)]

@@ -1322,7 +1322,7 @@ impl<'a> Commit<'a> {
 
 /// Where a transaction reads its base state from and sends its staged
 /// writes: one store, or a sharded store that routes them.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) enum Home<'s> {
     Member(&'s Store),
     Sharded(&'s ShardedStore),
@@ -1356,19 +1356,31 @@ impl KvScan for Home<'_> {
 /// Reads see the transaction's own staged writes first, then the committed
 /// image. Nothing touches the log until [`Txn::commit`]; dropping or
 /// [`Txn::abort`]ing discards all staged changes.
+///
+/// Writes stage into the top of a stack of layers: the base, and one more
+/// per open rollback point ([`Txn::take_point`]). Keeping a point folds its
+/// layer into the one below, restoring it drops the layer; either costs the
+/// point's own writes, not the transaction's.
 #[derive(Debug)]
 pub struct Txn<'s> {
     home: Home<'s>,
-    staged_records: StagedRecords,
-    staged_kv: StagedKv,
+    staged: Layer,
+    points: Vec<Layer>,
+}
+
+/// One layer of a transaction's staged writes.
+#[derive(Debug, Default)]
+struct Layer {
+    records: StagedRecords,
+    kv: StagedKv,
 }
 
 impl<'s> Txn<'s> {
     pub(crate) fn new(home: Home<'s>) -> Self {
         Txn {
             home,
-            staged_records: HashMap::new(),
-            staged_kv: BTreeMap::new(),
+            staged: Layer::default(),
+            points: Vec::new(),
         }
     }
 
@@ -1390,19 +1402,32 @@ impl<'s> Txn<'s> {
         }
     }
 
+    /// The layers a write can be read from, top first.
+    fn layers(&self) -> impl Iterator<Item = &Layer> {
+        self.points
+            .iter()
+            .rev()
+            .chain(std::iter::once(&self.staged))
+    }
+
+    /// The layer writes stage into.
+    fn top(&mut self) -> &mut Layer {
+        self.points.last_mut().unwrap_or(&mut self.staged)
+    }
+
     /// Stage a record write.
     pub fn put(&mut self, oid: Oid, bytes: impl Into<Bytes>) {
-        self.staged_records.insert(oid, Some(bytes.into()));
+        self.top().records.insert(oid, Some(bytes.into()));
     }
 
     /// Stage a record deletion.
     pub fn delete(&mut self, oid: Oid) {
-        self.staged_records.insert(oid, None);
+        self.top().records.insert(oid, None);
     }
 
     /// Read a record through this transaction.
     pub fn get(&self, oid: Oid) -> Option<Bytes> {
-        match self.staged_records.get(&oid) {
+        match self.layers().find_map(|layer| layer.records.get(&oid)) {
             Some(change) => change.clone(),
             None => match &self.home {
                 Home::Member(store) => store.get(oid),
@@ -1419,13 +1444,14 @@ impl<'s> Txn<'s> {
 
     /// Stage a key/value write.
     pub fn kv_put(&mut self, keyspace: Keyspace, key: Vec<u8>, value: Vec<u8>) {
-        let entries = self.staged_kv.entry(keyspace.0).or_default();
+        let entries = self.top().kv.entry(keyspace.0).or_default();
         entries.insert(key, Some(Bytes::from(value)));
     }
 
     /// Stage a key/value deletion.
     pub fn kv_delete(&mut self, keyspace: Keyspace, key: Vec<u8>) {
-        self.staged_kv
+        self.top()
+            .kv
             .entry(keyspace.0)
             .or_default()
             .insert(key, None);
@@ -1434,11 +1460,10 @@ impl<'s> Txn<'s> {
     /// Read a key/value entry through this transaction. The lookup borrows
     /// `key`, and either answer is a shared handle, not a copy.
     pub fn kv_get(&self, keyspace: Keyspace, key: &[u8]) -> Option<Bytes> {
-        match self
-            .staged_kv
-            .get(&keyspace.0)
-            .and_then(|staged| staged.get(key))
-        {
+        let staged = self
+            .layers()
+            .find_map(|layer| layer.kv.get(&keyspace.0)?.get(key));
+        match staged {
             Some(change) => change.clone(),
             None => match &self.home {
                 Home::Member(store) => store.kv_get(keyspace, key),
@@ -1448,12 +1473,43 @@ impl<'s> Txn<'s> {
         }
     }
 
+    /// Take a rollback point: writes from here on stage in a layer of their
+    /// own until [`Txn::keep_point`] or [`Txn::restore_to`] settles it.
+    /// Returns the point's depth: how many points are open with it.
+    pub fn take_point(&mut self) -> usize {
+        self.points.push(Layer::default());
+        self.points.len()
+    }
+
+    /// Keep the writes of the latest open point: fold its layer into the
+    /// one below.
+    pub fn keep_point(&mut self) {
+        let Some(layer) = self.points.pop() else {
+            return;
+        };
+        let below = self.top();
+        below.records.extend(layer.records);
+        for (keyspace, entries) in layer.kv {
+            below.kv.entry(keyspace).or_default().extend(entries);
+        }
+    }
+
+    /// Restore the point at `depth`: drop every write staged since it, the
+    /// writes of points taken after it included.
+    pub fn restore_to(&mut self, depth: usize) {
+        self.points.truncate(depth.saturating_sub(1));
+    }
+
+    /// How many rollback points are open.
+    pub fn points(&self) -> usize {
+        self.points.len()
+    }
+
     /// Stage one operation's writes, all or none. In a unit that claims
-    /// only some shards, `f` stages into a transaction of its own, and its
-    /// writes move into this one unless one of them routes outside the
-    /// claim: then nothing moves and the error is
-    /// [`StorageError::TxnState`]. Anywhere else no write can escape, and `f`
-    /// stages here directly.
+    /// only some shards, `f` stages behind a rollback point, which is kept
+    /// unless one of its writes routes outside the claim: then it is
+    /// restored and the error is [`StorageError::TxnState`]. Anywhere else
+    /// no write can escape, and `f` stages directly.
     pub fn stage(&mut self, f: impl FnOnce(&mut Txn<'s>)) -> StorageResult<()> {
         let (store, claim) = match &self.home {
             Home::Unit(store, claim) if *claim != store.all_shards_mask() => {
@@ -1464,41 +1520,31 @@ impl<'s> Txn<'s> {
                 return Ok(());
             }
         };
-        let mut op = Txn::new(self.home.clone());
-        f(&mut op);
-        let outside = store.shards_touched(&op.staged_records, &op.staged_kv) & !claim;
+        let depth = self.take_point();
+        f(self);
+        let layer = self.top();
+        let outside = store.shards_touched(&layer.records, &layer.kv) & !claim;
         if outside != 0 {
+            self.restore_to(depth);
             return Err(StorageError::TxnState(format!(
                 "write routed to shard {} outside the unit's shard claim {claim:#x}",
                 outside.trailing_zeros()
             )));
         }
-        self.staged_records.extend(op.staged_records);
-        for (keyspace, entries) in op.staged_kv {
-            self.staged_kv.entry(keyspace).or_default().extend(entries);
-        }
+        self.keep_point();
         Ok(())
     }
 
-    /// Number of staged changes (records + kv entries).
-    pub fn staged_len(&self) -> usize {
-        self.staged_records.len() + self.staged_kv.values().map(BTreeMap::len).sum::<usize>()
-    }
-
-    /// Durably commit all staged changes.
-    pub fn commit(self) -> StorageResult<()> {
-        let Txn {
-            home,
-            staged_records,
-            staged_kv,
-        } = self;
-        let commit = match &home {
-            Home::Member(store) => Some(Commit::begin(
-                false,
-                [(0, *store, staged_records, staged_kv)],
-            )?),
-            Home::Sharded(store) => store.begin_commit(staged_records, staged_kv, false)?,
-            Home::Unit(store, _) => store.begin_commit(staged_records, staged_kv, true)?,
+    /// Durably commit all staged changes, those of open points included.
+    pub fn commit(mut self) -> StorageResult<()> {
+        while !self.points.is_empty() {
+            self.keep_point();
+        }
+        let Layer { records, kv } = self.staged;
+        let commit = match &self.home {
+            Home::Member(store) => Some(Commit::begin(false, [(0, *store, records, kv)])?),
+            Home::Sharded(store) => store.begin_commit(records, kv, false)?,
+            Home::Unit(store, _) => store.begin_commit(records, kv, true)?,
         };
         commit.map_or(Ok(()), Commit::run)
     }
@@ -1512,25 +1558,29 @@ impl<'s> Txn<'s> {
         };
         Stats::bump(&stats.aborts);
     }
-}
 
-/// Scans through a transaction overlay its staged changes on the base
-/// state: a staged put replaces or adds an entry, a staged delete hides one.
-impl KvScan for Txn<'_> {
-    fn kv_for_each(
-        &self,
+    /// Scan the first of `layers` over the rest of them and the committed
+    /// state: a staged put replaces or adds an entry, a staged delete hides
+    /// one. A scan no layer stages into reads the committed state with `f`
+    /// itself.
+    fn overlay<'a>(
+        &'a self,
+        mut layers: impl Iterator<Item = &'a Layer>,
         keyspace: Keyspace,
         lo: &[u8],
         hi: Bound<&[u8]>,
         mut f: impl FnMut(&[u8], &[u8]),
     ) {
+        let Some(layer) = layers.next() else {
+            return self.home.kv_for_each(keyspace, lo, hi, f);
+        };
         let below_hi = |key: &[u8]| match hi {
             Bound::Unbounded => true,
             Bound::Excluded(hi) => key < hi,
             Bound::Included(hi) => key <= hi,
         };
-        let mut staged = self
-            .staged_kv
+        let mut staged = layer
+            .kv
             .get(&keyspace.0)
             .into_iter()
             .flat_map(|entries| entries.range::<[u8], _>((Bound::Included(lo), Bound::Unbounded)))
@@ -1538,7 +1588,7 @@ impl KvScan for Txn<'_> {
             .map(|(key, change)| (key.as_slice(), change.as_deref()))
             .peekable();
         if staged.peek().is_none() {
-            return self.home.kv_for_each(keyspace, lo, hi, f);
+            return self.overlay(layers, keyspace, lo, hi, f);
         }
         // Merge the two sorted streams; on equal keys the staged change wins.
         let mut visit = |key: &[u8], value: &[u8]| {
@@ -1552,12 +1602,28 @@ impl KvScan for Txn<'_> {
             }
             f(key, value);
         };
-        self.home.kv_for_each(keyspace, lo, hi, &mut visit);
+        // Through a trait object, so the recursion instantiates no new type.
+        let visit: &mut dyn FnMut(&[u8], &[u8]) = &mut visit;
+        self.overlay(layers, keyspace, lo, hi, visit);
         for (key, change) in staged {
             if let Some(value) = change {
                 f(key, value);
             }
         }
+    }
+}
+
+/// Scans through a transaction overlay its staged layers on the committed
+/// state.
+impl KvScan for Txn<'_> {
+    fn kv_for_each(
+        &self,
+        keyspace: Keyspace,
+        lo: &[u8],
+        hi: Bound<&[u8]>,
+        f: impl FnMut(&[u8], &[u8]),
+    ) {
+        self.overlay(self.layers(), keyspace, lo, hi, f)
     }
 }
 

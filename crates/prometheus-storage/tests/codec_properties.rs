@@ -289,9 +289,10 @@ fn open_sharded(path: &Path, shards: usize) -> ShardedStore {
 
 proptest! {
     /// Settled transactions, then a unit of work staged on a claimed subset
-    /// of the shards: every way of scanning sees exactly the state it
-    /// should. The unit's overlay reads its staged writes over the committed
-    /// state; the store, a pinned snapshot and a transaction's overlay read
+    /// of the shards, some of its operations behind rollback points: every
+    /// way of scanning sees exactly the state it should. The unit's overlay
+    /// reads its staged writes over the committed state, with its points
+    /// open and once each is kept or restored; the store, a pinned snapshot and a transaction's overlay read
     /// only what was committed, and the logs gain nothing while the unit is
     /// open. An operation whose writes route outside the claim fails when it
     /// stages, and stages nothing. Then the unit settles: committed, it is
@@ -306,6 +307,7 @@ proptest! {
         settled in prop::collection::vec(arb_txn(), 0..6),
         claim in 1u64..8,
         in_unit in prop::collection::vec(arb_txn(), 0..4),
+        points in prop::collection::vec(prop::option::of(any::<bool>()), 4..5),
         staged in arb_txn(),
         bounds in (arb_key(), arb_key(), arb_key()),
         commit in any::<bool>(),
@@ -324,8 +326,11 @@ proptest! {
         let logs_before: Vec<usize> = (0..shards).map(|k| log_of(&store, k).len()).collect();
         let mut unit = store.begin_unit(claim);
         let mut working = committed.clone();
-        let mut forward = Vec::new();
-        for ops in &in_unit {
+        let mut staged_ops = Vec::new();
+        for (ops, point) in in_unit.iter().zip(&points) {
+            if point.is_some() {
+                unit.take_point();
+            }
             let escapes = ops
                 .iter()
                 .any(|(key, _)| claim & (1 << store.shard_of_key(KS, key)) == 0);
@@ -333,8 +338,27 @@ proptest! {
             prop_assert_eq!(result.is_err(), escapes);
             if !escapes {
                 apply(&mut working, ops);
-                forward.push(ops);
             }
+            staged_ops.push((ops, !escapes));
+        }
+        assert_scans(&unit, &working, &bounds, "unit overlay under open points");
+        // Settle the points, latest first: restoring one drops its op and
+        // every later op still alive.
+        for (i, point) in points.iter().enumerate().take(in_unit.len()).rev() {
+            match point {
+                Some(true) => unit.keep_point(),
+                Some(false) => {
+                    unit.restore_to(unit.points());
+                    staged_ops[i..].iter_mut().for_each(|(_, alive)| *alive = false);
+                }
+                None => {}
+            }
+        }
+        prop_assert_eq!(unit.points(), 0);
+        let forward: Vec<_> = staged_ops.iter().filter(|(_, alive)| *alive).map(|(ops, _)| *ops).collect();
+        let mut working = committed.clone();
+        for ops in &forward {
+            apply(&mut working, ops);
         }
         assert_scans(&unit, &working, &bounds, "unit overlay");
         assert_scans(&*store, &committed, &bounds, "unbound thread");

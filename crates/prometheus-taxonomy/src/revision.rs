@@ -208,6 +208,28 @@ mod tests {
         assert_eq!(rev.working.parents(tax.db(), g1).unwrap().len(), 1);
     }
 
+    /// A merge that fails inside a what-if fails alone: the scenario keeps
+    /// what it did before the merge, and no edge the merge moved stays
+    /// moved.
+    #[test]
+    fn a_failed_merge_inside_a_what_if_keeps_the_what_if() {
+        let (tax, cls, [g1, _, s1, s2]) = seeded();
+        let rev = Revision::start(&tax, &cls, "wk").unwrap();
+        let (_, kept) = rev
+            .what_if(&tax, |tax, _| {
+                let kept = tax.create_ct("G3", Rank::Genus)?;
+                // Merging the genus into one of its species would put the
+                // other species under a species.
+                assert!(rev.merge_taxa(tax, s1, g1).is_err());
+                Ok((WhatIf::Keep, kept))
+            })
+            .unwrap();
+        assert!(tax.db().exists(kept));
+        for species in [s1, s2] {
+            assert_eq!(rev.working.parents(tax.db(), species).unwrap(), vec![g1]);
+        }
+    }
+
     #[test]
     fn what_if_propagates_inner_errors_and_aborts() {
         let (tax, cls, [_, g2, s1, _]) = seeded();

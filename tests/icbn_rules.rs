@@ -227,6 +227,27 @@ fn install_pcl_is_all_or_none() {
     assert!(tax.create_ct("", Rank::Genus).is_err());
 }
 
+/// A PCL document that fails inside an open unit fails alone: the unit
+/// stays open with what it did before, and its commit keeps that.
+#[test]
+fn install_pcl_failing_inside_a_unit_keeps_the_unit() {
+    let p = open("pcl-in-unit");
+    let tax = p.taxonomy().unwrap();
+    let named = "context CT pre named: self.working_name != \"\"";
+    p.install_pcl(named).unwrap();
+    let db = p.db();
+    let token = db.begin_unit();
+    let ct = tax.create_ct("Daucus", Rank::Genus).unwrap();
+    let doc = format!("context CT pre noSium: self.working_name != \"Sium\"\n{named}");
+    let err = p.install_pcl(&doc).unwrap_err();
+    assert!(err.to_string().contains("already defined"), "{err}");
+    assert!(db.in_unit(), "the unit stays open");
+    assert!(db.exists(ct));
+    db.commit_unit(token).unwrap();
+    assert!(db.exists(ct));
+    assert!(tax.create_ct("Sium", Rank::Genus).is_ok());
+}
+
 /// Installing the ICBN set on a reopened database that holds it adds
 /// nothing and changes nothing: a rule disabled before the reopen stays
 /// disabled, and all six names still come back.

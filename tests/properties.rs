@@ -240,9 +240,49 @@ impl EventListener for Echo {
     }
 }
 
+/// Once armed, fails the operation it is armed for at its `n`-th event,
+/// in `before` or in `after`: a veto at any step of a compound operation.
+#[derive(Default)]
+struct Veto {
+    armed: std::sync::Mutex<Option<(usize, bool)>>,
+}
+
+impl Veto {
+    fn hit(&self, after: bool) -> DbResult<()> {
+        let mut armed = self.armed.lock().unwrap();
+        let Some((n, phase)) = armed.as_mut() else {
+            return Ok(());
+        };
+        if *phase != after {
+            return Ok(());
+        }
+        if *n > 0 {
+            *n -= 1;
+            return Ok(());
+        }
+        *armed = None;
+        Err(DbError::Vetoed {
+            rule: "veto".into(),
+            reason: format!("armed veto, after: {after}"),
+        })
+    }
+}
+
+impl EventListener for Veto {
+    fn before(&self, _db: &Database, _event: &Event) -> DbResult<()> {
+        self.hit(false)
+    }
+
+    fn after(&self, _db: &Database, _event: &Event) -> DbResult<()> {
+        self.hit(true)
+    }
+}
+
 /// Random interleavings of create/link/unlink operations keep a strict
 /// classification single-parented and acyclic, a what-if of arbitrary
-/// mutations that is aborted is a unit that never began, and the record-free
+/// mutations that is aborted is a unit that never began, an operation that
+/// fails inside it — at a veto on any of its events, or of its own accord —
+/// undoes exactly itself and leaves the what-if open, and the record-free
 /// membership reads agree with the decoding ones after every step — as does
 /// the tracked integrity check with the full one, on the strict
 /// classification and on a lenient one that grows cycles and loses them
@@ -297,6 +337,8 @@ fn random_edits(seed: u64, steps: usize) {
         linked: Default::default(),
     });
     db.add_listener(echo.clone());
+    let veto = Arc::new(Veto::default());
+    db.add_listener(veto.clone());
     let mut ring_edges: Vec<Oid> = Vec::new();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut nodes: Vec<_> = (0..20)
@@ -405,10 +447,7 @@ fn random_edits(seed: u64, steps: usize) {
             _ => {
                 // Speculative what-if that is always rolled back must leave
                 // no trace, whatever it did — on the integrity tracker
-                // neither, unless it dropped a classification's verdict. A
-                // failed operation ends it: an immediate rule's veto has
-                // rolled the unit back already, and anything after it would
-                // run (and commit) outside it.
+                // neither, unless it dropped a classification's verdict.
                 let before = fingerprint(db);
                 let tracked_before = (tracked(cls.oid()), tracked(ring));
                 let token = db.begin_unit();
@@ -420,6 +459,11 @@ fn random_edits(seed: u64, steps: usize) {
                         .get(rng.gen_range(0..ring_edges.len().max(1)))
                         .copied();
                     let name = Value::from(format!("what-if {step}.{i}"));
+                    if rng.gen_range(0..3) == 0 {
+                        let at = (rng.gen_range(0..4), rng.gen_range(0..2) == 0);
+                        *veto.armed.lock().unwrap() = Some(at);
+                    }
+                    let before_op = fingerprint(db);
                     let done = match (rng.gen_range(0..13), edge) {
                         (0, _) => tax
                             .create_ct(&format!("W{step}.{i}"), Rank::ALL[i])
@@ -446,8 +490,14 @@ fn random_edits(seed: u64, steps: usize) {
                             .create_classification(&format!("scratch {step}.{i}"), Vec::new(), true)
                             .map(drop),
                     };
+                    *veto.armed.lock().unwrap() = None;
                     if done.is_err() {
-                        break;
+                        assert!(db.in_unit(), "a failed operation left its unit");
+                        assert_eq!(
+                            fingerprint(db),
+                            before_op,
+                            "a failed operation left a trace"
+                        );
                     }
                 }
                 // A check inside the unit sees the unit's own edges.
