@@ -374,18 +374,12 @@ impl ShardedStore {
         self.begin().run(f)
     }
 
-    /// The shards staged writes land on, as a mask; routing stops once it
-    /// is all of them (with one shard, at the first write).
-    pub(crate) fn shards_touched(&self, records: &StagedRecords, kv: &StagedKv) -> u64 {
-        let records = records.keys().map(|oid| self.shard_of_oid(*oid));
-        let kvs = kv.iter().flat_map(|(ks, entries)| {
-            entries
-                .keys()
-                .map(move |key| self.shard_of_key(Keyspace(*ks), key))
-        });
+    /// The shards of `writes` (each write's shard index), as a mask; routing
+    /// stops once it is all of them (with one shard, at the first write).
+    pub(crate) fn shards_touched(&self, writes: impl IntoIterator<Item = usize>) -> u64 {
         let all = self.all_shards_mask();
         let mut touched = 0u64;
-        for shard in records.chain(kvs) {
+        for shard in writes {
             touched |= 1 << shard;
             if touched == all {
                 break;
@@ -406,7 +400,13 @@ impl ShardedStore {
         kv: StagedKv,
         unit: bool,
     ) -> StorageResult<Option<Commit<'_>>> {
-        let touched = match self.shards_touched(&records, &kv) {
+        let records_at = records.keys().map(|oid| self.shard_of_oid(*oid));
+        let kv_at = kv.iter().flat_map(|(ks, entries)| {
+            entries
+                .keys()
+                .map(move |key| self.shard_of_key(Keyspace(*ks), key))
+        });
+        let touched = match self.shards_touched(records_at.chain(kv_at)) {
             0 if unit => return Ok(None),
             0 => 1,
             touched => touched,

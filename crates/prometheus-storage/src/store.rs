@@ -1357,29 +1357,37 @@ impl KvScan for Home<'_> {
 /// image. Nothing touches the log until [`Txn::commit`]; dropping or
 /// [`Txn::abort`]ing discards all staged changes.
 ///
-/// Writes stage into the top of a stack of layers: the base, and one more
-/// per open rollback point ([`Txn::take_point`]). Keeping a point folds its
-/// layer into the one below, restoring it drops the layer; either costs the
-/// point's own writes, not the transaction's.
+/// A rollback point ([`Txn::take_point`]) is a mark in an undo log: while
+/// one is open, each write also logs its key and the staged change it
+/// replaced. Keeping a point drops its mark, restoring it puts back the
+/// logged changes since the mark, latest first; either costs the point's
+/// own writes, not the transaction's.
 #[derive(Debug)]
 pub struct Txn<'s> {
     home: Home<'s>,
-    staged: Layer,
-    points: Vec<Layer>,
-}
-
-/// One layer of a transaction's staged writes.
-#[derive(Debug, Default)]
-struct Layer {
     records: StagedRecords,
     kv: StagedKv,
+    /// Each write's key and the staged change it replaced (`None`: none
+    /// was staged), logged only while a point is open.
+    undo: Vec<Undo>,
+    /// The length of `undo` when each open point was taken.
+    points: Vec<usize>,
+}
+
+/// One undo log entry: a staged key and its change before a write.
+#[derive(Debug)]
+enum Undo {
+    Record(Oid, Option<Option<Bytes>>),
+    Kv(u8, Vec<u8>, Option<Option<Bytes>>),
 }
 
 impl<'s> Txn<'s> {
     pub(crate) fn new(home: Home<'s>) -> Self {
         Txn {
             home,
-            staged: Layer::default(),
+            records: HashMap::new(),
+            kv: BTreeMap::new(),
+            undo: Vec::new(),
             points: Vec::new(),
         }
     }
@@ -1402,32 +1410,28 @@ impl<'s> Txn<'s> {
         }
     }
 
-    /// The layers a write can be read from, top first.
-    fn layers(&self) -> impl Iterator<Item = &Layer> {
-        self.points
-            .iter()
-            .rev()
-            .chain(std::iter::once(&self.staged))
-    }
-
-    /// The layer writes stage into.
-    fn top(&mut self) -> &mut Layer {
-        self.points.last_mut().unwrap_or(&mut self.staged)
-    }
-
     /// Stage a record write.
     pub fn put(&mut self, oid: Oid, bytes: impl Into<Bytes>) {
-        self.top().records.insert(oid, Some(bytes.into()));
+        self.stage_record(oid, Some(bytes.into()));
     }
 
     /// Stage a record deletion.
     pub fn delete(&mut self, oid: Oid) {
-        self.top().records.insert(oid, None);
+        self.stage_record(oid, None);
+    }
+
+    /// Stage `change` on `oid`, logging the change it replaces while a
+    /// point is open.
+    fn stage_record(&mut self, oid: Oid, change: Option<Bytes>) {
+        let before = self.records.insert(oid, change);
+        if !self.points.is_empty() {
+            self.undo.push(Undo::Record(oid, before));
+        }
     }
 
     /// Read a record through this transaction.
     pub fn get(&self, oid: Oid) -> Option<Bytes> {
-        match self.layers().find_map(|layer| layer.records.get(&oid)) {
+        match self.records.get(&oid) {
             Some(change) => change.clone(),
             None => match &self.home {
                 Home::Member(store) => store.get(oid),
@@ -1444,26 +1448,30 @@ impl<'s> Txn<'s> {
 
     /// Stage a key/value write.
     pub fn kv_put(&mut self, keyspace: Keyspace, key: Vec<u8>, value: Vec<u8>) {
-        let entries = self.top().kv.entry(keyspace.0).or_default();
-        entries.insert(key, Some(Bytes::from(value)));
+        self.stage_kv(keyspace.0, key, Some(Bytes::from(value)));
     }
 
     /// Stage a key/value deletion.
     pub fn kv_delete(&mut self, keyspace: Keyspace, key: Vec<u8>) {
-        self.top()
-            .kv
-            .entry(keyspace.0)
-            .or_default()
-            .insert(key, None);
+        self.stage_kv(keyspace.0, key, None);
+    }
+
+    /// Stage `change` on `key`, logging the change it replaces while a
+    /// point is open.
+    fn stage_kv(&mut self, keyspace: u8, key: Vec<u8>, change: Option<Bytes>) {
+        let entries = self.kv.entry(keyspace).or_default();
+        if self.points.is_empty() {
+            entries.insert(key, change);
+        } else {
+            let before = entries.insert(key.clone(), change);
+            self.undo.push(Undo::Kv(keyspace, key, before));
+        }
     }
 
     /// Read a key/value entry through this transaction. The lookup borrows
     /// `key`, and either answer is a shared handle, not a copy.
     pub fn kv_get(&self, keyspace: Keyspace, key: &[u8]) -> Option<Bytes> {
-        let staged = self
-            .layers()
-            .find_map(|layer| layer.kv.get(&keyspace.0)?.get(key));
-        match staged {
+        match self.kv.get(&keyspace.0).and_then(|staged| staged.get(key)) {
             Some(change) => change.clone(),
             None => match &self.home {
                 Home::Member(store) => store.kv_get(keyspace, key),
@@ -1473,31 +1481,41 @@ impl<'s> Txn<'s> {
         }
     }
 
-    /// Take a rollback point: writes from here on stage in a layer of their
-    /// own until [`Txn::keep_point`] or [`Txn::restore_to`] settles it.
-    /// Returns the point's depth: how many points are open with it.
+    /// Take a rollback point: mark the undo log, so the writes from here on
+    /// can be undone until [`Txn::keep_point`] or [`Txn::restore_to`]
+    /// settles it. Returns the point's depth: how many points are open with
+    /// it.
     pub fn take_point(&mut self) -> usize {
-        self.points.push(Layer::default());
+        self.points.push(self.undo.len());
         self.points.len()
     }
 
-    /// Keep the writes of the latest open point: fold its layer into the
-    /// one below.
+    /// Keep the writes of the latest open point: drop its mark, so they
+    /// belong to the point below, or once no point is left, for good.
     pub fn keep_point(&mut self) {
-        let Some(layer) = self.points.pop() else {
-            return;
-        };
-        let below = self.top();
-        below.records.extend(layer.records);
-        for (keyspace, entries) in layer.kv {
-            below.kv.entry(keyspace).or_default().extend(entries);
+        self.points.pop();
+        if self.points.is_empty() {
+            self.undo.clear();
         }
     }
 
-    /// Restore the point at `depth`: drop every write staged since it, the
-    /// writes of points taken after it included.
+    /// Restore the point at `depth`: undo every write logged since its
+    /// mark, the writes of points taken after it included, latest first.
     pub fn restore_to(&mut self, depth: usize) {
+        let Some(&mark) = self.points.get(depth.saturating_sub(1)) else {
+            return;
+        };
         self.points.truncate(depth.saturating_sub(1));
+        for undo in self.undo.drain(mark..).rev() {
+            match undo {
+                Undo::Record(oid, Some(change)) => _ = self.records.insert(oid, change),
+                Undo::Record(oid, None) => _ = self.records.remove(&oid),
+                Undo::Kv(ks, key, Some(change)) => {
+                    _ = self.kv.entry(ks).or_default().insert(key, change)
+                }
+                Undo::Kv(ks, key, None) => _ = self.kv.entry(ks).or_default().remove(&key),
+            }
+        }
     }
 
     /// How many rollback points are open.
@@ -1522,8 +1540,13 @@ impl<'s> Txn<'s> {
         };
         let depth = self.take_point();
         f(self);
-        let layer = self.top();
-        let outside = store.shards_touched(&layer.records, &layer.kv) & !claim;
+        let written = self.undo[self.points[depth - 1]..]
+            .iter()
+            .map(|undo| match undo {
+                Undo::Record(oid, _) => store.shard_of_oid(*oid),
+                Undo::Kv(keyspace, key, _) => store.shard_of_key(Keyspace(*keyspace), key),
+            });
+        let outside = store.shards_touched(written) & !claim;
         if outside != 0 {
             self.restore_to(depth);
             return Err(StorageError::TxnState(format!(
@@ -1536,11 +1559,8 @@ impl<'s> Txn<'s> {
     }
 
     /// Durably commit all staged changes, those of open points included.
-    pub fn commit(mut self) -> StorageResult<()> {
-        while !self.points.is_empty() {
-            self.keep_point();
-        }
-        let Layer { records, kv } = self.staged;
+    pub fn commit(self) -> StorageResult<()> {
+        let (records, kv) = (self.records, self.kv);
         let commit = match &self.home {
             Home::Member(store) => Some(Commit::begin(false, [(0, *store, records, kv)])?),
             Home::Sharded(store) => store.begin_commit(records, kv, false)?,
@@ -1558,28 +1578,24 @@ impl<'s> Txn<'s> {
         };
         Stats::bump(&stats.aborts);
     }
+}
 
-    /// Scan the first of `layers` over the rest of them and the committed
-    /// state: a staged put replaces or adds an entry, a staged delete hides
-    /// one. A scan no layer stages into reads the committed state with `f`
-    /// itself.
-    fn overlay<'a>(
-        &'a self,
-        mut layers: impl Iterator<Item = &'a Layer>,
+/// Scans through a transaction overlay its staged changes on the base
+/// state: a staged put replaces or adds an entry, a staged delete hides one.
+impl KvScan for Txn<'_> {
+    fn kv_for_each(
+        &self,
         keyspace: Keyspace,
         lo: &[u8],
         hi: Bound<&[u8]>,
         mut f: impl FnMut(&[u8], &[u8]),
     ) {
-        let Some(layer) = layers.next() else {
-            return self.home.kv_for_each(keyspace, lo, hi, f);
-        };
         let below_hi = |key: &[u8]| match hi {
             Bound::Unbounded => true,
             Bound::Excluded(hi) => key < hi,
             Bound::Included(hi) => key <= hi,
         };
-        let mut staged = layer
+        let mut staged = self
             .kv
             .get(&keyspace.0)
             .into_iter()
@@ -1588,7 +1604,7 @@ impl<'s> Txn<'s> {
             .map(|(key, change)| (key.as_slice(), change.as_deref()))
             .peekable();
         if staged.peek().is_none() {
-            return self.overlay(layers, keyspace, lo, hi, f);
+            return self.home.kv_for_each(keyspace, lo, hi, f);
         }
         // Merge the two sorted streams; on equal keys the staged change wins.
         let mut visit = |key: &[u8], value: &[u8]| {
@@ -1602,28 +1618,12 @@ impl<'s> Txn<'s> {
             }
             f(key, value);
         };
-        // Through a trait object, so the recursion instantiates no new type.
-        let visit: &mut dyn FnMut(&[u8], &[u8]) = &mut visit;
-        self.overlay(layers, keyspace, lo, hi, visit);
+        self.home.kv_for_each(keyspace, lo, hi, &mut visit);
         for (key, change) in staged {
             if let Some(value) = change {
                 f(key, value);
             }
         }
-    }
-}
-
-/// Scans through a transaction overlay its staged layers on the committed
-/// state.
-impl KvScan for Txn<'_> {
-    fn kv_for_each(
-        &self,
-        keyspace: Keyspace,
-        lo: &[u8],
-        hi: Bound<&[u8]>,
-        f: impl FnMut(&[u8], &[u8]),
-    ) {
-        self.overlay(self.layers(), keyspace, lo, hi, f)
     }
 }
 

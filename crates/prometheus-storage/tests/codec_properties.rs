@@ -108,6 +108,50 @@ fn arb_txn() -> impl Strategy<Value = Vec<Op>> {
     prop::collection::vec((arb_key(), prop::option::of(value)), 0..5)
 }
 
+/// One staged record change, on the record of the shard an index picks:
+/// put `Some(bytes)` or delete.
+type RecordOp = (usize, Option<Vec<u8>>);
+
+fn arb_record_ops() -> impl Strategy<Value = Vec<RecordOp>> {
+    let bytes = prop::collection::vec(any::<u8>(), 0..3);
+    prop::collection::vec((0usize..3, prop::option::of(bytes)), 0..3)
+}
+
+/// The record each [`RecordOp`] writes: one per shard.
+fn record_of(oids: &[Oid], index: usize) -> Oid {
+    oids[index % oids.len()]
+}
+
+fn stage_records(txn: &mut Txn<'_>, oids: &[Oid], ops: &[RecordOp]) {
+    for (index, change) in ops {
+        match change {
+            Some(bytes) => txn.put(record_of(oids, *index), bytes.clone()),
+            None => txn.delete(record_of(oids, *index)),
+        }
+    }
+}
+
+/// One operation of a unit: its writes, whether they are still staged, and
+/// the depth of the point taken before it, if one was.
+struct UnitOp<'a> {
+    kv: &'a Vec<Op>,
+    records: &'a [RecordOp],
+    staged: bool,
+    point: Option<usize>,
+}
+
+/// Every record reads through `txn` as `model` has it.
+fn assert_records(txn: &Txn<'_>, oids: &[Oid], model: &BTreeMap<Oid, Option<Vec<u8>>>, what: &str) {
+    for oid in oids {
+        let expected = model.get(oid).cloned().flatten();
+        assert_eq!(
+            txn.get(*oid).map(|b| b.to_vec()),
+            expected,
+            "{what}: record {oid:?}"
+        );
+    }
+}
+
 fn stage(txn: &mut Txn<'_>, ops: &[Op]) {
     for (key, change) in ops {
         match change {
@@ -186,6 +230,8 @@ fn shape(record: &LogRecord) -> String {
         LogRecord::Commit { .. } => "commit".into(),
         LogRecord::KvPut { key, value, .. } => format!("put {key:?} {value:?}"),
         LogRecord::KvDelete { key, .. } => format!("delete {key:?}"),
+        LogRecord::Put { oid, bytes, .. } => format!("put record {oid:?} {bytes:?}"),
+        LogRecord::Delete { oid, .. } => format!("delete record {oid:?}"),
         LogRecord::UnitBegin { .. } => "unit".into(),
         LogRecord::UnitPrepared { coordinator, .. } => format!("prepared under {coordinator}"),
         LogRecord::UnitDecision { committed, .. } => format!("decided {committed}"),
@@ -195,13 +241,24 @@ fn shape(record: &LogRecord) -> String {
 }
 
 /// The [`shape`]s each shard's log must gain from a unit that staged the
-/// operations `ops` and committed: one group per shard they wrote — the
-/// open, the last change per key in key order, the prepare/decide round when
-/// two or more shards took part, and the seal. A shard the unit did not
-/// write gains nothing.
-fn unit_logs(store: &ShardedStore, ops: &[&Vec<Op>]) -> Vec<Vec<String>> {
+/// operations `ops` and the last record changes `records` (at most one
+/// record per shard), and committed: one group per shard they wrote — the
+/// open, the record's change, the last change per key in key order, the
+/// prepare/decide round when two or more shards took part, and the seal. A
+/// shard the unit did not write gains nothing.
+fn unit_logs(
+    store: &ShardedStore,
+    ops: &[&Vec<Op>],
+    records: &BTreeMap<Oid, Option<Vec<u8>>>,
+) -> Vec<Vec<String>> {
     let staged: BTreeMap<_, _> = ops.iter().flat_map(|ops| ops.iter().cloned()).collect();
     let mut logs: Vec<Vec<String>> = vec![Vec::new(); store.shard_count()];
+    for (oid, change) in records {
+        logs[store.shard_of_oid(*oid)].push(match change {
+            Some(bytes) => format!("put record {oid:?} {bytes:?}"),
+            None => format!("delete record {oid:?}"),
+        });
+    }
     for (key, change) in staged {
         logs[store.shard_of_key(KS, &key)].push(match change {
             Some(value) => format!("put {key:?} {value:?}"),
@@ -291,8 +348,10 @@ proptest! {
     /// Settled transactions, then a unit of work staged on a claimed subset
     /// of the shards, some of its operations behind rollback points: every
     /// way of scanning sees exactly the state it should. The unit's overlay
-    /// reads its staged writes over the committed state, with its points
-    /// open and once each is kept or restored; the store, a pinned snapshot and a transaction's overlay read
+    /// and its record reads see its staged writes over the committed state,
+    /// with its points open, once an outer point is restored under open
+    /// inner ones, and once each is kept or restored; the store, a pinned
+    /// snapshot and a transaction's overlay read
     /// only what was committed, and the logs gain nothing while the unit is
     /// open. An operation whose writes route outside the claim fails when it
     /// stages, and stages nothing. Then the unit settles: committed, it is
@@ -307,7 +366,11 @@ proptest! {
         settled in prop::collection::vec(arb_txn(), 0..6),
         claim in 1u64..8,
         in_unit in prop::collection::vec(arb_txn(), 0..4),
-        points in prop::collection::vec(prop::option::of(any::<bool>()), 4..5),
+        (points, record_ops, outer) in (
+            prop::collection::vec(prop::option::of(any::<bool>()), 4..5),
+            prop::collection::vec(arb_record_ops(), 4..5),
+            prop::option::of(1usize..4),
+        ),
         staged in arb_txn(),
         bounds in (arb_key(), arb_key(), arb_key()),
         commit in any::<bool>(),
@@ -324,43 +387,68 @@ proptest! {
         let all = store.all_shards_mask();
         let claim = if claim & all == 0 { all } else { claim & all };
         let logs_before: Vec<usize> = (0..shards).map(|k| log_of(&store, k).len()).collect();
+        let oids: Vec<Oid> = (0..shards).map(|k| store.allocate_oid_on(k)).collect();
         let mut unit = store.begin_unit(claim);
-        let mut working = committed.clone();
         let mut staged_ops = Vec::new();
-        for (ops, point) in in_unit.iter().zip(&points) {
-            if point.is_some() {
-                unit.take_point();
-            }
+        for ((ops, records), point) in in_unit.iter().zip(&record_ops).zip(&points) {
+            let depth = point.map(|_| unit.take_point());
             let escapes = ops
                 .iter()
-                .any(|(key, _)| claim & (1 << store.shard_of_key(KS, key)) == 0);
-            let result = unit.stage(|t| stage(t, ops));
+                .any(|(key, _)| claim & (1 << store.shard_of_key(KS, key)) == 0)
+                || records
+                    .iter()
+                    .any(|(i, _)| claim & (1 << store.shard_of_oid(record_of(&oids, *i))) == 0);
+            let result = unit.stage(|t| {
+                stage_records(t, &oids, records);
+                stage(t, ops);
+            });
             prop_assert_eq!(result.is_err(), escapes);
-            if !escapes {
-                apply(&mut working, ops);
-            }
-            staged_ops.push((ops, !escapes));
+            staged_ops.push(UnitOp { kv: ops, records, staged: !escapes, point: depth });
         }
-        assert_scans(&unit, &working, &bounds, "unit overlay under open points");
-        // Settle the points, latest first: restoring one drops its op and
-        // every later op still alive.
-        for (i, point) in points.iter().enumerate().take(in_unit.len()).rev() {
-            match point {
-                Some(true) => unit.keep_point(),
-                Some(false) => {
-                    unit.restore_to(unit.points());
-                    staged_ops[i..].iter_mut().for_each(|(_, alive)| *alive = false);
+        // The kv and record state of the ops still staged.
+        let replay = |staged_ops: &[UnitOp]| {
+            let mut working = committed.clone();
+            let mut records = BTreeMap::new();
+            for op in staged_ops.iter().filter(|op| op.staged) {
+                apply(&mut working, op.kv);
+                for (i, change) in op.records {
+                    records.insert(record_of(&oids, *i), change.clone());
                 }
-                None => {}
+            }
+            (working, records)
+        };
+        let (working, records) = replay(&staged_ops);
+        assert_scans(&unit, &working, &bounds, "unit overlay under open points");
+        assert_records(&unit, &oids, &records, "unit under open points");
+        // Restore an outer point while the points inside it are open: it
+        // drops its op and every later one.
+        if let Some(depth) = outer.filter(|depth| *depth < unit.points()) {
+            unit.restore_to(depth);
+            prop_assert_eq!(unit.points(), depth - 1);
+            let first = staged_ops.iter().position(|op| op.point == Some(depth)).unwrap();
+            staged_ops[first..].iter_mut().for_each(|op| op.staged = false);
+            let (working, records) = replay(&staged_ops);
+            assert_scans(&unit, &working, &bounds, "unit overlay after an outer restore");
+            assert_records(&unit, &oids, &records, "unit after an outer restore");
+        }
+        // Settle the points still open, latest first: restoring one drops
+        // its op and every later op still staged.
+        for i in (0..staged_ops.len()).rev() {
+            let Some(depth) = staged_ops[i].point.filter(|depth| *depth <= unit.points()) else {
+                continue;
+            };
+            if points[i] == Some(true) {
+                unit.keep_point();
+            } else {
+                unit.restore_to(depth);
+                staged_ops[i..].iter_mut().for_each(|op| op.staged = false);
             }
         }
         prop_assert_eq!(unit.points(), 0);
-        let forward: Vec<_> = staged_ops.iter().filter(|(_, alive)| *alive).map(|(ops, _)| *ops).collect();
-        let mut working = committed.clone();
-        for ops in &forward {
-            apply(&mut working, ops);
-        }
+        let forward: Vec<_> = staged_ops.iter().filter(|op| op.staged).map(|op| op.kv).collect();
+        let (working, records) = replay(&staged_ops);
         assert_scans(&unit, &working, &bounds, "unit overlay");
+        assert_records(&unit, &oids, &records, "unit with its points settled");
         assert_scans(&*store, &committed, &bounds, "unbound thread");
         assert_scans(&store.snapshot(), &committed, &bounds, "snapshot under an open unit");
         let mut txn = store.begin();
@@ -386,7 +474,11 @@ proptest! {
         apply(&mut overlaid, &staged);
         assert_scans(&txn, &overlaid, &bounds, "transaction overlay after the seal");
         txn.abort();
-        let expected = if commit { unit_logs(&store, &forward) } else { vec![Vec::new(); shards] };
+        let expected = if commit {
+            unit_logs(&store, &forward, &records)
+        } else {
+            vec![Vec::new(); shards]
+        };
         for (k, expected) in expected.into_iter().enumerate() {
             let group: Vec<_> = log_of(&store, k)[logs_before[k]..].iter().map(shape).collect();
             prop_assert_eq!(group, expected, "shard {}'s unit group", k);
@@ -406,6 +498,10 @@ proptest! {
         drop(store);
         let reopened = open_sharded(&path, shards);
         assert_scans(&reopened, outcome, &bounds, "reopened store");
+        for oid in &oids {
+            let expected = if commit { records.get(oid).cloned().flatten() } else { None };
+            prop_assert_eq!(reopened.get(*oid).map(|b| b.to_vec()), expected);
+        }
         let parent_path = scratch("parent-shape");
         write_parent_shaped_log(&parent_path, &settled, &forward, commit);
         let parent = Store::open(&parent_path).unwrap();
