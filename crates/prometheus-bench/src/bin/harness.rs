@@ -352,8 +352,10 @@ fn sweep_t5(out: &std::path::Path) {
 /// database size: 64 parts inserted under one assembly, or deleted from it,
 /// then the classification revalidated both ways. The thesis' protocol —
 /// the modification plus a revalidation of the whole classification — is
-/// the non-constant curve; the tracked check, which walks from the edges
-/// the modification added, is printed beside it.
+/// the non-constant curve. Beside it, the lookup: `check_integrity`
+/// answering from the set of classifications a full check found sound,
+/// which the modification keeps sound because each of its links refuses a
+/// cycle — a check timed inside the modification.
 fn sweep_structural(out: &std::path::Path, delete: bool) {
     let (figure, name, what) = if delete {
         (46, "s2", "delete")
@@ -367,7 +369,8 @@ fn sweep_structural(out: &std::path::Path, delete: bool) {
         let prom = PromDb::build(&format!("h-{name}-{target}"), params).unwrap();
         let parent = *prom.assemblies.first().unwrap();
         // Warm up with a small insert/delete pair outside the measurement,
-        // then revalidate: the tracked check starts from that verdict.
+        // then revalidate: the full check puts the classification in the
+        // set the lookup answers from.
         let warm = ops::prom_s1(&prom, parent, 4).unwrap();
         ops::prom_s2(&prom, &warm).unwrap();
         let sound = |problems: Vec<String>| assert!(problems.is_empty(), "{problems:?}");
@@ -379,7 +382,7 @@ fn sweep_structural(out: &std::path::Path, delete: bool) {
         } else {
             time_once(|| drop(ops::prom_s1(&prom, parent, k).unwrap()))
         };
-        let (found, d_incr) = time_once(|| prom.cls.check_integrity(&prom.db).unwrap());
+        let (found, d_lookup) = time_once(|| prom.cls.check_integrity(&prom.db).unwrap());
         sound(found);
         let (found, d_full) = time_once(|| prom.cls.check_integrity_full(&prom.db).unwrap());
         sound(found);
@@ -388,11 +391,11 @@ fn sweep_structural(out: &std::path::Path, delete: bool) {
             parts: k,
             modify_us: micros(d_mod),
             full_us: micros(d_full),
-            incremental_us: micros(d_incr),
+            lookup_us: micros(d_lookup),
         };
         println!(
-            "  nodes {:>6}: modification {:>10.1} µs + revalidation {:>10.1} µs full / {:>8.1} µs incremental",
-            point.nodes, point.modify_us, point.full_us, point.incremental_us
+            "  nodes {:>6}: modification {:>10.1} µs + revalidation {:>10.1} µs full / {:>8.1} µs lookup",
+            point.nodes, point.modify_us, point.full_us, point.lookup_us
         );
         points.push(point);
         prom.cleanup();
@@ -403,11 +406,11 @@ fn sweep_structural(out: &std::path::Path, delete: bool) {
     );
     print!("{}", render_revalidation(&title, &points));
     let full: Vec<SweepPoint> = points.iter().map(RevalidationPoint::full).collect();
-    let incremental: Vec<SweepPoint> = points.iter().map(RevalidationPoint::incremental).collect();
+    let lookup: Vec<SweepPoint> = points.iter().map(RevalidationPoint::lookup).collect();
     println!(
-        "growth ratio (last/first per-part cost): full {:.2}  [paper: non-constant], incremental {:.2}",
+        "growth ratio (last/first per-part cost): full {:.2}  [paper: non-constant], lookup {:.2}",
         growth_ratio(&full),
-        growth_ratio(&incremental)
+        growth_ratio(&lookup)
     );
     let _ = write_revalidation_csv(&out.join(format!("figure{figure}_{name}.csv")), &points);
 }

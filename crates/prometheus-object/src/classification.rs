@@ -15,8 +15,6 @@
 
 use crate::database::Database;
 use crate::error::DbResult;
-use crate::events::Event;
-use crate::index::{self, KS_CLS_EDGES};
 use crate::instance::RelInstance;
 use crate::read::Reader;
 use crate::traversal::{self, Direction, SynonymMode, TraversalSpec};
@@ -24,7 +22,6 @@ use crate::value::Value;
 use parking_lot::Mutex;
 use prometheus_storage::Oid;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Handle over one classification in a database.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -306,79 +303,54 @@ impl Classification {
         })
     }
 
+    /// Whether the member edge `origin → destination` would close a cycle:
+    /// `destination` is `origin` or one of its ancestors here. The walk
+    /// [`Database::add_edge_to_classification`] makes before it admits an
+    /// edge — record-free: a scan of `destination`'s outgoing edges and, only
+    /// if it has any, endpoint scans and membership `get`s up `origin`'s
+    /// ancestors, O(depth) in a strict hierarchy.
+    pub fn closes_cycle<R: Reader>(&self, db: &R, origin: Oid, destination: Oid) -> DbResult<bool> {
+        if origin == destination {
+            return Ok(true);
+        }
+        // A node with no outgoing edge is nobody's ancestor: a link that
+        // attaches a new or leaf node stops at this one endpoint scan.
+        if db.adjacency(destination, None, true)?.is_empty() {
+            return Ok(false);
+        }
+        Ok(self.ancestors(db, origin, None)?.contains(&destination))
+    }
+
     /// Verify the classification is structurally sound: acyclic and (if
     /// strict) single-parented. Returns problem descriptions — the same ones
     /// [`Classification::check_integrity_full`] returns.
     ///
-    /// On a reader with an [`IntegrityTracker`] (a [`Database`]) that holds a
-    /// clean verdict for this classification, and while no unit is open,
-    /// only the member edges committed units added since that verdict are
-    /// examined: whether each closes a cycle (its origin's ancestor chain
-    /// reaches its destination) or, when strict, gives its destination a
-    /// second parent. Removing an edge can cause neither, so if no added
-    /// edge does the classification is still sound. Anything else — no
-    /// verdict to start from, something found, an open unit — runs the full
-    /// check.
+    /// On a reader that keeps [`SoundClassifications`] (a [`Database`] with
+    /// no unit bound to the calling thread), a classification a full check
+    /// found sound answers from the set; otherwise the full check runs, and
+    /// a clean result joins the set.
     pub fn check_integrity<R: Reader>(&self, db: &R) -> DbResult<Vec<String>> {
-        let Some(tracker) = db.integrity_tracker() else {
+        let Some(sound) = db.sound_classifications() else {
             return self.check_integrity_full(db);
         };
-        let Some(epoch) = tracker.quiescent() else {
-            return self.check_integrity_full(db);
-        };
-        if let Some((strict, added)) = tracker.tracked_edges(self.oid) {
-            if self.added_edges_close_nothing(db, strict, &added)? {
-                tracker.settle(epoch, self.oid, Some(strict));
-                return Ok(Vec::new());
-            }
+        // A deleted classification is `NotFound` here too, as in the full
+        // check, whatever the set still holds.
+        db.classification_meta(self.oid)?;
+        if sound.contains(self.oid) {
+            return Ok(Vec::new());
         }
-        let (problems, strict, acyclic) = self.full_verdict(db)?;
-        let clean = problems.is_empty() && acyclic;
-        tracker.settle(epoch, self.oid, clean.then_some(strict));
+        let clears = sound.clears();
+        let problems = self.check_integrity_full(db)?;
+        if problems.is_empty() {
+            sound.record(self.oid, clears);
+        }
         Ok(problems)
     }
 
-    /// [`Classification::check_integrity`] from the whole member list, with
-    /// no tracker: the thesis' revalidation, whose cost follows the
-    /// classification's size.
+    /// [`Classification::check_integrity`] from the whole member list: the
+    /// thesis' revalidation, whose cost follows the classification's size,
+    /// and the oracle for a log written before links refused cycles.
     pub fn check_integrity_full<R: Reader>(&self, db: &R) -> DbResult<Vec<String>> {
-        Ok(self.full_verdict(db)?.0)
-    }
-
-    /// Whether none of `added` — edges committed since a clean verdict —
-    /// closes a cycle or, in a strict classification, gives its destination
-    /// a second parent. Record-free: a membership `get` per edge (whose value
-    /// carries the endpoints), then endpoint scans and membership `get`s
-    /// along the origin's ancestor chain. An edge no longer a member is
-    /// skipped; an entry without endpoints (an older log) answers "no".
-    fn added_edges_close_nothing<R: Reader>(
-        &self,
-        db: &R,
-        strict: bool,
-        added: &[Oid],
-    ) -> DbResult<bool> {
-        for &edge in added {
-            let Some(value) = db.raw_kv_get(KS_CLS_EDGES, &index::cls_edge_key(self.oid, edge))
-            else {
-                continue;
-            };
-            let Some((origin, destination)) = index::decode_cls_edge_value(&value) else {
-                return Ok(false);
-            };
-            if origin == destination
-                || (strict && self.parents(db, destination)?.len() > 1)
-                || self.ancestors(db, origin, None)?.contains(&destination)
-            {
-                return Ok(false);
-            }
-        }
-        Ok(true)
-    }
-
-    /// The full check's problems, the strict flag, and whether the member
-    /// edges are acyclic — which an empty problem list implies only when
-    /// strict: a lenient classification may hold a cycle some root reaches.
-    fn full_verdict<R: Reader>(&self, db: &R) -> DbResult<(Vec<String>, bool, bool)> {
         let mut problems = Vec::new();
         let meta = db.classification_meta(self.oid)?;
         // One read of the member list; every structure below derives from it.
@@ -404,11 +376,16 @@ impl Classification {
                 reached.insert(v);
             }
         }
-        for node in nodes.difference(&reached) {
+        let unreached: Vec<&Oid> = nodes.difference(&reached).collect();
+        // A cycle a root reaches leaves no node unreached: only the member
+        // edges failing to peel (Kahn) show it.
+        if unreached.is_empty() && !is_acyclic(&edges) {
+            problems.push("a cycle is reachable from a root".to_string());
+        }
+        for node in unreached {
             problems.push(format!("node {node} is unreachable from any root (cycle)"));
         }
-        let acyclic = meta.strict_hierarchy || is_acyclic(&edges);
-        Ok((problems, meta.strict_hierarchy, acyclic))
+        Ok(problems)
     }
 }
 
@@ -438,113 +415,51 @@ fn is_acyclic(edges: &[(Oid, Oid, Oid)]) -> bool {
     peeled == edges.len()
 }
 
-/// Tracked edges beyond which a classification's next check reads the whole
-/// member list instead of walking from each edge — also the bound on what
-/// the tracker holds per classification. Measured on the benchmark's
-/// floras: the walks cost as much as a full check at ~1 300–2 000 edges on
-/// `flora-S` and ~7 200–10 300 on `flora-L` (DESIGN.md, "Incremental
-/// integrity").
-const TRACKED_EDGES_MAX: usize = 2048;
-
-/// What lets [`Classification::check_integrity`] start from the last clean
-/// verdict instead of the whole classification. A [`Database`] owns one (see
-/// [`Reader::integrity_tracker`]); nothing else does.
+/// The classifications a full check found sound in committed state, which
+/// [`Classification::check_integrity`] answers from. A [`Database`] owns one
+/// (see [`Reader::sound_classifications`]); nothing else does.
 ///
-/// Per classification checked clean while no unit was open, it keeps the
-/// member edges that committed units added since — fed at commit from the
-/// sealed unit's `ClassificationEdgeAdded` events, including those its
-/// `at_commit` listeners caused, so an aborted unit never reaches it. It also
-/// counts outermost units opened and settled: a check trusts it only while
-/// the two are equal, from before its reads until it records its verdict,
-/// so the state it read was the last committed one throughout.
+/// An entry stays true while every member edge arrives through
+/// [`Database::add_edge_to_classification`]: removing an edge cannot make a
+/// classification unsound, and a link that would is refused.
+/// [`Database::refresh`], which a write that bypassed the link owes the
+/// database, clears the set; [`Database::delete_classification`] drops its
+/// entry.
 #[derive(Debug, Default)]
-pub struct IntegrityTracker {
-    /// Classification → (strict, edges added since its clean verdict).
-    clean: Mutex<HashMap<Oid, (bool, HashSet<Oid>)>>,
-    /// Whether `clean` holds anything: all a commit pays while it does not.
-    armed: AtomicBool,
-    opened: AtomicU64,
-    settled: AtomicU64,
+pub struct SoundClassifications {
+    /// The set, and how many times `refresh` cleared it.
+    inner: Mutex<(HashSet<Oid>, u64)>,
 }
 
-impl IntegrityTracker {
-    /// Member edges the next check of `cls` walks from, or `None` when it
-    /// reads the whole classification.
-    pub fn tracked(&self, cls: Oid) -> Option<usize> {
-        self.clean.lock().get(&cls).map(|(_, added)| added.len())
+impl SoundClassifications {
+    /// Whether a full check found `cls` sound.
+    pub fn contains(&self, cls: Oid) -> bool {
+        self.inner.lock().0.contains(&cls)
     }
 
-    pub(crate) fn unit_opened(&self) {
-        self.opened.fetch_add(1, Ordering::SeqCst);
+    /// How many times the set was cleared, read before a full check starts.
+    fn clears(&self) -> u64 {
+        self.inner.lock().1
     }
 
-    pub(crate) fn unit_settled(&self) {
-        self.settled.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// Fold a committing unit's events in.
-    pub(crate) fn fold<'a>(&self, events: impl IntoIterator<Item = &'a Event>) {
-        if !self.armed.load(Ordering::SeqCst) {
-            return;
+    /// Record that a full check which started at `clears` found `cls`
+    /// sound — unless the set was cleared since, when the state it read may
+    /// be gone.
+    fn record(&self, cls: Oid, clears: u64) {
+        let mut inner = self.inner.lock();
+        if inner.1 == clears {
+            inner.0.insert(cls);
         }
-        let mut clean = self.clean.lock();
-        for event in events {
-            if let Event::ClassificationEdgeAdded {
-                classification,
-                rel,
-            } = event
-            {
-                if let Some((_, added)) = clean.get_mut(classification) {
-                    added.insert(*rel);
-                    if added.len() > TRACKED_EDGES_MAX {
-                        clean.remove(classification);
-                    }
-                }
-            }
-        }
-        self.armed.store(!clean.is_empty(), Ordering::SeqCst);
     }
 
-    /// Drop `cls`'s verdict: its next check is a full one.
-    pub(crate) fn forget(&self, cls: Oid) {
-        let mut clean = self.clean.lock();
-        clean.remove(&cls);
-        self.armed.store(!clean.is_empty(), Ordering::SeqCst);
+    pub(crate) fn remove(&self, cls: Oid) {
+        self.inner.lock().0.remove(&cls);
     }
 
-    /// Drop every verdict (the store changed beneath the database).
-    pub(crate) fn forget_all(&self) {
-        self.clean.lock().clear();
-        self.armed.store(false, Ordering::SeqCst);
-    }
-
-    /// The epoch a check starts in, if no unit is open.
-    fn quiescent(&self) -> Option<u64> {
-        let opened = self.opened.load(Ordering::SeqCst);
-        (self.settled.load(Ordering::SeqCst) == opened).then_some(opened)
-    }
-
-    fn tracked_edges(&self, cls: Oid) -> Option<(bool, Vec<Oid>)> {
-        let clean = self.clean.lock();
-        let (strict, added) = clean.get(&cls)?;
-        Some((*strict, added.iter().copied().collect()))
-    }
-
-    /// Record a check's verdict — `Some(strict)` when clean — if no unit
-    /// opened since `epoch`, so none can have folded an edge the check did
-    /// not see.
-    fn settle(&self, epoch: u64, cls: Oid, clean_strict: Option<bool>) {
-        let mut clean = self.clean.lock();
-        // Armed before the epoch is read: a unit opened after that read
-        // finds the tracker armed when it commits.
-        self.armed.store(true, Ordering::SeqCst);
-        if self.quiescent() == Some(epoch) {
-            match clean_strict {
-                Some(strict) => drop(clean.insert(cls, (strict, HashSet::new()))),
-                None => drop(clean.remove(&cls)),
-            }
-        }
-        self.armed.store(!clean.is_empty(), Ordering::SeqCst);
+    pub(crate) fn clear(&self) {
+        let mut inner = self.inner.lock();
+        inner.0.clear();
+        inner.1 += 1;
     }
 }
 
@@ -579,6 +494,7 @@ mod tests {
     use super::*;
     use crate::database::tests::temp_db;
     use crate::database::Database;
+    use crate::error::DbError;
     use crate::schema::{AttrDef, ClassDef, RelClassDef};
     use crate::value::Type;
 
@@ -760,6 +676,129 @@ mod tests {
         let edge = db.create_relationship("Circ", a, d, Vec::new()).unwrap();
         strict.add_edge(&db, edge).unwrap();
         assert!(strict.check_integrity(&db).unwrap().is_empty());
+    }
+
+    /// An association class, which refuses no cycle of its own: what
+    /// guards a classification over it is the link.
+    fn with_cites(db: &Database) -> [Oid; 4] {
+        db.define_relationship(RelClassDef::association("Cites", "Object", "Object"))
+            .unwrap();
+        ["x", "y", "z", "w"].map(|name| taxon(db, name))
+    }
+
+    fn refused(result: DbResult<Oid>) -> bool {
+        matches!(result, Err(DbError::Classification(_)))
+    }
+
+    #[test]
+    fn a_strict_link_that_closes_a_cycle_is_refused() {
+        let db = shapes_db();
+        let [x, y, ..] = with_cites(&db);
+        let cls = Classification::create(&db, "strict", Vec::new(), true).unwrap();
+        cls.link(&db, "Cites", x, y, Vec::new()).unwrap();
+        assert!(refused(cls.link(&db, "Cites", y, x, Vec::new())));
+        assert!(refused(cls.link(&db, "Cites", x, x, Vec::new())));
+        // The refused links undid themselves, relationship included.
+        assert_eq!(db.extent("Cites", false).unwrap().len(), 1);
+        assert!(cls.check_integrity(&db).unwrap().is_empty());
+    }
+
+    #[test]
+    fn a_lenient_link_that_closes_a_three_cycle_is_refused() {
+        let db = shapes_db();
+        let [x, y, z, w] = with_cites(&db);
+        let cls = Classification::create(&db, "lenient", Vec::new(), false).unwrap();
+        cls.link(&db, "Cites", x, y, Vec::new()).unwrap();
+        cls.link(&db, "Cites", y, z, Vec::new()).unwrap();
+        // A second parent is still a lenient classification's to hold.
+        cls.link(&db, "Cites", w, z, Vec::new()).unwrap();
+        assert!(refused(cls.link(&db, "Cites", z, x, Vec::new())));
+        assert!(refused(cls.link(&db, "Cites", z, w, Vec::new())));
+        assert_eq!(cls.edges(&db).unwrap().len(), 3);
+        assert!(cls.check_integrity_full(&db).unwrap().is_empty());
+    }
+
+    #[test]
+    fn a_cycle_closed_against_an_edge_staged_in_the_same_unit_is_refused() {
+        let db = shapes_db();
+        let [x, y, ..] = with_cites(&db);
+        let cls = Classification::create(&db, "strict", Vec::new(), true).unwrap();
+        let token = db.begin_unit();
+        let kept = cls.link(&db, "Cites", x, y, Vec::new()).unwrap();
+        assert!(refused(cls.link(&db, "Cites", y, x, Vec::new())));
+        assert!(db.in_unit(), "a refused link left its unit");
+        db.commit_unit(token).unwrap();
+        let edges: Vec<Oid> = cls.edges(&db).unwrap().iter().map(|e| e.oid).collect();
+        assert_eq!(edges, vec![kept]);
+    }
+
+    /// At commit, links `(from, to)` into `cls`.
+    struct LinkAtCommit {
+        cls: Classification,
+        from: Oid,
+        to: Oid,
+    }
+
+    impl crate::events::EventListener for LinkAtCommit {
+        fn at_commit(&self, db: &Database, _events: &[crate::events::Event]) -> DbResult<()> {
+            self.cls
+                .link(db, "Cites", self.from, self.to, Vec::new())
+                .map(drop)
+        }
+    }
+
+    #[test]
+    fn a_cycle_closed_by_an_at_commit_link_rolls_the_unit_back() {
+        let db = shapes_db();
+        let [x, y, ..] = with_cites(&db);
+        let cls = Classification::create(&db, "strict", Vec::new(), true).unwrap();
+        db.add_listener(std::sync::Arc::new(LinkAtCommit {
+            cls,
+            from: y,
+            to: x,
+        }));
+        let token = db.begin_unit();
+        cls.link(&db, "Cites", x, y, Vec::new()).unwrap();
+        let err = db.commit_unit(token).unwrap_err();
+        assert!(matches!(err, DbError::Classification(_)), "{err}");
+        assert!(!db.in_unit());
+        assert!(cls.edges(&db).unwrap().is_empty());
+        assert!(db.extent("Cites", false).unwrap().is_empty());
+    }
+
+    /// A lenient cycle a root reaches, written straight to the store as a log
+    /// from before links refused cycles holds it: both checks report it once
+    /// the database hears of the write, and neither once an edge of it is
+    /// removed through the API.
+    #[test]
+    fn a_lenient_cycle_from_an_older_log_is_reported_by_both_checks() {
+        use crate::index::{self, KS_CLS_EDGES, KS_EDGE_CLS};
+        let db = shapes_db();
+        let [root, a, b, _] = with_cites(&db);
+        let cls = Classification::create(&db, "lenient", Vec::new(), false).unwrap();
+        cls.link(&db, "Cites", root, a, Vec::new()).unwrap();
+        let closing = cls.link(&db, "Cites", a, b, Vec::new()).unwrap();
+        assert!(cls.check_integrity(&db).unwrap().is_empty());
+        let back = db.create_relationship("Cites", b, a, Vec::new()).unwrap();
+        db.store()
+            .with_txn(|t| {
+                let value = index::cls_edge_value(b, a);
+                t.kv_put(KS_CLS_EDGES, index::cls_edge_key(cls.oid(), back), value);
+                t.kv_put(
+                    KS_EDGE_CLS,
+                    index::edge_cls_key(back, cls.oid()),
+                    Vec::new(),
+                );
+                Ok(())
+            })
+            .unwrap();
+        db.refresh().unwrap();
+        let full = cls.check_integrity_full(&db).unwrap();
+        assert_eq!(full, vec!["a cycle is reachable from a root".to_string()]);
+        assert_eq!(cls.check_integrity(&db).unwrap(), full);
+        cls.remove_edge(&db, closing).unwrap();
+        assert!(cls.check_integrity_full(&db).unwrap().is_empty());
+        assert!(cls.check_integrity(&db).unwrap().is_empty());
     }
 
     #[test]

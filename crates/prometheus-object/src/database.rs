@@ -47,7 +47,7 @@
 //! dependency and constancy are enforced on deletion. Violations surface as
 //! typed [`DbError`] variants.
 
-use crate::classification::IntegrityTracker;
+use crate::classification::{Classification, SoundClassifications};
 use crate::error::{DbError, DbResult};
 use crate::events::{Event, EventListener};
 use crate::index::{
@@ -282,9 +282,9 @@ pub struct Database {
     listeners: RwLock<Arc<Vec<Arc<dyn EventListener>>>>,
     /// Shared with the [`UnitClaim`]s drawn on it, which release themselves.
     units: Arc<Mutex<UnitTable>>,
-    /// What `check_integrity` starts from: the last clean verdict per
-    /// classification and the member edges committed since.
-    pub(crate) integrity: IntegrityTracker,
+    /// The classifications a full check found sound in committed state,
+    /// which `check_integrity` answers from.
+    pub(crate) sound: SoundClassifications,
 }
 
 impl Database {
@@ -298,7 +298,7 @@ impl Database {
             meta: MetaMemo::default(),
             listeners: RwLock::new(Arc::new(Vec::new())),
             units: Arc::default(),
-            integrity: IntegrityTracker::default(),
+            sound: SoundClassifications::default(),
         };
         db.published_meta()?;
         Ok(db)
@@ -442,12 +442,13 @@ impl Database {
 
     /// Refresh derived state after the store changed beneath this facade's
     /// write path — a follower's applied batch or resync, or a write straight
-    /// to the store: forget the integrity verdicts. Entities, schema and
+    /// to the store: forget which classifications are sound, since such a
+    /// write bypassed the link that keeps them so. Entities, schema and
     /// synonyms need nothing: a read decodes them from the image it reads.
     /// Fails if the published meta does not decode, which a follower answers
     /// with a resync.
     pub fn refresh(&self) -> DbResult<()> {
-        self.integrity.forget_all();
+        self.sound.clear();
         self.published_meta().map(drop)
     }
 
@@ -555,7 +556,6 @@ impl Database {
             return Err(claim);
         };
         let id = std::mem::take(&mut claim.id);
-        self.integrity.unit_opened();
         let unit = Arc::new(Unit {
             id,
             claim: mask,
@@ -640,15 +640,11 @@ impl Database {
                 return Err(e);
             }
         }
-        // The integrity tracker takes the unit's edge additions first —
-        // those its listeners caused too — while the unit still counts as
-        // open. The claim stays held until the seal lands, so a unit opened
+        // The claim stays held until the seal lands, so a unit opened
         // meanwhile cannot claim its shards; disjoint units seal in
         // parallel.
         self.units.lock().states.remove(&id);
-        let writes = unit.settle(&self.store);
-        self.integrity.fold(events.iter().chain(&writes.events));
-        let sealed = writes.txn.commit();
+        let sealed = unit.settle(&self.store).txn.commit();
         self.release_unit(id);
         Ok(sealed?)
     }
@@ -680,7 +676,6 @@ impl Database {
     /// Release `id`'s claim and thread binding after it settled, waking the
     /// claims waiting for the freed shards.
     fn release_unit(&self, id: u64) {
-        self.integrity.unit_settled();
         release_claim(&self.units, id);
         if self.bound_id() == id {
             bind_thread(None);
@@ -1314,9 +1309,14 @@ impl Database {
 
     /// Add a relationship instance to a classification.
     ///
-    /// In a strict-hierarchy classification the edge's destination must not
-    /// already have a parent edge there (one parent per node per
-    /// classification — the overlap across classifications is the point).
+    /// A classification is a hierarchy after every link (§4.6): the edge
+    /// `o → d` is refused when `d` is `o` or one of `o`'s ancestors there,
+    /// strict or lenient, as the unit bound to this thread sees it — so an
+    /// edge staged earlier in the unit counts. In a strict-hierarchy
+    /// classification `d` must not already have a parent edge there either
+    /// (one parent per node per classification — the overlap across
+    /// classifications is the point). A refused link fails with
+    /// [`DbError::Classification`] and undoes exactly itself.
     pub fn add_edge_to_classification(&self, cls: Oid, rel_oid: Oid) -> DbResult<()> {
         self.in_unit_scope(|_| {
             let meta = self.classification_meta(cls)?;
@@ -1335,6 +1335,12 @@ impl Database {
             }
             if self.edge_in_classification(cls, rel_oid) {
                 return Ok(()); // already a member
+            }
+            if Classification::from_oid(cls).closes_cycle(self, rel.origin, rel.destination)? {
+                return Err(DbError::Classification(format!(
+                    "edge {} -> {} closes a cycle in classification '{}'",
+                    rel.origin, rel.destination, meta.name
+                )));
             }
             let event = Event::ClassificationEdgeAdded {
                 classification: cls,
@@ -1522,7 +1528,7 @@ impl Database {
                 t.delete(oid);
                 t.kv_delete(KS_EXTENT, index::extent_key(CLASSIFICATION_EXTENT, oid));
             })?;
-            self.integrity.forget(oid);
+            self.sound.remove(oid);
             Ok(())
         })
     }

@@ -51,7 +51,7 @@ pub mod traversal;
 pub mod value;
 pub mod views;
 
-pub use classification::{Classification, ClassificationCompare, IntegrityTracker};
+pub use classification::{Classification, ClassificationCompare, SoundClassifications};
 pub use database::{Database, UnitClaim, UnitToken};
 pub use error::{DbError, DbResult};
 pub use events::{Event, EventListener};

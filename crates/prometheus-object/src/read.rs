@@ -23,7 +23,7 @@
 //! The query evaluator, traversals, classification structure queries and
 //! views are generic over `Reader`, so the same code serves both paths.
 
-use crate::classification::IntegrityTracker;
+use crate::classification::SoundClassifications;
 use crate::database::{Database, CLASSIFICATION_EXTENT};
 use crate::error::{DbError, DbResult};
 use crate::index::{self, KS_ATTR, KS_CLS_EDGES, KS_EDGE_CLS, KS_EXTENT, KS_REL_FROM, KS_REL_TO};
@@ -101,10 +101,13 @@ pub trait Reader: Sized + Send + Sync {
     /// reader reads (see [`Reader::with_schema`]).
     fn with_synonyms<T>(&self, f: impl FnOnce(&SynonymTable) -> T) -> T;
 
-    /// The tracker [`crate::Classification::check_integrity`] may start
-    /// from; `None` (the default, and a [`ReadView`]'s answer) makes every
-    /// check read the whole classification.
-    fn integrity_tracker(&self) -> Option<&IntegrityTracker> {
+    /// The classifications a full check found sound in committed state,
+    /// which [`crate::Classification::check_integrity`] answers from and
+    /// records into. Only a [`Database`] read with no unit bound to the
+    /// calling thread reads committed state, so only it answers `Some`;
+    /// `None` (the default, and a [`ReadView`]'s answer) makes every check
+    /// read the whole classification.
+    fn sound_classifications(&self) -> Option<&SoundClassifications> {
         None
     }
 
@@ -515,8 +518,8 @@ impl Reader for Database {
         Database::with_synonyms(self, f)
     }
 
-    fn integrity_tracker(&self) -> Option<&IntegrityTracker> {
-        Some(&self.integrity)
+    fn sound_classifications(&self) -> Option<&SoundClassifications> {
+        (!self.in_unit()).then_some(&self.sound)
     }
 }
 
@@ -550,8 +553,8 @@ impl<R: Reader> Reader for &R {
         (**self).with_synonyms(f)
     }
 
-    fn integrity_tracker(&self) -> Option<&IntegrityTracker> {
-        (**self).integrity_tracker()
+    fn sound_classifications(&self) -> Option<&SoundClassifications> {
+        (**self).sound_classifications()
     }
 }
 
@@ -584,8 +587,8 @@ impl<R: Reader> Reader for Arc<R> {
         (**self).with_synonyms(f)
     }
 
-    fn integrity_tracker(&self) -> Option<&IntegrityTracker> {
-        (**self).integrity_tracker()
+    fn sound_classifications(&self) -> Option<&SoundClassifications> {
+        (**self).sound_classifications()
     }
 }
 

@@ -246,33 +246,10 @@ pub fn scan_each(path: &Path, mut f: impl FnMut(u64, LogRecord)) -> StorageResul
         Err(e) => return Err(e.into()),
     };
     let mut reader = std::io::BufReader::new(file);
-    let mut header = [0u8; 8];
     let mut payload = Vec::new();
-    loop {
-        match read_exact_or_eof(&mut reader, &mut header)? {
-            ReadOutcome::Eof => break,
-            ReadOutcome::Partial => break, // torn header
-            ReadOutcome::Full => {}
-        }
-        let len = u32::from_le_bytes(header[0..4].try_into().unwrap());
-        let crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
-        if len > MAX_FRAME_LEN {
-            break; // corrupt length word
-        }
-        payload.resize(len as usize, 0);
-        match read_exact_or_eof(&mut reader, &mut payload)? {
-            ReadOutcome::Full => {}
-            _ => break, // torn payload
-        }
-        if crc32(&payload) != crc {
-            break; // corrupt payload
-        }
-        let record = match codec::from_bytes::<LogRecord>(&payload) {
-            Ok(r) => r,
-            Err(_) => break, // undecodable payload
-        };
+    while let Some((record, len)) = read_frame(&mut reader, &mut payload, u64::MAX)? {
         f(valid_len, record);
-        valid_len += 8 + len as u64;
+        valid_len += len;
     }
     Ok(valid_len)
 }
@@ -301,36 +278,15 @@ pub fn tail(
     reader.seek(SeekFrom::Start(offset))?;
     let mut frames = Vec::new();
     let mut at = offset;
-    let mut collected = 0u64;
-    let mut header = [0u8; 8];
-    while at < end && collected < max_bytes.max(1) {
-        if at + 8 > end {
-            break; // a frame header cannot straddle the committed boundary
-        }
-        match read_exact_or_eof(&mut reader, &mut header)? {
-            ReadOutcome::Full => {}
-            _ => break, // file shorter than `end`: rewritten underneath us
-        }
-        let len = u32::from_le_bytes(header[0..4].try_into().unwrap());
-        let crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
-        if len > MAX_FRAME_LEN || at + 8 + len as u64 > end {
-            break; // not a frame boundary
-        }
-        let mut payload = vec![0u8; len as usize];
-        match read_exact_or_eof(&mut reader, &mut payload)? {
-            ReadOutcome::Full => {}
-            _ => break,
-        }
-        if crc32(&payload) != crc {
+    let mut payload = Vec::new();
+    while at < end && at - offset < max_bytes.max(1) {
+        // A frame cannot straddle the committed boundary, and a file shorter
+        // than `end` was rewritten underneath us.
+        let Some((record, len)) = read_frame(&mut reader, &mut payload, end - at)? else {
             break;
-        }
-        let record = match codec::from_bytes::<LogRecord>(&payload) {
-            Ok(r) => r,
-            Err(_) => break,
         };
         frames.push(record);
-        at += 8 + len as u64;
-        collected += 8 + len as u64;
+        at += len;
     }
     if frames.is_empty() && at < end {
         // We were asked for data that provably exists but could not decode a
@@ -340,26 +296,45 @@ pub fn tail(
     Ok(Some((frames, at)))
 }
 
-enum ReadOutcome {
-    Full,
-    Partial,
-    Eof,
+/// Read the frame at `reader`'s position, of at most `limit` bytes header
+/// included, through the buffer `payload`: its record and its length on
+/// disk. `None` at the end of the file and wherever a valid frame does not
+/// start — a torn header or payload, a corrupt length word, CRC or
+/// payload, or a frame longer than `limit`.
+fn read_frame<R: Read>(
+    reader: &mut R,
+    payload: &mut Vec<u8>,
+    limit: u64,
+) -> StorageResult<Option<(LogRecord, u64)>> {
+    let mut header = [0u8; 8];
+    if limit < 8 || !read_full(reader, &mut header)? {
+        return Ok(None);
+    }
+    let len = u32::from_le_bytes(header[0..4].try_into().unwrap());
+    let crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
+    if len > MAX_FRAME_LEN || 8 + len as u64 > limit {
+        return Ok(None);
+    }
+    payload.resize(len as usize, 0);
+    if !read_full(reader, payload)? || crc32(payload) != crc {
+        return Ok(None);
+    }
+    Ok(codec::from_bytes::<LogRecord>(payload)
+        .ok()
+        .map(|record| (record, 8 + len as u64)))
 }
 
-fn read_exact_or_eof<R: Read>(reader: &mut R, buf: &mut [u8]) -> StorageResult<ReadOutcome> {
+/// Fill `buf` from `reader`: `false` if the reader ends first.
+fn read_full<R: Read>(reader: &mut R, buf: &mut [u8]) -> StorageResult<bool> {
     let mut filled = 0;
     while filled < buf.len() {
         let n = reader.read(&mut buf[filled..])?;
         if n == 0 {
-            return Ok(if filled == 0 {
-                ReadOutcome::Eof
-            } else {
-                ReadOutcome::Partial
-            });
+            return Ok(false);
         }
         filled += n;
     }
-    Ok(ReadOutcome::Full)
+    Ok(true)
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //! ordering, and classification structure and membership under random edit
 //! sequences.
 
-use prometheus_db::classification::IntegrityTracker;
+use prometheus_db::classification::SoundClassifications;
 use prometheus_db::index::{self, KS_CLS_EDGES, KS_EDGE_CLS};
 use prometheus_db::instance::StoredEntity;
 use prometheus_db::taxonomy::revision::Revision;
@@ -211,7 +211,7 @@ fn membership(db: &Database) -> Vec<String> {
         assert_eq!(
             problems,
             handle.check_integrity_full(db).unwrap(),
-            "the tracked check and the full one disagree on {cls}"
+            "the set's answer and the full check disagree on {cls}"
         );
         out.push(format!(
             "{cls}: {nodes:?} roots {:?} leaves {:?} {problems:?}",
@@ -279,15 +279,15 @@ impl EventListener for Veto {
 }
 
 /// Random interleavings of create/link/unlink operations keep a strict
-/// classification single-parented and acyclic, a what-if of arbitrary
-/// mutations that is aborted is a unit that never began, an operation that
-/// fails inside it — at a veto on any of its events, or of its own accord —
-/// undoes exactly itself and leaves the what-if open, and the record-free
-/// membership reads agree with the decoding ones after every step — as does
-/// the tracked integrity check with the full one, on the strict
-/// classification and on a lenient one that grows cycles and loses them
-/// through committed units, listener writes and raw store writes, inside
-/// and outside open units.
+/// classification and a lenient one sound, a what-if of arbitrary mutations
+/// that is aborted is a unit that never began, an operation that fails
+/// inside it — at a veto on any of its events, a link that would close a
+/// cycle, or of its own accord — undoes exactly itself and leaves the
+/// what-if open, and the record-free membership reads agree with the
+/// decoding ones after every step — as does the integrity check with the
+/// full one, on every classification: among them a lenient ring whose links
+/// close no cycle, in committed units, listener writes or what-ifs, and
+/// which holds one only after a raw store write.
 #[test]
 fn classification_invariants_under_random_edits() {
     random_edits(1234, 300);
@@ -354,10 +354,9 @@ fn random_edits(seed: u64, steps: usize) {
         nodes.push(specimen);
     }
     let mut edges: Vec<Oid> = Vec::new();
-    let tracked = |cls: Oid| db.integrity_tracker().unwrap().tracked(cls);
     for step in 0..steps {
         // Ring edges join the first twelve nodes and are unlinked more often
-        // than linked, so cycles come and go.
+        // than linked, so links that would close a cycle come and go.
         let (a, b) = (nodes[rng.gen_range(0..12)], nodes[rng.gen_range(0..12)]);
         let op = rng.gen_range(0..12);
         match op {
@@ -402,10 +401,10 @@ fn random_edits(seed: u64, steps: usize) {
                     }
                 }
             }
-            4 => {
-                let edge = Classification::from_oid(ring).link(db, "Near", a, b, Vec::new());
-                ring_edges.push(edge.unwrap());
-            }
+            4 => match Classification::from_oid(ring).link(db, "Near", a, b, Vec::new()) {
+                Ok(edge) => ring_edges.push(edge),
+                Err(e) => assert!(matches!(e, DbError::Classification(_)), "{e}"),
+            },
             5..=8 => {
                 if !ring_edges.is_empty() {
                     let edge = ring_edges.swap_remove(rng.gen_range(0..ring_edges.len()));
@@ -417,11 +416,17 @@ fn random_edits(seed: u64, steps: usize) {
                 }
             }
             9 => {
-                // The listener adds the edge while an empty unit commits.
+                // The listener adds the edge while an empty unit commits; an
+                // edge that closes a cycle rolls the unit back.
                 echo.queued.lock().unwrap().push((a, b));
                 let token = db.begin_unit();
-                db.commit_unit(token).unwrap();
-                ring_edges.append(&mut echo.linked.lock().unwrap());
+                let committed = db.commit_unit(token);
+                let mut linked = std::mem::take(&mut *echo.linked.lock().unwrap());
+                match committed {
+                    Ok(()) => ring_edges.append(&mut linked),
+                    Err(e) => assert!(matches!(e, DbError::Classification(_)), "{e}"),
+                }
+                assert!(!db.in_unit());
             }
             10 => {
                 // A member edge written straight to the store, as an older
@@ -446,10 +451,8 @@ fn random_edits(seed: u64, steps: usize) {
             }
             _ => {
                 // Speculative what-if that is always rolled back must leave
-                // no trace, whatever it did — on the integrity tracker
-                // neither, unless it dropped a classification's verdict.
+                // no trace, whatever it did.
                 let before = fingerprint(db);
-                let tracked_before = (tracked(cls.oid()), tracked(ring));
                 let token = db.begin_unit();
                 for i in 0..rng.gen_range(1..8) {
                     let a = nodes[rng.gen_range(0..nodes.len())];
@@ -511,15 +514,14 @@ fn random_edits(seed: u64, steps: usize) {
                 }
                 db.abort_unit(token);
                 assert_eq!(fingerprint(db), before);
-                for (cls, was) in [(cls.oid(), tracked_before.0), (ring, tracked_before.1)] {
-                    let now = tracked(cls);
-                    assert!(now == was || now.is_none(), "abort fed the tracker");
-                }
             }
         }
-        // Invariants hold after every step.
-        let problems = cls.check_integrity(db).unwrap();
-        assert!(problems.is_empty(), "integrity violated: {problems:?}");
+        // Invariants hold after every step; `membership` compares the check
+        // with the full one on every classification.
+        for handle in [cls, Classification::from_oid(loose)] {
+            let problems = handle.check_integrity(db).unwrap();
+            assert!(problems.is_empty(), "integrity violated: {problems:?}");
+        }
         membership(db);
     }
     // What the aborted units left behind in the log replays to the same state.
@@ -532,7 +534,7 @@ fn random_edits(seed: u64, steps: usize) {
 }
 
 /// A reader that counts what a check asks of the database beneath it,
-/// handing on the database's integrity tracker.
+/// handing on the database's set of sound classifications.
 struct Counting<'a> {
     db: &'a Database,
     relationships_decoded: AtomicU64,
@@ -584,17 +586,21 @@ impl Reader for Counting<'_> {
         Reader::with_synonyms(self.db, f)
     }
 
-    fn integrity_tracker(&self) -> Option<&IntegrityTracker> {
-        self.db.integrity_tracker()
+    fn sound_classifications(&self) -> Option<&SoundClassifications> {
+        self.db.sound_classifications()
     }
 }
 
-/// After a committed move, the integrity check walks from the one edge the
-/// move added: the same index calls, and no relationship decoded, in a
-/// classification of 50 edges and of 5 000. The count repeats exactly, so
-/// it gates on any runner.
+/// A link walks its origin's ancestors, not the classification. After one
+/// committed move of a species that has a specimen below it, the walk its
+/// link made (`Classification::closes_cycle`, which
+/// `add_edge_to_classification` runs) climbs from the new genus to the
+/// family at the same index calls in a classification of 50 edges and of
+/// 5 000, and decodes no relationship; the integrity check after it
+/// answers from the set of sound classifications without an index call.
+/// The counts repeat exactly, so they gate on any runner.
 #[test]
-fn a_tracked_integrity_check_costs_the_same_in_a_classification_of_any_size() {
+fn a_link_and_the_check_after_it_cost_the_same_in_a_classification_of_any_size() {
     let path = std::env::temp_dir().join(format!("prop-counting-{}.log", std::process::id()));
     let _ = std::fs::remove_file(&path);
     let options = StoreOptions {
@@ -625,26 +631,41 @@ fn a_tracked_integrity_check_costs_the_same_in_a_classification_of_any_size() {
                 species.push(sp);
             }
         }
-        // The verdict the next check starts from, then one committed move.
+        // The moved species is no leaf, so the move's link must climb.
+        let specimen = tax.create_specimen(&format!("S{edges}")).unwrap();
+        tax.circumscribe(&cls, species[0], specimen).unwrap();
+        // A full check finds the classification sound, then one committed
+        // move, whose link walks from its new parent up.
         assert!(cls.check_integrity(db).unwrap().is_empty());
         let rev = Revision {
             base: cls,
             working: cls,
         };
         rev.move_taxon(&tax, species[0], genera[1]).unwrap();
-        assert_eq!(db.integrity_tracker().unwrap().tracked(cls.oid()), Some(1));
-        let counting = Counting {
+        let sound = |cls: Oid| db.sound_classifications().unwrap().contains(cls);
+        assert!(
+            sound(cls.oid()),
+            "a committed link keeps a classification sound"
+        );
+        let counting = || Counting {
             db,
             relationships_decoded: AtomicU64::new(0),
             index_gets: AtomicU64::new(0),
             index_scans: AtomicU64::new(0),
         };
-        assert!(cls.check_integrity(&counting).unwrap().is_empty());
-        assert_eq!(db.integrity_tracker().unwrap().tracked(cls.oid()), Some(0));
-        counting.counts()
+        let walk = counting();
+        assert!(!cls.closes_cycle(&walk, genera[1], species[0]).unwrap());
+        let check = counting();
+        assert!(cls.check_integrity(&check).unwrap().is_empty());
+        assert_eq!(check.counts(), (0, 0, 0), "the check answers from the set");
+        walk.counts()
     };
     let (small, big) = (cost(50), cost(5_000));
-    assert_eq!(small.0, 0, "the tracked check decodes no relationship");
+    println!(
+        "a link's cycle walk: {} index gets, {} index scans, {} relationships decoded",
+        small.1, small.2, small.0
+    );
+    assert_eq!(small.0, 0, "the walk decodes no relationship");
     assert_eq!(small, big, "cost follows the classification's size");
     drop(tax);
     drop(p);
@@ -680,8 +701,12 @@ fn membership_entries_with_an_empty_value_read_the_same() {
         .enumerate()
     {
         let edge = db.create_relationship("E", n[a], n[b], Vec::new()).unwrap();
-        db.add_edge_to_classification(lenient, edge).unwrap();
-        // Put raw: the strict one would refuse the second parent.
+        // Put raw: the strict one would refuse the second parent, and a link
+        // in either would refuse the edge that closes the cycle.
+        let closes = (a, b) == (6, 4);
+        if !closes {
+            db.add_edge_to_classification(lenient, edge).unwrap();
+        }
         let value = index::cls_edge_value(n[a], n[b]);
         db.store()
             .with_txn(|t| {
@@ -690,6 +715,14 @@ fn membership_entries_with_an_empty_value_read_the_same() {
                     index::cls_edge_key(strict, edge),
                     value.clone(),
                 );
+                if closes {
+                    t.kv_put(
+                        KS_CLS_EDGES,
+                        index::cls_edge_key(lenient, edge),
+                        value.clone(),
+                    );
+                    t.kv_put(KS_EDGE_CLS, index::edge_cls_key(edge, lenient), Vec::new());
+                }
                 if i % 2 == 0 {
                     t.kv_put(KS_CLS_EDGES, index::cls_edge_key(lenient, edge), Vec::new());
                 }
@@ -794,7 +827,9 @@ fn oracle_reaches(db: &Database, from: Oid, to: Oid, class: &str) -> DbResult<bo
 }
 
 /// Today's formula for `add_edge_to_classification`'s verdict: a strict
-/// classification refuses a destination that has another member parent edge.
+/// classification refuses a destination that has another member parent edge,
+/// and any classification refuses a new member edge whose destination is its
+/// origin or one of the origin's ancestors.
 fn oracle_add_edge(db: &Database, cls: Oid, rel_oid: Oid) -> DbResult<()> {
     let meta = db.classification_meta(cls)?;
     let rel = db.rel(rel_oid)?;
@@ -807,6 +842,27 @@ fn oracle_add_edge(db: &Database, cls: Oid, rel_oid: Oid) -> DbResult<()> {
             "node {} already has a parent in classification '{}'",
             rel.destination, meta.name
         )));
+    }
+    if db.edge_in_classification(cls, rel_oid) {
+        return Ok(());
+    }
+    // The origin and its ancestors, climbed through the relationship records.
+    let mut climb = vec![rel.origin];
+    let mut seen = BTreeSet::new();
+    while let Some(node) = climb.pop() {
+        if node == rel.destination {
+            return Err(DbError::Classification(format!(
+                "edge {} -> {} closes a cycle in classification '{}'",
+                rel.origin, rel.destination, meta.name
+            )));
+        }
+        if seen.insert(node) {
+            for parent_edge in db.rels_to(node, None)? {
+                if db.edge_in_classification(cls, parent_edge.oid) {
+                    climb.push(parent_edge.origin);
+                }
+            }
+        }
     }
     Ok(())
 }
