@@ -172,10 +172,7 @@ impl Classification {
         let spec = TraversalSpec::closure(Vec::new())
             .in_classification(self.oid)
             .depth(1, max_depth);
-        Ok(traversal::traverse(db, node, &spec)?
-            .into_iter()
-            .map(|v| v.node)
-            .collect())
+        traversal::traverse(db, node, &spec)
     }
 
     /// All ancestors of `node`.
@@ -189,10 +186,7 @@ impl Classification {
             .direction(Direction::Incoming)
             .in_classification(self.oid)
             .depth(1, max_depth);
-        Ok(traversal::traverse(db, node, &spec)?
-            .into_iter()
-            .map(|v| v.node)
-            .collect())
+        traversal::traverse(db, node, &spec)
     }
 
     /// The leaf set below `node` — in taxonomy, the *circumscription* of the
@@ -366,20 +360,25 @@ impl Classification {
                 }
             }
         }
-        // Cycle check: DFS from each root; if some node is never reached
-        // from any root and edges exist, there is a cycle among the rest.
-        let nodes = nodes_of(&edges);
-        let mut reached: BTreeSet<Oid> = BTreeSet::new();
-        for root in roots_of(&edges) {
-            reached.insert(root);
-            for v in self.descendants(db, root, None)? {
-                reached.insert(v);
+        // Cycle check over the member list alone: walk from each root; if
+        // some node is never reached and edges exist, there is a cycle among
+        // the rest.
+        let children = children_of(&edges);
+        let roots = roots_of(&edges);
+        let mut reached: BTreeSet<Oid> = roots.iter().copied().collect();
+        let mut stack = roots.clone();
+        while let Some(node) = stack.pop() {
+            for &child in children.get(&node).into_iter().flatten() {
+                if reached.insert(child) {
+                    stack.push(child);
+                }
             }
         }
+        let nodes = nodes_of(&edges);
         let unreached: Vec<&Oid> = nodes.difference(&reached).collect();
         // A cycle a root reaches leaves no node unreached: only the member
         // edges failing to peel (Kahn) show it.
-        if unreached.is_empty() && !is_acyclic(&edges) {
+        if unreached.is_empty() && !is_acyclic(&edges, roots, &children) {
             problems.push("a cycle is reachable from a root".to_string());
         }
         for node in unreached {
@@ -389,26 +388,38 @@ impl Classification {
     }
 }
 
-/// Whether `(edge, origin, destination)` triples form no cycle: peel edges
-/// from the roots down (Kahn); an edge never peeled lies on or below a cycle.
-fn is_acyclic(edges: &[(Oid, Oid, Oid)]) -> bool {
-    let mut parents: HashMap<Oid, usize> = HashMap::new();
+/// Each origin's destinations over `(edge, origin, destination)` triples.
+fn children_of(edges: &[(Oid, Oid, Oid)]) -> HashMap<Oid, Vec<Oid>> {
     let mut children: HashMap<Oid, Vec<Oid>> = HashMap::new();
     for &(_, origin, destination) in edges {
-        *parents.entry(destination).or_default() += 1;
         children.entry(origin).or_default().push(destination);
     }
-    let mut ready = roots_of(edges);
+    children
+}
+
+/// Whether `(edge, origin, destination)` triples form no cycle: peel edges
+/// from the roots down (Kahn); an edge never peeled lies on or below a cycle.
+/// Each node is made ready once, when its last parent edge is peeled.
+fn is_acyclic(
+    edges: &[(Oid, Oid, Oid)],
+    roots: Vec<Oid>,
+    children: &HashMap<Oid, Vec<Oid>>,
+) -> bool {
+    let mut parents: HashMap<Oid, usize> = HashMap::new();
+    for &(_, _, destination) in edges {
+        *parents.entry(destination).or_default() += 1;
+    }
+    let mut ready = roots;
     let mut peeled = 0;
     while let Some(node) = ready.pop() {
-        for child in children.remove(&node).unwrap_or_default() {
+        for child in children.get(&node).into_iter().flatten() {
             peeled += 1;
             let left = parents
-                .get_mut(&child)
+                .get_mut(child)
                 .expect("every destination is counted");
             *left -= 1;
             if *left == 0 {
-                ready.push(child);
+                ready.push(*child);
             }
         }
     }

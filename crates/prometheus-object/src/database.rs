@@ -1203,10 +1203,10 @@ impl Database {
     // Extents and attribute queries
     // -----------------------------------------------------------------
 
-    /// OIDs in the extent of `class`; with `include_subclasses`, the deep
-    /// extent (ODMG `extent` semantics).
-    pub fn extent(&self, class: &str, include_subclasses: bool) -> DbResult<Vec<Oid>> {
-        Reader::extent(self, class, include_subclasses)
+    /// OIDs in the extent of `class`; with `deep`, the deep extent (ODMG
+    /// `extent` semantics).
+    pub fn extent(&self, class: &str, deep: bool) -> DbResult<Vec<Oid>> {
+        Reader::extent(self, class, deep)
     }
 
     /// Exact-match lookup over an indexed attribute (deep extent).

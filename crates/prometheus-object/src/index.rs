@@ -119,8 +119,8 @@ pub fn attr_prefix(class: &str, attr: &str) -> Vec<u8> {
 }
 
 /// In-place variants for hot scan loops: a caller probing many classes (deep
-/// extents, polymorphic adjacency) clears and refills one buffer instead of
-/// allocating a fresh `Vec<u8>` per probe.
+/// extents, attribute lookups over subclasses) clears and refills one buffer
+/// instead of allocating a fresh `Vec<u8>` per probe.
 pub mod build {
     use super::*;
 
@@ -145,13 +145,6 @@ pub mod build {
         push_name(key, class);
         push_name(key, attr);
         key.extend_from_slice(encoded);
-    }
-
-    /// Fill `key` with the adjacency prefix `endpoint · rel_class`.
-    pub fn endpoint_class_prefix(key: &mut Vec<u8>, endpoint: Oid, rel_class: &str) {
-        key.clear();
-        key.extend_from_slice(&endpoint.to_be_bytes());
-        push_name(key, rel_class);
     }
 }
 
@@ -302,11 +295,6 @@ mod tests {
         let enc = build::encode_value(&v);
         build::attr_value_prefix(&mut buf, "NT", "year", &enc);
         assert_eq!(buf, attr_value_prefix("NT", "year", &v));
-        build::endpoint_class_prefix(&mut buf, Oid::from_raw(10), "Circumscribes");
-        assert_eq!(
-            buf,
-            endpoint_class_prefix(Oid::from_raw(10), "Circumscribes")
-        );
     }
 
     #[test]

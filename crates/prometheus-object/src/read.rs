@@ -159,8 +159,8 @@ pub trait Reader: Sized + Send + Sync {
     // -----------------------------------------------------------------
 
     /// All relationship instances leaving `oid`, optionally restricted to one
-    /// relationship class (exact; [`Reader::adjacency_batch`] takes a
-    /// subclass-expanded list for polymorphic queries).
+    /// relationship class (exact: a polymorphic caller asks once per class
+    /// of the schema's subclass list).
     fn rels_from(&self, oid: Oid, class: Option<&str>) -> DbResult<Vec<RelInstance>> {
         decode_rels(self, self.adjacency(oid, class, true)?)
     }
@@ -196,45 +196,14 @@ pub trait Reader: Sized + Send + Sync {
         Ok(out)
     }
 
-    /// [`Reader::adjacency`] for a batch of nodes over a fixed set of
-    /// relationship classes, sharing one prefix buffer across all probes.
-    /// Returns one adjacency list per input node, in input order — the
-    /// frontier-parallel traversal expands whole morsels of a BFS level
-    /// through this. `classes` must already be subclass-expanded.
-    fn adjacency_batch(
-        &self,
-        oids: &[Oid],
-        classes: &[String],
-        outgoing: bool,
-    ) -> DbResult<Vec<Vec<(Oid, Oid)>>> {
-        let ks = if outgoing { KS_REL_FROM } else { KS_REL_TO };
-        let mut prefix = Vec::new();
-        let mut out = Vec::with_capacity(oids.len());
-        for &oid in oids {
-            let mut adj = Vec::new();
-            for class in classes {
-                index::build::endpoint_class_prefix(&mut prefix, oid, class);
-                self.raw_kv_for_each_prefix(ks, &prefix, |key, value| {
-                    if let (Some(rel_oid), Ok(bytes)) =
-                        (index::oid_suffix(key), <[u8; 8]>::try_from(value))
-                    {
-                        adj.push((rel_oid, Oid::from_be_bytes(bytes)));
-                    }
-                });
-            }
-            out.push(adj);
-        }
-        Ok(out)
-    }
-
     // -----------------------------------------------------------------
     // Extents and attribute queries
     // -----------------------------------------------------------------
 
-    /// OIDs in the extent of `class`; with `include_subclasses`, the deep
-    /// extent (ODMG `extent` semantics).
-    fn extent(&self, class: &str, include_subclasses: bool) -> DbResult<Vec<Oid>> {
-        let classes = if include_subclasses {
+    /// OIDs in the extent of `class`; with `deep`, the deep extent (ODMG
+    /// `extent` semantics).
+    fn extent(&self, class: &str, deep: bool) -> DbResult<Vec<Oid>> {
+        let classes = if deep {
             self.with_schema(|s| s.with_subclasses(class))
         } else {
             vec![class.to_string()]

@@ -7,9 +7,12 @@
 //! equivalence relation, implemented as a union–find structure persisted in
 //! the meta keyspace.
 //!
-//! Queries and traversals choose a [`crate::traversal::SynonymMode`]:
-//! `Ignore` treats instances literally; `Transparent` makes every operation
-//! see a synonym set as one logical instance.
+//! Three operations take a [`crate::traversal::SynonymMode`]: a traversal
+//! ([`crate::traversal::traverse`]), the classification comparisons
+//! (`Classification::compare` and `circumscription_overlap`) and the
+//! taxonomy's synonym detection. `Ignore` treats instances literally;
+//! `Transparent` makes that operation see a synonym set as one logical
+//! instance. POOL queries have no such switch: they read OIDs literally.
 
 use prometheus_storage::Oid;
 use serde::{Deserialize, Serialize};

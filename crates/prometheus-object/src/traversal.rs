@@ -1,14 +1,15 @@
 //! Generic graph traversal over relationship instances.
 //!
-//! Implements the recursive-exploration requirement (requirement 9): every
-//! higher-level operation — classification descendants/ancestors, POOL's
-//! recursive path operators, name derivation, synonym detection — reduces to
-//! [`traverse`] with a [`TraversalSpec`].
+//! Implements the recursive-exploration requirement (requirement 9):
+//! classification descendants and ancestors and POOL's recursive path
+//! operator (`->*`, `->[a..b]`) are each one [`traverse`] with a
+//! [`TraversalSpec`].
 //!
-//! Traversals are cycle-safe, honour depth bounds (`min_depth..=max_depth`,
-//! giving POOL its `[a..b]` depth-controlled path expressions), can be scoped
-//! to a single classification (querying *in context*, §4.6.2), and can treat
-//! instance synonyms transparently (§4.5).
+//! A traversal is one breadth-first walk that expands each frontier node
+//! through [`Reader::adjacency`]. It is cycle-safe, honours depth bounds
+//! (`min_depth..=max_depth`, giving POOL its `[a..b]` depth-controlled path
+//! expressions), can be scoped to a single classification (querying *in
+//! context*, §4.6.2), and can treat instance synonyms transparently (§4.5).
 
 use crate::error::DbResult;
 use crate::morsel;
@@ -38,10 +39,9 @@ pub enum SynonymMode {
 /// Parameters of one traversal.
 #[derive(Debug, Clone)]
 pub struct TraversalSpec {
-    /// Relationship classes to follow; empty means *all*.
+    /// Relationship classes to follow, each with its subclasses (a listed
+    /// class matches polymorphically); empty means *all*.
     pub rel_classes: Vec<String>,
-    /// Also follow subclasses of the listed relationship classes.
-    pub include_subclasses: bool,
     pub direction: Direction,
     /// Minimum depth for a node to be reported (1 = direct neighbours;
     /// 0 additionally reports the start node).
@@ -58,20 +58,11 @@ impl TraversalSpec {
     pub fn closure(rel_classes: impl IntoIterator<Item = String>) -> Self {
         TraversalSpec {
             rel_classes: rel_classes.into_iter().collect(),
-            include_subclasses: false,
             direction: Direction::Outgoing,
             min_depth: 1,
             max_depth: None,
             classification: None,
             synonyms: SynonymMode::Ignore,
-        }
-    }
-
-    /// Direct neighbours only.
-    pub fn neighbours(rel_classes: impl IntoIterator<Item = String>) -> Self {
-        TraversalSpec {
-            max_depth: Some(1),
-            ..TraversalSpec::closure(rel_classes)
         }
     }
 
@@ -89,34 +80,21 @@ impl TraversalSpec {
         self.classification = Some(cls);
         self
     }
-    pub fn with_subclasses(mut self) -> Self {
-        self.include_subclasses = true;
-        self
-    }
     pub fn synonym_mode(mut self, mode: SynonymMode) -> Self {
         self.synonyms = mode;
         self
     }
 }
 
-/// One node visited during a traversal.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Visit {
-    pub node: Oid,
-    pub depth: u32,
-    /// Edge through which the node was first reached (`None` for the start).
-    pub via: Option<Oid>,
-}
-
 /// Breadth-first traversal from `start` according to `spec`.
 ///
-/// Returns each reachable node exactly once (first time it is seen), with
-/// its discovery depth — the order is therefore by increasing depth. Nodes
-/// shallower than `min_depth` are explored but not reported.
+/// Returns each reachable node exactly once, in discovery order — so by
+/// increasing depth. Nodes shallower than `min_depth` are explored but not
+/// reported.
 ///
 /// Generic over [`Reader`]: run it against the live `Database` or against a
 /// pinned `ReadView` for a traversal over one consistent snapshot.
-pub fn traverse<R: Reader>(db: &R, start: Oid, spec: &TraversalSpec) -> DbResult<Vec<Visit>> {
+pub fn traverse<R: Reader>(db: &R, start: Oid, spec: &TraversalSpec) -> DbResult<Vec<Oid>> {
     Ok(traverse_with(db, start, spec, 1)?.0)
 }
 
@@ -127,212 +105,98 @@ const FRONTIER_MORSEL: usize = 16;
 /// [`traverse`] with a worker budget: each BFS level's frontier is expanded
 /// morsel-parallel, and the expansions are merged in frontier order before
 /// the visited-set is updated sequentially. Level-by-level expansion in
-/// frontier order visits exactly the nodes, depths and `via` edges of the
-/// FIFO walk, so the result is identical for every worker count. Also
-/// returns the number of frontier morsels expanded in parallel (0 when the
-/// walk stayed sequential).
+/// frontier order discovers exactly the nodes of the FIFO walk in the same
+/// order, so the result is identical for every worker count. Also returns
+/// the number of frontier morsels expanded in parallel (0 when the walk
+/// stayed sequential).
 pub fn traverse_with<R: Reader>(
     db: &R,
     start: Oid,
     spec: &TraversalSpec,
     workers: usize,
-) -> DbResult<(Vec<Visit>, u64)> {
+) -> DbResult<(Vec<Oid>, u64)> {
     let canon = |oid: Oid| match spec.synonyms {
         SynonymMode::Ignore => oid,
         SynonymMode::Transparent => db.synonym_representative(oid),
     };
-    // Subclass-expand the relationship-class filter once per traversal
-    // instead of once per visited node, preserving per-class probe order.
-    let classes: Option<Vec<String>> = if spec.rel_classes.is_empty() {
-        None
+    // Subclass-expand the class filter once per traversal; `None` = all.
+    let classes: Vec<Option<String>> = if spec.rel_classes.is_empty() {
+        vec![None]
     } else {
-        Some(db.with_schema(|s| {
-            let mut acc = Vec::new();
-            for class in &spec.rel_classes {
-                if spec.include_subclasses {
-                    acc.extend(s.with_subclasses(class));
-                } else {
-                    acc.push(class.clone());
-                }
-            }
-            acc
-        }))
+        db.with_schema(|s| {
+            spec.rel_classes
+                .iter()
+                .flat_map(|class| s.with_subclasses(class))
+                .map(Some)
+                .collect()
+        })
     };
     let mut out = Vec::new();
     let mut visited: BTreeSet<Oid> = BTreeSet::new();
     visited.insert(canon(start));
-    let mut level: Vec<(Oid, u32, Option<Oid>)> = vec![(start, 0, None)];
+    let mut level = vec![start];
     let mut depth = 0u32;
     let mut parallel_morsels = 0u64;
     while !level.is_empty() {
-        for &(node, d, via) in &level {
-            if d >= spec.min_depth {
-                out.push(Visit {
-                    node,
-                    depth: d,
-                    via,
-                });
-            }
+        if depth >= spec.min_depth {
+            out.extend_from_slice(&level);
         }
-        if let Some(max) = spec.max_depth {
-            if depth >= max {
-                break;
-            }
+        if spec.max_depth.is_some_and(|max| depth >= max) {
+            break;
         }
-        let nodes: Vec<Oid> = level.iter().map(|&(n, _, _)| n).collect();
-        let run = morsel::run(&nodes, workers, FRONTIER_MORSEL, |chunk| {
-            expand_nodes(db, chunk, classes.as_deref(), spec)
+        let run = morsel::run(&level, workers, FRONTIER_MORSEL, |chunk| {
+            let mut next = Vec::new();
+            for &node in chunk {
+                expand(db, node, &classes, spec, &mut next)?;
+            }
+            Ok(next)
         })?;
         parallel_morsels += run.parallel_morsels;
-        let mut next_level = Vec::new();
-        for (edge, next) in run.output {
-            if visited.insert(canon(next)) {
-                next_level.push((next, depth + 1, Some(edge)));
-            }
-        }
-        level = next_level;
+        level = run
+            .output
+            .into_iter()
+            .filter(|&next| visited.insert(canon(next)))
+            .collect();
         depth += 1;
     }
     Ok((out, parallel_morsels))
 }
 
-/// Admissible edges of a batch of frontier nodes, concatenated in node
-/// order (each node's edges in the same order [`step`] yields them).
-/// `classes` is the pre-expanded relationship-class list (`None` = all).
-fn expand_nodes<R: Reader>(
-    db: &R,
-    nodes: &[Oid],
-    classes: Option<&[String]>,
-    spec: &TraversalSpec,
-) -> DbResult<Vec<(Oid, Oid)>> {
-    let outgoing = spec.direction == Direction::Outgoing;
-    let mut out = Vec::new();
-    if spec.synonyms == SynonymMode::Ignore {
-        let pairs_per_node = match classes {
-            // Batched adjacency shares one key-prefix buffer across probes.
-            Some(classes) => db.adjacency_batch(nodes, classes, outgoing)?,
-            None => {
-                let mut acc = Vec::with_capacity(nodes.len());
-                for &node in nodes {
-                    acc.push(db.adjacency(node, None, outgoing)?);
-                }
-                acc
-            }
-        };
-        for pairs in pairs_per_node {
-            for (edge, next) in pairs {
-                if let Some(cls) = spec.classification {
-                    if !db.edge_in_classification(cls, edge) {
-                        continue;
-                    }
-                }
-                out.push((edge, next));
-            }
-        }
-    } else {
-        for &node in nodes {
-            out.extend(step(db, node, spec)?);
-        }
-    }
-    Ok(out)
-}
-
-/// The edges leaving (or arriving at, per direction) `node` that `spec`
-/// admits, paired with the node they lead to. With transparent synonyms the
-/// edges of every synonym-set member are considered.
-pub fn step<R: Reader>(db: &R, node: Oid, spec: &TraversalSpec) -> DbResult<Vec<(Oid, Oid)>> {
-    let sources: Vec<Oid> = match spec.synonyms {
-        SynonymMode::Ignore => vec![node],
-        SynonymMode::Transparent => db.synonym_set(node),
-    };
-    let outgoing = spec.direction == Direction::Outgoing;
-    let mut out = Vec::new();
-    for source in sources {
-        // Record-free adjacency: the endpoint index stores the opposite
-        // endpoint, so no relationship record is decoded per step.
-        let pairs: Vec<(Oid, Oid)> = if spec.rel_classes.is_empty() {
-            db.adjacency(source, None, outgoing)?
-        } else {
-            let mut acc = Vec::new();
-            for class in &spec.rel_classes {
-                if spec.include_subclasses {
-                    let classes = db.with_schema(|s| s.with_subclasses(class));
-                    for c in classes {
-                        acc.extend(db.adjacency(source, Some(&c), outgoing)?);
-                    }
-                } else {
-                    acc.extend(db.adjacency(source, Some(class), outgoing)?);
-                }
-            }
-            acc
-        };
-        for (edge, next) in pairs {
-            if let Some(cls) = spec.classification {
-                if !db.edge_in_classification(cls, edge) {
-                    continue;
-                }
-            }
-            out.push((edge, next));
-        }
-    }
-    Ok(out)
-}
-
-/// All simple paths (as edge OID sequences) from `start` to `goal` honouring
-/// `spec`; used by POOL's path-extraction operator. Depth bounds apply to
-/// path length.
-pub fn paths<R: Reader>(
-    db: &R,
-    start: Oid,
-    goal: Oid,
-    spec: &TraversalSpec,
-) -> DbResult<Vec<Vec<Oid>>> {
-    let mut out = Vec::new();
-    let mut path_edges: Vec<Oid> = Vec::new();
-    let mut path_nodes: BTreeSet<Oid> = BTreeSet::new();
-    path_nodes.insert(start);
-    dfs_paths(
-        db,
-        start,
-        goal,
-        spec,
-        &mut path_edges,
-        &mut path_nodes,
-        &mut out,
-    )?;
-    Ok(out)
-}
-
-fn dfs_paths<R: Reader>(
+/// Push the nodes one admitted edge away from `node` onto `out`: for each
+/// source (the node, or its synonym set under [`SynonymMode::Transparent`]),
+/// for each class of the pre-expanded `classes`, the opposite endpoints
+/// [`Reader::adjacency`] lists, kept when `spec`'s classification (if any)
+/// has the edge as a member.
+fn expand<R: Reader>(
     db: &R,
     node: Oid,
-    goal: Oid,
+    classes: &[Option<String>],
     spec: &TraversalSpec,
-    path_edges: &mut Vec<Oid>,
-    path_nodes: &mut BTreeSet<Oid>,
-    out: &mut Vec<Vec<Oid>>,
+    out: &mut Vec<Oid>,
 ) -> DbResult<()> {
-    if node == goal && path_edges.len() as u32 >= spec.min_depth {
-        out.push(path_edges.clone());
-        // Paths may continue through the goal when depth allows; fall through.
-    }
-    if let Some(max) = spec.max_depth {
-        if path_edges.len() as u32 >= max {
-            return Ok(());
+    let synonym_set;
+    let sources = match spec.synonyms {
+        SynonymMode::Ignore => std::slice::from_ref(&node),
+        SynonymMode::Transparent => {
+            synonym_set = db.synonym_set(node);
+            synonym_set.as_slice()
         }
-    }
-    for (edge, next) in step(db, node, spec)? {
-        if !path_nodes.insert(next) {
-            continue; // simple paths only
+    };
+    let outgoing = spec.direction == Direction::Outgoing;
+    for &source in sources {
+        for class in classes {
+            for (edge, next) in db.adjacency(source, class.as_deref(), outgoing)? {
+                if spec
+                    .classification
+                    .is_none_or(|cls| db.edge_in_classification(cls, edge))
+                {
+                    out.push(next);
+                }
+            }
         }
-        path_edges.push(edge);
-        dfs_paths(db, next, goal, spec, path_edges, path_nodes, out)?;
-        path_edges.pop();
-        path_nodes.remove(&next);
     }
     Ok(())
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -362,8 +226,7 @@ mod tests {
     #[test]
     fn closure_reaches_everything_via_all_classes() {
         let (db, [a, b, c, d]) = diamond();
-        let visits = traverse(&db, a, &TraversalSpec::closure(Vec::new())).unwrap();
-        let nodes: Vec<Oid> = visits.iter().map(|v| v.node).collect();
+        let nodes = traverse(&db, a, &TraversalSpec::closure(Vec::new())).unwrap();
         assert_eq!(nodes.len(), 3);
         assert!(nodes.contains(&b) && nodes.contains(&c) && nodes.contains(&d));
     }
@@ -372,46 +235,33 @@ mod tests {
     fn class_filter_restricts_edges() {
         let (db, [_a, _b, c, d]) = diamond();
         // Only Link edges from d.
-        let visits = traverse(&db, d, &TraversalSpec::closure(vec!["Link".into()])).unwrap();
-        assert_eq!(visits.len(), 1);
-        assert_eq!(visits[0].node, c);
+        let nodes = traverse(&db, d, &TraversalSpec::closure(vec!["Link".into()])).unwrap();
+        assert_eq!(nodes, vec![c]);
         // Only Tree edges from d: none.
-        let visits = traverse(&db, d, &TraversalSpec::closure(vec!["Tree".into()])).unwrap();
-        assert!(visits.is_empty());
+        let nodes = traverse(&db, d, &TraversalSpec::closure(vec!["Tree".into()])).unwrap();
+        assert!(nodes.is_empty());
     }
 
     #[test]
     fn depth_bounds_are_honoured() {
-        let (db, [a, b, _c, d]) = diamond();
-        let spec = TraversalSpec::closure(vec!["Tree".into()]).depth(1, Some(1));
-        let visits = traverse(&db, a, &spec).unwrap();
-        let nodes: Vec<Oid> = visits.iter().map(|v| v.node).collect();
-        assert_eq!(nodes.len(), 2);
-        assert!(nodes.contains(&b) && nodes.contains(&d));
-        // min_depth 2 skips direct children.
-        let spec = TraversalSpec::closure(vec!["Tree".into()]).depth(2, None);
-        let visits = traverse(&db, a, &spec).unwrap();
-        assert_eq!(visits.len(), 1);
-        assert_eq!(visits[0].depth, 2);
+        let (db, [a, b, c, d]) = diamond();
+        let set = |min, max| -> BTreeSet<Oid> {
+            let spec = TraversalSpec::closure(vec!["Tree".into()]).depth(min, max);
+            traverse(&db, a, &spec).unwrap().into_iter().collect()
+        };
+        assert_eq!(set(1, Some(1)), BTreeSet::from([b, d]));
+        // min_depth 2 skips direct children: c is the only node at depth 2.
+        assert_eq!(set(2, None), BTreeSet::from([c]));
         // depth 0 includes the start node.
-        let spec = TraversalSpec::closure(vec!["Tree".into()]).depth(0, Some(0));
-        let visits = traverse(&db, a, &spec).unwrap();
-        assert_eq!(
-            visits,
-            vec![Visit {
-                node: a,
-                depth: 0,
-                via: None
-            }]
-        );
+        assert_eq!(set(0, Some(0)), BTreeSet::from([a]));
+        assert_eq!(set(0, None), BTreeSet::from([a, b, c, d]));
     }
 
     #[test]
     fn incoming_direction_walks_up() {
         let (db, [a, _b, c, _d]) = diamond();
         let spec = TraversalSpec::closure(Vec::new()).direction(Direction::Incoming);
-        let visits = traverse(&db, c, &spec).unwrap();
-        let nodes: Vec<Oid> = visits.iter().map(|v| v.node).collect();
+        let nodes = traverse(&db, c, &spec).unwrap();
         assert!(nodes.contains(&a), "must reach the root upward");
         assert_eq!(nodes.len(), 3);
     }
@@ -426,8 +276,8 @@ mod tests {
         let b = db.create_object("N", Vec::new()).unwrap();
         db.create_relationship("Next", a, b, Vec::new()).unwrap();
         db.create_relationship("Next", b, a, Vec::new()).unwrap();
-        let visits = traverse(&db, a, &TraversalSpec::closure(vec!["Next".into()])).unwrap();
-        assert_eq!(visits.len(), 1, "each node reported once despite the cycle");
+        let nodes = traverse(&db, a, &TraversalSpec::closure(vec!["Next".into()])).unwrap();
+        assert_eq!(nodes, vec![b], "each node reported once despite the cycle");
     }
 
     #[test]
@@ -440,9 +290,7 @@ mod tests {
         let ab = edge_ab.iter().find(|e| e.destination == b).unwrap().oid;
         db.add_edge_to_classification(cls, ab).unwrap();
         let spec = TraversalSpec::closure(Vec::new()).in_classification(cls);
-        let visits = traverse(&db, a, &spec).unwrap();
-        assert_eq!(visits.len(), 1);
-        assert_eq!(visits[0].node, b);
+        assert_eq!(traverse(&db, a, &spec).unwrap(), vec![b]);
         let _ = d;
     }
 
@@ -464,13 +312,13 @@ mod tests {
         assert_eq!(ignore.len(), 1, "without synonyms the walk stops at b");
         let spec =
             TraversalSpec::closure(vec!["Next".into()]).synonym_mode(SynonymMode::Transparent);
-        let transparent = traverse(&db, a, &spec).unwrap();
-        let nodes: Vec<Oid> = transparent.iter().map(|v| v.node).collect();
+        let nodes = traverse(&db, a, &spec).unwrap();
         assert!(nodes.contains(&c), "synonym set bridges to c");
     }
 
     #[test]
     fn subclass_edges_are_followed_when_requested() {
+        // A listed class always matches its subclasses.
         let db = temp_db();
         db.define_class(ClassDef::new("N")).unwrap();
         db.define_relationship(RelClassDef::association("Base", "N", "N"))
@@ -480,11 +328,8 @@ mod tests {
         let a = db.create_object("N", Vec::new()).unwrap();
         let b = db.create_object("N", Vec::new()).unwrap();
         db.create_relationship("Derived", a, b, Vec::new()).unwrap();
-        let exact = traverse(&db, a, &TraversalSpec::closure(vec!["Base".into()])).unwrap();
-        assert!(exact.is_empty());
-        let spec = TraversalSpec::closure(vec!["Base".into()]).with_subclasses();
-        let poly = traverse(&db, a, &spec).unwrap();
-        assert_eq!(poly.len(), 1);
+        let poly = traverse(&db, a, &TraversalSpec::closure(vec!["Base".into()])).unwrap();
+        assert_eq!(poly, vec![b]);
     }
 
     #[test]
@@ -518,24 +363,11 @@ mod tests {
         for spec in [
             TraversalSpec::closure(vec!["E".into()]),
             TraversalSpec::closure(Vec::new()).depth(0, Some(2)),
-            TraversalSpec::closure(vec!["E".into()]).with_subclasses(),
         ] {
             let seq = traverse(&db, root, &spec).unwrap();
             let (par, morsels) = traverse_with(&db, root, &spec, 8).unwrap();
-            assert_eq!(seq, par, "parallel visits must be byte-identical");
+            assert_eq!(seq, par, "parallel discovery order must be identical");
             assert!(morsels > 0, "wide frontiers must actually parallelise");
         }
-    }
-
-    #[test]
-    fn paths_finds_all_simple_paths() {
-        let (db, [a, _b, c, _d]) = diamond();
-        let spec = TraversalSpec::closure(Vec::new());
-        let found = paths(&db, a, c, &spec).unwrap();
-        assert_eq!(found.len(), 2, "a->b->c and a->d->c");
-        assert!(found.iter().all(|p| p.len() == 2));
-        // Bounded to length 1: no path.
-        let spec = TraversalSpec::closure(Vec::new()).depth(1, Some(1));
-        assert!(paths(&db, a, c, &spec).unwrap().is_empty());
     }
 }

@@ -688,8 +688,7 @@ fn eval_expr_cx<R: Reader>(
             };
             let mut spec = TraversalSpec::closure(vec![rel.clone()])
                 .direction(direction)
-                .depth(depth.min, depth.max)
-                .with_subclasses();
+                .depth(depth.min, depth.max);
             if let Some(cls) = context {
                 spec = spec.in_classification(cls);
             }
@@ -698,12 +697,11 @@ fn eval_expr_cx<R: Reader>(
             for s in starts {
                 // Frontier-parallel under a worker budget; sequential (and
                 // identical) otherwise.
-                let (visits, frontier_morsels) =
-                    traversal::traverse_with(db, s, &spec, cx.workers)?;
+                let (nodes, frontier_morsels) = traversal::traverse_with(db, s, &spec, cx.workers)?;
                 cx.tally(frontier_morsels);
-                for visit in visits {
-                    if seen.insert(visit.node) {
-                        out.push(Value::Ref(visit.node));
+                for node in nodes {
+                    if seen.insert(node) {
+                        out.push(Value::Ref(node));
                     }
                 }
             }
@@ -717,10 +715,12 @@ fn eval_expr_cx<R: Reader>(
             let classes = db.with_schema(|s| s.with_subclasses(rel));
             let outgoing = matches!(dir, TravDir::Forward);
             let mut out = Vec::new();
-            for adjacent in db.adjacency_batch(&starts, &classes, outgoing)? {
-                for (edge, _) in adjacent {
-                    if context.is_none_or(|cls| db.edge_in_classification(cls, edge)) {
-                        out.push(Value::Ref(edge));
+            for &start in &starts {
+                for class in &classes {
+                    for (edge, _) in db.adjacency(start, Some(class), outgoing)? {
+                        if context.is_none_or(|cls| db.edge_in_classification(cls, edge)) {
+                            out.push(Value::Ref(edge));
+                        }
                     }
                 }
             }

@@ -672,6 +672,56 @@ fn a_link_and_the_check_after_it_cost_the_same_in_a_classification_of_any_size()
     let _ = std::fs::remove_file(path);
 }
 
+/// A full check is a function of the member list: it reads the list in one
+/// scan and answers from that, decoding no relationship and asking the
+/// indexes nothing more, in a classification of 50 edges as of 5 000. The
+/// counts repeat exactly, so they gate on any runner.
+#[test]
+fn a_full_check_reads_the_member_list_once_at_any_size() {
+    let path = std::env::temp_dir().join(format!("prop-full-check-{}.log", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let options = StoreOptions {
+        sync_on_commit: false,
+    };
+    let p = Prometheus::open_with(&path, options).unwrap();
+    let db = p.db();
+    db.define_class(ClassDef::new("N")).unwrap();
+    db.define_relationship(RelClassDef::association("E", "N", "N"))
+        .unwrap();
+    let cost = |edges: usize| {
+        // A five-way tree: node i hangs below node (i - 1) / 5.
+        let cls = Classification::create(db, &format!("c{edges}"), Vec::new(), true).unwrap();
+        let mut nodes = vec![db.create_object("N", Vec::new()).unwrap()];
+        for i in 1..=edges {
+            let node = db.create_object("N", Vec::new()).unwrap();
+            cls.link(db, "E", nodes[(i - 1) / 5], node, Vec::new())
+                .unwrap();
+            nodes.push(node);
+        }
+        let check = Counting {
+            db,
+            relationships_decoded: AtomicU64::new(0),
+            index_gets: AtomicU64::new(0),
+            index_scans: AtomicU64::new(0),
+        };
+        assert!(cls.check_integrity_full(&check).unwrap().is_empty());
+        check.counts()
+    };
+    let (small, big) = (cost(50), cost(5_000));
+    println!(
+        "a full check: {} index gets, {} index scans, {} relationships decoded",
+        small.1, small.2, small.0
+    );
+    assert_eq!(
+        (small.0, small.2),
+        (0, 1),
+        "one member-list scan, no decode"
+    );
+    assert_eq!(small, big, "cost is one scan at any size");
+    drop(p);
+    let _ = std::fs::remove_file(path);
+}
+
 /// A log written before membership values carried the endpoints holds them
 /// empty. Such entries — all of them, or some beside newer ones — answer
 /// every structure question as the 16-byte ones do.
