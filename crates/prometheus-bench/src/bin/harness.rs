@@ -454,8 +454,8 @@ fn ablation(out: &std::path::Path) {
         items: 500,
     });
 
-    // 3. Traversal with vs without classification scoping (the per-edge
-    //    membership check of querying in context).
+    // 3. Traversal with vs without classification scoping (querying in
+    //    context: each node's member children are one membership scan).
     let d_unscoped = time_median(3, || {
         let spec = prometheus_object::TraversalSpec::closure(Vec::new());
         prometheus_object::traversal::traverse(&prom.db, prom.root, &spec)

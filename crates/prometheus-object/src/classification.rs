@@ -140,25 +140,17 @@ impl Classification {
     }
 
     /// Direct children of `node` within this classification (record-free:
-    /// served from the endpoint and membership indexes).
+    /// one scan of the membership index).
     pub fn children<R: Reader>(&self, db: &R, node: Oid) -> DbResult<Vec<Oid>> {
-        Ok(db
-            .adjacency(node, None, true)?
-            .into_iter()
-            .filter(|(edge, _)| db.edge_in_classification(self.oid, *edge))
-            .map(|(_, child)| child)
-            .collect())
+        let edges = db.adjacency(node, None, true, Some(self.oid))?;
+        Ok(edges.into_iter().map(|(_, child)| child).collect())
     }
 
     /// Direct parents of `node` within this classification (at most one in a
     /// strict hierarchy).
     pub fn parents<R: Reader>(&self, db: &R, node: Oid) -> DbResult<Vec<Oid>> {
-        Ok(db
-            .adjacency(node, None, false)?
-            .into_iter()
-            .filter(|(edge, _)| db.edge_in_classification(self.oid, *edge))
-            .map(|(_, parent)| parent)
-            .collect())
+        let edges = db.adjacency(node, None, false, Some(self.oid))?;
+        Ok(edges.into_iter().map(|(_, parent)| parent).collect())
     }
 
     /// All descendants of `node` (requirement 9: recursive exploration),
@@ -300,16 +292,16 @@ impl Classification {
     /// Whether the member edge `origin → destination` would close a cycle:
     /// `destination` is `origin` or one of its ancestors here. The walk
     /// [`Database::add_edge_to_classification`] makes before it admits an
-    /// edge — record-free: a scan of `destination`'s outgoing edges and, only
+    /// edge — record-free: a scan of `destination`'s children here and, only
     /// if it has any, endpoint scans and membership `get`s up `origin`'s
     /// ancestors, O(depth) in a strict hierarchy.
     pub fn closes_cycle<R: Reader>(&self, db: &R, origin: Oid, destination: Oid) -> DbResult<bool> {
         if origin == destination {
             return Ok(true);
         }
-        // A node with no outgoing edge is nobody's ancestor: a link that
-        // attaches a new or leaf node stops at this one endpoint scan.
-        if db.adjacency(destination, None, true)?.is_empty() {
+        // A node with no child here is nobody's ancestor here: a link that
+        // attaches a new or leaf node stops at this one membership scan.
+        if self.children(db, destination)?.is_empty() {
             return Ok(false);
         }
         Ok(self.ancestors(db, origin, None)?.contains(&destination))
@@ -343,7 +335,7 @@ impl Classification {
 
     /// [`Classification::check_integrity`] from the whole member list: the
     /// thesis' revalidation, whose cost follows the classification's size,
-    /// and the oracle for a log written before links refused cycles.
+    /// and the oracle for member entries written straight to the store.
     pub fn check_integrity_full<R: Reader>(&self, db: &R) -> DbResult<Vec<String>> {
         let mut problems = Vec::new();
         let meta = db.classification_meta(self.oid)?;
@@ -793,8 +785,8 @@ mod tests {
         let back = db.create_relationship("Cites", b, a, Vec::new()).unwrap();
         db.store()
             .with_txn(|t| {
-                let value = index::cls_edge_value(b, a);
-                t.kv_put(KS_CLS_EDGES, index::cls_edge_key(cls.oid(), back), value);
+                let key = index::cls_edge_key(cls.oid(), b, "Cites", back);
+                t.kv_put(KS_CLS_EDGES, key, a.to_be_bytes().to_vec());
                 t.kv_put(
                     KS_EDGE_CLS,
                     index::edge_cls_key(back, cls.oid()),

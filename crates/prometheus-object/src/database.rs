@@ -1118,7 +1118,7 @@ impl Database {
         self.emit(event, || {
             // Leave every classification first.
             for cls in self.classifications_of_edge(oid)? {
-                self.raw_remove_cls_edge(cls, oid)?;
+                self.raw_remove_cls_edge(cls, &rel)?;
                 self.record_event(Event::ClassificationEdgeRemoved {
                     classification: cls,
                     rel: oid,
@@ -1142,15 +1142,17 @@ impl Database {
 
     /// Record-free adjacency (the §6.1.5.2 indexing fast path): the edges
     /// incident to `oid` as `(relationship oid, opposite endpoint)` pairs,
-    /// straight from the endpoint index — no relationship records are
-    /// fetched or decoded. `outgoing` selects the direction.
+    /// straight from the index — no relationship records are fetched or
+    /// decoded. `outgoing` selects the direction; a `scope` keeps the member
+    /// edges of that classification (see [`Reader::adjacency`]).
     pub fn adjacency(
         &self,
         oid: Oid,
         class: Option<&str>,
         outgoing: bool,
+        scope: Option<Oid>,
     ) -> DbResult<Vec<(Oid, Oid)>> {
-        Reader::adjacency(self, oid, class, outgoing)
+        Reader::adjacency(self, oid, class, outgoing, scope)
     }
 
     /// How many `class` edges leave (`outgoing`) or reach `oid`: a count of
@@ -1192,7 +1194,7 @@ impl Database {
             if !seen.insert(node) {
                 continue;
             }
-            for (_, destination) in self.adjacency(node, Some(rel_class), true)? {
+            for (_, destination) in self.adjacency(node, Some(rel_class), true, None)? {
                 stack.push(destination);
             }
         }
@@ -1322,11 +1324,8 @@ impl Database {
             let meta = self.classification_meta(cls)?;
             let rel = self.rel(rel_oid)?;
             if meta.strict_hierarchy {
-                let incoming = self.adjacency(rel.destination, None, false)?;
-                if incoming
-                    .into_iter()
-                    .any(|(edge, _)| edge != rel_oid && self.edge_in_classification(cls, edge))
-                {
+                let parents = self.adjacency(rel.destination, None, false, Some(cls))?;
+                if parents.into_iter().any(|(edge, _)| edge != rel_oid) {
                     return Err(DbError::Classification(format!(
                         "node {} already has a parent in classification '{}'",
                         rel.destination, meta.name
@@ -1356,11 +1355,12 @@ impl Database {
             if !self.edge_in_classification(cls, rel_oid) {
                 return Ok(());
             }
+            let rel = self.rel(rel_oid)?;
             let event = Event::ClassificationEdgeRemoved {
                 classification: cls,
                 rel: rel_oid,
             };
-            self.emit(event, || self.raw_remove_cls_edge(cls, rel_oid))
+            self.emit(event, || self.raw_remove_cls_edge(cls, &rel))
         })
     }
 
@@ -1500,17 +1500,20 @@ impl Database {
         self.stage(|t| {
             t.kv_put(
                 KS_CLS_EDGES,
-                index::cls_edge_key(cls, rel.oid),
-                index::cls_edge_value(rel.origin, rel.destination),
+                index::cls_edge_key(cls, rel.origin, &rel.class, rel.oid),
+                rel.destination.to_be_bytes().to_vec(),
             );
             t.kv_put(KS_EDGE_CLS, index::edge_cls_key(rel.oid, cls), Vec::new());
         })
     }
 
-    fn raw_remove_cls_edge(&self, cls: Oid, rel: Oid) -> DbResult<()> {
+    fn raw_remove_cls_edge(&self, cls: Oid, rel: &RelInstance) -> DbResult<()> {
         self.stage(|t| {
-            t.kv_delete(KS_CLS_EDGES, index::cls_edge_key(cls, rel));
-            t.kv_delete(KS_EDGE_CLS, index::edge_cls_key(rel, cls));
+            t.kv_delete(
+                KS_CLS_EDGES,
+                index::cls_edge_key(cls, rel.origin, &rel.class, rel.oid),
+            );
+            t.kv_delete(KS_EDGE_CLS, index::edge_cls_key(rel.oid, cls));
         })
     }
 
@@ -1519,11 +1522,14 @@ impl Database {
     pub fn delete_classification(&self, oid: Oid) -> DbResult<()> {
         self.in_unit_scope(|_| {
             self.classification_meta(oid)?;
-            let edges = self.classification_edges(oid)?;
+            let mut members = Vec::new();
+            self.raw_kv_for_each_prefix(KS_CLS_EDGES, &index::cls_prefix(oid), |key, _| {
+                members.extend(index::oid_suffix(key).map(|rel| (key.to_vec(), rel)));
+            });
             self.stage(|t| {
-                for rel in &edges {
-                    t.kv_delete(KS_CLS_EDGES, index::cls_edge_key(oid, *rel));
-                    t.kv_delete(KS_EDGE_CLS, index::edge_cls_key(*rel, oid));
+                for (key, rel) in members {
+                    t.kv_delete(KS_CLS_EDGES, key);
+                    t.kv_delete(KS_EDGE_CLS, index::edge_cls_key(rel, oid));
                 }
                 t.delete(oid);
                 t.kv_delete(KS_EXTENT, index::extent_key(CLASSIFICATION_EXTENT, oid));

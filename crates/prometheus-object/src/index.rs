@@ -9,11 +9,13 @@
 //! * **relationship endpoints** — `origin ⇒ (class, rel)` and
 //!   `destination ⇒ (class, rel)`, the adjacency lists every traversal and
 //!   classification operation runs on;
-//! * **classification membership** — `classification · rel ⇒ origin ·
-//!   destination` plus the reverse `rel ⇒ classification`. The forward
-//!   entry's value carries the member edge's endpoints, so the structure of
-//!   a classification (nodes, roots, leaves, integrity) is one prefix scan
-//!   that decodes no relationship record.
+//! * **classification membership** — `classification · origin · relclass ·
+//!   rel ⇒ destination` plus the reverse `rel · classification`. The
+//!   forward key is the member edge's outgoing adjacency entry behind its
+//!   classification: a node's member children there are one prefix scan,
+//!   and the structure of a classification (nodes, roots, leaves,
+//!   integrity) is one prefix scan that decodes no relationship record.
+//!   Whether an edge is a member is one `get` on the reverse entry.
 //!
 //! Keys are built so that prefix scans answer the natural questions: "all
 //! members of class C", "all edges leaving O via relationship class R", "all
@@ -32,7 +34,7 @@ pub const KS_ATTR: Keyspace = Keyspace(2);
 pub const KS_REL_FROM: Keyspace = Keyspace(3);
 /// Incoming relationship endpoint index.
 pub const KS_REL_TO: Keyspace = Keyspace(4);
-/// Classification membership (classification -> edge).
+/// Classification membership (classification · origin -> edge).
 pub const KS_CLS_EDGES: Keyspace = Keyspace(5);
 /// Reverse classification membership (edge -> classification).
 pub const KS_EDGE_CLS: Keyspace = Keyspace(6);
@@ -188,40 +190,25 @@ pub fn endpoint_key_class(key: &[u8]) -> Option<&str> {
     std::str::from_utf8(&name_part[..name_end]).ok()
 }
 
-/// `classification · rel` — membership entry; the value is
-/// [`cls_edge_value`].
-pub fn cls_edge_key(classification: Oid, rel: Oid) -> Vec<u8> {
-    let mut key = Vec::with_capacity(16);
-    key.extend_from_slice(&classification.to_be_bytes());
-    key.extend_from_slice(&rel.to_be_bytes());
+/// `classification · origin · relclass · rel` — membership entry: the
+/// member edge's [`endpoint_key`] behind its classification, so one prefix
+/// scan lists a node's member children. The value is the destination's OID,
+/// as in [`KS_REL_FROM`].
+pub fn cls_edge_key(classification: Oid, origin: Oid, rel_class: &str, rel: Oid) -> Vec<u8> {
+    let mut key = cls_prefix(classification);
+    key.extend_from_slice(&endpoint_key(origin, rel_class, rel));
     key
-}
-
-/// Value of a membership entry: the member edge's `origin · destination`
-/// (endpoints never change once a relationship exists).
-pub fn cls_edge_value(origin: Oid, destination: Oid) -> Vec<u8> {
-    let mut value = Vec::with_capacity(16);
-    value.extend_from_slice(&origin.to_be_bytes());
-    value.extend_from_slice(&destination.to_be_bytes());
-    value
-}
-
-/// Decode a [`cls_edge_value`]. `None` for a value of any other length: a
-/// log written before the value carried the endpoints stores it empty.
-pub fn decode_cls_edge_value(value: &[u8]) -> Option<(Oid, Oid)> {
-    if value.len() != 16 {
-        return None;
-    }
-    let (origin, destination) = value.split_at(8);
-    Some((
-        Oid::from_be_bytes(origin.try_into().ok()?),
-        Oid::from_be_bytes(destination.try_into().ok()?),
-    ))
 }
 
 /// Prefix selecting all edges of a classification.
 pub fn cls_prefix(classification: Oid) -> Vec<u8> {
     classification.to_be_bytes().to_vec()
+}
+
+/// The origin of a membership key (its rel OID is the [`oid_suffix`]).
+pub fn cls_edge_key_origin(key: &[u8]) -> Option<Oid> {
+    let bytes: [u8; 8] = key.get(8..16)?.try_into().ok()?;
+    Some(Oid::from_be_bytes(bytes))
 }
 
 /// `rel · classification` — reverse membership entry.
@@ -299,18 +286,15 @@ mod tests {
 
     #[test]
     fn classification_keys() {
-        let k = cls_edge_key(Oid::from_raw(3), Oid::from_raw(9));
-        assert!(k.starts_with(&cls_prefix(Oid::from_raw(3))));
-        assert_eq!(oid_suffix(&k), Some(Oid::from_raw(9)));
-        let r = edge_cls_key(Oid::from_raw(9), Oid::from_raw(3));
-        assert!(r.starts_with(&edge_prefix(Oid::from_raw(9))));
-        assert_eq!(oid_suffix(&r), Some(Oid::from_raw(3)));
-        let v = cls_edge_value(Oid::from_raw(4), Oid::from_raw(5));
-        assert_eq!(
-            decode_cls_edge_value(&v),
-            Some((Oid::from_raw(4), Oid::from_raw(5)))
-        );
-        assert_eq!(decode_cls_edge_value(&[]), None);
-        assert_eq!(decode_cls_edge_value(&v[..8]), None);
+        let (cls, origin, rel) = (Oid::from_raw(3), Oid::from_raw(4), Oid::from_raw(9));
+        let k = cls_edge_key(cls, origin, "Circumscribes", rel);
+        assert!(k.starts_with(&cls_prefix(cls)));
+        assert_eq!(k[8..], endpoint_key(origin, "Circumscribes", rel));
+        assert_eq!(cls_edge_key_origin(&k), Some(origin));
+        assert_eq!(oid_suffix(&k), Some(rel));
+        assert_eq!(cls_edge_key_origin(&k[..12]), None);
+        let r = edge_cls_key(rel, cls);
+        assert!(r.starts_with(&edge_prefix(rel)));
+        assert_eq!(oid_suffix(&r), Some(cls));
     }
 }

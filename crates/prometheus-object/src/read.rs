@@ -162,29 +162,39 @@ pub trait Reader: Sized + Send + Sync {
     /// relationship class (exact: a polymorphic caller asks once per class
     /// of the schema's subclass list).
     fn rels_from(&self, oid: Oid, class: Option<&str>) -> DbResult<Vec<RelInstance>> {
-        decode_rels(self, self.adjacency(oid, class, true)?)
+        decode_rels(self, self.adjacency(oid, class, true, None)?)
     }
 
     /// All relationship instances arriving at `oid`, optionally restricted to
     /// one relationship class (exact).
     fn rels_to(&self, oid: Oid, class: Option<&str>) -> DbResult<Vec<RelInstance>> {
-        decode_rels(self, self.adjacency(oid, class, false)?)
+        decode_rels(self, self.adjacency(oid, class, false, None)?)
     }
 
     /// Record-free adjacency (the §6.1.5.2 indexing fast path): the edges
     /// incident to `oid` as `(relationship oid, opposite endpoint)` pairs,
-    /// straight from the endpoint index — no relationship records are
-    /// fetched or decoded. `outgoing` selects the direction.
+    /// straight from the index — no relationship records are fetched or
+    /// decoded. `outgoing` selects the direction. With a `scope`, only the
+    /// member edges of that classification: outgoing, one scan of the
+    /// membership index; incoming, the endpoint scan and one membership
+    /// `get` per edge.
     fn adjacency(
         &self,
         oid: Oid,
         class: Option<&str>,
         outgoing: bool,
+        scope: Option<Oid>,
     ) -> DbResult<Vec<(Oid, Oid)>> {
-        let ks = if outgoing { KS_REL_FROM } else { KS_REL_TO };
-        let prefix = match class {
+        let endpoint = match class {
             Some(c) => index::endpoint_class_prefix(oid, c),
             None => index::endpoint_prefix(oid),
+        };
+        let (ks, prefix) = match (outgoing, scope) {
+            // A membership key is the outgoing endpoint key behind its
+            // classification.
+            (true, Some(cls)) => (KS_CLS_EDGES, [index::cls_prefix(cls), endpoint].concat()),
+            (true, None) => (KS_REL_FROM, endpoint),
+            (false, _) => (KS_REL_TO, endpoint),
         };
         let mut out = Vec::new();
         self.raw_kv_for_each_prefix(ks, &prefix, |key, value| {
@@ -193,6 +203,9 @@ pub trait Reader: Sized + Send + Sync {
                 out.push((rel_oid, Oid::from_be_bytes(bytes)));
             }
         });
+        if let (false, Some(cls)) = (outgoing, scope) {
+            out.retain(|&(edge, _)| self.edge_in_classification(cls, edge));
+        }
         Ok(out)
     }
 
@@ -364,15 +377,10 @@ pub trait Reader: Sized + Send + Sync {
         Ok(None)
     }
 
-    /// All edge OIDs of a classification.
+    /// All edge OIDs of a classification, in edge order.
     fn classification_edges(&self, cls: Oid) -> DbResult<Vec<Oid>> {
-        let mut out = Vec::new();
-        self.raw_kv_for_each_prefix(KS_CLS_EDGES, &index::cls_prefix(cls), |key, _| {
-            if let Some(oid) = index::oid_suffix(key) {
-                out.push(oid);
-            }
-        });
-        Ok(out)
+        let edges = self.classification_edge_endpoints(cls)?;
+        Ok(edges.into_iter().map(|(edge, _, _)| edge).collect())
     }
 
     /// All classifications an edge belongs to.
@@ -386,63 +394,52 @@ pub trait Reader: Sized + Send + Sync {
         Ok(out)
     }
 
-    /// Edges of `cls` arriving at `node` (its parent edges there). Membership
-    /// is probed on the adjacency; only the members are decoded.
+    /// Edges of `cls` arriving at `node` (its parent edges there), decoded.
     fn classification_parent_edges(&self, cls: Oid, node: Oid) -> DbResult<Vec<RelInstance>> {
-        let mut adjacent = self.adjacency(node, None, false)?;
-        adjacent.retain(|&(edge, _)| self.edge_in_classification(cls, edge));
-        decode_rels(self, adjacent)
+        decode_rels(self, self.adjacency(node, None, false, Some(cls))?)
     }
 
-    /// Edges of `cls` leaving `node` (its child edges there). Membership is
-    /// probed on the adjacency; only the members are decoded.
+    /// Edges of `cls` leaving `node` (its child edges there), decoded.
     fn classification_child_edges(&self, cls: Oid, node: Oid) -> DbResult<Vec<RelInstance>> {
-        let mut adjacent = self.adjacency(node, None, true)?;
-        adjacent.retain(|&(edge, _)| self.edge_in_classification(cls, edge));
-        decode_rels(self, adjacent)
+        decode_rels(self, self.adjacency(node, None, true, Some(cls))?)
     }
 
-    /// Whether an edge belongs to a classification.
+    /// Whether an edge belongs to a classification: one `get` of its
+    /// reverse membership entry.
     fn edge_in_classification(&self, cls: Oid, rel_oid: Oid) -> bool {
-        self.raw_kv_get(KS_CLS_EDGES, &index::cls_edge_key(cls, rel_oid))
+        self.raw_kv_get(KS_EDGE_CLS, &index::edge_cls_key(rel_oid, cls))
             .is_some()
     }
 
-    /// Whether `oid` participates in `cls`: whether one of its incident
-    /// edges is a member. Answered from the endpoint and membership indexes,
-    /// record-free, at a cost that follows the node's degree and not the
+    /// Whether `oid` participates in `cls`: whether it has a member child
+    /// edge there (one scan) or, failing that, a member parent edge.
+    /// Record-free, at a cost that follows the node's degree and not the
     /// classification's size.
     fn node_in_classification(&self, cls: Oid, oid: Oid) -> bool {
-        let prefix = index::endpoint_prefix(oid);
-        // Incoming first: a node of a hierarchy has one parent edge per
-        // classification and any number of child edges.
-        [KS_REL_TO, KS_REL_FROM].into_iter().any(|ks| {
-            let mut edges = Vec::new();
-            self.raw_kv_for_each_prefix(ks, &prefix, |key, _| edges.extend(index::oid_suffix(key)));
-            edges
-                .into_iter()
-                .any(|edge| self.edge_in_classification(cls, edge))
+        [true, false].into_iter().any(|outgoing| {
+            self.adjacency(oid, None, outgoing, Some(cls))
+                .is_ok_and(|edges| !edges.is_empty())
         })
     }
 
     /// The member edges of a classification as `(edge, origin, destination)`,
-    /// in edge order: one prefix scan of the membership index, whose values
-    /// carry the endpoints — no relationship record is decoded.
+    /// in edge order: one prefix scan of the membership index, whose keys
+    /// carry the origin and values the destination — no relationship record
+    /// is decoded.
     fn classification_edge_endpoints(&self, cls: Oid) -> DbResult<Vec<(Oid, Oid, Oid)>> {
         let mut entries = Vec::new();
         self.raw_kv_for_each_prefix(KS_CLS_EDGES, &index::cls_prefix(cls), |key, value| {
-            if let Some(edge) = index::oid_suffix(key) {
-                entries.push((edge, index::decode_cls_edge_value(value)));
+            if let (Some(edge), Some(origin), Ok(destination)) = (
+                index::oid_suffix(key),
+                index::cls_edge_key_origin(key),
+                <[u8; 8]>::try_from(value),
+            ) {
+                entries.push((edge, origin, Oid::from_be_bytes(destination)));
             }
         });
-        entries
-            .into_iter()
-            .map(|(edge, endpoints)| match endpoints {
-                Some((origin, destination)) => Ok((edge, origin, destination)),
-                // An entry written before the value carried the endpoints.
-                None => self.rel(edge).map(|r| (edge, r.origin, r.destination)),
-            })
-            .collect()
+        // The keys sort by origin; an edge appears once.
+        entries.sort_unstable();
+        Ok(entries)
     }
 }
 
@@ -718,8 +715,8 @@ mod tests {
             db.rels_from(a, None).unwrap()
         );
         assert_eq!(
-            view.adjacency(a, None, true).unwrap(),
-            db.adjacency(a, None, true).unwrap()
+            view.adjacency(a, None, true, None).unwrap(),
+            db.adjacency(a, None, true, None).unwrap()
         );
         assert_eq!(view.class_of(b).unwrap(), "Taxon");
     }

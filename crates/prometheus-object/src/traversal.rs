@@ -165,8 +165,7 @@ pub fn traverse_with<R: Reader>(
 /// Push the nodes one admitted edge away from `node` onto `out`: for each
 /// source (the node, or its synonym set under [`SynonymMode::Transparent`]),
 /// for each class of the pre-expanded `classes`, the opposite endpoints
-/// [`Reader::adjacency`] lists, kept when `spec`'s classification (if any)
-/// has the edge as a member.
+/// [`Reader::adjacency`] lists in `spec`'s classification (if any).
 fn expand<R: Reader>(
     db: &R,
     node: Oid,
@@ -185,14 +184,8 @@ fn expand<R: Reader>(
     let outgoing = spec.direction == Direction::Outgoing;
     for &source in sources {
         for class in classes {
-            for (edge, next) in db.adjacency(source, class.as_deref(), outgoing)? {
-                if spec
-                    .classification
-                    .is_none_or(|cls| db.edge_in_classification(cls, edge))
-                {
-                    out.push(next);
-                }
-            }
+            let edges = db.adjacency(source, class.as_deref(), outgoing, spec.classification)?;
+            out.extend(edges.into_iter().map(|(_, next)| next));
         }
     }
     Ok(())

@@ -1,7 +1,7 @@
 //! POOL execution (the query layer of §6.1.5).
 //!
-//! Planning lives in [`crate::plan`]: index seeding, predicate pushdown and
-//! conformance sets are resolved there, once, against the schema. This
+//! Planning lives in [`crate::plan`]: index seeding and predicate pushdown
+//! are resolved there, once, against the schema. This
 //! module *executes* a plan: candidate enumeration, per-candidate filters,
 //! the nested-loop join, expression evaluation, ordering and projection.
 //!
@@ -27,7 +27,7 @@
 //! [`scope_to_context`].
 
 use crate::ast::*;
-use crate::plan::{self, PlanInfo, Residual, SourcePlan};
+use crate::plan::{self, PlanInfo, Residual};
 use prometheus_object::classification::Classification;
 use prometheus_object::instance::StoredEntity;
 use prometheus_object::morsel;
@@ -221,8 +221,8 @@ fn execute<R: Reader>(
     };
 
     // Candidate sets per from-variable: enumerate (index seed, extent or
-    // view), scope to the classification context, then filter candidates —
-    // conformance plus pushed-down conjuncts — morsel-parallel.
+    // view), scope to the classification context, then filter candidates
+    // by the pushed-down conjuncts, morsel-parallel.
     let mut candidate_sets: Vec<(String, Vec<Oid>)> = Vec::with_capacity(q.from.len());
     // The context's participants and its member edges, each read at most
     // once per query, by the first source too large to probe.
@@ -251,20 +251,11 @@ fn execute<R: Reader>(
         }
         let pushdown: Vec<&Expr> = source.pushdown.iter().map(|&i| conjuncts[i]).collect();
         let filter_span = tracer.map(|r| r.span(Stage::Filter));
-        let filtered = if source.conforming.is_none() && pushdown.is_empty() {
+        let filtered = if pushdown.is_empty() {
             candidates
         } else {
             let run = morsel::run(&candidates, cx.workers, morsel::MORSEL_SIZE, |chunk| {
-                filter_candidates(
-                    db,
-                    chunk,
-                    clause,
-                    source,
-                    &pushdown,
-                    outer,
-                    context,
-                    cx.inner(),
-                )
+                filter_candidates(db, chunk, clause, &pushdown, outer, context, cx.inner())
             })?;
             cx.tally(run.parallel_morsels);
             run.output
@@ -339,17 +330,15 @@ fn execute<R: Reader>(
     Ok(QueryResult { columns, rows })
 }
 
-/// Per-candidate filter for one morsel: conformance (the deep extent may
-/// contain entities of the wrong kind when a class name is shared), then the
-/// pushed-down conjuncts, short-circuiting in source order. Views skip
-/// conformance — they define their own membership ([`SourcePlan::conforming`]
-/// is `None`).
-#[allow(clippy::too_many_arguments)]
+/// Per-candidate filter for one morsel: the pushed-down conjuncts,
+/// short-circuiting in source order. Every candidate conforms already: the
+/// deep extent and the attribute index list only the classes of
+/// `with_subclasses`, and class names are unique across object and
+/// relationship classes.
 fn filter_candidates<R: Reader>(
     db: &R,
     chunk: &[Oid],
     clause: &FromClause,
-    source: &SourcePlan,
     pushdown: &[&Expr],
     outer: &Env,
     context: Option<Oid>,
@@ -358,23 +347,12 @@ fn filter_candidates<R: Reader>(
     let mut env = outer.clone();
     let mut kept = Vec::with_capacity(chunk.len());
     'cand: for &oid in chunk {
-        if let Some(conforming) = &source.conforming {
-            let ok = db
-                .class_of(oid)
-                .map(|c| conforming.contains(&c))
-                .unwrap_or(false);
-            if !ok {
-                continue;
-            }
-        }
-        if !pushdown.is_empty() {
-            env.bind(&clause.var, Value::Ref(oid));
-            for e in pushdown {
-                // Unbound references to *other* from-variables cannot occur
-                // (the planner filtered those out).
-                if !eval_expr_cx(db, e, &env, context, cx)?.is_truthy() {
-                    continue 'cand;
-                }
+        env.bind(&clause.var, Value::Ref(oid));
+        for e in pushdown {
+            // Unbound references to *other* from-variables cannot occur
+            // (the planner filtered those out).
+            if !eval_expr_cx(db, e, &env, context, cx)?.is_truthy() {
+                continue 'cand;
             }
         }
         kept.push(oid);
@@ -710,18 +688,15 @@ fn eval_expr_cx<R: Reader>(
         Expr::Edges { from, rel, dir } => {
             let start = eval_expr_cx(db, from, env, context, cx)?;
             let starts = refs_of(&start, "edge-traversal source")?;
-            // The endpoint index names the instances; under a context the
-            // membership index filters them. No record is decoded.
+            // The endpoint index names the instances, the membership index
+            // under a context. No record is decoded.
             let classes = db.with_schema(|s| s.with_subclasses(rel));
             let outgoing = matches!(dir, TravDir::Forward);
             let mut out = Vec::new();
             for &start in &starts {
                 for class in &classes {
-                    for (edge, _) in db.adjacency(start, Some(class), outgoing)? {
-                        if context.is_none_or(|cls| db.edge_in_classification(cls, edge)) {
-                            out.push(Value::Ref(edge));
-                        }
-                    }
+                    let edges = db.adjacency(start, Some(class), outgoing, context)?;
+                    out.extend(edges.into_iter().map(|(edge, _)| Value::Ref(edge)));
                 }
             }
             Ok(Value::List(out))

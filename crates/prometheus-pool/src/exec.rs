@@ -8,8 +8,7 @@
 //! 1. parses the text, applies the default context when the query names
 //!    none, and plans it against the schema the reader sees — a plan is
 //!    made for every query and kept by no one, so neither `define_class`
-//!    nor an aborted unit's definitions can leave a stale seed or
-//!    conformance set behind;
+//!    nor an aborted unit's definitions can leave a stale seed behind;
 //! 2. stamps the plan with [`prometheus_object::SchemaRegistry::version`]
 //!    (a digest of the definitions the reader sees) and a fingerprint, for
 //!    `EXPLAIN`, `PROFILE` and the slow-query log;
@@ -155,7 +154,7 @@ impl Executor {
     }
 
     /// `EXPLAIN`: plan the query and render the plan as text lines —
-    /// source index seeds, pushed-down conjuncts, conformance sets, the
+    /// source index seeds, pushed-down conjuncts, the
     /// residual conjuncts with the join depth each runs at (how many `from`
     /// variables are bound by then) and the depth an `in` haystack is
     /// hoisted to, the schema digest and the plan fingerprint. Nothing is
@@ -206,13 +205,6 @@ impl Executor {
                     .map(|&i| conjuncts[i].to_string())
                     .collect();
                 lines.push(format!("  pushdown: {}", rendered.join(" and ")));
-            }
-            match &source.conforming {
-                Some(set) => {
-                    let names: Vec<&str> = set.iter().map(String::as_str).collect();
-                    lines.push(format!("  conforming: {{{}}}", names.join(", ")));
-                }
-                None => lines.push("  conforming: view-defined membership".into()),
             }
         }
         if plan.info.residuals.is_empty() {

@@ -9,10 +9,7 @@
 //!   the attribute index instead of the full deep extent;
 //! * **pushed-down conjuncts** — conjuncts whose only `from` variable is
 //!   this clause's filter its candidates *before* the join, so a
-//!   two-variable query does not enumerate the full product;
-//! * **conforming classes** — the clause class plus its transitive
-//!   subclasses, so the per-candidate conformance check at execution is one
-//!   set lookup instead of a schema-lock round trip per candidate.
+//!   two-variable query does not enumerate the full product.
 //!
 //! and for the query as a whole the [`Residual`]s: the conjuncts no source
 //! takes, each placed at the depth of the join loop where its last `from`
@@ -36,10 +33,6 @@ pub struct SourcePlan {
     /// whose only `from` variable is this clause's, evaluated against each
     /// candidate before the join.
     pub pushdown: Vec<usize>,
-    /// Names of classes conforming to the clause's class (itself plus its
-    /// transitive subclasses). `None` for `view` sources, which define
-    /// their own membership and skip the conformance check.
-    pub conforming: Option<BTreeSet<String>>,
 }
 
 /// A `where` conjunct no source takes — it names several `from` variables,
@@ -86,7 +79,6 @@ pub fn plan<R: Reader>(db: &R, q: &Query) -> DbResult<PlanInfo> {
             sources.push(SourcePlan {
                 seed: None,
                 pushdown,
-                conforming: None,
             });
             continue;
         }
@@ -111,9 +103,6 @@ pub fn plan<R: Reader>(db: &R, q: &Query) -> DbResult<PlanInfo> {
         sources.push(SourcePlan {
             seed: seed_of(db, clause, &conjuncts),
             pushdown,
-            conforming: Some(
-                db.with_schema(|s| s.with_subclasses(&clause.class).into_iter().collect()),
-            ),
         });
     }
     Ok(PlanInfo {

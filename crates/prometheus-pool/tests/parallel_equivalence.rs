@@ -9,10 +9,10 @@
 //! so probe scoping, residual placement and haystack hoisting cannot change
 //! an answer; and a counting reader pins what a seeded contextual query
 //! costs — a count of index calls that does not move with the size of the
-//! classification.
+//! classification — and what an extent filter decodes.
 //!
 //! Also pins that a plan follows the schema: a plan carries schema-derived
-//! decisions (conformance sets, index seeds), so the next query after a
+//! decisions (index seeds), so the next query after a
 //! schema change must plan against it — the stale-plan failure mode is a
 //! subclass instance silently dropped from its superclass extent.
 
@@ -395,6 +395,7 @@ fn large_sources_are_scoped_against_the_member_set() {
 /// A reader that counts what a query asks of the one beneath it.
 struct Counting<'a> {
     db: &'a Database,
+    entities_decoded: AtomicU64,
     relationships_decoded: AtomicU64,
     index_gets: AtomicU64,
     index_scans: AtomicU64,
@@ -404,10 +405,16 @@ impl<'a> Counting<'a> {
     fn new(db: &'a Database) -> Self {
         Counting {
             db,
+            entities_decoded: AtomicU64::new(0),
             relationships_decoded: AtomicU64::new(0),
             index_gets: AtomicU64::new(0),
             index_scans: AtomicU64::new(0),
         }
+    }
+
+    /// Records of any kind decoded.
+    fn decodes(&self) -> u64 {
+        self.entities_decoded.load(Ordering::Relaxed)
     }
 
     /// `(relationship records decoded, raw_kv_get calls, raw_kv_for_each calls)`
@@ -423,6 +430,7 @@ impl<'a> Counting<'a> {
 impl Reader for Counting<'_> {
     fn entity(&self, oid: Oid) -> DbResult<StoredEntity> {
         let entity = self.db.entity(oid)?;
+        self.entities_decoded.fetch_add(1, Ordering::Relaxed);
         if matches!(entity, StoredEntity::Rel(_)) {
             self.relationships_decoded.fetch_add(1, Ordering::Relaxed);
         }
@@ -499,12 +507,58 @@ fn a_seeded_contextual_query_costs_the_same_in_a_classification_of_any_size() {
     assert_eq!(small, big, "cost follows the classification's size");
     assert_eq!(small, cost("small"), "the count repeats exactly");
 
+    // A scoped closure and edge step from a parent: the index calls they
+    // add to the same query without them. Each expanded node is one scan of
+    // the membership index, and no edge is looked up.
+    let steps = |name: &str| {
+        let run = |select: &str| {
+            let counting = Counting::new(&db);
+            let text = format!(
+                "select {select} from T x in classification \"{name}\" \
+                 where x.name = \"parent-{name}-5\""
+            );
+            let q = prometheus_pool::parse(&text).unwrap();
+            assert_eq!(eval::evaluate(&counting, &q).unwrap().len(), 1, "{text}");
+            counting.counts()
+        };
+        let (base, with) = (run("x.name"), run("x.name, x -> R*, x ->> R"));
+        (with.0 - base.0, with.1 - base.1, with.2 - base.2)
+    };
+    // The closure expands the parent and its five leaves, the edge step the
+    // parent.
+    assert_eq!(steps("small"), (0, 0, 7), "scoped steps: one scan a node");
+    assert_eq!(steps("big"), (0, 0, 7), "scoped steps: one scan a node");
+
     // Past one morsel of candidates the member list is read instead — from
-    // the membership index alone, whose values carry the endpoints.
+    // the membership index alone, whose entries carry the endpoints.
     let counting = Counting::new(&db);
     let q = prometheus_pool::parse("select x from T x in classification \"big\"").unwrap();
     assert_eq!(eval::evaluate(&counting, &q).unwrap().len(), 6_000);
     assert_eq!(counting.counts().0, 0, "the member list decodes no record");
+}
+
+/// An extent filter no index serves decodes each candidate once, for its
+/// pushed-down conjunct, and each row it keeps once more, for the
+/// projection. A candidate is never decoded to test its class: the deep
+/// extent lists only the classes that conform.
+#[test]
+fn an_extent_filter_decodes_each_candidate_once() {
+    let db = fresh_db("decodes");
+    define_schema(&db);
+    for i in 0..600 {
+        let class = if i % 2 == 0 { "T" } else { "S" };
+        let attrs = vec![("name".to_string(), Value::Str(format!("n{i}")))];
+        db.create_object(class, attrs).unwrap();
+    }
+    let counting = Counting::new(&db);
+    let q = prometheus_pool::parse("select x.name from T x where x.name like \"%5\"").unwrap();
+    let rows = eval::evaluate(&counting, &q).unwrap().len();
+    assert_eq!(rows, 60);
+    assert_eq!(
+        counting.decodes(),
+        600 + 60,
+        "one decode a candidate and a row"
+    );
 }
 
 #[test]
@@ -603,9 +657,8 @@ fn the_next_query_after_a_schema_change_sees_it() {
     let text = "select x from T x";
     assert_eq!(executor.query(&db, text, None).unwrap().len(), 1);
 
-    // A new subclass bumps the schema version. The first plan's
-    // conformance set predates the subclass — reused stale, it would
-    // silently drop the S2 instance from T's extent.
+    // A new subclass bumps the schema version; the next query must list
+    // the S2 instance in T's deep extent.
     db.define_class(ClassDef::new("S2").extends("T")).unwrap();
     db.create_object(
         "S2",
@@ -637,8 +690,8 @@ fn aborted_definition_does_not_leave_its_plan_behind() {
     db.abort_unit(unit);
 
     // A different subclass in its place brings the definition count back to
-    // what the cached plan saw; its conformance set {T, S, Ghost} would drop
-    // the Real instance.
+    // what the aborted unit's plan saw; the next query must list the Real
+    // instance.
     db.define_class(ClassDef::new("Real").extends("T")).unwrap();
     db.create_object("Real", vec![("name".to_string(), Value::Str("r".into()))])
         .unwrap();
