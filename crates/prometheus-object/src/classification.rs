@@ -280,31 +280,13 @@ impl Classification {
                 if !seen.insert(current) {
                     continue;
                 }
-                for edge in db.classification_child_edges(self.oid, current)? {
-                    sub.add_edge(db, edge.oid)?;
-                    stack.push(edge.destination);
+                for (edge, child) in db.adjacency(current, None, true, Some(self.oid))? {
+                    sub.add_edge(db, edge)?;
+                    stack.push(child);
                 }
             }
             Ok(sub)
         })
-    }
-
-    /// Whether the member edge `origin → destination` would close a cycle:
-    /// `destination` is `origin` or one of its ancestors here. The walk
-    /// [`Database::add_edge_to_classification`] makes before it admits an
-    /// edge — record-free: a scan of `destination`'s children here and, only
-    /// if it has any, endpoint scans and membership `get`s up `origin`'s
-    /// ancestors, O(depth) in a strict hierarchy.
-    pub fn closes_cycle<R: Reader>(&self, db: &R, origin: Oid, destination: Oid) -> DbResult<bool> {
-        if origin == destination {
-            return Ok(true);
-        }
-        // A node with no child here is nobody's ancestor here: a link that
-        // attaches a new or leaf node stops at this one membership scan.
-        if self.children(db, destination)?.is_empty() {
-            return Ok(false);
-        }
-        Ok(self.ancestors(db, origin, None)?.contains(&destination))
     }
 
     /// Verify the classification is structurally sound: acyclic and (if

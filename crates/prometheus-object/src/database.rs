@@ -47,7 +47,7 @@
 //! dependency and constancy are enforced on deletion. Violations surface as
 //! typed [`DbError`] variants.
 
-use crate::classification::{Classification, SoundClassifications};
+use crate::classification::SoundClassifications;
 use crate::error::{DbError, DbResult};
 use crate::events::{Event, EventListener};
 use crate::index::{
@@ -57,11 +57,12 @@ use crate::instance::{ClassificationMeta, ObjectInstance, RelInstance, StoredEnt
 use crate::read::{Meta, MetaMemo, ReadView, Reader};
 use crate::schema::{RelKind, SchemaRegistry, OBJECT_CLASS};
 use crate::synonym::SynonymTable;
+use crate::traversal;
 use crate::value::Value;
 use parking_lot::{Mutex, RwLock};
 use prometheus_storage::{codec, Oid, ShardedStore, Txn};
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
 /// Reserved extent name under which classification metadata is indexed.
@@ -1037,7 +1038,7 @@ impl Database {
                 }
                 // Acyclicity: destination must not already reach origin.
                 if def.acyclic
-                    && (origin == destination || self.reaches(destination, origin, class)?)
+                    && traversal::closes_cycle(self, origin, destination, Some(class), None)?
                 {
                     return Err(DbError::CycleViolation {
                         relationship: class.into(),
@@ -1182,25 +1183,6 @@ impl Database {
         });
     }
 
-    /// Whether `from` reaches `to` following edges of exactly `rel_class`,
-    /// over the endpoint index.
-    fn reaches(&self, from: Oid, to: Oid, rel_class: &str) -> DbResult<bool> {
-        let mut stack = vec![from];
-        let mut seen: BTreeSet<Oid> = BTreeSet::new();
-        while let Some(node) = stack.pop() {
-            if node == to {
-                return Ok(true);
-            }
-            if !seen.insert(node) {
-                continue;
-            }
-            for (_, destination) in self.adjacency(node, Some(rel_class), true, None)? {
-                stack.push(destination);
-            }
-        }
-        Ok(false)
-    }
-
     // -----------------------------------------------------------------
     // Extents and attribute queries
     // -----------------------------------------------------------------
@@ -1314,11 +1296,13 @@ impl Database {
     /// A classification is a hierarchy after every link (§4.6): the edge
     /// `o → d` is refused when `d` is `o` or one of `o`'s ancestors there,
     /// strict or lenient, as the unit bound to this thread sees it — so an
-    /// edge staged earlier in the unit counts. In a strict-hierarchy
-    /// classification `d` must not already have a parent edge there either
-    /// (one parent per node per classification — the overlap across
-    /// classifications is the point). A refused link fails with
-    /// [`DbError::Classification`] and undoes exactly itself.
+    /// edge staged earlier in the unit counts. The check is
+    /// [`traversal::closes_cycle`] scoped to the classification, the climb
+    /// an `acyclic` relationship class runs over its own edges. In a
+    /// strict-hierarchy classification `d` must not already have a parent
+    /// edge there either (one parent per node per classification — the
+    /// overlap across classifications is the point). A refused link fails
+    /// with [`DbError::Classification`] and undoes exactly itself.
     pub fn add_edge_to_classification(&self, cls: Oid, rel_oid: Oid) -> DbResult<()> {
         self.in_unit_scope(|_| {
             let meta = self.classification_meta(cls)?;
@@ -1335,7 +1319,7 @@ impl Database {
             if self.edge_in_classification(cls, rel_oid) {
                 return Ok(()); // already a member
             }
-            if Classification::from_oid(cls).closes_cycle(self, rel.origin, rel.destination)? {
+            if traversal::closes_cycle(self, rel.origin, rel.destination, None, Some(cls))? {
                 return Err(DbError::Classification(format!(
                     "edge {} -> {} closes a cycle in classification '{}'",
                     rel.origin, rel.destination, meta.name

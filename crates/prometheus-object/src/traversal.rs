@@ -10,6 +10,9 @@
 //! (`min_depth..=max_depth`, giving POOL its `[a..b]` depth-controlled path
 //! expressions), can be scoped to a single classification (querying *in
 //! context*, §4.6.2), and can treat instance synonyms transparently (§4.5).
+//!
+//! [`closes_cycle`] is the one cycle check: an early-exit climb that both
+//! an acyclic relationship class and a classification run before a link.
 
 use crate::error::DbResult;
 use crate::morsel;
@@ -190,6 +193,45 @@ fn expand<R: Reader>(
     }
     Ok(())
 }
+
+/// Whether the edge `origin → destination` would close a cycle over the
+/// edges of exactly `class` (all classes when `None`), within `scope`'s
+/// member edges when one is given: `destination` is `origin` or one of
+/// `origin`'s ancestors there. The one walk that guards every acyclic link —
+/// an `acyclic` relationship class's (§4.4.1) and a classification's (§4.6)
+/// — record-free over [`Reader::adjacency`]: a scan of `destination`'s
+/// outgoing edges and, only if it has any, a climb up from `origin` that
+/// stops as soon as it meets `destination`.
+pub fn closes_cycle<R: Reader>(
+    db: &R,
+    origin: Oid,
+    destination: Oid,
+    class: Option<&str>,
+    scope: Option<Oid>,
+) -> DbResult<bool> {
+    if origin == destination {
+        return Ok(true);
+    }
+    // A node with no outgoing edge is nobody's ancestor: a link that
+    // attaches a new or leaf node stops at this one scan.
+    if db.adjacency(destination, class, true, scope)?.is_empty() {
+        return Ok(false);
+    }
+    let mut visited = BTreeSet::from([origin]);
+    let mut stack = vec![origin];
+    while let Some(node) = stack.pop() {
+        for (_, parent) in db.adjacency(node, class, false, scope)? {
+            if parent == destination {
+                return Ok(true);
+            }
+            if visited.insert(parent) {
+                stack.push(parent);
+            }
+        }
+    }
+    Ok(false)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -4,7 +4,8 @@
 //! (`classifications_of_edge`), `synonym_set` and the schema's subclass
 //! list — on seeded random graphs with a relationship subclass, declared
 //! synonyms and a classification scope. `traverse_with` must give the same
-//! list at 1 and 8 workers.
+//! list at 1 and 8 workers. The cycle check, `closes_cycle`, is held to a
+//! walk down the decoded relationships on the same graphs.
 
 use prometheus_object::{
     shard_routing, ClassDef, Database, Direction, Oid, RelClassDef, ShardedStore, StoreOptions,
@@ -17,6 +18,7 @@ use std::sync::Arc;
 
 const GRAPHS: u64 = 24;
 const SPECS_PER_GRAPH: usize = 40;
+const PAIRS_PER_GRAPH: usize = 40;
 
 fn temp_db(seed: u64) -> (Database, std::path::PathBuf) {
     let path = std::env::temp_dir().join(format!(
@@ -184,5 +186,79 @@ fn traverse_matches_a_naive_reference_on_random_graphs() {
     assert!(
         parallel_morsels > 0,
         "some frontier must be wide enough to split"
+    );
+}
+
+/// The reference cycle check: `origin` is `destination`, or a FIFO walk down
+/// from `destination` over decoded relationships of exactly `class` (all
+/// when `None`), members of `scope` when one is given, meets `origin`.
+fn reference_closes_cycle(
+    db: &Database,
+    origin: Oid,
+    destination: Oid,
+    class: Option<&str>,
+    scope: Option<Oid>,
+) -> bool {
+    if origin == destination {
+        return true;
+    }
+    let mut visited = BTreeSet::from([destination]);
+    let mut queue = VecDeque::from([destination]);
+    while let Some(node) = queue.pop_front() {
+        for rel in db.rels_from(node, None).unwrap() {
+            if class.is_some_and(|c| rel.class != c)
+                || scope
+                    .is_some_and(|cls| !db.classifications_of_edge(rel.oid).unwrap().contains(&cls))
+            {
+                continue;
+            }
+            if rel.destination == origin {
+                return true;
+            }
+            if visited.insert(rel.destination) {
+                queue.push_back(rel.destination);
+            }
+        }
+    }
+    false
+}
+
+#[test]
+fn closes_cycle_matches_a_naive_reference_on_random_graphs() {
+    let (mut checks, mut cycles) = (0, 0);
+    for seed in 0..GRAPHS {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (db, path) = temp_db(seed);
+        let (nodes, cls) = random_graph(&db, &mut rng);
+        for _ in 0..PAIRS_PER_GRAPH {
+            let origin = nodes[rng.gen_range(0..nodes.len())];
+            let destination = nodes[rng.gen_range(0..nodes.len())];
+            for class in [None, Some("Base"), Some("Derived"), Some("Other")] {
+                for scope in [None, Some(cls)] {
+                    let expected = reference_closes_cycle(&db, origin, destination, class, scope);
+                    let got = prometheus_object::traversal::closes_cycle(
+                        &db,
+                        origin,
+                        destination,
+                        class,
+                        scope,
+                    )
+                    .unwrap();
+                    assert_eq!(
+                        got, expected,
+                        "seed {seed}, {origin} -> {destination}, {class:?}, {scope:?}"
+                    );
+                    checks += 1;
+                    cycles += usize::from(expected);
+                }
+            }
+        }
+        drop(db);
+        let _ = std::fs::remove_file(path);
+    }
+    println!("closes_cycle: {cycles} of {checks} checks close a cycle");
+    assert!(
+        0 < cycles && cycles < checks,
+        "the graphs must give both verdicts"
     );
 }

@@ -46,7 +46,6 @@
 
 use prometheus_db::{Database, Prometheus, StoreOptions};
 use prometheus_server::client::PollOutcome;
-use prometheus_server::protocol::ReplicaStatusInfo;
 use prometheus_server::{
     serve, ClientConfig, ErrorKind, MutationOp, PrometheusClient, ReplicaInfo, ReplicaStatusCell,
     ServerConfig, ServerError, ServerHandle, ServerResult, WireRows,
@@ -471,11 +470,6 @@ impl RoutedClient {
     /// [`RoutedClient::note_write`] to keep read-your-writes routing honest.
     pub fn primary(&mut self) -> &mut PrometheusClient {
         &mut self.primary
-    }
-
-    /// Replication status of follower `i`.
-    pub fn follower_status(&mut self, i: usize) -> ServerResult<ReplicaStatusInfo> {
-        self.followers[i].replica_status()
     }
 
     /// Record that this client just wrote: stale reads stay pinned to the

@@ -522,11 +522,6 @@ impl ServerHandle {
         metrics_snapshot(&self.shared)
     }
 
-    /// Whether shutdown has been initiated.
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutting_down.load(Ordering::SeqCst)
-    }
-
     /// Initiate graceful shutdown: stop accepting, finish in-flight
     /// requests, roll back open units, close sessions. Idempotent.
     pub fn shutdown(&self) {

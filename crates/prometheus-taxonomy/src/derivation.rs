@@ -21,7 +21,7 @@
 //!    CT's working name, typified by electing the first specimen of the
 //!    circumscription.
 
-use crate::model::{Taxonomy, HAS_TYPE};
+use crate::model::Taxonomy;
 use crate::rank::Rank;
 use crate::typification::TypeKind;
 use prometheus_object::{Classification, DbResult, Oid, Value};
@@ -333,11 +333,6 @@ pub fn basionym_author(citation: &str) -> &str {
         }
     }
     citation
-}
-
-/// How many `HasType` designations exist in the database (diagnostics).
-pub fn type_designation_count(tax: &Taxonomy) -> DbResult<usize> {
-    Ok(tax.db().extent(HAS_TYPE, false)?.len())
 }
 
 #[cfg(test)]

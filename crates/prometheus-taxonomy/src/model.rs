@@ -113,25 +113,6 @@ impl Taxonomy {
             .create_object("Specimen", vec![("code".to_string(), Value::from(code))])
     }
 
-    /// Record a specimen with collector details.
-    pub fn create_specimen_full(
-        &self,
-        code: &str,
-        collector: &str,
-        collected: prometheus_object::Date,
-        locality: &str,
-    ) -> DbResult<Oid> {
-        self.db.create_object(
-            "Specimen",
-            vec![
-                ("code".to_string(), Value::from(code)),
-                ("collector".to_string(), Value::from(collector)),
-                ("collected".to_string(), Value::Date(collected)),
-                ("locality".to_string(), Value::from(locality)),
-            ],
-        )
-    }
-
     /// Publish a nomenclatural taxon (a name). The name element is validated
     /// against the lexical rules of §2.1.2 — violations are reported but the
     /// thesis treats historically published names as valid forever, so they

@@ -37,11 +37,10 @@ impl Revision {
     pub fn move_taxon(&self, tax: &Taxonomy, taxon: Oid, new_parent: Oid) -> DbResult<()> {
         let db = tax.db();
         db.in_unit_scope(|db| {
-            for edge in db.classification_parent_edges(self.working.oid(), taxon)? {
-                self.working.remove_edge(db, edge.oid)?;
+            for (edge, _) in db.adjacency(taxon, None, false, Some(self.working.oid()))? {
+                self.working.remove_edge(db, edge)?;
             }
             tax.circumscribe(&self.working, new_parent, taxon)?;
-            let _ = db;
             Ok(())
         })
     }
@@ -55,12 +54,13 @@ impl Revision {
     pub fn merge_taxa(&self, tax: &Taxonomy, winner: Oid, loser: Oid) -> DbResult<()> {
         let db = tax.db();
         db.in_unit_scope(|db| {
-            for edge in db.classification_child_edges(self.working.oid(), loser)? {
-                self.working.remove_edge(db, edge.oid)?;
-                tax.circumscribe(&self.working, winner, edge.destination)?;
+            let working = Some(self.working.oid());
+            for (edge, child) in db.adjacency(loser, None, true, working)? {
+                self.working.remove_edge(db, edge)?;
+                tax.circumscribe(&self.working, winner, child)?;
             }
-            for edge in db.classification_parent_edges(self.working.oid(), loser)? {
-                self.working.remove_edge(db, edge.oid)?;
+            for (edge, _) in db.adjacency(loser, None, false, working)? {
+                self.working.remove_edge(db, edge)?;
             }
             Ok(())
         })
@@ -90,9 +90,9 @@ impl Revision {
                 tax.circumscribe(&self.working, *parent, new_ct)?;
             }
             for &child in children_to_move {
-                for edge in db.classification_parent_edges(self.working.oid(), child)? {
-                    if edge.origin == taxon {
-                        self.working.remove_edge(db, edge.oid)?;
+                for (edge, parent) in db.adjacency(child, None, false, Some(self.working.oid()))? {
+                    if parent == taxon {
+                        self.working.remove_edge(db, edge)?;
                     }
                 }
                 tax.circumscribe(&self.working, new_ct, child)?;

@@ -13,6 +13,7 @@ use prometheus_db::{
     StoreOptions, Type, Value,
 };
 use prometheus_object::synonym::SynonymTable;
+use prometheus_object::traversal::closes_cycle;
 use prometheus_storage::{codec, Bytes, Keyspace, KvScan};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -609,8 +610,8 @@ impl Reader for Counting<'_> {
 
 /// A link walks its origin's ancestors, not the classification. After one
 /// committed move of a species that has a specimen below it, the walk its
-/// link made (`Classification::closes_cycle`, which
-/// `add_edge_to_classification` runs) climbs from the new genus to the
+/// link made (`traversal::closes_cycle` scoped to the classification, as
+/// `add_edge_to_classification` runs it) climbs from the new genus to the
 /// family at the same index calls in a classification of 50 edges and of
 /// 5 000, and decodes no relationship; the integrity check after it
 /// answers from the set of sound classifications without an index call.
@@ -670,7 +671,7 @@ fn a_link_and_the_check_after_it_cost_the_same_in_a_classification_of_any_size()
             index_scans: AtomicU64::new(0),
         };
         let walk = counting();
-        assert!(!cls.closes_cycle(&walk, genera[1], species[0]).unwrap());
+        assert!(!closes_cycle(&walk, genera[1], species[0], None, Some(cls.oid())).unwrap());
         let check = counting();
         assert!(cls.check_integrity(&check).unwrap().is_empty());
         assert_eq!(check.counts(), (0, 0, 0), "the check answers from the set");
@@ -686,6 +687,85 @@ fn a_link_and_the_check_after_it_cost_the_same_in_a_classification_of_any_size()
     // (one scan, one `get`) and the family's (one scan, none).
     assert_eq!(small, (0, 1, 3), "one climb costs what it did");
     assert_eq!(small, big, "cost follows the classification's size");
+    drop(tax);
+    drop(p);
+    let _ = std::fs::remove_file(path);
+}
+
+/// An acyclic class's check climbs from the new parent, not down from the
+/// child. A `Circumscribes` family → genus, where the genus already holds 50
+/// descendants and then 5 000, is checked by `traversal::closes_cycle` with
+/// the arguments `create_relationship` passes at the same index calls,
+/// decoding no relationship: the genus' children scan, which finds it no
+/// leaf, and the family's parents scan, which finds none. The reverse link
+/// is still refused. The counts repeat exactly, so they gate on any runner.
+#[test]
+fn an_acyclic_link_costs_the_same_whatever_hangs_below_the_child() {
+    let path = std::env::temp_dir().join(format!("prop-acyclic-cost-{}.log", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let options = StoreOptions {
+        sync_on_commit: false,
+    };
+    let p = Prometheus::open_with(&path, options).unwrap();
+    let tax = p.taxonomy().unwrap();
+    let db = tax.db();
+    let circumscribes = prometheus_db::taxonomy::CIRCUMSCRIBES;
+    let cost = |descendants: usize| {
+        // A genus over species of five specimens each.
+        let family = tax
+            .create_ct(&format!("F{descendants}"), Rank::Familia)
+            .unwrap();
+        let genus = tax
+            .create_ct(&format!("G{descendants}"), Rank::Genus)
+            .unwrap();
+        let mut species = genus;
+        for i in 0..descendants {
+            let (parent, child) = if i % 6 == 0 {
+                species = tax
+                    .create_ct(&format!("s{descendants}.{i}"), Rank::Species)
+                    .unwrap();
+                (genus, species)
+            } else {
+                let specimen = tax.create_specimen(&format!("S{descendants}.{i}")).unwrap();
+                (species, specimen)
+            };
+            db.create_relationship(circumscribes, parent, child, Vec::new())
+                .unwrap();
+        }
+        let climb = Counting {
+            db,
+            relationships_decoded: AtomicU64::new(0),
+            index_gets: AtomicU64::new(0),
+            index_scans: AtomicU64::new(0),
+        };
+        assert!(!closes_cycle(&climb, family, genus, Some(circumscribes), None).unwrap());
+        db.create_relationship(circumscribes, family, genus, Vec::new())
+            .unwrap();
+        let reverse = db.create_relationship(circumscribes, genus, family, Vec::new());
+        assert!(
+            matches!(
+                reverse,
+                Err(DbError::CycleViolation { ref relationship, origin, destination })
+                    if relationship == circumscribes && origin == genus && destination == family
+            ),
+            "{reverse:?}"
+        );
+        climb.counts()
+    };
+    let (small, big) = (cost(50), cost(5_000));
+    println!(
+        "an acyclic link's climb: {} index gets, {} index scans, {} relationships decoded",
+        small.1, small.2, small.0
+    );
+    assert_eq!(
+        small,
+        (0, 0, 2),
+        "the genus' children, the family's parents"
+    );
+    assert_eq!(
+        small, big,
+        "cost follows the parent's ancestry, not the child's subtree"
+    );
     drop(tax);
     drop(p);
     let _ = std::fs::remove_file(path);
